@@ -63,75 +63,21 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A fault-injecting [`Backend`] wrapper with a deterministic schedule.
-///
-/// The wrapper reports the inner back-end's `name` and `isa` so that
-/// downgrade records and compile stats name the real tier, but mixes
-/// the fault plan into `config_fingerprint` so chaos-compiled artifacts
-/// never alias clean cache entries.
-pub struct ChaosBackend {
-    inner: Arc<dyn Backend>,
-    fault: ChaosFault,
+/// The fault plan both injectors run on: what to inject, when, and how
+/// often it has fired so far. One call counter indexes the schedule, so
+/// a plan shared (`Arc`) by many executables schedules over all of
+/// their calls together.
+struct FaultPlan<F> {
+    fault: F,
     schedule: Schedule,
     calls: AtomicU64,
     injected: AtomicU64,
 }
 
-impl std::fmt::Debug for ChaosBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ChaosBackend({}, {:?}, {:?}, {} injected)",
-            self.inner.name(),
-            self.fault,
-            self.schedule,
-            self.injected.load(Ordering::Relaxed)
-        )
-    }
-}
-
-impl ChaosBackend {
-    fn with_schedule(inner: Arc<dyn Backend>, fault: ChaosFault, schedule: Schedule) -> Self {
-        ChaosBackend {
-            inner,
-            fault,
-            schedule,
-            calls: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
-        }
-    }
-
-    /// Injects `fault` on the `n`-th (0-based) compile call only.
-    pub fn on_nth(inner: Arc<dyn Backend>, n: u64, fault: ChaosFault) -> Self {
-        Self::with_schedule(inner, fault, Schedule::Nth(n))
-    }
-
-    /// Injects `fault` on every compile call.
-    pub fn always(inner: Arc<dyn Backend>, fault: ChaosFault) -> Self {
-        Self::with_schedule(inner, fault, Schedule::Always)
-    }
-
-    /// Injects `fault` on each call independently with probability
-    /// `permille`/1000, deterministically derived from `seed` and the
-    /// call index.
-    pub fn seeded(inner: Arc<dyn Backend>, seed: u64, permille: u16, fault: ChaosFault) -> Self {
-        Self::with_schedule(inner, fault, Schedule::Seeded { seed, permille })
-    }
-
-    /// Total compile calls observed so far.
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    /// Decides whether the fault fires for the next call and, when it
-    /// is an error or panic fault, raises it. `Delay` faults sleep and
-    /// then let the inner back-end compile normally.
-    fn maybe_inject(&self) -> Result<(), BackendError> {
+impl<F> FaultPlan<F> {
+    /// Advances the call counter; returns the 0-based call index when
+    /// the fault fires for this call.
+    fn fires(&self) -> Option<u64> {
         let n = self.calls.fetch_add(1, Ordering::Relaxed);
         let fire = match self.schedule {
             Schedule::Nth(k) => n == k,
@@ -140,11 +86,115 @@ impl ChaosBackend {
                 (splitmix64(seed ^ n) % 1000) < u64::from(permille)
             }
         };
-        if !fire {
+        fire.then(|| {
+            self.injected.fetch_add(1, Ordering::Relaxed);
+            n
+        })
+    }
+}
+
+/// A [`Backend`] wrapper injecting faults of type `F` on a deterministic
+/// schedule; used through its two instantiations, [`ChaosBackend`]
+/// (compile calls fault) and [`ChaosExecBackend`] (`main` calls of the
+/// produced executables fault). "Call" below means whichever of the two
+/// the instantiation counts.
+///
+/// The wrapper reports the inner back-end's `name` and `isa` so that
+/// downgrade records and compile stats name the real tier, but mixes
+/// the fault plan into `config_fingerprint` so chaos-compiled artifacts
+/// never alias clean cache entries.
+pub struct Chaos<F> {
+    inner: Arc<dyn Backend>,
+    plan: Arc<FaultPlan<F>>,
+}
+
+/// The compile-phase injector: every compile call — fresh or retried,
+/// `compile` or `compile_artifact` — consults the fault plan first.
+pub type ChaosBackend = Chaos<ChaosFault>;
+
+/// The execution-phase injector: compilation is delegated untouched,
+/// but each produced [`Executable`] consults the fault plan on every
+/// `main` call (`setup`/`finish` stay clean so pipelines always reach
+/// the morsel loop). The plan is shared (`Arc`) across every executable
+/// the back-end produces — including re-instantiations of a cached
+/// artifact — so the schedule indexes *morsel calls across the whole
+/// serving run*, not calls per executable. Deterministic for a serial
+/// reference run; under parallel execution the *set* of faulted call
+/// indices is fixed even though their thread assignment is not.
+pub type ChaosExecBackend = Chaos<ExecFault>;
+
+impl<F> Chaos<F> {
+    fn with_schedule(inner: Arc<dyn Backend>, fault: F, schedule: Schedule) -> Self {
+        let plan = Arc::new(FaultPlan {
+            fault,
+            schedule,
+            calls: AtomicU64::new(0),
+            injected: AtomicU64::new(0),
+        });
+        Chaos { inner, plan }
+    }
+
+    /// Injects `fault` on the `n`-th (0-based) call only.
+    pub fn on_nth(inner: Arc<dyn Backend>, n: u64, fault: F) -> Self {
+        Self::with_schedule(inner, fault, Schedule::Nth(n))
+    }
+
+    /// Injects `fault` on every call.
+    pub fn always(inner: Arc<dyn Backend>, fault: F) -> Self {
+        Self::with_schedule(inner, fault, Schedule::Always)
+    }
+
+    /// Injects `fault` on each call independently with probability
+    /// `permille`/1000, deterministically derived from `seed` and the
+    /// call index.
+    pub fn seeded(inner: Arc<dyn Backend>, seed: u64, permille: u16, fault: F) -> Self {
+        Self::with_schedule(inner, fault, Schedule::Seeded { seed, permille })
+    }
+
+    /// Total calls observed so far.
+    pub fn calls(&self) -> u64 {
+        self.plan.calls.load(Ordering::Relaxed)
+    }
+
+    /// Faults injected so far.
+    pub fn injected(&self) -> u64 {
+        self.plan.injected.load(Ordering::Relaxed)
+    }
+
+    /// The wrapper's `config_fingerprint`: the inner back-end's, the
+    /// schedule, and the instantiation's own `fault` hash and `salt`.
+    fn fingerprint(&self, fault: u64, salt: u64) -> u64 {
+        let schedule = match self.plan.schedule {
+            Schedule::Nth(k) => splitmix64(k ^ 1),
+            Schedule::Always => splitmix64(2),
+            Schedule::Seeded { seed, permille } => splitmix64(seed ^ u64::from(permille) ^ 3),
+        };
+        self.inner.config_fingerprint() ^ schedule ^ fault ^ salt
+    }
+}
+
+impl<F: std::fmt::Debug> std::fmt::Debug for Chaos<F> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "Chaos({}, {:?}, {:?}, {} injected)",
+            self.inner.name(),
+            self.plan.fault,
+            self.plan.schedule,
+            self.injected()
+        )
+    }
+}
+
+impl ChaosBackend {
+    /// Decides whether the fault fires for the next call and, when it
+    /// is an error or panic fault, raises it. `Delay` faults sleep and
+    /// then let the inner back-end compile normally.
+    fn maybe_inject(&self) -> Result<(), BackendError> {
+        let Some(n) = self.plan.fires() else {
             return Ok(());
-        }
-        self.injected.fetch_add(1, Ordering::Relaxed);
-        match self.fault {
+        };
+        match self.plan.fault {
             ChaosFault::TransientError => Err(BackendError::transient(format!(
                 "chaos: injected transient fault on call {n}"
             ))),
@@ -170,19 +220,14 @@ impl Backend for ChaosBackend {
     }
 
     fn config_fingerprint(&self) -> u64 {
-        let plan = match self.schedule {
-            Schedule::Nth(k) => splitmix64(k ^ 1),
-            Schedule::Always => splitmix64(2),
-            Schedule::Seeded { seed, permille } => splitmix64(seed ^ u64::from(permille) ^ 3),
-        };
-        let fault = match self.fault {
+        let fault = match self.plan.fault {
             ChaosFault::TransientError => 1,
             ChaosFault::PermanentError => 2,
             ChaosFault::Panic => 3,
             ChaosFault::Delay(d) => splitmix64(4 ^ d.as_nanos() as u64),
         };
         // Never alias the clean back-end's cache entries.
-        self.inner.config_fingerprint() ^ plan ^ fault ^ 0x4348_414f_5321
+        self.fingerprint(fault, 0x4348_414f_5321)
     }
 
     fn compile(
@@ -209,8 +254,8 @@ impl Backend for ChaosBackend {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecFault {
     /// Panic inside the morsel call. The morsel executor must contain
-    /// this with its per-worker `catch_unwind`, replay the lost
-    /// morsels, and keep the merged result byte-identical.
+    /// this at the worker's claim, replay the lost morsels, and keep
+    /// the merged result byte-identical.
     Panic,
     /// Return [`Trap::Runtime`] with the given code, as a miscompiled
     /// or resource-starved kernel would. Drives the serving scheduler's
@@ -226,104 +271,6 @@ pub enum ExecFault {
     BurnCycles(u64),
 }
 
-/// The shared fault plan of one [`ChaosExecBackend`]: fault, schedule,
-/// and the global `main`-call counter. Shared (`Arc`) across every
-/// executable the back-end produces — including re-instantiations of a
-/// cached artifact — so the schedule indexes *morsel calls across the
-/// whole serving run*, not calls per executable.
-struct ExecPlan {
-    fault: ExecFault,
-    schedule: Schedule,
-    calls: AtomicU64,
-    injected: AtomicU64,
-}
-
-impl ExecPlan {
-    /// Advances the call counter; returns the 0-based call index when
-    /// the fault fires for this call.
-    fn fires(&self) -> Option<u64> {
-        let n = self.calls.fetch_add(1, Ordering::Relaxed);
-        let fire = match self.schedule {
-            Schedule::Nth(k) => n == k,
-            Schedule::Always => true,
-            Schedule::Seeded { seed, permille } => {
-                (splitmix64(seed ^ n) % 1000) < u64::from(permille)
-            }
-        };
-        if fire {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            Some(n)
-        } else {
-            None
-        }
-    }
-}
-
-/// A [`Backend`] wrapper whose *executables* misbehave: compilation is
-/// delegated untouched, but each produced [`Executable`] consults the
-/// shared [`ExecPlan`] on every `main` call (`setup`/`finish` stay
-/// clean so pipelines always reach the morsel loop). Deterministic for
-/// a serial reference run; under parallel execution the *set* of faulted
-/// call indices is fixed even though their thread assignment is not.
-pub struct ChaosExecBackend {
-    inner: Arc<dyn Backend>,
-    plan: Arc<ExecPlan>,
-}
-
-impl std::fmt::Debug for ChaosExecBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ChaosExecBackend({}, {:?}, {:?}, {} injected)",
-            self.inner.name(),
-            self.plan.fault,
-            self.plan.schedule,
-            self.plan.injected.load(Ordering::Relaxed)
-        )
-    }
-}
-
-impl ChaosExecBackend {
-    fn with_schedule(inner: Arc<dyn Backend>, fault: ExecFault, schedule: Schedule) -> Self {
-        ChaosExecBackend {
-            inner,
-            plan: Arc::new(ExecPlan {
-                fault,
-                schedule,
-                calls: AtomicU64::new(0),
-                injected: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Injects `fault` on the `n`-th (0-based) `main` call only.
-    pub fn on_nth(inner: Arc<dyn Backend>, n: u64, fault: ExecFault) -> Self {
-        Self::with_schedule(inner, fault, Schedule::Nth(n))
-    }
-
-    /// Injects `fault` on every `main` call.
-    pub fn always(inner: Arc<dyn Backend>, fault: ExecFault) -> Self {
-        Self::with_schedule(inner, fault, Schedule::Always)
-    }
-
-    /// Injects `fault` on each `main` call independently with
-    /// probability `permille`/1000, deterministically derived from
-    /// `seed` and the global call index.
-    pub fn seeded(inner: Arc<dyn Backend>, seed: u64, permille: u16, fault: ExecFault) -> Self {
-        Self::with_schedule(inner, fault, Schedule::Seeded { seed, permille })
-    }
-
-    /// Total `main` calls observed across all produced executables.
-    pub fn calls(&self) -> u64 {
-        self.plan.calls.load(Ordering::Relaxed)
-    }
-
-    /// Faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.plan.injected.load(Ordering::Relaxed)
-    }
-}
-
 impl Backend for ChaosExecBackend {
     fn name(&self) -> &'static str {
         self.inner.name()
@@ -334,11 +281,6 @@ impl Backend for ChaosExecBackend {
     }
 
     fn config_fingerprint(&self) -> u64 {
-        let plan = match self.plan.schedule {
-            Schedule::Nth(k) => splitmix64(k ^ 1),
-            Schedule::Always => splitmix64(2),
-            Schedule::Seeded { seed, permille } => splitmix64(seed ^ u64::from(permille) ^ 3),
-        };
         let fault = match self.plan.fault {
             ExecFault::Panic => 5,
             ExecFault::Trap(code) => splitmix64(6 ^ u64::from(code)),
@@ -347,7 +289,7 @@ impl Backend for ChaosExecBackend {
         };
         // Never alias the clean back-end's cache entries ("EXEC" salt,
         // distinct from the compile-phase wrapper's salt).
-        self.inner.config_fingerprint() ^ plan ^ fault ^ 0x4558_4543_2121
+        self.fingerprint(fault, 0x4558_4543_2121)
     }
 
     fn compile(
@@ -355,12 +297,8 @@ impl Backend for ChaosExecBackend {
         module: &Module,
         trace: &TimeTrace,
     ) -> Result<Box<dyn Executable>, BackendError> {
-        let exe = self.inner.compile(module, trace)?;
-        Ok(Box::new(ChaosExecutable {
-            inner: exe,
-            plan: Arc::clone(&self.plan),
-            extra_cycles: 0,
-        }))
+        let inner = self.inner.compile(module, trace)?;
+        Ok(ChaosExecutable::wrap(inner, &self.plan))
     }
 
     fn compile_artifact(
@@ -368,15 +306,11 @@ impl Backend for ChaosExecBackend {
         module: &Module,
         trace: &TimeTrace,
     ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
-        Ok(self
-            .inner
-            .compile_artifact(module, trace)?
-            .map(|art| -> Box<dyn CodeArtifact> {
-                Box::new(ChaosExecArtifact {
-                    inner: art,
-                    plan: Arc::clone(&self.plan),
-                })
-            }))
+        let Some(inner) = self.inner.compile_artifact(module, trace)? else {
+            return Ok(None);
+        };
+        let plan = Arc::clone(&self.plan);
+        Ok(Some(Box::new(ChaosExecArtifact { inner, plan })))
     }
 }
 
@@ -386,16 +320,12 @@ impl Backend for ChaosExecBackend {
 /// plan must not escape into the persistent artifact store.
 struct ChaosExecArtifact {
     inner: Box<dyn CodeArtifact>,
-    plan: Arc<ExecPlan>,
+    plan: Arc<FaultPlan<ExecFault>>,
 }
 
 impl CodeArtifact for ChaosExecArtifact {
     fn instantiate(&self) -> Result<Box<dyn Executable>, BackendError> {
-        Ok(Box::new(ChaosExecutable {
-            inner: self.inner.instantiate()?,
-            plan: Arc::clone(&self.plan),
-            extra_cycles: 0,
-        }))
+        Ok(ChaosExecutable::wrap(self.inner.instantiate()?, &self.plan))
     }
 
     fn compile_stats(&self) -> &CompileStats {
@@ -414,10 +344,21 @@ impl CodeArtifact for ChaosExecArtifact {
 /// [`Executable`] that injects its plan's fault into `main` calls.
 struct ChaosExecutable {
     inner: Box<dyn Executable>,
-    plan: Arc<ExecPlan>,
+    plan: Arc<FaultPlan<ExecFault>>,
     /// Cycles added by `BurnCycles` injections, reported on top of the
     /// inner executable's honest stats.
     extra_cycles: u64,
+}
+
+impl ChaosExecutable {
+    fn wrap(inner: Box<dyn Executable>, plan: &Arc<FaultPlan<ExecFault>>) -> Box<dyn Executable> {
+        let plan = Arc::clone(plan);
+        Box::new(ChaosExecutable {
+            inner,
+            plan,
+            extra_cycles: 0,
+        })
+    }
 }
 
 impl Executable for ChaosExecutable {

@@ -8,6 +8,7 @@
 
 use crate::compile_service::{CompileService, PendingCompile};
 use crate::engine::{Engine, EngineError, ExecutionResult, PreparedQuery};
+use crate::morsel_exec::{MorselExecConfig, MorselExecutor};
 use qc_backend::{Backend, BackendError};
 use qc_timing::TimeTrace;
 use std::sync::Arc;
@@ -87,13 +88,14 @@ impl AdaptiveExecution {
         optimized: &dyn Backend,
     ) -> Result<(ExecutionResult, AdaptiveOutcome), EngineError> {
         let trace = TimeTrace::disabled();
-        let mut compiled = engine.compile_internal(prepared, cheap, &trace)?;
-        let first = engine.execute_internal(prepared, &mut compiled)?;
+        let serial = MorselExecutor::new(MorselExecConfig::default());
+        let mut compiled = engine.compile(prepared, cheap, &trace)?;
+        let first = serial.execute(engine, prepared, &mut compiled)?;
         if !self.should_tier_up(prepared.ir_size(), first.exec_stats.cycles) {
             return Ok((first, AdaptiveOutcome::StayedCheap));
         }
-        let mut opt = engine.compile_internal(prepared, optimized, &trace)?;
-        let mut second = engine.execute_internal(prepared, &mut opt)?;
+        let mut opt = engine.compile(prepared, optimized, &trace)?;
+        let mut second = serial.execute(engine, prepared, &mut opt)?;
         second.compile_time += first.compile_time;
         second.compile_stats.merge(&first.compile_stats);
         Ok((second, AdaptiveOutcome::TieredUp))
@@ -134,7 +136,8 @@ impl AdaptiveExecution {
         let policy = *self;
         let ir_size = prepared.ir_size();
 
-        let result = engine.execute_with_hook_internal(prepared, &mut compiled, &mut |event| {
+        let serial = MorselExecutor::new(MorselExecConfig::default());
+        let result = serial.execute_with_hook(engine, prepared, &mut compiled, &mut |event| {
             if swapped_at.is_some() || background_error.is_some() {
                 return None;
             }

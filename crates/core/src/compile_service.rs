@@ -22,7 +22,7 @@
 //! Every compile job is one failure domain (see `DESIGN.md`, "Failure
 //! domains & fallback chain"):
 //!
-//! * a **panic** inside a back-end is caught with `catch_unwind`,
+//! * a **panic** inside a back-end is caught by `crate::supervise`,
 //!   converted into a `Panic`-kind [`BackendError`], and never reaches
 //!   the cache or stalls the in-order reply merge — the job always
 //!   sends exactly one reply;
@@ -40,13 +40,13 @@
 
 use crate::artifact_store::{ArtifactKey, ArtifactStore};
 use crate::engine::{CompiledQuery, EngineError, PreparedQuery};
+use crate::supervise::supervise;
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, Executable};
 use qc_ir::{module_structural_hash, Module};
 use qc_timing::TimeTrace;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -84,15 +84,6 @@ impl Default for CompileBudget {
 }
 
 impl CompileBudget {
-    /// No deadline, no retries: every fault surfaces immediately.
-    pub fn strict() -> Self {
-        CompileBudget {
-            deadline: None,
-            max_retries: 0,
-            retry_backoff: Duration::ZERO,
-        }
-    }
-
     /// Default retry policy plus a wall-clock deadline.
     pub fn with_deadline(deadline: Duration) -> Self {
         CompileBudget {
@@ -110,8 +101,9 @@ pub struct CompileServiceConfig {
     /// Maximum number of cached artifacts; 0 disables caching.
     pub cache_capacity: usize,
     /// Budget applied to jobs submitted through [`CompileService::compile`]
-    /// and [`CompileService::spawn_compile`]; the `_budgeted` variants
-    /// override it per call.
+    /// and [`CompileService::spawn_compile`];
+    /// [`CompileService::compile_budgeted`] and
+    /// [`CompileRequest::budget`] override it per call.
     pub budget: CompileBudget,
 }
 
@@ -529,17 +521,6 @@ impl PendingCompile {
     }
 }
 
-/// Text form of a panic payload, for `Panic`-kind [`BackendError`]s.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// The compilation service. One instance per engine (or process) owns
 /// the worker pool and the code cache; it is backend-agnostic — the
 /// cache key carries the back-end identity.
@@ -637,10 +618,9 @@ impl CompileService {
     /// A foreground submit compiles before returning (the ticket is
     /// already resolved); a background submit returns immediately and
     /// compiles on a worker. [`CompileService::compile`],
-    /// [`CompileService::compile_budgeted`],
-    /// [`CompileService::spawn_compile`] and
-    /// [`CompileService::spawn_compile_budgeted`] are thin wrappers
-    /// over this builder.
+    /// [`CompileService::compile_budgeted`] and
+    /// [`CompileService::spawn_compile`] are thin wrappers over this
+    /// builder.
     pub fn request<'a>(
         &'a self,
         prepared: &'a PreparedQuery,
@@ -812,20 +792,6 @@ impl CompileService {
         self.request(prepared, backend).background().submit()
     }
 
-    /// [`CompileService::spawn_compile`] with an explicit per-job
-    /// budget.
-    pub fn spawn_compile_budgeted(
-        &self,
-        prepared: &PreparedQuery,
-        backend: &Arc<dyn Backend>,
-        budget: CompileBudget,
-    ) -> PendingCompile {
-        self.request(prepared, backend)
-            .budget(budget)
-            .background()
-            .submit()
-    }
-
     /// The background path behind [`CompileRequest::submit`]: one
     /// worker compiles all modules sequentially (tier-up runs beside a
     /// live query; monopolizing the pool would starve foreground
@@ -947,15 +913,13 @@ fn compile_one_budgeted(
     let start = Instant::now();
     let mut attempt = 0u32;
     loop {
-        let outcome = catch_unwind(AssertUnwindSafe(|| compile_one(backend, module, trace)))
-            .unwrap_or_else(|payload| {
-                faults.panics_caught.fetch_add(1, Ordering::Relaxed);
-                Err(BackendError::panicked(format!(
-                    "compile of `{}` panicked: {}",
-                    module.name,
-                    panic_message(payload.as_ref())
-                )))
-            });
+        let outcome = supervise(|| compile_one(backend, module, trace)).unwrap_or_else(|panic| {
+            faults.panics_caught.fetch_add(1, Ordering::Relaxed);
+            Err(BackendError::panicked(format!(
+                "compile of `{}` panicked: {panic}",
+                module.name
+            )))
+        });
         // The deadline is checked post hoc — compiles are synchronous —
         // and overrides even success: a tier too slow for its budget
         // must degrade, and its artifact must not enter the cache.
@@ -1065,7 +1029,7 @@ mod tests {
         let faults = Arc::new(Faults::default());
         let pool = WorkerPool::new(2, Arc::clone(&faults));
         assert_eq!(pool.worker_count(), 2);
-        // Raw jobs bypass the compile-level catch_unwind, so this
+        // Raw jobs bypass the compile-level supervision, so this
         // panic unwinds through the worker loop and kills the thread.
         for _ in 0..2 {
             pool.submit(Box::new(|| panic!("worker-fatal bug")))

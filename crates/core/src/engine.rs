@@ -1,6 +1,6 @@
 //! Query preparation, compilation, and morsel-wise execution.
 
-use crate::morsel_exec::{ExecTally, QueryExecution, StepProgress};
+use crate::morsel_exec::ExecTally;
 use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, Executable};
 use qc_codegen::{generate, GeneratedQuery};
 use qc_plan::{PhysicalPlan, PlanError, PlanNode, RowLayout};
@@ -294,7 +294,7 @@ impl CompiledQuery {
     /// Folds a background-compiled `replacement` tier into this query
     /// in place: compile time and statistics of the replaced tier are
     /// merged so the totals cover both tiers (the accounting contract
-    /// of [`Engine::execute_with_hook`]).
+    /// of [`crate::MorselExecutor::execute_with_hook`]).
     pub(crate) fn adopt_replacement(&mut self, mut replacement: CompiledQuery) {
         replacement.compile_time += self.compile_time;
         replacement.compile_stats.merge(&self.compile_stats);
@@ -315,7 +315,7 @@ impl fmt::Debug for CompiledQuery {
 }
 
 /// Snapshot handed to an execution hook after each morsel (see
-/// [`Engine::execute_with_hook`]).
+/// [`crate::MorselExecutor::execute_with_hook`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MorselEvent {
     /// Index of the pipeline currently running.
@@ -392,16 +392,13 @@ impl<'db> Engine<'db> {
         self.config.morsel_size
     }
 
-    /// Plans a query and generates its IR.
+    /// Plans a query and generates its IR. Reached through
+    /// [`crate::Session::statement`] (cached) and the scheduler's
+    /// admission.
     ///
     /// # Errors
     /// Returns [`EngineError::Plan`] for schema/type errors.
-    #[deprecated(note = "use `Session::statement` (cached) or `Session::prepare` instead")]
-    pub fn prepare(&self, plan: &PlanNode, name: &str) -> Result<PreparedQuery, EngineError> {
-        self.prepare_internal(plan, name)
-    }
-
-    pub(crate) fn prepare_internal(
+    pub(crate) fn prepare(
         &self,
         plan: &PlanNode,
         name: &str,
@@ -420,21 +417,13 @@ impl<'db> Engine<'db> {
         })
     }
 
-    /// Compiles a prepared query with `backend`, measuring wall-clock time.
+    /// Compiles a prepared query with `backend` on the calling thread,
+    /// measuring wall-clock time: the uncached, unsupervised
+    /// measurement path behind [`crate::QueryRun::direct`].
     ///
     /// # Errors
     /// Returns [`EngineError::Backend`] when a module is rejected.
-    #[deprecated(note = "use `QueryRun::direct` (same semantics) or `QueryRun::compile` instead")]
-    pub fn compile(
-        &self,
-        prepared: &PreparedQuery,
-        backend: &dyn Backend,
-        trace: &TimeTrace,
-    ) -> Result<CompiledQuery, EngineError> {
-        self.compile_internal(prepared, backend, trace)
-    }
-
-    pub(crate) fn compile_internal(
+    pub(crate) fn compile(
         &self,
         prepared: &PreparedQuery,
         backend: &dyn Backend,
@@ -473,96 +462,6 @@ impl<'db> Engine<'db> {
             compile_stats: stats,
             backend_name: backend.name(),
         })
-    }
-
-    /// Executes a compiled query, returning decoded rows and cycle costs.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::Trap`] when generated code traps.
-    #[deprecated(note = "use `QueryRun::execute` or `QueryRun::execute_compiled` instead")]
-    pub fn execute(
-        &self,
-        prepared: &PreparedQuery,
-        compiled: &mut CompiledQuery,
-    ) -> Result<ExecutionResult, EngineError> {
-        self.execute_internal(prepared, compiled)
-    }
-
-    pub(crate) fn execute_internal(
-        &self,
-        prepared: &PreparedQuery,
-        compiled: &mut CompiledQuery,
-    ) -> Result<ExecutionResult, EngineError> {
-        self.execute_with_hook_internal(prepared, compiled, &mut |_| None)
-    }
-
-    /// Executes a compiled query, consulting `hook` after every morsel.
-    ///
-    /// When the hook returns a replacement [`CompiledQuery`] (e.g. the
-    /// optimizing tier finished compiling in the background), the swap
-    /// happens at that morsel boundary: the *next* morsel — and every
-    /// later pipeline — runs the replacement executables. Pipeline
-    /// state lives in the runtime context block, not in module code, so
-    /// a mid-pipeline swap is safe; `setup` is not re-run. Compile time
-    /// and statistics of the replaced query are merged into the
-    /// replacement so the returned totals cover both tiers, and
-    /// execution cycles are accumulated across the swap.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::Trap`] when generated code traps.
-    #[deprecated(note = "use `QueryRun::execute_compiled_with_hook` instead")]
-    pub fn execute_with_hook(
-        &self,
-        prepared: &PreparedQuery,
-        compiled: &mut CompiledQuery,
-        hook: &mut dyn FnMut(&MorselEvent) -> Option<CompiledQuery>,
-    ) -> Result<ExecutionResult, EngineError> {
-        self.execute_with_hook_internal(prepared, compiled, hook)
-    }
-
-    pub(crate) fn execute_with_hook_internal(
-        &self,
-        prepared: &PreparedQuery,
-        compiled: &mut CompiledQuery,
-        hook: &mut dyn FnMut(&MorselEvent) -> Option<CompiledQuery>,
-    ) -> Result<ExecutionResult, EngineError> {
-        self.execute_budgeted_internal(prepared, compiled, &QueryBudget::unlimited(), hook)
-    }
-
-    pub(crate) fn execute_budgeted_internal(
-        &self,
-        prepared: &PreparedQuery,
-        compiled: &mut CompiledQuery,
-        budget: &QueryBudget,
-        hook: &mut dyn FnMut(&MorselEvent) -> Option<CompiledQuery>,
-    ) -> Result<ExecutionResult, EngineError> {
-        let mut exec = QueryExecution::with_budget(self, prepared, budget.clone())?;
-        while let StepProgress::Ran(event) = exec.step(self, prepared, compiled, 1)? {
-            if let Some(replacement) = hook(&event) {
-                compiled.adopt_replacement(replacement);
-            }
-        }
-        exec.into_result(prepared, compiled)
-    }
-
-    /// Prepares, compiles, and executes a plan in one call. Pass a
-    /// [`TimeTrace`] to collect the per-phase compile-time breakdown,
-    /// or `None` to skip tracing overhead.
-    ///
-    /// # Errors
-    /// Propagates planning, compilation, and execution errors.
-    #[deprecated(note = "use `Session::prepare(plan)?.execute()` instead")]
-    pub fn run(
-        &self,
-        plan: &PlanNode,
-        backend: &dyn Backend,
-        trace: Option<&TimeTrace>,
-    ) -> Result<ExecutionResult, EngineError> {
-        let prepared = self.prepare_internal(plan, "q")?;
-        let disabled = TimeTrace::disabled();
-        let trace = trace.unwrap_or(&disabled);
-        let mut compiled = self.compile_internal(&prepared, backend, trace)?;
-        self.execute_internal(&prepared, &mut compiled)
     }
 }
 

@@ -22,7 +22,7 @@
 //! ```
 
 // The engine sits above panicky layers and owns the fault-tolerance
-// story (catch_unwind isolation, budgets, fallback chain); a stray
+// story (the `supervise` envelope, budgets, fallback chain); a stray
 // `.unwrap()` here would undo it, so the lint is a hard error outside
 // tests.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -40,6 +40,7 @@ mod morsel_exec;
 #[cfg_attr(not(test), deny(clippy::expect_used))]
 mod scheduler;
 mod session;
+mod supervise;
 
 pub use adaptive::{AdaptiveExecution, AdaptiveOutcome, BackgroundReport};
 pub use artifact_store::{ArtifactKey, ArtifactStore, ArtifactStoreConfig, ArtifactStoreCounters};

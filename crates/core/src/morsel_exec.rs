@@ -1,23 +1,24 @@
-//! Morsel-parallel execution (paper Sec. II: morsel-driven parallelism).
+//! Morsel-wise execution (paper Sec. II: morsel-driven parallelism).
 //!
 //! Three layers live here:
 //!
 //! 1. [`ExecTally`] — swap-safe cycle accounting. Every generated-code
 //!    call is charged by its own before/after [`qc_backend::Executable::exec_stats`]
-//!    delta, so totals no longer depend on *which* executable instance
-//!    (tier, worker clone) performed which call. This replaces the old
-//!    per-tier baseline subtraction in `engine.rs`, which assumed a
-//!    single executor mutating `compiled.executables`.
-//! 2. [`QueryExecution`] — an incremental stepper that runs a prepared
-//!    query morsel by morsel. [`crate::Engine::execute_with_hook`] is a
-//!    loop over [`QueryExecution::step`]; the serving scheduler advances
-//!    many executions in slices of a few morsels each.
-//! 3. [`MorselExecutor`] — the parallel executor: a pool of workers,
+//!    delta, so totals do not depend on *which* executable instance
+//!    (tier, worker clone) performed which call.
+//! 2. [`QueryExecution`] — the pipeline driver, the only code in the
+//!    crate that walks a query's pipelines: per pipeline a budget
+//!    check, the canonical `setup`, the morsels, a barrier check and
+//!    the canonical `finish`. It advances in steps of a few morsels so
+//!    the serving scheduler can interleave many executions;
+//!    [`MorselExecutor`] steps one to completion. With one worker, or
+//!    for a pipeline that cannot fan out, it runs the morsels itself.
+//! 3. `ParallelPipeline` — one pipeline's fan-out: a pool of workers,
 //!    each owning a forked [`RuntimeState`] and its own executable
 //!    instantiated from the pipeline's [`CodeArtifact`], pulling morsels
 //!    from per-pipeline claimers (work-stealing deques or a shared
-//!    ordered counter) and merging results deterministically at every
-//!    pipeline barrier.
+//!    ordered counter), and the deterministic merge of their results at
+//!    the pipeline barrier.
 //!
 //! # Determinism argument
 //!
@@ -63,19 +64,20 @@ use crate::engine::{
     decode_rows, CompiledQuery, Engine, EngineError, ExecutionResult, MorselEvent, PreparedQuery,
     QueryBudget,
 };
+use crate::supervise::{panic_text, supervise};
+use parking_lot::Mutex;
 use qc_backend::{CodeArtifact, Executable};
-use qc_plan::{AggFunc, CtxEntry, Pipeline, RowLayout, Sink, Source};
+use qc_plan::{AggFunc, CtxEntry, PhysicalPlan, Pipeline, RowLayout, Sink, Source};
 use qc_runtime::{
-    entry_hash, HashTable, RtString, RuntimeState, ENTRY_HASH_OFFSET, ENTRY_NEXT_OFFSET,
+    entry_hash, HashTable, RtString, RuntimeState, SqlValue, ENTRY_HASH_OFFSET, ENTRY_NEXT_OFFSET,
     ENTRY_PAYLOAD_OFFSET,
 };
 use qc_storage::{ColumnType, Morsel};
 use qc_target::{ExecStats, Trap};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
@@ -86,7 +88,7 @@ use std::time::Instant;
 /// call rather than against a per-tier baseline. Budget errors
 /// ([`EngineError::BudgetExhausted`] and friends) carry one of these as
 /// the partial accounting of the work done before the budget tripped.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ExecTally {
     /// Deterministic cycles.
     pub cycles: u64,
@@ -95,17 +97,19 @@ pub struct ExecTally {
 }
 
 impl ExecTally {
-    /// Runs `f` against `exe` and charges the executable's cycle and
+    /// Calls `name` in `exe` and charges the executable's cycle and
     /// instruction deltas to this tally. Because the delta brackets one
     /// call, accounting stays correct across mid-query executable swaps
     /// and when many workers report independently.
-    fn charge<R>(
+    fn charge(
         &mut self,
         exe: &mut dyn Executable,
-        f: impl FnOnce(&mut dyn Executable) -> R,
-    ) -> R {
+        state: &mut RuntimeState,
+        name: &str,
+        args: &[u64],
+    ) -> Result<[u64; 2], Trap> {
         let before = exe.exec_stats();
-        let out = f(exe);
+        let out = exe.call(state, name, args);
         let after = exe.exec_stats();
         self.cycles += after.cycles - before.cycles;
         self.insts += after.insts - before.insts;
@@ -113,20 +117,23 @@ impl ExecTally {
     }
 }
 
-/// Charges one generated-code call with panic containment: a panic in
-/// the callee surfaces as a typed [`EngineError::WorkerPanic`] instead
-/// of unwinding through the executor. Used for the *serial* sections of
-/// a parallel execution (canonical setup/finish, serial-fallback
-/// pipelines) where there is no surviving worker to replay onto — the
-/// query fails cleanly, the process never does.
-fn charge_contained(
-    tally: &mut ExecTally,
-    exe: &mut dyn Executable,
-    f: impl FnOnce(&mut dyn Executable) -> Result<[u64; 2], Trap>,
-) -> Result<[u64; 2], EngineError> {
-    match catch_unwind(AssertUnwindSafe(|| tally.charge(exe, f))) {
-        Ok(r) => r.map_err(EngineError::from),
-        Err(payload) => Err(EngineError::WorkerPanic(panic_text(payload.as_ref()))),
+impl std::ops::Add for ExecTally {
+    type Output = ExecTally;
+    fn add(self, other: ExecTally) -> ExecTally {
+        ExecTally {
+            cycles: self.cycles + other.cycles,
+            insts: self.insts + other.insts,
+        }
+    }
+}
+
+impl std::ops::Sub for ExecTally {
+    type Output = ExecTally;
+    fn sub(self, earlier: ExecTally) -> ExecTally {
+        ExecTally {
+            cycles: self.cycles - earlier.cycles,
+            insts: self.insts - earlier.insts,
+        }
     }
 }
 
@@ -137,7 +144,7 @@ fn charge_contained(
 /// Builds and fills the query context block: column base addresses and
 /// interned string literals. Handle slots are written later by the
 /// generated `setup` functions.
-pub(crate) fn build_ctx(
+fn build_ctx(
     engine: &Engine<'_>,
     prepared: &PreparedQuery,
     state: &mut RuntimeState,
@@ -181,91 +188,83 @@ fn ctx_handle(ctx: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(bytes)
 }
 
-/// Locks a mutex, recovering the data on poisoning. Every mutex in this
-/// module guards plain claim/publication data whose invariants hold at
-/// every await-free point, so a panicking worker cannot leave them in a
-/// torn state; recovery keeps the query (and the serve loop above it)
-/// alive instead of cascading the panic.
-pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Text form of a panic payload (mirrors the compile service's
-/// fault-envelope helper).
-pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 // ---------------------------------------------------------------------
-// Incremental stepper
+// The pipeline driver
 // ---------------------------------------------------------------------
 
 /// Progress of one [`QueryExecution::step`] call.
 pub(crate) enum StepProgress {
-    /// At least one morsel ran; the last one produced this event.
-    Ran(MorselEvent),
+    /// At least one morsel ran.
+    Ran,
     /// The query has finished all pipelines.
     Done,
 }
 
-/// Incremental morsel-wise execution of one prepared query.
+/// The tier-up hook consulted after every morsel: a returned
+/// replacement is adopted at that morsel boundary.
+pub(crate) type MorselHook<'a> = dyn FnMut(&MorselEvent) -> Option<CompiledQuery> + 'a;
+
+/// The pipeline driver: the one place a query's pipelines are walked
+/// (paper Sec. II/III — per pipeline `setup`, morsels, `finish`).
 ///
-/// `step` runs up to `max_morsels` morsels and returns, letting the
-/// caller consult a tier-up hook (the engine) or switch to another
-/// query (the serving scheduler). Pipeline `finish` runs on the step
-/// *after* the pipeline's last morsel, preserving the serial contract
-/// that the hook observes every morsel before its pipeline is sealed.
+/// `step` runs up to `max_morsels` morsels and returns, so a caller can
+/// switch to another query in between (the serving scheduler's slices);
+/// [`MorselExecutor`] simply steps to completion. Pipeline `finish` runs
+/// on the step *after* the pipeline's last morsel and the hook is
+/// consulted right after each morsel, so the hook observes every morsel
+/// before its pipeline is sealed.
+///
+/// A pipeline's morsels run here, on the calling thread and the
+/// canonical state, when `workers <= 1` or the pipeline is not eligible
+/// for fan-out; otherwise the morsel list goes to [`ParallelPipeline`],
+/// which returns once every morsel has run and merged. Either way the
+/// canonical `setup`/`finish`, the budget checks around them and the
+/// accounting are this loop's.
 pub(crate) struct QueryExecution {
+    config: MorselExecConfig,
+    budget: QueryBudget,
+    started: Instant,
     state: RuntimeState,
+    /// The query context block; empty until the first step fills it.
     ctx: Vec<u8>,
     pipe_idx: usize,
     setup_done: bool,
-    cursor: u64,
-    total: u64,
-    morsel: u64,
+    /// Morsels of the current pipeline, and the next one to run.
+    morsels: Vec<Morsel>,
+    next: usize,
     morsels_done: u64,
     tally: ExecTally,
-    budget: QueryBudget,
-    started: Instant,
-    /// Ctx offset of the output buffer slot (result-row budget checks).
-    out_off: usize,
+    /// Worker cycles off the critical path: per parallel pipeline, what
+    /// the workers charged beyond the busiest one of them.
+    overlapped_cycles: u64,
     /// Whether the output pipeline's `setup` has created the buffer.
     out_ready: bool,
+    /// Result rows, decoded when the last pipeline is sealed.
+    rows: Vec<Vec<SqlValue>>,
 }
 
 impl QueryExecution {
-    /// Creates the execution with per-morsel budget enforcement: runtime
-    /// state plus filled context block. An unbudgeted run passes
-    /// [`QueryBudget::unlimited`].
-    pub(crate) fn with_budget(
-        engine: &Engine<'_>,
-        prepared: &PreparedQuery,
-        budget: QueryBudget,
-    ) -> Result<QueryExecution, EngineError> {
-        let mut state = RuntimeState::new();
-        let ctx = build_ctx(engine, prepared, &mut state)?;
-        let out_off = prepared.plan.ctx_offset(&CtxEntry::OutputBuf) as usize;
-        Ok(QueryExecution {
-            state,
-            ctx,
-            pipe_idx: 0,
-            setup_done: false,
-            cursor: 0,
-            total: 0,
-            morsel: 1,
-            morsels_done: 0,
-            tally: ExecTally::default(),
+    /// Creates the execution. Nothing that can fail or panic happens
+    /// here — runtime state and context block are set up by the first
+    /// `step`, inside its supervision — but the budget's deadline clock
+    /// starts now. An unbudgeted run passes [`QueryBudget::unlimited`].
+    pub(crate) fn new(config: MorselExecConfig, budget: QueryBudget) -> QueryExecution {
+        QueryExecution {
+            config,
             budget,
             started: Instant::now(),
-            out_off,
+            state: RuntimeState::new(),
+            ctx: Vec::new(),
+            pipe_idx: 0,
+            setup_done: false,
+            morsels: Vec::new(),
+            next: 0,
+            morsels_done: 0,
+            tally: ExecTally::default(),
+            overlapped_cycles: 0,
             out_ready: false,
-        })
+            rows: Vec::new(),
+        }
     }
 
     /// Work charged so far (partial accounting for killed queries).
@@ -276,127 +275,203 @@ impl QueryExecution {
     /// Result rows materialized so far (0 until the output pipeline's
     /// setup has created the buffer — handle numbering makes 0 a valid
     /// handle, so an explicit readiness flag gates the read).
-    fn result_rows(&self) -> u64 {
+    fn result_rows(&self, plan: &PhysicalPlan) -> u64 {
         if !self.out_ready {
             return 0;
         }
-        self.state.buffer(ctx_handle(&self.ctx, self.out_off)).len() as u64
+        let out_off = plan.ctx_offset(&CtxEntry::OutputBuf) as usize;
+        self.state.buffer(ctx_handle(&self.ctx, out_off)).len() as u64
     }
 
-    /// Scan range `(total rows, morsel size)` of a pipeline source.
-    fn scan_range(
+    /// One budget check at a morsel or pipeline boundary: a tripped
+    /// bound stops the query before the next piece of work runs.
+    fn check_budget(&self, plan: &PhysicalPlan) -> Result<(), EngineError> {
+        if self.budget.is_unlimited() {
+            return Ok(());
+        }
+        self.budget
+            .check(self.started, self.tally, self.result_rows(plan))
+    }
+
+    /// Calls `name` in the current pipeline's canonical executable and
+    /// charges it.
+    fn call(
+        &mut self,
+        compiled: &mut CompiledQuery,
+        name: &str,
+        args: &[u64],
+    ) -> Result<(), EngineError> {
+        let exe = compiled.executables[self.pipe_idx].as_mut();
+        self.tally.charge(exe, &mut self.state, name, args)?;
+        Ok(())
+    }
+
+    /// Morsel decomposition of `pipe`'s source. `Table::morsels` yields
+    /// no morsels for an empty table and an empty buffer yields none
+    /// either, so `main` never runs over zero rows; a buffer scan is
+    /// one morsel.
+    fn decompose(
+        &self,
         engine: &Engine<'_>,
-        prepared: &PreparedQuery,
-        state: &RuntimeState,
-        ctx: &[u8],
+        plan: &PhysicalPlan,
         pipe: &Pipeline,
-    ) -> Result<(u64, u64), EngineError> {
+    ) -> Result<Vec<Morsel>, EngineError> {
         match &pipe.source {
             Source::Table { name, .. } => {
-                let rows = engine
-                    .database()
-                    .table(name)
-                    .map(qc_storage::Table::row_count)
-                    .ok_or_else(|| {
-                        EngineError::Storage(format!(
-                            "scan table `{name}` vanished between planning and execution"
-                        ))
-                    })?;
-                Ok((rows as u64, engine.morsel_size() as u64))
+                let table = engine.database().table(name).ok_or_else(|| {
+                    EngineError::Storage(format!(
+                        "scan table `{name}` vanished between planning and execution"
+                    ))
+                })?;
+                Ok(table.morsels(engine.morsel_size()))
             }
             Source::Buffer { buffer, limit, .. } => {
-                let off = prepared.plan.ctx_offset(buffer) as usize;
-                let len = state.buffer(ctx_handle(ctx, off)).len() as u64;
-                let len = match limit {
-                    Some(l) => len.min(*l as u64),
-                    None => len,
-                };
-                Ok((len, len.max(1))) // buffer scans run as one morsel
+                let off = plan.ctx_offset(buffer) as usize;
+                let len = self.state.buffer(ctx_handle(&self.ctx, off)).len() as u64;
+                let count = limit.map_or(len, |l| len.min(l as u64));
+                Ok(match count {
+                    0 => Vec::new(),
+                    count => vec![Morsel { start: 0, count }],
+                })
             }
         }
     }
 
+    /// One executable per worker when the current pipeline goes
+    /// parallel: more than one worker is configured, splitting can pay
+    /// off, the sink merges deterministically, and every worker's
+    /// executable instantiates from the pipeline's code artifact.
+    /// `None` keeps the morsels on this thread.
+    fn worker_executables(
+        &self,
+        pipe: &Pipeline,
+        compiled: &CompiledQuery,
+    ) -> Option<Vec<Box<dyn Executable>>> {
+        let workers = self.config.workers;
+        if workers <= 1 || self.morsels.len() < 2 || !sink_merge_supported(&pipe.sink) {
+            return None;
+        }
+        let artifact = compiled.artifacts.get(self.pipe_idx)?.as_ref()?;
+        (0..workers).map(|_| artifact.instantiate().ok()).collect()
+    }
+
     /// Runs up to `max_morsels` morsels (crossing pipeline boundaries,
-    /// running `finish`/`setup` as needed) and reports progress.
+    /// running `finish`/`setup` as needed) and reports progress. A
+    /// parallel pipeline runs all of its morsels in one step.
+    ///
+    /// This is the execution-side supervision site: a panic anywhere
+    /// below — generated code, a runtime helper, the hook, the barrier
+    /// merge — fails this query with [`EngineError::WorkerPanic`] and
+    /// never reaches the caller. The execution must not be stepped
+    /// again after an error.
     ///
     /// # Errors
-    /// Propagates traps from generated code and storage errors.
+    /// Propagates traps, storage errors, budget overruns and panics.
     pub(crate) fn step(
         &mut self,
         engine: &Engine<'_>,
         prepared: &PreparedQuery,
         compiled: &mut CompiledQuery,
         max_morsels: u64,
+        hook: &mut MorselHook<'_>,
+    ) -> Result<StepProgress, EngineError> {
+        supervise(|| self.advance(engine, prepared, compiled, max_morsels, hook))
+            .unwrap_or_else(|panic| Err(EngineError::WorkerPanic(panic)))
+    }
+
+    fn advance(
+        &mut self,
+        engine: &Engine<'_>,
+        prepared: &PreparedQuery,
+        compiled: &mut CompiledQuery,
+        max_morsels: u64,
+        hook: &mut MorselHook<'_>,
     ) -> Result<StepProgress, EngineError> {
         let plan = &prepared.plan;
+        if self.ctx.is_empty() {
+            self.ctx = build_ctx(engine, prepared, &mut self.state)?;
+        }
         let ctx_addr = self.ctx.as_ptr() as u64;
-        let has_budget = !self.budget.is_unlimited();
         let mut ran = 0u64;
         while self.pipe_idx < plan.pipelines.len() {
+            let pipe = &plan.pipelines[self.pipe_idx];
             if !self.setup_done {
-                let exe = compiled.executables[self.pipe_idx].as_mut();
-                let state = &mut self.state;
-                self.tally
-                    .charge(exe, |e| e.call(state, "setup", &[ctx_addr]))?;
-                let pipe = &plan.pipelines[self.pipe_idx];
+                self.check_budget(plan)?;
+                // Canonical setup creates the canonical sink containers
+                // (the ones a parallel pipeline's barrier merge writes
+                // into).
+                self.call(compiled, "setup", &[ctx_addr])?;
                 if matches!(pipe.sink, Sink::Output { .. }) {
                     self.out_ready = true;
                 }
-                let (total, morsel) =
-                    Self::scan_range(engine, prepared, &self.state, &self.ctx, pipe)?;
-                self.total = total;
-                self.morsel = morsel;
-                self.cursor = 0;
+                self.morsels = self.decompose(engine, plan, pipe)?;
+                self.next = 0;
                 self.setup_done = true;
-            }
-            while self.cursor < self.total {
-                // Budget check at every morsel claim: a tripped bound
-                // stops the query before the next morsel runs.
-                if has_budget {
-                    self.budget
-                        .check(self.started, self.tally, self.result_rows())?;
+                if let Some(worker_exes) = self.worker_executables(pipe, compiled) {
+                    // Fan-out: the whole morsel list runs on workers
+                    // and merges before this returns.
+                    let run = ParallelPipeline {
+                        plan,
+                        pipe,
+                        pipe_idx: self.pipe_idx,
+                        morsels: &self.morsels,
+                        schedule: self.config.schedule,
+                        budget: &self.budget,
+                        started: self.started,
+                        rows_before: self.result_rows(plan),
+                    };
+                    self.overlapped_cycles += run.execute(
+                        &mut self.state,
+                        &self.ctx,
+                        compiled,
+                        &mut self.tally,
+                        &mut self.morsels_done,
+                        worker_exes,
+                        hook,
+                    )?;
+                    self.next = self.morsels.len();
+                    ran += self.morsels.len() as u64;
                 }
-                let count = self.morsel.min(self.total - self.cursor);
-                let start = self.cursor;
-                let exe = compiled.executables[self.pipe_idx].as_mut();
-                let state = &mut self.state;
-                self.tally
-                    .charge(exe, |e| e.call(state, "main", &[ctx_addr, start, count]))?;
-                self.cursor += count;
+            }
+            while self.next < self.morsels.len() {
+                self.check_budget(plan)?;
+                let m = self.morsels[self.next];
+                self.call(compiled, "main", &[ctx_addr, m.start, m.count])?;
+                self.next += 1;
                 self.morsels_done += 1;
                 ran += 1;
+                let event = MorselEvent {
+                    pipeline: self.pipe_idx,
+                    morsels_done: self.morsels_done,
+                    cycles_so_far: self.tally.cycles,
+                };
+                if let Some(replacement) = hook(&event) {
+                    compiled.adopt_replacement(replacement);
+                }
                 if ran >= max_morsels {
-                    return Ok(StepProgress::Ran(MorselEvent {
-                        pipeline: self.pipe_idx,
-                        morsels_done: self.morsels_done,
-                        cycles_so_far: self.tally.cycles,
-                    }));
+                    return Ok(StepProgress::Ran);
                 }
             }
-            // The pipeline's last morsel may itself overflow the row
-            // cap; one check at the barrier catches it before `finish`
-            // seals the pipeline.
-            if has_budget {
-                self.budget
-                    .check(self.started, self.tally, self.result_rows())?;
-            }
-            let exe = compiled.executables[self.pipe_idx].as_mut();
-            let state = &mut self.state;
-            self.tally
-                .charge(exe, |e| e.call(state, "finish", &[ctx_addr]))?;
+            // Barrier check before `finish`: the pipeline's last morsel
+            // (or the merged parallel rows) may overflow the row cap.
+            self.check_budget(plan)?;
+            // Canonical finish (hash-table build / sort) runs on the
+            // canonical — for a parallel pipeline, merged — containers,
+            // so its cost envelope matches serial.
+            self.call(compiled, "finish", &[ctx_addr])?;
             self.pipe_idx += 1;
             self.setup_done = false;
+            if self.pipe_idx == plan.pipelines.len() {
+                let out_off = plan.ctx_offset(&CtxEntry::OutputBuf) as usize;
+                let out = ctx_handle(&self.ctx, out_off);
+                self.rows = decode_rows(&self.state, out, &plan.output);
+            }
         }
-        if ran > 0 {
-            // The final morsels of the final pipeline still yield an
-            // event so callers observe every boundary exactly once.
-            return Ok(StepProgress::Ran(MorselEvent {
-                pipeline: self.pipe_idx.saturating_sub(1),
-                morsels_done: self.morsels_done,
-                cycles_so_far: self.tally.cycles,
-            }));
-        }
-        Ok(StepProgress::Done)
+        Ok(if ran > 0 {
+            StepProgress::Ran
+        } else {
+            StepProgress::Done
+        })
     }
 
     /// Estimated morsels left to run (exact for the current pipeline,
@@ -407,7 +482,7 @@ impl QueryExecution {
         let mut rem = 0u64;
         for (i, pipe) in plan.pipelines.iter().enumerate().skip(self.pipe_idx) {
             if i == self.pipe_idx && self.setup_done {
-                rem += (self.total - self.cursor).div_ceil(self.morsel.max(1));
+                rem += (self.morsels.len() - self.next) as u64;
             } else {
                 rem += match &pipe.source {
                     Source::Table { name, .. } => engine
@@ -422,30 +497,26 @@ impl QueryExecution {
         rem
     }
 
-    /// Decodes the output buffer into the final result.
-    pub(crate) fn into_result(
-        self,
-        prepared: &PreparedQuery,
-        compiled: &CompiledQuery,
-    ) -> Result<ExecutionResult, EngineError> {
-        let plan = &prepared.plan;
-        let out_off = plan.ctx_offset(&CtxEntry::OutputBuf) as usize;
-        let rows = decode_rows(&self.state, ctx_handle(&self.ctx, out_off), &plan.output);
-        Ok(ExecutionResult {
-            rows,
+    /// The final result of an execution stepped to
+    /// [`StepProgress::Done`]. The critical path is the serial sections
+    /// (canonical setup/finish, morsels run by the driver itself) in
+    /// full plus, per parallel pipeline, only its busiest worker.
+    pub(crate) fn into_result(self, compiled: &CompiledQuery) -> ExecutionResult {
+        ExecutionResult {
+            rows: self.rows,
             exec_stats: ExecStats {
                 cycles: self.tally.cycles,
                 insts: self.tally.insts,
             },
-            critical_path_cycles: self.tally.cycles,
+            critical_path_cycles: self.tally.cycles - self.overlapped_cycles,
             compile_time: compiled.compile_time,
             compile_stats: compiled.compile_stats.clone(),
-        })
+        }
     }
 }
 
 // ---------------------------------------------------------------------
-// Parallel executor
+// Executor façade
 // ---------------------------------------------------------------------
 
 /// How workers claim morsels within a pipeline.
@@ -492,15 +563,17 @@ fn sink_merge_supported(sink: &Sink) -> bool {
     }
 }
 
-/// Morsel-parallel query executor.
+/// Morsel-parallel query executor: steps a [`QueryExecution`] driver to
+/// completion.
 ///
-/// Wraps an [`Engine`] execution with a worker pool. With
-/// `workers <= 1` it delegates to the engine's serial path; otherwise
-/// each table-scan pipeline with a mergeable sink fans its morsels out
-/// to workers and merges at the pipeline barrier. The morsel-boundary
-/// tier-up hook keeps working: a replacement tier published by the hook
-/// is observed by every worker at its next morsel claim (instantiated
-/// from the replacement's [`CodeArtifact`]).
+/// With `workers <= 1` every morsel runs on the calling thread — no
+/// fork, no thread, no channel; otherwise each pipeline with at least
+/// two morsels, a mergeable sink and a code artifact fans its morsels
+/// out to workers and merges at the pipeline barrier. The
+/// morsel-boundary tier-up hook works the same either way: a
+/// replacement tier published by the hook is observed by every worker
+/// at its next morsel claim (instantiated from the replacement's
+/// [`CodeArtifact`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MorselExecutor {
     config: MorselExecConfig,
@@ -510,11 +583,6 @@ impl MorselExecutor {
     /// Creates an executor with `config`.
     pub fn new(config: MorselExecConfig) -> Self {
         MorselExecutor { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> MorselExecConfig {
-        self.config
     }
 
     /// Executes a compiled query (no tier-up hook).
@@ -530,8 +598,17 @@ impl MorselExecutor {
         self.execute_with_hook(engine, prepared, compiled, &mut |_| None)
     }
 
-    /// Executes a compiled query, consulting `hook` after every morsel
-    /// (same contract as [`Engine::execute_with_hook`]).
+    /// Executes a compiled query, consulting `hook` after every morsel.
+    ///
+    /// When the hook returns a replacement [`CompiledQuery`] (e.g. the
+    /// optimizing tier finished compiling in the background), the swap
+    /// happens at that morsel boundary: the *next* morsel — and every
+    /// later pipeline — runs the replacement executables. Pipeline
+    /// state lives in the runtime context block, not in module code, so
+    /// a mid-pipeline swap is safe; `setup` is not re-run. Compile time
+    /// and statistics of the replaced query are merged into the
+    /// replacement so the returned totals cover both tiers, and
+    /// execution cycles are accumulated across the swap.
     ///
     /// # Errors
     /// Propagates traps from generated code and storage errors. Under
@@ -559,9 +636,9 @@ impl MorselExecutor {
     /// workers and its claimed-but-unmerged morsels are replayed once
     /// by a retry pass so the deterministic barrier merge stays
     /// byte-identical. A second fault fails the query cleanly with
-    /// [`EngineError::WorkerPanic`] instead of the process. Panics in
-    /// the *serial* sections — canonical setup/finish, serial-fallback
-    /// pipelines, and single-worker runs — have no surviving worker to
+    /// [`EngineError::WorkerPanic`] instead of the process. Panics on
+    /// the driver's own thread — canonical setup/finish, pipelines that
+    /// do not fan out, single-worker runs — have no surviving worker to
     /// replay onto, so they are contained to the same typed error
     /// without a retry: the query fails, the process never does.
     ///
@@ -576,205 +653,10 @@ impl MorselExecutor {
         budget: &QueryBudget,
         hook: &mut dyn FnMut(&MorselEvent) -> Option<CompiledQuery>,
     ) -> Result<ExecutionResult, EngineError> {
-        if self.config.workers <= 1 {
-            // Single-threaded runs still get the process-survival
-            // guarantee: a panic in generated code fails the query with
-            // a typed error, not the caller.
-            return catch_unwind(AssertUnwindSafe(|| {
-                engine.execute_budgeted_internal(prepared, compiled, budget, hook)
-            }))
-            .unwrap_or_else(|payload| Err(EngineError::WorkerPanic(panic_text(payload.as_ref()))));
-        }
-
-        let plan = &prepared.plan;
-        let started = Instant::now();
-        let has_budget = !budget.is_unlimited();
-        let mut state = RuntimeState::new();
-        let ctx = build_ctx(engine, prepared, &mut state)?;
-        let ctx_addr = ctx.as_ptr() as u64;
-        let out_off = plan.ctx_offset(&CtxEntry::OutputBuf) as usize;
-        let mut out_ready = false;
-        let mut tally = ExecTally::default();
-        let mut morsels_done = 0u64;
-        let mut critical = 0u64;
-
-        for pipe_idx in 0..plan.pipelines.len() {
-            let pipe = &plan.pipelines[pipe_idx];
-            let serial_before = tally.cycles;
-            if has_budget {
-                let rows = if out_ready {
-                    state.buffer(ctx_handle(&ctx, out_off)).len() as u64
-                } else {
-                    0
-                };
-                budget.check(started, tally, rows)?;
-            }
-            // Canonical setup creates the canonical sink containers the
-            // barrier merge writes into.
-            {
-                let exe = compiled.executables[pipe_idx].as_mut();
-                charge_contained(&mut tally, exe, |e| {
-                    e.call(&mut state, "setup", &[ctx_addr])
-                })?;
-            }
-            let counts_rows = matches!(pipe.sink, Sink::Output { .. });
-            if counts_rows {
-                out_ready = true;
-            }
-            let rows_before = if out_ready {
-                state.buffer(ctx_handle(&ctx, out_off)).len() as u64
-            } else {
-                0
-            };
-            let bctx = BudgetCtx {
-                budget,
-                started,
-                rows_before,
-                counts_rows,
-            };
-            // Morsel decomposition. `Table::morsels` yields no morsels
-            // for an empty table — the loop below must run zero
-            // iterations, matching the serial `while start < total`
-            // scan (that is the invariant the storage layer documents).
-            let morsels: Vec<Morsel> = match &pipe.source {
-                Source::Table { name, .. } => engine
-                    .database()
-                    .table(name)
-                    .ok_or_else(|| {
-                        EngineError::Storage(format!(
-                            "scan table `{name}` vanished between planning and execution"
-                        ))
-                    })?
-                    .morsels(engine.morsel_size()),
-                Source::Buffer { buffer, limit, .. } => {
-                    let off = plan.ctx_offset(buffer) as usize;
-                    let len = state.buffer(ctx_handle(&ctx, off)).len() as u64;
-                    let len = match limit {
-                        Some(l) => len.min(*l as u64),
-                        None => len,
-                    };
-                    if len == 0 {
-                        Vec::new()
-                    } else {
-                        vec![Morsel {
-                            start: 0,
-                            count: len,
-                        }]
-                    }
-                }
-            };
-
-            // A pipeline goes parallel when splitting can pay off, its
-            // sink merges deterministically, and per-worker executables
-            // can be instantiated from a code artifact.
-            let worker_exes = if morsels.len() >= 2 && sink_merge_supported(&pipe.sink) {
-                instantiate_workers(compiled, pipe_idx, self.config.workers)
-            } else {
-                None
-            };
-
-            let mut worker_cycles = (0u64, 0u64); // (busiest, total)
-            match worker_exes {
-                Some(exes) => {
-                    let run = ParallelPipeline {
-                        plan,
-                        pipe,
-                        pipe_idx,
-                        morsels: &morsels,
-                        schedule: self.config.schedule,
-                    };
-                    worker_cycles = run.execute(
-                        &mut state,
-                        &ctx,
-                        compiled,
-                        &mut tally,
-                        &mut morsels_done,
-                        exes,
-                        &bctx,
-                        hook,
-                    )?;
-                }
-                None => {
-                    for m in &morsels {
-                        if has_budget {
-                            let rows = if out_ready {
-                                state.buffer(ctx_handle(&ctx, out_off)).len() as u64
-                            } else {
-                                0
-                            };
-                            budget.check(started, tally, rows)?;
-                        }
-                        let exe = compiled.executables[pipe_idx].as_mut();
-                        charge_contained(&mut tally, exe, |e| {
-                            e.call(&mut state, "main", &[ctx_addr, m.start, m.count])
-                        })?;
-                        morsels_done += 1;
-                        let event = MorselEvent {
-                            pipeline: pipe_idx,
-                            morsels_done,
-                            cycles_so_far: tally.cycles,
-                        };
-                        if let Some(replacement) = hook(&event) {
-                            compiled.adopt_replacement(replacement);
-                        }
-                    }
-                }
-            }
-
-            // Barrier check before `finish`: the pipeline's last morsel
-            // (or the merged parallel rows) may overflow the row cap.
-            if has_budget {
-                let rows = if out_ready {
-                    state.buffer(ctx_handle(&ctx, out_off)).len() as u64
-                } else {
-                    0
-                };
-                budget.check(started, tally, rows)?;
-            }
-            // Canonical finish (hash-table build / sort) runs on the
-            // merged containers, so its cost envelope matches serial.
-            {
-                let exe = compiled.executables[pipe_idx].as_mut();
-                charge_contained(&mut tally, exe, |e| {
-                    e.call(&mut state, "finish", &[ctx_addr])
-                })?;
-            }
-            // Critical path: serial sections (canonical setup/finish,
-            // serial-fallback morsels) in full, plus only the busiest
-            // worker of the parallel section.
-            let (busiest, worker_total) = worker_cycles;
-            critical += (tally.cycles - serial_before) - worker_total + busiest;
-        }
-
-        let out_off = plan.ctx_offset(&CtxEntry::OutputBuf) as usize;
-        let rows = decode_rows(&state, ctx_handle(&ctx, out_off), &plan.output);
-        Ok(ExecutionResult {
-            rows,
-            exec_stats: ExecStats {
-                cycles: tally.cycles,
-                insts: tally.insts,
-            },
-            critical_path_cycles: critical,
-            compile_time: compiled.compile_time,
-            compile_stats: compiled.compile_stats.clone(),
-        })
+        let mut exec = QueryExecution::new(self.config, budget.clone());
+        while let StepProgress::Ran = exec.step(engine, prepared, compiled, u64::MAX, hook)? {}
+        Ok(exec.into_result(compiled))
     }
-}
-
-/// Instantiates one executable per worker from the pipeline's artifact.
-/// Returns `None` when there is no artifact or any instantiation fails
-/// (the caller falls back to the serial path).
-fn instantiate_workers(
-    compiled: &CompiledQuery,
-    pipe_idx: usize,
-    workers: usize,
-) -> Option<Vec<Box<dyn Executable>>> {
-    let artifact = compiled.artifacts.get(pipe_idx)?.as_ref()?;
-    let mut exes = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        exes.push(artifact.instantiate().ok()?);
-    }
-    Some(exes)
 }
 
 // ---------------------------------------------------------------------
@@ -822,6 +704,17 @@ impl Claimer {
         }
     }
 
+    /// A single worker's fixed claim list, handed out front to back
+    /// (the retry pass: ascending, no one to steal from).
+    fn fixed(list: Vec<usize>) -> Claimer {
+        Claimer::Striped {
+            deques: vec![Mutex::new(list.into())],
+            steal: false,
+            poison_steal: false,
+            poisoned: vec![AtomicBool::new(false)],
+        }
+    }
+
     /// Marks a panicked worker: its remaining morsels become claimable
     /// by surviving workers (the panic-requeue path). The ordered
     /// claimer never assigns morsels ahead of time, so it has nothing
@@ -844,7 +737,7 @@ impl Claimer {
                 poison_steal,
                 poisoned,
             } => {
-                if let Some(m) = lock_recover(&deques[worker]).pop_front() {
+                if let Some(m) = deques[worker].lock().pop_front() {
                     return Some(m);
                 }
                 let w = deques.len();
@@ -853,7 +746,7 @@ impl Claimer {
                     if !may_take {
                         continue;
                     }
-                    if let Some(m) = lock_recover(&deques[v]).pop_back() {
+                    if let Some(m) = deques[v].lock().pop_back() {
                         return Some(m);
                     }
                 }
@@ -884,7 +777,7 @@ impl SwapCell {
     }
 
     fn publish(&self, artifact: Arc<dyn CodeArtifact>) {
-        *lock_recover(&self.artifact) = Some(artifact);
+        *self.artifact.lock() = Some(artifact);
         self.generation.fetch_add(1, Ordering::Release);
     }
 
@@ -896,7 +789,7 @@ impl SwapCell {
             return None;
         }
         *seen = g;
-        lock_recover(&self.artifact).clone()
+        self.artifact.lock().clone()
     }
 }
 
@@ -904,23 +797,15 @@ impl SwapCell {
 // Parallel pipeline run
 // ---------------------------------------------------------------------
 
-/// What a worker reads to track sink growth after each morsel.
-#[derive(Clone, Copy)]
-enum SinkKind {
-    /// Output / sort buffer: progress is the buffer length.
-    Buffer,
-    /// Join hash table: progress is the insert-log length.
-    Join,
-    /// Aggregation: progress is the group-registration buffer length.
-    Agg,
-}
-
-/// Sink description shared with workers: kind plus the ctx offset of
-/// the container whose growth delimits each morsel's effects.
+/// Sink description shared with workers: the ctx offset of the
+/// container whose growth delimits each morsel's effects.
 #[derive(Clone, Copy)]
 struct SinkInfo {
-    kind: SinkKind,
     progress_off: usize,
+    /// A join build's progress is its hash table's insert-log length;
+    /// every other sink's is a buffer length (output and sort rows, an
+    /// aggregation's group-registration rows).
+    is_join: bool,
 }
 
 /// One claimed morsel's sink-effect range in a worker's containers.
@@ -941,68 +826,74 @@ struct WorkerOutput {
     error: Option<(usize, EngineError)>,
 }
 
-enum WorkerMsg {
-    /// One morsel completed (fires the tier-up hook).
-    Morsel {
-        cycles: u64,
-        insts: u64,
-        /// Result rows this morsel produced (output-sink pipelines
-        /// only) — drives the coordinator's in-flight row-cap check.
-        rows: u64,
-    },
-    /// Cycle remainder not tied to a completed morsel (idle worker
-    /// setup, a trapped morsel's partial cost) — accounting only.
-    Flush {
-        cycles: u64,
-        insts: u64,
-    },
-    Done,
+/// A pool worker's message to the coordinator: one morsel completed
+/// (fires the tier-up hook).
+struct MorselDone {
+    /// What the worker charged since its previous message.
+    spent: ExecTally,
+    /// Result rows this morsel produced (output-sink pipelines only) —
+    /// drives the coordinator's in-flight row-cap check.
+    rows: u64,
 }
 
-/// Budget context a pipeline run checks against: the query budget, the
-/// execution start instant, and how result rows are counted while this
-/// pipeline's output is still distributed across workers.
-struct BudgetCtx<'a> {
-    budget: &'a QueryBudget,
-    started: Instant,
-    /// Result rows materialized before this pipeline started.
-    rows_before: u64,
-    /// Whether this pipeline's sink is the output buffer (its morsels
-    /// add result rows).
-    counts_rows: bool,
+/// What the workers of one pipeline run share.
+struct WorkerShared<'a> {
+    morsels: &'a [Morsel],
+    claimer: &'a Claimer,
+    swap: &'a SwapCell,
+    /// Raised by the coordinator when the query budget trips.
+    stop: &'a AtomicBool,
+    sink: SinkInfo,
 }
 
-impl BudgetCtx<'_> {
-    fn check(&self, tally: ExecTally, rows_delta: u64) -> Result<(), EngineError> {
-        self.budget
-            .check(self.started, tally, self.rows_before + rows_delta)
-    }
-}
-
+/// One pipeline's fan-out: its morsel list, how workers claim from it,
+/// and the query budget the run is checked against.
 struct ParallelPipeline<'a> {
-    plan: &'a qc_plan::PhysicalPlan,
+    plan: &'a PhysicalPlan,
     pipe: &'a Pipeline,
     pipe_idx: usize,
     morsels: &'a [Morsel],
     schedule: MorselSchedule,
+    budget: &'a QueryBudget,
+    /// Execution start (the budget's deadline clock).
+    started: Instant,
+    /// Result rows materialized before this pipeline started.
+    rows_before: u64,
 }
 
 impl ParallelPipeline<'_> {
+    /// Whether this pipeline's sink is the output buffer (its morsels
+    /// add result rows).
+    fn counts_rows(&self) -> bool {
+        matches!(self.pipe.sink, Sink::Output { .. })
+    }
+
+    /// One budget check while this pipeline's output is still
+    /// distributed across workers: `rows_delta` is what its completed
+    /// morsels added so far.
+    fn check_budget(&self, tally: ExecTally, rows_delta: u64) -> Result<(), EngineError> {
+        self.budget
+            .check(self.started, tally, self.rows_before + rows_delta)
+    }
+
     fn sink_info(&self) -> SinkInfo {
-        let (kind, entry) = match &self.pipe.sink {
-            Sink::Output { .. } => (SinkKind::Buffer, CtxEntry::OutputBuf),
-            Sink::SortMaterialize { sort_id, .. } => {
-                (SinkKind::Buffer, CtxEntry::SortBuf(*sort_id))
-            }
-            Sink::JoinBuild { join_id, .. } => (SinkKind::Join, CtxEntry::JoinHt(*join_id)),
-            Sink::AggBuild { agg_id, .. } => (SinkKind::Agg, CtxEntry::AggGroups(*agg_id)),
+        let entry = match &self.pipe.sink {
+            Sink::Output { .. } => CtxEntry::OutputBuf,
+            Sink::SortMaterialize { sort_id, .. } => CtxEntry::SortBuf(*sort_id),
+            Sink::JoinBuild { join_id, .. } => CtxEntry::JoinHt(*join_id),
+            Sink::AggBuild { agg_id, .. } => CtxEntry::AggGroups(*agg_id),
         };
         SinkInfo {
-            kind,
             progress_off: self.plan.ctx_offset(&entry) as usize,
+            is_join: matches!(self.pipe.sink, Sink::JoinBuild { .. }),
         }
     }
 
+    /// Runs every morsel of the pipeline on forked workers and merges
+    /// their sink effects into the canonical `state`. Returns the
+    /// worker cycles that overlap the busiest worker (everything the
+    /// workers charged minus the busiest one's share): the part of
+    /// `tally` that is off the critical path.
     #[allow(clippy::too_many_arguments)]
     fn execute(
         &self,
@@ -1012,17 +903,22 @@ impl ParallelPipeline<'_> {
         tally: &mut ExecTally,
         morsels_done: &mut u64,
         worker_exes: Vec<Box<dyn Executable>>,
-        bctx: &BudgetCtx<'_>,
-        hook: &mut dyn FnMut(&MorselEvent) -> Option<CompiledQuery>,
-    ) -> Result<(u64, u64), EngineError> {
+        hook: &mut MorselHook<'_>,
+    ) -> Result<u64, EngineError> {
         let workers = worker_exes.len();
         let ordered = matches!(self.pipe.sink, Sink::AggBuild { .. });
         let claimer = Claimer::new(self.morsels.len(), workers, self.schedule, ordered);
         let swap = SwapCell::new();
-        let sink = self.sink_info();
         let stop = AtomicBool::new(false);
-        let has_budget = !bctx.budget.is_unlimited();
-        let counts_rows = bctx.counts_rows;
+        let shared = WorkerShared {
+            morsels: self.morsels,
+            claimer: &claimer,
+            swap: &swap,
+            stop: &stop,
+            sink: self.sink_info(),
+        };
+        let has_budget = !self.budget.is_unlimited();
+        let counts_rows = self.counts_rows();
         let (tx, rx) = crossbeam::channel::unbounded();
 
         // Fork worker states before entering the scope: the forks hold
@@ -1033,6 +929,7 @@ impl ParallelPipeline<'_> {
             .collect();
 
         let mut budget_err: Option<EngineError> = None;
+        let mut streamed = ExecTally::default();
         let scope_out = crossbeam::thread::scope(|s| {
             let handles: Vec<_> = forks
                 .into_iter()
@@ -1040,24 +937,20 @@ impl ParallelPipeline<'_> {
                 .enumerate()
                 .map(|(w, ((wstate, wctx), exe))| {
                     let tx = tx.clone();
-                    let claimer = &claimer;
-                    let swap = &swap;
-                    let stop = &stop;
-                    let morsels = self.morsels;
+                    let shared = &shared;
                     s.spawn(move || {
-                        worker_run(
-                            w,
-                            wstate,
-                            wctx,
-                            exe,
-                            morsels,
-                            claimer,
-                            swap,
-                            sink,
-                            counts_rows,
-                            stop,
-                            &tx,
-                        )
+                        // A pool worker's completion callback is a
+                        // channel send: the coordinator does the
+                        // accounting, the budget check and the hook.
+                        let mut reported = ExecTally::default();
+                        worker_run(w, shared, wstate, wctx, exe, &mut |tally, grown| {
+                            let _ = tx.send(MorselDone {
+                                spent: tally - reported,
+                                rows: if counts_rows { grown } else { 0 },
+                            });
+                            reported = tally;
+                            Ok(())
+                        })
                     })
                 })
                 .collect();
@@ -1066,47 +959,33 @@ impl ParallelPipeline<'_> {
             // Coordinator: forward morsel events to the tier-up hook;
             // publish any replacement so workers observe it at their
             // next claim; check the budget on every completed morsel.
-            let mut done = 0usize;
+            // The channel disconnects when the last worker is done.
             let mut rows_delta = 0u64;
-            while done < workers {
-                match rx.recv() {
-                    Ok(WorkerMsg::Morsel {
-                        cycles,
-                        insts,
-                        rows,
-                    }) => {
-                        tally.cycles += cycles;
-                        tally.insts += insts;
-                        rows_delta += rows;
-                        *morsels_done += 1;
-                        if has_budget && budget_err.is_none() {
-                            if let Err(e) = bctx.check(*tally, rows_delta) {
-                                // Cooperative cancellation: workers see
-                                // the flag at their next claim, so the
-                                // query stops within one morsel per
-                                // worker of the budget tripping.
-                                budget_err = Some(e);
-                                stop.store(true, Ordering::Release);
-                            }
-                        }
-                        let event = MorselEvent {
-                            pipeline: self.pipe_idx,
-                            morsels_done: *morsels_done,
-                            cycles_so_far: tally.cycles,
-                        };
-                        if let Some(replacement) = hook(&event) {
-                            if let Some(Some(artifact)) = replacement.artifacts.get(self.pipe_idx) {
-                                swap.publish(Arc::clone(artifact));
-                            }
-                            compiled.adopt_replacement(replacement);
-                        }
+            while let Ok(MorselDone { spent, rows }) = rx.recv() {
+                *tally = *tally + spent;
+                streamed = streamed + spent;
+                rows_delta += rows;
+                *morsels_done += 1;
+                if has_budget && budget_err.is_none() {
+                    if let Err(e) = self.check_budget(*tally, rows_delta) {
+                        // Cooperative cancellation: workers see the
+                        // flag at their next claim, so the query stops
+                        // within one morsel per worker of the budget
+                        // tripping.
+                        budget_err = Some(e);
+                        stop.store(true, Ordering::Release);
                     }
-                    Ok(WorkerMsg::Flush { cycles, insts }) => {
-                        tally.cycles += cycles;
-                        tally.insts += insts;
+                }
+                let event = MorselEvent {
+                    pipeline: self.pipe_idx,
+                    morsels_done: *morsels_done,
+                    cycles_so_far: tally.cycles,
+                };
+                if let Some(replacement) = hook(&event) {
+                    if let Some(Some(artifact)) = replacement.artifacts.get(self.pipe_idx) {
+                        swap.publish(Arc::clone(artifact));
                     }
-                    Ok(WorkerMsg::Done) => done += 1,
-                    Err(_) => break, // a worker died; join below reports it
+                    compiled.adopt_replacement(replacement);
                 }
             }
             handles
@@ -1129,12 +1008,16 @@ impl ParallelPipeline<'_> {
                 })
                 .collect::<Vec<WorkerOutput>>()
         });
-        let mut outputs = match scope_out {
-            Ok(o) => o,
-            Err(payload) => {
-                return Err(EngineError::WorkerPanic(panic_text(payload.as_ref())));
-            }
-        };
+        let mut outputs =
+            scope_out.map_err(|payload| EngineError::WorkerPanic(panic_text(payload.as_ref())))?;
+
+        // What a worker charged outside a completed morsel (an idle
+        // worker's setup, a trapped morsel's partial cost) was not
+        // streamed: account the remainder now.
+        let charged = outputs
+            .iter()
+            .fold(ExecTally::default(), |sum, o| sum + o.tally);
+        *tally = *tally + (charged - streamed);
 
         if let Some(e) = budget_err {
             // The budget tripped: partial parallel work is discarded —
@@ -1143,42 +1026,36 @@ impl ParallelPipeline<'_> {
             return Err(e);
         }
 
-        // Surface the lowest-morsel trap or storage error (best-effort
-        // serial identity). Worker panics are handled below instead:
-        // they are recoverable via the retry pass.
+        // Surface the lowest-morsel trap (best-effort serial identity).
+        // Worker panics are handled below instead: they are
+        // recoverable via the retry pass.
+        let panicked = |o: &WorkerOutput| matches!(o.error, Some((_, EngineError::WorkerPanic(_))));
         if let Some((_, err)) = outputs
-            .iter()
-            .filter_map(|o| o.error.as_ref())
-            .filter(|(_, e)| !matches!(e, EngineError::WorkerPanic(_)))
+            .iter_mut()
+            .filter(|o| !panicked(o))
+            .filter_map(|o| o.error.take())
             .min_by_key(|(m, _)| *m)
         {
-            return Err(clone_error(err));
+            return Err(err);
         }
 
         // Parallel-section cost envelope, computed before any retry
         // pass: the retry runs serially after the barrier, so its
-        // cycles extend the critical path in full (the caller adds
-        // `tally - worker_total + busiest`, and retry cycles land in
-        // `tally` only).
+        // cycles extend the critical path in full (they land in
+        // `tally` only, never in the overlap).
         let busiest = outputs.iter().map(|o| o.tally.cycles).max().unwrap_or(0);
-        let total = outputs.iter().map(|o| o.tally.cycles).sum();
+        let overlapped = charged.cycles - busiest;
 
-        let panicked: Vec<usize> = outputs
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| matches!(o.error, Some((_, EngineError::WorkerPanic(_)))))
-            .map(|(w, _)| w)
-            .collect();
-        if !panicked.is_empty() {
+        if outputs.iter().any(panicked) {
             // A panicked worker's accumulated aggregation states may
             // include the partially-executed morsel's contributions, so
             // for agg sinks all of its records are discarded and
             // replayed. Buffer/join records delimit append-only ranges
             // that stay intact past a later panic, so they are kept and
             // only the lost morsels replay.
-            if matches!(self.pipe.sink, Sink::AggBuild { .. }) {
-                for &w in &panicked {
-                    outputs[w].records.clear();
+            if ordered {
+                for o in outputs.iter_mut().filter(|o| panicked(o)) {
+                    o.records.clear();
                 }
             }
             let done: HashSet<usize> = outputs
@@ -1188,38 +1065,36 @@ impl ParallelPipeline<'_> {
             let missing: Vec<usize> = (0..self.morsels.len())
                 .filter(|m| !done.contains(m))
                 .collect();
-            let mut retry_tally = ExecTally::default();
-            let retried =
-                self.retry_pass(state, ctx, compiled, bctx, &missing, &mut retry_tally)?;
-            tally.cycles += retry_tally.cycles;
-            tally.insts += retry_tally.insts;
             *morsels_done += missing.len() as u64;
+            let retried = self.retry_pass(state, ctx, compiled, missing, *tally)?;
+            *tally = *tally + retried.tally;
             outputs.push(retried);
         }
 
         self.merge(state, ctx, &outputs)?;
-        // Worker cycles were fully streamed into `tally` via morsel and
-        // flush messages (retry cycles folded in above); only runtime
-        // call counts remain to fold in.
+        // Worker cycles are all in `tally` by now (retry cycles folded in
+        // above); only runtime call counts remain to fold in.
         for o in &outputs {
             state.merge_counts_from(&o.state);
         }
-        Ok((busiest, total))
+        Ok(overlapped)
     }
 
     /// The single retry after a worker panic: replays the missing
-    /// morsels serially on a fresh fork, in ascending order (so the
-    /// aggregation ascending-claim invariant holds for the replayed
-    /// records). A second fault — panic, trap, or budget trip — fails
-    /// the query cleanly.
+    /// morsels on this thread through the same worker body, on a fresh
+    /// fork, over a fixed ascending claim list (so the aggregation
+    /// ascending-claim invariant holds for the replayed records). Its
+    /// completion callback is the budget check the coordinator would
+    /// have made, against `spent_before` plus the replay's own cost. A
+    /// second fault — panic, trap, or budget trip — fails the query
+    /// cleanly.
     fn retry_pass(
         &self,
         state: &RuntimeState,
         ctx: &[u8],
         compiled: &CompiledQuery,
-        bctx: &BudgetCtx<'_>,
-        missing: &[usize],
-        tally: &mut ExecTally,
+        missing: Vec<usize>,
+        spent_before: ExecTally,
     ) -> Result<WorkerOutput, EngineError> {
         let artifact = compiled
             .artifacts
@@ -1228,45 +1103,36 @@ impl ParallelPipeline<'_> {
             .ok_or_else(|| {
                 EngineError::WorkerPanic("no artifact to replay panicked morsels".to_string())
             })?;
-        let mut exe = artifact
+        let exe = artifact
             .instantiate()
             .map_err(|e| EngineError::WorkerPanic(format!("replay instantiation failed: {e}")))?;
-        let mut wstate = state.fork_worker();
-        let wctx = ctx.to_vec();
-        let ctx_addr = wctx.as_ptr() as u64;
-        let sink = self.sink_info();
-        let mut records = Vec::new();
-        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), EngineError> {
-            tally.charge(exe.as_mut(), |e| e.call(&mut wstate, "setup", &[ctx_addr]))?;
-            for &m in missing {
-                let before = sink_progress(&wstate, &wctx, sink);
-                let produced = if bctx.counts_rows { before as u64 } else { 0 };
-                bctx.check(*tally, produced)?;
-                let morsel = self.morsels[m];
-                tally.charge(exe.as_mut(), |e| {
-                    e.call(&mut wstate, "main", &[ctx_addr, morsel.start, morsel.count])
-                })?;
-                records.push(MorselRecord {
-                    morsel: m,
-                    sink_start: before,
-                    sink_end: sink_progress(&wstate, &wctx, sink),
-                });
-            }
-            Ok(())
-        }));
-        match outcome {
-            Ok(Ok(())) => Ok(WorkerOutput {
-                ctx: wctx,
-                state: wstate,
-                records,
-                tally: ExecTally::default(),
-                error: None,
-            }),
-            Ok(Err(e)) => Err(e),
-            Err(payload) => Err(EngineError::WorkerPanic(format!(
-                "panicked again during replay: {}",
-                panic_text(payload.as_ref())
+        let shared = WorkerShared {
+            morsels: self.morsels,
+            claimer: &Claimer::fixed(missing),
+            swap: &SwapCell::new(),
+            stop: &AtomicBool::new(false),
+            sink: self.sink_info(),
+        };
+        let mut rows = 0u64;
+        let mut out = worker_run(
+            0,
+            &shared,
+            state.fork_worker(),
+            ctx.to_vec(),
+            exe,
+            &mut |tally, grown| {
+                if self.counts_rows() {
+                    rows += grown;
+                }
+                self.check_budget(spent_before + tally, rows)
+            },
+        );
+        match out.error.take() {
+            None => Ok(out),
+            Some((_, EngineError::WorkerPanic(msg))) => Err(EngineError::WorkerPanic(format!(
+                "panicked again during replay: {msg}"
             ))),
+            Some((_, e)) => Err(e),
         }
     }
 
@@ -1313,12 +1179,13 @@ impl ParallelPipeline<'_> {
                 }
             }
             Sink::AggBuild {
-                keys, aggs, layout, ..
+                agg_id,
+                keys,
+                aggs,
+                layout,
+                ..
             } => {
-                let ht_off = self
-                    .plan
-                    .ctx_offset(&CtxEntry::AggHt(agg_id_of(&self.pipe.sink)))
-                    as usize;
+                let ht_off = self.plan.ctx_offset(&CtxEntry::AggHt(*agg_id)) as usize;
                 let can_ht = ctx_handle(ctx, ht_off);
                 let key_fields = key_fields(keys, layout)?;
                 let combines = agg_combines(aggs, layout)?;
@@ -1354,115 +1221,85 @@ impl ParallelPipeline<'_> {
     }
 }
 
-fn agg_id_of(sink: &Sink) -> usize {
-    match sink {
-        Sink::AggBuild { agg_id, .. } => *agg_id,
-        _ => unreachable!("agg merge on non-agg sink"),
-    }
+/// Calls `name` in a worker's own executable and charges it to the
+/// worker's tally. This is the worker-side supervision site: a panic in
+/// the callee costs one claim and becomes a typed
+/// [`EngineError::WorkerPanic`] the retry pass can recover from,
+/// instead of unwinding through the scope.
+fn call_supervised(
+    tally: &mut ExecTally,
+    exe: &mut dyn Executable,
+    wstate: &mut RuntimeState,
+    name: &str,
+    args: &[u64],
+) -> Result<(), EngineError> {
+    supervise(|| tally.charge(exe, wstate, name, args)).map_err(EngineError::WorkerPanic)??;
+    Ok(())
 }
 
 /// The worker body: fork-local setup, claim/execute loop, effect
-/// recording. Returns everything the barrier merge needs. Panics in
-/// generated code are caught here — the worker poisons itself (handing
-/// its unclaimed morsels to survivors) and reports the panic as its
-/// error instead of unwinding through the scope.
-#[allow(clippy::too_many_arguments)]
+/// recording. Returns everything the barrier merge needs. `completed`
+/// is told the worker's tally so far and the sink growth of each
+/// finished morsel; an error from it stops the worker like a trap in
+/// the morsel would. A worker that panics poisons itself (handing its
+/// unclaimed morsels to survivors) and reports the panic as its error.
 fn worker_run(
     worker: usize,
+    shared: &WorkerShared<'_>,
     mut wstate: RuntimeState,
     wctx: Vec<u8>,
     mut exe: Box<dyn Executable>,
-    morsels: &[Morsel],
-    claimer: &Claimer,
-    swap: &SwapCell,
-    sink: SinkInfo,
-    counts_rows: bool,
-    stop: &AtomicBool,
-    tx: &crossbeam::channel::Sender<WorkerMsg>,
+    completed: &mut dyn FnMut(ExecTally, u64) -> Result<(), EngineError>,
 ) -> WorkerOutput {
     let ctx_addr = wctx.as_ptr() as u64;
     let mut tally = ExecTally::default();
     let mut records = Vec::new();
-    let mut error: Option<(usize, EngineError)> = None;
     let mut seen_gen = 0u64;
-    let mut reported = ExecTally::default();
 
     // Worker-local setup: creates this pipeline's sink containers in
     // the worker's own arena, overwriting the sink slots in the worker
     // ctx copy. Source and probe slots keep the canonical handles,
     // which resolve into the forked read-only containers.
-    match catch_unwind(AssertUnwindSafe(|| {
-        tally.charge(exe.as_mut(), |e| e.call(&mut wstate, "setup", &[ctx_addr]))
-    })) {
-        Ok(Ok(_)) => {}
-        Ok(Err(t)) => error = Some((usize::MAX, EngineError::Trap(t))),
-        Err(payload) => {
-            claimer.poison(worker);
-            error = Some((
-                usize::MAX,
-                EngineError::WorkerPanic(panic_text(payload.as_ref())),
-            ));
-        }
-    }
+    let mut error = call_supervised(&mut tally, exe.as_mut(), &mut wstate, "setup", &[ctx_addr])
+        .err()
+        .map(|e| (usize::MAX, e));
 
     while error.is_none() {
         // Cooperative cancellation: the coordinator raises `stop` when
         // the query budget trips; observing it at the claim boundary
         // bounds overrun to one in-flight morsel per worker.
-        if stop.load(Ordering::Acquire) {
+        if shared.stop.load(Ordering::Acquire) {
             break;
         }
-        let Some(m) = claimer.claim(worker, morsels.len()) else {
+        let Some(m) = shared.claimer.claim(worker, shared.morsels.len()) else {
             break;
         };
         // Tier swap observed at the claim boundary: instantiate from
         // the newest artifact; on link failure keep the current tier.
-        if let Some(artifact) = swap.refresh(&mut seen_gen) {
+        if let Some(artifact) = shared.swap.refresh(&mut seen_gen) {
             if let Ok(new_exe) = artifact.instantiate() {
                 exe = new_exe;
             }
         }
-        let before = sink_progress(&wstate, &wctx, sink);
-        let morsel = morsels[m];
-        match catch_unwind(AssertUnwindSafe(|| {
-            tally.charge(exe.as_mut(), |e| {
-                e.call(&mut wstate, "main", &[ctx_addr, morsel.start, morsel.count])
-            })
-        })) {
-            Ok(Ok(_)) => {
-                let after = sink_progress(&wstate, &wctx, sink);
+        let before = sink_progress(&wstate, &wctx, shared.sink);
+        let morsel = shared.morsels[m];
+        let args = [ctx_addr, morsel.start, morsel.count];
+        error = call_supervised(&mut tally, exe.as_mut(), &mut wstate, "main", &args)
+            .and_then(|()| {
+                let after = sink_progress(&wstate, &wctx, shared.sink);
                 records.push(MorselRecord {
                     morsel: m,
                     sink_start: before,
                     sink_end: after,
                 });
-                let _ = tx.send(WorkerMsg::Morsel {
-                    cycles: tally.cycles - reported.cycles,
-                    insts: tally.insts - reported.insts,
-                    rows: if counts_rows {
-                        (after - before) as u64
-                    } else {
-                        0
-                    },
-                });
-                reported = tally;
-            }
-            Ok(Err(t)) => error = Some((m, EngineError::Trap(t))),
-            Err(payload) => {
-                claimer.poison(worker);
-                error = Some((m, EngineError::WorkerPanic(panic_text(payload.as_ref()))));
-            }
-        }
+                completed(tally, (after - before) as u64)
+            })
+            .err()
+            .map(|e| (m, e));
     }
-    // Flush any cycles not yet streamed (setup of a worker that claimed
-    // nothing, or the trapped morsel's partial cost).
-    if tally.cycles != reported.cycles || tally.insts != reported.insts {
-        let _ = tx.send(WorkerMsg::Flush {
-            cycles: tally.cycles - reported.cycles,
-            insts: tally.insts - reported.insts,
-        });
+    if matches!(error, Some((_, EngineError::WorkerPanic(_)))) {
+        shared.claimer.poison(worker);
     }
-    let _ = tx.send(WorkerMsg::Done);
     WorkerOutput {
         ctx: wctx,
         state: wstate,
@@ -1474,20 +1311,10 @@ fn worker_run(
 
 fn sink_progress(state: &RuntimeState, ctx: &[u8], sink: SinkInfo) -> usize {
     let handle = ctx_handle(ctx, sink.progress_off);
-    match sink.kind {
-        SinkKind::Buffer | SinkKind::Agg => state.buffer(handle).len(),
-        SinkKind::Join => state.table(handle).insert_log().len(),
-    }
-}
-
-/// Engine errors do not implement `Clone`; rebuild the variants the
-/// parallel path can produce.
-fn clone_error(e: &EngineError) -> EngineError {
-    match e {
-        EngineError::Trap(t) => EngineError::Trap(*t),
-        EngineError::Storage(s) => EngineError::Storage(s.clone()),
-        EngineError::WorkerPanic(s) => EngineError::WorkerPanic(s.clone()),
-        other => EngineError::Storage(format!("worker error: {other}")),
+    if sink.is_join {
+        state.table(handle).insert_log().len()
+    } else {
+        state.buffer(handle).len()
     }
 }
 
@@ -1591,139 +1418,98 @@ fn find_group(ht: &HashTable, hash: u64, wp: u64, keys: &[KeyField]) -> Option<u
 
 /// How one aggregate state field folds a worker partial into the
 /// canonical state.
-enum Combine {
-    AddI64,
-    AddI128,
-    MinI64,
-    MaxI64,
-    MinI128,
-    MaxI128,
-    MinStr,
-    MaxStr,
+#[derive(Clone, Copy)]
+enum Fold {
+    Add,
+    Min,
+    Max,
 }
 
-struct StateField {
-    off: usize,
-    combine: Combine,
-}
-
-impl StateField {
-    /// Folds worker payload `p`'s field into canonical payload `q`.
+impl Fold {
+    /// `x` folded with `y`.
     ///
     /// # Errors
     /// Overflowing sums trap exactly like the generated overflow-checked
     /// adds would.
+    fn of<T: Ord>(self, x: T, y: T, add: fn(T, T) -> Option<T>) -> Result<T, EngineError> {
+        match self {
+            Fold::Add => add(x, y).ok_or(EngineError::Trap(Trap::Overflow)),
+            Fold::Min => Ok(x.min(y)),
+            Fold::Max => Ok(x.max(y)),
+        }
+    }
+}
+
+struct StateField {
+    off: usize,
+    ty: ColumnType,
+    fold: Fold,
+}
+
+impl StateField {
+    /// Folds worker payload `p`'s field into canonical payload `q`:
+    /// decimals are 128-bit, strings 16-byte descriptors ordered by
+    /// content, every other state is an `i64` slot.
     fn apply(&self, q: u64, p: u64) -> Result<(), EngineError> {
         let (a, b) = (q + self.off as u64, p + self.off as u64);
-        match self.combine {
-            Combine::AddI64 => {
-                let s = read_i64_at(a)
-                    .checked_add(read_i64_at(b))
-                    .ok_or(EngineError::Trap(Trap::Overflow))?;
-                write_i64_at(a, s);
-            }
-            Combine::AddI128 => {
-                let s = read_i128_at(a)
-                    .checked_add(read_i128_at(b))
-                    .ok_or(EngineError::Trap(Trap::Overflow))?;
-                write_i128_at(a, s);
-            }
-            Combine::MinI64 => {
-                if read_i64_at(b) < read_i64_at(a) {
-                    write_i64_at(a, read_i64_at(b));
-                }
-            }
-            Combine::MaxI64 => {
-                if read_i64_at(b) > read_i64_at(a) {
-                    write_i64_at(a, read_i64_at(b));
-                }
-            }
-            Combine::MinI128 => {
-                if read_i128_at(b) < read_i128_at(a) {
-                    write_i128_at(a, read_i128_at(b));
-                }
-            }
-            Combine::MaxI128 => {
-                if read_i128_at(b) > read_i128_at(a) {
-                    write_i128_at(a, read_i128_at(b));
-                }
-            }
-            Combine::MinStr => {
-                if read_str_at(b).cmp_content(&read_str_at(a)) == CmpOrdering::Less {
+        match self.ty {
+            ColumnType::Str => {
+                let wins = match self.fold {
+                    Fold::Min => CmpOrdering::Less,
+                    Fold::Max => CmpOrdering::Greater,
+                    Fold::Add => {
+                        return Err(EngineError::Storage(
+                            "string aggregation state cannot be summed".to_string(),
+                        ))
+                    }
+                };
+                if read_str_at(b).cmp_content(&read_str_at(a)) == wins {
                     copy_bytes(b, a, 16);
                 }
             }
-            Combine::MaxStr => {
-                if read_str_at(b).cmp_content(&read_str_at(a)) == CmpOrdering::Greater {
-                    copy_bytes(b, a, 16);
-                }
+            ColumnType::Decimal(_) => {
+                let v = self
+                    .fold
+                    .of(read_i128_at(a), read_i128_at(b), i128::checked_add)?;
+                write_i128_at(a, v);
+            }
+            _ => {
+                let v = self
+                    .fold
+                    .of(read_i64_at(a), read_i64_at(b), i64::checked_add)?;
+                write_i64_at(a, v);
             }
         }
         Ok(())
     }
 }
 
-fn numeric_combine(ty: ColumnType, min_max: Option<bool>) -> Combine {
-    let wide = matches!(ty, ColumnType::Decimal(_));
-    match (min_max, wide) {
-        (None, false) => Combine::AddI64,
-        (None, true) => Combine::AddI128,
-        (Some(true), false) => Combine::MinI64,
-        (Some(true), true) => Combine::MinI128,
-        (Some(false), false) => Combine::MaxI64,
-        (Some(false), true) => Combine::MaxI128,
-    }
-}
-
+/// The state fields of `aggs` in `layout`: one per aggregate (`#name`),
+/// plus the row count an average carries (`#name_cnt`).
 fn agg_combines(
     aggs: &[(String, AggFunc)],
     layout: &RowLayout,
 ) -> Result<Vec<StateField>, EngineError> {
-    let mut out = Vec::new();
-    for (name, agg) in aggs {
-        let state = format!("#{name}");
+    let field = |state: String, fold: Fold| -> Result<StateField, EngineError> {
         let f = layout.field(&state).ok_or_else(|| {
             EngineError::Storage(format!("agg state field `{state}` missing from layout"))
         })?;
-        let off = f.offset as usize;
-        match agg {
-            AggFunc::CountStar => out.push(StateField {
-                off,
-                combine: Combine::AddI64,
-            }),
-            AggFunc::Sum(_) => out.push(StateField {
-                off,
-                combine: numeric_combine(f.ty, None),
-            }),
-            AggFunc::Min(_) => out.push(StateField {
-                off,
-                combine: if f.ty == ColumnType::Str {
-                    Combine::MinStr
-                } else {
-                    numeric_combine(f.ty, Some(true))
-                },
-            }),
-            AggFunc::Max(_) => out.push(StateField {
-                off,
-                combine: if f.ty == ColumnType::Str {
-                    Combine::MaxStr
-                } else {
-                    numeric_combine(f.ty, Some(false))
-                },
-            }),
-            AggFunc::Avg(_) => {
-                out.push(StateField {
-                    off,
-                    combine: numeric_combine(f.ty, None),
-                });
-                let cnt = layout.field(&format!("#{name}_cnt")).ok_or_else(|| {
-                    EngineError::Storage(format!("avg count field `#{name}_cnt` missing"))
-                })?;
-                out.push(StateField {
-                    off: cnt.offset as usize,
-                    combine: Combine::AddI64,
-                });
-            }
+        Ok(StateField {
+            off: f.offset as usize,
+            ty: f.ty,
+            fold,
+        })
+    };
+    let mut out = Vec::new();
+    for (name, agg) in aggs {
+        let fold = match agg {
+            AggFunc::CountStar | AggFunc::Sum(_) | AggFunc::Avg(_) => Fold::Add,
+            AggFunc::Min(_) => Fold::Min,
+            AggFunc::Max(_) => Fold::Max,
+        };
+        out.push(field(format!("#{name}"), fold)?);
+        if matches!(agg, AggFunc::Avg(_)) {
+            out.push(field(format!("#{name}_cnt"), Fold::Add)?);
         }
     }
     Ok(out)

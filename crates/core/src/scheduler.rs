@@ -39,24 +39,27 @@
 //!   prediction: downgrade to the next [`FallbackChain`] tier (same
 //!   morsel-boundary adoption machinery), or kill outright past the
 //!   kill factor ([`OutcomeStatus::Killed`]).
-//! * **Fault containment + circuit breaker.** Admission and execution
-//!   slices run under `catch_unwind`, so a panicking query fails its
-//!   own session, never the serve loop. With a [`BreakerPolicy`], K
+//! * **Fault containment + circuit breaker.** Admission runs under
+//!   `supervise` and every execution slice is a supervised driver step,
+//!   so a panicking query fails its own session, never the serve loop.
+//!   With a [`BreakerPolicy`], K
 //!   consecutive execution faults on one back-end tier trip that
 //!   tier's breaker: subsequent admissions route down the fallback
 //!   chain until the cooldown passes.
 
 use crate::compile_service::{CompileService, PendingCompile};
-use crate::engine::{CompiledQuery, Engine, EngineError, PreparedQuery, QueryBudget};
+use crate::engine::{
+    CompiledQuery, Engine, EngineError, ExecutionResult, PreparedQuery, QueryBudget,
+};
 use crate::fallback::FallbackChain;
-use crate::morsel_exec::{lock_recover, panic_text, QueryExecution, StepProgress};
+use crate::morsel_exec::{MorselExecConfig, QueryExecution, StepProgress};
 use crate::session::{Session, StatementCache};
+use crate::supervise::{lock_recover, supervise};
 use qc_backend::Backend;
 use qc_plan::PlanNode;
 use qc_runtime::SqlValue;
 use qc_timing::TimeTrace;
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -361,18 +364,15 @@ impl ServeReport {
 /// because admission may have answered it from a session's
 /// prepared-statement cache.
 struct Active {
-    index: usize,
-    name: String,
+    ticket: Ticket,
     prepared: Arc<PreparedQuery>,
     compiled: CompiledQuery,
     exec: QueryExecution,
-    queue_wait: Duration,
     /// Estimated morsels left (tier-up priority key).
     remaining: u64,
     /// Morsel estimate at admission (runaway prediction base).
     initial_morsels: u64,
     pending_tier: Option<PendingCompile>,
-    tiered_up: bool,
     /// Whether the runaway governor already downgraded this query.
     downgraded: bool,
 }
@@ -384,6 +384,7 @@ struct BreakerState {
 }
 
 /// Scheduler state shared by the serving workers.
+#[derive(Default)]
 struct SchedState {
     pending: VecDeque<(usize, SessionRequest)>,
     ready: VecDeque<Active>,
@@ -457,19 +458,6 @@ impl QueryScheduler {
         Ok(QueryScheduler { config })
     }
 
-    /// Creates a scheduler with `config`.
-    ///
-    /// # Panics
-    /// Panics when the configuration is invalid (see
-    /// [`SchedulerConfig::validate`]).
-    #[deprecated(note = "use `QueryScheduler::try_new`, which validates instead of panicking")]
-    pub fn new(config: SchedulerConfig) -> Self {
-        match Self::try_new(config) {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Serves `requests` to completion and reports per-session
     /// outcomes plus aggregate throughput/utilization.
     pub fn serve(
@@ -512,65 +500,37 @@ impl QueryScheduler {
     ) -> ServeReport {
         let total = requests.len();
         let start = Instant::now();
-        let mut accepted: VecDeque<(usize, SessionRequest)> =
-            requests.into_iter().enumerate().collect();
+        let mut state = SchedState {
+            pending: requests.into_iter().enumerate().collect(),
+            outcomes: (0..total).map(|_| None).collect(),
+            ..SchedState::default()
+        };
 
         // Overload shedding happens up front: this serve model takes
         // the whole batch as the arrival queue, so everything past the
         // depth bound is rejected per policy before any work starts.
-        let mut shed_outcomes: Vec<(usize, QueryOutcome)> = Vec::new();
         if let Some(depth) = self.config.max_queue_depth {
-            if accepted.len() > depth {
-                let shed: Vec<(usize, SessionRequest)> = match self.config.shed_policy {
-                    ShedPolicy::RejectNew => accepted.split_off(depth).into(),
-                    ShedPolicy::DropOldest => {
-                        let keep = accepted.split_off(accepted.len() - depth);
-                        std::mem::replace(&mut accepted, keep).into()
-                    }
+            while state.pending.len() > depth {
+                let shed = match self.config.shed_policy {
+                    ShedPolicy::RejectNew => state.pending.pop_back(),
+                    ShedPolicy::DropOldest => state.pending.pop_front(),
                 };
-                for (index, req) in shed {
-                    shed_outcomes.push((
-                        index,
-                        QueryOutcome {
-                            name: req.name,
-                            rows: Vec::new(),
-                            queue_wait: Duration::ZERO,
-                            latency: Duration::ZERO,
-                            cycles: 0,
-                            tiered_up: false,
-                            status: OutcomeStatus::Shed,
-                            error: Some(format!(
-                                "shed: queue depth {depth} exceeded ({total} submitted)"
-                            )),
-                        },
-                    ));
-                }
+                let Some((index, req)) = shed else { break };
+                let ticket = Ticket::new(index, req.name, Duration::ZERO);
+                retire(
+                    &mut state,
+                    ticket,
+                    false,
+                    start,
+                    Ending::Shed { depth, total },
+                );
             }
         }
 
-        let mut outcomes: Vec<Option<QueryOutcome>> = (0..total).map(|_| None).collect();
-        let shed_count = shed_outcomes.len();
-        for (index, outcome) in shed_outcomes {
-            outcomes[index] = Some(outcome);
-        }
         let shared = Shared {
-            state: Mutex::new(SchedState {
-                pending: accepted,
-                ready: VecDeque::new(),
-                outcomes,
-                active: 0,
-                done: shed_count,
-                tier_inflight: 0,
-                cpm_ewma: 0.0,
-                cpm_samples: 0,
-                breakers: HashMap::new(),
-                runaway_downgrades: 0,
-                queries_killed: 0,
-                breaker_trips: 0,
-            }),
+            state: Mutex::new(state),
             cv: Condvar::new(),
         };
-
         let worker_busy: Vec<Duration> = crossbeam::thread::scope(|s| {
             let handles: Vec<_> = (0..self.config.workers)
                 .map(|_| {
@@ -590,31 +550,20 @@ impl QueryScheduler {
         })
         .unwrap_or_default();
 
-        let state = shared
+        let mut state = shared
             .state
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
-        let outcomes = state
-            .outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(i, o)| {
-                // Defensive: every path records an outcome; a lost one
-                // reports as a failure rather than panicking the serve.
-                o.unwrap_or_else(|| QueryOutcome {
-                    name: format!("session-{i}"),
-                    rows: Vec::new(),
-                    queue_wait: Duration::ZERO,
-                    latency: start.elapsed(),
-                    cycles: 0,
-                    tiered_up: false,
-                    status: OutcomeStatus::Failed,
-                    error: Some("scheduler lost this session's outcome".to_string()),
-                })
-            })
-            .collect();
+        // Defensive: every path records an outcome; a lost one reports
+        // as a failure rather than panicking the serve.
+        for index in 0..total {
+            if state.outcomes[index].is_none() {
+                let ticket = Ticket::new(index, format!("session-{index}"), Duration::ZERO);
+                retire(&mut state, ticket, false, start, Ending::Lost);
+            }
+        }
         ServeReport {
-            outcomes,
+            outcomes: state.outcomes.into_iter().flatten().collect(),
             wall: start.elapsed(),
             busy: worker_busy.iter().sum(),
             worker_busy,
@@ -624,10 +573,6 @@ impl QueryScheduler {
             breaker_trips: state.breaker_trips,
         }
     }
-}
-
-fn lock_shared(shared: &Shared) -> std::sync::MutexGuard<'_, SchedState> {
-    lock_recover(&shared.state)
 }
 
 /// Picks the back-end for one admission: the requested tier unless its
@@ -676,14 +621,14 @@ fn runaway_check(config: &SchedulerConfig, g: &SchedState, a: &Active) -> Runawa
         return RunawayAction::None;
     }
     let predicted = g.cpm_ewma * a.initial_morsels as f64;
-    let used = a.exec.tally().cycles as f64;
-    if used > predicted * policy.kill_factor {
+    let used = a.exec.tally().cycles;
+    if used as f64 > predicted * policy.kill_factor {
         return RunawayAction::Kill {
-            used: used as u64,
+            used,
             predicted: predicted as u64,
         };
     }
-    if used > predicted * policy.factor && !a.downgraded && a.pending_tier.is_none() {
+    if used as f64 > predicted * policy.factor && !a.downgraded && a.pending_tier.is_none() {
         return RunawayAction::Downgrade;
     }
     RunawayAction::None
@@ -705,7 +650,7 @@ fn serve_worker(
 ) -> Duration {
     let mut busy = Duration::ZERO;
     loop {
-        let mut g = lock_shared(shared);
+        let mut g = lock_recover(&shared.state);
         loop {
             if g.done == total {
                 shared.cv.notify_all();
@@ -719,43 +664,39 @@ fn serve_worker(
         }
 
         if g.active < config.admission_limit && !g.pending.is_empty() {
-            let Some((index, req)) = g.pending.pop_front() else {
+            let Some((index, mut req)) = g.pending.pop_front() else {
                 continue;
             };
             g.active += 1;
             let routed = route_backend(config, backend, &mut g);
             drop(g);
             let t0 = Instant::now();
-            let queue_wait = start.elapsed();
-            let name = req.name.clone();
+            // One copy of the ticket stays out here in case admission
+            // fails (or panics) and takes the other with it.
+            let name = std::mem::take(&mut req.name);
+            let ticket = Ticket::new(index, name, start.elapsed());
             // Admission fault containment: a panicking planner/compiler
             // fails this session, not the serve loop.
-            let admitted = catch_unwind(AssertUnwindSafe(|| {
+            let admitted = supervise(|| {
                 admit(
-                    engine, service, &routed, statements, config, index, req, queue_wait,
+                    engine,
+                    service,
+                    &routed,
+                    statements,
+                    config,
+                    req,
+                    ticket.clone(),
                 )
-            }))
-            .unwrap_or_else(|payload| {
-                Err((
-                    index,
-                    name,
-                    EngineError::WorkerPanic(panic_text(payload.as_ref())),
-                ))
-            });
+            })
+            .unwrap_or_else(|panic| Err(EngineError::WorkerPanic(panic)));
             busy += t0.elapsed();
-            let mut g = lock_shared(shared);
+            let mut g = lock_recover(&shared.state);
             match admitted {
                 Ok(active) => {
                     g.ready.push_back(active);
                     tier_up_governor(service, config, &mut g);
                 }
-                Err((index, name, err)) => {
-                    let outcome = failed_outcome(name, queue_wait, start, &err);
-                    if outcome.status == OutcomeStatus::Killed {
-                        g.queries_killed += 1;
-                    }
-                    finalize(&mut g, (index, outcome));
-                }
+                Err(err) => retire(&mut g, ticket, false, start, Ending::Errored(err)),
             }
             shared.cv.notify_all();
             continue;
@@ -778,47 +719,31 @@ fn serve_worker(
                 a.pending_tier = None;
                 if let Ok(replacement) = result {
                     a.compiled.adopt_replacement(replacement);
-                    a.tiered_up = true;
+                    a.ticket.tiered_up = true;
                 }
             }
         }
 
-        // Execution fault containment: generated code panicking inside
-        // a slice fails this session, not the serve loop.
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            a.exec
-                .step(engine, &a.prepared, &mut a.compiled, config.morsel_credits)
-        }))
-        .unwrap_or_else(|payload| Err(EngineError::WorkerPanic(panic_text(payload.as_ref()))));
+        // Execution fault containment is the driver's: generated code
+        // panicking inside a slice comes back as a typed error that
+        // fails this session, not the serve loop.
+        let credits = config.morsel_credits;
+        let step = a
+            .exec
+            .step(engine, &a.prepared, &mut a.compiled, credits, &mut |_| None);
         busy += t0.elapsed();
 
-        let mut g = lock_shared(shared);
+        let mut g = lock_recover(&shared.state);
         if tier_done {
             g.tier_inflight -= 1;
         }
         match step {
-            Ok(StepProgress::Ran(_)) => {
+            Ok(StepProgress::Ran) => {
                 a.remaining = a.exec.remaining_morsels(engine, &a.prepared);
                 match runaway_check(config, &g, &a) {
                     RunawayAction::Kill { used, predicted } => {
-                        if a.pending_tier.is_some() {
-                            g.tier_inflight -= 1;
-                        }
-                        g.queries_killed += 1;
-                        let outcome = QueryOutcome {
-                            name: a.name,
-                            rows: Vec::new(),
-                            queue_wait: a.queue_wait,
-                            latency: start.elapsed(),
-                            cycles: a.exec.tally().cycles,
-                            tiered_up: a.tiered_up,
-                            status: OutcomeStatus::Killed,
-                            error: Some(format!(
-                                "killed: runaway query used {used} cycles \
-                                 against a predicted {predicted}"
-                            )),
-                        };
-                        finalize(&mut g, (a.index, outcome));
+                        let ending = Ending::Runaway { used, predicted };
+                        retire(&mut g, a.ticket, a.pending_tier.is_some(), start, ending);
                     }
                     RunawayAction::Downgrade => {
                         if let Some(tier) = config
@@ -840,26 +765,20 @@ fn serve_worker(
                 }
             }
             Ok(StepProgress::Done) => {
-                let backend_name = a.compiled.backend_name;
+                // Feed the runaway predictor and forgive the tier's
+                // fault streak.
                 let cpm = a.exec.tally().cycles as f64 / a.initial_morsels.max(1) as f64;
-                let outcome = finish_outcome(a, start);
-                if outcome.1.status == OutcomeStatus::Ok {
-                    // Feed the runaway predictor and forgive the tier's
-                    // fault streak.
-                    if g.cpm_samples == 0 {
-                        g.cpm_ewma = cpm;
-                    } else {
-                        g.cpm_ewma = 0.8 * g.cpm_ewma + 0.2 * cpm;
-                    }
-                    g.cpm_samples += 1;
-                    g.record_exec_ok(backend_name);
-                }
-                finalize(&mut g, outcome);
+                g.cpm_ewma = if g.cpm_samples == 0 {
+                    cpm
+                } else {
+                    0.8 * g.cpm_ewma + 0.2 * cpm
+                };
+                g.cpm_samples += 1;
+                g.record_exec_ok(a.compiled.backend_name);
+                let ending = Ending::Finished(a.exec.into_result(&a.compiled));
+                retire(&mut g, a.ticket, a.pending_tier.is_some(), start, ending);
             }
             Err(err) => {
-                if a.pending_tier.is_some() {
-                    g.tier_inflight -= 1; // abandoned in-flight compile
-                }
                 let is_exec_fault =
                     matches!(err, EngineError::Trap(_) | EngineError::WorkerPanic(_));
                 if is_exec_fault {
@@ -867,18 +786,13 @@ fn serve_worker(
                         g.record_exec_fault(a.compiled.backend_name, policy, Instant::now());
                     }
                 }
-                let outcome = failed_outcome(a.name, a.queue_wait, start, &err);
-                if outcome.status == OutcomeStatus::Killed {
-                    g.queries_killed += 1;
-                }
-                finalize(&mut g, (a.index, outcome));
+                let ending = Ending::Errored(err);
+                retire(&mut g, a.ticket, a.pending_tier.is_some(), start, ending);
             }
         }
         shared.cv.notify_all();
     }
 }
-
-type AdmitError = (usize, String, EngineError);
 
 /// Prepares and compiles one session through the shared service (and
 /// therefore the shared code cache). With a statement cache, repeated
@@ -893,45 +807,30 @@ fn admit(
     backend: &Arc<dyn Backend>,
     statements: Option<&StatementCache>,
     config: &SchedulerConfig,
-    index: usize,
     req: SessionRequest,
-    queue_wait: Duration,
-) -> Result<Active, AdmitError> {
-    let fail = |name: &str, e: EngineError| (index, name.to_string(), e);
+    ticket: Ticket,
+) -> Result<Active, EngineError> {
     let prepared = match statements {
-        Some(cache) => {
-            cache
-                .get_or_prepare(engine, &req.plan)
-                .map_err(|e| fail(&req.name, e))?
-                .prepared
-        }
-        None => Arc::new(
-            engine
-                .prepare_internal(&req.plan, &req.name)
-                .map_err(|e| fail(&req.name, e))?,
-        ),
+        Some(cache) => cache.get_or_prepare(engine, &req.plan)?.prepared,
+        None => Arc::new(engine.prepare(&req.plan, &ticket.name)?),
     };
-    let compiled = service
-        .compile(&prepared, backend, &TimeTrace::disabled())
-        .map_err(|e| fail(&req.name, e))?;
+    let compiled = service.compile(&prepared, backend, &TimeTrace::disabled())?;
     let budget = req
         .budget
         .or_else(|| config.query_budget.clone())
         .unwrap_or_default();
-    let exec =
-        QueryExecution::with_budget(engine, &prepared, budget).map_err(|e| fail(&req.name, e))?;
+    // Sessions run single-threaded: the scheduler is the inter-query
+    // parallelism axis (see the module docs).
+    let exec = QueryExecution::new(MorselExecConfig::default(), budget);
     let remaining = exec.remaining_morsels(engine, &prepared);
     Ok(Active {
-        index,
-        name: req.name,
+        ticket,
         prepared,
         compiled,
         exec,
-        queue_wait,
         remaining,
         initial_morsels: remaining,
         pending_tier: None,
-        tiered_up: false,
         downgraded: false,
     })
 }
@@ -948,7 +847,7 @@ fn tier_up_governor(service: &CompileService, config: &SchedulerConfig, g: &mut 
         let candidate = g
             .ready
             .iter_mut()
-            .filter(|a| a.pending_tier.is_none() && !a.tiered_up && !a.downgraded)
+            .filter(|a| a.pending_tier.is_none() && !a.ticket.tiered_up && !a.downgraded)
             .max_by_key(|a| a.remaining);
         let Some(a) = candidate else { return };
         if a.remaining == 0 {
@@ -959,61 +858,197 @@ fn tier_up_governor(service: &CompileService, config: &SchedulerConfig, g: &mut 
     }
 }
 
-fn finalize(g: &mut SchedState, outcome: (usize, QueryOutcome)) {
-    g.outcomes[outcome.0] = Some(outcome.1);
-    g.active -= 1;
-    g.done += 1;
+/// What identifies a session from submission to outcome.
+#[derive(Clone)]
+struct Ticket {
+    index: usize,
+    name: String,
+    queue_wait: Duration,
+    /// Whether a background tier was adopted mid-query.
+    tiered_up: bool,
 }
 
-fn finish_outcome(a: Active, start: Instant) -> (usize, QueryOutcome) {
-    let Active {
-        index,
-        name,
-        prepared,
-        compiled,
-        exec,
-        queue_wait,
-        tiered_up,
-        ..
-    } = a;
-    match exec.into_result(&prepared, &compiled) {
-        Ok(result) => (
+impl Ticket {
+    fn new(index: usize, name: String, queue_wait: Duration) -> Ticket {
+        Ticket {
             index,
-            QueryOutcome {
-                name,
-                rows: result.rows,
-                queue_wait,
-                latency: start.elapsed(),
-                cycles: result.exec_stats.cycles,
-                tiered_up,
-                status: OutcomeStatus::Ok,
-                error: None,
-            },
-        ),
-        Err(err) => (index, failed_outcome(name, queue_wait, start, &err)),
+            name,
+            queue_wait,
+            tiered_up: false,
+        }
     }
 }
 
-fn failed_outcome(
-    name: String,
-    queue_wait: Duration,
-    start: Instant,
-    err: &EngineError,
-) -> QueryOutcome {
-    let (status, cycles) = match err {
-        EngineError::DeadlineExceeded { partial, .. }
-        | EngineError::BudgetExhausted { partial, .. }
-        | EngineError::Cancelled { partial } => (OutcomeStatus::Killed, partial.cycles),
-        _ => (OutcomeStatus::Failed, 0),
+/// Why a session leaves the scheduler.
+enum Ending {
+    /// Ran to completion.
+    Finished(ExecutionResult),
+    /// Admission or an execution slice failed; a tripped
+    /// [`QueryBudget`] counts as a kill, everything else as a failure.
+    Errored(EngineError),
+    /// Killed by the runaway governor after `used` cycles.
+    Runaway { used: u64, predicted: u64 },
+    /// Rejected up front by overload shedding.
+    Shed { depth: usize, total: usize },
+    /// No worker recorded an outcome (every worker died).
+    Lost,
+}
+
+/// The one way out of the scheduler: gives back what the session holds
+/// (its admission slot and, when `tier_pending` says a background
+/// compile is still in flight for it, its tier-up slot), counts a
+/// kill, and records the [`QueryOutcome`].
+fn retire(g: &mut SchedState, who: Ticket, tier_pending: bool, start: Instant, ending: Ending) {
+    // Shed and lost sessions were never admitted; a shed one never ran.
+    let admitted = !matches!(ending, Ending::Shed { .. } | Ending::Lost);
+    let latency = match ending {
+        Ending::Shed { .. } => Duration::ZERO,
+        _ => start.elapsed(),
     };
-    QueryOutcome {
-        name,
-        rows: Vec::new(),
-        queue_wait,
-        latency: start.elapsed(),
+    let (status, rows, cycles, error) = match ending {
+        Ending::Finished(result) => (
+            OutcomeStatus::Ok,
+            result.rows,
+            result.exec_stats.cycles,
+            None,
+        ),
+        Ending::Errored(err) => {
+            let (status, cycles) = match &err {
+                EngineError::DeadlineExceeded { partial, .. }
+                | EngineError::BudgetExhausted { partial, .. }
+                | EngineError::Cancelled { partial } => (OutcomeStatus::Killed, partial.cycles),
+                _ => (OutcomeStatus::Failed, 0),
+            };
+            (status, Vec::new(), cycles, Some(err.to_string()))
+        }
+        Ending::Runaway { used, predicted } => (
+            OutcomeStatus::Killed,
+            Vec::new(),
+            used,
+            Some(format!(
+                "killed: runaway query used {used} cycles against a predicted {predicted}"
+            )),
+        ),
+        Ending::Shed { depth, total } => (
+            OutcomeStatus::Shed,
+            Vec::new(),
+            0,
+            Some(format!(
+                "shed: queue depth {depth} exceeded ({total} submitted)"
+            )),
+        ),
+        Ending::Lost => (
+            OutcomeStatus::Failed,
+            Vec::new(),
+            0,
+            Some("scheduler lost this session's outcome".to_string()),
+        ),
+    };
+    if tier_pending {
+        g.tier_inflight -= 1; // abandoned in-flight compile
+    }
+    if status == OutcomeStatus::Killed {
+        g.queries_killed += 1;
+    }
+    g.outcomes[who.index] = Some(QueryOutcome {
+        name: who.name,
+        rows,
+        queue_wait: who.queue_wait,
+        latency,
         cycles,
-        tiered_up: false,
+        tiered_up: who.tiered_up,
         status,
-        error: Some(err.to_string()),
+        error,
+    });
+    if admitted {
+        g.active -= 1;
+    }
+    g.done += 1;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qc_target::Trap;
+
+    fn state(sessions: usize, tier_inflight: usize) -> SchedState {
+        SchedState {
+            outcomes: (0..sessions).map(|_| None).collect(),
+            active: sessions,
+            tier_inflight,
+            ..SchedState::default()
+        }
+    }
+
+    fn finished() -> Ending {
+        Ending::Finished(ExecutionResult {
+            rows: Vec::new(),
+            exec_stats: qc_target::ExecStats::default(),
+            critical_path_cycles: 0,
+            compile_time: Duration::ZERO,
+            compile_stats: qc_backend::CompileStats::default(),
+        })
+    }
+
+    /// Every admitted ending gives the tier-up slot of a still-pending
+    /// background compile back — `Done` used to keep it.
+    #[test]
+    fn retire_releases_a_pending_tier_slot_on_every_ending() {
+        let endings = [
+            finished(),
+            Ending::Errored(EngineError::Trap(Trap::Overflow)),
+            Ending::Runaway {
+                used: 9,
+                predicted: 1,
+            },
+        ];
+        let mut g = state(endings.len(), endings.len());
+        for (index, ending) in endings.into_iter().enumerate() {
+            let ticket = Ticket::new(index, format!("s{index}"), Duration::ZERO);
+            retire(&mut g, ticket, true, Instant::now(), ending);
+        }
+        assert_eq!(g.tier_inflight, 0, "every ending releases its tier slot");
+        assert_eq!((g.active, g.done), (0, 3));
+        assert_eq!(g.queries_killed, 1, "only the runaway ending is a kill");
+        // A session without a pending compile holds no tier slot.
+        let mut g = state(1, 1);
+        let ticket = Ticket::new(0, "s0".to_string(), Duration::ZERO);
+        retire(&mut g, ticket, false, Instant::now(), finished());
+        assert_eq!(g.tier_inflight, 1);
+    }
+
+    /// A failed or killed session that had already swapped tiers says
+    /// so — the failure path used to report `tiered_up: false`.
+    #[test]
+    fn retire_keeps_the_tiered_up_flag_on_failure() {
+        let mut g = state(2, 0);
+        for (index, tiered_up) in [true, false].into_iter().enumerate() {
+            let mut ticket = Ticket::new(index, format!("s{index}"), Duration::ZERO);
+            ticket.tiered_up = tiered_up;
+            let ending = Ending::Errored(EngineError::Trap(Trap::Overflow));
+            retire(&mut g, ticket, false, Instant::now(), ending);
+        }
+        let flags: Vec<_> = g.outcomes.iter().flatten().map(|o| o.tiered_up).collect();
+        assert_eq!(flags, [true, false]);
+        assert!(g
+            .outcomes
+            .iter()
+            .flatten()
+            .all(|o| o.status == OutcomeStatus::Failed));
+    }
+
+    /// Shed sessions were never admitted: retiring one must not take an
+    /// admission slot from a running session.
+    #[test]
+    fn retire_of_a_shed_session_holds_no_admission_slot() {
+        let mut g = state(2, 0);
+        g.active = 1;
+        let ticket = Ticket::new(1, "late".to_string(), Duration::ZERO);
+        let ending = Ending::Shed { depth: 1, total: 2 };
+        retire(&mut g, ticket, false, Instant::now(), ending);
+        assert_eq!((g.active, g.done), (1, 1));
+        let shed = g.outcomes[1].as_ref().expect("recorded");
+        assert_eq!(shed.status, OutcomeStatus::Shed);
+        assert_eq!(shed.latency, Duration::ZERO);
     }
 }

@@ -122,7 +122,7 @@ impl StatementCache {
         }
         // Prepare outside the lock: planning + codegen can be slow, and
         // a concurrent duplicate prepare is harmless (first insert wins).
-        let prepared = Arc::new(engine.prepare_internal(plan, STATEMENT_NAME)?);
+        let prepared = Arc::new(engine.prepare(plan, STATEMENT_NAME)?);
         let mut inner = self.inner.lock();
         inner.misses += 1;
         if self.capacity == 0 {
@@ -354,8 +354,7 @@ impl<'db> Session<'db> {
             statement,
             backend: None,
             trace: None,
-            workers: 1,
-            schedule: MorselSchedule::Stealing,
+            exec: MorselExecConfig::default(),
             budget: None,
             query_budget: None,
             direct: false,
@@ -381,8 +380,7 @@ pub struct QueryRun<'s, 'db> {
     statement: PreparedStatement,
     backend: Option<Arc<dyn Backend>>,
     trace: Option<&'s TimeTrace>,
-    workers: usize,
-    schedule: MorselSchedule,
+    exec: MorselExecConfig,
     budget: Option<CompileBudget>,
     query_budget: Option<QueryBudget>,
     direct: bool,
@@ -407,14 +405,14 @@ impl<'s, 'db> QueryRun<'s, 'db> {
     /// both mean the exact serial path).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+        self.exec.workers = workers;
         self
     }
 
     /// Morsel claim discipline for parallel execution.
     #[must_use]
     pub fn schedule(mut self, schedule: MorselSchedule) -> Self {
-        self.schedule = schedule;
+        self.exec.schedule = schedule;
         self
     }
 
@@ -468,11 +466,10 @@ impl<'s, 'db> QueryRun<'s, 'db> {
                     &disabled
                 }
             };
-            return self.session.engine.compile_internal(
-                self.statement.query(),
-                backend.as_ref(),
-                trace,
-            );
+            return self
+                .session
+                .engine
+                .compile(self.statement.query(), backend.as_ref(), trace);
         }
         let mut request = self
             .session
@@ -520,12 +517,8 @@ impl<'s, 'db> QueryRun<'s, 'db> {
         compiled: &mut CompiledQuery,
         hook: &mut dyn FnMut(&MorselEvent) -> Option<CompiledQuery>,
     ) -> Result<ExecutionResult, EngineError> {
-        let exec = MorselExecutor::new(MorselExecConfig {
-            workers: self.workers,
-            schedule: self.schedule,
-        });
         let budget = self.query_budget.clone().unwrap_or_default();
-        exec.execute_budgeted(
+        MorselExecutor::new(self.exec).execute_budgeted(
             &self.session.engine,
             self.statement.query(),
             compiled,

@@ -1,0 +1,267 @@
+//! The pipeline driver is one loop behind every execution entry point:
+//! `QueryRun` (through `MorselExecutor`) steps it to completion, the
+//! serving scheduler steps it a credit slice at a time. These tests pin
+//! what that buys: one query mixing a fan-out pipeline with a
+//! serial-fallback one is right at every worker count and schedule, the
+//! two entry points charge and budget a statement identically, and a
+//! session leaving the scheduler — however it ends — gives back what
+//! it held and reports what it did.
+
+use qc_backend::chaos::{ChaosBackend, ChaosExecBackend, ChaosFault, ExecFault};
+use qc_backend::Backend;
+use qc_engine::{
+    backends, EngineConfig, EngineError, MorselSchedule, OutcomeStatus, QueryBudget,
+    QueryScheduler, SchedulerConfig, ServeReport, Session, SessionConfig, SessionRequest,
+};
+use qc_plan::{col, AggFunc, PlanNode};
+use qc_storage::{Column, ColumnType, Database, Schema, Table};
+use qc_target::Isa;
+use std::sync::Arc;
+use std::time::Duration;
+
+const MORSEL: usize = 16;
+
+/// `fact(k, v)` with 60 morsels of rows, `dim(dk, w)` with four, and
+/// `tiny(k, v)` with less than one.
+fn database() -> Database {
+    let ints = |n: i64, f: fn(i64) -> i64| Column::I64((0..n).map(f).collect());
+    let two_i64 = |a: &'static str, b: &'static str| {
+        Schema::new(vec![(a, ColumnType::I64), (b, ColumnType::I64)])
+    };
+    let mut db = Database::new();
+    let fact_rows = 60 * MORSEL as i64;
+    db.add_table(Table::new(
+        "fact",
+        two_i64("k", "v"),
+        vec![
+            ints(fact_rows, |i| i % 64),
+            ints(fact_rows, |i| i * 7 % 101),
+        ],
+    ));
+    db.add_table(Table::new(
+        "dim",
+        two_i64("dk", "w"),
+        vec![ints(64, |i| i), ints(64, |i| i % 5 + 1)],
+    ));
+    db.add_table(Table::new(
+        "tiny",
+        two_i64("k", "v"),
+        vec![ints(4, |i| i), ints(4, |i| i)],
+    ));
+    db
+}
+
+fn session(db: &Database) -> Session<'_> {
+    Session::with_config(
+        db,
+        SessionConfig {
+            engine: EngineConfig {
+                morsel_size: MORSEL,
+            },
+            ..Default::default()
+        },
+    )
+}
+
+/// Four pipelines: the `dim` scan builds the join table (fans out: four
+/// morsels, mergeable sink), the `fact` scan probes it into a
+/// floating-point sum (60 morsels, but an `F64` aggregation state cannot
+/// merge — serial fallback), and the group and sort buffers are one
+/// morsel each.
+fn mixed_plan() -> PlanNode {
+    PlanNode::scan("fact", &["k", "v"])
+        .hash_join(PlanNode::scan("dim", &["dk", "w"]), &["k"], &["dk"], &["w"])
+        .map(vec![("x", col("v").mul(col("w")).cast_f64())])
+        .group_by(
+            &["k"],
+            vec![("total", AggFunc::Sum(col("x"))), ("n", AggFunc::CountStar)],
+        )
+        .sort(&[("k", true)], None)
+}
+
+fn scan_of(table: &str) -> PlanNode {
+    PlanNode::scan(table, &["k", "v"]).filter(col("v").ge(qc_plan::lit_i64(0)))
+}
+
+fn clift() -> Arc<dyn Backend> {
+    Arc::from(backends::clift(Isa::Tx64))
+}
+
+/// One serving worker, one admitted session, one morsel per slice:
+/// sessions run strictly one after another, a morsel at a time.
+fn one_at_a_time() -> SchedulerConfig {
+    SchedulerConfig {
+        workers: 1,
+        admission_limit: 1,
+        morsel_credits: 1,
+        ..Default::default()
+    }
+}
+
+fn serve(
+    session: &Session<'_>,
+    config: SchedulerConfig,
+    backend: &Arc<dyn Backend>,
+    requests: Vec<SessionRequest>,
+) -> ServeReport {
+    QueryScheduler::try_new(config)
+        .expect("valid scheduler config")
+        .serve_session(session, backend, requests)
+}
+
+#[test]
+fn mixed_plan_matches_the_reference_at_every_worker_count_and_schedule() {
+    let db = database();
+    let session = session(&db);
+    let plan = mixed_plan();
+    let reference = qc_plan::reference::execute(&plan, &db).expect("reference");
+    assert_eq!(reference.len(), 64, "one group per key");
+
+    let serial = session
+        .prepare(&plan)
+        .and_then(|run| run.backend(clift()).execute())
+        .expect("serial run");
+    for workers in [1usize, 2, 4] {
+        for schedule in [MorselSchedule::Static, MorselSchedule::Stealing] {
+            let result = session
+                .prepare(&plan)
+                .map(|run| run.backend(clift()).workers(workers).schedule(schedule))
+                .and_then(|run| run.execute())
+                .unwrap_or_else(|e| panic!("{workers} workers, {schedule:?}: {e}"));
+            // The sort key is unique, so row order is part of the answer.
+            assert_eq!(
+                result.rows, reference,
+                "{workers} workers, {schedule:?}: rows diverged from the reference"
+            );
+            if workers == 1 {
+                assert_eq!(result.exec_stats, serial.exec_stats);
+                assert_eq!(result.critical_path_cycles, result.exec_stats.cycles);
+            } else {
+                // Only the join build fans out; its workers' setup is
+                // the extra work, and part of it overlaps.
+                assert!(result.exec_stats.cycles > serial.exec_stats.cycles);
+                assert!(result.critical_path_cycles < result.exec_stats.cycles);
+            }
+        }
+    }
+
+    // The scheduler steps the same driver: same rows, same cycles.
+    let report = serve(
+        &session,
+        one_at_a_time(),
+        &clift(),
+        vec![SessionRequest::new("mixed", plan)],
+    );
+    let outcome = &report.outcomes[0];
+    assert_eq!(outcome.status, OutcomeStatus::Ok, "{:?}", outcome.error);
+    assert_eq!(outcome.rows, reference);
+    assert_eq!(outcome.cycles, serial.exec_stats.cycles);
+}
+
+#[test]
+fn a_cycle_cap_trips_identically_through_query_run_and_scheduler() {
+    let db = database();
+    let session = session(&db);
+    let plan = mixed_plan();
+    let full = session
+        .prepare(&plan)
+        .and_then(|run| run.backend(clift()).execute())
+        .expect("unbudgeted run")
+        .exec_stats
+        .cycles;
+    // Trips in the middle of the probe pipeline's 60 morsels.
+    let budget = QueryBudget::unlimited().with_max_cycles(full / 2);
+
+    let err = session
+        .prepare(&plan)
+        .map(|run| run.backend(clift()).query_budget(budget.clone()))
+        .and_then(|run| run.execute())
+        .expect_err("half the query's cycles cannot finish it");
+    let EngineError::BudgetExhausted { partial, used, .. } = &err else {
+        panic!("expected BudgetExhausted, got {err}");
+    };
+    assert_eq!(*used, partial.cycles);
+    assert!(partial.cycles >= full / 2 && partial.cycles < full);
+
+    let request = SessionRequest::new("capped", plan).with_budget(budget);
+    let report = serve(&session, one_at_a_time(), &clift(), vec![request]);
+    let outcome = &report.outcomes[0];
+    assert_eq!(outcome.status, OutcomeStatus::Killed);
+    assert_eq!(outcome.cycles, partial.cycles, "same trip point either way");
+    // The message carries `used`, the limit and the partial cycles.
+    assert_eq!(outcome.error.as_deref(), Some(err.to_string().as_str()));
+}
+
+/// First tier for the tier-up tests: every morsel takes at least
+/// `MORSEL_DELAY`, so the 60-morsel `fact` scan is still running long
+/// after the delayed background compile below has finished.
+const MORSEL_DELAY: Duration = Duration::from_millis(10);
+const COMPILE_DELAY: Duration = Duration::from_millis(50);
+
+fn slow_first_tier() -> Arc<dyn Backend> {
+    Arc::new(ChaosExecBackend::always(
+        Arc::from(backends::interpreter()),
+        ExecFault::Delay(MORSEL_DELAY),
+    ))
+}
+
+/// Background tier whose every module compile takes `COMPILE_DELAY`:
+/// long against the one-morsel `tiny` scan, short against `fact`'s.
+fn slow_compiling(tier: Arc<dyn Backend>) -> Arc<dyn Backend> {
+    Arc::new(ChaosBackend::always(tier, ChaosFault::Delay(COMPILE_DELAY)))
+}
+
+#[test]
+fn a_session_finishing_before_its_tier_compile_gives_the_slot_back() {
+    let db = database();
+    let session = session(&db);
+    let config = SchedulerConfig {
+        tier_up_backend: Some(slow_compiling(clift())),
+        tier_up_inflight: 1,
+        ..one_at_a_time()
+    };
+    // `early` is done (one 10 ms morsel) while its background compile
+    // still sleeps, holding the only tier-up slot. `long` runs for
+    // 600 ms and can only tier up if `early` gave that slot back.
+    let requests = vec![
+        SessionRequest::new("early", scan_of("tiny")),
+        SessionRequest::new("long", scan_of("fact")),
+    ];
+    let report = serve(&session, config, &slow_first_tier(), requests);
+    assert_eq!(report.failures(), 0);
+    let [early, long] = &report.outcomes[..] else {
+        panic!("two outcomes");
+    };
+    assert!(!early.tiered_up, "finished before its compile did");
+    assert!(
+        long.tiered_up,
+        "the slot of `early`'s abandoned compile was never released"
+    );
+    let reference = qc_plan::reference::execute(&scan_of("fact"), &db).expect("reference");
+    assert_eq!(long.rows, reference);
+}
+
+#[test]
+fn a_session_failing_after_its_tier_swap_still_reports_the_swap() {
+    let db = database();
+    let session = session(&db);
+    // The background tier's own sixth morsel traps, so the failure can
+    // only happen after the swap.
+    let trapping_tier: Arc<dyn Backend> =
+        Arc::new(ChaosExecBackend::on_nth(clift(), 5, ExecFault::Trap(7)));
+    let config = SchedulerConfig {
+        tier_up_backend: Some(slow_compiling(trapping_tier)),
+        tier_up_inflight: 1,
+        ..one_at_a_time()
+    };
+    let requests = vec![SessionRequest::new("long", scan_of("fact"))];
+    let report = serve(&session, config, &slow_first_tier(), requests);
+    let outcome = &report.outcomes[0];
+    assert_eq!(outcome.status, OutcomeStatus::Failed);
+    assert!(
+        outcome.error.as_deref().is_some_and(|e| e.contains("trap")),
+        "{:?}",
+        outcome.error
+    );
+    assert!(outcome.tiered_up, "the swap happened before the trap");
+}
