@@ -563,7 +563,7 @@ fn sink_merge_supported(sink: &Sink) -> bool {
     }
 }
 
-/// Morsel-parallel query executor: steps a [`QueryExecution`] driver to
+/// Morsel-parallel query executor: steps a `QueryExecution` driver to
 /// completion.
 ///
 /// With `workers <= 1` every morsel runs on the calling thread — no
