@@ -1,6 +1,6 @@
 //! Morsel-wise execution (paper Sec. II: morsel-driven parallelism).
 //!
-//! Three layers live here:
+//! Three layers live here and in the two files below this one:
 //!
 //! 1. [`ExecTally`] — swap-safe cycle accounting. Every generated-code
 //!    call is charged by its own before/after [`qc_backend::Executable::exec_stats`]
@@ -13,12 +13,13 @@
 //!    the serving scheduler can interleave many executions;
 //!    [`MorselExecutor`] steps one to completion. With one worker, or
 //!    for a pipeline that cannot fan out, it runs the morsels itself.
-//! 3. `ParallelPipeline` — one pipeline's fan-out: a pool of workers,
-//!    each owning a forked [`RuntimeState`] and its own executable
-//!    instantiated from the pipeline's [`CodeArtifact`], pulling morsels
-//!    from per-pipeline claimers (work-stealing deques or a shared
-//!    ordered counter), and the deterministic merge of their results at
-//!    the pipeline barrier.
+//! 3. `ParallelPipeline` (`parallel.rs`, with the barrier merge and its
+//!    raw-address helpers in `parallel/merge.rs`) — one pipeline's
+//!    fan-out: a pool of workers, each owning a forked [`RuntimeState`]
+//!    and its own executable instantiated from the pipeline's
+//!    [`qc_backend::CodeArtifact`], pulling morsels from per-pipeline
+//!    claimers (work-stealing deques or a shared ordered counter), and
+//!    the deterministic merge of their results at the pipeline barrier.
 //!
 //! # Determinism argument
 //!
@@ -64,21 +65,16 @@ use crate::engine::{
     decode_rows, CompiledQuery, Engine, EngineError, ExecutionResult, MorselEvent, PreparedQuery,
     QueryBudget,
 };
-use crate::supervise::{panic_text, supervise};
-use parking_lot::Mutex;
-use qc_backend::{CodeArtifact, Executable};
-use qc_plan::{AggFunc, CtxEntry, PhysicalPlan, Pipeline, RowLayout, Sink, Source};
-use qc_runtime::{
-    entry_hash, HashTable, RtString, RuntimeState, SqlValue, ENTRY_HASH_OFFSET, ENTRY_NEXT_OFFSET,
-    ENTRY_PAYLOAD_OFFSET,
-};
+use crate::supervise::supervise;
+use parallel::ParallelPipeline;
+use qc_backend::Executable;
+use qc_plan::{CtxEntry, PhysicalPlan, Pipeline, Sink, Source};
+use qc_runtime::{RuntimeState, SqlValue};
 use qc_storage::{ColumnType, Morsel};
 use qc_target::{ExecStats, Trap};
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
+
+mod parallel;
 
 // ---------------------------------------------------------------------
 // Swap-safe cycle accounting
@@ -573,7 +569,7 @@ fn sink_merge_supported(sink: &Sink) -> bool {
 /// morsel-boundary tier-up hook works the same either way: a
 /// replacement tier published by the hook is observed by every worker
 /// at its next morsel claim (instantiated from the replacement's
-/// [`CodeArtifact`]).
+/// [`qc_backend::CodeArtifact`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MorselExecutor {
     config: MorselExecConfig,
@@ -656,914 +652,5 @@ impl MorselExecutor {
         let mut exec = QueryExecution::new(self.config, budget.clone());
         while let StepProgress::Ran = exec.step(engine, prepared, compiled, u64::MAX, hook)? {}
         Ok(exec.into_result(compiled))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Morsel claimers
-// ---------------------------------------------------------------------
-
-/// Per-pipeline morsel claim discipline.
-enum Claimer {
-    /// Shared ascending counter: perfect load balance and ascending
-    /// claim order for every worker (required by aggregation merges).
-    Ordered(AtomicUsize),
-    /// Per-worker deques seeded striped; `steal` allows taking from the
-    /// back of other workers' deques.
-    Striped {
-        deques: Vec<Mutex<VecDeque<usize>>>,
-        steal: bool,
-        /// Whether a panicked worker's stranded morsels may be
-        /// re-claimed by survivors. Off for aggregation pipelines: a
-        /// late out-of-order claim would break the ascending-claim
-        /// invariant the merge depends on, so their stranded morsels
-        /// go to the serial retry pass instead.
-        poison_steal: bool,
-        /// Workers that panicked; their deques become stealable.
-        poisoned: Vec<AtomicBool>,
-    },
-}
-
-impl Claimer {
-    fn new(n_morsels: usize, workers: usize, schedule: MorselSchedule, ordered: bool) -> Claimer {
-        match (schedule, ordered) {
-            (MorselSchedule::Stealing, true) => Claimer::Ordered(AtomicUsize::new(0)),
-            (schedule, ordered) => {
-                let mut deques: Vec<VecDeque<usize>> =
-                    (0..workers).map(|_| VecDeque::new()).collect();
-                for m in 0..n_morsels {
-                    deques[m % workers].push_back(m);
-                }
-                Claimer::Striped {
-                    deques: deques.into_iter().map(Mutex::new).collect(),
-                    steal: schedule == MorselSchedule::Stealing,
-                    poison_steal: !ordered,
-                    poisoned: (0..workers).map(|_| AtomicBool::new(false)).collect(),
-                }
-            }
-        }
-    }
-
-    /// A single worker's fixed claim list, handed out front to back
-    /// (the retry pass: ascending, no one to steal from).
-    fn fixed(list: Vec<usize>) -> Claimer {
-        Claimer::Striped {
-            deques: vec![Mutex::new(list.into())],
-            steal: false,
-            poison_steal: false,
-            poisoned: vec![AtomicBool::new(false)],
-        }
-    }
-
-    /// Marks a panicked worker: its remaining morsels become claimable
-    /// by surviving workers (the panic-requeue path). The ordered
-    /// claimer never assigns morsels ahead of time, so it has nothing
-    /// to requeue.
-    fn poison(&self, worker: usize) {
-        if let Claimer::Striped { poisoned, .. } = self {
-            poisoned[worker].store(true, Ordering::Release);
-        }
-    }
-
-    fn claim(&self, worker: usize, n_morsels: usize) -> Option<usize> {
-        match self {
-            Claimer::Ordered(next) => {
-                let m = next.fetch_add(1, Ordering::Relaxed);
-                (m < n_morsels).then_some(m)
-            }
-            Claimer::Striped {
-                deques,
-                steal,
-                poison_steal,
-                poisoned,
-            } => {
-                if let Some(m) = deques[worker].lock().pop_front() {
-                    return Some(m);
-                }
-                let w = deques.len();
-                for v in (worker + 1..w).chain(0..worker) {
-                    let may_take = *steal || (*poison_steal && poisoned[v].load(Ordering::Acquire));
-                    if !may_take {
-                        continue;
-                    }
-                    if let Some(m) = deques[v].lock().pop_back() {
-                        return Some(m);
-                    }
-                }
-                None
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Tier-up swap cell
-// ---------------------------------------------------------------------
-
-/// Atomic publication point for a background-compiled replacement tier.
-/// Workers poll the generation at each morsel claim and re-instantiate
-/// their executable from the newest artifact.
-struct SwapCell {
-    generation: AtomicU64,
-    artifact: Mutex<Option<Arc<dyn CodeArtifact>>>,
-}
-
-impl SwapCell {
-    fn new() -> SwapCell {
-        SwapCell {
-            generation: AtomicU64::new(0),
-            artifact: Mutex::new(None),
-        }
-    }
-
-    fn publish(&self, artifact: Arc<dyn CodeArtifact>) {
-        *self.artifact.lock() = Some(artifact);
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    /// Returns the newest artifact when the generation moved past
-    /// `seen` (updating `seen`), `None` otherwise.
-    fn refresh(&self, seen: &mut u64) -> Option<Arc<dyn CodeArtifact>> {
-        let g = self.generation.load(Ordering::Acquire);
-        if g == *seen {
-            return None;
-        }
-        *seen = g;
-        self.artifact.lock().clone()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Parallel pipeline run
-// ---------------------------------------------------------------------
-
-/// Sink description shared with workers: the ctx offset of the
-/// container whose growth delimits each morsel's effects.
-#[derive(Clone, Copy)]
-struct SinkInfo {
-    progress_off: usize,
-    /// A join build's progress is its hash table's insert-log length;
-    /// every other sink's is a buffer length (output and sort rows, an
-    /// aggregation's group-registration rows).
-    is_join: bool,
-}
-
-/// One claimed morsel's sink-effect range in a worker's containers.
-struct MorselRecord {
-    morsel: usize,
-    sink_start: usize,
-    sink_end: usize,
-}
-
-/// Everything a finished worker hands back for the barrier merge.
-struct WorkerOutput {
-    ctx: Vec<u8>,
-    state: RuntimeState,
-    records: Vec<MorselRecord>,
-    /// This worker's total charged cycles (critical-path reporting).
-    tally: ExecTally,
-    /// `(morsel index, error)`; `usize::MAX` marks a setup failure.
-    error: Option<(usize, EngineError)>,
-}
-
-/// A pool worker's message to the coordinator: one morsel completed
-/// (fires the tier-up hook).
-struct MorselDone {
-    /// What the worker charged since its previous message.
-    spent: ExecTally,
-    /// Result rows this morsel produced (output-sink pipelines only) —
-    /// drives the coordinator's in-flight row-cap check.
-    rows: u64,
-}
-
-/// What the workers of one pipeline run share.
-struct WorkerShared<'a> {
-    morsels: &'a [Morsel],
-    claimer: &'a Claimer,
-    swap: &'a SwapCell,
-    /// Raised by the coordinator when the query budget trips.
-    stop: &'a AtomicBool,
-    sink: SinkInfo,
-}
-
-/// One pipeline's fan-out: its morsel list, how workers claim from it,
-/// and the query budget the run is checked against.
-struct ParallelPipeline<'a> {
-    plan: &'a PhysicalPlan,
-    pipe: &'a Pipeline,
-    pipe_idx: usize,
-    morsels: &'a [Morsel],
-    schedule: MorselSchedule,
-    budget: &'a QueryBudget,
-    /// Execution start (the budget's deadline clock).
-    started: Instant,
-    /// Result rows materialized before this pipeline started.
-    rows_before: u64,
-}
-
-impl ParallelPipeline<'_> {
-    /// Whether this pipeline's sink is the output buffer (its morsels
-    /// add result rows).
-    fn counts_rows(&self) -> bool {
-        matches!(self.pipe.sink, Sink::Output { .. })
-    }
-
-    /// One budget check while this pipeline's output is still
-    /// distributed across workers: `rows_delta` is what its completed
-    /// morsels added so far.
-    fn check_budget(&self, tally: ExecTally, rows_delta: u64) -> Result<(), EngineError> {
-        self.budget
-            .check(self.started, tally, self.rows_before + rows_delta)
-    }
-
-    fn sink_info(&self) -> SinkInfo {
-        let entry = match &self.pipe.sink {
-            Sink::Output { .. } => CtxEntry::OutputBuf,
-            Sink::SortMaterialize { sort_id, .. } => CtxEntry::SortBuf(*sort_id),
-            Sink::JoinBuild { join_id, .. } => CtxEntry::JoinHt(*join_id),
-            Sink::AggBuild { agg_id, .. } => CtxEntry::AggGroups(*agg_id),
-        };
-        SinkInfo {
-            progress_off: self.plan.ctx_offset(&entry) as usize,
-            is_join: matches!(self.pipe.sink, Sink::JoinBuild { .. }),
-        }
-    }
-
-    /// Runs every morsel of the pipeline on forked workers and merges
-    /// their sink effects into the canonical `state`. Returns the
-    /// worker cycles that overlap the busiest worker (everything the
-    /// workers charged minus the busiest one's share): the part of
-    /// `tally` that is off the critical path.
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
-        &self,
-        state: &mut RuntimeState,
-        ctx: &[u8],
-        compiled: &mut CompiledQuery,
-        tally: &mut ExecTally,
-        morsels_done: &mut u64,
-        worker_exes: Vec<Box<dyn Executable>>,
-        hook: &mut MorselHook<'_>,
-    ) -> Result<u64, EngineError> {
-        let workers = worker_exes.len();
-        let ordered = matches!(self.pipe.sink, Sink::AggBuild { .. });
-        let claimer = Claimer::new(self.morsels.len(), workers, self.schedule, ordered);
-        let swap = SwapCell::new();
-        let stop = AtomicBool::new(false);
-        let shared = WorkerShared {
-            morsels: self.morsels,
-            claimer: &claimer,
-            swap: &swap,
-            stop: &stop,
-            sink: self.sink_info(),
-        };
-        let has_budget = !self.budget.is_unlimited();
-        let counts_rows = self.counts_rows();
-        let (tx, rx) = crossbeam::channel::unbounded();
-
-        // Fork worker states before entering the scope: the forks hold
-        // read-only views into the canonical state, which must stay
-        // unmutated until every worker has finished.
-        let forks: Vec<(RuntimeState, Vec<u8>)> = (0..workers)
-            .map(|_| (state.fork_worker(), ctx.to_vec()))
-            .collect();
-
-        let mut budget_err: Option<EngineError> = None;
-        let mut streamed = ExecTally::default();
-        let scope_out = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = forks
-                .into_iter()
-                .zip(worker_exes)
-                .enumerate()
-                .map(|(w, ((wstate, wctx), exe))| {
-                    let tx = tx.clone();
-                    let shared = &shared;
-                    s.spawn(move || {
-                        // A pool worker's completion callback is a
-                        // channel send: the coordinator does the
-                        // accounting, the budget check and the hook.
-                        let mut reported = ExecTally::default();
-                        worker_run(w, shared, wstate, wctx, exe, &mut |tally, grown| {
-                            let _ = tx.send(MorselDone {
-                                spent: tally - reported,
-                                rows: if counts_rows { grown } else { 0 },
-                            });
-                            reported = tally;
-                            Ok(())
-                        })
-                    })
-                })
-                .collect();
-            drop(tx);
-
-            // Coordinator: forward morsel events to the tier-up hook;
-            // publish any replacement so workers observe it at their
-            // next claim; check the budget on every completed morsel.
-            // The channel disconnects when the last worker is done.
-            let mut rows_delta = 0u64;
-            while let Ok(MorselDone { spent, rows }) = rx.recv() {
-                *tally = *tally + spent;
-                streamed = streamed + spent;
-                rows_delta += rows;
-                *morsels_done += 1;
-                if has_budget && budget_err.is_none() {
-                    if let Err(e) = self.check_budget(*tally, rows_delta) {
-                        // Cooperative cancellation: workers see the
-                        // flag at their next claim, so the query stops
-                        // within one morsel per worker of the budget
-                        // tripping.
-                        budget_err = Some(e);
-                        stop.store(true, Ordering::Release);
-                    }
-                }
-                let event = MorselEvent {
-                    pipeline: self.pipe_idx,
-                    morsels_done: *morsels_done,
-                    cycles_so_far: tally.cycles,
-                };
-                if let Some(replacement) = hook(&event) {
-                    if let Some(Some(artifact)) = replacement.artifacts.get(self.pipe_idx) {
-                        swap.publish(Arc::clone(artifact));
-                    }
-                    compiled.adopt_replacement(replacement);
-                }
-            }
-            handles
-                .into_iter()
-                .map(|h| {
-                    // Panics are caught inside `worker_run`; a join
-                    // error means one escaped the harness — synthesize
-                    // a panicked output so the retry pass covers its
-                    // morsels instead of aborting the process.
-                    h.join().unwrap_or_else(|payload| WorkerOutput {
-                        ctx: ctx.to_vec(),
-                        state: RuntimeState::new(),
-                        records: Vec::new(),
-                        tally: ExecTally::default(),
-                        error: Some((
-                            usize::MAX,
-                            EngineError::WorkerPanic(panic_text(payload.as_ref())),
-                        )),
-                    })
-                })
-                .collect::<Vec<WorkerOutput>>()
-        });
-        let mut outputs =
-            scope_out.map_err(|payload| EngineError::WorkerPanic(panic_text(payload.as_ref())))?;
-
-        // What a worker charged outside a completed morsel (an idle
-        // worker's setup, a trapped morsel's partial cost) was not
-        // streamed: account the remainder now.
-        let charged = outputs
-            .iter()
-            .fold(ExecTally::default(), |sum, o| sum + o.tally);
-        *tally = *tally + (charged - streamed);
-
-        if let Some(e) = budget_err {
-            // The budget tripped: partial parallel work is discarded —
-            // never merged into canonical state — and the typed error
-            // carries the tally snapshot at trip time.
-            return Err(e);
-        }
-
-        // Surface the lowest-morsel trap (best-effort serial identity).
-        // Worker panics are handled below instead: they are
-        // recoverable via the retry pass.
-        let panicked = |o: &WorkerOutput| matches!(o.error, Some((_, EngineError::WorkerPanic(_))));
-        if let Some((_, err)) = outputs
-            .iter_mut()
-            .filter(|o| !panicked(o))
-            .filter_map(|o| o.error.take())
-            .min_by_key(|(m, _)| *m)
-        {
-            return Err(err);
-        }
-
-        // Parallel-section cost envelope, computed before any retry
-        // pass: the retry runs serially after the barrier, so its
-        // cycles extend the critical path in full (they land in
-        // `tally` only, never in the overlap).
-        let busiest = outputs.iter().map(|o| o.tally.cycles).max().unwrap_or(0);
-        let overlapped = charged.cycles - busiest;
-
-        if outputs.iter().any(panicked) {
-            // A panicked worker's accumulated aggregation states may
-            // include the partially-executed morsel's contributions, so
-            // for agg sinks all of its records are discarded and
-            // replayed. Buffer/join records delimit append-only ranges
-            // that stay intact past a later panic, so they are kept and
-            // only the lost morsels replay.
-            if ordered {
-                for o in outputs.iter_mut().filter(|o| panicked(o)) {
-                    o.records.clear();
-                }
-            }
-            let done: HashSet<usize> = outputs
-                .iter()
-                .flat_map(|o| o.records.iter().map(|r| r.morsel))
-                .collect();
-            let missing: Vec<usize> = (0..self.morsels.len())
-                .filter(|m| !done.contains(m))
-                .collect();
-            *morsels_done += missing.len() as u64;
-            let retried = self.retry_pass(state, ctx, compiled, missing, *tally)?;
-            *tally = *tally + retried.tally;
-            outputs.push(retried);
-        }
-
-        self.merge(state, ctx, &outputs)?;
-        // Worker cycles are all in `tally` by now (retry cycles folded in
-        // above); only runtime call counts remain to fold in.
-        for o in &outputs {
-            state.merge_counts_from(&o.state);
-        }
-        Ok(overlapped)
-    }
-
-    /// The single retry after a worker panic: replays the missing
-    /// morsels on this thread through the same worker body, on a fresh
-    /// fork, over a fixed ascending claim list (so the aggregation
-    /// ascending-claim invariant holds for the replayed records). Its
-    /// completion callback is the budget check the coordinator would
-    /// have made, against `spent_before` plus the replay's own cost. A
-    /// second fault — panic, trap, or budget trip — fails the query
-    /// cleanly.
-    fn retry_pass(
-        &self,
-        state: &RuntimeState,
-        ctx: &[u8],
-        compiled: &CompiledQuery,
-        missing: Vec<usize>,
-        spent_before: ExecTally,
-    ) -> Result<WorkerOutput, EngineError> {
-        let artifact = compiled
-            .artifacts
-            .get(self.pipe_idx)
-            .and_then(|a| a.as_ref())
-            .ok_or_else(|| {
-                EngineError::WorkerPanic("no artifact to replay panicked morsels".to_string())
-            })?;
-        let exe = artifact
-            .instantiate()
-            .map_err(|e| EngineError::WorkerPanic(format!("replay instantiation failed: {e}")))?;
-        let shared = WorkerShared {
-            morsels: self.morsels,
-            claimer: &Claimer::fixed(missing),
-            swap: &SwapCell::new(),
-            stop: &AtomicBool::new(false),
-            sink: self.sink_info(),
-        };
-        let mut rows = 0u64;
-        let mut out = worker_run(
-            0,
-            &shared,
-            state.fork_worker(),
-            ctx.to_vec(),
-            exe,
-            &mut |tally, grown| {
-                if self.counts_rows() {
-                    rows += grown;
-                }
-                self.check_budget(spent_before + tally, rows)
-            },
-        );
-        match out.error.take() {
-            None => Ok(out),
-            Some((_, EngineError::WorkerPanic(msg))) => Err(EngineError::WorkerPanic(format!(
-                "panicked again during replay: {msg}"
-            ))),
-            Some((_, e)) => Err(e),
-        }
-    }
-
-    /// Replays worker sink effects into the canonical state in
-    /// ascending morsel order (see the module docs for why this
-    /// reproduces the serial effect sequence exactly).
-    fn merge(
-        &self,
-        state: &mut RuntimeState,
-        ctx: &[u8],
-        outputs: &[WorkerOutput],
-    ) -> Result<(), EngineError> {
-        let sink = self.sink_info();
-        let canonical = ctx_handle(ctx, sink.progress_off);
-        // Global replay order: ascending morsel index.
-        let mut order: Vec<(usize, &MorselRecord)> = outputs
-            .iter()
-            .enumerate()
-            .flat_map(|(w, o)| o.records.iter().map(move |r| (w, r)))
-            .collect();
-        order.sort_by_key(|(_, r)| r.morsel);
-
-        match &self.pipe.sink {
-            Sink::Output { .. } | Sink::SortMaterialize { .. } => {
-                for (w, r) in order {
-                    let o = &outputs[w];
-                    let whandle = ctx_handle(&o.ctx, sink.progress_off);
-                    let wbuf = o.state.buffer(whandle);
-                    for i in r.sink_start..r.sink_end {
-                        state.buf_append_from(canonical, wbuf.row(i));
-                    }
-                }
-            }
-            Sink::JoinBuild { layout, .. } => {
-                let size = layout.size as usize;
-                for (w, r) in order {
-                    let o = &outputs[w];
-                    let whandle = ctx_handle(&o.ctx, sink.progress_off);
-                    // progress_off points at the JoinHt slot for joins.
-                    let log = o.state.table(whandle).insert_log();
-                    for &payload in &log[r.sink_start..r.sink_end] {
-                        state.ht_insert_from(canonical, entry_hash(payload), payload, size);
-                    }
-                }
-            }
-            Sink::AggBuild {
-                agg_id,
-                keys,
-                aggs,
-                layout,
-                ..
-            } => {
-                let ht_off = self.plan.ctx_offset(&CtxEntry::AggHt(*agg_id)) as usize;
-                let can_ht = ctx_handle(ctx, ht_off);
-                let key_fields = key_fields(keys, layout)?;
-                let combines = agg_combines(aggs, layout)?;
-                for (w, r) in order {
-                    let o = &outputs[w];
-                    let wgroups = ctx_handle(&o.ctx, sink.progress_off);
-                    let groups = o.state.buffer(wgroups);
-                    for i in r.sink_start..r.sink_end {
-                        // Each groups-buffer row holds the worker-local
-                        // payload pointer of one created group.
-                        let wp = read_u64_at(groups.row(i));
-                        let hash = entry_hash(wp);
-                        match find_group(state.table(can_ht), hash, wp, &key_fields) {
-                            Some(q) => {
-                                // Fold the worker's fully-accumulated
-                                // partial state in with one combine.
-                                for c in &combines {
-                                    c.apply(q, wp)?;
-                                }
-                            }
-                            None => {
-                                let q =
-                                    state.ht_insert_from(can_ht, hash, wp, layout.size as usize);
-                                let cell = q.to_le_bytes();
-                                state.buf_append_from(canonical, cell.as_ptr() as u64);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Calls `name` in a worker's own executable and charges it to the
-/// worker's tally. This is the worker-side supervision site: a panic in
-/// the callee costs one claim and becomes a typed
-/// [`EngineError::WorkerPanic`] the retry pass can recover from,
-/// instead of unwinding through the scope.
-fn call_supervised(
-    tally: &mut ExecTally,
-    exe: &mut dyn Executable,
-    wstate: &mut RuntimeState,
-    name: &str,
-    args: &[u64],
-) -> Result<(), EngineError> {
-    supervise(|| tally.charge(exe, wstate, name, args)).map_err(EngineError::WorkerPanic)??;
-    Ok(())
-}
-
-/// The worker body: fork-local setup, claim/execute loop, effect
-/// recording. Returns everything the barrier merge needs. `completed`
-/// is told the worker's tally so far and the sink growth of each
-/// finished morsel; an error from it stops the worker like a trap in
-/// the morsel would. A worker that panics poisons itself (handing its
-/// unclaimed morsels to survivors) and reports the panic as its error.
-fn worker_run(
-    worker: usize,
-    shared: &WorkerShared<'_>,
-    mut wstate: RuntimeState,
-    wctx: Vec<u8>,
-    mut exe: Box<dyn Executable>,
-    completed: &mut dyn FnMut(ExecTally, u64) -> Result<(), EngineError>,
-) -> WorkerOutput {
-    let ctx_addr = wctx.as_ptr() as u64;
-    let mut tally = ExecTally::default();
-    let mut records = Vec::new();
-    let mut seen_gen = 0u64;
-
-    // Worker-local setup: creates this pipeline's sink containers in
-    // the worker's own arena, overwriting the sink slots in the worker
-    // ctx copy. Source and probe slots keep the canonical handles,
-    // which resolve into the forked read-only containers.
-    let mut error = call_supervised(&mut tally, exe.as_mut(), &mut wstate, "setup", &[ctx_addr])
-        .err()
-        .map(|e| (usize::MAX, e));
-
-    while error.is_none() {
-        // Cooperative cancellation: the coordinator raises `stop` when
-        // the query budget trips; observing it at the claim boundary
-        // bounds overrun to one in-flight morsel per worker.
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
-        let Some(m) = shared.claimer.claim(worker, shared.morsels.len()) else {
-            break;
-        };
-        // Tier swap observed at the claim boundary: instantiate from
-        // the newest artifact; on link failure keep the current tier.
-        if let Some(artifact) = shared.swap.refresh(&mut seen_gen) {
-            if let Ok(new_exe) = artifact.instantiate() {
-                exe = new_exe;
-            }
-        }
-        let before = sink_progress(&wstate, &wctx, shared.sink);
-        let morsel = shared.morsels[m];
-        let args = [ctx_addr, morsel.start, morsel.count];
-        error = call_supervised(&mut tally, exe.as_mut(), &mut wstate, "main", &args)
-            .and_then(|()| {
-                let after = sink_progress(&wstate, &wctx, shared.sink);
-                records.push(MorselRecord {
-                    morsel: m,
-                    sink_start: before,
-                    sink_end: after,
-                });
-                completed(tally, (after - before) as u64)
-            })
-            .err()
-            .map(|e| (m, e));
-    }
-    if matches!(error, Some((_, EngineError::WorkerPanic(_)))) {
-        shared.claimer.poison(worker);
-    }
-    WorkerOutput {
-        ctx: wctx,
-        state: wstate,
-        records,
-        tally,
-        error,
-    }
-}
-
-fn sink_progress(state: &RuntimeState, ctx: &[u8], sink: SinkInfo) -> usize {
-    let handle = ctx_handle(ctx, sink.progress_off);
-    if sink.is_join {
-        state.table(handle).insert_log().len()
-    } else {
-        state.buffer(handle).len()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Aggregation merge helpers
-// ---------------------------------------------------------------------
-
-fn read_u64_at(addr: u64) -> u64 {
-    // SAFETY: addresses come from live arena rows/payloads the caller
-    // keeps alive for the duration of the merge.
-    unsafe { std::ptr::read_unaligned(addr as *const u64) }
-}
-
-fn read_i64_at(addr: u64) -> i64 {
-    read_u64_at(addr) as i64
-}
-
-fn read_i128_at(addr: u64) -> i128 {
-    // SAFETY: see `read_u64_at`.
-    unsafe { std::ptr::read_unaligned(addr as *const i128) }
-}
-
-fn write_i64_at(addr: u64, v: i64) {
-    // SAFETY: see `read_u64_at`; the caller writes into canonical
-    // payloads it owns.
-    unsafe { std::ptr::write_unaligned(addr as *mut i64, v) }
-}
-
-fn write_i128_at(addr: u64, v: i128) {
-    // SAFETY: see `write_i64_at`.
-    unsafe { std::ptr::write_unaligned(addr as *mut i128, v) }
-}
-
-fn read_str_at(addr: u64) -> RtString {
-    let mut bytes = [0u8; 16];
-    // SAFETY: see `read_u64_at`; string state fields are 16 bytes.
-    unsafe { std::ptr::copy_nonoverlapping(addr as *const u8, bytes.as_mut_ptr(), 16) };
-    RtString::from_bytes(bytes)
-}
-
-fn copy_bytes(src: u64, dst: u64, n: usize) {
-    // SAFETY: both addresses reference live rows/payloads of at least
-    // `n` bytes (field sizes come from the shared layout).
-    unsafe { std::ptr::copy_nonoverlapping(src as *const u8, dst as *mut u8, n) }
-}
-
-/// One group-key field for replay-time group lookup.
-struct KeyField {
-    off: usize,
-    size: usize,
-    is_str: bool,
-}
-
-impl KeyField {
-    /// Key equality between a canonical payload `q` and a worker
-    /// payload `p`, with the same semantics generated code uses
-    /// (`rt_str_eq` content equality for strings, bytewise otherwise).
-    fn eq_at(&self, q: u64, p: u64) -> bool {
-        let (a, b) = (q + self.off as u64, p + self.off as u64);
-        if self.is_str {
-            return read_str_at(a).eq_content(&read_str_at(b));
-        }
-        match self.size {
-            8 => read_u64_at(a) == read_u64_at(b),
-            _ => read_i128_at(a) == read_i128_at(b),
-        }
-    }
-}
-
-fn key_fields(keys: &[String], layout: &RowLayout) -> Result<Vec<KeyField>, EngineError> {
-    keys.iter()
-        .map(|k| {
-            let f = layout.field(k).ok_or_else(|| {
-                EngineError::Storage(format!("group key `{k}` missing from agg layout"))
-            })?;
-            Ok(KeyField {
-                off: f.offset as usize,
-                size: qc_plan::field_size(f.ty) as usize,
-                is_str: f.ty == ColumnType::Str,
-            })
-        })
-        .collect()
-}
-
-/// Walks the canonical bucket chain for `hash` and returns the payload
-/// of the entry whose keys equal worker payload `wp`, exactly like the
-/// generated create-or-update probe.
-fn find_group(ht: &HashTable, hash: u64, wp: u64, keys: &[KeyField]) -> Option<u64> {
-    let mut e = ht.probe(hash);
-    while e != 0 {
-        if read_u64_at(e + ENTRY_HASH_OFFSET as u64) == hash {
-            let q = e + ENTRY_PAYLOAD_OFFSET as u64;
-            if keys.iter().all(|k| k.eq_at(q, wp)) {
-                return Some(q);
-            }
-        }
-        e = read_u64_at(e + ENTRY_NEXT_OFFSET as u64);
-    }
-    None
-}
-
-/// How one aggregate state field folds a worker partial into the
-/// canonical state.
-#[derive(Clone, Copy)]
-enum Fold {
-    Add,
-    Min,
-    Max,
-}
-
-impl Fold {
-    /// `x` folded with `y`.
-    ///
-    /// # Errors
-    /// Overflowing sums trap exactly like the generated overflow-checked
-    /// adds would.
-    fn of<T: Ord>(self, x: T, y: T, add: fn(T, T) -> Option<T>) -> Result<T, EngineError> {
-        match self {
-            Fold::Add => add(x, y).ok_or(EngineError::Trap(Trap::Overflow)),
-            Fold::Min => Ok(x.min(y)),
-            Fold::Max => Ok(x.max(y)),
-        }
-    }
-}
-
-struct StateField {
-    off: usize,
-    ty: ColumnType,
-    fold: Fold,
-}
-
-impl StateField {
-    /// Folds worker payload `p`'s field into canonical payload `q`:
-    /// decimals are 128-bit, strings 16-byte descriptors ordered by
-    /// content, every other state is an `i64` slot.
-    fn apply(&self, q: u64, p: u64) -> Result<(), EngineError> {
-        let (a, b) = (q + self.off as u64, p + self.off as u64);
-        match self.ty {
-            ColumnType::Str => {
-                let wins = match self.fold {
-                    Fold::Min => CmpOrdering::Less,
-                    Fold::Max => CmpOrdering::Greater,
-                    Fold::Add => {
-                        return Err(EngineError::Storage(
-                            "string aggregation state cannot be summed".to_string(),
-                        ))
-                    }
-                };
-                if read_str_at(b).cmp_content(&read_str_at(a)) == wins {
-                    copy_bytes(b, a, 16);
-                }
-            }
-            ColumnType::Decimal(_) => {
-                let v = self
-                    .fold
-                    .of(read_i128_at(a), read_i128_at(b), i128::checked_add)?;
-                write_i128_at(a, v);
-            }
-            _ => {
-                let v = self
-                    .fold
-                    .of(read_i64_at(a), read_i64_at(b), i64::checked_add)?;
-                write_i64_at(a, v);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The state fields of `aggs` in `layout`: one per aggregate (`#name`),
-/// plus the row count an average carries (`#name_cnt`).
-fn agg_combines(
-    aggs: &[(String, AggFunc)],
-    layout: &RowLayout,
-) -> Result<Vec<StateField>, EngineError> {
-    let field = |state: String, fold: Fold| -> Result<StateField, EngineError> {
-        let f = layout.field(&state).ok_or_else(|| {
-            EngineError::Storage(format!("agg state field `{state}` missing from layout"))
-        })?;
-        Ok(StateField {
-            off: f.offset as usize,
-            ty: f.ty,
-            fold,
-        })
-    };
-    let mut out = Vec::new();
-    for (name, agg) in aggs {
-        let fold = match agg {
-            AggFunc::CountStar | AggFunc::Sum(_) | AggFunc::Avg(_) => Fold::Add,
-            AggFunc::Min(_) => Fold::Min,
-            AggFunc::Max(_) => Fold::Max,
-        };
-        out.push(field(format!("#{name}"), fold)?);
-        if matches!(agg, AggFunc::Avg(_)) {
-            out.push(field(format!("#{name}_cnt"), Fold::Add)?);
-        }
-    }
-    Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ordered_claimer_is_exhaustive_and_ascending() {
-        let c = Claimer::new(10, 3, MorselSchedule::Stealing, true);
-        let mut seen = Vec::new();
-        while let Some(m) = c.claim(0, 10) {
-            seen.push(m);
-        }
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        assert_eq!(c.claim(1, 10), None);
-    }
-
-    #[test]
-    fn striped_claimer_static_partitions_without_stealing() {
-        let c = Claimer::new(7, 2, MorselSchedule::Static, false);
-        let mut w0 = Vec::new();
-        while let Some(m) = c.claim(0, 7) {
-            w0.push(m);
-        }
-        assert_eq!(w0, vec![0, 2, 4, 6]);
-        // Worker 1 keeps its own morsels even though worker 0 is idle.
-        let mut w1 = Vec::new();
-        while let Some(m) = c.claim(1, 7) {
-            w1.push(m);
-        }
-        assert_eq!(w1, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn striped_claimer_steals_from_the_back() {
-        let c = Claimer::new(6, 2, MorselSchedule::Stealing, false);
-        // Worker 0 drains its own deque (front order), then steals the
-        // back of worker 1's deque.
-        assert_eq!(c.claim(0, 6), Some(0));
-        assert_eq!(c.claim(0, 6), Some(2));
-        assert_eq!(c.claim(0, 6), Some(4));
-        assert_eq!(c.claim(0, 6), Some(5));
-        assert_eq!(c.claim(1, 6), Some(1));
-        assert_eq!(c.claim(1, 6), Some(3));
-        assert_eq!(c.claim(1, 6), None);
-    }
-
-    #[test]
-    fn swap_cell_generations() {
-        let cell = SwapCell::new();
-        let mut seen = 0u64;
-        assert!(cell.refresh(&mut seen).is_none());
     }
 }
