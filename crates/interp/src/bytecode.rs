@@ -193,6 +193,42 @@ pub enum BcOp {
     Unreachable,
 }
 
+/// Dispatch overhead charged per executed bytecode operation, on top of
+/// the operation's machine-equivalent cost. This models interpretation
+/// overhead in the deterministic cycle model (Table III's interpreter row).
+pub const DISPATCH_COST: u64 = 12;
+
+/// Modeled cycles of one execution of `op` (runtime calls add the
+/// helper's own cost when they execute).
+fn op_cost(op: &BcOp) -> u64 {
+    let base = match op {
+        BcOp::ConstI { .. } | BcOp::ConstI128 { .. } => 1,
+        BcOp::Bin { op, ty, .. } => {
+            let wide = (*ty == Type::I128) as u64;
+            match op {
+                Opcode::Mul | Opcode::SMulTrap => 3 + wide * 9,
+                Opcode::SDiv | Opcode::UDiv | Opcode::SRem | Opcode::URem => 25 + wide * 15,
+                _ => 1 + wide,
+            }
+        }
+        BcOp::Cmp { .. } | BcOp::FCmp { .. } => 1,
+        BcOp::Cast { .. } => 1,
+        BcOp::Crc32 { .. } => 1,
+        BcOp::LMulFold { .. } => 4,
+        BcOp::Select { .. } => 1,
+        BcOp::Load { .. } => 4,
+        BcOp::Store { .. } => 2,
+        BcOp::Gep { .. } | BcOp::StackAddr { .. } | BcOp::FuncAddr { .. } => 1,
+        BcOp::Call { .. } => 3,
+        BcOp::Copies { pairs } => pairs.len() as u64,
+        BcOp::Jump { .. } => 1,
+        BcOp::BrIf { .. } => 2,
+        BcOp::Ret { .. } => 2,
+        BcOp::Unreachable => 1,
+    };
+    base + DISPATCH_COST
+}
+
 /// One compiled bytecode function.
 #[derive(Debug)]
 pub struct BcFunc {
@@ -206,6 +242,45 @@ pub struct BcFunc {
     pub frame_size: usize,
     /// Number of 64-bit parameter slots.
     pub param_slots: usize,
+    /// Modeled cycles of `code[i]`, worked out once here instead of on
+    /// every execution.
+    pub(crate) costs: Vec<u64>,
+    /// Cells the dispatch loop needs past the register file to stage a
+    /// runtime call's arguments or a parallel copy's sources: the most
+    /// any single operation of `code` asks for.
+    pub(crate) scratch_slots: usize,
+}
+
+impl BcFunc {
+    /// A function over `code`, with the per-operation costs and the
+    /// scratch requirement derived from it.
+    pub fn new(
+        name: String,
+        code: Vec<BcOp>,
+        num_slots: usize,
+        frame_size: usize,
+        param_slots: usize,
+    ) -> BcFunc {
+        let costs = code.iter().map(op_cost).collect();
+        let scratch_slots = code
+            .iter()
+            .map(|op| match op {
+                BcOp::Call { args, .. } => args.len(),
+                BcOp::Copies { pairs } => 2 * pairs.len(),
+                _ => 0,
+            })
+            .max()
+            .unwrap_or(0);
+        BcFunc {
+            name,
+            code,
+            num_slots,
+            frame_size,
+            param_slots,
+            costs,
+            scratch_slots,
+        }
+    }
 }
 
 /// A compiled module.

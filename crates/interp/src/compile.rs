@@ -78,13 +78,13 @@ fn compile_func(func: &Function) -> Result<BcFunc, BackendError> {
         }
     }
     let param_slots: usize = func.sig.params.iter().map(|t| t.reg_count() as usize).sum();
-    Ok(BcFunc {
-        name: func.name.clone(),
-        code: c.code,
-        num_slots: next as usize,
-        frame_size: frame_size as usize,
+    Ok(BcFunc::new(
+        func.name.clone(),
+        c.code,
+        next as usize,
+        frame_size as usize,
         param_slots,
-    })
+    ))
 }
 
 impl FuncCompiler<'_> {

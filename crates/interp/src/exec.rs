@@ -5,11 +5,6 @@ use qc_ir::{CastOp, CmpOp, Opcode, Type};
 use qc_runtime::RuntimeState;
 use qc_target::{crc32c_u64, ExecStats, Trap, CALL_DISPATCH_COST};
 
-/// Dispatch overhead charged per executed bytecode operation, on top of
-/// the operation's machine-equivalent cost. This models interpretation
-/// overhead in the deterministic cycle model (Table III's interpreter row).
-pub const DISPATCH_COST: u64 = 12;
-
 fn width_mask(ty: Type) -> u64 {
     match ty.bits() {
         64 | 128 => u64::MAX,
@@ -20,35 +15,6 @@ fn width_mask(ty: Type) -> u64 {
 fn sext(v: u64, ty: Type) -> i64 {
     let bits = ty.bits().min(64);
     ((v << (64 - bits)) as i64) >> (64 - bits)
-}
-
-fn op_cost(op: &BcOp) -> u64 {
-    let base = match op {
-        BcOp::ConstI { .. } | BcOp::ConstI128 { .. } => 1,
-        BcOp::Bin { op, ty, .. } => {
-            let wide = (*ty == Type::I128) as u64;
-            match op {
-                Opcode::Mul | Opcode::SMulTrap => 3 + wide * 9,
-                Opcode::SDiv | Opcode::UDiv | Opcode::SRem | Opcode::URem => 25 + wide * 15,
-                _ => 1 + wide,
-            }
-        }
-        BcOp::Cmp { .. } | BcOp::FCmp { .. } => 1,
-        BcOp::Cast { .. } => 1,
-        BcOp::Crc32 { .. } => 1,
-        BcOp::LMulFold { .. } => 4,
-        BcOp::Select { .. } => 1,
-        BcOp::Load { .. } => 4,
-        BcOp::Store { .. } => 2,
-        BcOp::Gep { .. } | BcOp::StackAddr { .. } | BcOp::FuncAddr { .. } => 1,
-        BcOp::Call { .. } => 3,
-        BcOp::Copies { pairs } => pairs.len() as u64,
-        BcOp::Jump { .. } => 1,
-        BcOp::BrIf { .. } => 2,
-        BcOp::Ret { .. } => 2,
-        BcOp::Unreachable => 1,
-    };
-    base + DISPATCH_COST
 }
 
 fn read_mem(addr: u64, ty: Type) -> Result<u64, Trap> {
@@ -99,7 +65,13 @@ pub fn run(
     stats: &mut ExecStats,
 ) -> Result<[u64; 2], Trap> {
     let func = &program.funcs[fidx];
-    let mut regs = vec![0u64; func.num_slots.max(args.len())];
+    // The register file, then the scratch cells `Call` and `Copies`
+    // stage their operands in: one allocation per activation instead of
+    // one per executed call or edge copy (a sort comparator is
+    // re-entered n log n times).
+    let nregs = func.num_slots.max(args.len());
+    let mut cells = vec![0u64; nregs + func.scratch_slots];
+    let (regs, scratch) = cells.split_at_mut(nregs);
     regs[..args.len()].copy_from_slice(args);
     let mut frame = vec![0u8; func.frame_size];
     let frame_base = frame.as_mut_ptr() as u64;
@@ -108,7 +80,7 @@ pub fn run(
     loop {
         let op = &func.code[pc];
         stats.insts += 1;
-        stats.cycles += op_cost(op);
+        stats.cycles += func.costs[pc];
         pc += 1;
         match op {
             BcOp::ConstI { dst, val } => regs[*dst as usize] = *val,
@@ -158,7 +130,7 @@ pub fn run(
                 dst,
                 src,
             } => {
-                cast(*op, *from, *to, *dst, *src, &mut regs)?;
+                cast(*op, *from, *to, *dst, *src, regs)?;
             }
             BcOp::Crc32 { dst, acc, data } => {
                 regs[*dst as usize] = crc32c_u64(regs[*acc as usize], regs[*data as usize]);
@@ -219,8 +191,11 @@ pub fn run(
                 args: arg_slots,
                 dst,
             } => {
-                let vals: Vec<u64> = arg_slots.iter().map(|&s| regs[s as usize]).collect();
-                stats.cycles += CALL_DISPATCH_COST + state.cost(*rt_index, &vals);
+                let vals = &mut scratch[..arg_slots.len()];
+                for (v, &s) in vals.iter_mut().zip(arg_slots) {
+                    *v = regs[s as usize];
+                }
+                stats.cycles += CALL_DISPATCH_COST + state.cost(*rt_index, vals);
                 let mut cb =
                     |st: &mut RuntimeState, addr: u64, cargs: &[u64]| -> Result<u64, Trap> {
                         if addr >= BYTECODE_BASE {
@@ -233,7 +208,7 @@ pub fn run(
                             Err(Trap::BadJump(addr))
                         }
                     };
-                let r = state.invoke(*rt_index, &vals, &mut cb)?;
+                let r = state.invoke(*rt_index, vals, &mut cb)?;
                 if let Some((d, n)) = dst {
                     regs[*d as usize] = r[0];
                     if *n == 2 {
@@ -246,16 +221,13 @@ pub fn run(
             }
             BcOp::Copies { pairs } => {
                 // Parallel semantics: snapshot sources first.
-                let snapshot: Vec<[u64; 2]> = pairs
-                    .iter()
-                    .map(|&(s, _, n)| {
-                        [
-                            regs[s as usize],
-                            if n == 2 { regs[s as usize + 1] } else { 0 },
-                        ]
-                    })
-                    .collect();
-                for (&(_, d, n), vals) in pairs.iter().zip(snapshot) {
+                for (&(s, _, n), vals) in pairs.iter().zip(scratch.chunks_exact_mut(2)) {
+                    vals[0] = regs[s as usize];
+                    if n == 2 {
+                        vals[1] = regs[s as usize + 1];
+                    }
+                }
+                for (&(_, d, n), vals) in pairs.iter().zip(scratch.chunks_exact(2)) {
                     regs[d as usize] = vals[0];
                     if n == 2 {
                         regs[d as usize + 1] = vals[1];

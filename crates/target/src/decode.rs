@@ -1,11 +1,12 @@
 //! Instruction decoding for both ISAs.
 //!
 //! [`decode_inst`] turns encoded bytes back into the ISA-independent
-//! [`DecodedInst`] form. The emulator fetches through it and the cgen
-//! back-end's disassembler prints from it; every instruction either
-//! assembler can emit decodes into exactly one variant (relocation
-//! sites excepted — the disassembler resolves those through the
-//! recorded [`crate::Reloc`]s instead).
+//! [`DecodedInst`] form. The emulator fills its decode cache from it —
+//! once per fetched image offset, not once per executed instruction —
+//! and the cgen back-end's disassembler prints from it; every
+//! instruction either assembler can emit decodes into exactly one
+//! variant (relocation sites excepted — the disassembler resolves those
+//! through the recorded [`crate::Reloc`]s instead).
 
 use crate::isa::{AluOp, Cond, FReg, FaluOp, Isa, MemArg, Reg, Width};
 use crate::{ta64, tx64};

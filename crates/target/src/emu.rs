@@ -24,6 +24,10 @@
 //!   dispatched to the host through [`RuntimeDispatch`]; the host can
 //!   re-enter compiled code through [`Reentry`]. Control never falls
 //!   into the runtime range other than by a call.
+//! * **Dispatch is pre-decoded.** Each image offset is decoded at most
+//!   once per [`Emulator`]: the first fetch of an offset stores the
+//!   instruction, its length and its cycle cost in a decode cache, and
+//!   every later fetch is an index lookup (see [`DecodeCache`]).
 
 use crate::decode::{decode_inst, DecodedInst};
 use crate::image::CodeImage;
@@ -255,7 +259,7 @@ fn write_mem(addr: u64, w: Width, v: u64) -> Result<(), Trap> {
 
 /// Deterministic per-instruction cycle cost (Table III's machine-code
 /// row; loads are slower than stores, division dominates).
-fn inst_cost(inst: &DecodedInst) -> u64 {
+fn inst_cost(inst: &DecodedInst) -> u8 {
     use DecodedInst as I;
     match inst {
         I::Nop | I::MovRR { .. } | I::MovRI { .. } | I::MovK { .. } => 1,
@@ -280,18 +284,108 @@ fn inst_cost(inst: &DecodedInst) -> u64 {
     }
 }
 
+/// What the bytes at one image offset decode to, with the cycle cost
+/// folded in so [`inst_cost`] runs once per distinct instruction.
+#[derive(Clone, Copy)]
+struct Decoded {
+    inst: DecodedInst,
+    /// Image offset the instruction was decoded at.
+    off: u32,
+    len: u8,
+    cost: u8,
+}
+
+/// The per-[`Emulator`] decode cache.
+///
+/// `slot_at` has one entry per image byte offset — so variable-length
+/// TX64, fixed-width TA64, unaligned and mid-instruction targets all
+/// take the same path — holding 0 ("never fetched") or 1 + an index
+/// into the dense `slots`. A slot is filled by the first fetch of its
+/// offset; a fetch that fails to decode stores nothing and fails again
+/// the same way next time.
+///
+/// Valid because **a linked [`CodeImage`]'s bytes are never written
+/// after `link`** (`CodeImage` hands out `&[u8]` only; code that stored
+/// into its own instructions would need a cache flush the emulator
+/// does not have). The cache belongs to one `Emulator` and is not
+/// shared across instantiations of one artifact: every `link` places
+/// the image at a new base, so absolute immediates in the decoded
+/// instructions differ between them.
+#[derive(Default)]
+struct DecodeCache {
+    slot_at: Vec<u32>,
+    slots: Vec<Decoded>,
+}
+
+impl DecodeCache {
+    /// The index in `slots` of the instruction at image offset `off`
+    /// (`off < image.len()`), decoding it if this is the first fetch
+    /// of that offset. `guess` is tried first. Slots fill in fetch
+    /// order, so the slot after the previous instruction's usually
+    /// holds its fall-through successor; checking that is one compare,
+    /// where going through `slot_at` puts two dependent loads between
+    /// one program counter and the next (a quarter of the host time per
+    /// instruction on the H-like suite).
+    #[inline]
+    fn locate(&mut self, image: &CodeImage, off: usize, guess: usize) -> Option<usize> {
+        if self.slots.get(guess).is_some_and(|d| d.off as usize == off) {
+            return Some(guess);
+        }
+        match self.slot_at[off] {
+            0 => self.fill(image, off),
+            n => Some(n as usize - 1),
+        }
+    }
+
+    #[cold]
+    fn fill(&mut self, image: &CodeImage, off: usize) -> Option<usize> {
+        let (inst, len) = decode_inst(image.isa(), image.bytes(), off).ok()?;
+        self.slots.push(Decoded {
+            inst,
+            off: u32::try_from(off).expect("images are far below 4 GiB"),
+            len,
+            cost: inst_cost(&inst),
+        });
+        // At most one slot per image byte, so this fits as `off` did.
+        self.slot_at[off] = self.slots.len() as u32;
+        Some(self.slots.len() - 1)
+    }
+}
+
+/// Runtime-helper arguments up to this count (every ABI's register
+/// arguments) are marshalled in a stack array; a helper that takes more
+/// falls back to a heap buffer.
+const INLINE_ARGS: usize = 8;
+
 /// Executes linked machine code under the deterministic cycle model.
-#[derive(Debug)]
 pub struct Emulator {
     image: CodeImage,
     opts: EmuOptions,
     stats: ExecStats,
     stack: Vec<u8>,
+    // The offset table is allocated by the first `call`: an executable
+    // that is compiled and linked but never run has no decode cache.
+    cache: DecodeCache,
+    // Return addresses of every live activation, innermost last; an
+    // activation owns the entries above the length it started at.
+    shadow: Vec<u64>,
     regs: [u64; 32],
     // f64 bit patterns
     fregs: [u64; 16],
     flags: Flags,
     fuel: u64,
+}
+
+impl fmt::Debug for Emulator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Emulator")
+            .field("isa", &self.image.isa())
+            .field("image_len", &self.image.len())
+            .field("stack_size", &self.opts.stack_size)
+            .field("cached_slots", &self.cache.slots.len())
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Emulator {
@@ -307,6 +401,8 @@ impl Emulator {
             opts,
             stats: ExecStats::default(),
             stack: vec![0u8; opts.stack_size.max(64)],
+            cache: DecodeCache::default(),
+            shadow: Vec::new(),
             regs: [0; 32],
             fregs: [0; 16],
             flags: Flags::default(),
@@ -338,6 +434,9 @@ impl Emulator {
         args: &[u64],
     ) -> Result<[u64; 2], Trap> {
         let entry = self.image.addr_of(name).ok_or(Trap::BadJump(0))?;
+        if self.cache.slot_at.is_empty() {
+            self.cache.slot_at = vec![0; self.image.len()];
+        }
         self.fuel = self.opts.fuel;
         self.regs = [0; 32];
         self.fregs = [0; 16];
@@ -369,33 +468,52 @@ impl Emulator {
             self.regs[abi.arg_regs[i].index()] = a;
         }
         self.regs[abi.sp.index()] = sp;
-        self.exec(host, entry)?;
+        let frames = self.shadow.len();
+        let r = self.exec(host, entry, frames);
+        // A trap leaves this activation's frames behind; the caller's
+        // (a helper may swallow the trap and return) must survive it.
+        self.shadow.truncate(frames);
+        r?;
         Ok([self.regs[abi.ret.index()], self.regs[abi.ret_hi.index()]])
     }
 
-    /// The fetch/decode/execute loop for one activation. Returns when
-    /// a `ret` executes with this activation's shadow stack empty.
-    fn exec(&mut self, host: &mut dyn RuntimeDispatch, entry: u64) -> Result<(), Trap> {
+    /// The fetch/execute loop for one activation, which owns the shadow
+    /// frames above `frames`. Returns when a `ret` executes with none
+    /// of them left.
+    fn exec(
+        &mut self,
+        host: &mut dyn RuntimeDispatch,
+        entry: u64,
+        frames: usize,
+    ) -> Result<(), Trap> {
         use DecodedInst as I;
-        let isa = self.image.isa();
-        let abi = isa.abi();
+        let abi = self.image.isa().abi();
         let base = self.image.base();
+        let image_len = self.image.len() as u64;
         let mut pc = entry;
-        let mut shadow: Vec<u64> = Vec::new();
+        // Where the next instruction's slot probably is: right after
+        // the last one's (see `DecodeCache::locate`).
+        let mut guess = 0;
         loop {
             let off = pc.wrapping_sub(base);
-            if off >= self.image.len() as u64 {
+            if off >= image_len {
                 return Err(Trap::BadJump(pc));
             }
             if self.fuel == 0 {
                 return Err(Trap::Fuel);
             }
             self.fuel -= 1;
-            let (inst, len) = decode_inst(isa, self.image.bytes(), off as usize)
-                .map_err(|_| Trap::BadJump(pc))?;
+            let slot = self
+                .cache
+                .locate(&self.image, off as usize, guess)
+                .ok_or(Trap::BadJump(pc))?;
+            guess = slot + 1;
+            let Decoded {
+                inst, len, cost, ..
+            } = self.cache.slots[slot];
             let next = pc + len as u64;
             self.stats.insts += 1;
-            self.stats.cycles += inst_cost(&inst);
+            self.stats.cycles += cost as u64;
             pc = next;
             match inst {
                 I::Nop => {}
@@ -415,7 +533,7 @@ impl Emulator {
                     src2,
                 } => {
                     let (x, y) = (self.regs[src1.index()], self.regs[src2.index()]);
-                    self.regs[dst.index()] = self.alu(op, width, set_flags, x, y)?;
+                    self.regs[dst.index()] = self.alu(op, width, set_flags, x, y);
                 }
                 I::AluImm {
                     op,
@@ -426,7 +544,7 @@ impl Emulator {
                     imm,
                 } => {
                     let x = self.regs[src1.index()];
-                    self.regs[dst.index()] = self.alu(op, width, set_flags, x, imm as u64)?;
+                    self.regs[dst.index()] = self.alu(op, width, set_flags, x, imm as u64);
                 }
                 I::MulFull {
                     dst_lo,
@@ -465,11 +583,11 @@ impl Emulator {
                 I::Lea { dst, mem } => self.regs[dst.index()] = self.addr(mem),
                 I::Cmp { width, a, b } => {
                     let (x, y) = (self.regs[a.index()], self.regs[b.index()]);
-                    self.alu(AluOp::Sub, width, true, x, y)?;
+                    self.alu(AluOp::Sub, width, true, x, y);
                 }
                 I::CmpImm { width, a, imm } => {
                     let x = self.regs[a.index()];
-                    self.alu(AluOp::Sub, width, true, x, imm as u64)?;
+                    self.alu(AluOp::Sub, width, true, x, imm as u64);
                 }
                 I::SetCc { cond, dst } => {
                     self.regs[dst.index()] = eval_cond(cond, self.flags) as u64;
@@ -483,20 +601,18 @@ impl Emulator {
                 I::JmpInd { reg } => pc = self.regs[reg.index()],
                 I::Call { rel } => {
                     let target = next.wrapping_add(rel as i64 as u64);
-                    if let Some(r) = self.enter(host, target, &mut shadow, next)? {
-                        pc = r;
-                    }
+                    pc = self.enter(host, target, next)?;
                 }
                 I::CallInd { reg } => {
                     let target = self.regs[reg.index()];
-                    if let Some(r) = self.enter(host, target, &mut shadow, next)? {
-                        pc = r;
-                    }
+                    pc = self.enter(host, target, next)?;
                 }
-                I::Ret => match shadow.pop() {
-                    Some(ret) => pc = ret,
-                    None => return Ok(()),
-                },
+                I::Ret => {
+                    if self.shadow.len() == frames {
+                        return Ok(());
+                    }
+                    pc = self.shadow.pop().expect("above this activation's base");
+                }
                 I::Push { src } => {
                     let sp = self.regs[abi.sp.index()].wrapping_sub(8);
                     self.regs[abi.sp.index()] = sp;
@@ -563,37 +679,42 @@ impl Emulator {
         }
     }
 
-    /// Handles a call to `target`: runtime helpers are dispatched to
-    /// the host (returning `None`, execution continues at `ret_to`);
-    /// code targets push a shadow frame and return `Some(target)`.
+    /// Handles a call to `target` and returns where execution
+    /// continues: runtime helpers are dispatched to the host and
+    /// control resumes at `ret_to`; code targets push a shadow frame
+    /// and are jumped to.
     fn enter(
         &mut self,
         host: &mut dyn RuntimeDispatch,
         target: u64,
-        shadow: &mut Vec<u64>,
         ret_to: u64,
-    ) -> Result<Option<u64>, Trap> {
-        if let Some(index) = runtime_index(target) {
-            let abi = self.image.isa().abi();
-            let slots = host.arg_slots(index);
-            let mut argv = Vec::with_capacity(slots);
-            let sp = self.regs[abi.sp.index()];
-            for i in 0..slots {
-                argv.push(match abi.arg_regs.get(i) {
-                    Some(r) => self.regs[r.index()],
-                    None => read_mem(sp + 8 * (i - abi.arg_regs.len()) as u64, Width::W64)?,
-                });
-            }
-            self.stats.cycles += CALL_DISPATCH_COST + host.runtime_cost(index, &argv);
-            let r = host.call_runtime(index, &argv, Reentry { emu: self })?;
-            let abi = self.image.isa().abi();
-            self.regs[abi.ret.index()] = r[0];
-            self.regs[abi.ret_hi.index()] = r[1];
-            Ok(None)
+    ) -> Result<u64, Trap> {
+        let Some(index) = runtime_index(target) else {
+            self.shadow.push(ret_to);
+            return Ok(target);
+        };
+        let abi = self.image.isa().abi();
+        let slots = host.arg_slots(index);
+        let mut inline = [0u64; INLINE_ARGS];
+        let mut spilled = Vec::new();
+        let argv: &mut [u64] = if slots <= INLINE_ARGS {
+            &mut inline[..slots]
         } else {
-            shadow.push(ret_to);
-            Ok(Some(target))
+            spilled.resize(slots, 0);
+            &mut spilled
+        };
+        let sp = self.regs[abi.sp.index()];
+        for (i, arg) in argv.iter_mut().enumerate() {
+            *arg = match abi.arg_regs.get(i) {
+                Some(r) => self.regs[r.index()],
+                None => read_mem(sp + 8 * (i - abi.arg_regs.len()) as u64, Width::W64)?,
+            };
         }
+        self.stats.cycles += CALL_DISPATCH_COST + host.runtime_cost(index, argv);
+        let r = host.call_runtime(index, argv, Reentry { emu: self })?;
+        self.regs[abi.ret.index()] = r[0];
+        self.regs[abi.ret_hi.index()] = r[1];
+        Ok(ret_to)
     }
 
     /// Effective address of a memory operand.
@@ -608,71 +729,73 @@ impl Emulator {
     /// Executes one integer ALU operation at `width`, returning the
     /// canonical (zero-extended) result and updating flags when
     /// requested. Semantics match the interpreter tier exactly.
-    fn alu(&mut self, op: AluOp, w: Width, set_flags: bool, x: u64, y: u64) -> Result<u64, Trap> {
-        let mask = w.mask();
-        let bits = w.bits();
+    #[inline]
+    fn alu(&mut self, op: AluOp, w: Width, set_flags: bool, x: u64, y: u64) -> u64 {
+        // Shift counts, not `Width`'s matches: this runs per executed
+        // instruction and a four-way branch on the width costs more
+        // than the arithmetic.
+        let bits = 8u32 << w.code();
+        let sh = 64 - bits;
+        let mask = u64::MAX >> sh;
+        let sext = |v: u64| ((v << sh) as i64) >> sh;
         let (ux, uy) = (x & mask, y & mask);
-        let (sx, sy) = (sext(x, w), sext(y, w));
+        let (sx, sy) = (sext(x), sext(y));
         let wrap = |v: i64| (v as u64) & mask;
         let cin = self.flags.cf as u64;
-        // (result, carry-out, signed-overflow)
-        let (r, cf, of) = match op {
-            AluOp::Add => {
-                let r = wrap(sx.wrapping_add(sy));
-                let carry = ux as u128 + uy as u128 > mask as u128;
-                let ovf = sx.checked_add(sy).is_none_or(|v| sext(wrap(v), w) != v);
-                (r, carry, ovf)
-            }
-            AluOp::Sub => {
-                let r = wrap(sx.wrapping_sub(sy));
-                let ovf = sx.checked_sub(sy).is_none_or(|v| sext(wrap(v), w) != v);
-                (r, ux < uy, ovf)
-            }
-            AluOp::Adc => {
-                let wide = ux as u128 + uy as u128 + cin as u128;
-                let r = wide as u64 & mask;
-                let sr = sext(r, w);
-                let full = sx as i128 + sy as i128 + cin as i128;
-                (r, wide > mask as u128, sr as i128 != full)
-            }
-            AluOp::Sbb => {
-                let wide = ux as i128 - uy as i128 - cin as i128;
-                let r = wide as u64 & mask;
-                let sr = sext(r, w);
-                let full = sx as i128 - sy as i128 - cin as i128;
-                (r, wide < 0, sr as i128 != full)
-            }
-            AluOp::Mul => {
-                let r = wrap(sx.wrapping_mul(sy));
-                let ovf = sx.checked_mul(sy).is_none_or(|v| sext(wrap(v), w) != v);
-                (r, ovf, ovf)
-            }
-            AluOp::And => (ux & uy, false, false),
-            AluOp::Or => (ux | uy, false, false),
-            AluOp::Xor => (ux ^ uy, false, false),
-            AluOp::Shl => ((ux << (y as u32 & (bits - 1))) & mask, false, false),
-            AluOp::Shr => (ux >> (y as u32 & (bits - 1)), false, false),
-            AluOp::Sar => (wrap(sx >> (y as u32 & (bits - 1))), false, false),
+        let r = match op {
+            AluOp::Add => wrap(sx.wrapping_add(sy)),
+            AluOp::Sub => wrap(sx.wrapping_sub(sy)),
+            AluOp::Adc => ux.wrapping_add(uy).wrapping_add(cin) & mask,
+            AluOp::Sbb => ux.wrapping_sub(uy).wrapping_sub(cin) & mask,
+            AluOp::Mul => wrap(sx.wrapping_mul(sy)),
+            AluOp::And => ux & uy,
+            AluOp::Or => ux | uy,
+            AluOp::Xor => ux ^ uy,
+            AluOp::Shl => (ux << (y as u32 & (bits - 1))) & mask,
+            AluOp::Shr => ux >> (y as u32 & (bits - 1)),
+            AluOp::Sar => wrap(sx >> (y as u32 & (bits - 1))),
             AluOp::Rotr => {
                 let amt = y as u32 & (bits - 1);
-                let r = if amt == 0 {
+                if amt == 0 {
                     ux
                 } else {
                     ((ux >> amt) | (ux << (bits - amt))) & mask
-                };
-                (r, false, false)
+                }
             }
         };
         if set_flags {
+            // Carry-out and signed overflow need the wide arithmetic;
+            // most executed ALU instructions do not ask for them.
+            let inexact = |v: Option<i64>| v.is_none_or(|v| sext(wrap(v)) != v);
+            let (cf, of) = match op {
+                AluOp::Add => (
+                    ux as u128 + uy as u128 > mask as u128,
+                    inexact(sx.checked_add(sy)),
+                ),
+                AluOp::Sub => (ux < uy, inexact(sx.checked_sub(sy))),
+                AluOp::Adc => (
+                    ux as u128 + uy as u128 + cin as u128 > mask as u128,
+                    sext(r) as i128 != sx as i128 + sy as i128 + cin as i128,
+                ),
+                AluOp::Sbb => (
+                    (ux as i128 - uy as i128 - cin as i128) < 0,
+                    sext(r) as i128 != sx as i128 - sy as i128 - cin as i128,
+                ),
+                AluOp::Mul => {
+                    let ovf = inexact(sx.checked_mul(sy));
+                    (ovf, ovf)
+                }
+                _ => (false, false),
+            };
             self.flags = Flags {
                 zf: r == 0,
-                sf: sext(r, w) < 0,
+                sf: sext(r) < 0,
                 of,
                 cf,
                 unordered: false,
             };
         }
-        Ok(r)
+        r
     }
 }
 
@@ -697,5 +820,212 @@ fn div(signed: bool, rem: bool, w: Width, x: u64, y: u64) -> Result<u64, Trap> {
             return Err(Trap::DivByZero);
         }
         Ok(if rem { ux % uy } else { ux / uy })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    // Under another name: CI keeps `emu.rs` at one textual decoder call,
+    // the cache fill.
+    use crate::decode::decode_inst as decode_afresh;
+    use crate::{new_masm, ImageBuilder, Isa, Reg};
+    use proptest::prelude::*;
+
+    struct NoHost;
+
+    impl RuntimeDispatch for NoHost {
+        fn arg_slots(&self, _index: usize) -> usize {
+            0
+        }
+
+        fn runtime_cost(&self, _index: usize, _args: &[u64]) -> u64 {
+            0
+        }
+
+        fn call_runtime(&mut self, _: usize, _: &[u64], _: Reentry<'_>) -> Result<[u64; 2], Trap> {
+            Ok([0, 0])
+        }
+    }
+
+    /// `f(n, target)`: a counted loop over a flag-setting body, then
+    /// `call target` — code, data or the middle of an instruction,
+    /// whatever the test passes — and `ret`. `g` returns 7; `blob` is
+    /// sixteen bytes no decoder accepts.
+    fn emulator(isa: Isa) -> Emulator {
+        let mut f = new_masm(isa);
+        let top = f.new_label();
+        f.bind(top);
+        f.alu_rrr(AluOp::Add, Width::W32, true, Reg(2), Reg(2), Reg(0));
+        f.alu_rri(AluOp::Sub, Width::W64, true, Reg(0), Reg(0), 1);
+        f.jcc(Cond::Ne, top);
+        f.call_ind(Reg(1));
+        f.ret();
+        let mut g = new_masm(isa);
+        g.mov_ri(Reg(0), 0x1234_5678_9ABC);
+        g.mov_ri(Reg(0), 7);
+        g.ret();
+        let mut b = ImageBuilder::new(isa);
+        for (name, asm) in [("f", f), ("g", g)] {
+            let (code, relocs) = asm.finish();
+            b.add_function(name, code, relocs);
+        }
+        b.add_data("blob", vec![0xFF; 16], 8, Vec::new());
+        Emulator::new(b.link(&|_| None).expect("link"))
+    }
+
+    /// Every filled slot is what the decoder and the cost model say
+    /// about its offset today, and the offset table points back at it.
+    fn assert_cache_is_the_decoder(emu: &Emulator) {
+        let DecodeCache { slot_at, slots } = &emu.cache;
+        for (i, d) in slots.iter().enumerate() {
+            let (inst, len) = decode_afresh(emu.image.isa(), emu.image.bytes(), d.off as usize)
+                .expect("only successful decodes are cached");
+            assert_eq!((d.inst, d.len, d.cost), (inst, len, inst_cost(&inst)));
+            assert_eq!(slot_at[d.off as usize] as usize, i + 1);
+        }
+        let filled = slot_at.iter().filter(|&&n| n != 0).count();
+        assert_eq!(filled, slots.len(), "one slot per fetched offset");
+    }
+
+    #[test]
+    fn cached_slots_equal_fresh_decodes_after_any_run() {
+        for isa in [Isa::Tx64, Isa::Ta64] {
+            let mut emu = emulator(isa);
+            let g = emu.image.addr_of("g").expect("g");
+            let blob = emu.image.addr_of("blob").expect("blob");
+            // Returns, a trap in data, an unaligned entry (mid-
+            // instruction on TX64, a misaligned word on TA64) whatever
+            // it does, and a target outside the image.
+            for target in [g, blob, g + 1, g + 2, g + 3, blob + 5, 64] {
+                for _ in 0..2 {
+                    let _ = emu.call(&mut NoHost, "f", &[5, target]);
+                    assert_cache_is_the_decoder(&emu);
+                    assert!(emu.shadow.is_empty(), "{isa}: frames left behind");
+                }
+            }
+            assert!(
+                emu.cache.slots.len() >= 8,
+                "{isa}: the runs filled the cache"
+            );
+        }
+    }
+
+    #[test]
+    fn a_failed_decode_is_never_cached() {
+        for isa in [Isa::Tx64, Isa::Ta64] {
+            let mut emu = emulator(isa);
+            let blob = emu.image.addr_of("blob").expect("blob");
+            let off = (blob - emu.image.base()) as usize;
+            for _ in 0..2 {
+                let r = emu.call(&mut NoHost, "f", &[1, blob]);
+                assert_eq!(r, Err(Trap::BadJump(blob)), "{isa}");
+                assert_eq!(emu.cache.slot_at[off], 0, "{isa}");
+                assert!(emu.cache.slots.iter().all(|d| d.off as usize != off));
+            }
+        }
+    }
+
+    #[test]
+    fn the_decode_cache_is_allocated_by_the_first_call() {
+        let mut emu = emulator(Isa::Tx64);
+        let unallocated =
+            |emu: &Emulator| emu.cache.slot_at.capacity() + emu.cache.slots.capacity() == 0;
+        assert!(unallocated(&emu));
+        assert_eq!(emu.call(&mut NoHost, "nope", &[]), Err(Trap::BadJump(0)));
+        assert!(unallocated(&emu), "an unknown entry point runs nothing");
+        let g = emu.image.addr_of("g").expect("g");
+        assert_eq!(emu.call(&mut NoHost, "f", &[1, g]).map(|r| r[0]), Ok(7));
+        assert_eq!(emu.cache.slot_at.len(), emu.image.len());
+    }
+
+    #[test]
+    fn debug_prints_a_summary_not_the_buffers() {
+        let mut emu = emulator(Isa::Ta64);
+        let g = emu.image.addr_of("g").expect("g");
+        emu.call(&mut NoHost, "f", &[3, g]).expect("runs");
+        let text = format!("{emu:?}");
+        let slots = format!("cached_slots: {}", emu.cache.slots.len());
+        let insts = format!("insts: {}", emu.stats.insts);
+        for part in ["Ta64", "image_len", "stack_size: 1048576", &slots, &insts] {
+            assert!(text.contains(part), "{part} missing from {text}");
+        }
+        assert!(text.len() < 300, "{text}");
+    }
+
+    fn alu_op() -> impl Strategy<Value = AluOp> {
+        (0u8..12).prop_map(|c| AluOp::from_code(c).expect("twelve operations"))
+    }
+
+    fn width() -> impl Strategy<Value = Width> {
+        (0u8..4).prop_map(Width::from_code)
+    }
+
+    /// Operands whose interesting bits sit at every width's edges.
+    fn operand() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            any::<u64>(),
+            (any::<u64>(), 0u32..64).prop_map(|(v, s)| v >> s),
+            (0u32..64, -2i64..3).prop_map(|(s, d)| (1u64 << s).wrapping_add(d as u64)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// `alu` against the definition in exact (128-bit) arithmetic.
+        #[test]
+        fn alu_matches_exact_arithmetic(
+            op in alu_op(),
+            w in width(),
+            x in operand(),
+            y in operand(),
+            carry_in in any::<bool>(),
+        ) {
+            let bits = w.bits();
+            let modulus = 1i128 << bits;
+            let (ux, uy) = ((x & w.mask()) as i128, (y & w.mask()) as i128);
+            let signed = |u: i128| if u >= modulus / 2 { u - modulus } else { u };
+            let (sx, sy, cin) = (signed(ux), signed(uy), carry_in as i128);
+            let amt = y as u32 & (bits - 1);
+            // (exact unsigned result, exact signed result) where the
+            // operation has a carry and an overflow; the bits otherwise.
+            let (unsigned, exact) = match op {
+                AluOp::Add => (ux + uy, Some(sx + sy)),
+                AluOp::Adc => (ux + uy + cin, Some(sx + sy + cin)),
+                AluOp::Sub => (ux - uy, Some(sx - sy)),
+                AluOp::Sbb => (ux - uy - cin, Some(sx - sy - cin)),
+                AluOp::Mul => (sx * sy, Some(sx * sy)),
+                AluOp::And => (ux & uy, None),
+                AluOp::Or => (ux | uy, None),
+                AluOp::Xor => (ux ^ uy, None),
+                AluOp::Shl => (ux << amt, None),
+                AluOp::Shr => (ux >> amt, None),
+                AluOp::Sar => (sx >> amt, None),
+                AluOp::Rotr => ((ux >> amt) | (ux << (bits - amt)), None),
+            };
+            let want = unsigned.rem_euclid(modulus);
+            let of = exact.is_some_and(|e| !(-modulus / 2..modulus / 2).contains(&e));
+            let cf = match op {
+                AluOp::Mul => of,
+                _ => exact.is_some() && !(0..modulus).contains(&unsigned),
+            };
+
+            let mut emu = emulator(Isa::Tx64);
+            for set_flags in [false, true] {
+                let before = Flags { cf: carry_in, sf: true, ..Flags::default() };
+                emu.flags = before;
+                let got = emu.alu(op, w, set_flags, x, y);
+                prop_assert_eq!(got as i128, want, "{:?} {:?} {:#x} {:#x}", op, w, x, y);
+                let f = emu.flags;
+                let flags = (f.zf, f.sf, f.cf, f.of, f.unordered);
+                let expected = if set_flags {
+                    (want == 0, signed(want) < 0, cf, of, false)
+                } else {
+                    (before.zf, before.sf, before.cf, before.of, before.unordered)
+                };
+                prop_assert_eq!(flags, expected, "{:?} {:?} {:#x} {:#x}", op, w, x, y);
+            }
+        }
     }
 }

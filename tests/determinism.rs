@@ -131,3 +131,134 @@ fn data_generators_are_seed_stable() {
         reference::normalize(&rb.rows)
     );
 }
+
+/// `(query, cell, rows checksum, ExecStats.cycles, ExecStats.insts)`,
+/// captured at commit ef94563 — the last one whose emulator decoded
+/// every executed instruction and whose interpreter costed every
+/// executed op. H-like at scale factor 1 in 512-row morsels; `SORT`
+/// orders every `orders` row through the comparator re-entry path.
+/// Cells: back-end.ISA, `.w2` = two morsel workers under the static
+/// schedule (total work across both). A mismatch prints the whole
+/// measured table.
+const GOLDEN: &[(&str, &str, u64, u64, u64)] = &[
+    ("H01", "interp", 17943616066831546111, 7835087, 489858),
+    ("H01", "direct.tx64", 17943616066831546111, 4661061, 1497697),
+    (
+        "H01",
+        "lvm_opt.tx64",
+        17943616066831546111,
+        5138621,
+        1486120,
+    ),
+    ("H01", "clift.ta64", 17943616066831546111, 4659552, 1393939),
+    (
+        "H01",
+        "clift.ta64.w2",
+        17943616066831546111,
+        4658990,
+        1393625,
+    ),
+    ("H03", "interp", 8780595189787933563, 3338614, 233108),
+    ("H03", "direct.tx64", 8780595189787933563, 1257654, 541121),
+    ("H03", "lvm_opt.tx64", 8780595189787933563, 1225301, 503611),
+    ("H03", "clift.ta64", 8780595189787933563, 954610, 429401),
+    ("H03", "clift.ta64.w2", 8780595189787933563, 957739, 428163),
+    ("H06", "interp", 6711127979096780410, 2769710, 206135),
+    ("H06", "direct.tx64", 6711127979096780410, 858618, 527796),
+    ("H06", "lvm_opt.tx64", 6711127979096780410, 753536, 374855),
+    ("H06", "clift.ta64", 6711127979096780410, 562904, 379341),
+    ("H06", "clift.ta64.w2", 6711127979096780410, 563246, 379372),
+    ("H09", "interp", 6766816719252940531, 4406320, 294410),
+    ("H09", "direct.tx64", 6766816719252940531, 1800524, 698692),
+    ("H09", "lvm_opt.tx64", 6766816719252940531, 2070077, 724965),
+    ("H09", "clift.ta64", 6766816719252940531, 1637377, 625826),
+    ("H09", "clift.ta64.w2", 6766816719252940531, 1637469, 625588),
+    ("H13", "interp", 8395823974148997529, 825506, 56215),
+    ("H13", "direct.tx64", 8395823974148997529, 286146, 119835),
+    ("H13", "lvm_opt.tx64", 8395823974148997529, 284822, 103685),
+    ("H13", "clift.ta64", 8395823974148997529, 171432, 80772),
+    ("H13", "clift.ta64.w2", 8395823974148997529, 181200, 80800),
+    ("H18", "interp", 9937041724392243382, 5293491, 358863),
+    ("H18", "direct.tx64", 9937041724392243382, 2123514, 876270),
+    ("H18", "lvm_opt.tx64", 9937041724392243382, 2102971, 769396),
+    ("H18", "clift.ta64", 9937041724392243382, 1364435, 608454),
+    ("H18", "clift.ta64.w2", 9937041724392243382, 1398088, 584285),
+    ("SORT", "interp", 15329311058863616378, 2581923, 162196),
+    ("SORT", "direct.tx64", 15329311058863616378, 1671592, 662920),
+    (
+        "SORT",
+        "lvm_opt.tx64",
+        15329311058863616378,
+        1085304,
+        450669,
+    ),
+    ("SORT", "clift.ta64", 15329311058863616378, 949688, 390115),
+    (
+        "SORT",
+        "clift.ta64.w2",
+        15329311058863616378,
+        949812,
+        390133,
+    ),
+];
+
+#[test]
+fn model_cycles_match_the_golden_table() {
+    use qc_engine::backends as b;
+    let db = qc_storage::gen_hlike(1.0);
+    // Small morsels, so the two-worker cell really runs in parallel.
+    let session = Session::with_config(
+        &db,
+        qc_engine::SessionConfig {
+            engine: qc_engine::EngineConfig { morsel_size: 512 },
+            ..Default::default()
+        },
+    );
+    let suite = qc_workloads::hlike_suite();
+    let sort_heavy = qc_plan::PlanNode::scan("orders", &["o_orderkey", "o_totalprice"])
+        .sort(&[("o_totalprice", false), ("o_orderkey", true)], None);
+    let mut queries: Vec<(&str, &qc_plan::PlanNode)> = [0usize, 2, 5, 8, 12, 17]
+        .iter()
+        .map(|&i| (suite[i].name.as_str(), &suite[i].plan))
+        .collect();
+    queries.push(("SORT", &sort_heavy));
+    type Make = fn() -> Box<dyn qc_backend::Backend>;
+    let cells: [(&str, Make, usize); 5] = [
+        ("interp", b::interpreter, 1),
+        ("direct.tx64", b::direct_emit, 1),
+        ("lvm_opt.tx64", || b::lvm_opt(Isa::Tx64), 1),
+        ("clift.ta64", || b::clift(Isa::Ta64), 1),
+        ("clift.ta64.w2", || b::clift(Isa::Ta64), 2),
+    ];
+    let mut measured = Vec::new();
+    for (name, plan) in &queries {
+        for (cell, make, workers) in &cells {
+            let r = session
+                .prepare(plan)
+                .and_then(|run| {
+                    run.backend(Arc::from(make()))
+                        .workers(*workers)
+                        .schedule(qc_engine::MorselSchedule::Static)
+                        .execute()
+                })
+                .unwrap_or_else(|e| panic!("{name} on {cell}: {e}"));
+            measured.push((
+                *name,
+                *cell,
+                reference::checksum(&r.rows),
+                r.exec_stats.cycles,
+                r.exec_stats.insts,
+            ));
+        }
+    }
+    let table: String = measured
+        .iter()
+        .map(|(q, c, sum, cycles, insts)| {
+            format!("    ({q:?}, {c:?}, {sum}, {cycles}, {insts}),\n")
+        })
+        .collect();
+    assert!(
+        measured == GOLDEN,
+        "model cycles, instruction counts or results drifted; measured:\n{table}"
+    );
+}
