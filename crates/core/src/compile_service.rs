@@ -5,11 +5,12 @@
 //!
 //! A query decomposes into independent pipelines, one IR module each;
 //! nothing in a back-end compilation reads another pipeline's state, so
-//! the service fans the modules of one query out to a persistent worker
-//! pool and reassembles the executables in pipeline order. Workers use
-//! thread-local [`TimeTrace`]s (the trace type is deliberately not
-//! `Send`) and ship immutable [`Report`](qc_timing::Report) snapshots
-//! back for merging, so phase attribution survives the fan-out.
+//! a request puts its cache misses behind one claim cursor, compiles
+//! them on the calling thread beside whichever workers of a persistent
+//! pool are free, and reassembles the executables in pipeline order.
+//! Every compile uses a thread-local [`TimeTrace`] (the trace type is
+//! deliberately not `Send`) and hands back an immutable [`Report`]
+//! snapshot for merging, so phase attribution survives the fan-out.
 //!
 //! The cache stores *unlinked* [`CodeArtifact`]s keyed by the module's
 //! structural IR hash plus the back-end identity; a warm hit skips code
@@ -32,8 +33,9 @@
 //!   **retry** policy with exponential backoff for `Transient` errors;
 //! * a **dead worker thread** (a panic escaping the per-job guard) is
 //!   detected and respawned on the next submission; if no worker can be
-//!   spawned at all, jobs degrade to inline compilation on the caller
-//!   thread instead of aborting.
+//!   spawned at all, a request compiles all of its misses itself and a
+//!   background job runs inline on the caller thread instead of
+//!   aborting.
 //!
 //! [`FaultCounters`] exposes what the layer absorbed; the fallback
 //! chain built on top lives in [`crate::fallback`].
@@ -45,9 +47,9 @@ use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, Executable};
 use qc_ir::{module_structural_hash, Module};
-use qc_timing::TimeTrace;
+use qc_timing::{Report, TimeTrace};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -96,7 +98,9 @@ impl CompileBudget {
 /// Configuration of a [`CompileService`].
 #[derive(Debug, Clone, Copy)]
 pub struct CompileServiceConfig {
-    /// Worker threads in the pool (at least 1).
+    /// Worker threads in the pool (at least 1): the helpers beside the
+    /// calling thread of a foreground request, which compiles too, and
+    /// the only threads that run background jobs.
     pub workers: usize,
     /// Maximum number of cached artifacts; 0 disables caching.
     pub cache_capacity: usize,
@@ -167,8 +171,9 @@ pub struct FaultCounters {
     pub downgrades: u64,
     /// Dead worker threads replaced.
     pub workers_respawned: u64,
-    /// Jobs compiled inline on the caller thread because no worker
-    /// could accept them.
+    /// Jobs compiled inline on the caller thread because the pool had
+    /// no live worker (a foreground caller claiming beside live workers
+    /// is the normal path, not a fallback).
     pub inline_fallbacks: u64,
     /// Persistent-store files that failed verification and were
     /// replaced by a recompile (mirrors
@@ -301,18 +306,19 @@ impl CodeCache {
         None
     }
 
-    /// Inserts into the in-memory tier only.
-    fn insert_l1(&self, key: CacheKey, artifact: Arc<dyn CodeArtifact>) {
+    /// Inserts into the in-memory tier only. Returns `false` only for
+    /// an artifact that lost a race: concurrent compiles of the same
+    /// module may both insert; first writer wins, the duplicate is
+    /// dropped. A disabled tier has no race to lose.
+    fn insert_l1(&self, key: CacheKey, artifact: Arc<dyn CodeArtifact>) -> bool {
         if self.capacity == 0 {
-            return;
+            return true;
         }
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        // Concurrent compiles of the same module may race to insert;
-        // first writer wins, the duplicate artifact is dropped.
         if inner.map.contains_key(&key) {
-            return;
+            return false;
         }
         if inner.map.len() >= self.capacity {
             if let Some(victim) = inner
@@ -332,12 +338,16 @@ impl CodeCache {
                 last_used: tick,
             },
         );
+        true
     }
 
     /// Inserts a freshly compiled artifact: L1, written through to the
-    /// persistent store when one is attached.
+    /// persistent store when one is attached. The loser of an L1 race
+    /// skips the write-through: the winner persists the same bytes.
     fn insert(&self, key: CacheKey, artifact: Arc<dyn CodeArtifact>) {
-        self.insert_l1(key, Arc::clone(&artifact));
+        if !self.insert_l1(key, Arc::clone(&artifact)) {
+            return;
+        }
         if let Some(store) = &self.store {
             store.store(&key.artifact_key(), artifact.as_ref());
         }
@@ -373,7 +383,8 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// Compile jobs isolate back-end panics themselves, so a worker thread
 /// normally lives forever; should a panic nevertheless escape a job
 /// (a bug in the service layer, not a back-end), only that thread dies,
-/// and the next [`WorkerPool::submit`] reaps and respawns it.
+/// and the next [`WorkerPool::live_workers`] count (every submission
+/// takes one) reaps and respawns it.
 struct WorkerPool {
     job_tx: Option<Sender<Job>>,
     /// Kept so respawned workers can attach to the same queue.
@@ -415,10 +426,10 @@ impl WorkerPool {
             })
     }
 
-    /// Replaces worker threads that have died. Called on every submit:
-    /// respawn cost is one `is_finished` check per worker in the happy
-    /// path.
-    fn reap_and_respawn(&self) {
+    /// Replaces worker threads that have died and returns how many are
+    /// live, under one acquisition of the `handles` lock: respawn cost
+    /// is one `is_finished` check per worker in the happy path.
+    fn live_workers(&self) -> usize {
         let mut handles = self.handles.lock();
         let mut i = 0;
         while i < handles.len() {
@@ -436,6 +447,7 @@ impl WorkerPool {
                 i += 1;
             }
         }
+        handles.len()
     }
 
     fn worker_count(&self) -> usize {
@@ -446,13 +458,9 @@ impl WorkerPool {
     /// it (pool shut down, channel closed, or every spawn failed) so
     /// the caller can run it inline instead of aborting.
     fn submit(&self, job: Job) -> Result<(), Job> {
-        self.reap_and_respawn();
-        if self.worker_count() == 0 {
-            return Err(job);
-        }
         match &self.job_tx {
-            Some(tx) => tx.send(job).map_err(|e| e.0),
-            None => Err(job),
+            Some(tx) if self.live_workers() > 0 => tx.send(job).map_err(|e| e.0),
+            _ => Err(job),
         }
     }
 }
@@ -481,43 +489,99 @@ enum Slot {
     Fresh(WorkerOut),
 }
 
-/// A compilation started with [`CompileService::spawn_compile`],
-/// running on a worker while the caller keeps executing.
-pub struct PendingCompile {
-    rx: Receiver<Result<CompiledQuery, BackendError>>,
+/// What one compiled miss reports back: pipeline index, cache key, the
+/// outcome and, for a clean traced success, its per-phase timings.
+type Reply = (
+    usize,
+    CacheKey,
+    Result<WorkerOut, BackendError>,
+    Option<Report>,
+);
+
+/// One foreground request's cache misses behind a claim cursor (the
+/// shape of `morsel_exec`'s ordered claimer). The calling thread and
+/// the helper tickets it offers to the pool run the same
+/// [`ClaimList::drain`]; nobody else holds the list, so a caller only
+/// ever compiles modules of its own request.
+struct ClaimList {
+    misses: Vec<(usize, CacheKey, Arc<Module>)>,
+    /// Next unclaimed entry of `misses`. `Relaxed`: the cursor hands
+    /// out indices and publishes no data — the list is complete before
+    /// it is shared, and replies travel by channel.
+    next: AtomicUsize,
+    backend: Arc<dyn Backend>,
+    budget: CompileBudget,
+    record: bool,
+    faults: Arc<Faults>,
+}
+
+impl ClaimList {
+    /// Claims and compiles misses until none is left, passing exactly
+    /// one reply per claimed module to `reply` (the back-end runs under
+    /// `supervise`, so a panic is a reply too). A ticket that arrives
+    /// after the list is drained claims nothing and returns.
+    fn drain(&self, mut reply: impl FnMut(Reply)) {
+        let backend = self.backend.as_ref();
+        while let Some((i, key, module)) =
+            self.misses.get(self.next.fetch_add(1, Ordering::Relaxed))
+        {
+            let local = if self.record {
+                TimeTrace::new()
+            } else {
+                TimeTrace::disabled()
+            };
+            let out = compile_one_budgeted(backend, module, &local, self.budget, &self.faults);
+            // Timings of failed or partially retried jobs are not
+            // meaningful per phase; report only clean successes.
+            let report = (out.is_ok() && self.record).then(|| local.report());
+            reply((*i, *key, out, report));
+        }
+    }
+}
+
+/// The ticket for a compilation requested through
+/// [`CompileService::request`]: already resolved for a foreground
+/// request, resolved by a worker for a background one
+/// ([`CompileService::spawn_compile`]) while the caller keeps
+/// executing.
+pub struct PendingCompile(Pending);
+
+enum Pending {
+    /// A foreground request's finished result, until it is taken.
+    Ready(Option<Result<CompiledQuery, BackendError>>),
+    /// A background request's reply channel.
+    Running(Receiver<Result<CompiledQuery, BackendError>>),
+}
+
+fn worker_disconnected() -> BackendError {
+    BackendError::transient("compile worker disconnected")
 }
 
 impl PendingCompile {
-    /// Wraps an already finished compilation, so a foreground
-    /// [`CompileRequest`] hands back the same ticket type as a
-    /// background one.
-    fn ready(result: Result<CompiledQuery, BackendError>) -> PendingCompile {
-        let (tx, rx) = channel::unbounded();
-        let _ = tx.send(result);
-        PendingCompile { rx }
-    }
-
     /// Returns the finished compilation if it is ready, without
     /// blocking. Returns `None` while the worker is still compiling;
     /// at most one call ever returns `Some`.
     pub fn try_take(&mut self) -> Option<Result<CompiledQuery, BackendError>> {
-        match self.rx.try_recv() {
-            Ok(r) => Some(r),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => {
-                Some(Err(BackendError::transient("compile worker disconnected")))
-            }
+        match &mut self.0 {
+            Pending::Ready(result) => result.take(),
+            Pending::Running(rx) => match rx.try_recv() {
+                Ok(r) => Some(r),
+                Err(TryRecvError::Empty) => None,
+                Err(TryRecvError::Disconnected) => Some(Err(worker_disconnected())),
+            },
         }
     }
 
-    /// Blocks until the compilation finishes.
+    /// Blocks until the compilation finishes (never, for a foreground
+    /// ticket).
     ///
     /// # Errors
-    /// Propagates the background compilation's [`BackendError`].
+    /// Propagates the compilation's [`BackendError`].
     pub fn wait(self) -> Result<CompiledQuery, BackendError> {
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| Err(BackendError::transient("compile worker disconnected")))
+        match self.0 {
+            Pending::Ready(result) => result.unwrap_or_else(|| Err(worker_disconnected())),
+            Pending::Running(rx) => rx.recv().unwrap_or_else(|_| Err(worker_disconnected())),
+        }
     }
 }
 
@@ -709,49 +773,10 @@ impl CompileService {
             }
         }
 
-        let record = trace.is_enabled();
-        let (tx, rx) = channel::unbounded();
-        let n_misses = misses.len();
-        for (i, key, module) in misses {
-            let backend = Arc::clone(backend);
-            let tx = tx.clone();
-            let faults = Arc::clone(&self.faults);
-            let job: Job = Box::new(move || {
-                let local = if record {
-                    TimeTrace::new()
-                } else {
-                    TimeTrace::disabled()
-                };
-                let out = compile_one_budgeted(backend.as_ref(), &module, &local, budget, &faults);
-                // Timings of failed or partially retried jobs are not
-                // meaningful per phase; report only clean successes.
-                let report = match (&out, record) {
-                    (Ok(_), true) => Some(local.report()),
-                    _ => None,
-                };
-                let _ = tx.send((i, key, out, report));
-            });
-            if let Err(job) = self.pool.submit(job) {
-                // No live worker: degrade to compiling on this thread.
-                self.faults.inline_fallbacks.fetch_add(1, Ordering::Relaxed);
-                job();
-            }
-        }
-        drop(tx);
-
-        // Collect every reply before acting on any of them, then sort
-        // by pipeline index: trace merging and cache insertion happen
-        // in a deterministic order. Jobs reply exactly once even when
-        // the back-end panics; a disconnect (worker died outside the
-        // job guard) just leaves slots unfilled, reported below.
-        let mut replies = Vec::with_capacity(n_misses);
-        for _ in 0..n_misses {
-            match rx.recv() {
-                Ok(r) => replies.push(r),
-                Err(_) => break,
-            }
-        }
-        replies.sort_by_key(|r| r.0);
+        // Act on the replies in pipeline order whatever order they
+        // finished in: trace merging and cache insertion are
+        // deterministic, and the lowest-numbered failure wins.
+        let replies = self.compile_misses(misses, backend, budget, trace.is_enabled());
         let mut first_err: Option<BackendError> = None;
         for (i, key, out, report) in replies {
             if let Some(r) = &report {
@@ -774,6 +799,66 @@ impl CompileService {
             return Err(e.in_backend(backend.name()));
         }
         assemble(slots, start, backend.name())
+    }
+
+    /// Compiles one request's cache misses and returns every reply,
+    /// sorted by pipeline index. The misses go behind one claim cursor;
+    /// up to one helper ticket per live worker (never more than the
+    /// misses this thread cannot take itself) is offered to the pool,
+    /// and this thread then claims and compiles beside whichever
+    /// helpers are free instead of parking until the pool gets round to
+    /// it. It blocks only for modules a helper claimed and has not
+    /// finished. Every claimed module replies exactly once even when
+    /// the back-end panics; a disconnect (worker died outside the job
+    /// guard) just leaves replies missing, which `assemble` reports.
+    fn compile_misses(
+        &self,
+        misses: Vec<(usize, CacheKey, Arc<Module>)>,
+        backend: &Arc<dyn Backend>,
+        budget: CompileBudget,
+        record: bool,
+    ) -> Vec<Reply> {
+        let n_misses = misses.len();
+        if n_misses == 0 {
+            return Vec::new();
+        }
+        let live = self.pool.live_workers();
+        if live == 0 {
+            // No live worker: every miss compiles on this thread.
+            self.faults
+                .inline_fallbacks
+                .fetch_add(n_misses as u64, Ordering::Relaxed);
+        }
+        let list = Arc::new(ClaimList {
+            misses,
+            next: AtomicUsize::new(0),
+            backend: Arc::clone(backend),
+            budget,
+            record,
+            faults: Arc::clone(&self.faults),
+        });
+        let helpers = (n_misses - 1).min(live);
+        let helper_rx = (helpers > 0).then(|| {
+            let (tx, rx) = channel::unbounded();
+            for _ in 0..helpers {
+                let (list, tx) = (Arc::clone(&list), tx.clone());
+                // A ticket the pool hands back is dropped: this thread
+                // claims whatever no helper does.
+                let _ = self
+                    .pool
+                    .submit(Box::new(move || list.drain(|r| drop(tx.send(r)))));
+            }
+            rx
+        });
+
+        let mut replies = Vec::with_capacity(n_misses);
+        list.drain(|r| replies.push(r));
+        if let Some(rx) = helper_rx {
+            let claimed_by_helpers = n_misses - replies.len();
+            replies.extend(std::iter::from_fn(|| rx.recv().ok()).take(claimed_by_helpers));
+        }
+        replies.sort_by_key(|r| r.0);
+        replies
     }
 
     /// Starts compiling every pipeline of `prepared` on a worker under
@@ -814,7 +899,7 @@ impl CompileService {
             self.faults.inline_fallbacks.fetch_add(1, Ordering::Relaxed);
             job();
         }
-        PendingCompile { rx }
+        PendingCompile(Pending::Running(rx))
     }
 }
 
@@ -877,12 +962,12 @@ impl<'a> CompileRequest<'a> {
                     &disabled
                 }
             };
-            PendingCompile::ready(self.service.compile_fanout(
+            PendingCompile(Pending::Ready(Some(self.service.compile_fanout(
                 self.prepared,
                 self.backend,
                 budget,
                 trace,
-            ))
+            ))))
         }
     }
 }
@@ -901,8 +986,9 @@ fn compile_one(
 
 /// [`compile_one`] inside the fault-tolerance envelope: panics caught,
 /// the budget deadline checked, transient failures retried with
-/// exponential backoff. Runs on a worker thread or, when the pool is
-/// unavailable, inline on the caller thread.
+/// exponential backoff. Runs on whichever thread claimed the module: a
+/// foreground caller, a pool worker helping it, or the worker running a
+/// background job.
 fn compile_one_budgeted(
     backend: &dyn Backend,
     module: &Module,
@@ -1060,6 +1146,49 @@ mod tests {
         assert_eq!(rx.recv(), Ok(42));
         assert_eq!(pool.worker_count(), 2);
         assert_eq!(faults.snapshot().workers_respawned, 2);
+    }
+
+    /// With no live worker a request offers no ticket and compiles
+    /// every miss on its own thread; each one counts as an inline
+    /// fallback. A pool that cannot spawn is not reachable through the
+    /// public configuration, hence here and not in
+    /// `tests/compile_fanout.rs`.
+    #[test]
+    fn dead_pool_compiles_every_miss_inline() {
+        let db = qc_storage::gen_hlike(0.01);
+        let engine = crate::Engine::new(&db);
+        let prepared = qc_workloads::hlike_suite()
+            .iter()
+            .filter_map(|q| engine.prepare(&q.plan, &q.name).ok())
+            .find(|p| p.ir.modules.len() >= 2)
+            .expect("a multi-pipeline query");
+        let faults = Arc::new(Faults::default());
+        let (_, job_rx) = channel::unbounded::<Job>();
+        let service = CompileService {
+            pool: WorkerPool {
+                job_tx: None,
+                job_rx,
+                handles: Mutex::new(Vec::new()),
+                spawn_counter: AtomicU64::new(0),
+                faults: Arc::clone(&faults),
+            },
+            cache: Arc::new(CodeCache::new(16, None)),
+            faults,
+            default_budget: CompileBudget::default(),
+        };
+        let backend: Arc<dyn Backend> = Arc::from(crate::backends::direct_emit());
+        let misses = prepared.ir.modules.len();
+        let compiled = service
+            .compile(&prepared, &backend, &TimeTrace::disabled())
+            .expect("inline compile");
+        assert_eq!(compiled.executables.len(), misses);
+        assert_eq!(service.fault_stats().inline_fallbacks, misses as u64);
+        assert_eq!(service.cache_stats().entries, misses);
+        // All hits: nothing left to fall back for.
+        service
+            .compile(&prepared, &backend, &TimeTrace::disabled())
+            .expect("warm compile");
+        assert_eq!(service.fault_stats().inline_fallbacks, misses as u64);
     }
 
     #[test]

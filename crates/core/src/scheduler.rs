@@ -288,7 +288,10 @@ pub struct ServeReport {
     pub outcomes: Vec<QueryOutcome>,
     /// Wall-clock time of the whole serve.
     pub wall: Duration,
-    /// Total worker busy time (admission + execution slices).
+    /// Total worker busy time (admission + execution slices). An
+    /// admission is timed as a whole, so the end of a compile a worker
+    /// spends parked on a module a compile-pool helper claimed and has
+    /// not finished still counts as busy.
     pub busy: Duration,
     /// Per-worker busy time. On a host with fewer cores than workers,
     /// wall clock under-reports the scheduling parallelism; the spread
@@ -310,7 +313,8 @@ impl ServeReport {
         self.outcomes.len() as f64 / self.wall.as_secs_f64().max(1e-9)
     }
 
-    /// Fraction of worker time spent busy, in `0.0..=1.0`.
+    /// Fraction of worker time spent busy, in `0.0..=1.0` — an upper
+    /// bound on the time spent computing, see [`ServeReport::busy`].
     pub fn utilization(&self) -> f64 {
         let capacity = self.wall.as_secs_f64() * self.workers as f64;
         (self.busy.as_secs_f64() / capacity.max(1e-9)).min(1.0)
