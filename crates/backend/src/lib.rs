@@ -250,8 +250,9 @@ pub trait Backend: Send + Sync {
 
 /// [`CodeArtifact`] for the compiling back-ends: an unlinked
 /// [`ImageBuilder`] plus the original compile statistics. Instantiation
-/// clones the builder, links it against the runtime resolver, and
-/// registers unwind information.
+/// links the builder (by reference) against the runtime resolver and
+/// registers unwind information; the emulated stack and decode cache
+/// come with the executable's first `call`.
 pub struct NativeArtifact {
     builder: ImageBuilder,
     stats: CompileStats,
@@ -329,7 +330,6 @@ impl CodeArtifact for NativeArtifact {
     fn instantiate(&self) -> Result<Box<dyn Executable>, BackendError> {
         let linked = self
             .builder
-            .clone()
             .link(&|name| qc_runtime::resolve_runtime(name))
             .map_err(|e| BackendError::new(e.to_string()))?;
         let mut stats = self.stats.clone();

@@ -96,8 +96,8 @@ pub struct ArtifactStoreConfig {
     /// Directory holding the artifact files (created if missing). All
     /// schedulers/services of a fleet node point at the same directory.
     pub dir: PathBuf,
-    /// Size budget for the directory; exceeding it evicts the
-    /// least-recently-modified artifacts after each write. `None`
+    /// Size budget for the directory; a write that takes it past the
+    /// budget evicts the least-recently-modified artifacts. `None`
     /// disables eviction.
     pub max_bytes: Option<u64>,
 }
@@ -135,6 +135,10 @@ pub struct ArtifactStoreCounters {
     pub corrupt_rejected: u64,
     /// Files evicted to respect the size budget.
     pub evictions: u64,
+    /// Directory scans made for the size budget: one when the first
+    /// write needs the directory's size, then one per write that takes
+    /// the running total past the budget.
+    pub budget_scans: u64,
 }
 
 /// Disk-backed content-addressed artifact store. See the module docs.
@@ -143,14 +147,18 @@ pub struct ArtifactStore {
     max_bytes: Option<u64>,
     /// Why the store is pass-through, when it is.
     disabled: Option<String>,
-    /// Serializes budget-eviction scans within this process.
-    evict_lock: Mutex<()>,
+    /// Bytes of artifact files believed to be in the directory: `None`
+    /// until the first budgeted write scans it, then the last scan's
+    /// result plus every file this store has published since. The lock
+    /// also serializes eviction scans within this process.
+    dir_bytes: Mutex<Option<u64>>,
     tmp_seq: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     writes: AtomicU64,
     corrupt: AtomicU64,
     evictions: AtomicU64,
+    budget_scans: AtomicU64,
 }
 
 impl std::fmt::Debug for ArtifactStore {
@@ -176,13 +184,14 @@ impl ArtifactStore {
             dir: config.dir,
             max_bytes: config.max_bytes,
             disabled,
-            evict_lock: Mutex::new(()),
+            dir_bytes: Mutex::new(None),
             tmp_seq: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            budget_scans: AtomicU64::new(0),
         }
     }
 
@@ -218,6 +227,7 @@ impl ArtifactStore {
             writes: self.writes.load(Ordering::Relaxed),
             corrupt_rejected: self.corrupt.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            budget_scans: self.budget_scans.load(Ordering::Relaxed),
         }
     }
 
@@ -278,16 +288,31 @@ impl ArtifactStore {
             return;
         }
         self.writes.fetch_add(1, Ordering::Relaxed);
-        self.enforce_budget();
+        self.enforce_budget(bytes.len() as u64);
     }
 
-    /// Evicts least-recently-modified artifacts until the directory
-    /// fits the budget. Within-process scans are serialized; across
-    /// processes eviction is racy but safe (a vanished file is just a
-    /// future miss).
-    fn enforce_budget(&self) {
+    /// Accounts for a just-published file of `published` bytes and,
+    /// when that takes the directory past the budget, evicts
+    /// least-recently-modified artifacts until it fits.
+    ///
+    /// The directory is listed only when the running total says the
+    /// budget is crossed (and once to seed the total), not per write;
+    /// each listing resets the total to what is really there. The total
+    /// over-counts a file published over its own old version and one a
+    /// corrupt load removed, which costs a scan that finds nothing to
+    /// evict, and does not see other processes' writes until this
+    /// store's own cross the budget. Within-process scans are
+    /// serialized; across processes eviction is racy but safe (a
+    /// vanished file is just a future miss).
+    fn enforce_budget(&self, published: u64) {
         let Some(budget) = self.max_bytes else { return };
-        let _guard = self.evict_lock.lock();
+        let mut dir_bytes = self.dir_bytes.lock();
+        // Kept if the listing below fails, so the next write tries again.
+        *dir_bytes = dir_bytes.map(|known| known.saturating_add(published));
+        if dir_bytes.is_some_and(|total| total <= budget) {
+            return;
+        }
+        self.budget_scans.fetch_add(1, Ordering::Relaxed);
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return;
         };
@@ -300,9 +325,6 @@ impl ArtifactStore {
             })
             .collect();
         let mut total: u64 = files.iter().map(|f| f.1).sum();
-        if total <= budget {
-            return;
-        }
         files.sort_by_key(|f| f.2);
         for (path, len, _) in files {
             if total <= budget {
@@ -313,6 +335,7 @@ impl ArtifactStore {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
+        *dir_bytes = Some(total);
     }
 
     /// Offline integrity scan: parses and checksums every artifact file

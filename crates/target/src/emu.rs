@@ -15,7 +15,10 @@
 //!   raw pointers (guarded against the null page), so compiled code,
 //!   the interpreter tier, and the runtime share data structures by
 //!   passing real addresses. The emulated stack is a heap buffer whose
-//!   top is handed to the code in the ABI's stack-pointer register.
+//!   top is handed to the code in the ABI's stack-pointer register; it
+//!   is allocated, zeroed, by the first [`Emulator::call`] and kept for
+//!   the emulator's life, so an image that is linked but never run
+//!   costs no stack.
 //! * **Return addresses live on a shadow call stack** inside the
 //!   emulator, never in emulated memory — `call` pushes, `ret` pops,
 //!   and stack smashes cannot redirect control.
@@ -362,9 +365,10 @@ pub struct Emulator {
     image: CodeImage,
     opts: EmuOptions,
     stats: ExecStats,
+    // The emulated stack and the decode cache's offset table are
+    // allocated by the first `call`: an executable that is compiled and
+    // linked but never run has neither.
     stack: Vec<u8>,
-    // The offset table is allocated by the first `call`: an executable
-    // that is compiled and linked but never run has no decode cache.
     cache: DecodeCache,
     // Return addresses of every live activation, innermost last; an
     // activation owns the entries above the length it started at.
@@ -382,6 +386,7 @@ impl fmt::Debug for Emulator {
             .field("isa", &self.image.isa())
             .field("image_len", &self.image.len())
             .field("stack_size", &self.opts.stack_size)
+            .field("stack_allocated", &!self.stack.is_empty())
             .field("cached_slots", &self.cache.slots.len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
@@ -400,7 +405,7 @@ impl Emulator {
             image,
             opts,
             stats: ExecStats::default(),
-            stack: vec![0u8; opts.stack_size.max(64)],
+            stack: Vec::new(),
             cache: DecodeCache::default(),
             shadow: Vec::new(),
             regs: [0; 32],
@@ -434,8 +439,8 @@ impl Emulator {
         args: &[u64],
     ) -> Result<[u64; 2], Trap> {
         let entry = self.image.addr_of(name).ok_or(Trap::BadJump(0))?;
-        if self.cache.slot_at.is_empty() {
-            self.cache.slot_at = vec![0; self.image.len()];
+        if self.stack.is_empty() {
+            self.allocate_execution_state();
         }
         self.fuel = self.opts.fuel;
         self.regs = [0; 32];
@@ -443,6 +448,14 @@ impl Emulator {
         self.flags = Flags::default();
         let top = self.stack.as_ptr() as u64 + self.stack.len() as u64;
         self.run_activation(host, entry, args, top & !15)
+    }
+
+    /// What only an emulator that runs needs: the zeroed stack (never
+    /// empty afterwards) and the decode cache's offset table.
+    #[cold]
+    fn allocate_execution_state(&mut self) {
+        self.stack = vec![0u8; self.opts.stack_size.max(64)];
+        self.cache.slot_at = vec![0; self.image.len()];
     }
 
     /// Sets up the ABI state for one activation (argument registers,
@@ -940,14 +953,43 @@ mod tests {
     }
 
     #[test]
+    fn the_stack_is_allocated_by_the_first_call_and_stays_put() {
+        let mut emu = emulator(Isa::Ta64);
+        assert_eq!(emu.stack.capacity(), 0, "linking alone buys no stack");
+        assert_eq!(emu.call(&mut NoHost, "nope", &[]), Err(Trap::BadJump(0)));
+        assert_eq!(
+            emu.stack.capacity(),
+            0,
+            "an unknown entry point runs nothing"
+        );
+        let g = emu.image.addr_of("g").expect("g");
+        emu.call(&mut NoHost, "f", &[1, g]).expect("runs");
+        assert_eq!(emu.stack.len(), EmuOptions::default().stack_size);
+        let first = emu.stack.as_ptr();
+        emu.call(&mut NoHost, "f", &[2, g]).expect("runs again");
+        assert_eq!(emu.stack.as_ptr(), first);
+    }
+
+    #[test]
     fn debug_prints_a_summary_not_the_buffers() {
         let mut emu = emulator(Isa::Ta64);
+        let unrun = format!("{emu:?}");
+        for part in ["stack_size: 1048576", "stack_allocated: false"] {
+            assert!(unrun.contains(part), "{part} missing from {unrun}");
+        }
         let g = emu.image.addr_of("g").expect("g");
         emu.call(&mut NoHost, "f", &[3, g]).expect("runs");
         let text = format!("{emu:?}");
         let slots = format!("cached_slots: {}", emu.cache.slots.len());
         let insts = format!("insts: {}", emu.stats.insts);
-        for part in ["Ta64", "image_len", "stack_size: 1048576", &slots, &insts] {
+        for part in [
+            "Ta64",
+            "image_len",
+            "stack_size: 1048576",
+            "stack_allocated: true",
+            &slots,
+            &insts,
+        ] {
             assert!(text.contains(part), "{part} missing from {text}");
         }
         assert!(text.len() < 300, "{text}");

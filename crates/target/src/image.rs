@@ -142,7 +142,6 @@ impl Reader<'_> {
     }
 }
 
-#[derive(Clone)]
 struct Item {
     name: String,
     bytes: Vec<u8>,
@@ -154,11 +153,12 @@ struct Item {
 /// Accumulates functions and data blobs, then links them into a
 /// [`CodeImage`].
 ///
-/// Cloneable: a builder is a position-independent description of the
-/// image (payload bytes plus symbolic relocations), so the engine's
-/// compile-result cache stores unlinked builders and re-links a clone
-/// per use — only the link step is repeated, never code generation.
-#[derive(Clone)]
+/// A builder is a position-independent description of the image
+/// (payload bytes plus symbolic relocations) and [`Self::link`] only
+/// reads it, so the engine's compile-result cache stores unlinked
+/// builders and links the same one once per use — only the link step is
+/// repeated, never code generation, and nothing is copied but the
+/// payload into the new image.
 pub struct ImageBuilder {
     isa: Isa,
     items: Vec<Item>,
@@ -408,9 +408,9 @@ impl ImageBuilder {
     /// Fails on duplicate item names, symbols neither defined
     /// internally nor known to `resolver`, and displacements that
     /// cannot be made to fit even through a veneer.
-    pub fn link(self, resolver: &dyn Fn(&str) -> Option<u64>) -> Result<CodeImage, LinkError> {
-        if let Some(name) = self.duplicate {
-            return Err(LinkError::Duplicate(name));
+    pub fn link(&self, resolver: &dyn Fn(&str) -> Option<u64>) -> Result<CodeImage, LinkError> {
+        if let Some(name) = &self.duplicate {
+            return Err(LinkError::Duplicate(name.clone()));
         }
         let isa = self.isa;
         let veneer_size: u64 = match isa {

@@ -5,15 +5,16 @@
 //! directory size budget, and graceful pass-through degradation when
 //! the store directory is unusable.
 
-use qc_backend::Backend;
+use qc_backend::{Backend, CompileStats, NativeArtifact};
 use qc_engine::{
-    backends, ArtifactStore, ArtifactStoreConfig, CompileServiceConfig, CompiledQuery, Session,
-    SessionConfig,
+    backends, ArtifactKey, ArtifactStore, ArtifactStoreConfig, CompileServiceConfig, CompiledQuery,
+    Session, SessionConfig,
 };
 use qc_plan::{reference, PlanNode};
-use qc_target::Isa;
+use qc_target::{new_masm, ImageBuilder, Isa};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, SystemTime};
 
 /// Fresh, empty per-test directory under the system temp dir.
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -214,6 +215,69 @@ fn size_budget_evicts_artifacts() {
         qca_files(&dir).is_empty(),
         "nothing fits a 1-byte budget after eviction"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn under_budget_writes_do_not_rescan_and_eviction_stays_oldest_first() {
+    let dir = fresh_dir("budget-scans");
+    let mut masm = new_masm(Isa::Tx64);
+    masm.ret();
+    let (code, relocs) = masm.finish();
+    let mut builder = ImageBuilder::new(Isa::Tx64);
+    builder.add_function("f", code, relocs);
+    let artifact = NativeArtifact::new(builder, CompileStats::default());
+    // Same artifact, same-length key: every file has the same size.
+    let key = |module_hash: u64| ArtifactKey {
+        module_hash,
+        backend: "Test",
+        isa: "TX64",
+        config: 0,
+    };
+    let unbudgeted = ArtifactStore::open(ArtifactStoreConfig::at(dir.clone()));
+    unbudgeted.store(&key(0), &artifact);
+    let only = qca_files(&dir).pop().expect("one file");
+    let file_len = std::fs::metadata(&only).expect("metadata").len();
+    std::fs::remove_file(&only).expect("remove");
+    assert_eq!(unbudgeted.counters().budget_scans, 0, "no budget, no scan");
+
+    const FIT: u64 = 40;
+    let budget = FIT * file_len + file_len / 2;
+    let store = ArtifactStore::open(ArtifactStoreConfig::at(dir.clone()).with_max_bytes(budget));
+    for h in 1..=FIT {
+        store.store(&key(h), &artifact);
+    }
+    let c = store.counters();
+    assert_eq!(
+        (c.writes, c.evictions, c.budget_scans),
+        (FIT, 0, 1),
+        "one scan to learn the directory's size, none while under budget"
+    );
+
+    // Age two files out of write order: eviction goes by modification
+    // time, whichever file was published first.
+    let epoch = SystemTime::now() - Duration::from_secs(3_600);
+    for (age_rank, h) in [(0, 17), (1, 5)] {
+        let path = qca_files(&dir)
+            .into_iter()
+            .find(|p| p.to_string_lossy().ends_with(&format!("{h:016x}.qca")))
+            .expect("file of key");
+        let file = std::fs::File::options()
+            .write(true)
+            .open(path)
+            .expect("open");
+        file.set_modified(epoch + Duration::from_secs(age_rank))
+            .expect("set mtime");
+    }
+    for (write, evicted) in [(FIT + 1, 17), (FIT + 2, 5)] {
+        store.store(&key(write), &artifact);
+        assert!(store.load(&key(evicted)).is_none(), "{evicted} is oldest");
+        assert_eq!(qca_files(&dir).len() as u64, FIT);
+    }
+    let c = store.counters();
+    assert_eq!((c.evictions, c.budget_scans), (2, 3));
+    assert!(store.load(&key(1)).is_some() && store.load(&key(FIT + 2)).is_some());
 
     let _ = std::fs::remove_dir_all(&dir);
 }
