@@ -14,11 +14,14 @@
 //! * **Memory is host memory.** Loads and stores go straight through
 //!   raw pointers (guarded against the null page), so compiled code,
 //!   the interpreter tier, and the runtime share data structures by
-//!   passing real addresses. The emulated stack is a heap buffer whose
-//!   top is handed to the code in the ABI's stack-pointer register; it
-//!   is allocated, zeroed, by the first [`Emulator::call`] and kept for
-//!   the emulator's life, so an image that is linked but never run
-//!   costs no stack.
+//!   passing real addresses. The emulated stack is a heap buffer
+//!   ([`EmuOptions::stack_size`], 64 KB by default) whose top is handed
+//!   to the code in the ABI's stack-pointer register; it is allocated,
+//!   zeroed, by the first [`Emulator::call`] and kept for the
+//!   emulator's life, so an image that is linked but never run costs no
+//!   stack. It is bounds-checked where the stack pointer moves down: a
+//!   `push`, an ALU write to the stack pointer, or stack arguments that
+//!   would put it below the buffer raise [`Trap::StackOverflow`].
 //! * **Return addresses live on a shadow call stack** inside the
 //!   emulator, never in emulated memory — `call` pushes, `ret` pops,
 //!   and stack smashes cannot redirect control.
@@ -88,6 +91,8 @@ pub enum Trap {
     Fuel,
     /// A runtime-helper-defined error code.
     Runtime(u8),
+    /// The stack pointer would have moved below the emulated stack.
+    StackOverflow,
 }
 
 impl fmt::Display for Trap {
@@ -100,6 +105,7 @@ impl fmt::Display for Trap {
             Trap::Unreachable => write!(f, "unreachable executed"),
             Trap::Fuel => write!(f, "fuel exhausted"),
             Trap::Runtime(c) => write!(f, "runtime error {c}"),
+            Trap::StackOverflow => write!(f, "stack overflow"),
         }
     }
 }
@@ -123,7 +129,10 @@ pub struct EmuOptions {
     /// against miscompiled infinite loops). Exhaustion raises
     /// [`Trap::Fuel`].
     pub fuel: u64,
-    /// Size in bytes of the emulated stack.
+    /// Size in bytes of the emulated stack. The default, 64 KB, is 40×
+    /// the deepest any benchmark query goes (1.6 KB: back-ends emit
+    /// frames of a few hundred bytes); a program that needs more raises
+    /// [`Trap::StackOverflow`] rather than writing below the buffer.
     pub stack_size: usize,
 }
 
@@ -131,7 +140,7 @@ impl Default for EmuOptions {
     fn default() -> EmuOptions {
         EmuOptions {
             fuel: u64::MAX,
-            stack_size: 1 << 20,
+            stack_size: 1 << 16,
         }
     }
 }
@@ -472,7 +481,10 @@ impl Emulator {
         let mut sp = sp;
         if args.len() > nreg {
             let extra = args.len() - nreg;
-            sp -= ((extra * 8 + 15) & !15) as u64;
+            sp = sp
+                .checked_sub(((extra * 8 + 15) & !15) as u64)
+                .filter(|&sp| sp >= self.stack.as_ptr() as u64)
+                .ok_or(Trap::StackOverflow)?;
             for (i, &a) in args[nreg..].iter().enumerate() {
                 write_mem(sp + 8 * i as u64, Width::W64, a)?;
             }
@@ -503,6 +515,9 @@ impl Emulator {
         let abi = self.image.isa().abi();
         let base = self.image.base();
         let image_len = self.image.len() as u64;
+        // The lowest value the stack pointer may take; the stack never
+        // moves once allocated.
+        let stack_base = self.stack.as_ptr() as u64;
         let mut pc = entry;
         // Where the next instruction's slot probably is: right after
         // the last one's (see `DecodeCache::locate`).
@@ -546,7 +561,11 @@ impl Emulator {
                     src2,
                 } => {
                     let (x, y) = (self.regs[src1.index()], self.regs[src2.index()]);
-                    self.regs[dst.index()] = self.alu(op, width, set_flags, x, y);
+                    let r = self.alu(op, width, set_flags, x, y);
+                    if dst == abi.sp && r < stack_base {
+                        return Err(Trap::StackOverflow);
+                    }
+                    self.regs[dst.index()] = r;
                 }
                 I::AluImm {
                     op,
@@ -557,7 +576,11 @@ impl Emulator {
                     imm,
                 } => {
                     let x = self.regs[src1.index()];
-                    self.regs[dst.index()] = self.alu(op, width, set_flags, x, imm as u64);
+                    let r = self.alu(op, width, set_flags, x, imm as u64);
+                    if dst == abi.sp && r < stack_base {
+                        return Err(Trap::StackOverflow);
+                    }
+                    self.regs[dst.index()] = r;
                 }
                 I::MulFull {
                     dst_lo,
@@ -628,6 +651,9 @@ impl Emulator {
                 }
                 I::Push { src } => {
                     let sp = self.regs[abi.sp.index()].wrapping_sub(8);
+                    if sp < stack_base {
+                        return Err(Trap::StackOverflow);
+                    }
                     self.regs[abi.sp.index()] = sp;
                     write_mem(sp, Width::W64, self.regs[src.index()])?;
                 }
@@ -842,7 +868,7 @@ mod tests {
     // Under another name: CI keeps `emu.rs` at one textual decoder call,
     // the cache fill.
     use crate::decode::decode_inst as decode_afresh;
-    use crate::{new_masm, ImageBuilder, Isa, Reg};
+    use crate::{new_masm, ImageBuilder, Isa, Reg, Reloc, SymbolRef, Tx64Assembler};
     use proptest::prelude::*;
 
     struct NoHost;
@@ -974,7 +1000,8 @@ mod tests {
     fn debug_prints_a_summary_not_the_buffers() {
         let mut emu = emulator(Isa::Ta64);
         let unrun = format!("{emu:?}");
-        for part in ["stack_size: 1048576", "stack_allocated: false"] {
+        let stack_size = format!("stack_size: {}", EmuOptions::default().stack_size);
+        for part in [stack_size.as_str(), "stack_allocated: false"] {
             assert!(unrun.contains(part), "{part} missing from {unrun}");
         }
         let g = emu.image.addr_of("g").expect("g");
@@ -985,7 +1012,7 @@ mod tests {
         for part in [
             "Ta64",
             "image_len",
-            "stack_size: 1048576",
+            &stack_size,
             "stack_allocated: true",
             &slots,
             &insts,
@@ -993,6 +1020,210 @@ mod tests {
             assert!(text.contains(part), "{part} missing from {text}");
         }
         assert!(text.len() < 300, "{text}");
+    }
+
+    /// Small enough that every test below fills it in a few hundred
+    /// instructions.
+    const SMALL_STACK: usize = 256;
+
+    /// What `helper 0` returns for a nested activation that trapped.
+    const SWALLOWED: u64 = 0xDEAD;
+
+    /// A finished function: its code and relocations.
+    type Assembled = (Vec<u8>, Vec<Reloc>);
+
+    /// Links `funcs` for `isa` (`ext` is runtime helper 0) to run on a
+    /// [`SMALL_STACK`]-byte stack, with fuel for far more instructions
+    /// than any of them needs to reach its end or the stack's.
+    fn small_stack(isa: Isa, funcs: Vec<(&str, Assembled)>) -> Emulator {
+        let mut b = ImageBuilder::new(isa);
+        for (name, (code, relocs)) in funcs {
+            b.add_function(name, code, relocs);
+        }
+        let image = b.link(&|sym| (sym == "ext").then(|| runtime_addr(0)));
+        let opts = EmuOptions {
+            fuel: 10_000,
+            stack_size: SMALL_STACK,
+        };
+        Emulator::with_options(image.expect("link"), opts)
+    }
+
+    /// Bytes between a top-level call's initial stack pointer and the
+    /// stack's first byte, once the stack is allocated.
+    fn room(emu: &Emulator) -> u64 {
+        let base = emu.stack.as_ptr() as u64;
+        ((base + emu.stack.len() as u64) & !15) - base
+    }
+
+    /// `frame(n)`: a register `sub sp, n`, a store at the new stack
+    /// pointer, `add sp, n`, and return `n`.
+    fn frame_fn(isa: Isa) -> Assembled {
+        let (sp, n) = (isa.abi().sp, isa.abi().arg_regs[0]);
+        let mut f = new_masm(isa);
+        f.alu_rrr(AluOp::Sub, Width::W64, false, sp, sp, n);
+        f.store(Width::W64, n, sp, None, 0);
+        f.alu_rrr(AluOp::Add, Width::W64, false, sp, sp, n);
+        f.ret();
+        f.finish()
+    }
+
+    /// `spin(v)` pushes `v` forever: TX64's `push`, and on TA64, which
+    /// has none, `sub sp, 8` and a store.
+    fn push_loop(isa: Isa) -> Assembled {
+        let (sp, v) = (isa.abi().sp, isa.abi().arg_regs[0]);
+        if isa == Isa::Tx64 {
+            let mut a = Tx64Assembler::new();
+            let top = a.new_label();
+            a.bind(top);
+            a.push(v);
+            a.jmp(top);
+            return a.finish();
+        }
+        let mut a = new_masm(isa);
+        let top = a.new_label();
+        a.bind(top);
+        a.alu_rri(AluOp::Sub, Width::W64, false, sp, sp, 8);
+        a.store(Width::W64, v, sp, None, 0);
+        a.jmp(top);
+        a.finish()
+    }
+
+    #[test]
+    fn a_push_loop_traps_at_the_stack_base() {
+        assert_eq!(Trap::StackOverflow.to_string(), "stack overflow");
+        for isa in [Isa::Tx64, Isa::Ta64] {
+            let mut emu = small_stack(isa, vec![("spin", push_loop(isa))]);
+            let v = 0x5A5A_0000_0000_00A5;
+            let r = emu.call(&mut NoHost, "spin", &[v]);
+            assert_eq!(r, Err(Trap::StackOverflow), "{isa}");
+            // The last push that fit landed less than eight bytes above
+            // the stack's first byte.
+            let pushes = room(&emu) / 8;
+            let last = (room(&emu) % 8) as usize;
+            assert_eq!(emu.stack[last..last + 8], v.to_le_bytes(), "{isa}");
+            // (instructions, cycles) per push that fit, and the cost
+            // of the one that trapped: nothing else is charged.
+            let ((insts, cycles), trapped) = match isa {
+                Isa::Tx64 => ((2, 3), 2),
+                Isa::Ta64 => ((3, 4), 1),
+            };
+            let want = ExecStats {
+                insts: pushes * insts + 1,
+                cycles: pushes * cycles + trapped,
+            };
+            assert_eq!(emu.stats(), want, "{isa}");
+        }
+    }
+
+    #[test]
+    fn a_frame_past_the_stack_base_traps_and_an_exact_fit_does_not() {
+        for isa in [Isa::Tx64, Isa::Ta64] {
+            let sp = isa.abi().sp;
+            // An immediate beyond every encoding's short form.
+            let over = 2 * SMALL_STACK as i64;
+            let mut big = new_masm(isa);
+            big.alu_rri(AluOp::Sub, Width::W64, false, sp, sp, over);
+            big.alu_rri(AluOp::Add, Width::W64, false, sp, sp, over);
+            big.ret();
+            let funcs = vec![("frame", frame_fn(isa)), ("big", big.finish())];
+            let mut emu = small_stack(isa, funcs);
+            let frame = |emu: &mut Emulator, n| emu.call(&mut NoHost, "frame", &[n]);
+            assert_eq!(frame(&mut emu, 16).map(|r| r[0]), Ok(16), "{isa}");
+            // `sp == base`: the store lands on the stack's first byte.
+            let room = room(&emu);
+            assert_eq!(frame(&mut emu, room).map(|r| r[0]), Ok(room), "{isa}");
+            assert_eq!(emu.stack[..8], room.to_le_bytes(), "{isa}");
+            let r = frame(&mut emu, room + 16);
+            assert_eq!(r, Err(Trap::StackOverflow), "{isa}");
+            let r = emu.call(&mut NoHost, "big", &[]);
+            assert_eq!(r, Err(Trap::StackOverflow), "{isa}");
+        }
+    }
+
+    #[test]
+    fn stack_arguments_that_do_not_fit_trap_before_any_cycle() {
+        for isa in [Isa::Tx64, Isa::Ta64] {
+            let mut f = new_masm(isa);
+            f.ret();
+            let mut emu = small_stack(isa, vec![("f", f.finish())]);
+            emu.call(&mut NoHost, "f", &[])
+                .expect("allocates the stack");
+            let fit = isa.abi().arg_regs.len() + room(&emu) as usize / 8;
+            let before = emu.stats();
+            let r = emu.call(&mut NoHost, "f", &vec![1; fit + 1]);
+            assert_eq!(r, Err(Trap::StackOverflow), "{isa}");
+            assert_eq!(emu.stats(), before, "{isa}: a trapped call charges nothing");
+            let r = emu.call(&mut NoHost, "f", &vec![1; fit]);
+            assert!(r.is_ok(), "{isa}: exactly fits, got {r:?}");
+        }
+    }
+
+    /// Helper 0 re-enters compiled code at its first argument with its
+    /// second, records what the nested activation did, and swallows a
+    /// trap into [`SWALLOWED`].
+    #[derive(Default)]
+    struct Reenter {
+        nested: Vec<Result<u64, Trap>>,
+    }
+
+    impl RuntimeDispatch for Reenter {
+        fn arg_slots(&self, _index: usize) -> usize {
+            2
+        }
+
+        fn runtime_cost(&self, _index: usize, _args: &[u64]) -> u64 {
+            0
+        }
+
+        fn call_runtime(
+            &mut self,
+            _index: usize,
+            args: &[u64],
+            mut reentry: Reentry<'_>,
+        ) -> Result<[u64; 2], Trap> {
+            let r = reentry.call(self, args[0], &[args[1]]);
+            self.nested.push(r);
+            Ok([r.unwrap_or(SWALLOWED), 0])
+        }
+    }
+
+    #[test]
+    fn a_reentered_activation_that_overflows_traps_and_outer_frames_survive() {
+        for isa in [Isa::Tx64, Isa::Ta64] {
+            let abi = isa.abi();
+            // `outer(cb, n)` takes a 48-byte frame and calls `mid`, which
+            // calls helper 0: the nested `cb(n)` starts below that frame.
+            // `outer` adds one to what `mid` returns, so a lost shadow
+            // frame would show.
+            let mut outer = new_masm(isa);
+            outer.alu_rri(AluOp::Sub, Width::W64, false, abi.sp, abi.sp, 48);
+            outer.call_sym(SymbolRef::named("mid"));
+            outer.alu_rri(AluOp::Add, Width::W64, false, abi.ret, abi.ret, 1);
+            outer.alu_rri(AluOp::Add, Width::W64, false, abi.sp, abi.sp, 48);
+            outer.ret();
+            let mut mid = new_masm(isa);
+            mid.call_sym(SymbolRef::named("ext"));
+            mid.ret();
+            let funcs = vec![
+                ("outer", outer.finish()),
+                ("mid", mid.finish()),
+                ("frame", frame_fn(isa)),
+            ];
+            let mut emu = small_stack(isa, funcs);
+            let cb = emu.image.addr_of("frame").expect("frame");
+            let mut host = Reenter::default();
+            let mut outer = |emu: &mut Emulator, n| {
+                let r = emu.call(&mut host, "outer", &[cb, n]).map(|r| r[0]);
+                assert!(emu.shadow.is_empty(), "{isa}: frames left behind");
+                r
+            };
+            assert_eq!(outer(&mut emu, 16), Ok(17), "{isa}");
+            let room = room(&emu) - 48;
+            assert_eq!(outer(&mut emu, room), Ok(room + 1), "{isa}: exact fit");
+            assert_eq!(outer(&mut emu, room + 16), Ok(SWALLOWED + 1), "{isa}");
+            let want = [Ok(16), Ok(room), Err(Trap::StackOverflow)];
+            assert_eq!(host.nested, want, "{isa}");
+        }
     }
 
     fn alu_op() -> impl Strategy<Value = AluOp> {

@@ -10,7 +10,8 @@ use qc_ir::{FunctionBuilder, Module, Opcode, Signature, Type};
 use qc_plan::{col, lit_i64, PlanNode};
 use qc_runtime::RuntimeState;
 use qc_target::{
-    new_masm, EmuOptions, Emulator, ImageBuilder, Isa, Reentry, RuntimeDispatch, SymbolRef, Trap,
+    new_masm, AluOp, EmuOptions, Emulator, ImageBuilder, Isa, Reentry, RuntimeDispatch, SymbolRef,
+    Trap, Tx64Assembler, Width,
 };
 use qc_timing::TimeTrace;
 
@@ -170,6 +171,46 @@ fn fuel_guard_stops_runaway_code_on_both_isas() {
             Err(Trap::Fuel) => {}
             other => panic!("{isa:?}: expected fuel trap, got {other:?}"),
         }
+    }
+}
+
+#[test]
+fn stack_guard_stops_a_runaway_push_loop_on_both_isas() {
+    for isa in [Isa::Tx64, Isa::Ta64] {
+        let abi = isa.abi();
+        let (code, relocs) = if isa == Isa::Tx64 {
+            let mut asm = Tx64Assembler::new();
+            let top = asm.new_label();
+            asm.bind(top);
+            asm.push(abi.arg_regs[0]);
+            asm.jmp(top);
+            asm.finish()
+        } else {
+            // TA64 has no `push`: the same thing in two instructions.
+            let mut masm = new_masm(isa);
+            let top = masm.new_label();
+            masm.bind(top);
+            masm.alu_rri(AluOp::Sub, Width::W64, false, abi.sp, abi.sp, 8);
+            masm.store(Width::W64, abi.arg_regs[0], abi.sp, None, 0);
+            masm.jmp(top);
+            masm.finish()
+        };
+        let mut ib = ImageBuilder::new(isa);
+        ib.add_function("spin", code, relocs);
+        let mut emu = Emulator::new(ib.link(&|_| None).expect("link"));
+        // Default options: unlimited fuel, so only the stack bound can
+        // end the loop, after one push per eight bytes of stack.
+        assert_eq!(
+            emu.call(&mut NoRuntime, "spin", &[7]),
+            Err(Trap::StackOverflow),
+            "{isa:?}"
+        );
+        let pushes = (EmuOptions::default().stack_size / 8) as u64;
+        assert!(
+            emu.stats().insts <= 3 * pushes + 1,
+            "{isa:?}: {:?}",
+            emu.stats()
+        );
     }
 }
 
