@@ -232,9 +232,13 @@ pub trait Backend: Send + Sync {
         trace: &TimeTrace,
     ) -> Result<Box<dyn Executable>, BackendError>;
 
-    /// Compiles one module to a cacheable, relinkable artifact, or
-    /// `None` when the back-end does not support artifact caching (the
-    /// engine then falls back to [`Backend::compile`] per use).
+    /// Compiles one module to a cacheable, relinkable artifact. The
+    /// engine keeps every compile it runs as an artifact (cached,
+    /// relinked per morsel worker, persisted), so it rejects `None`,
+    /// the default for back-ends that implement only
+    /// [`Backend::compile`], with a permanent error naming the
+    /// back-end; only a traced one-shot compile calls
+    /// [`Backend::compile`] instead.
     ///
     /// # Errors
     /// Same failure modes as [`Backend::compile`].

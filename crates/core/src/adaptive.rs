@@ -18,7 +18,7 @@ use std::sync::Arc;
 pub enum AdaptiveOutcome {
     /// The cheap tier was sufficient.
     StayedCheap,
-    /// The query was recompiled with the optimizing tier.
+    /// The optimizing tier took over mid-query.
     TieredUp,
 }
 
@@ -35,7 +35,8 @@ pub struct BackgroundReport {
 }
 
 /// Adaptive two-tier execution: a cheap tier compiles immediately; the
-/// optimizing tier is used when the size×work heuristic predicts a win.
+/// optimizing tier compiles in the background when the size×work
+/// heuristic predicts a win and takes over at a morsel boundary.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveExecution {
     /// Estimated executions of the query (morsels × repetitions).
@@ -69,36 +70,6 @@ impl AdaptiveExecution {
         // with executed work. Tier up when remaining work dwarfs it.
         let est_compile_cost = (ir_size as u64) * self.benefit_threshold;
         observed_cycles.saturating_mul(self.expected_executions) > est_compile_cost
-    }
-
-    /// Runs a prepared query adaptively: executes in the cheap tier, then
-    /// (if the heuristic fires) recompiles with the optimizing tier and
-    /// re-executes.
-    ///
-    /// Returns the final result, the outcome, and the total compile time
-    /// spent across tiers.
-    ///
-    /// # Errors
-    /// Propagates compilation and execution errors.
-    pub fn run(
-        &self,
-        engine: &Engine<'_>,
-        prepared: &PreparedQuery,
-        cheap: &dyn Backend,
-        optimized: &dyn Backend,
-    ) -> Result<(ExecutionResult, AdaptiveOutcome), EngineError> {
-        let trace = TimeTrace::disabled();
-        let serial = MorselExecutor::new(MorselExecConfig::default());
-        let mut compiled = engine.compile(prepared, cheap, &trace)?;
-        let first = serial.execute(engine, prepared, &mut compiled)?;
-        if !self.should_tier_up(prepared.ir_size(), first.exec_stats.cycles) {
-            return Ok((first, AdaptiveOutcome::StayedCheap));
-        }
-        let mut opt = engine.compile(prepared, optimized, &trace)?;
-        let mut second = serial.execute(engine, prepared, &mut opt)?;
-        second.compile_time += first.compile_time;
-        second.compile_stats.merge(&first.compile_stats);
-        Ok((second, AdaptiveOutcome::TieredUp))
     }
 
     /// Runs a prepared query with *background* tier-up: the cheap tier

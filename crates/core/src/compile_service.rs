@@ -4,19 +4,26 @@
 //! killing a query.
 //!
 //! A query decomposes into independent pipelines, one IR module each;
-//! nothing in a back-end compilation reads another pipeline's state, so
-//! a request puts its cache misses behind one claim cursor, compiles
-//! them on the calling thread beside whichever workers of a persistent
-//! pool are free, and reassembles the executables in pipeline order.
-//! Every compile uses a thread-local [`TimeTrace`] (the trace type is
-//! deliberately not `Send`) and hands back an immutable [`Report`]
-//! snapshot for merging, so phase attribution survives the fan-out.
+//! nothing in a back-end compilation reads another pipeline's state.
+//! One routine walks a query's modules for every compile the service
+//! runs: it probes the cache, puts the misses behind one claim cursor,
+//! compiles them, inserts the fresh artifacts in pipeline order and
+//! reassembles the executables. A foreground compile runs it on the
+//! calling thread with the persistent pool at hand, so the caller
+//! compiles beside whichever workers are free. A background job
+//! ([`CompileService::spawn_compile`]) runs the same routine on a pool
+//! worker without the pool, so it compiles its misses one after another
+//! and never queues helper work. Every compile uses a thread-local
+//! [`TimeTrace`] (the trace type is deliberately not `Send`) and hands
+//! back an immutable [`Report`] snapshot for merging, so phase
+//! attribution survives the fan-out.
 //!
 //! The cache stores *unlinked* [`CodeArtifact`]s keyed by the module's
 //! structural IR hash plus the back-end identity; a warm hit skips code
 //! generation entirely and pays only the link/unwind-registration step
 //! (see `DESIGN.md`, "Compilation service"). Parameterized re-runs of a
-//! prepared query therefore compile in roughly link time.
+//! prepared query therefore compile in roughly link time. Every module
+//! compiles to an artifact: a back-end that returns none is rejected.
 //!
 //! # Failure domains
 //!
@@ -32,23 +39,24 @@
 //!   too-slow artifact is discarded rather than cached) and a bounded
 //!   **retry** policy with exponential backoff for `Transient` errors;
 //! * a **dead worker thread** (a panic escaping the per-job guard) is
-//!   detected and respawned on the next submission; if no worker can be
-//!   spawned at all, a request compiles all of its misses itself and a
-//!   background job runs inline on the caller thread instead of
-//!   aborting.
+//!   detected and respawned on the next submission. If no worker can be
+//!   spawned at all, a foreground request compiles all of its misses
+//!   itself, and a background job fails with a `Transient` error at
+//!   once: background jobs never compile on the caller's thread, which
+//!   may be holding a scheduler lock.
 //!
 //! [`FaultCounters`] exposes what the layer absorbed; the fallback
 //! chain built on top lives in [`crate::fallback`].
 
 use crate::artifact_store::{ArtifactKey, ArtifactStore};
 use crate::engine::{CompiledQuery, EngineError, PreparedQuery};
+use crate::lru::Lru;
 use crate::supervise::supervise;
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
-use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, Executable};
+use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats};
 use qc_ir::{module_structural_hash, Module};
 use qc_timing::{Report, TimeTrace};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -106,8 +114,7 @@ pub struct CompileServiceConfig {
     pub cache_capacity: usize,
     /// Budget applied to jobs submitted through [`CompileService::compile`]
     /// and [`CompileService::spawn_compile`];
-    /// [`CompileService::compile_budgeted`] and
-    /// [`CompileRequest::budget`] override it per call.
+    /// [`CompileService::compile_budgeted`] overrides it per call.
     pub budget: CompileBudget,
 }
 
@@ -171,9 +178,10 @@ pub struct FaultCounters {
     pub downgrades: u64,
     /// Dead worker threads replaced.
     pub workers_respawned: u64,
-    /// Jobs compiled inline on the caller thread because the pool had
-    /// no live worker (a foreground caller claiming beside live workers
-    /// is the normal path, not a fallback).
+    /// Foreground cache misses compiled on the caller thread because
+    /// the pool had no live worker (a foreground caller claiming beside
+    /// live workers is the normal path, not a fallback, and a
+    /// background job the pool refuses fails instead).
     pub inline_fallbacks: u64,
     /// Persistent-store files that failed verification and were
     /// replaced by a recompile (mirrors
@@ -241,18 +249,8 @@ impl CacheKey {
     }
 }
 
-struct CacheEntry {
-    artifact: Arc<dyn CodeArtifact>,
-    last_used: u64,
-}
-
-struct CacheInner {
-    map: HashMap<CacheKey, CacheEntry>,
-    tick: u64,
-}
-
-/// Bounded LRU over compiled artifacts (L1), shared between the caller
-/// thread and the workers, optionally backed by a persistent
+/// Compiled artifacts in an in-memory LRU (L1), shared between the
+/// caller thread and the workers, optionally backed by a persistent
 /// [`ArtifactStore`] (L2). An L1 miss probes the store; a disk hit is
 /// promoted into L1 and pays only deserialize + link. Fresh artifacts
 /// are written through to the store. Either tier degrades to
@@ -260,92 +258,34 @@ struct CacheInner {
 /// store still serves warm restarts, and a missing/disabled store
 /// leaves the LRU behaving exactly as before.
 struct CodeCache {
-    inner: Mutex<CacheInner>,
-    capacity: usize,
+    l1: Lru<CacheKey, Arc<dyn CodeArtifact>>,
     store: Option<Arc<ArtifactStore>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl CodeCache {
     fn new(capacity: usize, store: Option<Arc<ArtifactStore>>) -> Self {
         CodeCache {
-            inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                tick: 0,
-            }),
-            capacity,
+            l1: Lru::new(capacity),
             store,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
     fn lookup(&self, key: &CacheKey) -> Option<Arc<dyn CodeArtifact>> {
-        if self.capacity > 0 {
-            let mut inner = self.inner.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.map.get_mut(key) {
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(Arc::clone(&entry.artifact));
-            }
+        if let Some(artifact) = self.l1.get(key) {
+            return Some(artifact);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         // L2: a verified disk artifact is promoted into L1 (not written
         // back to disk — it just came from there).
-        if let Some(store) = &self.store {
-            if let Some(artifact) = store.load(&key.artifact_key()) {
-                self.insert_l1(*key, Arc::clone(&artifact));
-                return Some(artifact);
-            }
-        }
-        None
-    }
-
-    /// Inserts into the in-memory tier only. Returns `false` only for
-    /// an artifact that lost a race: concurrent compiles of the same
-    /// module may both insert; first writer wins, the duplicate is
-    /// dropped. A disabled tier has no race to lose.
-    fn insert_l1(&self, key: CacheKey, artifact: Arc<dyn CodeArtifact>) -> bool {
-        if self.capacity == 0 {
-            return true;
-        }
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if inner.map.contains_key(&key) {
-            return false;
-        }
-        if inner.map.len() >= self.capacity {
-            if let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            {
-                inner.map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        inner.map.insert(
-            key,
-            CacheEntry {
-                artifact,
-                last_used: tick,
-            },
-        );
-        true
+        let artifact = self.store.as_ref()?.load(&key.artifact_key())?;
+        self.l1.insert(*key, Arc::clone(&artifact));
+        Some(artifact)
     }
 
     /// Inserts a freshly compiled artifact: L1, written through to the
     /// persistent store when one is attached. The loser of an L1 race
     /// skips the write-through: the winner persists the same bytes.
     fn insert(&self, key: CacheKey, artifact: Arc<dyn CodeArtifact>) {
-        if !self.insert_l1(key, Arc::clone(&artifact)) {
+        if !self.l1.insert(key, Arc::clone(&artifact)) {
             return;
         }
         if let Some(store) = &self.store {
@@ -359,13 +299,13 @@ impl CodeCache {
             .as_deref()
             .map(ArtifactStore::counters)
             .unwrap_or_default();
-        let inner = self.inner.lock();
+        let l1 = self.l1.stats();
         CacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: inner.map.len(),
-            resident_bytes: inner.map.values().map(|e| e.artifact.size_bytes()).sum(),
+            hits: l1.hits,
+            misses: l1.misses,
+            evictions: l1.evictions,
+            entries: l1.entries,
+            resident_bytes: self.l1.total(|artifact| artifact.size_bytes()),
             disk_hits: disk.hits,
             disk_misses: disk.misses,
             disk_writes: disk.writes,
@@ -402,7 +342,7 @@ impl WorkerPool {
         for _ in 0..workers.max(1) {
             let idx = spawn_counter.fetch_add(1, Ordering::Relaxed);
             // A thread the OS refuses to spawn just shrinks the pool;
-            // zero live workers degrades submissions to inline compiles.
+            // with zero live workers foreground requests compile inline.
             if let Ok(h) = Self::spawn_worker(job_rx.clone(), idx) {
                 handles.push(h);
             }
@@ -455,8 +395,7 @@ impl WorkerPool {
     }
 
     /// Hands `job` to the pool, or hands it back when no worker can run
-    /// it (pool shut down, channel closed, or every spawn failed) so
-    /// the caller can run it inline instead of aborting.
+    /// it (pool shut down, channel closed, or every spawn failed).
     fn submit(&self, job: Job) -> Result<(), Job> {
         match &self.job_tx {
             Some(tx) if self.live_workers() > 0 => tx.send(job).map_err(|e| e.0),
@@ -474,32 +413,17 @@ impl Drop for WorkerPool {
     }
 }
 
-/// What a worker hands back for one module.
-enum WorkerOut {
-    /// A relinkable artifact (also goes into the cache).
-    Artifact(Arc<dyn CodeArtifact>),
-    /// A directly compiled executable (back-end without artifact
-    /// support); bypasses the cache.
-    Executable(Box<dyn Executable>),
-}
-
-/// One slot of the in-order reassembly buffer.
-enum Slot {
-    Cached(Arc<dyn CodeArtifact>),
-    Fresh(WorkerOut),
-}
-
 /// What one compiled miss reports back: pipeline index, cache key, the
 /// outcome and, for a clean traced success, its per-phase timings.
 type Reply = (
     usize,
     CacheKey,
-    Result<WorkerOut, BackendError>,
+    Result<Arc<dyn CodeArtifact>, BackendError>,
     Option<Report>,
 );
 
-/// One foreground request's cache misses behind a claim cursor (the
-/// shape of `morsel_exec`'s ordered claimer). The calling thread and
+/// One request's cache misses behind a claim cursor (the shape of
+/// `morsel_exec`'s ordered claimer). The thread that built the list and
 /// the helper tickets it offers to the pool run the same
 /// [`ClaimList::drain`]; nobody else holds the list, so a caller only
 /// ever compiles modules of its own request.
@@ -537,21 +461,55 @@ impl ClaimList {
             reply((*i, *key, out, report));
         }
     }
+
+    /// Compiles every miss (the list holds at least one) and returns the
+    /// replies sorted by pipeline index. With a `pool`, up to one helper ticket per live worker
+    /// (never more than the misses this thread cannot take itself) is
+    /// offered to it, and this thread then claims and compiles beside
+    /// whichever helpers are free instead of parking until the pool
+    /// gets round to it; it blocks only for modules a helper claimed
+    /// and has not finished. Without one, this thread compiles every
+    /// miss in order. Every claimed module replies exactly once even
+    /// when the back-end panics; a disconnect (worker died outside the
+    /// job guard) just leaves replies missing, which `assemble`
+    /// reports.
+    fn compile(self, pool: Option<&WorkerPool>) -> Vec<Reply> {
+        let n_misses = self.misses.len();
+        let live = pool.map_or(0, WorkerPool::live_workers);
+        if pool.is_some() && live == 0 {
+            // No live worker: every miss compiles on this thread.
+            self.faults
+                .inline_fallbacks
+                .fetch_add(n_misses as u64, Ordering::Relaxed);
+        }
+        let list = Arc::new(self);
+        let helpers = (n_misses - 1).min(live);
+        let helper_rx = pool.filter(|_| helpers > 0).map(|pool| {
+            let (tx, rx) = channel::unbounded();
+            for _ in 0..helpers {
+                let (list, tx) = (Arc::clone(&list), tx.clone());
+                // A ticket the pool hands back is dropped: this thread
+                // claims whatever no helper does.
+                let _ = pool.submit(Box::new(move || list.drain(|r| drop(tx.send(r)))));
+            }
+            rx
+        });
+
+        let mut replies = Vec::with_capacity(n_misses);
+        list.drain(|r| replies.push(r));
+        if let Some(rx) = helper_rx {
+            let claimed_by_helpers = n_misses - replies.len();
+            replies.extend(std::iter::from_fn(|| rx.recv().ok()).take(claimed_by_helpers));
+        }
+        replies.sort_by_key(|r| r.0);
+        replies
+    }
 }
 
-/// The ticket for a compilation requested through
-/// [`CompileService::request`]: already resolved for a foreground
-/// request, resolved by a worker for a background one
-/// ([`CompileService::spawn_compile`]) while the caller keeps
-/// executing.
-pub struct PendingCompile(Pending);
-
-enum Pending {
-    /// A foreground request's finished result, until it is taken.
-    Ready(Option<Result<CompiledQuery, BackendError>>),
-    /// A background request's reply channel.
-    Running(Receiver<Result<CompiledQuery, BackendError>>),
-}
+/// The ticket of a background compilation started with
+/// [`CompileService::spawn_compile`], resolved by a pool worker while
+/// the caller keeps executing.
+pub struct PendingCompile(Receiver<Result<CompiledQuery, BackendError>>);
 
 fn worker_disconnected() -> BackendError {
     BackendError::transient("compile worker disconnected")
@@ -562,26 +520,19 @@ impl PendingCompile {
     /// blocking. Returns `None` while the worker is still compiling;
     /// at most one call ever returns `Some`.
     pub fn try_take(&mut self) -> Option<Result<CompiledQuery, BackendError>> {
-        match &mut self.0 {
-            Pending::Ready(result) => result.take(),
-            Pending::Running(rx) => match rx.try_recv() {
-                Ok(r) => Some(r),
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => Some(Err(worker_disconnected())),
-            },
+        match self.0.try_recv() {
+            Ok(r) => Some(r),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(Err(worker_disconnected())),
         }
     }
 
-    /// Blocks until the compilation finishes (never, for a foreground
-    /// ticket).
+    /// Blocks until the compilation finishes.
     ///
     /// # Errors
     /// Propagates the compilation's [`BackendError`].
     pub fn wait(self) -> Result<CompiledQuery, BackendError> {
-        match self.0 {
-            Pending::Ready(result) => result.unwrap_or_else(|| Err(worker_disconnected())),
-            Pending::Running(rx) => rx.recv().unwrap_or_else(|_| Err(worker_disconnected())),
-        }
+        self.0.recv().unwrap_or_else(|_| Err(worker_disconnected()))
     }
 }
 
@@ -667,39 +618,6 @@ impl CompileService {
         self.pool.worker_count()
     }
 
-    /// Starts building a compile request for every pipeline of
-    /// `prepared` with `backend`. This is the single entry point all
-    /// compile variants route through:
-    ///
-    /// ```text
-    /// service.request(&prepared, &backend)
-    ///     .budget(CompileBudget::with_deadline(d))  // default: service budget
-    ///     .trace(&trace)                            // default: no trace
-    ///     .background()                             // default: foreground
-    ///     .submit()                                 // -> PendingCompile
-    /// ```
-    ///
-    /// A foreground submit compiles before returning (the ticket is
-    /// already resolved); a background submit returns immediately and
-    /// compiles on a worker. [`CompileService::compile`],
-    /// [`CompileService::compile_budgeted`] and
-    /// [`CompileService::spawn_compile`] are thin wrappers over this
-    /// builder.
-    pub fn request<'a>(
-        &'a self,
-        prepared: &'a PreparedQuery,
-        backend: &'a Arc<dyn Backend>,
-    ) -> CompileRequest<'a> {
-        CompileRequest {
-            service: self,
-            prepared,
-            backend,
-            budget: None,
-            background: false,
-            trace: None,
-        }
-    }
-
     /// Compiles every pipeline of `prepared` with `backend` under the
     /// service's default [`CompileBudget`]; see
     /// [`CompileService::compile_budgeted`].
@@ -712,18 +630,14 @@ impl CompileService {
         backend: &Arc<dyn Backend>,
         trace: &TimeTrace,
     ) -> Result<CompiledQuery, EngineError> {
-        Ok(self
-            .request(prepared, backend)
-            .trace(trace)
-            .submit()
-            .wait()?)
+        self.compile_budgeted(prepared, backend, self.default_budget, trace)
     }
 
-    /// Compiles every pipeline of `prepared` with `backend`, fanning
-    /// cache misses out to the worker pool and reassembling the
-    /// executables in pipeline order. Per-phase timings from the
-    /// workers are merged into `trace` in pipeline order, so the merged
-    /// trace is deterministic regardless of completion order.
+    /// Compiles every pipeline of `prepared` with `backend`, the calling
+    /// thread and free pool workers sharing the cache misses, and
+    /// reassembles the executables in pipeline order. Per-phase timings
+    /// are merged into `trace` in pipeline order, so the merged trace is
+    /// deterministic regardless of who compiled what.
     ///
     /// Each module compile is one isolated job under `budget`: panics
     /// are caught, deadline overruns degrade into errors, transient
@@ -741,246 +655,128 @@ impl CompileService {
         budget: CompileBudget,
         trace: &TimeTrace,
     ) -> Result<CompiledQuery, EngineError> {
-        Ok(self
-            .request(prepared, backend)
-            .budget(budget)
-            .trace(trace)
-            .submit()
-            .wait()?)
-    }
-
-    /// The foreground path behind [`CompileRequest::submit`]: probes
-    /// the cache on the caller thread, fans misses out to the pool,
-    /// merges worker traces and reassembles in pipeline order.
-    fn compile_fanout(
-        &self,
-        prepared: &PreparedQuery,
-        backend: &Arc<dyn Backend>,
-        budget: CompileBudget,
-        trace: &TimeTrace,
-    ) -> Result<CompiledQuery, BackendError> {
-        let start = Instant::now();
-        let modules = &prepared.ir.modules;
-        let mut slots: Vec<Option<Slot>> = modules.iter().map(|_| None).collect();
-
-        // Probe the cache on the caller thread; misses go to workers.
-        let mut misses = Vec::new();
-        for (i, module) in modules.iter().enumerate() {
-            let key = CacheKey::new(module, backend.as_ref());
-            match self.cache.lookup(&key) {
-                Some(artifact) => slots[i] = Some(Slot::Cached(artifact)),
-                None => misses.push((i, key, Arc::clone(module))),
-            }
-        }
-
-        // Act on the replies in pipeline order whatever order they
-        // finished in: trace merging and cache insertion are
-        // deterministic, and the lowest-numbered failure wins.
-        let replies = self.compile_misses(misses, backend, budget, trace.is_enabled());
-        let mut first_err: Option<BackendError> = None;
-        for (i, key, out, report) in replies {
-            if let Some(r) = &report {
-                trace.merge(r);
-            }
-            match out {
-                Ok(WorkerOut::Artifact(artifact)) => {
-                    self.cache.insert(key, Arc::clone(&artifact));
-                    slots[i] = Some(Slot::Fresh(WorkerOut::Artifact(artifact)));
-                }
-                Ok(out) => slots[i] = Some(Slot::Fresh(out)),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e.in_backend(backend.name()));
-        }
-        assemble(slots, start, backend.name())
-    }
-
-    /// Compiles one request's cache misses and returns every reply,
-    /// sorted by pipeline index. The misses go behind one claim cursor;
-    /// up to one helper ticket per live worker (never more than the
-    /// misses this thread cannot take itself) is offered to the pool,
-    /// and this thread then claims and compiles beside whichever
-    /// helpers are free instead of parking until the pool gets round to
-    /// it. It blocks only for modules a helper claimed and has not
-    /// finished. Every claimed module replies exactly once even when
-    /// the back-end panics; a disconnect (worker died outside the job
-    /// guard) just leaves replies missing, which `assemble` reports.
-    fn compile_misses(
-        &self,
-        misses: Vec<(usize, CacheKey, Arc<Module>)>,
-        backend: &Arc<dyn Backend>,
-        budget: CompileBudget,
-        record: bool,
-    ) -> Vec<Reply> {
-        let n_misses = misses.len();
-        if n_misses == 0 {
-            return Vec::new();
-        }
-        let live = self.pool.live_workers();
-        if live == 0 {
-            // No live worker: every miss compiles on this thread.
-            self.faults
-                .inline_fallbacks
-                .fetch_add(n_misses as u64, Ordering::Relaxed);
-        }
-        let list = Arc::new(ClaimList {
-            misses,
-            next: AtomicUsize::new(0),
-            backend: Arc::clone(backend),
+        let (modules, pool) = (&prepared.ir.modules, Some(&self.pool));
+        let compiled = compile_query(
+            modules,
+            backend,
             budget,
-            record,
-            faults: Arc::clone(&self.faults),
-        });
-        let helpers = (n_misses - 1).min(live);
-        let helper_rx = (helpers > 0).then(|| {
-            let (tx, rx) = channel::unbounded();
-            for _ in 0..helpers {
-                let (list, tx) = (Arc::clone(&list), tx.clone());
-                // A ticket the pool hands back is dropped: this thread
-                // claims whatever no helper does.
-                let _ = self
-                    .pool
-                    .submit(Box::new(move || list.drain(|r| drop(tx.send(r)))));
-            }
-            rx
-        });
-
-        let mut replies = Vec::with_capacity(n_misses);
-        list.drain(|r| replies.push(r));
-        if let Some(rx) = helper_rx {
-            let claimed_by_helpers = n_misses - replies.len();
-            replies.extend(std::iter::from_fn(|| rx.recv().ok()).take(claimed_by_helpers));
-        }
-        replies.sort_by_key(|r| r.0);
-        replies
+            trace,
+            &self.cache,
+            &self.faults,
+            pool,
+        );
+        Ok(compiled?)
     }
 
-    /// Starts compiling every pipeline of `prepared` on a worker under
-    /// the service's default budget and returns immediately; the
+    /// Starts compiling every pipeline of `prepared` on a pool worker
+    /// under the service's default budget and returns immediately; the
     /// adaptive executor polls the returned handle at morsel boundaries
-    /// and swaps tiers when it completes. The background compilation
-    /// shares the service's code cache, and a panicking or over-budget
-    /// optimizing tier surfaces as an `Err` through the handle instead
-    /// of wedging the pool — the caller simply keeps executing its
-    /// current tier.
+    /// and swaps tiers when it completes. The job compiles the query's
+    /// misses one after another on that worker (tier-up runs beside a
+    /// live query; monopolizing the pool would starve foreground
+    /// compiles) through the shared code cache, and records no
+    /// per-phase trace. A panicking or over-budget optimizing tier
+    /// surfaces as an `Err` through the handle instead of wedging the
+    /// pool, and so does a pool with no live worker: the job is then
+    /// refused, never compiled on this thread. The caller simply keeps
+    /// executing its current tier.
     pub fn spawn_compile(
         &self,
         prepared: &PreparedQuery,
         backend: &Arc<dyn Backend>,
     ) -> PendingCompile {
-        self.request(prepared, backend).background().submit()
-    }
-
-    /// The background path behind [`CompileRequest::submit`]: one
-    /// worker compiles all modules sequentially (tier-up runs beside a
-    /// live query; monopolizing the pool would starve foreground
-    /// compiles), consulting and feeding the shared cache.
-    fn spawn_background(
-        &self,
-        prepared: &PreparedQuery,
-        backend: &Arc<dyn Backend>,
-        budget: CompileBudget,
-    ) -> PendingCompile {
         let modules = prepared.ir.modules.clone();
         let backend = Arc::clone(backend);
-        let cache = Arc::clone(&self.cache);
-        let faults = Arc::clone(&self.faults);
+        let (cache, faults) = (Arc::clone(&self.cache), Arc::clone(&self.faults));
+        let budget = self.default_budget;
         let (tx, rx) = channel::unbounded();
+        let reply = tx.clone();
         let job: Job = Box::new(move || {
-            let _ = tx.send(compile_all(&modules, &backend, &cache, budget, &faults));
+            let trace = TimeTrace::disabled();
+            let out = compile_query(&modules, &backend, budget, &trace, &cache, &faults, None);
+            let _ = reply.send(out);
         });
-        if let Err(job) = self.pool.submit(job) {
-            self.faults.inline_fallbacks.fetch_add(1, Ordering::Relaxed);
-            job();
+        if self.pool.submit(job).is_err() {
+            let _ = tx.send(Err(BackendError::transient("no live compile worker")));
         }
-        PendingCompile(Pending::Running(rx))
+        PendingCompile(rx)
     }
 }
 
-/// A builder-style compile request, created by
-/// [`CompileService::request`]: the one entry point unifying
-/// foreground/background compilation, budget overrides and trace
-/// capture. Submission always yields a [`PendingCompile`] ticket; for
-/// a foreground request the ticket is already resolved when `submit`
-/// returns, so `submit().wait()` does not block.
-pub struct CompileRequest<'a> {
-    service: &'a CompileService,
-    prepared: &'a PreparedQuery,
-    backend: &'a Arc<dyn Backend>,
-    budget: Option<CompileBudget>,
-    background: bool,
-    trace: Option<&'a TimeTrace>,
-}
-
-impl<'a> CompileRequest<'a> {
-    /// Overrides the service's default per-job [`CompileBudget`].
-    #[must_use]
-    pub fn budget(mut self, budget: CompileBudget) -> Self {
-        self.budget = Some(budget);
-        self
+/// The one routine that walks a query's modules, for every compile the
+/// service runs: probes the cache on this thread, compiles the misses
+/// behind one claim list — beside helper tickets offered to `pool`,
+/// when there is one — acts on the replies in pipeline order whatever
+/// order they finished in (trace merging and cache insertion are
+/// deterministic, and the lowest-numbered failure wins), and
+/// reassembles the executables.
+fn compile_query(
+    modules: &[Arc<Module>],
+    backend: &Arc<dyn Backend>,
+    budget: CompileBudget,
+    trace: &TimeTrace,
+    cache: &CodeCache,
+    faults: &Arc<Faults>,
+    pool: Option<&WorkerPool>,
+) -> Result<CompiledQuery, BackendError> {
+    let start = Instant::now();
+    let mut slots = Vec::with_capacity(modules.len());
+    let mut misses = Vec::new();
+    for (i, module) in modules.iter().enumerate() {
+        let key = CacheKey::new(module, backend.as_ref());
+        let hit = cache.lookup(&key);
+        if hit.is_none() {
+            misses.push((i, key, Arc::clone(module)));
+        }
+        slots.push(hit);
+    }
+    if misses.is_empty() {
+        return assemble(slots, start, backend.name());
     }
 
-    /// Compiles on a worker and returns immediately; the caller polls
-    /// or waits on the ticket. Background jobs compile the query's
-    /// modules sequentially on one worker and record no per-phase
-    /// trace ([`TimeTrace`] is deliberately thread-local).
-    #[must_use]
-    pub fn background(mut self) -> Self {
-        self.background = true;
-        self
-    }
-
-    /// Merges per-phase worker timings into `trace`. Honored by
-    /// foreground requests; background requests ignore it.
-    #[must_use]
-    pub fn trace(mut self, trace: &'a TimeTrace) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Submits the request. Every compile job runs under the request's
-    /// (or the service's default) budget inside the fault envelope:
-    /// panics caught, deadline overruns degraded to errors, transient
-    /// failures retried — see the module docs.
-    pub fn submit(self) -> PendingCompile {
-        let budget = self.budget.unwrap_or(self.service.default_budget);
-        if self.background {
-            self.service
-                .spawn_background(self.prepared, self.backend, budget)
-        } else {
-            let disabled;
-            let trace = match self.trace {
-                Some(t) => t,
-                None => {
-                    disabled = TimeTrace::disabled();
-                    &disabled
-                }
-            };
-            PendingCompile(Pending::Ready(Some(self.service.compile_fanout(
-                self.prepared,
-                self.backend,
-                budget,
-                trace,
-            ))))
+    let list = ClaimList {
+        misses,
+        next: AtomicUsize::new(0),
+        backend: Arc::clone(backend),
+        budget,
+        record: trace.is_enabled(),
+        faults: Arc::clone(faults),
+    };
+    let mut first_err: Option<BackendError> = None;
+    for (i, key, out, report) in list.compile(pool) {
+        if let Some(r) = &report {
+            trace.merge(r);
+        }
+        match out {
+            Ok(artifact) => {
+                cache.insert(key, Arc::clone(&artifact));
+                slots[i] = Some(artifact);
+            }
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
         }
     }
+    if let Some(e) = first_err {
+        return Err(e.in_backend(backend.name()));
+    }
+    assemble(slots, start, backend.name())
 }
 
-/// Compiles one module, preferring the cacheable artifact path.
-fn compile_one(
+/// Compiles one module to its artifact. A back-end that returns none
+/// is rejected with a permanent error naming it: every compile the
+/// engine keeps is relinkable.
+pub(crate) fn compile_one(
     backend: &dyn Backend,
     module: &Module,
     trace: &TimeTrace,
-) -> Result<WorkerOut, BackendError> {
+) -> Result<Arc<dyn CodeArtifact>, BackendError> {
     match backend.compile_artifact(module, trace)? {
-        Some(artifact) => Ok(WorkerOut::Artifact(Arc::from(artifact))),
-        None => backend.compile(module, trace).map(WorkerOut::Executable),
+        Some(artifact) => Ok(Arc::from(artifact)),
+        None => Err(
+            BackendError::new(format!("no code artifact for `{}`", module.name))
+                .in_backend(backend.name()),
+        ),
     }
 }
 
@@ -995,7 +791,7 @@ fn compile_one_budgeted(
     trace: &TimeTrace,
     budget: CompileBudget,
     faults: &Faults,
-) -> Result<WorkerOut, BackendError> {
+) -> Result<Arc<dyn CodeArtifact>, BackendError> {
     let start = Instant::now();
     let mut attempt = 0u32;
     loop {
@@ -1035,44 +831,12 @@ fn compile_one_budgeted(
     }
 }
 
-/// Sequentially compiles all modules of a query on the current (worker)
-/// thread, consulting and feeding the shared cache. Used by background
-/// tier-up; the same per-module fault envelope applies, so a panicking
-/// optimizing tier reports an error instead of killing the worker.
-fn compile_all(
-    modules: &[Arc<Module>],
-    backend: &Arc<dyn Backend>,
-    cache: &CodeCache,
-    budget: CompileBudget,
-    faults: &Faults,
-) -> Result<CompiledQuery, BackendError> {
-    let start = Instant::now();
-    let trace = TimeTrace::disabled();
-    let mut slots = Vec::with_capacity(modules.len());
-    for module in modules {
-        let key = CacheKey::new(module, backend.as_ref());
-        let slot = match cache.lookup(&key) {
-            Some(artifact) => Slot::Cached(artifact),
-            None => {
-                let out = compile_one_budgeted(backend.as_ref(), module, &trace, budget, faults)
-                    .map_err(|e| e.in_backend(backend.name()))?;
-                if let WorkerOut::Artifact(artifact) = &out {
-                    cache.insert(key, Arc::clone(artifact));
-                }
-                Slot::Fresh(out)
-            }
-        };
-        slots.push(Some(slot));
-    }
-    assemble(slots, start, backend.name())
-}
-
-/// Reassembles compiled slots in pipeline order into a
+/// Links every slot's artifact in pipeline order into a
 /// [`CompiledQuery`]; cached and disk artifacts pay only the
-/// link/unwind-registration step here. Shared by the foreground
-/// fan-out and the background sequential path.
-fn assemble(
-    slots: Vec<Option<Slot>>,
+/// link/unwind-registration step here. An empty slot is a module whose
+/// reply never came (its worker died outside the job guard).
+pub(crate) fn assemble(
+    slots: Vec<Option<Arc<dyn CodeArtifact>>>,
     start: Instant,
     backend_name: &'static str,
 ) -> Result<CompiledQuery, BackendError> {
@@ -1080,20 +844,12 @@ fn assemble(
     let mut artifacts = Vec::with_capacity(slots.len());
     let mut stats = CompileStats::default();
     for slot in slots {
-        let (exe, artifact) = match slot {
-            Some(Slot::Cached(artifact)) | Some(Slot::Fresh(WorkerOut::Artifact(artifact))) => {
-                (artifact.instantiate()?, Some(artifact))
-            }
-            Some(Slot::Fresh(WorkerOut::Executable(exe))) => (exe, None),
-            None => {
-                return Err(BackendError::transient(
-                    "compile worker died before replying",
-                ));
-            }
-        };
+        let artifact =
+            slot.ok_or_else(|| BackendError::transient("compile worker died before replying"))?;
+        let exe = artifact.instantiate()?;
         stats.merge(exe.compile_stats());
         executables.push(exe);
-        artifacts.push(artifact);
+        artifacts.push(Some(artifact));
     }
     Ok(CompiledQuery {
         executables,
@@ -1107,6 +863,25 @@ fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qc_backend::Executable;
+
+    /// A service whose pool has no worker and can spawn none.
+    fn dead_pool_service() -> CompileService {
+        let faults = Arc::new(Faults::default());
+        let (_, job_rx) = channel::unbounded::<Job>();
+        CompileService {
+            pool: WorkerPool {
+                job_tx: None,
+                job_rx,
+                handles: Mutex::new(Vec::new()),
+                spawn_counter: AtomicU64::new(0),
+                faults: Arc::clone(&faults),
+            },
+            cache: Arc::new(CodeCache::new(16, None)),
+            faults,
+            default_budget: CompileBudget::default(),
+        }
+    }
 
     /// A job that panics past the per-job guard kills its worker; the
     /// pool must notice and replace the thread on the next submit.
@@ -1162,20 +937,7 @@ mod tests {
             .filter_map(|q| engine.prepare(&q.plan, &q.name).ok())
             .find(|p| p.ir.modules.len() >= 2)
             .expect("a multi-pipeline query");
-        let faults = Arc::new(Faults::default());
-        let (_, job_rx) = channel::unbounded::<Job>();
-        let service = CompileService {
-            pool: WorkerPool {
-                job_tx: None,
-                job_rx,
-                handles: Mutex::new(Vec::new()),
-                spawn_counter: AtomicU64::new(0),
-                faults: Arc::clone(&faults),
-            },
-            cache: Arc::new(CodeCache::new(16, None)),
-            faults,
-            default_budget: CompileBudget::default(),
-        };
+        let service = dead_pool_service();
         let backend: Arc<dyn Backend> = Arc::from(crate::backends::direct_emit());
         let misses = prepared.ir.modules.len();
         let compiled = service
@@ -1189,6 +951,30 @@ mod tests {
             .compile(&prepared, &backend, &TimeTrace::disabled())
             .expect("warm compile");
         assert_eq!(service.fault_stats().inline_fallbacks, misses as u64);
+    }
+
+    /// A background job the pool cannot run is refused, not compiled on
+    /// the calling thread (which may hold the scheduler's lock): its
+    /// ticket is resolved at once to a transient error, and the cache
+    /// never sees a probe.
+    #[test]
+    fn dead_pool_refuses_background_jobs() {
+        let db = qc_storage::gen_hlike(0.01);
+        let engine = crate::Engine::new(&db);
+        let query = &qc_workloads::hlike_suite()[0];
+        let prepared = engine.prepare(&query.plan, &query.name).expect("prepare");
+        let service = dead_pool_service();
+        let backend: Arc<dyn Backend> = Arc::from(crate::backends::direct_emit());
+        let mut pending = service.spawn_compile(&prepared, &backend);
+        let err = pending
+            .try_take()
+            .expect("a refused job is resolved at once")
+            .map(|_| ())
+            .expect_err("a refused job compiles nothing");
+        assert_eq!(err.kind, qc_backend::BackendErrorKind::Transient);
+        assert!(err.message.contains("no live compile worker"), "{err}");
+        assert_eq!(service.cache_stats(), CacheCounters::default());
+        assert_eq!(service.fault_stats(), FaultCounters::default());
     }
 
     #[test]
@@ -1206,6 +992,13 @@ mod tests {
                 _m: &Module,
                 _t: &TimeTrace,
             ) -> Result<Box<dyn Executable>, BackendError> {
+                unreachable!("the service compiles artifacts")
+            }
+            fn compile_artifact(
+                &self,
+                _m: &Module,
+                _t: &TimeTrace,
+            ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
                 std::thread::sleep(Duration::from_millis(20));
                 Err(BackendError::new("sleeper compiles nothing"))
             }
@@ -1242,6 +1035,13 @@ mod tests {
                 _m: &Module,
                 _t: &TimeTrace,
             ) -> Result<Box<dyn Executable>, BackendError> {
+                unreachable!("the service compiles artifacts")
+            }
+            fn compile_artifact(
+                &self,
+                _m: &Module,
+                _t: &TimeTrace,
+            ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
                 let n = self.calls.fetch_add(1, Ordering::Relaxed);
                 if n < 2 {
                     Err(BackendError::transient("flaky"))

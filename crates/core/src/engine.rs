@@ -1,5 +1,6 @@
 //! Query preparation, compilation, and morsel-wise execution.
 
+use crate::compile_service::{assemble, compile_one};
 use crate::morsel_exec::ExecTally;
 use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, Executable};
 use qc_codegen::{generate, GeneratedQuery};
@@ -277,8 +278,8 @@ impl PreparedQuery {
 pub struct CompiledQuery {
     /// Executables in pipeline order.
     pub executables: Vec<Box<dyn Executable>>,
-    /// Reusable code artifacts in pipeline order, when the back-end
-    /// produces them (`None` for executable-only back-ends). The
+    /// Reusable code artifacts in pipeline order (`None` only after a
+    /// traced `QueryRun::direct` compile, which links in one shot). The
     /// morsel-parallel executor instantiates one executable per worker
     /// from these, so every worker runs the same machine code.
     pub artifacts: Vec<Option<Arc<dyn CodeArtifact>>>,
@@ -392,9 +393,9 @@ impl<'db> Engine<'db> {
         self.config.morsel_size
     }
 
-    /// Plans a query and generates its IR. Reached through
-    /// [`crate::Session::statement`] (cached) and the scheduler's
-    /// admission.
+    /// Plans a query and generates its IR. Reached through a session's
+    /// statement cache ([`crate::Session::statement`] and the
+    /// scheduler's admission).
     ///
     /// # Errors
     /// Returns [`EngineError::Plan`] for schema/type errors.
@@ -430,36 +431,32 @@ impl<'db> Engine<'db> {
         trace: &TimeTrace,
     ) -> Result<CompiledQuery, EngineError> {
         let start = Instant::now();
-        let mut executables = Vec::with_capacity(prepared.ir.modules.len());
-        let mut artifacts = Vec::with_capacity(prepared.ir.modules.len());
-        let mut stats = CompileStats::default();
-        for module in &prepared.ir.modules {
-            // Prefer the artifact path: it yields a handle the
-            // morsel-parallel executor can instantiate per worker.
-            // Timed compiles take the one-shot path instead, because
-            // artifact instantiation defers the final link outside the
-            // trace and would drop that phase from the breakdowns.
-            let artifact = if trace.is_enabled() {
-                None
-            } else {
-                backend.compile_artifact(module, trace)?
-            };
-            let (exe, artifact) = match artifact {
-                Some(artifact) => {
-                    let artifact: Arc<dyn CodeArtifact> = Arc::from(artifact);
-                    (artifact.instantiate()?, Some(artifact))
-                }
-                None => (backend.compile(module, trace)?, None),
-            };
-            stats.merge(exe.compile_stats());
-            executables.push(exe);
-            artifacts.push(artifact);
+        let modules = &prepared.ir.modules;
+        if !trace.is_enabled() {
+            // Artifacts: handles the morsel-parallel executor can
+            // instantiate once per worker.
+            let artifacts = modules
+                .iter()
+                .map(|m| compile_one(backend, m, trace).map(Some))
+                .collect::<Result<_, _>>()?;
+            return Ok(assemble(artifacts, start, backend.name())?);
+        }
+        // Timed compiles take the one-shot path and keep no artifacts:
+        // artifact instantiation defers the final link outside the
+        // trace and would drop that phase from the breakdowns.
+        let executables = modules
+            .iter()
+            .map(|m| backend.compile(m, trace))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut compile_stats = CompileStats::default();
+        for exe in &executables {
+            compile_stats.merge(exe.compile_stats());
         }
         Ok(CompiledQuery {
+            artifacts: vec![None; executables.len()],
             executables,
-            artifacts,
             compile_time: start.elapsed(),
-            compile_stats: stats,
+            compile_stats,
             backend_name: backend.name(),
         })
     }

@@ -32,6 +32,7 @@ mod artifact_store;
 mod compile_service;
 mod engine;
 mod fallback;
+mod lru;
 // The serving path proper additionally bans non-test `.expect()`: these
 // two modules sit inside the execution fault envelope, where a stray
 // expect would turn a contained per-query fault into a process abort.
@@ -45,8 +46,8 @@ mod supervise;
 pub use adaptive::{AdaptiveExecution, AdaptiveOutcome, BackgroundReport};
 pub use artifact_store::{ArtifactKey, ArtifactStore, ArtifactStoreConfig, ArtifactStoreCounters};
 pub use compile_service::{
-    CacheCounters, CompileBudget, CompileRequest, CompileService, CompileServiceConfig,
-    FaultCounters, PendingCompile,
+    CacheCounters, CompileBudget, CompileService, CompileServiceConfig, FaultCounters,
+    PendingCompile,
 };
 pub use engine::{
     CancelToken, CompiledQuery, Engine, EngineConfig, EngineError, ExecutionResult, MorselEvent,

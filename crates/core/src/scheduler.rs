@@ -1,9 +1,10 @@
 //! Multi-query serving scheduler.
 //!
-//! [`QueryScheduler::serve`] drives many concurrent query sessions over
-//! one shared [`Engine`] + [`CompileService`] (and therefore one shared
-//! code cache — repeated query shapes compile once and hit the cache
-//! afterwards). The scheduler provides the *inter*-query parallelism
+//! [`QueryScheduler::serve_session`] drives many concurrent query
+//! sessions over one [`Session`]: its engine, statement cache and
+//! [`CompileService`] (and therefore one shared code cache — repeated
+//! query shapes plan and compile once and hit the caches afterwards).
+//! The scheduler provides the *inter*-query parallelism
 //! axis of the serving story; [`crate::MorselExecutor`] provides the
 //! *intra*-query axis. A serving deployment picks one per tier of the
 //! workload: many small queries → scheduler, one huge query → morsel
@@ -48,12 +49,10 @@
 //!   chain until the cooldown passes.
 
 use crate::compile_service::{CompileService, PendingCompile};
-use crate::engine::{
-    CompiledQuery, Engine, EngineError, ExecutionResult, PreparedQuery, QueryBudget,
-};
+use crate::engine::{CompiledQuery, EngineError, ExecutionResult, PreparedQuery, QueryBudget};
 use crate::fallback::FallbackChain;
 use crate::morsel_exec::{MorselExecConfig, QueryExecution, StepProgress};
-use crate::session::{Session, StatementCache};
+use crate::session::Session;
 use crate::supervise::{lock_recover, supervise};
 use qc_backend::Backend;
 use qc_plan::PlanNode;
@@ -282,7 +281,7 @@ pub struct QueryOutcome {
     pub error: Option<String>,
 }
 
-/// Aggregate result of one [`QueryScheduler::serve`] call.
+/// Aggregate result of one [`QueryScheduler::serve_session`] call.
 pub struct ServeReport {
     /// Per-session outcomes in submission order.
     pub outcomes: Vec<QueryOutcome>,
@@ -365,8 +364,8 @@ impl ServeReport {
 }
 
 /// One admitted query session. The prepared query is shared (`Arc`)
-/// because admission may have answered it from a session's
-/// prepared-statement cache.
+/// with the session's prepared-statement cache that admission answered
+/// it from.
 struct Active {
     ticket: Ticket,
     prepared: Arc<PreparedQuery>,
@@ -462,44 +461,16 @@ impl QueryScheduler {
         Ok(QueryScheduler { config })
     }
 
-    /// Serves `requests` to completion and reports per-session
-    /// outcomes plus aggregate throughput/utilization.
-    pub fn serve(
-        &self,
-        engine: &Engine<'_>,
-        service: &CompileService,
-        backend: &Arc<dyn Backend>,
-        requests: Vec<SessionRequest>,
-    ) -> ServeReport {
-        self.serve_inner(engine, service, backend, None, requests)
-    }
-
-    /// Serves `requests` on top of a [`Session`]: admission consults
-    /// the session's prepared-statement cache (repeated plan shapes
-    /// skip planning and IR generation, not just back-end compilation)
-    /// and its compile service with any attached persistent artifact
-    /// store.
+    /// Serves `requests` on top of a [`Session`] to completion and
+    /// reports per-session outcomes plus aggregate
+    /// throughput/utilization. Admission consults the session's
+    /// prepared-statement cache (repeated plan shapes skip planning and
+    /// IR generation, not just back-end compilation) and its compile
+    /// service with any attached persistent artifact store.
     pub fn serve_session(
         &self,
         session: &Session<'_>,
         backend: &Arc<dyn Backend>,
-        requests: Vec<SessionRequest>,
-    ) -> ServeReport {
-        self.serve_inner(
-            session.engine(),
-            session.compile_service(),
-            backend,
-            Some(session.statements().as_ref()),
-            requests,
-        )
-    }
-
-    fn serve_inner(
-        &self,
-        engine: &Engine<'_>,
-        service: &CompileService,
-        backend: &Arc<dyn Backend>,
-        statements: Option<&StatementCache>,
         requests: Vec<SessionRequest>,
     ) -> ServeReport {
         let total = requests.len();
@@ -540,11 +511,7 @@ impl QueryScheduler {
                 .map(|_| {
                     let shared = &shared;
                     let config = &self.config;
-                    s.spawn(move || {
-                        serve_worker(
-                            engine, service, backend, statements, config, shared, total, start,
-                        )
-                    })
+                    s.spawn(move || serve_worker(session, backend, config, shared, total, start))
                 })
                 .collect();
             handles
@@ -641,17 +608,15 @@ fn runaway_check(config: &SchedulerConfig, g: &SchedState, a: &Active) -> Runawa
 /// One serving worker: admits pending sessions while admission slots
 /// are free, otherwise runs ready sessions one credit slice at a time.
 /// Returns this worker's busy time.
-#[allow(clippy::too_many_arguments)]
 fn serve_worker(
-    engine: &Engine<'_>,
-    service: &CompileService,
+    session: &Session<'_>,
     backend: &Arc<dyn Backend>,
-    statements: Option<&StatementCache>,
     config: &SchedulerConfig,
     shared: &Shared,
     total: usize,
     start: Instant,
 ) -> Duration {
+    let (engine, service) = (session.engine(), session.compile_service());
     let mut busy = Duration::ZERO;
     loop {
         let mut g = lock_recover(&shared.state);
@@ -681,18 +646,8 @@ fn serve_worker(
             let ticket = Ticket::new(index, name, start.elapsed());
             // Admission fault containment: a panicking planner/compiler
             // fails this session, not the serve loop.
-            let admitted = supervise(|| {
-                admit(
-                    engine,
-                    service,
-                    &routed,
-                    statements,
-                    config,
-                    req,
-                    ticket.clone(),
-                )
-            })
-            .unwrap_or_else(|panic| Err(EngineError::WorkerPanic(panic)));
+            let admitted = supervise(|| admit(session, &routed, config, req, ticket.clone()))
+                .unwrap_or_else(|panic| Err(EngineError::WorkerPanic(panic)));
             busy += t0.elapsed();
             let mut g = lock_recover(&shared.state);
             match admitted {
@@ -798,27 +753,27 @@ fn serve_worker(
     }
 }
 
-/// Prepares and compiles one session through the shared service (and
-/// therefore the shared code cache). With a statement cache, repeated
-/// plan shapes skip planning and IR generation too — the prepared
-/// query is then shared under the cache's canonical module name, which
-/// is free because the code cache keys on structural hashes that
-/// exclude names.
-#[allow(clippy::too_many_arguments)]
+/// Prepares and compiles one session through the session's statement
+/// cache and shared compile service (and therefore the shared code
+/// cache): repeated plan shapes skip planning and IR generation too.
+/// The prepared query is shared under the statement cache's canonical
+/// module name, which is free because the code cache keys on
+/// structural hashes that exclude names.
 fn admit(
-    engine: &Engine<'_>,
-    service: &CompileService,
+    session: &Session<'_>,
     backend: &Arc<dyn Backend>,
-    statements: Option<&StatementCache>,
     config: &SchedulerConfig,
     req: SessionRequest,
     ticket: Ticket,
 ) -> Result<Active, EngineError> {
-    let prepared = match statements {
-        Some(cache) => cache.get_or_prepare(engine, &req.plan)?.prepared,
-        None => Arc::new(engine.prepare(&req.plan, &ticket.name)?),
-    };
-    let compiled = service.compile(&prepared, backend, &TimeTrace::disabled())?;
+    let engine = session.engine();
+    let prepared = session
+        .statements()
+        .get_or_prepare(engine, &req.plan)?
+        .prepared;
+    let compiled = session
+        .compile_service()
+        .compile(&prepared, backend, &TimeTrace::disabled())?;
     let budget = req
         .budget
         .or_else(|| config.query_budget.clone())
@@ -843,6 +798,8 @@ fn admit(
 /// remaining morsels (the queries with the most execution left to
 /// amortize the expensive compile). Queries the runaway governor
 /// downgraded are excluded — tiering them back up would fight it.
+/// Runs under the state lock, which is fine because `spawn_compile`
+/// only queues a job: it never compiles on this thread.
 fn tier_up_governor(service: &CompileService, config: &SchedulerConfig, g: &mut SchedState) {
     let Some(opt_backend) = config.tier_up_backend.as_ref() else {
         return;

@@ -34,14 +34,13 @@ use crate::engine::{
     CompiledQuery, Engine, EngineConfig, EngineError, ExecutionResult, MorselEvent, PreparedQuery,
     QueryBudget,
 };
+use crate::lru::Lru;
 use crate::morsel_exec::{MorselExecConfig, MorselExecutor, MorselSchedule};
 use crate::ArtifactStore;
-use parking_lot::Mutex;
 use qc_backend::Backend;
 use qc_plan::PlanNode;
 use qc_storage::Database;
 use qc_timing::TimeTrace;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Module name used for all session-prepared statements. The code
@@ -57,7 +56,8 @@ const STATEMENT_NAME: &str = "q";
 pub struct StatementCacheStats {
     /// Lookups answered from the cache (planning + codegen skipped).
     pub hits: u64,
-    /// Lookups that had to plan and generate IR.
+    /// Lookups that had to plan and generate IR (counted at the lookup,
+    /// so a plan that fails to prepare counts too).
     pub misses: u64,
     /// Statements displaced to respect the capacity bound.
     pub evictions: u64,
@@ -65,39 +65,14 @@ pub struct StatementCacheStats {
     pub entries: usize,
 }
 
-struct StmtEntry {
-    prepared: Arc<PreparedQuery>,
-    last_used: u64,
-}
-
-struct StatementCacheInner {
-    map: HashMap<String, StmtEntry>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
 /// Bounded LRU of prepared statements keyed by canonical plan text.
 /// Shared (behind `Arc`) between a session, its reopened descendants,
 /// and any scheduler serving on top of it.
-pub(crate) struct StatementCache {
-    inner: Mutex<StatementCacheInner>,
-    capacity: usize,
-}
+pub(crate) struct StatementCache(Lru<String, Arc<PreparedQuery>>);
 
 impl StatementCache {
     pub(crate) fn new(capacity: usize) -> Self {
-        StatementCache {
-            inner: Mutex::new(StatementCacheInner {
-                map: HashMap::new(),
-                tick: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
-            capacity,
-        }
+        StatementCache(Lru::new(capacity))
     }
 
     /// Returns the cached statement for `plan`, preparing and caching
@@ -109,57 +84,27 @@ impl StatementCache {
         plan: &PlanNode,
     ) -> Result<PreparedStatement, EngineError> {
         let text = plan.canonical_text();
-        if self.capacity > 0 {
-            let mut inner = self.inner.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.map.get_mut(&text) {
-                entry.last_used = tick;
-                let prepared = Arc::clone(&entry.prepared);
-                inner.hits += 1;
-                return Ok(PreparedStatement { text, prepared });
+        let prepared = match self.0.get(&text) {
+            Some(prepared) => prepared,
+            None => {
+                // Prepared outside the lock: planning + codegen can be
+                // slow, and a concurrent duplicate prepare is harmless
+                // (first insert wins).
+                let prepared = Arc::new(engine.prepare(plan, STATEMENT_NAME)?);
+                self.0.insert(text.clone(), Arc::clone(&prepared));
+                prepared
             }
-        }
-        // Prepare outside the lock: planning + codegen can be slow, and
-        // a concurrent duplicate prepare is harmless (first insert wins).
-        let prepared = Arc::new(engine.prepare(plan, STATEMENT_NAME)?);
-        let mut inner = self.inner.lock();
-        inner.misses += 1;
-        if self.capacity == 0 {
-            return Ok(PreparedStatement { text, prepared });
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        if !inner.map.contains_key(&text) {
-            if inner.map.len() >= self.capacity {
-                if let Some(victim) = inner
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone())
-                {
-                    inner.map.remove(&victim);
-                    inner.evictions += 1;
-                }
-            }
-            inner.map.insert(
-                text.clone(),
-                StmtEntry {
-                    prepared: Arc::clone(&prepared),
-                    last_used: tick,
-                },
-            );
-        }
+        };
         Ok(PreparedStatement { text, prepared })
     }
 
     pub(crate) fn stats(&self) -> StatementCacheStats {
-        let inner = self.inner.lock();
+        let s = self.0.stats();
         StatementCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            entries: inner.map.len(),
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            entries: s.entries,
         }
     }
 }
@@ -394,7 +339,10 @@ impl<'s, 'db> QueryRun<'s, 'db> {
         self
     }
 
-    /// Collects the per-phase compile-time breakdown into `trace`.
+    /// Collects the per-phase compile-time breakdown into `trace`. A
+    /// traced [`QueryRun::direct`] compile links in one shot, so the
+    /// link phase stays inside the trace, and keeps no code artifacts:
+    /// [`QueryRun::workers`] then runs it serially.
     #[must_use]
     pub fn trace(mut self, trace: &'s TimeTrace) -> Self {
         self.trace = Some(trace);
@@ -457,31 +405,14 @@ impl<'s, 'db> QueryRun<'s, 'db> {
             .backend
             .clone()
             .unwrap_or_else(|| Arc::clone(&self.session.default_backend));
-        if self.direct {
-            let disabled;
-            let trace = match self.trace {
-                Some(t) => t,
-                None => {
-                    disabled = TimeTrace::disabled();
-                    &disabled
-                }
-            };
-            return self
-                .session
-                .engine
-                .compile(self.statement.query(), backend.as_ref(), trace);
+        let disabled = TimeTrace::disabled();
+        let trace = self.trace.unwrap_or(&disabled);
+        let (query, service) = (self.statement.query(), &self.session.service);
+        match (self.direct, self.budget) {
+            (true, _) => self.session.engine.compile(query, backend.as_ref(), trace),
+            (false, Some(budget)) => service.compile_budgeted(query, &backend, budget, trace),
+            (false, None) => service.compile(query, &backend, trace),
         }
-        let mut request = self
-            .session
-            .service
-            .request(self.statement.query(), &backend);
-        if let Some(trace) = self.trace {
-            request = request.trace(trace);
-        }
-        if let Some(budget) = self.budget {
-            request = request.budget(budget);
-        }
-        Ok(request.submit().wait()?)
     }
 
     /// Compiles and executes the statement.

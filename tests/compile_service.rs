@@ -4,11 +4,11 @@
 //! morsel boundary without blocking the first morsel.
 
 use qc_backend::chaos::{ChaosBackend, ChaosFault};
-use qc_backend::Backend;
 use qc_backend::BackendErrorKind;
+use qc_backend::{Backend, BackendError, Executable};
 use qc_engine::{
     backends, AdaptiveExecution, AdaptiveOutcome, CompileService, CompileServiceConfig,
-    EngineConfig, PreparedStatement, Session, SessionConfig,
+    CompiledQuery, EngineConfig, EngineError, PreparedStatement, Session, SessionConfig,
 };
 use qc_ir::Module;
 use qc_plan::reference;
@@ -403,22 +403,25 @@ fn tier_up_merges_compile_stats_across_tiers() {
     let stmt = multi_pipeline_query(&session);
     let prepared = stmt.query();
     let cheap: Arc<dyn Backend> = Arc::from(backends::interpreter());
-    let optimized = backends::clift(Isa::Tx64);
+    let optimized: Arc<dyn Backend> = Arc::from(backends::clift(Isa::Tx64));
     // Force the tier-up path with a policy whose threshold is trivially
     // exceeded.
     let policy = AdaptiveExecution {
         expected_executions: u64::MAX / 2,
         benefit_threshold: 1,
     };
-    let (result, outcome) = policy
-        .run(
+    let service = CompileService::default();
+    let (result, report) = policy
+        .run_background(
             session.engine(),
+            &service,
             prepared,
-            cheap.as_ref(),
-            optimized.as_ref(),
+            &cheap,
+            &optimized,
+            Some(1),
         )
         .expect("adaptive run");
-    assert_eq!(outcome, AdaptiveOutcome::TieredUp);
+    assert_eq!(report.outcome, AdaptiveOutcome::TieredUp);
     let mut cheap_only = direct_compile(&session, &stmt, &cheap);
     let cheap_result = execute(&session, &stmt, &mut cheap_only);
     // Both tiers contribute: the merged stats must strictly exceed the
@@ -429,4 +432,100 @@ fn tier_up_merges_compile_stats_across_tiers() {
         result.compile_stats.functions,
         cheap_result.compile_stats.functions
     );
+}
+
+/// A back-end that links executables but returns no code artifact.
+struct ExecutablesOnly(Arc<dyn Backend>);
+
+impl Backend for ExecutablesOnly {
+    fn name(&self) -> &'static str {
+        "ExecutablesOnly"
+    }
+
+    fn isa(&self) -> Isa {
+        self.0.isa()
+    }
+
+    fn compile(
+        &self,
+        module: &Module,
+        trace: &TimeTrace,
+    ) -> Result<Box<dyn Executable>, BackendError> {
+        self.0.compile(module, trace)
+    }
+}
+
+#[test]
+fn a_back_end_without_artifacts_is_rejected_naming_the_tier() {
+    let db = qc_storage::gen_hlike(0.02);
+    let session = Session::new(&db);
+    let stmt = multi_pipeline_query(&session);
+    let backend: Arc<dyn Backend> = Arc::new(ExecutablesOnly(Arc::from(backends::direct_emit())));
+    let run = || session.run(stmt.clone()).backend(Arc::clone(&backend));
+
+    let outcomes = [
+        ("service", run().compile()),
+        ("untraced direct", run().direct().compile()),
+    ];
+    for (path, outcome) in outcomes {
+        match outcome {
+            Err(EngineError::Backend(e)) => {
+                assert_eq!(e.kind, BackendErrorKind::Permanent, "{path}: {e}");
+                assert!(e.message.contains("ExecutablesOnly"), "{path}: {e}");
+            }
+            other => panic!("{path}: expected a permanent back-end error, got {other:?}"),
+        }
+    }
+
+    // A traced direct compile links in one shot and never asks for an
+    // artifact.
+    let trace = TimeTrace::new();
+    let compiled = run()
+        .direct()
+        .trace(&trace)
+        .compile()
+        .expect("traced one-shot compile");
+    assert!(compiled.artifacts.iter().all(Option::is_none));
+}
+
+#[test]
+fn background_and_foreground_compiles_produce_the_same_artifacts() {
+    let db = qc_storage::gen_hlike(0.02);
+    let session = Session::new(&db);
+    let stmt = multi_pipeline_query(&session);
+    let prepared = stmt.query();
+    let n = prepared.ir.modules.len() as u64;
+    let trace = TimeTrace::disabled();
+    let content = |compiled: &CompiledQuery| -> Vec<Vec<u8>> {
+        compiled
+            .artifacts
+            .iter()
+            .map(|a| a.as_ref().expect("artifact").content_bytes())
+            .collect()
+    };
+    for backend in backends::all_for(Isa::Tx64) {
+        let backend: Arc<dyn Backend> = Arc::from(backend);
+        let name = backend.name();
+        let fresh = CompileService::default()
+            .compile(prepared, &backend, &trace)
+            .expect("foreground compile on a fresh service");
+
+        let service = CompileService::default();
+        let background = service
+            .spawn_compile(prepared, &backend)
+            .wait()
+            .expect("background compile");
+        let before = service.cache_stats();
+        let foreground = service
+            .compile(prepared, &backend, &trace)
+            .expect("foreground compile");
+        let after = service.cache_stats();
+        assert_eq!(
+            (after.hits - before.hits, after.misses - before.misses),
+            (n, 0),
+            "{name}: the foreground compile after a background one must be all L1 hits"
+        );
+        assert_eq!(content(&background), content(&fresh), "{name}: background");
+        assert_eq!(content(&foreground), content(&fresh), "{name}: foreground");
+    }
 }

@@ -6,8 +6,8 @@
 //! see the `morsel_exec` module docs for the full cycle story.)
 
 use qc_engine::{
-    backends, CompileService, EngineConfig, MorselExecConfig, MorselExecutor, MorselSchedule,
-    QueryScheduler, SchedulerConfig, Session, SessionConfig, SessionRequest,
+    backends, EngineConfig, MorselExecConfig, MorselExecutor, MorselSchedule, QueryScheduler,
+    SchedulerConfig, Session, SessionConfig, SessionRequest,
 };
 use qc_target::Isa;
 use qc_timing::TimeTrace;
@@ -208,7 +208,6 @@ fn scheduler_rows_match_serial_for_every_session() {
             SessionRequest::new(q.name.clone(), q.plan.clone())
         })
         .collect();
-    let service = CompileService::default();
     let scheduler = QueryScheduler::try_new(SchedulerConfig {
         workers: 3,
         admission_limit: 4,
@@ -218,7 +217,7 @@ fn scheduler_rows_match_serial_for_every_session() {
         ..Default::default()
     })
     .expect("valid scheduler config");
-    let report = scheduler.serve(session.engine(), &service, &backend, requests);
+    let report = scheduler.serve_session(&session, &backend, requests);
 
     assert_eq!(report.outcomes.len(), 18);
     assert_eq!(report.failures(), 0, "no session may fail");
@@ -239,7 +238,7 @@ fn scheduler_rows_match_serial_for_every_session() {
     assert!(report.utilization() <= 1.0);
     // Shared cache: 6 shapes, 18 sessions — at least the repeats hit.
     assert!(
-        service.cache_stats().hits > 0,
+        session.compile_service().cache_stats().hits > 0,
         "repeated shapes must hit the shared code cache"
     );
 }
