@@ -108,8 +108,9 @@ pub struct Chaos<F> {
     plan: Arc<FaultPlan<F>>,
 }
 
-/// The compile-phase injector: every compile call — fresh or retried,
-/// `compile` or `compile_artifact` — consults the fault plan first.
+/// The compile-phase injector: every compile call — fresh or retried —
+/// consults the fault plan once, in `compile_artifact`, which
+/// `Backend::compile` goes through too.
 pub type ChaosBackend = Chaos<ChaosFault>;
 
 /// The execution-phase injector: compilation is delegated untouched,
@@ -219,6 +220,10 @@ impl Backend for ChaosBackend {
         self.inner.isa()
     }
 
+    fn link_phase(&self) -> &'static str {
+        self.inner.link_phase()
+    }
+
     fn config_fingerprint(&self) -> u64 {
         let fault = match self.plan.fault {
             ChaosFault::TransientError => 1,
@@ -228,15 +233,6 @@ impl Backend for ChaosBackend {
         };
         // Never alias the clean back-end's cache entries.
         self.fingerprint(fault, 0x4348_414f_5321)
-    }
-
-    fn compile(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError> {
-        self.maybe_inject()?;
-        self.inner.compile(module, trace)
     }
 
     fn compile_artifact(
@@ -280,6 +276,10 @@ impl Backend for ChaosExecBackend {
         self.inner.isa()
     }
 
+    fn link_phase(&self) -> &'static str {
+        self.inner.link_phase()
+    }
+
     fn config_fingerprint(&self) -> u64 {
         let fault = match self.plan.fault {
             ExecFault::Panic => 5,
@@ -290,15 +290,6 @@ impl Backend for ChaosExecBackend {
         // Never alias the clean back-end's cache entries ("EXEC" salt,
         // distinct from the compile-phase wrapper's salt).
         self.fingerprint(fault, 0x4558_4543_2121)
-    }
-
-    fn compile(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError> {
-        let inner = self.inner.compile(module, trace)?;
-        Ok(ChaosExecutable::wrap(inner, &self.plan))
     }
 
     fn compile_artifact(
@@ -397,8 +388,8 @@ mod tests {
     use super::*;
     use crate::BackendErrorKind;
 
-    /// Minimal backend that always "succeeds" with no artifact support
-    /// and an unusable executable; enough to observe injection logic.
+    /// Minimal backend with no artifact support (`compile_artifact`
+    /// returns `Ok(None)`); enough to observe injection logic.
     struct NullBackend;
     impl Backend for NullBackend {
         fn name(&self) -> &'static str {
@@ -406,13 +397,6 @@ mod tests {
         }
         fn isa(&self) -> Isa {
             Isa::Tx64
-        }
-        fn compile(
-            &self,
-            _module: &Module,
-            _trace: &TimeTrace,
-        ) -> Result<Box<dyn Executable>, BackendError> {
-            Err(BackendError::new("null backend compiles nothing"))
         }
     }
 
@@ -501,6 +485,27 @@ mod tests {
         }
     }
 
+    /// Artifact whose every instantiation is a fresh [`EchoExecutable`].
+    struct EchoArtifact {
+        stats: CompileStats,
+    }
+    impl CodeArtifact for EchoArtifact {
+        fn instantiate(&self) -> Result<Box<dyn Executable>, BackendError> {
+            Ok(Box::new(EchoExecutable {
+                stats: self.stats.clone(),
+            }))
+        }
+        fn compile_stats(&self) -> &CompileStats {
+            &self.stats
+        }
+        fn size_bytes(&self) -> usize {
+            0
+        }
+        fn content_bytes(&self) -> Vec<u8> {
+            Vec::new()
+        }
+    }
+
     struct EchoBackend;
     impl Backend for EchoBackend {
         fn name(&self) -> &'static str {
@@ -509,14 +514,14 @@ mod tests {
         fn isa(&self) -> Isa {
             Isa::Tx64
         }
-        fn compile(
+        fn compile_artifact(
             &self,
             _module: &Module,
             _trace: &TimeTrace,
-        ) -> Result<Box<dyn Executable>, BackendError> {
-            Ok(Box::new(EchoExecutable {
+        ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
+            Ok(Some(Box::new(EchoArtifact {
                 stats: CompileStats::default(),
-            }))
+            })))
         }
     }
 

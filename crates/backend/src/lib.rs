@@ -2,10 +2,12 @@
 //!
 //! Every execution back-end — interpreter, DirectEmit, the Cranelift
 //! analog, the LLVM analog in its cheap/optimized modes, and the C
-//! back-end — implements [`Backend`]: compile one IR module, produce an
-//! [`Executable`]. The engine measures wall-clock compile time around
-//! `compile` (the paper's primary metric) and deterministic cycles through
-//! [`Executable::exec_stats`].
+//! back-end — implements [`Backend`] with one compile: an IR module in,
+//! an unlinked [`CodeArtifact`] out. Linking is always the artifact's
+//! [`CodeArtifact::instantiate`], timed under the back-end's
+//! [`Backend::link_phase`]. The engine measures wall-clock compile time
+//! around both (the paper's primary metric) and deterministic cycles
+//! through [`Executable::exec_stats`].
 
 pub mod chaos;
 pub mod memit;
@@ -221,27 +223,15 @@ pub trait Backend: Send + Sync {
         0
     }
 
-    /// Compiles one module. Phase timings go into `trace`.
+    /// The back-end's one compile: one module to a cacheable,
+    /// relinkable artifact, phase timings into `trace`. The engine keeps
+    /// every compile it runs as an artifact (cached, relinked per morsel
+    /// worker, persisted), so it rejects `None`, the default, with a
+    /// permanent error naming the back-end.
     ///
     /// # Errors
     /// Returns [`BackendError`] for unsupported inputs (e.g. DirectEmit on
     /// irreducible control flow or a non-TX64 target).
-    fn compile(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError>;
-
-    /// Compiles one module to a cacheable, relinkable artifact. The
-    /// engine keeps every compile it runs as an artifact (cached,
-    /// relinked per morsel worker, persisted), so it rejects `None`,
-    /// the default for back-ends that implement only
-    /// [`Backend::compile`], with a permanent error naming the
-    /// back-end; only a traced one-shot compile calls
-    /// [`Backend::compile`] instead.
-    ///
-    /// # Errors
-    /// Same failure modes as [`Backend::compile`].
     fn compile_artifact(
         &self,
         module: &Module,
@@ -249,6 +239,36 @@ pub trait Backend: Send + Sync {
     ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
         let _ = (module, trace);
         Ok(None)
+    }
+
+    /// The phase the link of an artifact is timed under (Clift's
+    /// `"finish"`, GCC/C's `"ld"`), whoever links it.
+    fn link_phase(&self) -> &'static str {
+        "link"
+    }
+
+    /// Compiles one module and links it: [`Backend::compile_artifact`]
+    /// then [`CodeArtifact::instantiate`] under
+    /// [`Backend::link_phase`], exactly as the engine does. A
+    /// convenience for callers that want one executable; back-ends do
+    /// not override it.
+    ///
+    /// # Errors
+    /// Those of [`Backend::compile_artifact`], a permanent error naming
+    /// the back-end when it returns no artifact, and link failures.
+    fn compile(
+        &self,
+        module: &Module,
+        trace: &TimeTrace,
+    ) -> Result<Box<dyn Executable>, BackendError> {
+        let artifact = self.compile_artifact(module, trace)?.ok_or_else(|| {
+            BackendError::new(format!("no code artifact for `{}`", module.name))
+                .in_backend(self.name())
+        })?;
+        let _t = trace.scope(self.link_phase());
+        artifact
+            .instantiate()
+            .map_err(|e| e.in_backend(self.name()))
     }
 }
 

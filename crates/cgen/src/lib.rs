@@ -18,11 +18,8 @@ mod minicc;
 
 pub use cprint::print_c;
 
-use qc_backend::{
-    Backend, BackendError, CodeArtifact, CompileStats, Executable, NativeArtifact, NativeExecutable,
-};
+use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, NativeArtifact};
 use qc_ir::Module;
-use qc_runtime::resolve_runtime;
 use qc_target::{ImageBuilder, Isa, UnwindEntry};
 use qc_timing::TimeTrace;
 use std::io::Write as _;
@@ -58,25 +55,6 @@ impl Backend for CgenBackend {
         self.isa
     }
 
-    fn compile(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError> {
-        let (image, mut stats) = self
-            .build_parts(module, trace)
-            .map_err(|e| e.in_backend(self.name()))?;
-        // Final step of the `ld` phase: relocation + load.
-        let linked = {
-            let _t = trace.scope("ld");
-            image
-                .link(&|name| resolve_runtime(name))
-                .map_err(|e| BackendError::new(e.to_string()).in_backend(self.name()))?
-        };
-        stats.code_bytes = linked.len();
-        Ok(Box::new(NativeExecutable::new(linked, stats)))
-    }
-
     fn compile_artifact(
         &self,
         module: &Module,
@@ -87,13 +65,18 @@ impl Backend for CgenBackend {
             .map_err(|e| e.in_backend(self.name()))?;
         Ok(Some(Box::new(NativeArtifact::new(image, stats))))
     }
+
+    /// The final step of `ld`: relocation + load.
+    fn link_phase(&self) -> &'static str {
+        "ld"
+    }
 }
 
 impl CgenBackend {
     /// The whole toolchain pipeline short of the final relocation/load
     /// step: C generation, temp-file IO, cc1, assembler, and the
-    /// object-collection half of `ld`; `compile` links the image
-    /// immediately, `compile_artifact` defers linking to instantiation.
+    /// object-collection half of `ld`; the rest of `ld` is the
+    /// artifact's instantiation.
     fn build_parts(
         &self,
         module: &Module,

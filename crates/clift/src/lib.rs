@@ -48,11 +48,8 @@ pub fn compile_function_parts(
 pub use cir::ExtFlags;
 pub use regalloc::allocate;
 
-use qc_backend::{
-    Backend, BackendError, CodeArtifact, CompileStats, Executable, NativeArtifact, NativeExecutable,
-};
+use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, NativeArtifact};
 use qc_ir::Module;
-use qc_runtime::resolve_runtime;
 use qc_target::{ImageBuilder, Isa, UnwindEntry};
 use qc_timing::TimeTrace;
 
@@ -111,25 +108,6 @@ impl Backend for CliftBackend {
             | u64::from(self.ext.mulfull) << 2
     }
 
-    fn compile(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError> {
-        let (image, mut stats) = self
-            .build_parts(module, trace)
-            .map_err(|e| e.in_backend(self.name()))?;
-        // 7. Finish: relocations applied after all functions are compiled.
-        let linked = {
-            let _t = trace.scope("finish");
-            image
-                .link(&|name| resolve_runtime(name))
-                .map_err(|e| BackendError::new(e.to_string()).in_backend(self.name()))?
-        };
-        stats.code_bytes = linked.len();
-        Ok(Box::new(NativeExecutable::new(linked, stats)))
-    }
-
     fn compile_artifact(
         &self,
         module: &Module,
@@ -140,12 +118,17 @@ impl Backend for CliftBackend {
             .map_err(|e| e.in_backend(self.name()))?;
         Ok(Some(Box::new(NativeArtifact::new(image, stats))))
     }
+
+    /// 7. Finish: relocations applied after all functions are compiled.
+    fn link_phase(&self) -> &'static str {
+        "finish"
+    }
 }
 
 impl CliftBackend {
     /// Phases 1–6 of the pipeline (everything but the final link),
-    /// producing the unlinked image; `compile` links it immediately,
-    /// `compile_artifact` defers linking to instantiation.
+    /// producing the unlinked image; phase 7 is the artifact's
+    /// instantiation.
     fn build_parts(
         &self,
         module: &Module,

@@ -21,9 +21,11 @@
 //! The cache stores *unlinked* [`CodeArtifact`]s keyed by the module's
 //! structural IR hash plus the back-end identity; a warm hit skips code
 //! generation entirely and pays only the link/unwind-registration step
-//! (see `DESIGN.md`, "Compilation service"). Parameterized re-runs of a
-//! prepared query therefore compile in roughly link time. Every module
-//! compiles to an artifact: a back-end that returns none is rejected.
+//! (see `DESIGN.md`, "Compilation service"), which a traced compile
+//! records under the back-end's link phase, hit or miss. Parameterized
+//! re-runs of a prepared query therefore compile in roughly link time.
+//! Every module compiles to an artifact: a back-end that returns none is
+//! rejected.
 //!
 //! # Failure domains
 //!
@@ -731,7 +733,7 @@ fn compile_query(
         slots.push(hit);
     }
     if misses.is_empty() {
-        return assemble(slots, start, backend.name());
+        return assemble(slots, start, backend.as_ref(), trace);
     }
 
     let list = ClaimList {
@@ -760,7 +762,7 @@ fn compile_query(
     if let Some(e) = first_err {
         return Err(e.in_backend(backend.name()));
     }
-    assemble(slots, start, backend.name())
+    assemble(slots, start, backend.as_ref(), trace)
 }
 
 /// Compiles one module to its artifact. A back-end that returns none
@@ -832,13 +834,15 @@ fn compile_one_budgeted(
 }
 
 /// Links every slot's artifact in pipeline order into a
-/// [`CompiledQuery`]; cached and disk artifacts pay only the
-/// link/unwind-registration step here. An empty slot is a module whose
-/// reply never came (its worker died outside the job guard).
+/// [`CompiledQuery`], each link timed under the back-end's
+/// [`Backend::link_phase`]; cached and disk artifacts pay only this
+/// link/unwind-registration step. An empty slot is a module whose reply
+/// never came (its worker died outside the job guard).
 pub(crate) fn assemble(
     slots: Vec<Option<Arc<dyn CodeArtifact>>>,
     start: Instant,
-    backend_name: &'static str,
+    backend: &dyn Backend,
+    trace: &TimeTrace,
 ) -> Result<CompiledQuery, BackendError> {
     let mut executables = Vec::with_capacity(slots.len());
     let mut artifacts = Vec::with_capacity(slots.len());
@@ -846,24 +850,26 @@ pub(crate) fn assemble(
     for slot in slots {
         let artifact =
             slot.ok_or_else(|| BackendError::transient("compile worker died before replying"))?;
-        let exe = artifact.instantiate()?;
+        let exe = {
+            let _t = trace.scope(backend.link_phase());
+            artifact.instantiate()?
+        };
         stats.merge(exe.compile_stats());
         executables.push(exe);
-        artifacts.push(Some(artifact));
+        artifacts.push(artifact);
     }
     Ok(CompiledQuery {
         executables,
         artifacts,
         compile_time: start.elapsed(),
         compile_stats: stats,
-        backend_name,
+        backend_name: backend.name(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qc_backend::Executable;
 
     /// A service whose pool has no worker and can spawn none.
     fn dead_pool_service() -> CompileService {
@@ -987,13 +993,6 @@ mod tests {
             fn isa(&self) -> qc_target::Isa {
                 qc_target::Isa::Tx64
             }
-            fn compile(
-                &self,
-                _m: &Module,
-                _t: &TimeTrace,
-            ) -> Result<Box<dyn Executable>, BackendError> {
-                unreachable!("the service compiles artifacts")
-            }
             fn compile_artifact(
                 &self,
                 _m: &Module,
@@ -1029,13 +1028,6 @@ mod tests {
             }
             fn isa(&self) -> qc_target::Isa {
                 qc_target::Isa::Tx64
-            }
-            fn compile(
-                &self,
-                _m: &Module,
-                _t: &TimeTrace,
-            ) -> Result<Box<dyn Executable>, BackendError> {
-                unreachable!("the service compiles artifacts")
             }
             fn compile_artifact(
                 &self,

@@ -278,11 +278,10 @@ impl PreparedQuery {
 pub struct CompiledQuery {
     /// Executables in pipeline order.
     pub executables: Vec<Box<dyn Executable>>,
-    /// Reusable code artifacts in pipeline order (`None` only after a
-    /// traced `QueryRun::direct` compile, which links in one shot). The
-    /// morsel-parallel executor instantiates one executable per worker
-    /// from these, so every worker runs the same machine code.
-    pub artifacts: Vec<Option<Arc<dyn CodeArtifact>>>,
+    /// Reusable code artifacts in pipeline order. The morsel-parallel
+    /// executor instantiates one executable per worker from these, so
+    /// every worker runs the same machine code.
+    pub artifacts: Vec<Arc<dyn CodeArtifact>>,
     /// Wall-clock compile time (sum over pipelines).
     pub compile_time: Duration,
     /// Merged compile statistics.
@@ -420,7 +419,8 @@ impl<'db> Engine<'db> {
 
     /// Compiles a prepared query with `backend` on the calling thread,
     /// measuring wall-clock time: the uncached, unsupervised
-    /// measurement path behind [`crate::QueryRun::direct`].
+    /// measurement path behind [`crate::QueryRun::direct`]. The same
+    /// compile and link as the service's, traced or not.
     ///
     /// # Errors
     /// Returns [`EngineError::Backend`] when a module is rejected.
@@ -431,34 +431,13 @@ impl<'db> Engine<'db> {
         trace: &TimeTrace,
     ) -> Result<CompiledQuery, EngineError> {
         let start = Instant::now();
-        let modules = &prepared.ir.modules;
-        if !trace.is_enabled() {
-            // Artifacts: handles the morsel-parallel executor can
-            // instantiate once per worker.
-            let artifacts = modules
-                .iter()
-                .map(|m| compile_one(backend, m, trace).map(Some))
-                .collect::<Result<_, _>>()?;
-            return Ok(assemble(artifacts, start, backend.name())?);
-        }
-        // Timed compiles take the one-shot path and keep no artifacts:
-        // artifact instantiation defers the final link outside the
-        // trace and would drop that phase from the breakdowns.
-        let executables = modules
+        let artifacts = prepared
+            .ir
+            .modules
             .iter()
-            .map(|m| backend.compile(m, trace))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut compile_stats = CompileStats::default();
-        for exe in &executables {
-            compile_stats.merge(exe.compile_stats());
-        }
-        Ok(CompiledQuery {
-            artifacts: vec![None; executables.len()],
-            executables,
-            compile_time: start.elapsed(),
-            compile_stats,
-            backend_name: backend.name(),
-        })
+            .map(|m| compile_one(backend, m, trace).map(Some))
+            .collect::<Result<_, _>>()?;
+        Ok(assemble(artifacts, start, backend, trace)?)
     }
 }
 

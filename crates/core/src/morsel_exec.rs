@@ -347,7 +347,7 @@ impl QueryExecution {
         if workers <= 1 || self.morsels.len() < 2 || !sink_merge_supported(&pipe.sink) {
             return None;
         }
-        let artifact = compiled.artifacts.get(self.pipe_idx)?.as_ref()?;
+        let artifact = compiled.artifacts.get(self.pipe_idx)?;
         (0..workers).map(|_| artifact.instantiate().ok()).collect()
     }
 

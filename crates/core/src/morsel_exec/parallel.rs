@@ -342,7 +342,7 @@ impl ParallelPipeline<'_> {
                     cycles_so_far: tally.cycles,
                 };
                 if let Some(replacement) = hook(&event) {
-                    if let Some(Some(artifact)) = replacement.artifacts.get(self.pipe_idx) {
+                    if let Some(artifact) = replacement.artifacts.get(self.pipe_idx) {
                         swap.publish(Arc::clone(artifact));
                     }
                     compiled.adopt_replacement(replacement);
@@ -456,14 +456,7 @@ impl ParallelPipeline<'_> {
         missing: Vec<usize>,
         spent_before: ExecTally,
     ) -> Result<WorkerOutput, EngineError> {
-        let artifact = compiled
-            .artifacts
-            .get(self.pipe_idx)
-            .and_then(|a| a.as_ref())
-            .ok_or_else(|| {
-                EngineError::WorkerPanic("no artifact to replay panicked morsels".to_string())
-            })?;
-        let exe = artifact
+        let exe = compiled.artifacts[self.pipe_idx]
             .instantiate()
             .map_err(|e| EngineError::WorkerPanic(format!("replay instantiation failed: {e}")))?;
         let shared = WorkerShared {

@@ -307,9 +307,10 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Completed queries per wall-clock second.
+    /// Completed queries per wall-clock second: shed, failed and killed
+    /// sessions do not count.
     pub fn throughput_qps(&self) -> f64 {
-        self.outcomes.len() as f64 / self.wall.as_secs_f64().max(1e-9)
+        self.count(OutcomeStatus::Ok) as f64 / self.wall.as_secs_f64().max(1e-9)
     }
 
     /// Fraction of worker time spent busy, in `0.0..=1.0` — an upper
@@ -1011,5 +1012,34 @@ mod tests {
         let shed = g.outcomes[1].as_ref().expect("recorded");
         assert_eq!(shed.status, OutcomeStatus::Shed);
         assert_eq!(shed.latency, Duration::ZERO);
+    }
+
+    /// Throughput counts completed queries only: 2 ok, 2 shed and 1
+    /// failed session over one second is 2 queries per second, not 5.
+    #[test]
+    fn throughput_counts_completed_queries_only() {
+        use OutcomeStatus::{Failed, Shed};
+        let ok = OutcomeStatus::Ok;
+        let outcome = |status| QueryOutcome {
+            name: String::new(),
+            rows: Vec::new(),
+            queue_wait: Duration::ZERO,
+            latency: Duration::ZERO,
+            cycles: 0,
+            tiered_up: false,
+            status,
+            error: None,
+        };
+        let report = ServeReport {
+            outcomes: [ok, ok, Shed, Shed, Failed].map(outcome).into(),
+            wall: Duration::from_secs(1),
+            busy: Duration::ZERO,
+            worker_busy: Vec::new(),
+            workers: 1,
+            runaway_downgrades: 0,
+            queries_killed: 0,
+            breaker_trips: 0,
+        };
+        assert!((report.throughput_qps() - 2.0).abs() < 1e-9);
     }
 }

@@ -339,10 +339,8 @@ impl<'s, 'db> QueryRun<'s, 'db> {
         self
     }
 
-    /// Collects the per-phase compile-time breakdown into `trace`. A
-    /// traced [`QueryRun::direct`] compile links in one shot, so the
-    /// link phase stays inside the trace, and keeps no code artifacts:
-    /// [`QueryRun::workers`] then runs it serially.
+    /// Collects the per-phase compile-time breakdown into `trace`,
+    /// each module's link included (under the back-end's link phase).
     #[must_use]
     pub fn trace(mut self, trace: &'s TimeTrace) -> Self {
         self.trace = Some(trace);
@@ -383,8 +381,7 @@ impl<'s, 'db> QueryRun<'s, 'db> {
     /// Compiles directly on the calling thread, bypassing the compile
     /// service — no worker fan-out, no code cache, no persistent store,
     /// no fault envelope. This is the measurement path: benchmarks use
-    /// it so every iteration pays the full, uncached compile and traced
-    /// compiles keep the link phase inside the trace.
+    /// it so every iteration pays the full, uncached compile and link.
     #[must_use]
     pub fn direct(mut self) -> Self {
         self.direct = true;

@@ -22,11 +22,8 @@
 
 pub mod codegen;
 
-use qc_backend::{
-    Backend, BackendError, CodeArtifact, CompileStats, Executable, NativeArtifact, NativeExecutable,
-};
+use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, NativeArtifact};
 use qc_ir::{Cfg, DomTree, Liveness, Loops, Module, ReversePostorder};
-use qc_runtime::resolve_runtime;
 use qc_target::{ImageBuilder, Isa};
 use qc_timing::TimeTrace;
 
@@ -50,21 +47,6 @@ impl Backend for DirectBackend {
         Isa::Tx64
     }
 
-    fn compile(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError> {
-        let (image, mut stats) =
-            build_parts(module, trace).map_err(|e| e.in_backend(self.name()))?;
-        let _t = trace.scope("link");
-        let linked = image
-            .link(&|name| resolve_runtime(name))
-            .map_err(|e| BackendError::new(e.to_string()).in_backend(self.name()))?;
-        stats.code_bytes = linked.len();
-        Ok(Box::new(NativeExecutable::new(linked, stats)))
-    }
-
     fn compile_artifact(
         &self,
         module: &Module,
@@ -76,8 +58,7 @@ impl Backend for DirectBackend {
 }
 
 /// Runs both DirectEmit passes over every function, producing the
-/// unlinked image; `compile` links it immediately, `compile_artifact`
-/// defers linking to instantiation.
+/// unlinked image; linking is the artifact's instantiation.
 fn build_parts(
     module: &Module,
     trace: &TimeTrace,

@@ -43,40 +43,26 @@ impl Backend for InterpBackend {
         Isa::Tx64
     }
 
-    fn compile(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError> {
-        // Errors name the tier so fallback-chain downgrades are
-        // attributable (idem for the other back-ends).
-        let artifact = build_artifact(module, trace).map_err(|e| e.in_backend(self.name()))?;
-        artifact.instantiate()
-    }
-
     fn compile_artifact(
         &self,
         module: &Module,
         trace: &TimeTrace,
     ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
-        let artifact = build_artifact(module, trace).map_err(|e| e.in_backend(self.name()))?;
-        Ok(Some(Box::new(artifact)))
+        let _t = trace.scope("bytecodegen");
+        // Errors name the tier so fallback-chain downgrades are
+        // attributable (idem for the other back-ends).
+        let program = compile_module(module).map_err(|e| e.in_backend(self.name()))?;
+        let mut stats = CompileStats {
+            functions: module.len(),
+            code_bytes: program.op_count() * 8,
+            ..Default::default()
+        };
+        stats.bump("bytecode_ops", program.op_count() as u64);
+        Ok(Some(Box::new(InterpArtifact {
+            program: Arc::new(program),
+            stats,
+        })))
     }
-}
-
-fn build_artifact(module: &Module, trace: &TimeTrace) -> Result<InterpArtifact, BackendError> {
-    let _t = trace.scope("bytecodegen");
-    let program = compile_module(module)?;
-    let mut stats = CompileStats {
-        functions: module.len(),
-        code_bytes: program.op_count() * 8,
-        ..Default::default()
-    };
-    stats.bump("bytecode_ops", program.op_count() as u64);
-    Ok(InterpArtifact {
-        program: Arc::new(program),
-        stats,
-    })
 }
 
 /// [`CodeArtifact`] for the interpreter: bytecode is position

@@ -51,7 +51,6 @@ mod instr;
 mod liveness;
 mod loops;
 pub mod opt;
-mod parser;
 mod printer;
 mod types;
 mod verify;
@@ -65,7 +64,6 @@ pub use hash::{fnv1a_64, function_structural_hash, module_structural_hash};
 pub use instr::{CastOp, CmpOp, InstData, Opcode};
 pub use liveness::{Liveness, ValueSet};
 pub use loops::{LoopInfo, Loops};
-pub use parser::{parse_function, parse_module, ParseError};
 pub use printer::{print_function, print_module};
 pub use types::Type;
 pub use verify::{verify_function, verify_module, VerifyError};

@@ -16,8 +16,7 @@ pub fn print_module(module: &Module) -> String {
     out
 }
 
-/// Prints a function in textual form. The output round-trips through
-/// [`crate::parse_function`].
+/// Prints a function in textual form.
 pub fn print_function(func: &Function) -> String {
     let mut out = String::new();
     let params: Vec<String> = func

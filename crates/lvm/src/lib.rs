@@ -21,8 +21,10 @@
 //!    greedy allocator,
 //! 7. **AsmPrinter**: per-instruction MC lowering through virtual-dispatch
 //!    emission hooks and string-keyed labels, into an in-memory object,
-//! 8. **ORC-style linking** in four phases, with per-module **PLT+GOT**
-//!    under the Small-PIC code model,
+//! 8. **ORC-style linking** in three phases, with per-module **PLT+GOT**
+//!    under the Small-PIC code model: allocation and symbol resolution
+//!    close each compile, and applying relocations is each
+//!    instantiation of the artifact,
 //! 9. **IR destruction**, measured separately (Sec. V-B1).
 
 mod isel;
@@ -34,9 +36,7 @@ pub use lir::PairRepr;
 
 use qc_backend::memit::MirEmitter;
 use qc_backend::mir::{CallTarget, MInst};
-use qc_backend::{
-    Backend, BackendError, CodeArtifact, CompileStats, Executable, NativeArtifact, NativeExecutable,
-};
+use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, NativeArtifact};
 use qc_ir::Module;
 use qc_runtime::resolve_runtime;
 use qc_target::{ImageBuilder, Isa, SymbolRef, UnwindEntry};
@@ -170,99 +170,29 @@ impl Backend for LvmBackend {
             | u64::from(o.global_isel) << 3
     }
 
-    fn compile(
-        &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError> {
-        let Parts {
-            image,
-            mut stats,
-            func_names,
-            used_syms,
-            lir,
-        } = self
-            .build_parts(module, trace)
-            .map_err(|e| e.in_backend(self.name()))?;
-
-        // --- ORC-style 4-phase link ---
-        let linked = {
-            let _t = trace.scope("link");
-            {
-                let _p1 = trace.scope("phase1_alloc");
-                // Recover/prune symbols: hash every defined symbol name.
-                let mut h = 0u64;
-                for n in &func_names {
-                    h = h.wrapping_mul(31).wrapping_add(n.len() as u64);
-                }
-                std::hint::black_box(h);
-            }
-            {
-                let _p2 = trace.scope("phase2_resolve");
-                for s in &used_syms {
-                    std::hint::black_box(resolve_runtime(s));
-                }
-            }
-            let img = {
-                let _p3 = trace.scope("phase3_apply");
-                image
-                    .link(&|name| resolve_runtime(name))
-                    .map_err(|e| BackendError::new(e.to_string()).in_backend(self.name()))?
-            };
-            {
-                let _p4 = trace.scope("phase4_lookup");
-                for n in &func_names {
-                    std::hint::black_box(img.addr_of(n));
-                }
-            }
-            img
-        };
-
-        // --- IR destruction, measured separately. ---
-        {
-            let _t = trace.scope("irdtor");
-            drop(lir);
-        }
-
-        stats.code_bytes = linked.len();
-        Ok(Box::new(NativeExecutable::new(linked, stats)))
-    }
-
     fn compile_artifact(
         &self,
         module: &Module,
         trace: &TimeTrace,
     ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
-        let Parts {
-            image, stats, lir, ..
-        } = self
+        let (image, stats) = self
             .build_parts(module, trace)
             .map_err(|e| e.in_backend(self.name()))?;
-        {
-            let _t = trace.scope("irdtor");
-            drop(lir);
-        }
         Ok(Some(Box::new(NativeArtifact::new(image, stats))))
     }
 }
 
-/// Everything [`LvmBackend::build_parts`] produces before the ORC link:
-/// the unlinked image plus the side data the 4-phase link ceremony
-/// consumes.
-struct Parts {
-    image: ImageBuilder,
-    stats: CompileStats,
-    func_names: Vec<String>,
-    used_syms: HashSet<String>,
-    lir: Module,
-}
-
 impl LvmBackend {
-    /// Pipeline phases 1–8 short of linking (TargetMachine through
-    /// AsmPrinter and PLT+GOT synthesis); `compile` follows with the
-    /// ORC link, `compile_artifact` defers linking to instantiation.
+    /// Pipeline phases 1–9 (TargetMachine through AsmPrinter, PLT+GOT
+    /// synthesis, the ORC link's first two phases and IR destruction),
+    /// producing the unlinked image; applying relocations is the
+    /// artifact's instantiation.
     #[allow(clippy::too_many_lines)]
-    fn build_parts(&self, module: &Module, trace: &TimeTrace) -> Result<Parts, BackendError> {
+    fn build_parts(
+        &self,
+        module: &Module,
+        trace: &TimeTrace,
+    ) -> Result<(ImageBuilder, CompileStats), BackendError> {
         let o = self.options;
         if o.global_isel && o.isa != Isa::Ta64 {
             return Err(BackendError::new("GlobalISel is only supported on TA64"));
@@ -541,14 +471,36 @@ impl LvmBackend {
             stats.bump("plt_entries", syms.len() as u64);
         }
 
+        // --- ORC-style link: memory allocation and symbol resolution
+        // run once per compile; the third phase, applying relocations,
+        // is each instantiation, timed under `link` as well. ---
+        {
+            let _t = trace.scope("link");
+            {
+                let _p1 = trace.scope("phase1_alloc");
+                // Recover/prune symbols: hash every defined symbol name.
+                let mut h = 0u64;
+                for n in &func_names {
+                    h = h.wrapping_mul(31).wrapping_add(n.len() as u64);
+                }
+                std::hint::black_box(h);
+            }
+            {
+                let _p2 = trace.scope("phase2_resolve");
+                for s in &used_syms {
+                    std::hint::black_box(resolve_runtime(s));
+                }
+            }
+        }
+
+        // --- IR destruction, measured separately. ---
+        {
+            let _t = trace.scope("irdtor");
+            drop(lir);
+        }
+
         stats.functions = module.len();
-        Ok(Parts {
-            image,
-            stats,
-            func_names,
-            used_syms,
-            lir,
-        })
+        Ok((image, stats))
     }
 }
 
@@ -822,7 +774,8 @@ mod tests {
         ] {
             assert!(report.total(phase).is_some(), "missing phase {phase}");
         }
-        assert!(report.total("link/phase3_apply").is_some());
+        assert!(report.total("link/phase1_alloc").is_some());
+        assert!(report.total("link/phase2_resolve").is_some());
         assert!(report.total("isel/selectiondag").is_some());
     }
 

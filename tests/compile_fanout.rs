@@ -257,6 +257,12 @@ fn worker_count_changes_neither_artifacts_nor_trace_nor_counters() {
                         .compile_artifact(m, &local)
                         .expect("compile")
                         .expect("artifact support");
+                    // Linked under the back-end's link phase, as the
+                    // service links every module it returns.
+                    {
+                        let _t = local.scope(backend.link_phase());
+                        artifact.instantiate().expect("link");
+                    }
                     merged.merge(&local.report());
                     artifact.content_bytes()
                 })
@@ -273,7 +279,7 @@ fn worker_count_changes_neither_artifacts_nor_trace_nor_counters() {
             let bytes = compiled
                 .artifacts
                 .iter()
-                .map(|a| a.as_ref().expect("artifact").content_bytes())
+                .map(|a| a.content_bytes())
                 .collect();
             assert_eq!(
                 (bytes, phases(&trace)),

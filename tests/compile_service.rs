@@ -463,9 +463,11 @@ fn a_back_end_without_artifacts_is_rejected_naming_the_tier() {
     let backend: Arc<dyn Backend> = Arc::new(ExecutablesOnly(Arc::from(backends::direct_emit())));
     let run = || session.run(stmt.clone()).backend(Arc::clone(&backend));
 
+    let trace = TimeTrace::new();
     let outcomes = [
         ("service", run().compile()),
         ("untraced direct", run().direct().compile()),
+        ("traced direct", run().direct().trace(&trace).compile()),
     ];
     for (path, outcome) in outcomes {
         match outcome {
@@ -476,16 +478,6 @@ fn a_back_end_without_artifacts_is_rejected_naming_the_tier() {
             other => panic!("{path}: expected a permanent back-end error, got {other:?}"),
         }
     }
-
-    // A traced direct compile links in one shot and never asks for an
-    // artifact.
-    let trace = TimeTrace::new();
-    let compiled = run()
-        .direct()
-        .trace(&trace)
-        .compile()
-        .expect("traced one-shot compile");
-    assert!(compiled.artifacts.iter().all(Option::is_none));
 }
 
 #[test]
@@ -500,7 +492,7 @@ fn background_and_foreground_compiles_produce_the_same_artifacts() {
         compiled
             .artifacts
             .iter()
-            .map(|a| a.as_ref().expect("artifact").content_bytes())
+            .map(|a| a.content_bytes())
             .collect()
     };
     for backend in backends::all_for(Isa::Tx64) {
@@ -528,4 +520,68 @@ fn background_and_foreground_compiles_produce_the_same_artifacts() {
         assert_eq!(content(&background), content(&fresh), "{name}: background");
         assert_eq!(content(&foreground), content(&fresh), "{name}: foreground");
     }
+}
+
+/// A trace observes a compile; it does not pick another one. Traced and
+/// untraced direct compiles produce the same code and statistics, and a
+/// traced compile keeps its artifacts, so it fans out over morsel
+/// workers like any other.
+#[test]
+fn traced_and_untraced_direct_compiles_are_the_same_compile() {
+    let db = qc_storage::gen_hlike(0.02);
+    let session = Session::new(&db);
+    let stmt = multi_pipeline_query(&session);
+    let mut all = backends::all_for(Isa::Tx64);
+    all.push(backends::clift(Isa::Ta64));
+    for backend in all {
+        let backend: Arc<dyn Backend> = Arc::from(backend);
+        let name = format!("{}.{}", backend.name(), backend.isa().name());
+        let trace = TimeTrace::new();
+        let run = || session.run(stmt.clone()).backend(Arc::clone(&backend));
+        let traced = run().trace(&trace).direct().compile().expect("traced");
+        let untraced = run().direct().compile().expect("untraced");
+        let content = |c: &CompiledQuery| -> Vec<Vec<u8>> {
+            c.artifacts.iter().map(|a| a.content_bytes()).collect()
+        };
+        assert_eq!(content(&traced), content(&untraced), "{name}: code");
+        let (t, u) = (&traced.compile_stats, &untraced.compile_stats);
+        assert_eq!(
+            (t.functions, t.code_bytes, &t.counters),
+            (u.functions, u.code_bytes, &u.counters),
+            "{name}: compile stats"
+        );
+        assert!(
+            trace.report().total(backend.link_phase()).is_some(),
+            "{name}"
+        );
+    }
+
+    // 16-row morsels split the H-like scans across workers.
+    let session = Session::with_config(
+        &db,
+        SessionConfig {
+            engine: EngineConfig { morsel_size: 16 },
+            ..Default::default()
+        },
+    );
+    let stmt = session
+        .statement(&qc_workloads::hlike_suite()[0].plan)
+        .expect("prepare");
+    let backend: Arc<dyn Backend> = Arc::from(backends::clift(Isa::Tx64));
+    let run = || session.run(stmt.clone()).backend(Arc::clone(&backend));
+    let serial = run().direct().execute().expect("serial run");
+    let trace = TimeTrace::new();
+    let parallel = run()
+        .trace(&trace)
+        .direct()
+        .workers(2)
+        .execute()
+        .expect("traced parallel run");
+    assert_eq!(parallel.rows, serial.rows);
+    assert!(
+        parallel.critical_path_cycles < parallel.exec_stats.cycles,
+        "a traced compile must fan out: critical path {} of {} cycles",
+        parallel.critical_path_cycles,
+        parallel.exec_stats.cycles
+    );
 }
