@@ -3,7 +3,7 @@
 //! shared engine, compile service, and code cache) and reports
 //! throughput, latency percentiles, worker utilization, and the
 //! speedup over a single serving worker. A second section scales one
-//! heavy query across [`qc_engine::MorselExecutor`] workers — the
+//! heavy query across [`qc_engine::QueryRun::workers`] — the
 //! intra-query parallelism axis.
 //!
 //! Every served result is checked byte-for-byte against the serial

@@ -6,9 +6,9 @@
 //! Morsel-driven execution makes switching trivial: the next morsel simply
 //! calls the newly compiled function.
 
-use crate::compile_service::{CompileService, PendingCompile};
-use crate::engine::{Engine, EngineError, ExecutionResult, PreparedQuery};
-use crate::morsel_exec::{MorselExecConfig, MorselExecutor};
+use crate::compile_service::CompileService;
+use crate::engine::{Engine, EngineError, ExecutionResult, PreparedQuery, QueryBudget};
+use crate::morsel_exec::{MorselExecConfig, QueryExecution, StepProgress};
 use qc_backend::{Backend, BackendError};
 use qc_timing::TimeTrace;
 use std::sync::Arc;
@@ -79,10 +79,12 @@ impl AdaptiveExecution {
     /// by the optimizing compile.
     ///
     /// `swap_after_morsels` forces a deterministic schedule for testing:
-    /// the background compile starts right away and the swap happens at
-    /// exactly that morsel boundary (blocking for the worker if needed).
-    /// With `None`, the size×work heuristic decides when to start the
-    /// background compile and the swap happens as soon as it finishes.
+    /// the background compile starts before the first morsel and the
+    /// swap happens at exactly that morsel boundary, blocking for the
+    /// worker if needed (`0` swaps after the first morsel, like `1`).
+    /// With `None`, the size×work heuristic decides after each morsel
+    /// whether to start the background compile, and the swap happens at
+    /// the first morsel boundary after it finishes.
     ///
     /// If the background compilation fails, execution completes in the
     /// cheap tier and the error is reported in the [`BackgroundReport`].
@@ -100,47 +102,42 @@ impl AdaptiveExecution {
     ) -> Result<(ExecutionResult, BackgroundReport), EngineError> {
         let trace = TimeTrace::disabled();
         let mut compiled = service.compile(prepared, cheap, &trace)?;
-
-        let mut pending: Option<PendingCompile> = None;
+        let spawn = || Some(service.spawn_compile(prepared, optimized));
+        let mut pending = swap_after_morsels.and_then(|_| spawn());
         let mut swapped_at: Option<u64> = None;
         let mut background_error: Option<BackendError> = None;
-        let policy = *self;
         let ir_size = prepared.ir_size();
 
-        let serial = MorselExecutor::new(MorselExecConfig::default());
-        let result = serial.execute_with_hook(engine, prepared, &mut compiled, &mut |event| {
+        // One morsel per step; between two steps is where a tier lands.
+        let mut exec = QueryExecution::new(MorselExecConfig::default(), QueryBudget::unlimited());
+        let mut morsels = 0u64;
+        while let StepProgress::Ran = exec.step(engine, prepared, &mut compiled, 1)? {
+            morsels += 1;
             if swapped_at.is_some() || background_error.is_some() {
-                return None;
-            }
-            if pending.is_none() {
-                let fire = match swap_after_morsels {
-                    Some(_) => true,
-                    None => policy.should_tier_up(ir_size, event.cycles_so_far),
-                };
-                if fire {
-                    pending = Some(service.spawn_compile(prepared, optimized));
-                }
+                continue;
             }
             let ready = match swap_after_morsels {
                 // Deterministic schedule: block for the worker so the
                 // swap lands at exactly boundary `n`.
-                Some(n) if event.morsels_done >= n => pending.take().map(PendingCompile::wait),
+                Some(n) if morsels >= n => pending
+                    .take()
+                    .map(|p| p.wait().map(|tier| compiled.adopt_replacement(tier))),
                 Some(_) => None,
                 // Heuristic schedule: swap as soon as the worker is done.
-                None => pending.as_mut().and_then(PendingCompile::try_take),
+                None => {
+                    if pending.is_none() && self.should_tier_up(ir_size, exec.tally().cycles) {
+                        pending = spawn();
+                    }
+                    compiled.adopt_ready(&mut pending)
+                }
             };
             match ready {
-                Some(Ok(replacement)) => {
-                    swapped_at = Some(event.morsels_done);
-                    Some(replacement)
-                }
-                Some(Err(e)) => {
-                    background_error = Some(e);
-                    None
-                }
-                None => None,
+                Some(Ok(())) => swapped_at = Some(morsels),
+                Some(Err(e)) => background_error = Some(e),
+                None => {}
             }
-        })?;
+        }
+        let result = exec.into_result(&compiled);
 
         let report = BackgroundReport {
             outcome: if swapped_at.is_some() {

@@ -519,9 +519,11 @@ fn worker_disconnected() -> BackendError {
 
 impl PendingCompile {
     /// Returns the finished compilation if it is ready, without
-    /// blocking. Returns `None` while the worker is still compiling;
-    /// at most one call ever returns `Some`.
-    pub fn try_take(&mut self) -> Option<Result<CompiledQuery, BackendError>> {
+    /// blocking; `None` while the worker is still compiling. The result
+    /// is delivered once: after it is taken the worker's end is gone, so
+    /// every later poll reads "compile worker disconnected". The caller
+    /// drops the handle on the first `Some`, as `adopt_ready` does.
+    pub(crate) fn try_take(&mut self) -> Option<Result<CompiledQuery, BackendError>> {
         match self.0.try_recv() {
             Ok(r) => Some(r),
             Err(TryRecvError::Empty) => None,
@@ -672,11 +674,11 @@ impl CompileService {
 
     /// Starts compiling every pipeline of `prepared` on a pool worker
     /// under the service's default budget and returns immediately; the
-    /// adaptive executor polls the returned handle at morsel boundaries
-    /// and swaps tiers when it completes. The job compiles the query's
-    /// misses one after another on that worker (tier-up runs beside a
-    /// live query; monopolizing the pool would starve foreground
-    /// compiles) through the shared code cache, and records no
+    /// caller keeps executing and adopts the finished tier between two
+    /// morsels, or blocks on [`PendingCompile::wait`]. The job compiles
+    /// the query's misses one after another on that worker (tier-up runs
+    /// beside a live query; monopolizing the pool would starve
+    /// foreground compiles) through the shared code cache, and records no
     /// per-phase trace. A panicking or over-budget optimizing tier
     /// surfaces as an `Err` through the handle instead of wedging the
     /// pool, and so does a pool with no live worker: the job is then
@@ -981,6 +983,33 @@ mod tests {
         assert!(err.message.contains("no live compile worker"), "{err}");
         assert_eq!(service.cache_stats(), CacheCounters::default());
         assert_eq!(service.fault_stats(), FaultCounters::default());
+    }
+
+    /// A finished background tier is adopted exactly once: the handle
+    /// is cleared with it, so a second poll has nothing to report.
+    #[test]
+    fn adopt_ready_adopts_a_finished_tier_once() {
+        let db = qc_storage::gen_hlike(0.01);
+        let engine = crate::Engine::new(&db);
+        let query = &qc_workloads::hlike_suite()[0];
+        let prepared = engine.prepare(&query.plan, &query.name).expect("prepare");
+        let service = CompileService::default();
+        let trace = TimeTrace::disabled();
+        let interp: Arc<dyn Backend> = Arc::from(crate::backends::interpreter());
+        let clift: Arc<dyn Backend> = Arc::from(crate::backends::clift(qc_target::Isa::Tx64));
+        let mut compiled = service.compile(&prepared, &interp, &trace).expect("cheap");
+        let mut pending = Some(service.spawn_compile(&prepared, &clift));
+        let adopted = loop {
+            if let Some(adopted) = compiled.adopt_ready(&mut pending) {
+                break adopted;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert!(adopted.is_ok(), "{adopted:?}");
+        assert!(pending.is_none());
+        assert_eq!(compiled.backend_name, "Clift");
+        assert!(compiled.adopt_ready(&mut pending).is_none());
+        assert_eq!(compiled.backend_name, "Clift");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Query preparation, compilation, and morsel-wise execution.
 
-use crate::compile_service::{assemble, compile_one};
+use crate::compile_service::{assemble, compile_one, PendingCompile};
 use crate::morsel_exec::ExecTally;
 use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, Executable};
 use qc_codegen::{generate, GeneratedQuery};
@@ -293,12 +293,27 @@ pub struct CompiledQuery {
 impl CompiledQuery {
     /// Folds a background-compiled `replacement` tier into this query
     /// in place: compile time and statistics of the replaced tier are
-    /// merged so the totals cover both tiers (the accounting contract
-    /// of [`crate::MorselExecutor::execute_with_hook`]).
+    /// merged so the totals cover both tiers (execution cycles are
+    /// charged per call, so they accumulate across the swap). Pipeline
+    /// state lives in the runtime context block, not in module code, so
+    /// a swap between two driver steps is safe and `setup` is not re-run.
     pub(crate) fn adopt_replacement(&mut self, mut replacement: CompiledQuery) {
         replacement.compile_time += self.compile_time;
         replacement.compile_stats.merge(&self.compile_stats);
         *self = replacement;
+    }
+
+    /// Adopts `pending`'s tier once its compile has finished, between
+    /// two driver steps: polls without blocking, folds a finished tier
+    /// in and clears `pending` once the compile has resolved either way.
+    /// `None` while the compile still runs (or nothing is pending).
+    pub(crate) fn adopt_ready(
+        &mut self,
+        pending: &mut Option<PendingCompile>,
+    ) -> Option<Result<(), BackendError>> {
+        let result = pending.as_mut()?.try_take()?;
+        *pending = None;
+        Some(result.map(|replacement| self.adopt_replacement(replacement)))
     }
 }
 
@@ -312,19 +327,6 @@ impl fmt::Debug for CompiledQuery {
             self.backend_name
         )
     }
-}
-
-/// Snapshot handed to an execution hook after each morsel (see
-/// [`crate::MorselExecutor::execute_with_hook`]).
-#[derive(Debug, Clone, Copy)]
-pub struct MorselEvent {
-    /// Index of the pipeline currently running.
-    pub pipeline: usize,
-    /// Morsels completed so far across all pipelines.
-    pub morsels_done: u64,
-    /// Deterministic cycles consumed so far, accumulated across any
-    /// earlier executable swaps.
-    pub cycles_so_far: u64,
 }
 
 /// Result of executing a query.

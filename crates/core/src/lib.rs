@@ -50,11 +50,11 @@ pub use compile_service::{
     PendingCompile,
 };
 pub use engine::{
-    CancelToken, CompiledQuery, Engine, EngineConfig, EngineError, ExecutionResult, MorselEvent,
-    PreparedQuery, QueryBudget,
+    CancelToken, CompiledQuery, Engine, EngineConfig, EngineError, ExecutionResult, PreparedQuery,
+    QueryBudget,
 };
 pub use fallback::{FallbackChain, FallbackReport, TierFailure};
-pub use morsel_exec::{ExecTally, MorselExecConfig, MorselExecutor, MorselSchedule};
+pub use morsel_exec::{ExecTally, MorselSchedule};
 pub use scheduler::{
     BreakerPolicy, OutcomeStatus, QueryOutcome, QueryScheduler, RunawayPolicy, SchedulerConfig,
     ServeReport, SessionRequest, ShedPolicy,

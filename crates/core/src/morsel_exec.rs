@@ -10,9 +10,10 @@
 //!    crate that walks a query's pipelines: per pipeline a budget
 //!    check, the canonical `setup`, the morsels, a barrier check and
 //!    the canonical `finish`. It advances in steps of a few morsels so
-//!    the serving scheduler can interleave many executions;
-//!    [`MorselExecutor`] steps one to completion. With one worker, or
-//!    for a pipeline that cannot fan out, it runs the morsels itself.
+//!    the serving scheduler can interleave many executions and a
+//!    caller can swap tiers between two steps; [`execute`] steps one
+//!    to completion. With one worker, or for a pipeline that cannot fan
+//!    out, it runs the morsels itself.
 //! 3. `ParallelPipeline` (`parallel.rs`, with the barrier merge and its
 //!    raw-address helpers in `parallel/merge.rs`) — one pipeline's
 //!    fan-out: a pool of workers, each owning a forked [`RuntimeState`]
@@ -62,8 +63,7 @@
 //! back to the serial path — see [`sink_merge_supported`].
 
 use crate::engine::{
-    decode_rows, CompiledQuery, Engine, EngineError, ExecutionResult, MorselEvent, PreparedQuery,
-    QueryBudget,
+    decode_rows, CompiledQuery, Engine, EngineError, ExecutionResult, PreparedQuery, QueryBudget,
 };
 use crate::supervise::supervise;
 use parallel::ParallelPipeline;
@@ -196,19 +196,16 @@ pub(crate) enum StepProgress {
     Done,
 }
 
-/// The tier-up hook consulted after every morsel: a returned
-/// replacement is adopted at that morsel boundary.
-pub(crate) type MorselHook<'a> = dyn FnMut(&MorselEvent) -> Option<CompiledQuery> + 'a;
-
 /// The pipeline driver: the one place a query's pipelines are walked
 /// (paper Sec. II/III — per pipeline `setup`, morsels, `finish`).
 ///
 /// `step` runs up to `max_morsels` morsels and returns, so a caller can
 /// switch to another query in between (the serving scheduler's slices);
-/// [`MorselExecutor`] simply steps to completion. Pipeline `finish` runs
-/// on the step *after* the pipeline's last morsel and the hook is
-/// consulted right after each morsel, so the hook observes every morsel
-/// before its pipeline is sealed.
+/// [`execute`] simply steps to completion. The driver executes whatever
+/// tier `compiled` holds and never changes it: a caller that swaps tiers
+/// does so between two steps, a morsel boundary. Pipeline `finish` runs
+/// on the step *after* the pipeline's last morsel, so a tier swapped in
+/// after that morsel also seals its pipeline.
 ///
 /// A pipeline's morsels run here, on the calling thread and the
 /// canonical state, when `workers <= 1` or the pipeline is not eligible
@@ -228,7 +225,6 @@ pub(crate) struct QueryExecution {
     /// Morsels of the current pipeline, and the next one to run.
     morsels: Vec<Morsel>,
     next: usize,
-    morsels_done: u64,
     tally: ExecTally,
     /// Worker cycles off the critical path: per parallel pipeline, what
     /// the workers charged beyond the busiest one of them.
@@ -255,7 +251,6 @@ impl QueryExecution {
             setup_done: false,
             morsels: Vec::new(),
             next: 0,
-            morsels_done: 0,
             tally: ExecTally::default(),
             overlapped_cycles: 0,
             out_ready: false,
@@ -353,13 +348,14 @@ impl QueryExecution {
 
     /// Runs up to `max_morsels` morsels (crossing pipeline boundaries,
     /// running `finish`/`setup` as needed) and reports progress. A
-    /// parallel pipeline runs all of its morsels in one step.
+    /// parallel pipeline runs all of its morsels in one step, which
+    /// then ends at its barrier once `max_morsels` have run.
     ///
     /// This is the execution-side supervision site: a panic anywhere
-    /// below — generated code, a runtime helper, the hook, the barrier
-    /// merge — fails this query with [`EngineError::WorkerPanic`] and
-    /// never reaches the caller. The execution must not be stepped
-    /// again after an error.
+    /// below — generated code, a runtime helper, fan-out coordination,
+    /// the barrier merge — fails this query with
+    /// [`EngineError::WorkerPanic`] and never reaches the caller. The
+    /// execution must not be stepped again after an error.
     ///
     /// # Errors
     /// Propagates traps, storage errors, budget overruns and panics.
@@ -369,9 +365,8 @@ impl QueryExecution {
         prepared: &PreparedQuery,
         compiled: &mut CompiledQuery,
         max_morsels: u64,
-        hook: &mut MorselHook<'_>,
     ) -> Result<StepProgress, EngineError> {
-        supervise(|| self.advance(engine, prepared, compiled, max_morsels, hook))
+        supervise(|| self.advance(engine, prepared, compiled, max_morsels))
             .unwrap_or_else(|panic| Err(EngineError::WorkerPanic(panic)))
     }
 
@@ -381,7 +376,6 @@ impl QueryExecution {
         prepared: &PreparedQuery,
         compiled: &mut CompiledQuery,
         max_morsels: u64,
-        hook: &mut MorselHook<'_>,
     ) -> Result<StepProgress, EngineError> {
         let plan = &prepared.plan;
         if self.ctx.is_empty() {
@@ -421,12 +415,13 @@ impl QueryExecution {
                         &self.ctx,
                         compiled,
                         &mut self.tally,
-                        &mut self.morsels_done,
                         worker_exes,
-                        hook,
                     )?;
                     self.next = self.morsels.len();
                     ran += self.morsels.len() as u64;
+                    if ran >= max_morsels {
+                        return Ok(StepProgress::Ran);
+                    }
                 }
             }
             while self.next < self.morsels.len() {
@@ -434,16 +429,7 @@ impl QueryExecution {
                 let m = self.morsels[self.next];
                 self.call(compiled, "main", &[ctx_addr, m.start, m.count])?;
                 self.next += 1;
-                self.morsels_done += 1;
                 ran += 1;
-                let event = MorselEvent {
-                    pipeline: self.pipe_idx,
-                    morsels_done: self.morsels_done,
-                    cycles_so_far: self.tally.cycles,
-                };
-                if let Some(replacement) = hook(&event) {
-                    compiled.adopt_replacement(replacement);
-                }
                 if ran >= max_morsels {
                     return Ok(StepProgress::Ran);
                 }
@@ -512,7 +498,7 @@ impl QueryExecution {
 }
 
 // ---------------------------------------------------------------------
-// Executor façade
+// Execution configuration and the single-query entry
 // ---------------------------------------------------------------------
 
 /// How workers claim morsels within a pipeline.
@@ -529,14 +515,15 @@ pub enum MorselSchedule {
     Stealing,
 }
 
-/// Configuration of a [`MorselExecutor`].
+/// How one query executes, set through [`crate::QueryRun::workers`]
+/// and [`crate::QueryRun::schedule`].
 #[derive(Debug, Clone, Copy)]
-pub struct MorselExecConfig {
+pub(crate) struct MorselExecConfig {
     /// Worker threads. `0` and `1` both mean single-threaded execution
     /// on the calling thread (the exact serial path).
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Claim discipline for parallel pipelines.
-    pub schedule: MorselSchedule,
+    pub(crate) schedule: MorselSchedule,
 }
 
 impl Default for MorselExecConfig {
@@ -559,98 +546,70 @@ fn sink_merge_supported(sink: &Sink) -> bool {
     }
 }
 
-/// Morsel-parallel query executor: steps a `QueryExecution` driver to
-/// completion.
+/// Executes a compiled query to completion in the tier it holds:
+/// builds the driver, steps it until done and takes the result. The
+/// one single-query entry, behind [`crate::QueryRun::execute_compiled`].
 ///
-/// With `workers <= 1` every morsel runs on the calling thread — no
-/// fork, no thread, no channel; otherwise each pipeline with at least
-/// two morsels, a mergeable sink and a code artifact fans its morsels
-/// out to workers and merges at the pipeline barrier. The
-/// morsel-boundary tier-up hook works the same either way: a
-/// replacement tier published by the hook is observed by every worker
-/// at its next morsel claim (instantiated from the replacement's
-/// [`qc_backend::CodeArtifact`]).
-#[derive(Debug, Clone, Copy)]
-pub struct MorselExecutor {
+/// # Errors
+/// Propagates traps, storage errors, budget overruns and panics.
+pub(crate) fn execute(
+    engine: &Engine<'_>,
+    prepared: &PreparedQuery,
+    compiled: &mut CompiledQuery,
     config: MorselExecConfig,
+    budget: QueryBudget,
+) -> Result<ExecutionResult, EngineError> {
+    let mut exec = QueryExecution::new(config, budget);
+    while let StepProgress::Ran = exec.step(engine, prepared, compiled, u64::MAX)? {}
+    Ok(exec.into_result(compiled))
 }
 
-impl MorselExecutor {
-    /// Creates an executor with `config`.
-    pub fn new(config: MorselExecConfig) -> Self {
-        MorselExecutor { config }
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{backends, EngineConfig, Session, SessionConfig};
+    use qc_backend::Backend;
+    use std::sync::Arc;
+    use std::time::Duration;
 
-    /// Executes a compiled query (no tier-up hook).
-    ///
-    /// # Errors
-    /// Propagates traps from generated code and storage errors.
-    pub fn execute(
-        &self,
-        engine: &Engine<'_>,
-        prepared: &PreparedQuery,
-        compiled: &mut CompiledQuery,
-    ) -> Result<ExecutionResult, EngineError> {
-        self.execute_with_hook(engine, prepared, compiled, &mut |_| None)
-    }
-
-    /// Executes a compiled query, consulting `hook` after every morsel.
-    ///
-    /// When the hook returns a replacement [`CompiledQuery`] (e.g. the
-    /// optimizing tier finished compiling in the background), the swap
-    /// happens at that morsel boundary: the *next* morsel — and every
-    /// later pipeline — runs the replacement executables. Pipeline
-    /// state lives in the runtime context block, not in module code, so
-    /// a mid-pipeline swap is safe; `setup` is not re-run. Compile time
-    /// and statistics of the replaced query are merged into the
-    /// replacement so the returned totals cover both tiers, and
-    /// execution cycles are accumulated across the swap.
-    ///
-    /// # Errors
-    /// Propagates traps from generated code and storage errors. Under
-    /// parallel execution the reported trap is the one from the lowest
-    /// trapping morsel observed — best-effort identity with the serial
-    /// trap (exact when `workers <= 1`).
-    pub fn execute_with_hook(
-        &self,
-        engine: &Engine<'_>,
-        prepared: &PreparedQuery,
-        compiled: &mut CompiledQuery,
-        hook: &mut dyn FnMut(&MorselEvent) -> Option<CompiledQuery>,
-    ) -> Result<ExecutionResult, EngineError> {
-        self.execute_budgeted(engine, prepared, compiled, &QueryBudget::unlimited(), hook)
-    }
-
-    /// Executes a compiled query under a [`QueryBudget`], consulting
-    /// `hook` after every morsel. Budget bounds are checked at every
-    /// morsel claim — serial or parallel — so a tripped budget stops
-    /// the query within one morsel and surfaces the typed budget error
-    /// with partial [`ExecTally`] accounting.
-    ///
-    /// Worker panics are isolated: a panicking morsel worker poisons
-    /// only itself; its unclaimed morsels are requeued onto surviving
-    /// workers and its claimed-but-unmerged morsels are replayed once
-    /// by a retry pass so the deterministic barrier merge stays
-    /// byte-identical. A second fault fails the query cleanly with
-    /// [`EngineError::WorkerPanic`] instead of the process. Panics on
-    /// the driver's own thread — canonical setup/finish, pipelines that
-    /// do not fan out, single-worker runs — have no surviving worker to
-    /// replay onto, so they are contained to the same typed error
-    /// without a retry: the query fails, the process never does.
-    ///
-    /// # Errors
-    /// Propagates traps, storage errors, budget overruns, and
-    /// unrecovered worker panics.
-    pub fn execute_budgeted(
-        &self,
-        engine: &Engine<'_>,
-        prepared: &PreparedQuery,
-        compiled: &mut CompiledQuery,
-        budget: &QueryBudget,
-        hook: &mut dyn FnMut(&MorselEvent) -> Option<CompiledQuery>,
-    ) -> Result<ExecutionResult, EngineError> {
-        let mut exec = QueryExecution::new(self.config, budget.clone());
-        while let StepProgress::Ran = exec.step(engine, prepared, compiled, u64::MAX, hook)? {}
-        Ok(exec.into_result(compiled))
+    /// A tier adopted between two steps of a fanned-out execution runs
+    /// the rest of the query: the next pipeline's workers instantiate
+    /// from its artifacts, and the rows stay the serial ones.
+    #[test]
+    fn four_workers_run_a_tier_adopted_between_steps() {
+        let db = qc_storage::gen_hlike(0.05);
+        let session = Session::with_config(
+            &db,
+            SessionConfig {
+                engine: EngineConfig { morsel_size: 128 },
+                ..Default::default()
+            },
+        );
+        let interp: Arc<dyn Backend> = Arc::from(backends::interpreter());
+        let clift: Arc<dyn Backend> = Arc::from(backends::clift(qc_target::Isa::Tx64));
+        let config = MorselExecConfig {
+            workers: 4,
+            schedule: MorselSchedule::Stealing,
+        };
+        for q in &qc_workloads::hlike_suite()[..4] {
+            let stmt = session.statement(&q.plan).expect("prepare");
+            let cheap = session.run(stmt.clone()).backend(Arc::clone(&interp));
+            let serial = cheap.execute().expect("serial run");
+            let mut compiled = cheap.compile().expect("cheap tier");
+            let (engine, query) = (session.engine(), stmt.query());
+            let mut pending = Some(session.compile_service().spawn_compile(query, &clift));
+            let mut exec = QueryExecution::new(config, QueryBudget::unlimited());
+            let mut progress = exec.step(engine, query, &mut compiled, 1).expect("step");
+            // Adopt after the first step, waiting for the compile.
+            while compiled.adopt_ready(&mut pending).is_none() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            while let StepProgress::Ran = progress {
+                progress = exec.step(engine, query, &mut compiled, 1).expect("step");
+            }
+            assert_eq!(compiled.backend_name, "Clift", "{}: not adopted", q.name);
+            let rows = exec.into_result(&compiled).rows;
+            assert_eq!(rows, serial.rows, "{} rows diverged", q.name);
+        }
     }
 }

@@ -1,20 +1,20 @@
-//! One pipeline's fan-out: morsel claimers, the tier-up swap cell, the
-//! worker body and the coordinator that runs a pool of workers over a
-//! morsel list, recovers from worker panics and hands the workers'
-//! outputs to the barrier merge (see the parent module's docs for the
-//! determinism argument).
+//! One pipeline's fan-out: morsel claimers, the worker body and the
+//! coordinator that runs a pool of workers over a morsel list, recovers
+//! from worker panics and hands the workers' outputs to the barrier
+//! merge (see the parent module's docs for the determinism argument).
+//! Every worker runs the tier the pipeline started in: a tier swapped
+//! in between two driver steps reaches the next pipeline's workers.
 
-use super::{ctx_handle, ExecTally, MorselHook, MorselSchedule};
-use crate::engine::{CompiledQuery, EngineError, MorselEvent, QueryBudget};
+use super::{ctx_handle, ExecTally, MorselSchedule};
+use crate::engine::{CompiledQuery, EngineError, QueryBudget};
 use crate::supervise::{panic_text, supervise};
 use parking_lot::Mutex;
-use qc_backend::{CodeArtifact, Executable};
+use qc_backend::Executable;
 use qc_plan::{CtxEntry, PhysicalPlan, Pipeline, Sink};
 use qc_runtime::RuntimeState;
 use qc_storage::Morsel;
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 mod merge;
@@ -117,43 +117,6 @@ impl Claimer {
 }
 
 // ---------------------------------------------------------------------
-// Tier-up swap cell
-// ---------------------------------------------------------------------
-
-/// Atomic publication point for a background-compiled replacement tier.
-/// Workers poll the generation at each morsel claim and re-instantiate
-/// their executable from the newest artifact.
-struct SwapCell {
-    generation: AtomicU64,
-    artifact: Mutex<Option<Arc<dyn CodeArtifact>>>,
-}
-
-impl SwapCell {
-    fn new() -> SwapCell {
-        SwapCell {
-            generation: AtomicU64::new(0),
-            artifact: Mutex::new(None),
-        }
-    }
-
-    fn publish(&self, artifact: Arc<dyn CodeArtifact>) {
-        *self.artifact.lock() = Some(artifact);
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    /// Returns the newest artifact when the generation moved past
-    /// `seen` (updating `seen`), `None` otherwise.
-    fn refresh(&self, seen: &mut u64) -> Option<Arc<dyn CodeArtifact>> {
-        let g = self.generation.load(Ordering::Acquire);
-        if g == *seen {
-            return None;
-        }
-        *seen = g;
-        self.artifact.lock().clone()
-    }
-}
-
-// ---------------------------------------------------------------------
 // Parallel pipeline run
 // ---------------------------------------------------------------------
 
@@ -186,8 +149,7 @@ struct WorkerOutput {
     error: Option<(usize, EngineError)>,
 }
 
-/// A pool worker's message to the coordinator: one morsel completed
-/// (fires the tier-up hook).
+/// A pool worker's message to the coordinator: one morsel completed.
 struct MorselDone {
     /// What the worker charged since its previous message.
     spent: ExecTally,
@@ -200,7 +162,6 @@ struct MorselDone {
 struct WorkerShared<'a> {
     morsels: &'a [Morsel],
     claimer: &'a Claimer,
-    swap: &'a SwapCell,
     /// Raised by the coordinator when the query budget trips.
     stop: &'a AtomicBool,
     sink: SinkInfo,
@@ -254,26 +215,21 @@ impl ParallelPipeline<'_> {
     /// worker cycles that overlap the busiest worker (everything the
     /// workers charged minus the busiest one's share): the part of
     /// `tally` that is off the critical path.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn execute(
         &self,
         state: &mut RuntimeState,
         ctx: &[u8],
-        compiled: &mut CompiledQuery,
+        compiled: &CompiledQuery,
         tally: &mut ExecTally,
-        morsels_done: &mut u64,
         worker_exes: Vec<Box<dyn Executable>>,
-        hook: &mut MorselHook<'_>,
     ) -> Result<u64, EngineError> {
         let workers = worker_exes.len();
         let ordered = matches!(self.pipe.sink, Sink::AggBuild { .. });
         let claimer = Claimer::new(self.morsels.len(), workers, self.schedule, ordered);
-        let swap = SwapCell::new();
         let stop = AtomicBool::new(false);
         let shared = WorkerShared {
             morsels: self.morsels,
             claimer: &claimer,
-            swap: &swap,
             stop: &stop,
             sink: self.sink_info(),
         };
@@ -301,7 +257,7 @@ impl ParallelPipeline<'_> {
                     s.spawn(move || {
                         // A pool worker's completion callback is a
                         // channel send: the coordinator does the
-                        // accounting, the budget check and the hook.
+                        // accounting and the budget check.
                         let mut reported = ExecTally::default();
                         worker_run(w, shared, wstate, wctx, exe, &mut |tally, grown| {
                             let _ = tx.send(MorselDone {
@@ -316,16 +272,14 @@ impl ParallelPipeline<'_> {
                 .collect();
             drop(tx);
 
-            // Coordinator: forward morsel events to the tier-up hook;
-            // publish any replacement so workers observe it at their
-            // next claim; check the budget on every completed morsel.
-            // The channel disconnects when the last worker is done.
+            // Coordinator: account and check the budget on every
+            // completed morsel. The channel disconnects when the last
+            // worker is done.
             let mut rows_delta = 0u64;
             while let Ok(MorselDone { spent, rows }) = rx.recv() {
                 *tally = *tally + spent;
                 streamed = streamed + spent;
                 rows_delta += rows;
-                *morsels_done += 1;
                 if has_budget && budget_err.is_none() {
                     if let Err(e) = self.check_budget(*tally, rows_delta) {
                         // Cooperative cancellation: workers see the
@@ -335,17 +289,6 @@ impl ParallelPipeline<'_> {
                         budget_err = Some(e);
                         stop.store(true, Ordering::Release);
                     }
-                }
-                let event = MorselEvent {
-                    pipeline: self.pipe_idx,
-                    morsels_done: *morsels_done,
-                    cycles_so_far: tally.cycles,
-                };
-                if let Some(replacement) = hook(&event) {
-                    if let Some(artifact) = replacement.artifacts.get(self.pipe_idx) {
-                        swap.publish(Arc::clone(artifact));
-                    }
-                    compiled.adopt_replacement(replacement);
                 }
             }
             handles
@@ -425,7 +368,6 @@ impl ParallelPipeline<'_> {
             let missing: Vec<usize> = (0..self.morsels.len())
                 .filter(|m| !done.contains(m))
                 .collect();
-            *morsels_done += missing.len() as u64;
             let retried = self.retry_pass(state, ctx, compiled, missing, *tally)?;
             *tally = *tally + retried.tally;
             outputs.push(retried);
@@ -462,7 +404,6 @@ impl ParallelPipeline<'_> {
         let shared = WorkerShared {
             morsels: self.morsels,
             claimer: &Claimer::fixed(missing),
-            swap: &SwapCell::new(),
             stop: &AtomicBool::new(false),
             sink: self.sink_info(),
         };
@@ -523,7 +464,6 @@ fn worker_run(
     let ctx_addr = wctx.as_ptr() as u64;
     let mut tally = ExecTally::default();
     let mut records = Vec::new();
-    let mut seen_gen = 0u64;
 
     // Worker-local setup: creates this pipeline's sink containers in
     // the worker's own arena, overwriting the sink slots in the worker
@@ -543,13 +483,6 @@ fn worker_run(
         let Some(m) = shared.claimer.claim(worker, shared.morsels.len()) else {
             break;
         };
-        // Tier swap observed at the claim boundary: instantiate from
-        // the newest artifact; on link failure keep the current tier.
-        if let Some(artifact) = shared.swap.refresh(&mut seen_gen) {
-            if let Ok(new_exe) = artifact.instantiate() {
-                exe = new_exe;
-            }
-        }
         let before = sink_progress(&wstate, &wctx, shared.sink);
         let morsel = shared.morsels[m];
         let args = [ctx_addr, morsel.start, morsel.count];
@@ -630,12 +563,5 @@ mod tests {
         assert_eq!(c.claim(1, 6), Some(1));
         assert_eq!(c.claim(1, 6), Some(3));
         assert_eq!(c.claim(1, 6), None);
-    }
-
-    #[test]
-    fn swap_cell_generations() {
-        let cell = SwapCell::new();
-        let mut seen = 0u64;
-        assert!(cell.refresh(&mut seen).is_none());
     }
 }

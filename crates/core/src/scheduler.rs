@@ -5,10 +5,10 @@
 //! [`CompileService`] (and therefore one shared code cache — repeated
 //! query shapes plan and compile once and hit the caches afterwards).
 //! The scheduler provides the *inter*-query parallelism
-//! axis of the serving story; [`crate::MorselExecutor`] provides the
+//! axis of the serving story; [`crate::QueryRun::workers`] provides the
 //! *intra*-query axis. A serving deployment picks one per tier of the
-//! workload: many small queries → scheduler, one huge query → morsel
-//! executor.
+//! workload: many small queries → scheduler, one huge query → a
+//! `QueryRun` with several workers.
 //!
 //! Mechanics:
 //!
@@ -31,9 +31,9 @@
 //!   ([`SchedulerConfig::tier_up_inflight`]) is granted to the admitted
 //!   queries with the **most remaining morsels** — the queries with the
 //!   most execution left to amortize an expensive compile, mirroring
-//!   the paper's adaptive-execution argument. Completed tiers are
-//!   adopted at the next slice boundary (a morsel boundary, so the
-//!   swap is exactly as safe as the single-query adaptive path).
+//!   the paper's adaptive-execution argument. A completed tier is
+//!   adopted between two slices — a morsel boundary — by the same
+//!   helper the single-query adaptive path calls between its steps.
 //! * **Runaway governor.** With a [`RunawayPolicy`], the scheduler
 //!   learns an EWMA of cycles-per-morsel over completed queries and
 //!   applies the *inverse* of tier-up to queries blowing past their
@@ -668,29 +668,19 @@ fn serve_worker(
         drop(g);
         let t0 = Instant::now();
 
-        // Adopt a completed background tier at the slice boundary (a
-        // morsel boundary — the same safety contract as the adaptive
-        // single-query path). Tier-ups and runaway downgrades share
+        // Adopt a completed background tier between two slices (a
+        // morsel boundary), as the single-query adaptive path does
+        // between its steps. Tier-ups and runaway downgrades share
         // this machinery.
-        let mut tier_done = false;
-        if let Some(pending) = a.pending_tier.as_mut() {
-            if let Some(result) = pending.try_take() {
-                tier_done = true;
-                a.pending_tier = None;
-                if let Ok(replacement) = result {
-                    a.compiled.adopt_replacement(replacement);
-                    a.ticket.tiered_up = true;
-                }
-            }
-        }
+        let tier = a.compiled.adopt_ready(&mut a.pending_tier);
+        let tier_done = tier.is_some();
+        a.ticket.tiered_up |= matches!(tier, Some(Ok(())));
 
         // Execution fault containment is the driver's: generated code
         // panicking inside a slice comes back as a typed error that
         // fails this session, not the serve loop.
         let credits = config.morsel_credits;
-        let step = a
-            .exec
-            .step(engine, &a.prepared, &mut a.compiled, credits, &mut |_| None);
+        let step = a.exec.step(engine, &a.prepared, &mut a.compiled, credits);
         busy += t0.elapsed();
 
         let mut g = lock_recover(&shared.state);

@@ -31,11 +31,10 @@
 use crate::artifact_store::ArtifactStoreConfig;
 use crate::compile_service::{CompileBudget, CompileService, CompileServiceConfig};
 use crate::engine::{
-    CompiledQuery, Engine, EngineConfig, EngineError, ExecutionResult, MorselEvent, PreparedQuery,
-    QueryBudget,
+    CompiledQuery, Engine, EngineConfig, EngineError, ExecutionResult, PreparedQuery, QueryBudget,
 };
 use crate::lru::Lru;
-use crate::morsel_exec::{MorselExecConfig, MorselExecutor, MorselSchedule};
+use crate::morsel_exec::{self, MorselExecConfig, MorselSchedule};
 use crate::ArtifactStore;
 use qc_backend::Backend;
 use qc_plan::PlanNode;
@@ -234,14 +233,6 @@ impl<'db> Session<'db> {
         }
     }
 
-    /// Replaces the default back-end used by runs that do not pick one
-    /// explicitly.
-    #[must_use]
-    pub fn default_backend(mut self, backend: Arc<dyn Backend>) -> Self {
-        self.default_backend = backend;
-        self
-    }
-
     /// Reopens the session over another database snapshot, carrying the
     /// compile service (and its persistent store), the statement cache,
     /// and the default back-end over — prepared statements and compiled
@@ -348,7 +339,24 @@ impl<'s, 'db> QueryRun<'s, 'db> {
     }
 
     /// Executes morsel-parallel with `workers` threads (`0` and `1`
-    /// both mean the exact serial path).
+    /// both mean the exact serial path, on the calling thread with no
+    /// fork, thread or channel). Otherwise each pipeline with at least
+    /// two morsels, a mergeable sink and a code artifact fans its
+    /// morsels out and merges them at its barrier.
+    ///
+    /// Worker panics are isolated: a panicking morsel worker poisons
+    /// only itself; its unclaimed morsels are requeued onto surviving
+    /// workers and its claimed-but-unmerged morsels are replayed once
+    /// by a retry pass so the deterministic barrier merge stays
+    /// byte-identical. A second fault fails the query cleanly with
+    /// [`EngineError::WorkerPanic`] instead of the process. Panics on
+    /// the driver's own thread — canonical setup/finish, pipelines that
+    /// do not fan out, single-worker runs — have no surviving worker to
+    /// replay onto, so they are contained to the same typed error
+    /// without a retry: the query fails, the process never does. A
+    /// trap under fan-out is the one from the lowest trapping morsel
+    /// observed — best-effort identity with the serial trap (exact at
+    /// one worker).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.exec.workers = workers;
@@ -371,7 +379,10 @@ impl<'s, 'db> QueryRun<'s, 'db> {
 
     /// Bounds *execution* with a [`QueryBudget`]: wall-clock deadline,
     /// model-cycle cap, result-row cap, and/or a cancellation token,
-    /// each checked at every morsel claim.
+    /// each checked at every morsel claim — serial or parallel — so a
+    /// tripped budget stops the query within one morsel and surfaces
+    /// the typed budget error with partial [`crate::ExecTally`]
+    /// accounting.
     #[must_use]
     pub fn query_budget(mut self, budget: QueryBudget) -> Self {
         self.query_budget = Some(budget);
@@ -422,37 +433,19 @@ impl<'s, 'db> QueryRun<'s, 'db> {
     }
 
     /// Executes an already compiled query (e.g. one compiled by an
-    /// earlier run of the same statement).
+    /// earlier run of the same statement) in the tier it holds: the one
+    /// way to run a single query.
     ///
     /// # Errors
-    /// Returns [`EngineError::Trap`] when generated code traps.
+    /// Propagates traps, storage errors, budget overruns and
+    /// unrecovered worker panics.
     pub fn execute_compiled(
         &self,
         compiled: &mut CompiledQuery,
     ) -> Result<ExecutionResult, EngineError> {
-        self.execute_compiled_with_hook(compiled, &mut |_| None)
-    }
-
-    /// Executes an already compiled query, consulting `hook` after
-    /// every morsel; a replacement returned by the hook is swapped in
-    /// at that morsel boundary with compile time and statistics merged
-    /// (the adaptive tier-up contract).
-    ///
-    /// # Errors
-    /// Returns [`EngineError::Trap`] when generated code traps.
-    pub fn execute_compiled_with_hook(
-        &self,
-        compiled: &mut CompiledQuery,
-        hook: &mut dyn FnMut(&MorselEvent) -> Option<CompiledQuery>,
-    ) -> Result<ExecutionResult, EngineError> {
         let budget = self.query_budget.clone().unwrap_or_default();
-        MorselExecutor::new(self.exec).execute_budgeted(
-            &self.session.engine,
-            self.statement.query(),
-            compiled,
-            &budget,
-            hook,
-        )
+        let (engine, query) = (&self.session.engine, self.statement.query());
+        morsel_exec::execute(engine, query, compiled, self.exec, budget)
     }
 }
 

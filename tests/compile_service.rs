@@ -3,7 +3,7 @@
 //! code generation, and background tier-up must swap at a deterministic
 //! morsel boundary without blocking the first morsel.
 
-use qc_backend::chaos::{ChaosBackend, ChaosFault};
+use qc_backend::chaos::{ChaosBackend, ChaosExecBackend, ChaosFault, ExecFault};
 use qc_backend::BackendErrorKind;
 use qc_backend::{Backend, BackendError, Executable};
 use qc_engine::{
@@ -11,10 +11,11 @@ use qc_engine::{
     CompiledQuery, EngineConfig, EngineError, PreparedStatement, Session, SessionConfig,
 };
 use qc_ir::Module;
-use qc_plan::reference;
+use qc_plan::{col, lit_i64, reference, PlanNode};
 use qc_target::Isa;
 use qc_timing::TimeTrace;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Picks a query from the H-like suite that decomposes into several
 /// pipelines, so the fan-out path is actually exercised.
@@ -296,6 +297,120 @@ fn background_tier_up_swaps_at_a_deterministic_boundary() {
         .expect("second background run");
     assert_eq!(report2.swapped_at_morsel, Some(3));
     assert_eq!(result.exec_stats.cycles, again.exec_stats.cycles);
+
+    // Every pinned boundary lands where it always has, at the same cost.
+    let mut measured = Vec::new();
+    for optimized in [optimized, Arc::from(backends::clift(Isa::Tx64))] {
+        for n in [0, 1, 3, 7] {
+            let (result, report) = policy
+                .run_background(
+                    session.engine(),
+                    &service,
+                    prepared,
+                    &cheap,
+                    &optimized,
+                    Some(n),
+                )
+                .expect("pinned background run");
+            let stats = result.exec_stats;
+            let swapped_at = report.swapped_at_morsel;
+            measured.push((optimized.name(), n, swapped_at, stats.cycles, stats.insts));
+        }
+    }
+    assert_eq!(measured, PINNED_SWAPS, "measured table:\n{measured:#?}");
+}
+
+/// `(optimizing tier, n, swapped_at_morsel, exec cycles, exec insts)` of
+/// `run_background` pinned at boundary `n` over the interpreter, on
+/// [`multi_pipeline_query`] with 256-row morsels at scale factor 0.05.
+/// Boundary 0 swaps after the first morsel like boundary 1; the query
+/// has six morsels, so boundary 7 never comes and the cheap tier ends it.
+type PinnedSwap = (&'static str, u64, Option<u64>, u64, u64);
+const PINNED_SWAPS: [PinnedSwap; 8] = [
+    ("LVM-opt", 0, Some(1), 369_956, 32_974),
+    ("LVM-opt", 1, Some(1), 369_956, 32_974),
+    ("LVM-opt", 3, Some(3), 391_945, 25_164),
+    ("LVM-opt", 7, None, 393_415, 24_552),
+    ("Clift", 0, Some(1), 366_644, 32_093),
+    ("Clift", 1, Some(1), 366_644, 32_093),
+    ("Clift", 3, Some(3), 391_633, 25_042),
+    ("Clift", 7, None, 393_415, 24_552),
+];
+
+#[test]
+fn heuristic_tier_up_decides_on_observed_work() {
+    let db = qc_storage::gen_hlike(0.05);
+    let cheap: Arc<dyn Backend> = Arc::from(backends::interpreter());
+    let optimized: Arc<dyn Backend> = Arc::from(backends::clift(Isa::Tx64));
+
+    // The default policy on a one-morsel query: its work never pays for
+    // an optimizing compile, so none is spawned.
+    let session = Session::new(&db);
+    let small = PlanNode::scan("nation", &["n_nationkey", "n_name"]);
+    let stmt = session.statement(&small).expect("prepare");
+    let service = CompileService::default();
+    let (result, report) = AdaptiveExecution::default()
+        .run_background(
+            session.engine(),
+            &service,
+            stmt.query(),
+            &cheap,
+            &optimized,
+            None,
+        )
+        .expect("default-policy run");
+    assert_eq!(report.outcome, AdaptiveOutcome::StayedCheap);
+    assert_eq!(report.swapped_at_morsel, None);
+    assert!(report.background_error.is_none());
+    assert_eq!(
+        service.cache_stats().misses,
+        stmt.query().ir.modules.len() as u64,
+        "only the cheap tier compiled"
+    );
+    let expected = reference::execute(&small, &db).expect("reference");
+    assert_eq!(
+        reference::normalize(&result.rows),
+        reference::normalize(&expected)
+    );
+
+    // A policy that fires on the first morsel, over a first tier whose
+    // every morsel sleeps: the optimizing compile finishes while the
+    // cheap tier still runs, and takes over.
+    let session = Session::with_config(
+        &db,
+        SessionConfig {
+            engine: EngineConfig { morsel_size: 8 },
+            ..Default::default()
+        },
+    );
+    let scan = PlanNode::scan("lineitem", &["l_orderkey", "l_quantity"])
+        .filter(col("l_orderkey").ge(lit_i64(0)));
+    let stmt = session.statement(&scan).expect("prepare");
+    let slow_cheap: Arc<dyn Backend> = Arc::new(ChaosExecBackend::always(
+        Arc::clone(&cheap),
+        ExecFault::Delay(Duration::from_millis(10)),
+    ));
+    let eager = AdaptiveExecution {
+        expected_executions: u64::MAX / 2,
+        benefit_threshold: 1,
+    };
+    let (result, report) = eager
+        .run_background(
+            session.engine(),
+            &CompileService::default(),
+            stmt.query(),
+            &slow_cheap,
+            &optimized,
+            None,
+        )
+        .expect("eager-policy run");
+    assert_eq!(report.outcome, AdaptiveOutcome::TieredUp);
+    assert!(report.background_error.is_none());
+    let expected = reference::execute(&scan, &db).expect("reference");
+    assert_eq!(
+        reference::normalize(&result.rows),
+        reference::normalize(&expected)
+    );
 }
 
 #[test]

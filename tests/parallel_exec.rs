@@ -1,13 +1,12 @@
 //! Parallel-execution determinism suite: the morsel-parallel executor
 //! must produce byte-identical rows to the single-threaded engine for
-//! every worker count and schedule, including while a background
-//! tier-up swaps the executable mid-query. (Cycle totals are exactly
+//! every worker count and schedule. (Cycle totals are exactly
 //! serial at one worker and reproducible under the static schedule;
 //! see the `morsel_exec` module docs for the full cycle story.)
 
 use qc_engine::{
-    backends, EngineConfig, MorselExecConfig, MorselExecutor, MorselSchedule, QueryScheduler,
-    SchedulerConfig, Session, SessionConfig, SessionRequest,
+    backends, EngineConfig, MorselSchedule, QueryScheduler, SchedulerConfig, Session,
+    SessionConfig, SessionRequest,
 };
 use qc_target::Isa;
 use qc_timing::TimeTrace;
@@ -41,12 +40,10 @@ fn rows_byte_identical_across_worker_counts() {
                 .trace(&trace)
                 .direct();
             let mut compiled = run.compile().expect("compile");
-            let executor = MorselExecutor::new(MorselExecConfig {
-                workers,
-                schedule: MorselSchedule::Stealing,
-            });
-            let result = executor
-                .execute(session.engine(), stmt.query(), &mut compiled)
+            let result = run
+                .workers(workers)
+                .schedule(MorselSchedule::Stealing)
+                .execute_compiled(&mut compiled)
                 .unwrap_or_else(|e| panic!("{} at {workers} workers failed: {e}", q.name));
             assert_eq!(
                 result.rows, serial.rows,
@@ -94,10 +91,6 @@ fn static_schedule_cycles_are_reproducible() {
     let trace = TimeTrace::disabled();
     let q = &qc_workloads::hlike_suite()[0];
     let stmt = session.statement(&q.plan).expect("prepare");
-    let executor = MorselExecutor::new(MorselExecConfig {
-        workers: 4,
-        schedule: MorselSchedule::Static,
-    });
     let mut cycles = Vec::new();
     let mut critical = Vec::new();
     for _ in 0..3 {
@@ -107,8 +100,10 @@ fn static_schedule_cycles_are_reproducible() {
             .trace(&trace)
             .direct();
         let mut compiled = run.compile().expect("compile");
-        let result = executor
-            .execute(session.engine(), stmt.query(), &mut compiled)
+        let result = run
+            .workers(4)
+            .schedule(MorselSchedule::Static)
+            .execute_compiled(&mut compiled)
             .expect("static parallel run");
         cycles.push(result.exec_stats.cycles);
         critical.push(result.critical_path_cycles);
@@ -127,69 +122,6 @@ fn static_schedule_cycles_are_reproducible() {
         critical[0],
         cycles[0]
     );
-}
-
-#[test]
-fn background_tier_up_lands_mid_query_under_four_workers() {
-    let db = qc_storage::gen_hlike(0.05);
-    // Many morsel boundaries so the swap lands mid-pipeline.
-    let session = Session::with_config(
-        &db,
-        SessionConfig {
-            engine: EngineConfig { morsel_size: 128 },
-            ..Default::default()
-        },
-    );
-    let backend_cheap: Arc<dyn qc_backend::Backend> = Arc::from(backends::interpreter());
-    let backend_opt: Arc<dyn qc_backend::Backend> = Arc::from(backends::clift(Isa::Tx64));
-    let trace = TimeTrace::disabled();
-    for q in &qc_workloads::hlike_suite()[..4] {
-        let serial = session
-            .prepare(&q.plan)
-            .map(|run| run.backend(Arc::clone(&backend_cheap)))
-            .and_then(|run| run.execute())
-            .expect("serial run");
-        let stmt = session.statement(&q.plan).expect("prepare");
-        let cheap_run = session
-            .run(stmt.clone())
-            .backend(Arc::clone(&backend_cheap))
-            .trace(&trace)
-            .direct();
-        let mut compiled = cheap_run.compile().expect("cheap compile");
-        let opt_run = session
-            .run(stmt.clone())
-            .backend(Arc::clone(&backend_opt))
-            .trace(&trace)
-            .direct();
-        let mut replacement = Some(opt_run.compile().expect("optimized compile"));
-        let executor = MorselExecutor::new(MorselExecConfig {
-            workers: 4,
-            schedule: MorselSchedule::Stealing,
-        });
-        let mut fired_at = None;
-        let result = executor
-            .execute_with_hook(session.engine(), stmt.query(), &mut compiled, &mut |ev| {
-                // Land the optimized tier a few morsels into the query.
-                if ev.morsels_done >= 3 {
-                    fired_at.get_or_insert(ev.morsels_done);
-                    replacement.take()
-                } else {
-                    None
-                }
-            })
-            .unwrap_or_else(|e| panic!("{} with mid-query tier-up failed: {e}", q.name));
-        assert_eq!(
-            result.rows, serial.rows,
-            "{} rows diverged with mid-query tier-up",
-            q.name
-        );
-        if fired_at.is_some() {
-            assert_eq!(
-                compiled.backend_name, "Clift",
-                "replacement tier was not adopted"
-            );
-        }
-    }
 }
 
 #[test]

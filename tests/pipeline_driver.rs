@@ -1,5 +1,5 @@
 //! The pipeline driver is one loop behind every execution entry point:
-//! `QueryRun` (through `MorselExecutor`) steps it to completion, the
+//! `QueryRun::execute_compiled` steps it to completion, the
 //! serving scheduler steps it a credit slice at a time. These tests pin
 //! what that buys: one query mixing a fan-out pipeline with a
 //! serial-fallback one is right at every worker count and schedule, the
