@@ -68,7 +68,7 @@ use crate::engine::{
 use crate::supervise::supervise;
 use parallel::ParallelPipeline;
 use qc_backend::Executable;
-use qc_plan::{CtxEntry, PhysicalPlan, Pipeline, Sink, Source};
+use qc_plan::{CtxEntry, PhysicalPlan, Pipeline, PlanNode, Sink, Source};
 use qc_runtime::{RuntimeState, SqlValue};
 use qc_storage::{ColumnType, Morsel};
 use qc_target::{ExecStats, Trap};
@@ -457,8 +457,8 @@ impl QueryExecution {
     }
 
     /// Estimated morsels left to run (exact for the current pipeline,
-    /// table-row estimates for pipelines not yet set up). Drives the
-    /// scheduler's tier-up priority.
+    /// [`source_morsels`] for pipelines not yet set up). Drives the
+    /// scheduler's pick and its tier-up priority.
     pub(crate) fn remaining_morsels(&self, engine: &Engine<'_>, prepared: &PreparedQuery) -> u64 {
         let plan = &prepared.plan;
         let mut rem = 0u64;
@@ -466,14 +466,13 @@ impl QueryExecution {
             if i == self.pipe_idx && self.setup_done {
                 rem += (self.morsels.len() - self.next) as u64;
             } else {
-                rem += match &pipe.source {
-                    Source::Table { name, .. } => engine
-                        .database()
-                        .table(name)
-                        .map_or(0, |t| t.row_count() as u64)
-                        .div_ceil(engine.morsel_size() as u64),
-                    Source::Buffer { .. } => 1,
-                };
+                rem += source_morsels(
+                    engine,
+                    match &pipe.source {
+                        Source::Table { name, .. } => Some(name.as_str()),
+                        Source::Buffer { .. } => None,
+                    },
+                );
             }
         }
         rem
@@ -493,6 +492,39 @@ impl QueryExecution {
             critical_path_cycles: self.tally.cycles - self.overlapped_cycles,
             compile_time: compiled.compile_time,
             compile_stats: compiled.compile_stats.clone(),
+        }
+    }
+}
+
+/// Morsels one pipeline source is estimated to take before it runs: a
+/// table source (`scanned_table`) counts ⌈rows / morsel size⌉, a buffer
+/// source (`None`) counts one. The one rule behind
+/// [`QueryExecution::remaining_morsels`] and [`plan_morsels`].
+fn source_morsels(engine: &Engine<'_>, scanned_table: Option<&str>) -> u64 {
+    scanned_table.map_or(1, |name| {
+        engine
+            .database()
+            .table(name)
+            .map_or(0, |t| t.row_count() as u64)
+            .div_ceil(engine.morsel_size() as u64)
+    })
+}
+
+/// Morsels a logical plan is estimated to take, without planning it:
+/// every scan is a table-source pipeline and every `GroupBy` or `Sort`
+/// adds a buffer-source one, so this equals
+/// [`QueryExecution::remaining_morsels`] of a fresh execution of the
+/// prepared plan. The scheduler's estimate for a request not yet
+/// admitted.
+pub(crate) fn plan_morsels(engine: &Engine<'_>, plan: &PlanNode) -> u64 {
+    match plan {
+        PlanNode::Scan { table, .. } => source_morsels(engine, Some(table.as_str())),
+        PlanNode::Filter { input, .. } | PlanNode::Map { input, .. } => plan_morsels(engine, input),
+        PlanNode::HashJoin { build, probe, .. } => {
+            plan_morsels(engine, build) + plan_morsels(engine, probe)
+        }
+        PlanNode::GroupBy { input, .. } | PlanNode::Sort { input, .. } => {
+            source_morsels(engine, None) + plan_morsels(engine, input)
         }
     }
 }
@@ -571,6 +603,33 @@ mod tests {
     use qc_backend::Backend;
     use std::sync::Arc;
     use std::time::Duration;
+
+    /// The scheduler's estimate for a request it has not planned yet is
+    /// what the driver reports for the prepared query before its first
+    /// step, so pending and admitted queries compare in one unit.
+    #[test]
+    fn the_plan_estimate_is_a_fresh_executions_remaining_morsels() {
+        let suites = [
+            (qc_storage::gen_dslike(0.05), qc_workloads::dslike_suite()),
+            (qc_storage::gen_hlike(0.05), qc_workloads::hlike_suite()),
+        ];
+        for (db, suite) in &suites {
+            for morsel_size in [64, 2048] {
+                let engine = Engine::with_config(db, EngineConfig { morsel_size });
+                for q in suite {
+                    let prepared = engine.prepare(&q.plan, &q.name).expect("prepare");
+                    let exec =
+                        QueryExecution::new(MorselExecConfig::default(), QueryBudget::unlimited());
+                    assert_eq!(
+                        plan_morsels(&engine, &q.plan),
+                        exec.remaining_morsels(&engine, &prepared),
+                        "{} at morsel size {morsel_size}",
+                        q.name
+                    );
+                }
+            }
+        }
+    }
 
     /// A tier adopted between two steps of a fanned-out execution runs
     /// the rest of the query: the next pipeline's workers instantiate

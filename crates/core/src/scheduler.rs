@@ -14,18 +14,26 @@
 //!
 //! * **Bounded admission.** At most [`SchedulerConfig::admission_limit`]
 //!   queries are admitted (prepared + compiled) at a time; the rest
-//!   wait in a FIFO submission queue. This bounds memory (each admitted
-//!   query holds executables and runtime state) and keeps the cache
-//!   warm-up serial enough to be effective.
+//!   wait as pending requests. This bounds memory (each admitted query
+//!   holds executables and runtime state) and keeps the cache warm-up
+//!   serial enough to be effective.
 //! * **Overload shedding.** With [`SchedulerConfig::max_queue_depth`]
 //!   set, submissions beyond the depth are shed up front per
 //!   [`ShedPolicy`] — rejected with an [`OutcomeStatus::Shed`] outcome
 //!   instead of queueing unboundedly.
-//! * **Fairness.** Admitted queries sit in a round-robin ready queue.
-//!   A worker pops the front, runs a slice of
+//! * **Shortest remaining first.** A free worker makes one pick under
+//!   the state lock: of the admitted queries waiting for a worker and —
+//!   while an admission slot is free — the pending requests, it takes
+//!   the one with the fewest estimated morsels left (an admitted query
+//!   wins a tie, then submission order). Picking a pending request
+//!   admits it; picking an admitted query runs one slice of
 //!   [`SchedulerConfig::morsel_credits`] morsels through the
-//!   incremental [`QueryExecution`] stepper, and pushes the query to
-//!   the back. No query can starve another by more than one slice.
+//!   incremental [`QueryExecution`] stepper. A request's estimate is
+//!   computed once from its plan before the workers start, in the unit
+//!   of the driver's own remaining-morsel count, so short queries finish
+//!   first instead of every query of a batch finishing near its end.
+//!   There is no age bound: a serve is a finite batch, so a long query
+//!   waits at most for the shorter work of its own batch.
 //! * **Tier-up priority.** When a background tier is configured, a
 //!   small number of in-flight background compiles
 //!   ([`SchedulerConfig::tier_up_inflight`]) is granted to the admitted
@@ -34,6 +42,9 @@
 //!   the paper's adaptive-execution argument. A completed tier is
 //!   adopted between two slices — a morsel boundary — by the same
 //!   helper the single-query adaptive path calls between its steps.
+//!   A long query, though, is admitted last and then runs without
+//!   sharing its worker, so it often finishes before its background
+//!   compile does: few queries of a batch tier up.
 //! * **Runaway governor.** With a [`RunawayPolicy`], the scheduler
 //!   learns an EWMA of cycles-per-morsel over completed queries and
 //!   applies the *inverse* of tier-up to queries blowing past their
@@ -51,7 +62,7 @@
 use crate::compile_service::{CompileService, PendingCompile};
 use crate::engine::{CompiledQuery, EngineError, ExecutionResult, PreparedQuery, QueryBudget};
 use crate::fallback::FallbackChain;
-use crate::morsel_exec::{MorselExecConfig, QueryExecution, StepProgress};
+use crate::morsel_exec::{plan_morsels, MorselExecConfig, QueryExecution, StepProgress};
 use crate::session::Session;
 use crate::supervise::{lock_recover, supervise};
 use qc_backend::Backend;
@@ -125,7 +136,8 @@ pub struct SchedulerConfig {
     pub workers: usize,
     /// Maximum concurrently admitted (prepared + compiled) queries.
     pub admission_limit: usize,
-    /// Morsels a query may run per slice before yielding the worker.
+    /// Morsels a query runs per slice before its worker picks again:
+    /// how often a worker can switch to a shorter query.
     pub morsel_credits: u64,
     /// Optional background tier: queries tier up to this back-end while
     /// executing their first tier.
@@ -267,7 +279,8 @@ pub struct QueryOutcome {
     pub name: String,
     /// Result rows (empty unless `status` is [`OutcomeStatus::Ok`]).
     pub rows: Vec<Vec<SqlValue>>,
-    /// Time from submission to admission (prepare/compile start).
+    /// Time from submission to admission (prepare/compile start). A
+    /// long query waits here, unadmitted, while shorter ones run.
     pub queue_wait: Duration,
     /// Time from submission to completion.
     pub latency: Duration,
@@ -349,7 +362,7 @@ impl ServeReport {
     /// Work-distribution speedup: total busy time over the busiest
     /// worker's busy time. This is the model-time speedup the serve
     /// would achieve on one core per worker — `workers`-ideal when the
-    /// round-robin credits balance perfectly, 1.0 when one worker did
+    /// workers' picks balance perfectly, 1.0 when one worker did
     /// everything. Unlike wall-clock throughput it is meaningful even
     /// when the host has fewer cores than serving workers.
     pub fn parallel_speedup(&self) -> f64 {
@@ -372,7 +385,8 @@ struct Active {
     prepared: Arc<PreparedQuery>,
     compiled: CompiledQuery,
     exec: QueryExecution,
-    /// Estimated morsels left (tier-up priority key).
+    /// Estimated morsels left (the key of [`pick`] and of the tier-up
+    /// priority).
     remaining: u64,
     /// Morsel estimate at admission (runaway prediction base).
     initial_morsels: u64,
@@ -387,11 +401,23 @@ struct BreakerState {
     open_until: Option<Instant>,
 }
 
+/// A submitted request not admitted yet.
+struct Pending {
+    index: usize,
+    req: SessionRequest,
+    /// Estimated morsels ([`plan_morsels`]), in [`Active::remaining`]'s
+    /// unit; computed once, before the workers start.
+    morsels: u64,
+}
+
 /// Scheduler state shared by the serving workers.
 #[derive(Default)]
 struct SchedState {
-    pending: VecDeque<(usize, SessionRequest)>,
-    ready: VecDeque<Active>,
+    /// Requests waiting for admission, in ascending `(morsels, index)`
+    /// order once the workers start.
+    pending: VecDeque<Pending>,
+    /// Admitted queries waiting for a worker.
+    ready: Vec<Active>,
     outcomes: Vec<Option<QueryOutcome>>,
     active: usize,
     done: usize,
@@ -476,8 +502,16 @@ impl QueryScheduler {
     ) -> ServeReport {
         let total = requests.len();
         let start = Instant::now();
+        let pending = requests
+            .into_iter()
+            .enumerate()
+            .map(|(index, req)| Pending {
+                index,
+                morsels: plan_morsels(session.engine(), &req.plan),
+                req,
+            });
         let mut state = SchedState {
-            pending: requests.into_iter().enumerate().collect(),
+            pending: pending.collect(),
             outcomes: (0..total).map(|_| None).collect(),
             ..SchedState::default()
         };
@@ -491,7 +525,9 @@ impl QueryScheduler {
                     ShedPolicy::RejectNew => state.pending.pop_back(),
                     ShedPolicy::DropOldest => state.pending.pop_front(),
                 };
-                let Some((index, req)) = shed else { break };
+                let Some(Pending { index, req, .. }) = shed else {
+                    break;
+                };
                 let ticket = Ticket::new(index, req.name, Duration::ZERO);
                 retire(
                     &mut state,
@@ -502,6 +538,10 @@ impl QueryScheduler {
                 );
             }
         }
+        state
+            .pending
+            .make_contiguous()
+            .sort_by_key(|p| (p.morsels, p.index));
 
         let shared = Shared {
             state: Mutex::new(state),
@@ -606,9 +646,50 @@ fn runaway_check(config: &SchedulerConfig, g: &SchedState, a: &Active) -> Runawa
     RunawayAction::None
 }
 
-/// One serving worker: admits pending sessions while admission slots
-/// are free, otherwise runs ready sessions one credit slice at a time.
-/// Returns this worker's busy time.
+/// What a free worker does next. Moved out of the state at once, like
+/// the `Active` it carries; boxing that would allocate on every slice.
+#[allow(clippy::large_enum_variant)]
+enum Pick {
+    /// Admit (plan and compile) this request; it holds an admission
+    /// slot from now on.
+    Admit(Pending),
+    /// Run one slice of this admitted query.
+    Run(Active),
+}
+
+/// The one scheduling decision, made under the state lock: of the
+/// admitted queries waiting for a worker and — while an admission slot
+/// is free — the pending requests, the one with the fewest estimated
+/// morsels left. An admitted query wins a tie, then submission order
+/// decides. `None` when nothing can start now.
+fn pick(g: &mut SchedState, admission_limit: usize) -> Option<Pick> {
+    let run = g
+        .ready
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, a)| (a.remaining, a.ticket.index))
+        .map(|(i, a)| (a.remaining, i));
+    let admit = g
+        .pending
+        .front()
+        .filter(|_| g.active < admission_limit)
+        .map(|p| p.morsels);
+    match (run, admit) {
+        (Some((remaining, i)), admit) if admit.is_none_or(|morsels| remaining <= morsels) => {
+            Some(Pick::Run(g.ready.swap_remove(i)))
+        }
+        (_, Some(_)) => {
+            let pending = g.pending.pop_front()?;
+            g.active += 1;
+            Some(Pick::Admit(pending))
+        }
+        _ => None,
+    }
+}
+
+/// One serving worker: takes what [`pick`] chooses — an admission or a
+/// credit slice — until every session is done. Returns this worker's
+/// busy time.
 fn serve_worker(
     session: &Session<'_>,
     backend: &Arc<dyn Backend>,
@@ -621,49 +702,43 @@ fn serve_worker(
     let mut busy = Duration::ZERO;
     loop {
         let mut g = lock_recover(&shared.state);
-        loop {
+        let next = loop {
             if g.done == total {
                 shared.cv.notify_all();
                 return busy;
             }
-            let can_admit = g.active < config.admission_limit && !g.pending.is_empty();
-            if can_admit || !g.ready.is_empty() {
-                break;
+            if let Some(next) = pick(&mut g, config.admission_limit) {
+                break next;
             }
             g = shared.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-        }
+        };
 
-        if g.active < config.admission_limit && !g.pending.is_empty() {
-            let Some((index, mut req)) = g.pending.pop_front() else {
-                continue;
-            };
-            g.active += 1;
-            let routed = route_backend(config, backend, &mut g);
-            drop(g);
-            let t0 = Instant::now();
-            // One copy of the ticket stays out here in case admission
-            // fails (or panics) and takes the other with it.
-            let name = std::mem::take(&mut req.name);
-            let ticket = Ticket::new(index, name, start.elapsed());
-            // Admission fault containment: a panicking planner/compiler
-            // fails this session, not the serve loop.
-            let admitted = supervise(|| admit(session, &routed, config, req, ticket.clone()))
-                .unwrap_or_else(|panic| Err(EngineError::WorkerPanic(panic)));
-            busy += t0.elapsed();
-            let mut g = lock_recover(&shared.state);
-            match admitted {
-                Ok(active) => {
-                    g.ready.push_back(active);
-                    tier_up_governor(service, config, &mut g);
+        let mut a = match next {
+            Pick::Run(a) => a,
+            Pick::Admit(Pending { index, mut req, .. }) => {
+                let routed = route_backend(config, backend, &mut g);
+                drop(g);
+                let t0 = Instant::now();
+                // One copy of the ticket stays out here in case admission
+                // fails (or panics) and takes the other with it.
+                let name = std::mem::take(&mut req.name);
+                let ticket = Ticket::new(index, name, start.elapsed());
+                // Admission fault containment: a panicking planner/compiler
+                // fails this session, not the serve loop.
+                let admitted = supervise(|| admit(session, &routed, config, req, ticket.clone()))
+                    .unwrap_or_else(|panic| Err(EngineError::WorkerPanic(panic)));
+                busy += t0.elapsed();
+                let mut g = lock_recover(&shared.state);
+                match admitted {
+                    Ok(active) => {
+                        g.ready.push(active);
+                        tier_up_governor(service, config, &mut g);
+                    }
+                    Err(err) => retire(&mut g, ticket, false, start, Ending::Errored(err)),
                 }
-                Err(err) => retire(&mut g, ticket, false, start, Ending::Errored(err)),
+                shared.cv.notify_all();
+                continue;
             }
-            shared.cv.notify_all();
-            continue;
-        }
-
-        let Some(mut a) = g.ready.pop_front() else {
-            continue;
         };
         drop(g);
         let t0 = Instant::now();
@@ -706,10 +781,10 @@ fn serve_worker(
                             g.tier_inflight += 1;
                             g.runaway_downgrades += 1;
                         }
-                        g.ready.push_back(a);
+                        g.ready.push(a);
                     }
                     RunawayAction::None => {
-                        g.ready.push_back(a);
+                        g.ready.push(a);
                         tier_up_governor(service, config, &mut g);
                     }
                 }

@@ -192,6 +192,64 @@ fn a_cycle_cap_trips_identically_through_query_run_and_scheduler() {
     assert_eq!(outcome.error.as_deref(), Some(err.to_string().as_str()));
 }
 
+/// A free worker takes the admitted or pending query with the fewest
+/// estimated morsels left. With one worker and one-morsel slices, a
+/// batch then completes shortest first whatever its submission order:
+/// the long scan, submitted first, waits unadmitted until every shorter
+/// query is done, and equal estimates finish in submission order.
+#[test]
+fn the_shortest_remaining_query_runs_first() {
+    let db = database();
+    let session = session(&db);
+    let config = SchedulerConfig {
+        admission_limit: 4,
+        ..one_at_a_time()
+    };
+    let tiny_sum =
+        PlanNode::scan("tiny", &["k", "v"]).group_by(&[], vec![("s", AggFunc::Sum(col("v")))]);
+    // (name, plan, estimated morsels: a table scan counts its morsels,
+    // each group or sort buffer one).
+    let batch = [
+        ("long", scan_of("fact"), 60),
+        ("dim", PlanNode::scan("dim", &["dk", "w"]), 4),
+        ("sorted", scan_of("tiny").sort(&[("k", false)], None), 2),
+        ("summed", tiny_sum, 2),
+        ("tiny", scan_of("tiny"), 1),
+    ];
+    let requests = batch
+        .iter()
+        .map(|(name, plan, _)| SessionRequest::new(*name, plan.clone()))
+        .collect();
+    let report = serve(&session, config, &clift(), requests);
+    for ((name, plan, _), outcome) in batch.iter().zip(&report.outcomes) {
+        assert_eq!(
+            outcome.status,
+            OutcomeStatus::Ok,
+            "{name}: {:?}",
+            outcome.error
+        );
+        let reference = qc_plan::reference::execute(plan, &db).expect("reference");
+        assert_eq!(outcome.rows, reference, "{name}: rows diverged");
+    }
+    let mut completed: Vec<_> = batch.iter().zip(&report.outcomes).collect();
+    completed.sort_by_key(|(_, outcome)| outcome.latency);
+    let order: Vec<_> = completed.iter().map(|((name, _, _), _)| *name).collect();
+    // Ascending estimates; `sorted` and `summed` tie and keep their
+    // submission order.
+    assert_eq!(order, ["tiny", "sorted", "summed", "dim", "long"]);
+    assert!(completed.windows(2).all(|w| w[0].0 .2 <= w[1].0 .2));
+
+    let long = &report.outcomes[0];
+    for (name, outcome) in batch.iter().map(|b| b.0).zip(&report.outcomes).skip(1) {
+        assert!(
+            long.queue_wait >= outcome.latency,
+            "`long` was admitted ({:?}) before `{name}` finished ({:?})",
+            long.queue_wait,
+            outcome.latency
+        );
+    }
+}
+
 /// First tier for the tier-up tests: every morsel takes at least
 /// `MORSEL_DELAY`, so the 60-morsel `fact` scan is still running long
 /// after the delayed background compile below has finished.
