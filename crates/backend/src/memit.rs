@@ -116,16 +116,15 @@ impl<'a> MirEmitter<'a> {
         (slot * 8) as i32
     }
 
-    /// Reads an int vreg into a register (spill → scratch `which`).
+    /// Reads an int vreg into a register (spill → scratch `which`, by a
+    /// reload or, for a rematerialized slot, a `mov` of its constant).
     fn rd(&mut self, v: u32, which: u8) -> Reg {
         match self.alloc.locs[v as usize] {
             Loc::R(r) => r,
             Loc::Spill(s) => {
                 let (es1, es2) = emission_scratches(self.isa);
                 let sc = if which == 0 { es1 } else { es2 };
-                let sp = self.sp();
-                let disp = self.slot_disp(s);
-                self.masm.load(Width::W64, sc, sp, None, disp);
+                self.emit_move(Loc::Spill(s), Loc::R(sc), sc);
                 sc
             }
             Loc::F(_) => panic!("int read of float vreg"),
@@ -227,10 +226,13 @@ impl<'a> MirEmitter<'a> {
                 let disp = self.slot_disp(t);
                 self.masm.store(Width::W64, a, sp, None, disp);
             }
-            (Loc::Spill(t), Loc::R(b)) => {
-                let disp = self.slot_disp(t);
-                self.masm.load(Width::W64, b, sp, None, disp);
-            }
+            (Loc::Spill(t), Loc::R(b)) => match self.alloc.remat(t) {
+                Some(imm) => self.masm.mov_ri(b, imm),
+                None => {
+                    let disp = self.slot_disp(t);
+                    self.masm.load(Width::W64, b, sp, None, disp);
+                }
+            },
             (Loc::F(a), Loc::Spill(t)) => {
                 let disp = self.slot_disp(t);
                 self.masm.fstore(a, sp, disp);
@@ -239,9 +241,9 @@ impl<'a> MirEmitter<'a> {
                 let disp = self.slot_disp(t);
                 self.masm.fload(b, sp, disp);
             }
-            (Loc::Spill(a), Loc::Spill(b)) => {
-                let (da, db) = (self.slot_disp(a), self.slot_disp(b));
-                self.masm.load(Width::W64, slot_scratch, sp, None, da);
+            (Loc::Spill(_), Loc::Spill(b)) => {
+                self.emit_move(s, Loc::R(slot_scratch), slot_scratch);
+                let db = self.slot_disp(b);
                 self.masm.store(Width::W64, slot_scratch, sp, None, db);
             }
             (Loc::R(_), Loc::F(_)) | (Loc::F(_), Loc::R(_)) => {
@@ -265,6 +267,12 @@ impl<'a> MirEmitter<'a> {
                 self.emit_move(sl, dl, emission_scratches(self.isa).1);
             }
             MInst::MovRI { d, imm } => {
+                if let Loc::Spill(s) = self.alloc.locs[*d as usize] {
+                    if self.alloc.remat(s).is_some() {
+                        // Rematerialized at each use; the slot is never written.
+                        return Ok(());
+                    }
+                }
                 let dr = self.wd(*d);
                 self.masm.mov_ri(dr, *imm);
                 self.wb(*d);

@@ -310,4 +310,15 @@ pub struct Allocation {
     pub spill_slots: u32,
     /// Spilled-bundle/interval count (statistics).
     pub spills: u64,
+    /// Constant per spill slot whose vreg is rematerialized: the emitter
+    /// materializes it at each use and never stores to the slot. Empty
+    /// unless the allocator rematerializes.
+    pub remat: Vec<Option<i64>>,
+}
+
+impl Allocation {
+    /// The rematerialized constant of spill slot `slot`, if any.
+    pub fn remat(&self, slot: u32) -> Option<i64> {
+        self.remat.get(slot as usize).copied().flatten()
+    }
 }

@@ -288,5 +288,6 @@ pub fn allocate(vcode: &VCode, isa: Isa) -> Allocation {
         locs,
         spill_slots,
         spills,
+        remat: Vec::new(),
     }
 }

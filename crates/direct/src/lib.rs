@@ -75,12 +75,12 @@ fn build_parts(
             };
             let rpo = {
                 let _t = trace.scope("cfg");
-                ReversePostorder::compute(func, &cfg)
+                ReversePostorder::compute(&cfg)
             };
             let (dt, loops) = {
                 let _t = trace.scope("domtree_loops");
-                let dt = DomTree::compute(func, &cfg, &rpo);
-                let loops = Loops::compute(func, &cfg, &rpo, &dt);
+                let dt = DomTree::compute(&cfg, &rpo);
+                let loops = Loops::compute(&cfg, &rpo, &dt);
                 (dt, loops)
             };
             if loops.is_irreducible() {

@@ -29,6 +29,18 @@ impl Cfg {
         Cfg { preds, succs }
     }
 
+    /// The CFG with the given successor lists (block 0 is the entry), for
+    /// graphs that are not a [`Function`]'s, such as lowered machine code.
+    pub fn from_succs(succs: Vec<Vec<Block>>) -> Self {
+        let mut preds = vec![Vec::new(); succs.len()];
+        for (b, ss) in succs.iter().enumerate() {
+            for s in ss {
+                preds[s.index()].push(Block::new(b));
+            }
+        }
+        Cfg { preds, succs }
+    }
+
     /// Predecessors of `block`, in terminator order.
     pub fn preds(&self, block: Block) -> &[Block] {
         &self.preds[block.index()]
@@ -62,14 +74,15 @@ pub struct ReversePostorder {
 }
 
 impl ReversePostorder {
-    /// Computes the RPO of `func` using an iterative DFS.
-    pub fn compute(func: &Function, cfg: &Cfg) -> Self {
-        let n = func.num_blocks();
+    /// Computes the RPO from the entry (block 0) using an iterative DFS.
+    pub fn compute(cfg: &Cfg) -> Self {
+        let n = cfg.len();
+        let entry = Block::new(0);
         let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
         let mut postorder = Vec::with_capacity(n);
         // Stack of (block, next successor index to visit).
-        let mut stack = vec![(func.entry_block(), 0usize)];
-        state[func.entry_block().index()] = 1;
+        let mut stack = vec![(entry, 0usize)];
+        state[entry.index()] = 1;
         while let Some(&mut (block, ref mut next)) = stack.last_mut() {
             let succs = cfg.succs(block);
             if *next < succs.len() {
@@ -163,7 +176,7 @@ mod tests {
     fn rpo_visits_entry_first_and_skips_unreachable() {
         let f = diamond();
         let cfg = Cfg::compute(&f);
-        let rpo = ReversePostorder::compute(&f, &cfg);
+        let rpo = ReversePostorder::compute(&cfg);
         assert_eq!(rpo.order()[0], Block::new(0));
         assert_eq!(rpo.order().len(), 4);
         assert!(!rpo.is_reachable(Block::new(4)));

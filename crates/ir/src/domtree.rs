@@ -2,7 +2,6 @@
 
 use crate::cfg::{Cfg, ReversePostorder};
 use crate::entities::Block;
-use crate::function::Function;
 
 /// The dominator tree of a function's CFG.
 ///
@@ -18,10 +17,10 @@ pub struct DomTree {
 }
 
 impl DomTree {
-    /// Computes the dominator tree.
-    pub fn compute(func: &Function, cfg: &Cfg, rpo: &ReversePostorder) -> Self {
-        let n = func.num_blocks();
-        let entry = func.entry_block();
+    /// Computes the dominator tree (block 0 is the entry).
+    pub fn compute(cfg: &Cfg, rpo: &ReversePostorder) -> Self {
+        let n = cfg.len();
+        let entry = Block::new(0);
         let mut idom: Vec<Option<Block>> = vec![None; n];
         idom[entry.index()] = Some(entry); // sentinel: entry dominates itself
         let rpo_pos: Vec<usize> = (0..n)
@@ -96,7 +95,7 @@ impl DomTree {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::function::Signature;
+    use crate::function::{Function, Signature};
     use crate::instr::CmpOp;
     use crate::types::Type;
 
@@ -127,8 +126,8 @@ mod tests {
 
     fn domtree(f: &Function) -> DomTree {
         let cfg = Cfg::compute(f);
-        let rpo = ReversePostorder::compute(f, &cfg);
-        DomTree::compute(f, &cfg, &rpo)
+        let rpo = ReversePostorder::compute(&cfg);
+        DomTree::compute(&cfg, &rpo)
     }
 
     #[test]

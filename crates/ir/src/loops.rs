@@ -3,7 +3,6 @@
 use crate::cfg::{Cfg, ReversePostorder};
 use crate::domtree::DomTree;
 use crate::entities::Block;
-use crate::function::Function;
 
 /// One natural loop.
 #[derive(Debug, Clone)]
@@ -31,8 +30,8 @@ impl Loops {
     /// Detects natural loops from back edges (`tail -> header` where
     /// `header` dominates `tail`). A branch to a non-dominating block that
     /// is already on the DFS path marks the CFG irreducible.
-    pub fn compute(func: &Function, cfg: &Cfg, rpo: &ReversePostorder, dt: &DomTree) -> Self {
-        let n = func.num_blocks();
+    pub fn compute(cfg: &Cfg, rpo: &ReversePostorder, dt: &DomTree) -> Self {
+        let n = cfg.len();
         let mut loops: Vec<LoopInfo> = Vec::new();
         let mut depth = vec![0u32; n];
         let mut irreducible = false;
@@ -126,15 +125,15 @@ impl Loops {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::function::Signature;
+    use crate::function::{Function, Signature};
     use crate::instr::CmpOp;
     use crate::types::Type;
 
     fn analyses(f: &Function) -> Loops {
         let cfg = Cfg::compute(f);
-        let rpo = ReversePostorder::compute(f, &cfg);
-        let dt = DomTree::compute(f, &cfg, &rpo);
-        Loops::compute(f, &cfg, &rpo, &dt)
+        let rpo = ReversePostorder::compute(&cfg);
+        let dt = DomTree::compute(&cfg, &rpo);
+        Loops::compute(&cfg, &rpo, &dt)
     }
 
     /// Two nested loops: outer over i, inner over j.

@@ -260,8 +260,8 @@ pub fn pass_phi_prune(func: &Function) -> Function {
 /// Common-subexpression elimination (dominator-scoped value numbering).
 pub fn pass_cse(func: &Function) -> Function {
     let cfg = Cfg::compute(func);
-    let rpo = ReversePostorder::compute(func, &cfg);
-    let dt = DomTree::compute(func, &cfg, &rpo);
+    let rpo = ReversePostorder::compute(&cfg);
+    let dt = DomTree::compute(&cfg, &rpo);
     let mut rw = Rewrite {
         drop: vec![false; func.num_insts()],
         subst: HashMap::new(),
@@ -386,13 +386,13 @@ pub fn pass_dce(func: &Function) -> Function {
 /// defined outside the loop into the preheader.
 pub fn pass_licm(func: &Function) -> Function {
     let cfg = Cfg::compute(func);
-    let rpo = ReversePostorder::compute(func, &cfg);
+    let rpo = ReversePostorder::compute(&cfg);
     // The paper notes the dominator tree and loop info are computed twice
     // in the optimized pipeline; model that faithfully.
-    let dt = DomTree::compute(func, &cfg, &rpo);
-    let loops = Loops::compute(func, &cfg, &rpo, &dt);
-    let dt2 = DomTree::compute(func, &cfg, &rpo);
-    let loops2 = Loops::compute(func, &cfg, &rpo, &dt2);
+    let dt = DomTree::compute(&cfg, &rpo);
+    let loops = Loops::compute(&cfg, &rpo, &dt);
+    let dt2 = DomTree::compute(&cfg, &rpo);
+    let loops2 = Loops::compute(&cfg, &rpo, &dt2);
     let _ = (dt2, loops2);
 
     // Build: for each loop, its preheader (unique out-of-loop pred of the

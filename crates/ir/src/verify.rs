@@ -342,8 +342,8 @@ impl<'a> Verifier<'a> {
 /// Returns the first violated invariant.
 pub fn verify_function(func: &Function) -> Result<(), VerifyError> {
     let cfg = Cfg::compute(func);
-    let rpo = ReversePostorder::compute(func, &cfg);
-    let dt = DomTree::compute(func, &cfg, &rpo);
+    let rpo = ReversePostorder::compute(&cfg);
+    let dt = DomTree::compute(&cfg, &rpo);
     let mut v = Verifier {
         func,
         cfg,

@@ -232,8 +232,8 @@ proptest! {
         let f = build(&shape);
         qc_ir::verify_function(&f).expect("valid");
         let cfg = Cfg::compute(&f);
-        let rpo = ReversePostorder::compute(&f, &cfg);
-        let dt = DomTree::compute(&f, &cfg, &rpo);
+        let rpo = ReversePostorder::compute(&cfg);
+        let dt = DomTree::compute(&cfg, &rpo);
         let naive = naive_dominators(&f, &cfg, &rpo);
         for a in f.blocks() {
             for b in f.blocks() {
@@ -291,15 +291,15 @@ proptest! {
     fn rpo_orders_forward_edges(shape in shape_strategy()) {
         let f = build(&shape);
         let cfg = Cfg::compute(&f);
-        let rpo = ReversePostorder::compute(&f, &cfg);
+        let rpo = ReversePostorder::compute(&cfg);
         // Each reachable block appears exactly once.
         let mut seen = HashMap::new();
         for (i, &b) in rpo.order().iter().enumerate() {
             prop_assert!(seen.insert(b, i).is_none(), "{:?} appears twice", b);
             prop_assert_eq!(rpo.position(b), Some(i));
         }
-        let dt = DomTree::compute(&f, &cfg, &rpo);
-        let loops = Loops::compute(&f, &cfg, &rpo, &dt);
+        let dt = DomTree::compute(&cfg, &rpo);
+        let loops = Loops::compute(&cfg, &rpo, &dt);
         prop_assert!(!loops.is_irreducible(), "structured CFG must be reducible");
         for &b in rpo.order() {
             for &s in cfg.succs(b) {
@@ -321,9 +321,9 @@ proptest! {
     fn loop_headers_dominate_their_bodies(shape in shape_strategy()) {
         let f = build(&shape);
         let cfg = Cfg::compute(&f);
-        let rpo = ReversePostorder::compute(&f, &cfg);
-        let dt = DomTree::compute(&f, &cfg, &rpo);
-        let loops = Loops::compute(&f, &cfg, &rpo, &dt);
+        let rpo = ReversePostorder::compute(&cfg);
+        let dt = DomTree::compute(&cfg, &rpo);
+        let loops = Loops::compute(&cfg, &rpo, &dt);
         for l in loops.loops() {
             for &b in &l.blocks {
                 prop_assert!(

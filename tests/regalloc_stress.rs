@@ -1,14 +1,18 @@
 //! Register-pressure stress on every back-end: more simultaneously live
 //! values than either ISA has registers (forcing spills in Clift/LVM and
 //! home-slot traffic in DirectEmit), including 128-bit pairs that consume
-//! two registers each.
+//! two registers each. The plan-level cases drive LVM-opt's eviction and
+//! rematerialization through whole queries.
 
 use qc_backend::Backend;
 use qc_engine::backends;
+use qc_engine::Session;
 use qc_ir::{FunctionBuilder, Module, Signature, Type};
+use qc_plan::{col, lit_dec, reference, AggFunc, PlanNode};
 use qc_runtime::RuntimeState;
 use qc_target::Isa;
 use qc_timing::TimeTrace;
+use std::sync::Arc;
 
 fn all_backends() -> Vec<Box<dyn Backend>> {
     let mut v = backends::all_for(Isa::Tx64);
@@ -159,4 +163,108 @@ fn values_live_across_runtime_calls() {
     for (x, y) in [(11i64, 300i64), (-2, 9)] {
         run_all(&m, &[x as u64, y as u64], model(x, y) as u64);
     }
+}
+
+/// Runs `plan` on LVM-opt and LVM-cheap on both ISAs and compares each
+/// result with the plan-level reference. An eviction that hands a
+/// register to a new value while the old one is still live is a
+/// miscompile, not a slowdown, so the result is the check.
+fn lvm_agrees_with_reference(plan: &PlanNode) {
+    let db = qc_storage::gen_hlike(0.05);
+    let session = Session::new(&db);
+    let expected = reference::normalize(&reference::execute(plan, &db).expect("reference"));
+    assert!(expected.len() > 1, "the plan must produce rows to compare");
+    for isa in [Isa::Tx64, Isa::Ta64] {
+        for backend in [backends::lvm_opt(isa), backends::lvm_cheap(isa)] {
+            let name = format!("{} on {isa:?}", backend.name());
+            let got = session
+                .prepare(plan)
+                .and_then(|run| run.backend(Arc::from(backend)).execute())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(reference::normalize(&got.rows), expected, "{name}");
+        }
+    }
+}
+
+/// A string-keyed group-by with thirteen aggregates: the group-table
+/// probe and insert are runtime calls, and the aggregate inputs, the key
+/// and the hash stay live across them, far more values than TX64's
+/// three callee-saved registers.
+#[test]
+fn string_keyed_group_by_with_thirteen_aggregates() {
+    let plan = PlanNode::scan(
+        "lineitem",
+        &[
+            "l_orderkey",
+            "l_partkey",
+            "l_suppkey",
+            "l_quantity",
+            "l_extendedprice",
+            "l_discount",
+            "l_tax",
+            "l_shipmode",
+        ],
+    )
+    .group_by(
+        &["l_shipmode"],
+        vec![
+            ("n", AggFunc::CountStar),
+            ("sum_qty", AggFunc::Sum(col("l_quantity"))),
+            ("sum_price", AggFunc::Sum(col("l_extendedprice"))),
+            ("sum_disc", AggFunc::Sum(col("l_discount"))),
+            ("sum_tax", AggFunc::Sum(col("l_tax"))),
+            ("min_qty", AggFunc::Min(col("l_quantity"))),
+            ("max_qty", AggFunc::Max(col("l_quantity"))),
+            ("min_price", AggFunc::Min(col("l_extendedprice"))),
+            ("max_price", AggFunc::Max(col("l_extendedprice"))),
+            ("max_order", AggFunc::Max(col("l_orderkey"))),
+            ("min_part", AggFunc::Min(col("l_partkey"))),
+            ("sum_supp", AggFunc::Sum(col("l_suppkey"))),
+            ("avg_disc", AggFunc::Avg(col("l_discount"))),
+        ],
+    );
+    lvm_agrees_with_reference(&plan);
+}
+
+/// A join probe whose payload and probe-side columns feed a filter and
+/// then a sort: the probe's chain walk, the row's columns and the
+/// payload are live across the probe call and the sort buffer's append.
+#[test]
+fn join_probe_feeding_a_filter_and_a_sort() {
+    let plan = PlanNode::scan(
+        "lineitem",
+        &[
+            "l_orderkey",
+            "l_partkey",
+            "l_quantity",
+            "l_extendedprice",
+            "l_discount",
+            "l_shipdate",
+        ],
+    )
+    .hash_join(
+        PlanNode::scan(
+            "orders",
+            &["o_orderkey", "o_totalprice", "o_orderdate", "o_custkey"],
+        ),
+        &["l_orderkey"],
+        &["o_orderkey"],
+        &["o_totalprice", "o_orderdate", "o_custkey"],
+    )
+    .filter(
+        col("l_extendedprice")
+            .mul(lit_dec(100, 2).sub(col("l_discount")))
+            .gt(col("o_totalprice").mul(lit_dec(5, 2)))
+            .and(col("l_quantity").lt(lit_dec(4000, 2))),
+    )
+    .sort(
+        &[
+            ("o_orderdate", true),
+            ("l_extendedprice", false),
+            ("l_orderkey", true),
+            ("l_partkey", true),
+        ],
+        None,
+    );
+    lvm_agrees_with_reference(&plan);
 }
