@@ -65,6 +65,10 @@ struct Ctx<'f> {
     stats: IselStats,
     fold: bool,
     opts: IselOptions,
+    /// Per value: an integer compare that emits nothing where it is
+    /// defined, because its one use is a branch that re-tests the
+    /// operands (see [`branch_only_compares`]).
+    sunk: Vec<bool>,
 }
 
 const VNONE: VReg = u32::MAX;
@@ -170,6 +174,11 @@ pub fn select(
         stats: IselStats::default(),
         fold: matches!(selector, Selector::Dag | Selector::GlobalOpt),
         opts,
+        sunk: if matches!(selector, Selector::Dag | Selector::GlobalOpt) {
+            branch_only_compares(func)
+        } else {
+            vec![false; func.num_values()]
+        },
     };
 
     // GlobalISel runs its whole-function generic passes first: the
@@ -260,6 +269,33 @@ pub fn select(
         vcode: ctx.vcode,
         stats: ctx.stats,
     })
+}
+
+/// Marks, per value, the single-register integer compares whose only
+/// use is a `Branch` condition. A folding selector fuses such a compare
+/// into the branch, which emits its own `cmp`; materializing the
+/// boolean where the compare is defined as well would be dead work.
+fn branch_only_compares(func: &Function) -> Vec<bool> {
+    let mut uses = vec![0u32; func.num_values()];
+    let mut branch_only = vec![false; func.num_values()];
+    for block in func.blocks() {
+        for &inst in func.block_insts(block) {
+            let data = func.inst(inst);
+            data.for_each_arg(|v| uses[v.index()] += 1);
+            if let InstData::Branch { cond, .. } = data {
+                branch_only[cond.index()] = true;
+            }
+        }
+    }
+    for (i, sunk) in branch_only.iter_mut().enumerate() {
+        *sunk &= uses[i] == 1
+            && matches!(
+                func.value_def(Value::new(i)),
+                qc_ir::ValueDef::Inst(ci)
+                    if matches!(func.inst(ci), InstData::Cmp { ty, .. } if ty.reg_count() == 1)
+            );
+    }
+    branch_only
 }
 
 enum Support {
@@ -616,6 +652,9 @@ fn emit_lir_inst(
         }
         InstData::Binary { op, ty, args } => {
             emit_binary(ctx, op, ty, args, res.expect("binary"))?;
+        }
+        InstData::Cmp { .. } if ctx.sunk[res.expect("cmp").index()] => {
+            // The branch that uses it compares the operands itself.
         }
         InstData::Cmp { op, ty, args } => {
             let r = res.expect("cmp");
@@ -1000,7 +1039,9 @@ fn emit_lir_inst(
             then_dest,
             else_dest,
         } => {
-            // DAG fuses a single-use compare; FastISel re-tests the bool.
+            // DAG fuses a one-register compare (under the optimizing
+            // selectors, a branch-only one emitted nothing where it is
+            // defined); FastISel re-tests the bool.
             let mut fused = false;
             if ctx.fold {
                 if let qc_ir::ValueDef::Inst(ci) = func.value_def(cond) {
@@ -1307,6 +1348,156 @@ fn emit_cmp_wide(ctx: &mut Ctx, op: CmpOp, args: [Value; 2], dst: VReg) {
                 s2: y.1,
             });
             ctx.cur.push(MInst::SetCc { cond: c, d: dst });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qc_ir::{FunctionBuilder, Signature};
+
+    const OPTS: IselOptions = IselOptions {
+        small_pic: true,
+        fastisel_crc32: true,
+    };
+
+    /// `f(x, y)`: `x < y` branches to a block that tests
+    /// `rt_probe(x) == 10`; each compare's one use is its block's
+    /// branch. Under the large code model FastISel hands the second
+    /// block to SelectionDAG at the call.
+    fn branch_only() -> Function {
+        let mut b = FunctionBuilder::new("f", Signature::new(vec![Type::I64; 2], Type::I64));
+        let probe = b.declare_ext_func(qc_ir::ExtFuncDecl {
+            name: "rt_probe".into(),
+            sig: Signature::new(vec![Type::I64], Type::I64),
+        });
+        let (entry, next, yes, no) = (
+            b.entry_block(),
+            b.create_block(),
+            b.create_block(),
+            b.create_block(),
+        );
+        b.switch_to(entry);
+        let (x, y) = (b.param(0), b.param(1));
+        let lt = b.icmp(CmpOp::SLt, Type::I64, x, y);
+        b.branch(lt, next, no);
+        b.switch_to(next);
+        let h = b.call(probe, vec![x]).expect("returns a value");
+        let ten = b.iconst(Type::I64, 10);
+        let eq = b.icmp(CmpOp::Eq, Type::I64, h, ten);
+        b.branch(eq, yes, no);
+        b.switch_to(yes);
+        b.ret(Some(x));
+        b.switch_to(no);
+        b.ret(Some(y));
+        b.finish()
+    }
+
+    /// `f(x, y)`: `x < y` feeds a branch and, through `other`, a second
+    /// user in the branch's block.
+    fn shared(other: impl FnOnce(&mut FunctionBuilder, Value, Value) -> Value) -> Function {
+        let mut b = FunctionBuilder::new("f", Signature::new(vec![Type::I64; 2], Type::I64));
+        let (entry, yes, no) = (b.entry_block(), b.create_block(), b.create_block());
+        b.switch_to(entry);
+        let (x, y) = (b.param(0), b.param(1));
+        let lt = b.icmp(CmpOp::SLt, Type::I64, x, y);
+        let v = other(&mut b, lt, x);
+        b.branch(lt, yes, no);
+        b.switch_to(yes);
+        b.ret(Some(v));
+        b.switch_to(no);
+        b.ret(Some(y));
+        b.finish()
+    }
+
+    /// `(compares, set_ccs)` in the selected code.
+    fn count(func: &Function, selector: Selector, opts: IselOptions) -> (usize, usize) {
+        let out = select(func, selector, opts).expect("selects");
+        let insts = out.vcode.blocks.iter().flatten();
+        let (mut cmps, mut setccs) = (0, 0);
+        for inst in insts {
+            match inst {
+                MInst::Cmp { .. } | MInst::CmpImm { .. } => cmps += 1,
+                MInst::SetCc { .. } => setccs += 1,
+                _ => {}
+            }
+        }
+        (cmps, setccs)
+    }
+
+    #[test]
+    fn a_compare_used_only_by_its_branch_emits_once() {
+        qc_ir::verify_function(&branch_only()).expect("valid");
+        for selector in [Selector::Dag, Selector::GlobalOpt] {
+            let out = select(&branch_only(), selector, OPTS).expect("selects");
+            let insts: Vec<&MInst> = out.vcode.blocks.iter().flatten().collect();
+            let cmp = |i: &&&MInst| matches!(i, MInst::Cmp { .. });
+            let cmp_imm = |i: &&&MInst| matches!(i, MInst::CmpImm { imm: 10, .. });
+            assert_eq!(insts.iter().filter(cmp).count(), 1, "{selector:?}");
+            assert_eq!(insts.iter().filter(cmp_imm).count(), 1, "{selector:?}");
+            assert_eq!(
+                count(&branch_only(), selector, OPTS),
+                (2, 0),
+                "{selector:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_compare_with_another_user_still_materializes() {
+        let with_select = || {
+            shared(|b, lt, x| {
+                let zero = b.iconst(Type::I64, 0);
+                b.select(Type::I64, lt, x, zero)
+            })
+        };
+        // The phi's incoming value on the edge into `join` is the compare.
+        let with_phi = || {
+            let mut b = FunctionBuilder::new("f", Signature::new(vec![Type::I64; 2], Type::I64));
+            let (entry, yes, join) = (b.entry_block(), b.create_block(), b.create_block());
+            b.switch_to(entry);
+            let (x, y) = (b.param(0), b.param(1));
+            let lt = b.icmp(CmpOp::SLt, Type::I64, x, y);
+            b.branch(lt, yes, join);
+            b.switch_to(yes);
+            let no = b.iconst(Type::Bool, 0);
+            b.jump(join);
+            b.switch_to(join);
+            let p = b.phi(Type::Bool, vec![(entry, lt), (yes, no)]);
+            let r = b.zext(Type::I64, p);
+            b.ret(Some(r));
+            b.finish()
+        };
+        for func in [with_select(), with_phi()] {
+            qc_ir::verify_function(&func).expect("valid");
+            for selector in [Selector::Dag, Selector::GlobalOpt] {
+                // `cmp; setcc` where the compare is defined, `cmp; jcc`
+                // at the branch.
+                assert_eq!(count(&func, selector, OPTS), (2, 1), "{selector:?}");
+            }
+        }
+    }
+
+    /// FastISel's selection of [`branch_only`] under Small-PIC.
+    const FAST_SMALL_PIC: &str = r#"VCode { name: "f", blocks: [[Cmp { w: W64, a: 0, b: 1 }, SetCc { cond: Lt, d: 2 }, CmpImm { w: W8, a: 2, imm: 0 }, Jcc { cond: Ne, target: 1 }, Jmp { target: 3 }], [CallRt { target: Sym("rt_probe"), args: [0], ret: [3] }, MovRI { d: 4, imm: 10 }, Cmp { w: W64, a: 3, b: 4 }, SetCc { cond: Eq, d: 5 }, CmpImm { w: W8, a: 5, imm: 0 }, Jcc { cond: Ne, target: 2 }, Jmp { target: 3 }], [Ret { vals: [0] }], [Ret { vals: [1] }]], succs: [[1, 3], [2, 3], [], []], classes: [Int, Int, Int, Int, Int, Int], params: [0, 1], fusions: (0, 0) }"#;
+
+    /// The same under the large code model: the second block is the
+    /// SelectionDAG fallback's, which fuses the compare into the branch
+    /// and materializes it as well.
+    const FAST_LARGE: &str = r#"VCode { name: "f", blocks: [[Cmp { w: W64, a: 0, b: 1 }, SetCc { cond: Lt, d: 2 }, CmpImm { w: W8, a: 2, imm: 0 }, Jcc { cond: Ne, target: 1 }, Jmp { target: 3 }], [CallRt { target: Sym("rt_probe"), args: [0], ret: [3] }, MovRI { d: 4, imm: 10 }, CmpImm { w: W64, a: 3, imm: 10 }, SetCc { cond: Eq, d: 5 }, CmpImm { w: W64, a: 3, imm: 10 }, Jcc { cond: Eq, target: 2 }, Jmp { target: 3 }], [Ret { vals: [0] }], [Ret { vals: [1] }]], succs: [[1, 3], [2, 3], [], []], classes: [Int, Int, Int, Int, Int, Int], params: [0, 1], fusions: (0, 0) }"#;
+
+    /// FastISel materializes every compare, in its SelectionDAG fallback
+    /// blocks too: its selection of [`branch_only`] under both code
+    /// models is pinned as it was before the optimizing selectors
+    /// stopped materializing branch-only compares.
+    #[test]
+    fn fast_isel_selection_is_unchanged() {
+        for (small_pic, pinned) in [(true, FAST_SMALL_PIC), (false, FAST_LARGE)] {
+            let opts = IselOptions { small_pic, ..OPTS };
+            let out = select(&branch_only(), Selector::Fast, opts).expect("selects");
+            assert_eq!(count(&branch_only(), Selector::Fast, opts), (4, 2));
+            assert_eq!(format!("{:?}", out.vcode), pinned, "small_pic={small_pic}");
         }
     }
 }

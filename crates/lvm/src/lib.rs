@@ -455,16 +455,13 @@ impl LvmBackend {
                         addend: 0,
                     }],
                 );
-                // PLT stub: load the GOT slot, jump through it.
+                // PLT stub: load the GOT slot and tail-jump through it,
+                // so the helper returns straight to the stub's caller.
                 let mut masm = qc_target::new_masm(o.isa);
                 let scratch = o.isa.abi().scratch;
                 masm.mov_sym(scratch, SymbolRef::named(&got));
                 masm.load(qc_target::Width::W64, scratch, scratch, None, 0);
-                // A jump, not a call: the PLT is entered by a near call.
-                match o.isa {
-                    Isa::Tx64 | Isa::Ta64 => masm.call_ind(scratch),
-                }
-                masm.ret();
+                masm.jmp_ind(scratch);
                 let (code, relocs) = Box::new(masm).finish();
                 image.add_function(&format!("plt${name}"), code, relocs);
             }
@@ -777,6 +774,79 @@ mod tests {
         assert!(report.total("link/phase1_alloc").is_some());
         assert!(report.total("link/phase2_resolve").is_some());
         assert!(report.total("isel/selectiondag").is_some());
+    }
+
+    #[test]
+    fn plt_stubs_tail_jump_through_the_got() {
+        use qc_target::{decode_inst, DecodedInst};
+        // `f(x) = load(store(rt_alloc(x), crc32(x, x)))`: two helpers,
+        // so two stubs.
+        let sig = Signature::new(vec![Type::I64], Type::I64);
+        let module = || {
+            let mut b = FunctionBuilder::new("f", sig.clone());
+            let alloc = b.declare_ext_func(qc_ir::ExtFuncDecl {
+                name: "rt_alloc".into(),
+                sig: Signature::new(vec![Type::I64], Type::Ptr),
+            });
+            let crc = b.declare_ext_func(qc_ir::ExtFuncDecl {
+                name: "rt_crc32".into(),
+                sig: Signature::new(vec![Type::I64, Type::I64], Type::I64),
+            });
+            let e = b.entry_block();
+            b.switch_to(e);
+            let x = b.param(0);
+            let p = b.call(alloc, vec![x]).unwrap();
+            let h = b.call(crc, vec![x, x]).unwrap();
+            b.store(Type::I64, p, h, 0);
+            let v = b.load(Type::I64, p, 0);
+            b.ret(Some(v));
+            let mut m = Module::new("m");
+            m.push_function(b.finish());
+            m
+        };
+        let mut state = RuntimeState::new();
+        for options in matrix().into_iter().filter(|o| o.small_pic) {
+            let backend = LvmBackend::with_options(options);
+            let (builder, stats) = backend
+                .build_parts(&module(), &TimeTrace::disabled())
+                .unwrap();
+            assert_eq!(stats.counters.get("plt_entries"), Some(&2), "{options:?}");
+            let image = builder.link(&resolve_runtime).unwrap();
+            let scratch = options.isa.abi().scratch;
+            for name in ["rt_alloc", "rt_crc32"] {
+                let stub = image.addr_of(&format!("plt${name}")).unwrap();
+                // Decode up to the first instruction that transfers
+                // control; that it is the `jmpind` means the stub holds no
+                // `ret` and no call.
+                let mut off = (stub - image.base()) as usize;
+                let mut insts = Vec::new();
+                loop {
+                    let (inst, len) = decode_inst(options.isa, image.bytes(), off).unwrap();
+                    insts.push(inst);
+                    off += len as usize;
+                    if matches!(
+                        inst,
+                        DecodedInst::JmpInd { .. }
+                            | DecodedInst::Jmp { .. }
+                            | DecodedInst::Jcc { .. }
+                            | DecodedInst::Call { .. }
+                            | DecodedInst::CallInd { .. }
+                            | DecodedInst::Ret
+                            | DecodedInst::Trap { .. }
+                    ) {
+                        break;
+                    }
+                }
+                assert_eq!(
+                    insts.last(),
+                    Some(&DecodedInst::JmpInd { reg: scratch }),
+                    "{options:?} plt${name}: {insts:?}"
+                );
+            }
+            let mut exe = backend.compile(&module(), &TimeTrace::disabled()).unwrap();
+            let r = exe.call(&mut state, "f", &[5]).unwrap();
+            assert_eq!(r[0], qc_target::crc32c_u64(5, 5), "{options:?}");
+        }
     }
 
     #[test]

@@ -28,8 +28,11 @@
 //! * **Runtime helpers** occupy reserved virtual addresses
 //!   ([`runtime_addr`]). A `call`/`callind` landing in that range is
 //!   dispatched to the host through [`RuntimeDispatch`]; the host can
-//!   re-enter compiled code through [`Reentry`]. Control never falls
-//!   into the runtime range other than by a call.
+//!   re-enter compiled code through [`Reentry`]. A `jmpind` landing
+//!   there is a tail call (a PLT stub's): the helper returns to the
+//!   current frame's caller, or ends the activation at its base.
+//!   Control never falls into the runtime range other than by a call
+//!   or such a jump.
 //! * **Dispatch is pre-decoded.** Each image offset is decoded at most
 //!   once per [`Emulator`]: the first fetch of an offset stores the
 //!   instruction, its length and its cycle cost in a decode cache, and
@@ -55,7 +58,7 @@ const RUNTIME_MAX: u64 = 1 << 16;
 
 /// The reserved virtual address of runtime helper `index`, for linker
 /// resolvers. The emulator recognizes these addresses at call sites and
-/// dispatches to the host instead of fetching.
+/// indirect jumps and dispatches to the host instead of fetching.
 pub fn runtime_addr(index: usize) -> u64 {
     RUNTIME_BASE + index as u64 * RUNTIME_SLOT
 }
@@ -634,7 +637,18 @@ impl Emulator {
                     }
                 }
                 I::Jmp { rel } => pc = next.wrapping_add(rel as i64 as u64),
-                I::JmpInd { reg } => pc = self.regs[reg.index()],
+                I::JmpInd { reg } => {
+                    pc = self.regs[reg.index()];
+                    if runtime_index(pc).is_some() {
+                        // A tail call: the helper returns where a `ret`
+                        // here would.
+                        self.enter(host, pc, next)?;
+                        if self.shadow.len() == frames {
+                            return Ok(());
+                        }
+                        pc = self.shadow.pop().expect("above this activation's base");
+                    }
+                }
                 I::Call { rel } => {
                     let target = next.wrapping_add(rel as i64 as u64);
                     pc = self.enter(host, target, next)?;
@@ -1223,6 +1237,169 @@ mod tests {
             assert_eq!(outer(&mut emu, room + 16), Ok(SWALLOWED + 1), "{isa}");
             let want = [Ok(16), Ok(room), Err(Trap::StackOverflow)];
             assert_eq!(host.nested, want, "{isa}");
+        }
+    }
+
+    /// Helper 0 doubles its argument and counts its calls.
+    #[derive(Default)]
+    struct Double {
+        calls: u64,
+    }
+
+    impl RuntimeDispatch for Double {
+        fn arg_slots(&self, _index: usize) -> usize {
+            1
+        }
+
+        fn runtime_cost(&self, _index: usize, _args: &[u64]) -> u64 {
+            0
+        }
+
+        fn call_runtime(
+            &mut self,
+            _: usize,
+            args: &[u64],
+            _: Reentry<'_>,
+        ) -> Result<[u64; 2], Trap> {
+            self.calls += 1;
+            Ok([args[0] * 2, 0])
+        }
+    }
+
+    /// A PLT-style stub into helper 0: materialize its address in the
+    /// ABI scratch and `jmpind` through it (`tail`), or the call-and-
+    /// return form it replaces. A `trap 9` follows either, so falling
+    /// through shows.
+    fn stub(isa: Isa, tail: bool) -> Assembled {
+        let scratch = isa.abi().scratch;
+        let mut f = new_masm(isa);
+        f.mov_ri(scratch, runtime_addr(0) as i64);
+        if tail {
+            f.jmp_ind(scratch);
+        } else {
+            f.call_ind(scratch);
+            f.ret();
+        }
+        f.trap(9);
+        f.finish()
+    }
+
+    /// `outer(..)`: calls `callee` and adds one to what it returns, so
+    /// a lost or extra shadow frame shows.
+    fn outer_fn(isa: Isa, callee: &str) -> Assembled {
+        let ret = isa.abi().ret;
+        let mut f = new_masm(isa);
+        f.call_sym(SymbolRef::named(callee));
+        f.alu_rri(AluOp::Add, Width::W64, false, ret, ret, 1);
+        f.ret();
+        f.finish()
+    }
+
+    #[test]
+    fn a_tail_jump_into_the_runtime_returns_to_the_callers_caller() {
+        for isa in [Isa::Tx64, Isa::Ta64] {
+            let mut stats = Vec::new();
+            for tail in [false, true] {
+                let funcs = vec![("outer", outer_fn(isa, "mid")), ("mid", stub(isa, tail))];
+                let mut emu = small_stack(isa, funcs);
+                let mut host = Double::default();
+                let r = emu.call(&mut host, "outer", &[20]).map(|r| r[0]);
+                assert_eq!(r, Ok(41), "{isa} tail={tail}");
+                assert_eq!(host.calls, 1, "{isa} tail={tail}");
+                assert!(emu.shadow.is_empty(), "{isa}: frames left behind");
+                stats.push(emu.stats());
+            }
+            // `jmpind` (1 cycle) replaces `callind` + `ret` (2 + 2).
+            let (call, jump) = (stats[0], stats[1]);
+            assert_eq!(jump.insts + 1, call.insts, "{isa}");
+            assert_eq!(jump.cycles + 3, call.cycles, "{isa}");
+        }
+    }
+
+    #[test]
+    fn a_tail_jump_into_the_runtime_at_the_activation_base_ends_the_call() {
+        for isa in [Isa::Tx64, Isa::Ta64] {
+            let mut emu = small_stack(isa, vec![("tail", stub(isa, true))]);
+            let mut host = Double::default();
+            for n in [3, 8] {
+                let r = emu.call(&mut host, "tail", &[n]).map(|r| r[0]);
+                assert_eq!(r, Ok(2 * n), "{isa}");
+                assert!(emu.shadow.is_empty(), "{isa}: frames left behind");
+            }
+            assert_eq!(host.calls, 2, "{isa}");
+        }
+    }
+
+    #[test]
+    fn a_tail_called_helper_may_reenter_compiled_code() {
+        for isa in [Isa::Tx64, Isa::Ta64] {
+            // `outer(cb, n)` calls the stub, whose helper runs `cb(n)`
+            // (a comparator, say) before returning to `outer`.
+            let funcs = vec![
+                ("outer", outer_fn(isa, "mid")),
+                ("mid", stub(isa, true)),
+                ("frame", frame_fn(isa)),
+            ];
+            let mut emu = small_stack(isa, funcs);
+            let cb = emu.image.addr_of("frame").expect("frame");
+            let mut host = Reenter::default();
+            let r = emu.call(&mut host, "outer", &[cb, 32]).map(|r| r[0]);
+            assert_eq!(r, Ok(33), "{isa}");
+            assert_eq!(host.nested, [Ok(32)], "{isa}");
+            assert!(emu.shadow.is_empty(), "{isa}: frames left behind");
+        }
+    }
+
+    #[test]
+    fn a_jmpind_to_an_image_address_stays_a_plain_jump() {
+        for isa in [Isa::Tx64, Isa::Ta64] {
+            // `mid` jumps to `g` (returns 7); `g`'s `ret` is `mid`'s.
+            let scratch = isa.abi().scratch;
+            let mut mid = new_masm(isa);
+            mid.mov_sym(scratch, SymbolRef::named("g"));
+            mid.jmp_ind(scratch);
+            mid.trap(9);
+            let mut g = new_masm(isa);
+            g.mov_ri(isa.abi().ret, 7);
+            g.ret();
+            let funcs = vec![
+                ("outer", outer_fn(isa, "mid")),
+                ("mid", mid.finish()),
+                ("g", g.finish()),
+            ];
+            let mut emu = small_stack(isa, funcs);
+            let mut host = Double::default();
+            assert_eq!(emu.call(&mut host, "outer", &[0]).map(|r| r[0]), Ok(8));
+            assert_eq!(host.calls, 0, "{isa}");
+            assert!(emu.shadow.is_empty(), "{isa}: frames left behind");
+        }
+    }
+
+    #[test]
+    fn ta64_lea_with_an_index_and_no_displacement_computes_into_its_destination() {
+        let isa = Isa::Ta64;
+        let (base_v, index_v) = (0x1234_5678_u64, 0x9A_u64);
+        let (a, b) = (Reg(1), Reg(2));
+        // (dst, base, index): all distinct, dst = base, dst = index.
+        for (dst, base, index) in [(Reg(3), a, b), (a, a, b), (b, a, b)] {
+            for scale in [1u8, 2, 4, 8] {
+                let mut f = new_masm(isa);
+                f.mov_ri(base, base_v as i64);
+                f.mov_ri(index, index_v as i64);
+                let start = f.offset();
+                f.lea(dst, base, Some((index, scale)), 0);
+                let words = (f.offset() - start) / 4;
+                f.mov_rr(isa.abi().ret, dst);
+                f.ret();
+                let mut emu = small_stack(isa, vec![("f", f.finish())]);
+                let r = emu.call(&mut NoHost, "f", &[]).map(|r| r[0]);
+                let case = format!("dst {dst:?} base {base:?} index {index:?} scale {scale}");
+                assert_eq!(r, Ok(base_v + index_v * scale as u64), "{case}");
+                // The old form: `shl` unless the scale is 1, `add`, and
+                // a `mov` out of the scratch.
+                let old = if scale == 1 { 2 } else { 3 };
+                assert_eq!(words, old - 1, "{case}");
+            }
         }
     }
 

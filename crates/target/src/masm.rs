@@ -87,6 +87,10 @@ pub trait MacroAssembler {
     fn call_sym(&mut self, sym: SymbolRef);
     /// Indirect call through `reg`.
     fn call_ind(&mut self, reg: Reg);
+    /// Indirect jump through `reg`. A jump to a runtime helper's
+    /// address is a tail call: the helper returns to this function's
+    /// caller.
+    fn jmp_ind(&mut self, reg: Reg);
     /// Float arithmetic `dst = a op b`.
     fn falu(&mut self, op: FaluOp, dst: FReg, a: FReg, b: FReg);
     /// Float compare (unordered operands satisfy only `Ne`).
@@ -268,6 +272,10 @@ impl MacroAssembler for Tx64Masm {
 
     fn call_ind(&mut self, reg: Reg) {
         self.asm.call_ind(reg);
+    }
+
+    fn jmp_ind(&mut self, reg: Reg) {
+        self.asm.jmp_ind(reg);
     }
 
     fn falu(&mut self, op: FaluOp, dst: FReg, a: FReg, b: FReg) {

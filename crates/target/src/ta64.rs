@@ -292,6 +292,18 @@ impl crate::masm::MacroAssembler for Ta64Assembler {
     }
 
     fn lea(&mut self, dst: Reg, base: Reg, index: Option<(Reg, u8)>, disp: i32) {
+        if let (Some((ri, scale)), 0) = (index, disp) {
+            // The last add writes `dst` itself: no copy out of `S1`.
+            debug_assert!(scale.is_power_of_two(), "bad scale {scale}");
+            let log2 = scale.trailing_zeros() as i64;
+            let mut scaled = ri;
+            if log2 != 0 {
+                self.alu_rri(AluOp::Shl, Width::W64, false, S1, ri, log2);
+                scaled = S1;
+            }
+            self.alu_rrr(AluOp::Add, Width::W64, false, dst, scaled, base);
+            return;
+        }
         let (b, d) = self.lower_addr(base, index, disp);
         if d == 0 {
             self.mov_rr(dst, b);
@@ -354,6 +366,10 @@ impl crate::masm::MacroAssembler for Ta64Assembler {
 
     fn call_ind(&mut self, reg: Reg) {
         self.w(pack_r(opc::CALLIND, 0, reg.0, 0, 0, 0));
+    }
+
+    fn jmp_ind(&mut self, reg: Reg) {
+        self.w(pack_r(opc::JMPIND, 0, reg.0, 0, 0, 0));
     }
 
     fn falu(&mut self, op: FaluOp, dst: FReg, a: FReg, b: FReg) {

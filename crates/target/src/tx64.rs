@@ -316,6 +316,11 @@ impl Tx64Assembler {
         self.b(&[opc::CALLIND, reg.0]);
     }
 
+    /// Indirect jump through `reg`.
+    pub fn jmp_ind(&mut self, reg: Reg) {
+        self.b(&[opc::JMPIND, reg.0]);
+    }
+
     /// Return to the caller (shadow call stack).
     pub fn ret(&mut self) {
         self.b(&[opc::RET]);

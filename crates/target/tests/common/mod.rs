@@ -167,6 +167,7 @@ pub fn inst() -> impl Strategy<Value = DecodedInst> {
             }
         }),
         (reg()).prop_map(|reg| DecodedInst::CallInd { reg }),
+        (reg()).prop_map(|reg| DecodedInst::JmpInd { reg }),
         Just(DecodedInst::Ret),
         (falu_op(), freg(), freg(), freg()).prop_map(|(op, dst, a, b)| DecodedInst::Falu {
             op,
@@ -248,6 +249,7 @@ pub fn emit_tx64(asm: &mut Tx64Assembler, i: &DecodedInst) {
         DecodedInst::CmpImm { width, a, imm } => asm.cmp_ri(width, a, imm),
         DecodedInst::SetCc { cond, dst } => asm.setcc(cond, dst),
         DecodedInst::CallInd { reg } => asm.call_ind(reg),
+        DecodedInst::JmpInd { reg } => asm.jmp_ind(reg),
         DecodedInst::Ret => asm.ret(),
         DecodedInst::Falu { op, dst, a, b } => asm.falu(op, dst, a, b),
         DecodedInst::FCmp { a, b } => asm.fcmp(a, b),
@@ -317,6 +319,7 @@ pub fn emit_masm(asm: &mut dyn qc_target::MacroAssembler, i: &DecodedInst) {
         DecodedInst::CmpImm { width, a, imm } => asm.cmp_ri(width, a, imm),
         DecodedInst::SetCc { cond, dst } => asm.setcc(cond, dst),
         DecodedInst::CallInd { reg } => asm.call_ind(reg),
+        DecodedInst::JmpInd { reg } => asm.jmp_ind(reg),
         DecodedInst::Ret => asm.ret(),
         DecodedInst::Falu { op, dst, a, b } => asm.falu(op, dst, a, b),
         DecodedInst::FCmp { a, b } => asm.fcmp(a, b),

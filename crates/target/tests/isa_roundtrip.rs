@@ -7,8 +7,8 @@ mod common;
 use common::{emit_masm, emit_tx64, inst};
 use proptest::prelude::*;
 use qc_target::{
-    decode_inst, runtime_addr, DecodedInst, Emulator, ImageBuilder, Isa, Reentry, RuntimeDispatch,
-    SymbolRef, Trap, Tx64Assembler, TA64_ABI, TX64_ABI,
+    decode_inst, runtime_addr, DecodedInst, Emulator, ImageBuilder, Isa, Reentry, Reg,
+    RuntimeDispatch, SymbolRef, Trap, Tx64Assembler, TA64_ABI, TX64_ABI,
 };
 
 fn decode_all(isa: Isa, code: &[u8]) -> Vec<DecodedInst> {
@@ -66,6 +66,27 @@ proptest! {
         prop_assert_eq!(code.len(), insts.len() * 4, "each form must be one word");
         let decoded = decode_all(Isa::Ta64, &code);
         prop_assert_eq!(decoded, insts);
+    }
+}
+
+/// `jmp_ind` is one instruction on both ISAs and decodes back to itself,
+/// through the ABI scratch a PLT stub jumps through as well.
+#[test]
+fn jmp_ind_round_trips_on_both_isas() {
+    for (isa, len) in [(Isa::Tx64, 2), (Isa::Ta64, 4)] {
+        let regs: Vec<Reg> = (0..14).map(Reg).chain([isa.abi().scratch]).collect();
+        let mut asm = qc_target::new_masm(isa);
+        for &reg in &regs {
+            asm.jmp_ind(reg);
+        }
+        let (code, relocs) = asm.finish();
+        assert!(relocs.is_empty(), "{isa}");
+        assert_eq!(code.len(), regs.len() * len, "{isa}");
+        let want: Vec<DecodedInst> = regs
+            .iter()
+            .map(|&reg| DecodedInst::JmpInd { reg })
+            .collect();
+        assert_eq!(decode_all(isa, &code), want, "{isa}");
     }
 }
 

@@ -327,9 +327,9 @@ fn background_tier_up_swaps_at_a_deterministic_boundary() {
 /// has six morsels, so boundary 7 never comes and the cheap tier ends it.
 type PinnedSwap = (&'static str, u64, Option<u64>, u64, u64);
 const PINNED_SWAPS: [PinnedSwap; 8] = [
-    ("LVM-opt", 0, Some(1), 363_718, 31_662),
-    ("LVM-opt", 1, Some(1), 363_718, 31_662),
-    ("LVM-opt", 3, Some(3), 391_902, 25_149),
+    ("LVM-opt", 0, Some(1), 362_199, 31_012),
+    ("LVM-opt", 1, Some(1), 362_199, 31_012),
+    ("LVM-opt", 3, Some(3), 391_804, 25_110),
     ("LVM-opt", 7, None, 393_415, 24_552),
     ("Clift", 0, Some(1), 366_644, 32_093),
     ("Clift", 1, Some(1), 366_644, 32_093),

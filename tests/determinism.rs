@@ -123,22 +123,26 @@ fn optimized_code_is_never_slower_than_unoptimized_lvm() {
 fn optimized_lvm_emits_the_fastest_tx64_code() {
     let db = qc_storage::gen_dslike(0.01);
     let session = Session::new(&db);
-    let total = |make: fn(Isa) -> Box<dyn qc_backend::Backend>| -> u64 {
+    let total = |make: fn(Isa) -> Box<dyn qc_backend::Backend>, isa: Isa| -> u64 {
         qc_workloads::dslike_suite()
             .iter()
             .map(|q| {
-                run_on(&session, &q.plan, make(Isa::Tx64))
+                run_on(&session, &q.plan, make(isa))
                     .unwrap_or_else(|e| panic!("{}: {e}", q.name))
                     .exec_stats
                     .cycles
             })
             .sum()
     };
-    let (opt, clift) = (total(backends::lvm_opt), total(backends::clift));
-    assert!(
-        opt < clift,
-        "LVM-opt's {opt} cycles are not below Clift's {clift} over the DS-like suite"
-    );
+    // On both ISAs, by a margin (0.849 on TX64 and 0.904 on TA64 when
+    // this bound was set).
+    for isa in [Isa::Tx64, Isa::Ta64] {
+        let (opt, clift) = (total(backends::lvm_opt, isa), total(backends::clift, isa));
+        assert!(
+            opt as f64 <= 0.92 * clift as f64,
+            "{isa}: LVM-opt's {opt} cycles are not 8 % below Clift's {clift} over the DS-like suite"
+        );
+    }
 }
 
 #[test]
@@ -162,9 +166,13 @@ fn data_generators_are_seed_stable() {
 /// every executed instruction and whose interpreter costed every
 /// executed op. The `lvm_opt.tx64` rows were re-pinned when the greedy
 /// allocator began to weigh spills by loop frequency, evict and
-/// rematerialize constants; the `lvm_cheap.tx64` rows were captured
-/// just before that change, so the fast allocator stays pinned. H-like at scale factor 1 in 512-row morsels; `SORT`
-/// orders every `orders` row through the comparator re-entry path.
+/// rematerialize constants. Both LVM rows were re-pinned when PLT stubs
+/// began to tail-jump through the GOT, which takes exactly one
+/// instruction and three cycles off each runtime call (all that moved
+/// `lvm_cheap.tx64`), and the optimizing selectors stopped materializing
+/// a compare whose only use is its branch. H-like at scale factor 1 in
+/// 512-row morsels; `SORT` orders every `orders` row through the
+/// comparator re-entry path.
 /// Cells: back-end.ISA, `.w2` = two morsel workers under the static
 /// schedule (total work across both). A mismatch prints the whole
 /// measured table.
@@ -175,15 +183,15 @@ const GOLDEN: &[(&str, &str, u64, u64, u64)] = &[
         "H01",
         "lvm_cheap.tx64",
         17943616066831546111,
-        5378759,
-        1678285,
+        5247071,
+        1634389,
     ),
     (
         "H01",
         "lvm_opt.tx64",
         17943616066831546111,
-        4319493,
-        1316602,
+        4134248,
+        1237171,
     ),
     ("H01", "clift.ta64", 17943616066831546111, 4659552, 1393939),
     (
@@ -199,16 +207,16 @@ const GOLDEN: &[(&str, &str, u64, u64, u64)] = &[
         "H03",
         "lvm_cheap.tx64",
         8780595189787933563,
-        1454030,
-        587698,
+        1438157,
+        582407,
     ),
-    ("H03", "lvm_opt.tx64", 8780595189787933563, 1087640, 456405),
+    ("H03", "lvm_opt.tx64", 8780595189787933563, 990169, 399116),
     ("H03", "clift.ta64", 8780595189787933563, 954610, 429401),
     ("H03", "clift.ta64.w2", 8780595189787933563, 957739, 428163),
     ("H06", "interp", 6711127979096780410, 2769710, 206135),
     ("H06", "direct.tx64", 6711127979096780410, 858618, 527796),
-    ("H06", "lvm_cheap.tx64", 6711127979096780410, 973430, 519921),
-    ("H06", "lvm_opt.tx64", 6711127979096780410, 582472, 374192),
+    ("H06", "lvm_cheap.tx64", 6711127979096780410, 972821, 519718),
+    ("H06", "lvm_opt.tx64", 6711127979096780410, 593000, 367415),
     ("H06", "clift.ta64", 6711127979096780410, 562904, 379341),
     ("H06", "clift.ta64.w2", 6711127979096780410, 563246, 379372),
     ("H09", "interp", 6766816719252940531, 4406320, 294410),
@@ -217,16 +225,16 @@ const GOLDEN: &[(&str, &str, u64, u64, u64)] = &[
         "H09",
         "lvm_cheap.tx64",
         6766816719252940531,
-        2116735,
-        773904,
+        2076613,
+        760530,
     ),
-    ("H09", "lvm_opt.tx64", 6766816719252940531, 1875750, 692933),
+    ("H09", "lvm_opt.tx64", 6766816719252940531, 1727643, 621327),
     ("H09", "clift.ta64", 6766816719252940531, 1637377, 625826),
     ("H09", "clift.ta64.w2", 6766816719252940531, 1637469, 625588),
     ("H13", "interp", 8395823974148997529, 825506, 56215),
     ("H13", "direct.tx64", 8395823974148997529, 286146, 119835),
-    ("H13", "lvm_cheap.tx64", 8395823974148997529, 325250, 125017),
-    ("H13", "lvm_opt.tx64", 8395823974148997529, 229356, 93541),
+    ("H13", "lvm_cheap.tx64", 8395823974148997529, 318677, 122826),
+    ("H13", "lvm_opt.tx64", 8395823974148997529, 209301, 81166),
     ("H13", "clift.ta64", 8395823974148997529, 171432, 80772),
     ("H13", "clift.ta64.w2", 8395823974148997529, 181200, 80800),
     ("H18", "interp", 9937041724392243382, 5293491, 358863),
@@ -235,10 +243,10 @@ const GOLDEN: &[(&str, &str, u64, u64, u64)] = &[
         "H18",
         "lvm_cheap.tx64",
         9937041724392243382,
-        2360391,
-        904850,
+        2323914,
+        892691,
     ),
-    ("H18", "lvm_opt.tx64", 9937041724392243382, 1672416, 690619),
+    ("H18", "lvm_opt.tx64", 9937041724392243382, 1558669, 618795),
     ("H18", "clift.ta64", 9937041724392243382, 1364435, 608454),
     ("H18", "clift.ta64.w2", 9937041724392243382, 1398088, 584285),
     ("SORT", "interp", 15329311058863616378, 2581923, 162196),
@@ -247,15 +255,15 @@ const GOLDEN: &[(&str, &str, u64, u64, u64)] = &[
         "SORT",
         "lvm_cheap.tx64",
         15329311058863616378,
-        1933408,
-        657692,
+        1919899,
+        653189,
     ),
     (
         "SORT",
         "lvm_opt.tx64",
         15329311058863616378,
-        1071752,
-        446157,
+        1053767,
+        437150,
     ),
     ("SORT", "clift.ta64", 15329311058863616378, 949688, 390115),
     (
