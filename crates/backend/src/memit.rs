@@ -252,6 +252,27 @@ impl<'a> MirEmitter<'a> {
         }
     }
 
+    /// The moves of a select whose flags are set: `d = cc ? t : f`. Only
+    /// moves, reloads and rematerializing `mov`s sit between the test and
+    /// the jump, and none of them writes the flags.
+    fn pick(&mut self, cc: Cond, d: u32, t: u32, f: u32) {
+        let dl = self.alloc.locs[d as usize];
+        let tl = self.alloc.locs[t as usize];
+        let fl = self.alloc.locs[f as usize];
+        let (_, es2) = emission_scratches(self.isa);
+        let skip = self.masm.new_label();
+        if dl == tl {
+            // d already holds t; overwrite with f when cc fails.
+            self.masm.jcc(cc, skip);
+            self.emit_move(fl, dl, es2);
+        } else {
+            self.emit_move(fl, dl, es2);
+            self.masm.jcc(cc.negated(), skip);
+            self.emit_move(tl, dl, es2);
+        }
+        self.masm.bind(skip);
+    }
+
     #[allow(clippy::too_many_lines)]
     /// Emits one MIR instruction.
     pub fn emit_inst(&mut self, inst: &MInst) -> Result<(), BackendError> {
@@ -423,45 +444,12 @@ impl<'a> MirEmitter<'a> {
                 self.masm.bind(skip);
             }
             MInst::Trap { code } => self.masm.trap(*code),
-            MInst::Select { cond, d, t, f } => {
+            MInst::Select { cond, d, t, f } | MInst::FSelect { cond, d, t, f } => {
                 let rc = self.rd(*cond, 0);
                 self.masm.cmp_ri(Width::W8, rc, 0);
-                let dl = self.alloc.locs[*d as usize];
-                let tl = self.alloc.locs[*t as usize];
-                let (_, es2) = emission_scratches(self.isa);
-                let skip = self.masm.new_label();
-                if dl == tl {
-                    // d already holds t; overwrite with f when cond == 0.
-                    self.masm.jcc(Cond::Ne, skip);
-                    let fl = self.alloc.locs[*f as usize];
-                    self.emit_move(fl, dl, es2);
-                } else {
-                    let fl = self.alloc.locs[*f as usize];
-                    self.emit_move(fl, dl, es2);
-                    self.masm.jcc(Cond::Eq, skip);
-                    self.emit_move(tl, dl, es2);
-                }
-                self.masm.bind(skip);
+                self.pick(Cond::Ne, *d, *t, *f);
             }
-            MInst::FSelect { cond, d, t, f } => {
-                let rc = self.rd(*cond, 0);
-                self.masm.cmp_ri(Width::W8, rc, 0);
-                let dl = self.alloc.locs[*d as usize];
-                let tl = self.alloc.locs[*t as usize];
-                let (_, es2) = emission_scratches(self.isa);
-                let skip = self.masm.new_label();
-                if dl == tl {
-                    self.masm.jcc(Cond::Ne, skip);
-                    let fl = self.alloc.locs[*f as usize];
-                    self.emit_move(fl, dl, es2);
-                } else {
-                    let fl = self.alloc.locs[*f as usize];
-                    self.emit_move(fl, dl, es2);
-                    self.masm.jcc(Cond::Eq, skip);
-                    self.emit_move(tl, dl, es2);
-                }
-                self.masm.bind(skip);
-            }
+            MInst::SelectCc { cc, d, t, f } => self.pick(*cc, *d, *t, *f),
             MInst::Jcc { cond, target } => {
                 let l = self.labels[*target];
                 self.masm.jcc(*cond, l);
@@ -597,5 +585,152 @@ impl<'a> MirEmitter<'a> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qc_target::{decode_inst, DecodedInst, Emulator, ImageBuilder, Reentry, RuntimeDispatch};
+    use qc_target::{Cond, Trap};
+
+    /// A host for code that calls no helper.
+    struct NoHost;
+
+    impl RuntimeDispatch for NoHost {
+        fn arg_slots(&self, _index: usize) -> usize {
+            0
+        }
+
+        fn runtime_cost(&self, _index: usize, _args: &[u64]) -> u64 {
+            0
+        }
+
+        fn call_runtime(&mut self, _: usize, _: &[u64], _: Reentry<'_>) -> Result<[u64; 2], Trap> {
+            Err(Trap::Runtime(0xEE))
+        }
+    }
+
+    /// The rematerialized constant `f` of [`select_cc_on_spills`].
+    const K: i64 = 0x1234_5678_9abc;
+
+    /// `sel(x, y, t, f) = x cc y ? t : f` (against the immediate 7 when
+    /// `imm`), with `t`, `f` and the result in spill slots, so every move
+    /// of the select is a reload or a store between the compare and its
+    /// jump. `d_is_t` puts the result in `t`'s slot; `remat` makes `f`
+    /// the constant [`K`], moved into place instead of reloaded.
+    fn select_cc_on_spills(isa: Isa, cc: Cond, imm: bool, d_is_t: bool, remat: bool) -> Vec<u8> {
+        let abi = isa.abi();
+        let alloc = Allocation {
+            locs: vec![
+                Loc::R(abi.arg_regs[0]),
+                Loc::R(abi.arg_regs[1]),
+                Loc::Spill(0),
+                Loc::Spill(1),
+                Loc::Spill(if d_is_t { 0 } else { 2 }),
+            ],
+            spill_slots: 3,
+            spills: 3,
+            remat: if remat {
+                vec![None, Some(K), None]
+            } else {
+                Vec::new()
+            },
+        };
+        let params: &[u32] = if remat { &[0, 1, 2] } else { &[0, 1, 2, 3] };
+        let names = vec!["sel".to_string()];
+        let mut e = MirEmitter::new(isa, &alloc, &names, 1, 0);
+        e.prologue(params);
+        e.bind_block(0);
+        let test = if imm {
+            MInst::CmpImm {
+                w: Width::W64,
+                a: 0,
+                imm: 7,
+            }
+        } else {
+            MInst::Cmp {
+                w: Width::W64,
+                a: 0,
+                b: 1,
+            }
+        };
+        for inst in [
+            MInst::MovRI { d: 3, imm: K },
+            test,
+            MInst::SelectCc {
+                cc,
+                d: 4,
+                t: 2,
+                f: 3,
+            },
+            MInst::Ret { vals: vec![4] },
+        ] {
+            if remat || !matches!(inst, MInst::MovRI { .. }) {
+                e.emit_inst(&inst).expect("emits");
+            }
+        }
+        e.finish().0
+    }
+
+    #[test]
+    fn select_cc_picks_correctly_with_spilled_operands_on_both_isas() {
+        for isa in [Isa::Tx64, Isa::Ta64] {
+            for (cc, imm) in [(Cond::Lt, false), (Cond::Eq, true), (Cond::A, false)] {
+                for d_is_t in [false, true] {
+                    for remat in [false, true] {
+                        let code = select_cc_on_spills(isa, cc, imm, d_is_t, remat);
+                        // Only moves sit between the compare and the jump,
+                        // and at least one of them touches memory or
+                        // materializes the constant.
+                        let mut insts = Vec::new();
+                        let mut off = 0;
+                        while off < code.len() {
+                            let (inst, len) = decode_inst(isa, &code, off).expect("decodes");
+                            insts.push(inst);
+                            off += len as usize;
+                        }
+                        let at = |p: fn(&DecodedInst) -> bool| insts.iter().position(p).unwrap();
+                        let test = at(|i| {
+                            matches!(i, DecodedInst::Cmp { .. } | DecodedInst::CmpImm { .. })
+                        });
+                        let jump = at(|i| matches!(i, DecodedInst::Jcc { .. }));
+                        let between = &insts[test + 1..jump];
+                        assert!(
+                            between.iter().all(|i| matches!(
+                                i,
+                                DecodedInst::Load { .. }
+                                    | DecodedInst::Store { .. }
+                                    | DecodedInst::MovRI { .. }
+                                    | DecodedInst::MovK { .. }
+                                    | DecodedInst::MovRR { .. }
+                            )),
+                            "{isa} {cc:?}: {between:?}"
+                        );
+                        assert!(d_is_t || !between.is_empty(), "{isa} {cc:?}: {insts:?}");
+
+                        let mut image = ImageBuilder::new(isa);
+                        image.add_function("sel", code, Vec::new());
+                        let mut emu = Emulator::new(image.link(&|_| None).expect("links"));
+                        for (x, y) in [(3u64, 9u64), (9, 3), (7, 7), (u64::MAX, 1), (7, 0)] {
+                            let (t, f) = (0x7777, 0x4444);
+                            let f = if remat { K as u64 } else { f };
+                            let holds = match cc {
+                                Cond::Lt => (x as i64) < (y as i64),
+                                Cond::Eq => x == 7,
+                                Cond::A => x > y,
+                                _ => unreachable!(),
+                            };
+                            let got = emu.call(&mut NoHost, "sel", &[x, y, t, f]).expect("runs");
+                            assert_eq!(
+                                got[0],
+                                if holds { t } else { f },
+                                "{isa} {cc:?} imm={imm} d_is_t={d_is_t} remat={remat} x={x} y={y}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

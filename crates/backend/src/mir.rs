@@ -118,6 +118,9 @@ pub enum MInst {
         t: VReg,
         f: VReg,
     },
+    /// Select on the flags a preceding `Cmp`/`CmpImm` set: `d = cc ? t :
+    /// f`, with no boolean materialized.
+    SelectCc { cc: Cond, d: VReg, t: VReg, f: VReg },
     /// Float select.
     FSelect {
         cond: VReg,
@@ -219,6 +222,10 @@ impl MInst {
                 f(*t);
                 f(*fv);
             }
+            MInst::SelectCc { t, f: fv, .. } => {
+                f(*t);
+                f(*fv);
+            }
             MInst::CallRt { args, .. } => args.iter().copied().for_each(f),
             MInst::Falu { a, b, .. } => {
                 f(*a);
@@ -248,6 +255,7 @@ impl MInst {
             | MInst::FLoad { d, .. }
             | MInst::SetCc { d, .. }
             | MInst::Select { d, .. }
+            | MInst::SelectCc { d, .. }
             | MInst::FSelect { d, .. }
             | MInst::FuncAddr { d, .. }
             | MInst::FrameAddr { d, .. }

@@ -66,8 +66,8 @@ struct Ctx<'f> {
     fold: bool,
     opts: IselOptions,
     /// Per value: an integer compare that emits nothing where it is
-    /// defined, because its one use is a branch that re-tests the
-    /// operands (see [`branch_only_compares`]).
+    /// defined, because each of its users re-tests the operands (see
+    /// [`sunk_compares`]).
     sunk: Vec<bool>,
 }
 
@@ -175,7 +175,7 @@ pub fn select(
         fold: matches!(selector, Selector::Dag | Selector::GlobalOpt),
         opts,
         sunk: if matches!(selector, Selector::Dag | Selector::GlobalOpt) {
-            branch_only_compares(func)
+            sunk_compares(func)
         } else {
             vec![false; func.num_values()]
         },
@@ -271,31 +271,39 @@ pub fn select(
     })
 }
 
-/// Marks, per value, the single-register integer compares whose only
-/// use is a `Branch` condition. A folding selector fuses such a compare
-/// into the branch, which emits its own `cmp`; materializing the
-/// boolean where the compare is defined as well would be dead work.
-fn branch_only_compares(func: &Function) -> Vec<bool> {
+/// Marks, per value, the single-register integer compares whose every
+/// use is a `Branch` condition or the condition of a non-F64 `Select`.
+/// A folding selector fuses such a compare into each user, which emits
+/// its own `cmp` and then jumps on the flags (`select_cc`);
+/// materializing the boolean where the compare is defined as well would
+/// be dead work.
+fn sunk_compares(func: &Function) -> Vec<bool> {
     let mut uses = vec![0u32; func.num_values()];
-    let mut branch_only = vec![false; func.num_values()];
+    let mut retests = vec![0u32; func.num_values()];
     for block in func.blocks() {
         for &inst in func.block_insts(block) {
             let data = func.inst(inst);
             data.for_each_arg(|v| uses[v.index()] += 1);
-            if let InstData::Branch { cond, .. } = data {
-                branch_only[cond.index()] = true;
+            match data {
+                InstData::Branch { cond, .. } => retests[cond.index()] += 1,
+                InstData::Select { ty, cond, .. } if *ty != Type::F64 => {
+                    retests[cond.index()] += 1;
+                }
+                _ => {}
             }
         }
     }
-    for (i, sunk) in branch_only.iter_mut().enumerate() {
-        *sunk &= uses[i] == 1
-            && matches!(
-                func.value_def(Value::new(i)),
-                qc_ir::ValueDef::Inst(ci)
-                    if matches!(func.inst(ci), InstData::Cmp { ty, .. } if ty.reg_count() == 1)
-            );
-    }
-    branch_only
+    (0..func.num_values())
+        .map(|i| {
+            uses[i] > 0
+                && uses[i] == retests[i]
+                && matches!(
+                    func.value_def(Value::new(i)),
+                    qc_ir::ValueDef::Inst(ci)
+                        if matches!(func.inst(ci), InstData::Cmp { ty, .. } if ty.reg_count() == 1)
+                )
+        })
+        .collect()
 }
 
 enum Support {
@@ -588,6 +596,21 @@ fn hi(ctx: &Ctx, v: Value) -> VReg {
     ctx.val_reg[v.index()].1
 }
 
+/// Emits the flag-setting half of a one-register integer compare: `cmp`,
+/// or `cmp`-immediate on a folded constant. Returns the condition that
+/// holds when the compare is true.
+fn emit_test(ctx: &mut Ctx, op: CmpOp, ty: Type, args: [Value; 2]) -> Cond {
+    let w = width_of(ty);
+    let a = lo(ctx, args[0]);
+    if let Some(imm) = fold_imm(ctx, args[1]) {
+        ctx.cur.push(MInst::CmpImm { w, a, imm });
+    } else {
+        let b = lo(ctx, args[1]);
+        ctx.cur.push(MInst::Cmp { w, a, b });
+    }
+    cond_of(op)
+}
+
 /// Folds a constant operand into an immediate when folding is enabled and
 /// the producer is an in-function `iconst` (SelectionDAG-style matching).
 fn fold_imm(ctx: &Ctx, v: Value) -> Option<i64> {
@@ -654,29 +677,17 @@ fn emit_lir_inst(
             emit_binary(ctx, op, ty, args, res.expect("binary"))?;
         }
         InstData::Cmp { .. } if ctx.sunk[res.expect("cmp").index()] => {
-            // The branch that uses it compares the operands itself.
+            // Each branch or select that uses it compares the operands
+            // itself.
         }
         InstData::Cmp { op, ty, args } => {
             let r = res.expect("cmp");
             if ty.reg_count() == 2 {
                 emit_cmp_wide(ctx, op, args, lo(ctx, r));
             } else {
-                let w = width_of(ty);
-                if let Some(imm) = fold_imm(ctx, args[1]) {
-                    ctx.cur.push(MInst::CmpImm {
-                        w,
-                        a: lo(ctx, args[0]),
-                        imm,
-                    });
-                } else {
-                    ctx.cur.push(MInst::Cmp {
-                        w,
-                        a: lo(ctx, args[0]),
-                        b: lo(ctx, args[1]),
-                    });
-                }
+                let cond = emit_test(ctx, op, ty, args);
                 ctx.cur.push(MInst::SetCc {
-                    cond: cond_of(op),
+                    cond,
                     d: lo(ctx, r),
                 });
             }
@@ -848,6 +859,23 @@ fn emit_lir_inst(
                     t: lo(ctx, if_true),
                     f: lo(ctx, if_false),
                 });
+            } else if ctx.sunk[cond.index()] {
+                // select_cc: re-test the compare's operands before each
+                // half and pick on the flags.
+                let qc_ir::ValueDef::Inst(ci) = func.value_def(cond) else {
+                    unreachable!("a sunk compare is an instruction");
+                };
+                let InstData::Cmp { op, ty: cty, args } = *func.inst(ci) else {
+                    unreachable!("a sunk value is a compare");
+                };
+                let mut halves = vec![(lo(ctx, r), lo(ctx, if_true), lo(ctx, if_false))];
+                if ty.reg_count() == 2 {
+                    halves.push((hi(ctx, r), hi(ctx, if_true), hi(ctx, if_false)));
+                }
+                for (d, t, f) in halves {
+                    let cc = emit_test(ctx, op, cty, args);
+                    ctx.cur.push(MInst::SelectCc { cc, d, t, f });
+                }
             } else {
                 ctx.cur.push(MInst::Select {
                     cond: lo(ctx, cond),
@@ -1040,29 +1068,16 @@ fn emit_lir_inst(
             else_dest,
         } => {
             // DAG fuses a one-register compare (under the optimizing
-            // selectors, a branch-only one emitted nothing where it is
-            // defined); FastISel re-tests the bool.
+            // selectors, a sunk one emitted nothing where it is defined);
+            // FastISel re-tests the bool.
             let mut fused = false;
             if ctx.fold {
                 if let qc_ir::ValueDef::Inst(ci) = func.value_def(cond) {
-                    if let InstData::Cmp { op, ty, args } = func.inst(ci) {
+                    if let InstData::Cmp { op, ty, args } = *func.inst(ci) {
                         if ty.reg_count() == 1 {
-                            let w = width_of(*ty);
-                            if let Some(imm) = fold_imm(ctx, args[1]) {
-                                ctx.cur.push(MInst::CmpImm {
-                                    w,
-                                    a: lo(ctx, args[0]),
-                                    imm,
-                                });
-                            } else {
-                                ctx.cur.push(MInst::Cmp {
-                                    w,
-                                    a: lo(ctx, args[0]),
-                                    b: lo(ctx, args[1]),
-                                });
-                            }
+                            let cond = emit_test(ctx, op, ty, args);
                             ctx.cur.push(MInst::Jcc {
-                                cond: cond_of(*op),
+                                cond,
                                 target: then_dest.index(),
                             });
                             fused = true;
@@ -1444,12 +1459,116 @@ mod tests {
         }
     }
 
+    /// `f(x, y) = x < y ? x : 0`, whose compare also feeds the branch
+    /// that picks between the select and `y`.
+    fn with_select() -> Function {
+        shared(|b, lt, x| {
+            let zero = b.iconst(Type::I64, 0);
+            b.select(Type::I64, lt, x, zero)
+        })
+    }
+
+    /// The `SelectCc`s and plain `Select`s in the selected code.
+    fn selects(func: &Function, selector: Selector) -> (Vec<MInst>, usize) {
+        let out = select(func, selector, OPTS).expect("selects");
+        let insts = out.vcode.blocks.into_iter().flatten();
+        let (mut cc, mut plain) = (Vec::new(), 0);
+        for inst in insts {
+            match inst {
+                MInst::SelectCc { .. } => cc.push(inst),
+                MInst::Select { .. } | MInst::FSelect { .. } => plain += 1,
+                _ => {}
+            }
+        }
+        (cc, plain)
+    }
+
+    #[test]
+    fn a_compare_used_only_by_selects_and_branches_emits_no_setcc() {
+        // `x > 7 ? x : y`: the folded constant is re-tested as an
+        // immediate at the select.
+        let with_imm = || {
+            let mut b = FunctionBuilder::new("f", Signature::new(vec![Type::I64; 2], Type::I64));
+            b.switch_to(b.entry_block());
+            let (x, y) = (b.param(0), b.param(1));
+            let seven = b.iconst(Type::I64, 7);
+            let gt = b.icmp(CmpOp::SGt, Type::I64, x, seven);
+            let v = b.select(Type::I64, gt, x, y);
+            b.ret(Some(v));
+            b.finish()
+        };
+        qc_ir::verify_function(&with_select()).expect("valid");
+        qc_ir::verify_function(&with_imm()).expect("valid");
+        for selector in [Selector::Dag, Selector::GlobalOpt] {
+            // One `cmp` at the select, one at the branch; no `setcc`.
+            assert_eq!(
+                count(&with_select(), selector, OPTS),
+                (2, 0),
+                "{selector:?}"
+            );
+            let (cc, plain) = selects(&with_select(), selector);
+            assert_eq!(plain, 0, "{selector:?}");
+            assert!(
+                matches!(cc[..], [MInst::SelectCc { cc: Cond::Lt, .. }]),
+                "{selector:?}: {cc:?}"
+            );
+
+            let out = select(&with_imm(), selector, OPTS).expect("selects");
+            let insts: Vec<&MInst> = out.vcode.blocks.iter().flatten().collect();
+            assert!(
+                matches!(
+                    insts[..],
+                    [
+                        MInst::MovRI { imm: 7, .. },
+                        MInst::CmpImm { imm: 7, .. },
+                        MInst::SelectCc { cc: Cond::Gt, .. },
+                        MInst::Ret { .. },
+                    ]
+                ),
+                "{selector:?}: {insts:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_i128_select_re_tests_once_per_half() {
+        let mut b = FunctionBuilder::new("f", Signature::new(vec![Type::I64; 2], Type::I128));
+        b.switch_to(b.entry_block());
+        let (x, y) = (b.param(0), b.param(1));
+        let lt = b.icmp(CmpOp::ULt, Type::I64, x, y);
+        let (wx, wy) = (b.sext(Type::I128, x), b.sext(Type::I128, y));
+        let v = b.select(Type::I128, lt, wx, wy);
+        b.ret(Some(v));
+        let func = b.finish();
+        qc_ir::verify_function(&func).expect("valid");
+        for selector in [Selector::Dag, Selector::GlobalOpt] {
+            assert_eq!(count(&func, selector, OPTS), (2, 0), "{selector:?}");
+            let out = select(&func, selector, OPTS).expect("selects");
+            let tail: Vec<&MInst> = out.vcode.blocks[0].iter().rev().take(5).rev().collect();
+            let [MInst::Cmp { .. }, MInst::SelectCc {
+                cc: Cond::B,
+                d: d_lo,
+                ..
+            }, MInst::Cmp { .. }, MInst::SelectCc {
+                cc: Cond::B,
+                d: d_hi,
+                ..
+            }, MInst::Ret { vals }] = tail[..]
+            else {
+                panic!("{selector:?}: {tail:?}");
+            };
+            assert_eq!(vals, &vec![*d_lo, *d_hi], "{selector:?}");
+        }
+    }
+
     #[test]
     fn a_compare_with_another_user_still_materializes() {
-        let with_select = || {
-            shared(|b, lt, x| {
-                let zero = b.iconst(Type::I64, 0);
-                b.select(Type::I64, lt, x, zero)
+        // An F64 select still tests the materialized bool.
+        let with_fselect = || {
+            shared(|b, lt, _| {
+                let (one, two) = (b.fconst(1.0), b.fconst(2.0));
+                let f = b.select(Type::F64, lt, one, two);
+                b.cast(CastOp::FToSi, Type::I64, f)
             })
         };
         // The phi's incoming value on the edge into `join` is the compare.
@@ -1469,12 +1588,38 @@ mod tests {
             b.ret(Some(r));
             b.finish()
         };
-        for func in [with_select(), with_phi()] {
+        // The boolean itself is stored.
+        let with_store = || {
+            shared(|b, lt, x| {
+                let slot = b.stack_slot(8);
+                let p = b.stack_addr(slot);
+                b.store(Type::Bool, p, lt, 0);
+                x
+            })
+        };
+        // An integer select beside one of those users selects on the
+        // materialized bool too.
+        let with_select_and_store = || {
+            shared(|b, lt, x| {
+                let slot = b.stack_slot(8);
+                let p = b.stack_addr(slot);
+                b.store(Type::Bool, p, lt, 0);
+                let zero = b.iconst(Type::I64, 0);
+                b.select(Type::I64, lt, x, zero)
+            })
+        };
+        for func in [
+            with_fselect(),
+            with_phi(),
+            with_store(),
+            with_select_and_store(),
+        ] {
             qc_ir::verify_function(&func).expect("valid");
             for selector in [Selector::Dag, Selector::GlobalOpt] {
                 // `cmp; setcc` where the compare is defined, `cmp; jcc`
                 // at the branch.
                 assert_eq!(count(&func, selector, OPTS), (2, 1), "{selector:?}");
+                assert!(selects(&func, selector).0.is_empty(), "{selector:?}");
             }
         }
     }
@@ -1487,10 +1632,15 @@ mod tests {
     /// and materializes it as well.
     const FAST_LARGE: &str = r#"VCode { name: "f", blocks: [[Cmp { w: W64, a: 0, b: 1 }, SetCc { cond: Lt, d: 2 }, CmpImm { w: W8, a: 2, imm: 0 }, Jcc { cond: Ne, target: 1 }, Jmp { target: 3 }], [CallRt { target: Sym("rt_probe"), args: [0], ret: [3] }, MovRI { d: 4, imm: 10 }, CmpImm { w: W64, a: 3, imm: 10 }, SetCc { cond: Eq, d: 5 }, CmpImm { w: W64, a: 3, imm: 10 }, Jcc { cond: Eq, target: 2 }, Jmp { target: 3 }], [Ret { vals: [0] }], [Ret { vals: [1] }]], succs: [[1, 3], [2, 3], [], []], classes: [Int, Int, Int, Int, Int, Int], params: [0, 1], fusions: (0, 0) }"#;
 
+    /// FastISel's selection of [`with_select`] under either code model:
+    /// the select tests the materialized bool.
+    const FAST_SELECT: &str = r#"VCode { name: "f", blocks: [[Cmp { w: W64, a: 0, b: 1 }, SetCc { cond: Lt, d: 2 }, MovRI { d: 3, imm: 0 }, Select { cond: 2, d: 4, t: 0, f: 3 }, CmpImm { w: W8, a: 2, imm: 0 }, Jcc { cond: Ne, target: 1 }, Jmp { target: 2 }], [Ret { vals: [4] }], [Ret { vals: [1] }]], succs: [[1, 2], [], []], classes: [Int, Int, Int, Int, Int], params: [0, 1], fusions: (0, 0) }"#;
+
     /// FastISel materializes every compare, in its SelectionDAG fallback
-    /// blocks too: its selection of [`branch_only`] under both code
-    /// models is pinned as it was before the optimizing selectors
-    /// stopped materializing branch-only compares.
+    /// blocks too: its selections of [`branch_only`] and [`with_select`]
+    /// under both code models are pinned as they were before the
+    /// optimizing selectors stopped materializing compares that only
+    /// branches and selects use.
     #[test]
     fn fast_isel_selection_is_unchanged() {
         for (small_pic, pinned) in [(true, FAST_SMALL_PIC), (false, FAST_LARGE)] {
@@ -1498,6 +1648,12 @@ mod tests {
             let out = select(&branch_only(), Selector::Fast, opts).expect("selects");
             assert_eq!(count(&branch_only(), Selector::Fast, opts), (4, 2));
             assert_eq!(format!("{:?}", out.vcode), pinned, "small_pic={small_pic}");
+            let out = select(&with_select(), Selector::Fast, opts).expect("selects");
+            assert_eq!(
+                format!("{:?}", out.vcode),
+                FAST_SELECT,
+                "small_pic={small_pic}"
+            );
         }
     }
 }

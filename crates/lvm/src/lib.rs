@@ -21,10 +21,13 @@
 //!    greedy allocator,
 //! 7. **AsmPrinter**: per-instruction MC lowering through virtual-dispatch
 //!    emission hooks and string-keyed labels, into an in-memory object,
-//! 8. **ORC-style linking** in three phases, with per-module **PLT+GOT**
-//!    under the Small-PIC code model: allocation and symbol resolution
-//!    close each compile, and applying relocations is each
-//!    instantiation of the artifact,
+//! 8. **ORC-style linking** in three phases: allocation and symbol
+//!    resolution close each compile, and applying relocations is each
+//!    instantiation of the artifact. The code model is per tier: -O0
+//!    (FastISel) uses Small-PIC, with a per-module **PLT+GOT** that runtime
+//!    calls go through, because the large model would send every call
+//!    block to SelectionDAG; -O2 uses the large model, where a runtime
+//!    call is an absolute `mov; callind` and the module has no PLT or GOT,
 //! 9. **IR destruction**, measured separately (Sec. V-B1).
 
 mod isel;
@@ -66,7 +69,11 @@ pub struct LvmOptions {
     pub mode: OptMode,
     /// String/pair representation in LIR (Sec. V-A2 ablation).
     pub pair_repr: PairRepr,
-    /// Small-PIC code model (vs. large; Sec. V-A2 ablation).
+    /// Small-PIC code model (vs. large; Sec. V-A2 ablation): runtime
+    /// calls go through a per-module PLT stub and GOT slot instead of an
+    /// absolute `mov; callind`. The default is on for
+    /// [`OptMode::Cheap`] only, whose FastISel falls back to SelectionDAG
+    /// at every call under the large model.
     pub small_pic: bool,
     /// FastISel CRC-32 intrinsic support (Sec. V-A2 ablation).
     pub fastisel_crc32: bool,
@@ -83,7 +90,7 @@ impl LvmOptions {
             isa,
             mode,
             pair_repr: PairRepr::Scalars,
-            small_pic: true,
+            small_pic: mode == OptMode::Cheap,
             fastisel_crc32: true,
             cache_target_machine: true,
             global_isel: false,
@@ -591,6 +598,47 @@ mod tests {
     }
 
     #[test]
+    fn selects_on_compares_across_option_matrix() {
+        // `min(x, y)` (signed), kept when `x == 7` and 100 otherwise, plus
+        // the unsigned-smaller of `x` and `y` widened to i128: three
+        // compares that only selects use, one of them on an immediate.
+        let sig = Signature::new(vec![Type::I64, Type::I64], Type::I128);
+        let cases = [(3i64, 9i64), (9, 3), (7, -1), (-5, 2), (7, 7)];
+        for options in matrix() {
+            for (x, y) in cases {
+                let r = run_with(
+                    options,
+                    |b| {
+                        let e = b.entry_block();
+                        b.switch_to(e);
+                        let (px, py) = (b.param(0), b.param(1));
+                        let lt = b.icmp(CmpOp::SLt, Type::I64, px, py);
+                        let min = b.select(Type::I64, lt, px, py);
+                        let seven = b.iconst(Type::I64, 7);
+                        let is7 = b.icmp(CmpOp::Eq, Type::I64, px, seven);
+                        let hundred = b.iconst(Type::I64, 100);
+                        let kept = b.select(Type::I64, is7, min, hundred);
+                        let below = b.icmp(CmpOp::ULt, Type::I64, px, py);
+                        let (wx, wy) = (b.sext(Type::I128, px), b.sext(Type::I128, py));
+                        let wide = b.select(Type::I128, below, wx, wy);
+                        let k = b.zext(Type::I128, kept);
+                        let sum = b.add(Type::I128, wide, k);
+                        b.ret(Some(sum));
+                    },
+                    sig.clone(),
+                    &[x as u64, y as u64],
+                )
+                .unwrap_or_else(|t| panic!("{options:?}: {t}"));
+                let kept = if x == 7 { x.min(y) } else { 100 };
+                let wide = if (x as u64) < (y as u64) { x } else { y };
+                let want = i128::from(wide) + i128::from(kept as u64);
+                let got = (u128::from(r[1]) << 64 | u128::from(r[0])) as i128;
+                assert_eq!(got, want, "{options:?}: x={x} y={y}");
+            }
+        }
+    }
+
+    #[test]
     fn i128_and_overflow_across_modes() {
         let sig = Signature::new(vec![Type::I64, Type::I64], Type::I128);
         for options in matrix() {
@@ -776,39 +824,108 @@ mod tests {
         assert!(report.total("isel/selectiondag").is_some());
     }
 
+    /// `f(x) = load(store(rt_alloc(x), crc32(x, x)))`: two helpers, so
+    /// two stubs under Small-PIC.
+    fn two_helper_module() -> Module {
+        let mut b = FunctionBuilder::new("f", Signature::new(vec![Type::I64], Type::I64));
+        let alloc = b.declare_ext_func(qc_ir::ExtFuncDecl {
+            name: "rt_alloc".into(),
+            sig: Signature::new(vec![Type::I64], Type::Ptr),
+        });
+        let crc = b.declare_ext_func(qc_ir::ExtFuncDecl {
+            name: "rt_crc32".into(),
+            sig: Signature::new(vec![Type::I64, Type::I64], Type::I64),
+        });
+        let e = b.entry_block();
+        b.switch_to(e);
+        let x = b.param(0);
+        let p = b.call(alloc, vec![x]).unwrap();
+        let h = b.call(crc, vec![x, x]).unwrap();
+        b.store(Type::I64, p, h, 0);
+        let v = b.load(Type::I64, p, 0);
+        b.ret(Some(v));
+        let mut m = Module::new("m");
+        m.push_function(b.finish());
+        m
+    }
+
+    #[test]
+    fn optimized_images_call_the_runtime_directly() {
+        use qc_target::{decode_inst, runtime_addr, DecodedInst};
+        let mut state = RuntimeState::new();
+        let optimized = matrix()
+            .into_iter()
+            .filter(|o| o.mode == OptMode::Optimized)
+            .collect::<Vec<_>>();
+        // SelectionDAG on both ISAs and optimizing GlobalISel on TA64.
+        assert_eq!(optimized.len(), 3);
+        for options in optimized {
+            assert!(!options.small_pic, "{options:?}");
+            let backend = LvmBackend::with_options(options);
+            let (builder, stats) = backend
+                .build_parts(&two_helper_module(), &TimeTrace::disabled())
+                .unwrap();
+            assert_eq!(stats.counters.get("plt_entries").copied().unwrap_or(0), 0);
+            let image = builder.link(&resolve_runtime).unwrap();
+            for name in ["rt_alloc", "rt_crc32"] {
+                for item in [format!("plt${name}"), format!("got${name}")] {
+                    assert_eq!(image.addr_of(&item), None, "{options:?}: {item}");
+                }
+            }
+            // Walk `f` to its `ret`, tracking the constants `mov`/`movk`
+            // build: each call is an indirect one through a register the
+            // instructions right before it loaded with a helper's address.
+            let mut off = (image.addr_of("f").unwrap() - image.base()) as usize;
+            let (mut regs, mut built) = ([None::<u64>; 32], None);
+            let mut targets = Vec::new();
+            loop {
+                let (inst, len) = decode_inst(options.isa, image.bytes(), off).unwrap();
+                off += len as usize;
+                match inst {
+                    DecodedInst::MovRI { dst, imm } => {
+                        regs[dst.index()] = Some(imm as u64);
+                        built = Some(dst);
+                        continue;
+                    }
+                    DecodedInst::MovK { dst, imm16, shift } if built == Some(dst) => {
+                        let sh = 16 * (u32::from(shift) & 3);
+                        let r = regs[dst.index()].unwrap();
+                        regs[dst.index()] = Some(r & !(0xFFFF << sh) | u64::from(imm16) << sh);
+                        continue;
+                    }
+                    DecodedInst::CallInd { reg } => {
+                        assert_eq!(built, Some(reg), "{options:?}: no `mov` right before");
+                        targets.push(regs[reg.index()].unwrap());
+                    }
+                    DecodedInst::Call { .. } | DecodedInst::JmpInd { .. } => {
+                        panic!("{options:?}: {inst:?} in `f`")
+                    }
+                    DecodedInst::Ret => break,
+                    _ => {}
+                }
+                built = None;
+            }
+            let expected: Vec<u64> = ["rt_alloc", "rt_crc32"]
+                .iter()
+                .map(|n| runtime_addr(qc_runtime::rt_index(n).unwrap()))
+                .collect();
+            assert_eq!(targets, expected, "{options:?}");
+            let mut exe = backend
+                .compile(&two_helper_module(), &TimeTrace::disabled())
+                .unwrap();
+            let r = exe.call(&mut state, "f", &[5]).unwrap();
+            assert_eq!(r[0], qc_target::crc32c_u64(5, 5), "{options:?}");
+        }
+    }
+
     #[test]
     fn plt_stubs_tail_jump_through_the_got() {
         use qc_target::{decode_inst, DecodedInst};
-        // `f(x) = load(store(rt_alloc(x), crc32(x, x)))`: two helpers,
-        // so two stubs.
-        let sig = Signature::new(vec![Type::I64], Type::I64);
-        let module = || {
-            let mut b = FunctionBuilder::new("f", sig.clone());
-            let alloc = b.declare_ext_func(qc_ir::ExtFuncDecl {
-                name: "rt_alloc".into(),
-                sig: Signature::new(vec![Type::I64], Type::Ptr),
-            });
-            let crc = b.declare_ext_func(qc_ir::ExtFuncDecl {
-                name: "rt_crc32".into(),
-                sig: Signature::new(vec![Type::I64, Type::I64], Type::I64),
-            });
-            let e = b.entry_block();
-            b.switch_to(e);
-            let x = b.param(0);
-            let p = b.call(alloc, vec![x]).unwrap();
-            let h = b.call(crc, vec![x, x]).unwrap();
-            b.store(Type::I64, p, h, 0);
-            let v = b.load(Type::I64, p, 0);
-            b.ret(Some(v));
-            let mut m = Module::new("m");
-            m.push_function(b.finish());
-            m
-        };
         let mut state = RuntimeState::new();
         for options in matrix().into_iter().filter(|o| o.small_pic) {
             let backend = LvmBackend::with_options(options);
             let (builder, stats) = backend
-                .build_parts(&module(), &TimeTrace::disabled())
+                .build_parts(&two_helper_module(), &TimeTrace::disabled())
                 .unwrap();
             assert_eq!(stats.counters.get("plt_entries"), Some(&2), "{options:?}");
             let image = builder.link(&resolve_runtime).unwrap();
@@ -843,7 +960,9 @@ mod tests {
                     "{options:?} plt${name}: {insts:?}"
                 );
             }
-            let mut exe = backend.compile(&module(), &TimeTrace::disabled()).unwrap();
+            let mut exe = backend
+                .compile(&two_helper_module(), &TimeTrace::disabled())
+                .unwrap();
             let r = exe.call(&mut state, "f", &[5]).unwrap();
             assert_eq!(r[0], qc_target::crc32c_u64(5, 5), "{options:?}");
         }

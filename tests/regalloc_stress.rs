@@ -1,14 +1,14 @@
 //! Register-pressure stress on every back-end: more simultaneously live
 //! values than either ISA has registers (forcing spills in Clift/LVM and
 //! home-slot traffic in DirectEmit), including 128-bit pairs that consume
-//! two registers each. The plan-level cases drive LVM-opt's eviction and
-//! rematerialization through whole queries.
+//! two registers each. The plan-level cases drive LVM-opt's eviction,
+//! rematerialization and selects on compares through whole queries.
 
 use qc_backend::Backend;
 use qc_engine::backends;
 use qc_engine::Session;
 use qc_ir::{FunctionBuilder, Module, Signature, Type};
-use qc_plan::{col, lit_dec, reference, AggFunc, PlanNode};
+use qc_plan::{col, lit_dec, lit_i64, reference, AggFunc, PlanNode};
 use qc_runtime::RuntimeState;
 use qc_target::Isa;
 use qc_timing::TimeTrace;
@@ -265,6 +265,57 @@ fn join_probe_feeding_a_filter_and_a_sort() {
             ("l_partkey", true),
         ],
         None,
+    );
+    lvm_agrees_with_reference(&plan);
+}
+
+/// Selects on compares inside the scan loop: the filter's `AND`/`OR`
+/// are boolean selects whose conditions are i64, date and decimal
+/// compares, and each group's `MIN`/`MAX` picks between the row's value
+/// and the state on an i64 or a decimal (i128) compare. Under LVM-opt a
+/// one-register compare that only selects and branches use is re-tested
+/// at each of them (`select_cc`), so its operands stay live up to the
+/// select.
+#[test]
+fn selects_on_compares_in_the_scan_loop() {
+    let plan = PlanNode::scan(
+        "lineitem",
+        &[
+            "l_orderkey",
+            "l_partkey",
+            "l_suppkey",
+            "l_quantity",
+            "l_extendedprice",
+            "l_discount",
+            "l_shipdate",
+            "l_commitdate",
+            "l_receiptdate",
+        ],
+    )
+    .filter(
+        col("l_partkey")
+            .gt(lit_i64(40))
+            .and(col("l_quantity").lt(lit_dec(3000, 2)))
+            .or(col("l_suppkey")
+                .le(lit_i64(4))
+                .and(col("l_discount").ge(lit_dec(5, 2))))
+            .or(col("l_shipdate")
+                .lt(col("l_commitdate"))
+                .and(col("l_receiptdate").gt(col("l_commitdate")))),
+    )
+    .group_by(
+        &["l_suppkey"],
+        vec![
+            ("n", AggFunc::CountStar),
+            ("min_order", AggFunc::Min(col("l_orderkey"))),
+            ("max_order", AggFunc::Max(col("l_orderkey"))),
+            ("min_part", AggFunc::Min(col("l_partkey"))),
+            ("max_part", AggFunc::Max(col("l_partkey"))),
+            ("min_qty", AggFunc::Min(col("l_quantity"))),
+            ("max_qty", AggFunc::Max(col("l_quantity"))),
+            ("min_price", AggFunc::Min(col("l_extendedprice"))),
+            ("max_price", AggFunc::Max(col("l_extendedprice"))),
+        ],
     );
     lvm_agrees_with_reference(&plan);
 }
