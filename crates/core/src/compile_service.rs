@@ -511,7 +511,7 @@ impl ClaimList {
 /// The ticket of a background compilation started with
 /// [`CompileService::spawn_compile`], resolved by a pool worker while
 /// the caller keeps executing.
-pub struct PendingCompile(Receiver<Result<CompiledQuery, BackendError>>);
+pub struct PendingCompile(pub(crate) Receiver<Result<CompiledQuery, BackendError>>);
 
 fn worker_disconnected() -> BackendError {
     BackendError::transient("compile worker disconnected")

@@ -58,14 +58,37 @@
 //!   consecutive execution faults on one back-end tier trip that
 //!   tier's breaker: subsequent admissions route down the fallback
 //!   chain until the cooldown passes.
+//!
+//! Policy and driver. Every decision above is a method of the private
+//! `SchedState`, the state the workers share, and each method takes the
+//! [`SchedulerConfig`] and a `now` from its caller:
+//!
+//! * `SchedState::new` sheds up front and orders the pending requests;
+//! * `pick` is the order, and routes a picked admission past open
+//!   breakers;
+//! * `admitted` files an admission's result: the query waits for a
+//!   worker and competes for a tier-up slot, or it fails;
+//! * `after_slice` takes one slice's result: the adopted tier's slot
+//!   comes back, the runaway governor downgrades or kills, a finished
+//!   query feeds the cycles-per-morsel EWMA, the breaker counts a fault
+//!   or forgives the streak, and free tier-up slots are granted;
+//! * `retire` is the only way out, and stamps the latency at `now`.
+//!
+//! The core is clock-free: it reads no clock, takes no lock and
+//! compiles nothing. It asks for a background compile through a spawner
+//! its caller passes in. The serving worker is only the driver: lock →
+//! `pick` → unlock → admit, or adopt a finished tier and run one
+//! [`QueryExecution`] step → lock → one call into the core → notify. A
+//! second driver (a replay on a virtual clock, say) runs the same
+//! policy by supplying its own times and spawner.
 
-use crate::compile_service::{CompileService, PendingCompile};
+use crate::compile_service::PendingCompile;
 use crate::engine::{CompiledQuery, EngineError, ExecutionResult, PreparedQuery, QueryBudget};
 use crate::fallback::FallbackChain;
 use crate::morsel_exec::{plan_morsels, MorselExecConfig, QueryExecution, StepProgress};
 use crate::session::Session;
 use crate::supervise::{lock_recover, supervise};
-use qc_backend::Backend;
+use qc_backend::{Backend, BackendError};
 use qc_plan::PlanNode;
 use qc_runtime::SqlValue;
 use qc_timing::TimeTrace;
@@ -187,8 +210,9 @@ impl SchedulerConfig {
     /// Returns [`EngineError::Config`] when `workers`,
     /// `admission_limit` or `morsel_credits` is zero, when a set
     /// `max_queue_depth` is zero, when the runaway factors are
-    /// nonsensical (`factor < 1` or `kill_factor < factor`), or when
-    /// the breaker trips after zero faults.
+    /// nonsensical (`factor < 1` or `kill_factor < factor`), when the
+    /// breaker trips after zero faults, or when a `tier_up_backend` is
+    /// set with no tier-up slot (`tier_up_inflight == 0`).
     pub fn validate(&self) -> Result<(), EngineError> {
         if self.workers == 0 {
             return Err(EngineError::Config(
@@ -225,6 +249,11 @@ impl SchedulerConfig {
                     "breaker trip_after must be > 0".to_string(),
                 ));
             }
+        }
+        if self.tier_up_backend.is_some() && self.tier_up_inflight == 0 {
+            return Err(EngineError::Config(
+                "tier_up_inflight must be > 0 when a tier_up_backend is set".to_string(),
+            ));
         }
         Ok(())
     }
@@ -286,7 +315,8 @@ pub struct QueryOutcome {
     pub latency: Duration,
     /// Deterministic execution cycles (partial for killed queries).
     pub cycles: u64,
-    /// Whether a background tier was adopted mid-query.
+    /// Whether the optimizing tier ([`SchedulerConfig::tier_up_backend`])
+    /// was adopted mid-query. A runaway downgrade is not a tier-up.
     pub tiered_up: bool,
     /// How the session ended.
     pub status: OutcomeStatus,
@@ -385,8 +415,8 @@ struct Active {
     prepared: Arc<PreparedQuery>,
     compiled: CompiledQuery,
     exec: QueryExecution,
-    /// Estimated morsels left (the key of [`pick`] and of the tier-up
-    /// priority).
+    /// Estimated morsels left (the key of [`SchedState::pick`] and of
+    /// the tier-up priority).
     remaining: u64,
     /// Morsel estimate at admission (runaway prediction base).
     initial_morsels: u64,
@@ -403,18 +433,27 @@ struct BreakerState {
 
 /// A submitted request not admitted yet.
 struct Pending {
-    index: usize,
+    ticket: Ticket,
     req: SessionRequest,
     /// Estimated morsels ([`plan_morsels`]), in [`Active::remaining`]'s
     /// unit; computed once, before the workers start.
     morsels: u64,
 }
 
-/// Scheduler state shared by the serving workers.
+/// How the policy core asks for a background compile of a query to a
+/// tier. The serving driver passes its compile service's.
+type Spawn<'a> = &'a dyn Fn(&PreparedQuery, &Arc<dyn Backend>) -> PendingCompile;
+
+/// Scheduler state shared by the serving workers, and the one
+/// scheduling policy as its methods. Each method takes the
+/// configuration and the `now` its caller read; none reads a clock,
+/// takes a lock or compiles (a background compile goes through the
+/// [`Spawn`] it is handed), so any driver that supplies the times runs
+/// the same decisions.
 #[derive(Default)]
 struct SchedState {
     /// Requests waiting for admission, in ascending `(morsels, index)`
-    /// order once the workers start.
+    /// order.
     pending: VecDeque<Pending>,
     /// Admitted queries waiting for a worker.
     ready: Vec<Active>,
@@ -433,37 +472,313 @@ struct SchedState {
 }
 
 impl SchedState {
-    /// Whether `tier`'s breaker is open right now; an expired cooldown
+    /// The state of one serve of the `pending` batch. This serve model
+    /// takes the whole batch as the arrival queue, so overload shedding
+    /// happens here, at `now`, before any work starts: what exceeds
+    /// `max_queue_depth` is shed per [`ShedPolicy`]. The rest is ordered
+    /// for [`SchedState::pick`].
+    fn new(config: &SchedulerConfig, pending: VecDeque<Pending>, now: Instant) -> SchedState {
+        let total = pending.len();
+        let mut g = SchedState {
+            pending,
+            outcomes: (0..total).map(|_| None).collect(),
+            ..SchedState::default()
+        };
+        let depth = config.max_queue_depth.unwrap_or(usize::MAX);
+        while g.pending.len() > depth {
+            let shed = match config.shed_policy {
+                ShedPolicy::RejectNew => g.pending.pop_back(),
+                ShedPolicy::DropOldest => g.pending.pop_front(),
+            };
+            let Some(Pending { ticket, .. }) = shed else {
+                break;
+            };
+            g.retire(ticket, false, now, Ending::Shed { depth, total });
+        }
+        g.pending
+            .make_contiguous()
+            .sort_by_key(|p| (p.morsels, p.ticket.index));
+        g
+    }
+
+    /// The one scheduling decision: of the admitted queries waiting for
+    /// a worker and — while an admission slot is free — the pending
+    /// requests, the one with the fewest estimated morsels left. An
+    /// admitted query wins a tie, then submission order decides. `None`
+    /// when nothing can start now. A picked request takes an admission
+    /// slot, ends its queue wait at `now` and is routed to a back-end.
+    fn pick(
+        &mut self,
+        config: &SchedulerConfig,
+        backend: &Arc<dyn Backend>,
+        now: Instant,
+    ) -> Option<Pick> {
+        let run = self
+            .ready
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, a)| (a.remaining, a.ticket.index))
+            .map(|(i, a)| (a.remaining, i));
+        let admit = self
+            .pending
+            .front()
+            .filter(|_| self.active < config.admission_limit)
+            .map(|p| p.morsels);
+        match (run, admit) {
+            (Some((remaining, i)), admit) if admit.is_none_or(|morsels| remaining <= morsels) => {
+                Some(Pick::Run(self.ready.swap_remove(i)))
+            }
+            (_, Some(_)) => {
+                let mut pending = self.pending.pop_front()?;
+                self.active += 1;
+                pending.ticket.queue_wait = now.saturating_duration_since(pending.ticket.submitted);
+                Some(Pick::Admit(pending, self.route(config, backend, now)))
+            }
+            _ => None,
+        }
+    }
+
+    /// The back-end for one admission: `backend` unless its circuit
+    /// breaker is open, then the first tier down the fallback chain
+    /// whose breaker is closed (fail-open to `backend` when every
+    /// breaker is open or no chain is configured).
+    fn route(
+        &mut self,
+        config: &SchedulerConfig,
+        backend: &Arc<dyn Backend>,
+        now: Instant,
+    ) -> Arc<dyn Backend> {
+        let tiers = config
+            .fallback_chain
+            .as_ref()
+            .map_or(&[][..], |c| c.tiers());
+        let below = match tiers.iter().position(|t| t.name() == backend.name()) {
+            Some(i) => &tiers[i + 1..],
+            None => tiers,
+        };
+        let closed = std::iter::once(backend)
+            .chain(below)
+            .find(|t| config.breaker.is_none() || !self.breaker_open(t.name(), now));
+        Arc::clone(closed.unwrap_or(backend))
+    }
+
+    /// Whether `tier`'s breaker is open at `now`; an expired cooldown
     /// closes the breaker (and forgives its fault streak) on the way.
     fn breaker_open(&mut self, tier: &str, now: Instant) -> bool {
-        if let Some(b) = self.breakers.get_mut(tier) {
-            if let Some(until) = b.open_until {
-                if now < until {
-                    return true;
+        let Some(b) = self.breakers.get_mut(tier) else {
+            return false;
+        };
+        if b.open_until.is_some_and(|until| now >= until) {
+            *b = BreakerState::default();
+        }
+        b.open_until.is_some()
+    }
+
+    /// What follows an admission: an admitted query waits for a worker
+    /// (and competes for a tier-up slot); a failed one leaves with its
+    /// error.
+    fn admitted(
+        &mut self,
+        config: &SchedulerConfig,
+        ticket: Ticket,
+        result: Result<Active, EngineError>,
+        spawn: Spawn<'_>,
+        now: Instant,
+    ) {
+        match result {
+            Ok(active) => {
+                self.ready.push(active);
+                self.grant_tier_ups(config, spawn);
+            }
+            Err(err) => self.retire(ticket, false, now, Ending::Errored(err)),
+        }
+    }
+
+    /// Everything that follows one execution slice of `a`: the tier it
+    /// adopted before the slice (`tier`) gives its slot back, the
+    /// runaway governor kills or downgrades it, a finished query feeds
+    /// the cycles-per-morsel EWMA and forgives its tier's fault streak,
+    /// an execution fault counts towards its tier's breaker, and a query
+    /// that goes on waits for a worker again beside the tier-up grant.
+    fn after_slice(
+        &mut self,
+        config: &SchedulerConfig,
+        mut a: Active,
+        tier: Option<Result<(), BackendError>>,
+        step: Result<StepProgress, EngineError>,
+        spawn: Spawn<'_>,
+        now: Instant,
+    ) {
+        if let Some(adopted) = tier {
+            self.tier_inflight -= 1;
+            // A downgraded query's background tier is its runaway
+            // fallback, not the optimizing tier.
+            a.ticket.tiered_up |= adopted.is_ok() && !a.downgraded;
+        }
+        let ending = match step {
+            Ok(StepProgress::Ran) => {
+                let used = a.exec.tally().cycles;
+                let predicted = self.cpm_ewma * a.initial_morsels as f64;
+                let runaway = config
+                    .runaway
+                    .filter(|r| self.cpm_samples >= r.min_samples && a.initial_morsels > 0);
+                let fresh = !a.downgraded && a.pending_tier.is_none();
+                match runaway {
+                    Some(r) if used as f64 > predicted * r.kill_factor => Ending::Runaway {
+                        used,
+                        predicted: predicted as u64,
+                    },
+                    Some(r) if used as f64 > predicted * r.factor && fresh => {
+                        let below = config
+                            .fallback_chain
+                            .as_ref()
+                            .and_then(|c| c.tier_below(a.compiled.backend_name));
+                        a.downgraded = below.is_some();
+                        self.ready.push(a);
+                        if let Some(tier) = below {
+                            self.runaway_downgrades += 1;
+                            self.start_tier(self.ready.len() - 1, tier, spawn);
+                        }
+                        return;
+                    }
+                    _ => {
+                        self.ready.push(a);
+                        self.grant_tier_ups(config, spawn);
+                        return;
+                    }
                 }
-                b.open_until = None;
-                b.consecutive = 0;
             }
-        }
-        false
+            Ok(StepProgress::Done) => {
+                let cpm = a.exec.tally().cycles as f64 / a.initial_morsels.max(1) as f64;
+                self.cpm_ewma = if self.cpm_samples == 0 {
+                    cpm
+                } else {
+                    0.8 * self.cpm_ewma + 0.2 * cpm
+                };
+                self.cpm_samples += 1;
+                let tier = self.breakers.get_mut(a.compiled.backend_name);
+                if let Some(b) = tier.filter(|b| b.open_until.is_none()) {
+                    b.consecutive = 0;
+                }
+                Ending::Finished(a.exec.into_result(&a.compiled))
+            }
+            Err(err) => {
+                let fault = matches!(err, EngineError::Trap(_) | EngineError::WorkerPanic(_));
+                if let Some(policy) = config.breaker.filter(|_| fault) {
+                    let b = self.breakers.entry(a.compiled.backend_name).or_default();
+                    b.consecutive += 1;
+                    if b.open_until.is_none() && b.consecutive >= policy.trip_after {
+                        b.open_until = Some(now + policy.cooldown);
+                        self.breaker_trips += 1;
+                    }
+                }
+                Ending::Errored(err)
+            }
+        };
+        self.retire(a.ticket, a.pending_tier.is_some(), now, ending);
     }
 
-    fn record_exec_fault(&mut self, tier: &'static str, policy: &BreakerPolicy, now: Instant) {
-        let b = self.breakers.entry(tier).or_default();
-        b.consecutive += 1;
-        let trip = b.open_until.is_none() && b.consecutive >= policy.trip_after;
-        if trip {
-            b.open_until = Some(now + policy.cooldown);
-            self.breaker_trips += 1;
+    /// Grants free tier-up slots to the ready queries with the most
+    /// remaining morsels (the queries with the most execution left to
+    /// amortize the expensive compile). Queries the runaway governor
+    /// downgraded are excluded — tiering them back up would fight it.
+    fn grant_tier_ups(&mut self, config: &SchedulerConfig, spawn: Spawn<'_>) {
+        let Some(opt_backend) = &config.tier_up_backend else {
+            return;
+        };
+        while self.tier_inflight < config.tier_up_inflight {
+            let candidate = self
+                .ready
+                .iter()
+                .enumerate()
+                .filter(|(_, a)| a.pending_tier.is_none() && !a.ticket.tiered_up && !a.downgraded)
+                .max_by_key(|(_, a)| a.remaining);
+            match candidate {
+                Some((i, a)) if a.remaining > 0 => self.start_tier(i, opt_backend, spawn),
+                _ => return,
+            }
         }
     }
 
-    fn record_exec_ok(&mut self, tier: &str) {
-        if let Some(b) = self.breakers.get_mut(tier) {
-            if b.open_until.is_none() {
-                b.consecutive = 0;
+    /// Starts ready query `i`'s background compile to `tier`: the one
+    /// place a tier slot is taken.
+    fn start_tier(&mut self, i: usize, tier: &Arc<dyn Backend>, spawn: Spawn<'_>) {
+        let a = &mut self.ready[i];
+        a.pending_tier = Some(spawn(&a.prepared, tier));
+        self.tier_inflight += 1;
+    }
+
+    /// The one way out of the scheduler: gives back what the session
+    /// holds (its admission slot and, when `tier_pending` says a
+    /// background compile is still in flight for it, its tier-up slot),
+    /// counts a kill, and records the [`QueryOutcome`] with its latency
+    /// at `now`.
+    fn retire(&mut self, who: Ticket, tier_pending: bool, now: Instant, ending: Ending) {
+        // Shed and lost sessions were never admitted; a shed one never ran.
+        let admitted = !matches!(ending, Ending::Shed { .. } | Ending::Lost);
+        let latency = match ending {
+            Ending::Shed { .. } => Duration::ZERO,
+            _ => now.saturating_duration_since(who.submitted),
+        };
+        let (status, rows, cycles, error) = match ending {
+            Ending::Finished(result) => (
+                OutcomeStatus::Ok,
+                result.rows,
+                result.exec_stats.cycles,
+                None,
+            ),
+            Ending::Errored(err) => {
+                let (status, cycles) = match &err {
+                    EngineError::DeadlineExceeded { partial, .. }
+                    | EngineError::BudgetExhausted { partial, .. }
+                    | EngineError::Cancelled { partial } => (OutcomeStatus::Killed, partial.cycles),
+                    _ => (OutcomeStatus::Failed, 0),
+                };
+                (status, Vec::new(), cycles, Some(err.to_string()))
             }
+            Ending::Runaway { used, predicted } => (
+                OutcomeStatus::Killed,
+                Vec::new(),
+                used,
+                Some(format!(
+                    "killed: runaway query used {used} cycles against a predicted {predicted}"
+                )),
+            ),
+            Ending::Shed { depth, total } => (
+                OutcomeStatus::Shed,
+                Vec::new(),
+                0,
+                Some(format!(
+                    "shed: queue depth {depth} exceeded ({total} submitted)"
+                )),
+            ),
+            Ending::Lost => (
+                OutcomeStatus::Failed,
+                Vec::new(),
+                0,
+                Some("scheduler lost this session's outcome".to_string()),
+            ),
+        };
+        if tier_pending {
+            self.tier_inflight -= 1; // abandoned in-flight compile
         }
+        if status == OutcomeStatus::Killed {
+            self.queries_killed += 1;
+        }
+        self.outcomes[who.index] = Some(QueryOutcome {
+            name: who.name,
+            rows,
+            queue_wait: who.queue_wait,
+            latency,
+            cycles,
+            tiered_up: who.tiered_up,
+            status,
+            error,
+        });
+        if admitted {
+            self.active -= 1;
+        }
+        self.done += 1;
     }
 }
 
@@ -500,51 +815,17 @@ impl QueryScheduler {
         backend: &Arc<dyn Backend>,
         requests: Vec<SessionRequest>,
     ) -> ServeReport {
-        let total = requests.len();
         let start = Instant::now();
         let pending = requests
             .into_iter()
             .enumerate()
-            .map(|(index, req)| Pending {
-                index,
+            .map(|(index, mut req)| Pending {
+                ticket: Ticket::new(index, std::mem::take(&mut req.name), start),
                 morsels: plan_morsels(session.engine(), &req.plan),
                 req,
             });
-        let mut state = SchedState {
-            pending: pending.collect(),
-            outcomes: (0..total).map(|_| None).collect(),
-            ..SchedState::default()
-        };
-
-        // Overload shedding happens up front: this serve model takes
-        // the whole batch as the arrival queue, so everything past the
-        // depth bound is rejected per policy before any work starts.
-        if let Some(depth) = self.config.max_queue_depth {
-            while state.pending.len() > depth {
-                let shed = match self.config.shed_policy {
-                    ShedPolicy::RejectNew => state.pending.pop_back(),
-                    ShedPolicy::DropOldest => state.pending.pop_front(),
-                };
-                let Some(Pending { index, req, .. }) = shed else {
-                    break;
-                };
-                let ticket = Ticket::new(index, req.name, Duration::ZERO);
-                retire(
-                    &mut state,
-                    ticket,
-                    false,
-                    start,
-                    Ending::Shed { depth, total },
-                );
-            }
-        }
-        state
-            .pending
-            .make_contiguous()
-            .sort_by_key(|p| (p.morsels, p.index));
-
         let shared = Shared {
-            state: Mutex::new(state),
+            state: Mutex::new(SchedState::new(&self.config, pending.collect(), start)),
             cv: Condvar::new(),
         };
         let worker_busy: Vec<Duration> = crossbeam::thread::scope(|s| {
@@ -552,7 +833,7 @@ impl QueryScheduler {
                 .map(|_| {
                     let shared = &shared;
                     let config = &self.config;
-                    s.spawn(move || serve_worker(session, backend, config, shared, total, start))
+                    s.spawn(move || serve_worker(session, backend, config, shared))
                 })
                 .collect();
             handles
@@ -568,10 +849,10 @@ impl QueryScheduler {
             .unwrap_or_else(PoisonError::into_inner);
         // Defensive: every path records an outcome; a lost one reports
         // as a failure rather than panicking the serve.
-        for index in 0..total {
+        for index in 0..state.outcomes.len() {
             if state.outcomes[index].is_none() {
-                let ticket = Ticket::new(index, format!("session-{index}"), Duration::ZERO);
-                retire(&mut state, ticket, false, start, Ending::Lost);
+                let ticket = Ticket::new(index, format!("session-{index}"), start);
+                state.retire(ticket, false, Instant::now(), Ending::Lost);
             }
         }
         ServeReport {
@@ -587,232 +868,74 @@ impl QueryScheduler {
     }
 }
 
-/// Picks the back-end for one admission: the requested tier unless its
-/// circuit breaker is open, in which case the first closed tier down
-/// the fallback chain (fail-open to the requested tier when every
-/// breaker is open or no chain is configured).
-fn route_backend(
-    config: &SchedulerConfig,
-    backend: &Arc<dyn Backend>,
-    g: &mut SchedState,
-) -> Arc<dyn Backend> {
-    if config.breaker.is_none() {
-        return Arc::clone(backend);
-    }
-    let now = Instant::now();
-    if !g.breaker_open(backend.name(), now) {
-        return Arc::clone(backend);
-    }
-    if let Some(chain) = &config.fallback_chain {
-        let tiers = chain.tiers();
-        let from = tiers
-            .iter()
-            .position(|t| t.name() == backend.name())
-            .map_or(0, |i| i + 1);
-        for tier in &tiers[from.min(tiers.len())..] {
-            if !g.breaker_open(tier.name(), now) {
-                return Arc::clone(tier);
-            }
-        }
-    }
-    Arc::clone(backend)
-}
-
-/// What the runaway governor decided for one query after a slice.
-enum RunawayAction {
-    None,
-    Downgrade,
-    Kill { used: u64, predicted: u64 },
-}
-
-fn runaway_check(config: &SchedulerConfig, g: &SchedState, a: &Active) -> RunawayAction {
-    let Some(policy) = &config.runaway else {
-        return RunawayAction::None;
-    };
-    if g.cpm_samples < policy.min_samples || a.initial_morsels == 0 {
-        return RunawayAction::None;
-    }
-    let predicted = g.cpm_ewma * a.initial_morsels as f64;
-    let used = a.exec.tally().cycles;
-    if used as f64 > predicted * policy.kill_factor {
-        return RunawayAction::Kill {
-            used,
-            predicted: predicted as u64,
-        };
-    }
-    if used as f64 > predicted * policy.factor && !a.downgraded && a.pending_tier.is_none() {
-        return RunawayAction::Downgrade;
-    }
-    RunawayAction::None
-}
-
-/// What a free worker does next. Moved out of the state at once, like
-/// the `Active` it carries; boxing that would allocate on every slice.
+/// What a free worker does next ([`SchedState::pick`]). Moved out of
+/// the state at once, like the `Active` it carries; boxing that would
+/// allocate on every slice.
 #[allow(clippy::large_enum_variant)]
 enum Pick {
-    /// Admit (plan and compile) this request; it holds an admission
-    /// slot from now on.
-    Admit(Pending),
+    /// Admit (plan and compile) this request on the routed back-end;
+    /// it holds an admission slot from now on.
+    Admit(Pending, Arc<dyn Backend>),
     /// Run one slice of this admitted query.
     Run(Active),
 }
 
-/// The one scheduling decision, made under the state lock: of the
-/// admitted queries waiting for a worker and — while an admission slot
-/// is free — the pending requests, the one with the fewest estimated
-/// morsels left. An admitted query wins a tie, then submission order
-/// decides. `None` when nothing can start now.
-fn pick(g: &mut SchedState, admission_limit: usize) -> Option<Pick> {
-    let run = g
-        .ready
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, a)| (a.remaining, a.ticket.index))
-        .map(|(i, a)| (a.remaining, i));
-    let admit = g
-        .pending
-        .front()
-        .filter(|_| g.active < admission_limit)
-        .map(|p| p.morsels);
-    match (run, admit) {
-        (Some((remaining, i)), admit) if admit.is_none_or(|morsels| remaining <= morsels) => {
-            Some(Pick::Run(g.ready.swap_remove(i)))
-        }
-        (_, Some(_)) => {
-            let pending = g.pending.pop_front()?;
-            g.active += 1;
-            Some(Pick::Admit(pending))
-        }
-        _ => None,
-    }
-}
-
-/// One serving worker: takes what [`pick`] chooses — an admission or a
-/// credit slice — until every session is done. Returns this worker's
-/// busy time.
+/// One serving worker: the driver of the policy in [`SchedState`]. It
+/// locks, picks and unlocks; admits or runs one slice; then locks
+/// again, hands the result and the time to the policy, and notifies
+/// the other workers, until every session is done. Returns this
+/// worker's busy time.
 fn serve_worker(
     session: &Session<'_>,
     backend: &Arc<dyn Backend>,
     config: &SchedulerConfig,
     shared: &Shared,
-    total: usize,
-    start: Instant,
 ) -> Duration {
     let (engine, service) = (session.engine(), session.compile_service());
+    let spawn = |query: &PreparedQuery, tier: &Arc<dyn Backend>| service.spawn_compile(query, tier);
     let mut busy = Duration::ZERO;
     loop {
         let mut g = lock_recover(&shared.state);
         let next = loop {
-            if g.done == total {
+            if g.done == g.outcomes.len() {
                 shared.cv.notify_all();
                 return busy;
             }
-            if let Some(next) = pick(&mut g, config.admission_limit) {
+            if let Some(next) = g.pick(config, backend, Instant::now()) {
                 break next;
             }
             g = shared.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
         };
-
-        let mut a = match next {
-            Pick::Run(a) => a,
-            Pick::Admit(Pending { index, mut req, .. }) => {
-                let routed = route_backend(config, backend, &mut g);
-                drop(g);
-                let t0 = Instant::now();
-                // One copy of the ticket stays out here in case admission
+        drop(g);
+        let t0 = Instant::now();
+        match next {
+            Pick::Admit(Pending { ticket, req, .. }, backend) => {
+                // Admission fault containment: a panicking planner or
+                // compiler fails this session, not the serve loop. One
+                // copy of the ticket stays out here in case admission
                 // fails (or panics) and takes the other with it.
-                let name = std::mem::take(&mut req.name);
-                let ticket = Ticket::new(index, name, start.elapsed());
-                // Admission fault containment: a panicking planner/compiler
-                // fails this session, not the serve loop.
-                let admitted = supervise(|| admit(session, &routed, config, req, ticket.clone()))
+                let admitted = supervise(|| admit(session, &backend, config, req, ticket.clone()))
                     .unwrap_or_else(|panic| Err(EngineError::WorkerPanic(panic)));
                 busy += t0.elapsed();
                 let mut g = lock_recover(&shared.state);
-                match admitted {
-                    Ok(active) => {
-                        g.ready.push(active);
-                        tier_up_governor(service, config, &mut g);
-                    }
-                    Err(err) => retire(&mut g, ticket, false, start, Ending::Errored(err)),
-                }
-                shared.cv.notify_all();
-                continue;
+                g.admitted(config, ticket, admitted, &spawn, Instant::now());
             }
-        };
-        drop(g);
-        let t0 = Instant::now();
-
-        // Adopt a completed background tier between two slices (a
-        // morsel boundary), as the single-query adaptive path does
-        // between its steps. Tier-ups and runaway downgrades share
-        // this machinery.
-        let tier = a.compiled.adopt_ready(&mut a.pending_tier);
-        let tier_done = tier.is_some();
-        a.ticket.tiered_up |= matches!(tier, Some(Ok(())));
-
-        // Execution fault containment is the driver's: generated code
-        // panicking inside a slice comes back as a typed error that
-        // fails this session, not the serve loop.
-        let credits = config.morsel_credits;
-        let step = a.exec.step(engine, &a.prepared, &mut a.compiled, credits);
-        busy += t0.elapsed();
-
-        let mut g = lock_recover(&shared.state);
-        if tier_done {
-            g.tier_inflight -= 1;
-        }
-        match step {
-            Ok(StepProgress::Ran) => {
-                a.remaining = a.exec.remaining_morsels(engine, &a.prepared);
-                match runaway_check(config, &g, &a) {
-                    RunawayAction::Kill { used, predicted } => {
-                        let ending = Ending::Runaway { used, predicted };
-                        retire(&mut g, a.ticket, a.pending_tier.is_some(), start, ending);
-                    }
-                    RunawayAction::Downgrade => {
-                        if let Some(tier) = config
-                            .fallback_chain
-                            .as_ref()
-                            .and_then(|c| c.tier_below(a.compiled.backend_name))
-                        {
-                            a.pending_tier = Some(service.spawn_compile(&a.prepared, tier));
-                            a.downgraded = true;
-                            g.tier_inflight += 1;
-                            g.runaway_downgrades += 1;
-                        }
-                        g.ready.push(a);
-                    }
-                    RunawayAction::None => {
-                        g.ready.push(a);
-                        tier_up_governor(service, config, &mut g);
-                    }
+            Pick::Run(mut a) => {
+                // Adopt a completed background tier between two slices
+                // (a morsel boundary), as the single-query adaptive path
+                // does between its steps. Execution fault containment is
+                // the driver's: generated code panicking inside a slice
+                // comes back as a typed error that fails this session.
+                let tier = a.compiled.adopt_ready(&mut a.pending_tier);
+                let step = a
+                    .exec
+                    .step(engine, &a.prepared, &mut a.compiled, config.morsel_credits);
+                if let Ok(StepProgress::Ran) = step {
+                    a.remaining = a.exec.remaining_morsels(engine, &a.prepared);
                 }
-            }
-            Ok(StepProgress::Done) => {
-                // Feed the runaway predictor and forgive the tier's
-                // fault streak.
-                let cpm = a.exec.tally().cycles as f64 / a.initial_morsels.max(1) as f64;
-                g.cpm_ewma = if g.cpm_samples == 0 {
-                    cpm
-                } else {
-                    0.8 * g.cpm_ewma + 0.2 * cpm
-                };
-                g.cpm_samples += 1;
-                g.record_exec_ok(a.compiled.backend_name);
-                let ending = Ending::Finished(a.exec.into_result(&a.compiled));
-                retire(&mut g, a.ticket, a.pending_tier.is_some(), start, ending);
-            }
-            Err(err) => {
-                let is_exec_fault =
-                    matches!(err, EngineError::Trap(_) | EngineError::WorkerPanic(_));
-                if is_exec_fault {
-                    if let Some(policy) = &config.breaker {
-                        g.record_exec_fault(a.compiled.backend_name, policy, Instant::now());
-                    }
-                }
-                let ending = Ending::Errored(err);
-                retire(&mut g, a.ticket, a.pending_tier.is_some(), start, ending);
+                busy += t0.elapsed();
+                let mut g = lock_recover(&shared.state);
+                g.after_slice(config, a, tier, step, &spawn, Instant::now());
             }
         }
         shared.cv.notify_all();
@@ -860,47 +983,27 @@ fn admit(
     })
 }
 
-/// Grants free tier-up slots to the ready queries with the most
-/// remaining morsels (the queries with the most execution left to
-/// amortize the expensive compile). Queries the runaway governor
-/// downgraded are excluded — tiering them back up would fight it.
-/// Runs under the state lock, which is fine because `spawn_compile`
-/// only queues a job: it never compiles on this thread.
-fn tier_up_governor(service: &CompileService, config: &SchedulerConfig, g: &mut SchedState) {
-    let Some(opt_backend) = config.tier_up_backend.as_ref() else {
-        return;
-    };
-    while g.tier_inflight < config.tier_up_inflight {
-        let candidate = g
-            .ready
-            .iter_mut()
-            .filter(|a| a.pending_tier.is_none() && !a.ticket.tiered_up && !a.downgraded)
-            .max_by_key(|a| a.remaining);
-        let Some(a) = candidate else { return };
-        if a.remaining == 0 {
-            return;
-        }
-        a.pending_tier = Some(service.spawn_compile(&a.prepared, opt_backend));
-        g.tier_inflight += 1;
-    }
-}
-
 /// What identifies a session from submission to outcome.
 #[derive(Clone)]
 struct Ticket {
     index: usize,
     name: String,
+    /// When the session was submitted: the zero of its queue wait and
+    /// latency.
+    submitted: Instant,
+    /// Time from submission to admission.
     queue_wait: Duration,
-    /// Whether a background tier was adopted mid-query.
+    /// Whether the optimizing tier was adopted mid-query.
     tiered_up: bool,
 }
 
 impl Ticket {
-    fn new(index: usize, name: String, queue_wait: Duration) -> Ticket {
+    fn new(index: usize, name: String, submitted: Instant) -> Ticket {
         Ticket {
             index,
             name,
-            queue_wait,
+            submitted,
+            queue_wait: Duration::ZERO,
             tiered_up: false,
         }
     }
@@ -921,82 +1024,11 @@ enum Ending {
     Lost,
 }
 
-/// The one way out of the scheduler: gives back what the session holds
-/// (its admission slot and, when `tier_pending` says a background
-/// compile is still in flight for it, its tier-up slot), counts a
-/// kill, and records the [`QueryOutcome`].
-fn retire(g: &mut SchedState, who: Ticket, tier_pending: bool, start: Instant, ending: Ending) {
-    // Shed and lost sessions were never admitted; a shed one never ran.
-    let admitted = !matches!(ending, Ending::Shed { .. } | Ending::Lost);
-    let latency = match ending {
-        Ending::Shed { .. } => Duration::ZERO,
-        _ => start.elapsed(),
-    };
-    let (status, rows, cycles, error) = match ending {
-        Ending::Finished(result) => (
-            OutcomeStatus::Ok,
-            result.rows,
-            result.exec_stats.cycles,
-            None,
-        ),
-        Ending::Errored(err) => {
-            let (status, cycles) = match &err {
-                EngineError::DeadlineExceeded { partial, .. }
-                | EngineError::BudgetExhausted { partial, .. }
-                | EngineError::Cancelled { partial } => (OutcomeStatus::Killed, partial.cycles),
-                _ => (OutcomeStatus::Failed, 0),
-            };
-            (status, Vec::new(), cycles, Some(err.to_string()))
-        }
-        Ending::Runaway { used, predicted } => (
-            OutcomeStatus::Killed,
-            Vec::new(),
-            used,
-            Some(format!(
-                "killed: runaway query used {used} cycles against a predicted {predicted}"
-            )),
-        ),
-        Ending::Shed { depth, total } => (
-            OutcomeStatus::Shed,
-            Vec::new(),
-            0,
-            Some(format!(
-                "shed: queue depth {depth} exceeded ({total} submitted)"
-            )),
-        ),
-        Ending::Lost => (
-            OutcomeStatus::Failed,
-            Vec::new(),
-            0,
-            Some("scheduler lost this session's outcome".to_string()),
-        ),
-    };
-    if tier_pending {
-        g.tier_inflight -= 1; // abandoned in-flight compile
-    }
-    if status == OutcomeStatus::Killed {
-        g.queries_killed += 1;
-    }
-    g.outcomes[who.index] = Some(QueryOutcome {
-        name: who.name,
-        rows,
-        queue_wait: who.queue_wait,
-        latency,
-        cycles,
-        tiered_up: who.tiered_up,
-        status,
-        error,
-    });
-    if admitted {
-        g.active -= 1;
-    }
-    g.done += 1;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qc_target::Trap;
+    use qc_target::{Isa, Trap};
+    use std::cell::Cell;
 
     fn state(sessions: usize, tier_inflight: usize) -> SchedState {
         SchedState {
@@ -1005,6 +1037,44 @@ mod tests {
             tier_inflight,
             ..SchedState::default()
         }
+    }
+
+    fn prepared() -> Arc<PreparedQuery> {
+        let db = qc_storage::gen_hlike(0.01);
+        let query = &qc_workloads::hlike_suite()[0];
+        let prepared = crate::Engine::new(&db).prepare(&query.plan, &query.name);
+        Arc::new(prepared.expect("prepare"))
+    }
+
+    /// Admitted session `index` on `tier` with `remaining` morsels left;
+    /// its compiled query is empty, since the policy never executes.
+    fn active(
+        index: usize,
+        prepared: &Arc<PreparedQuery>,
+        tier: &'static str,
+        remaining: u64,
+    ) -> Active {
+        Active {
+            ticket: Ticket::new(index, format!("s{index}"), Instant::now()),
+            prepared: Arc::clone(prepared),
+            compiled: CompiledQuery {
+                executables: Vec::new(),
+                artifacts: Vec::new(),
+                compile_time: Duration::ZERO,
+                compile_stats: qc_backend::CompileStats::default(),
+                backend_name: tier,
+            },
+            exec: QueryExecution::new(MorselExecConfig::default(), QueryBudget::default()),
+            remaining,
+            initial_morsels: remaining,
+            pending_tier: None,
+            downgraded: false,
+        }
+    }
+
+    /// A background compile handle; these tests never poll it.
+    fn unresolved(_: &PreparedQuery, _: &Arc<dyn Backend>) -> PendingCompile {
+        PendingCompile(crossbeam::channel::unbounded().1)
     }
 
     fn finished() -> Ending {
@@ -1031,16 +1101,16 @@ mod tests {
         ];
         let mut g = state(endings.len(), endings.len());
         for (index, ending) in endings.into_iter().enumerate() {
-            let ticket = Ticket::new(index, format!("s{index}"), Duration::ZERO);
-            retire(&mut g, ticket, true, Instant::now(), ending);
+            let ticket = Ticket::new(index, format!("s{index}"), Instant::now());
+            g.retire(ticket, true, Instant::now(), ending);
         }
         assert_eq!(g.tier_inflight, 0, "every ending releases its tier slot");
         assert_eq!((g.active, g.done), (0, 3));
         assert_eq!(g.queries_killed, 1, "only the runaway ending is a kill");
         // A session without a pending compile holds no tier slot.
         let mut g = state(1, 1);
-        let ticket = Ticket::new(0, "s0".to_string(), Duration::ZERO);
-        retire(&mut g, ticket, false, Instant::now(), finished());
+        let ticket = Ticket::new(0, "s0".to_string(), Instant::now());
+        g.retire(ticket, false, Instant::now(), finished());
         assert_eq!(g.tier_inflight, 1);
     }
 
@@ -1050,10 +1120,10 @@ mod tests {
     fn retire_keeps_the_tiered_up_flag_on_failure() {
         let mut g = state(2, 0);
         for (index, tiered_up) in [true, false].into_iter().enumerate() {
-            let mut ticket = Ticket::new(index, format!("s{index}"), Duration::ZERO);
+            let mut ticket = Ticket::new(index, format!("s{index}"), Instant::now());
             ticket.tiered_up = tiered_up;
             let ending = Ending::Errored(EngineError::Trap(Trap::Overflow));
-            retire(&mut g, ticket, false, Instant::now(), ending);
+            g.retire(ticket, false, Instant::now(), ending);
         }
         let flags: Vec<_> = g.outcomes.iter().flatten().map(|o| o.tiered_up).collect();
         assert_eq!(flags, [true, false]);
@@ -1070,13 +1140,141 @@ mod tests {
     fn retire_of_a_shed_session_holds_no_admission_slot() {
         let mut g = state(2, 0);
         g.active = 1;
-        let ticket = Ticket::new(1, "late".to_string(), Duration::ZERO);
+        let ticket = Ticket::new(1, "late".to_string(), Instant::now());
         let ending = Ending::Shed { depth: 1, total: 2 };
-        retire(&mut g, ticket, false, Instant::now(), ending);
+        g.retire(ticket, false, Instant::now(), ending);
         assert_eq!((g.active, g.done), (1, 1));
         let shed = g.outcomes[1].as_ref().expect("recorded");
         assert_eq!(shed.status, OutcomeStatus::Shed);
         assert_eq!(shed.latency, Duration::ZERO);
+    }
+
+    fn breaker_config() -> (SchedulerConfig, Arc<dyn Backend>) {
+        let clift: Arc<dyn Backend> = Arc::from(crate::backends::clift(Isa::Tx64));
+        let interp: Arc<dyn Backend> = Arc::from(crate::backends::interpreter());
+        let config = SchedulerConfig {
+            breaker: Some(BreakerPolicy {
+                trip_after: 2,
+                cooldown: Duration::from_millis(100),
+            }),
+            fallback_chain: Some(FallbackChain::new(vec![Arc::clone(&clift), interp])),
+            ..SchedulerConfig::default()
+        };
+        (config, clift)
+    }
+
+    /// `a`'s slice traps at `now`: an execution fault on its tier.
+    fn trap(g: &mut SchedState, config: &SchedulerConfig, a: Active, now: Instant) {
+        let step = Err(EngineError::Trap(Trap::Overflow));
+        g.after_slice(config, a, None, step, &unresolved, now);
+    }
+
+    /// `trip_after` consecutive faults trip a tier's breaker and route
+    /// admissions down the chain; faults while it is open add no trip.
+    #[test]
+    fn the_breaker_trips_once_after_trip_after_faults() {
+        let (config, clift) = breaker_config();
+        let prepared = prepared();
+        let mut g = state(4, 0);
+        let t0 = Instant::now();
+        trap(&mut g, &config, active(0, &prepared, "Clift", 1), t0);
+        assert_eq!(g.breaker_trips, 0);
+        assert_eq!(g.route(&config, &clift, t0).name(), "Clift");
+        trap(&mut g, &config, active(1, &prepared, "Clift", 1), t0);
+        assert_eq!(g.breaker_trips, 1);
+        assert_eq!(g.route(&config, &clift, t0).name(), "Interpreter");
+        for index in 2..4 {
+            trap(&mut g, &config, active(index, &prepared, "Clift", 1), t0);
+        }
+        assert_eq!(g.breaker_trips, 1, "an open breaker trips no second time");
+        assert_eq!((g.done, g.active), (4, 0));
+    }
+
+    /// An open breaker closes at exactly its trip time plus the cooldown
+    /// and forgives the streak: one more fault does not trip it again.
+    #[test]
+    fn the_breaker_closes_at_the_cooldown_and_forgives_the_streak() {
+        let (config, clift) = breaker_config();
+        let prepared = prepared();
+        let mut g = state(3, 0);
+        let tripped = Instant::now() + Duration::from_secs(1);
+        for index in 0..2 {
+            trap(
+                &mut g,
+                &config,
+                active(index, &prepared, "Clift", 1),
+                tripped,
+            );
+        }
+        let reopen = tripped + Duration::from_millis(100);
+        let just_before = reopen - Duration::from_nanos(1);
+        assert_eq!(g.route(&config, &clift, just_before).name(), "Interpreter");
+        assert_eq!(g.route(&config, &clift, reopen).name(), "Clift");
+        assert_eq!(g.breakers["Clift"].consecutive, 0);
+        trap(&mut g, &config, active(2, &prepared, "Clift", 1), reopen);
+        assert!(!g.breaker_open("Clift", reopen));
+        assert_eq!(g.breaker_trips, 1);
+    }
+
+    /// Tier-up slots go to the ready queries with the most morsels left,
+    /// never to a downgraded one or one with nothing left, and only up
+    /// to `tier_up_inflight` at a time.
+    #[test]
+    fn tier_up_goes_to_the_longest_ready_queries_up_to_the_limit() {
+        let prepared = prepared();
+        let config = SchedulerConfig {
+            tier_up_backend: Some(Arc::from(crate::backends::clift(Isa::Tx64))),
+            tier_up_inflight: 2,
+            ..SchedulerConfig::default()
+        };
+        let asked = Cell::new(0);
+        let spawn = |p: &PreparedQuery, tier: &Arc<dyn Backend>| {
+            assert_eq!(tier.name(), "Clift");
+            asked.set(asked.get() + 1);
+            unresolved(p, tier)
+        };
+        let mut g = state(5, 0);
+        let mut downgraded = active(1, &prepared, "Interpreter", 50);
+        downgraded.downgraded = true;
+        g.ready = vec![
+            active(0, &prepared, "Interpreter", 5),
+            downgraded,
+            active(2, &prepared, "Interpreter", 30),
+            active(3, &prepared, "Interpreter", 40),
+            active(4, &prepared, "Interpreter", 0),
+        ];
+        let granted = |g: &SchedState| -> Vec<usize> {
+            let pending = g.ready.iter().filter(|a| a.pending_tier.is_some());
+            pending.map(|a| a.ticket.index).collect()
+        };
+        g.grant_tier_ups(&config, &spawn);
+        assert_eq!(granted(&g), [2, 3]);
+        assert_eq!((g.tier_inflight, asked.get()), (2, 2));
+        g.grant_tier_ups(&config, &spawn);
+        assert_eq!(asked.get(), 2, "no free slot, no grant");
+        g.tier_inflight = 0;
+        g.grant_tier_ups(&config, &spawn);
+        assert_eq!(granted(&g), [0, 2, 3]);
+        assert_eq!((g.tier_inflight, asked.get()), (1, 3));
+    }
+
+    /// Only the optimizing tier counts as a tier-up: a downgraded
+    /// query's adopted tier is its runaway fallback.
+    #[test]
+    fn an_adopted_runaway_fallback_is_not_a_tier_up() {
+        let prepared = prepared();
+        let config = SchedulerConfig::default();
+        let mut g = state(2, 2);
+        let t0 = Instant::now();
+        for (index, downgraded) in [(0, false), (1, true)] {
+            let mut a = active(index, &prepared, "Interpreter", 1);
+            a.downgraded = downgraded;
+            let step = Ok(StepProgress::Ran);
+            g.after_slice(&config, a, Some(Ok(())), step, &unresolved, t0);
+        }
+        assert_eq!(g.tier_inflight, 0);
+        let tiered_up: Vec<_> = g.ready.iter().map(|a| a.ticket.tiered_up).collect();
+        assert_eq!(tiered_up, [true, false]);
     }
 
     /// Throughput counts completed queries only: 2 ok, 2 shed and 1

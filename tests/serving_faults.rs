@@ -578,6 +578,10 @@ fn runaway_governor_downgrades_before_killing() {
         downgraded.rows, serial.rows,
         "downgraded session must still produce correct rows"
     );
+    assert!(
+        !downgraded.tiered_up,
+        "a runaway downgrade is not a tier-up"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -844,6 +848,11 @@ fn scheduler_config_validation_rejects_nonsense() {
                 trip_after: 0,
                 cooldown: Duration::from_millis(1),
             }),
+            ..Default::default()
+        },
+        SchedulerConfig {
+            tier_up_backend: Some(clean_clift()),
+            tier_up_inflight: 0,
             ..Default::default()
         },
     ];
