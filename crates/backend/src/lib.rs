@@ -10,6 +10,7 @@
 //! through [`Executable::exec_stats`].
 
 pub mod chaos;
+pub mod intervals;
 pub mod memit;
 pub mod mir;
 

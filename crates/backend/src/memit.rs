@@ -16,6 +16,30 @@ pub fn emission_scratches(isa: Isa) -> (Reg, Reg) {
     }
 }
 
+/// The integer registers an allocator may assign: the ABI's allocatable
+/// set without the emission scratches.
+pub fn int_pool(isa: Isa) -> Vec<Reg> {
+    let (es1, es2) = emission_scratches(isa);
+    isa.abi()
+        .allocatable
+        .iter()
+        .copied()
+        .filter(|r| *r != es1 && *r != es2)
+        .collect()
+}
+
+/// The float registers an allocator may assign: the ABI's allocatable
+/// set below `f13` (the emitter keeps one more float scratch beside the
+/// ABI's).
+pub fn float_pool(isa: Isa) -> Vec<FReg> {
+    isa.abi()
+        .fallocatable
+        .iter()
+        .copied()
+        .filter(|f| f.num() < 13)
+        .collect()
+}
+
 /// Emission core driving a [`MacroAssembler`] from allocated MIR.
 pub struct MirEmitter<'a> {
     masm: Box<dyn MacroAssembler>,

@@ -1,9 +1,11 @@
 //! Shared machine-IR over virtual registers.
 //!
 //! Both multi-target back-ends (the Cranelift analog and the LLVM analog)
-//! lower into this instruction form; each brings its own register
-//! allocator and emission pipeline, which is where the paper's compile-time
-//! differences live.
+//! lower into this instruction form. Their register allocators share one
+//! liveness and interval builder ([`crate::intervals`]) and one register
+//! pool ([`crate::memit::int_pool`], [`crate::memit::float_pool`]); each
+//! brings its own assignment and emission pipeline, which is where the
+//! paper's compile-time differences live.
 
 use qc_target::{AluOp, Cond, FReg, FaluOp, Reg, Width};
 

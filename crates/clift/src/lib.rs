@@ -9,8 +9,10 @@
 //! 3. **ISelPrepare** — three passes: vreg/regclass assignment, side-effect
 //!    partitioning, use counts.
 //! 4. **ISel** — tree-matching selection into linear VCode.
-//! 5. **RegAlloc** — linear scan over live-range bundles with per-register
-//!    B-trees (the largest phase, as in the paper).
+//! 5. **RegAlloc** — block liveness and live intervals (the shared
+//!    `qc_backend::intervals` builder), then linear scan over live-range
+//!    bundles with per-register B-trees (the largest phase, as in the
+//!    paper).
 //! 6. **Emit** — clobber and veneer-estimation pre-passes, then encoding.
 //! 7. **Finish** — relocations applied after all functions are compiled.
 //!
@@ -49,7 +51,7 @@ pub use cir::ExtFlags;
 pub use regalloc::allocate;
 
 use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, NativeArtifact};
-use qc_ir::Module;
+use qc_ir::{Block, Cfg, DomTree, Module, ReversePostorder};
 use qc_target::{ImageBuilder, Isa, UnwindEntry};
 use qc_timing::TimeTrace;
 
@@ -148,51 +150,21 @@ impl CliftBackend {
                 let _t = trace.scope("irgen");
                 cir::translate(func, flags)?
             };
-            // 2. IR analyses (domtree/CFG over CIR).
+            // 2. IR analyses (CFG, RPO and dominator tree over CIR).
             {
                 let _t = trace.scope("irpasses");
                 let n = cir.num_blocks();
-                let succs: Vec<Vec<u32>> = (0..n).map(|b| cir.succs(b as u32)).collect();
-                let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-                for (b, ss) in succs.iter().enumerate() {
-                    for &s in ss {
-                        preds[s as usize].push(b as u32);
-                    }
-                }
-                // Iterative dominator computation (block index order
-                // approximates RPO in this layout).
-                let mut idom = vec![u32::MAX; n];
-                idom[0] = 0;
-                let mut changed = true;
-                while changed {
-                    changed = false;
-                    for b in 1..n {
-                        let mut new = u32::MAX;
-                        for &p in &preds[b] {
-                            if idom[p as usize] == u32::MAX {
-                                continue;
-                            }
-                            new = if new == u32::MAX {
-                                p
-                            } else {
-                                let (mut x, mut y) = (new, p);
-                                while x != y {
-                                    while x > y {
-                                        x = idom[x as usize];
-                                    }
-                                    while y > x {
-                                        y = idom[y as usize];
-                                    }
-                                }
-                                x
-                            };
-                        }
-                        if new != u32::MAX && idom[b] != new {
-                            idom[b] = new;
-                            changed = true;
-                        }
-                    }
-                }
+                let cfg = Cfg::from_succs(
+                    (0..n)
+                        .map(|b| {
+                            cir.succs(b as u32)
+                                .into_iter()
+                                .map(|s| Block::new(s as usize))
+                                .collect()
+                        })
+                        .collect(),
+                );
+                DomTree::compute(&cfg, &ReversePostorder::compute(&cfg));
                 stats.bump("cir_blocks", n as u64);
             }
             // 3 + 4. ISel preparation and tree-matching selection.

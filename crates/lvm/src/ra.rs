@@ -23,31 +23,12 @@
 //! three-address; the target is not), which the paper measures as a
 //! significant slice of allocation-related time.
 
+use qc_backend::intervals::{Intervals, Numbering};
+use qc_backend::memit::{float_pool, int_pool};
 use qc_backend::mir::{Allocation, Loc, MInst, RegClass, VCode};
 use qc_ir::{Block, Cfg, DomTree, Loops, ReversePostorder};
 use qc_target::{Isa, Reg};
 use qc_timing::TimeTrace;
-
-/// Registers the LLVM analog may allocate (same emission scratches as the
-/// shared emitter).
-fn int_pool(isa: Isa) -> Vec<Reg> {
-    let ex = qc_backend::memit::emission_scratches(isa);
-    isa.abi()
-        .allocatable
-        .iter()
-        .copied()
-        .filter(|r| *r != ex.0 && *r != ex.1)
-        .collect()
-}
-
-fn float_pool(isa: Isa) -> Vec<qc_target::FReg> {
-    isa.abi()
-        .fallocatable
-        .iter()
-        .copied()
-        .filter(|f| f.num() < 13)
-        .collect()
-}
 
 /// The two-address rewriting pass: `d = s1 op s2` with `d != s1` becomes
 /// `d = s1; d = d op s2` so the emitter's TX64 lowering is a no-op.
@@ -84,104 +65,11 @@ pub fn two_address_pass(vcode: &mut VCode, isa: Isa) {
     }
 }
 
-struct Intervals {
-    start: Vec<u32>,
-    end: Vec<u32>,
-    crosses_block: Vec<bool>,
-    crosses_call: Vec<bool>,
-}
-
-fn intervals(vcode: &VCode) -> Intervals {
-    let nv = vcode.classes.len();
-    let nb = vcode.blocks.len();
-    let words = nv.div_ceil(64);
-    // Block liveness.
-    let mut live_in = vec![vec![0u64; words]; nb];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in (0..nb).rev() {
-            let mut live = vec![0u64; words];
-            for &s in &vcode.succs[b] {
-                for (w, &x) in live.iter_mut().zip(&live_in[s]) {
-                    *w |= x;
-                }
-            }
-            for inst in vcode.blocks[b].iter().rev() {
-                inst.for_each_def(|v| live[v as usize / 64] &= !(1 << (v % 64)));
-                inst.for_each_use(|v| live[v as usize / 64] |= 1 << (v % 64));
-            }
-            if live != live_in[b] {
-                live_in[b] = live;
-                changed = true;
-            }
-        }
-    }
-    let mut start = vec![u32::MAX; nv];
-    let mut end = vec![0u32; nv];
-    let mut crosses_block = vec![false; nv];
-    let mut crosses_call = vec![false; nv];
-    let mut call_points = Vec::new();
-    let mut point = 0u32;
-    for &p in &vcode.params {
-        start[p as usize] = 0;
-        end[p as usize] = 1;
-    }
-    for (b, insts) in vcode.blocks.iter().enumerate() {
-        let bstart = point;
-        for v in 0..nv {
-            if live_in[b][v / 64] & (1 << (v % 64)) != 0 {
-                crosses_block[v] = true;
-                start[v] = start[v].min(bstart);
-                end[v] = end[v].max(bstart);
-            }
-        }
-        for inst in insts {
-            point += 2;
-            let p = point;
-            inst.for_each_use(|v| {
-                start[v as usize] = start[v as usize].min(p);
-                end[v as usize] = end[v as usize].max(p);
-            });
-            inst.for_each_def(|v| {
-                start[v as usize] = start[v as usize].min(p + 1);
-                end[v as usize] = end[v as usize].max(p + 1);
-            });
-            if inst.is_call() {
-                call_points.push(p);
-            }
-        }
-        point += 2;
-        let bend = point;
-        for &s in &vcode.succs[b] {
-            for v in 0..nv {
-                if live_in[s][v / 64] & (1 << (v % 64)) != 0 {
-                    crosses_block[v] = true;
-                    end[v] = end[v].max(bend);
-                    start[v] = start[v].min(bstart);
-                }
-            }
-        }
-    }
-    for v in 0..nv {
-        if start[v] == u32::MAX {
-            continue;
-        }
-        crosses_call[v] = call_points.iter().any(|&c| c > start[v] && c < end[v]);
-    }
-    Intervals {
-        start,
-        end,
-        crosses_block,
-        crosses_call,
-    }
-}
-
 /// The fast allocator (cheap builds): "linearly iterates over all basic
 /// blocks … and greedily assigns registers", no analyses. Cross-block
 /// values are spilled.
 pub fn allocate_fast(vcode: &VCode, isa: Isa) -> Allocation {
-    let iv = intervals(vcode);
+    let iv = Intervals::build(vcode, Numbering::Lvm);
     assign(vcode, isa, &iv, None)
 }
 
@@ -189,7 +77,7 @@ pub fn allocate_fast(vcode: &VCode, isa: Isa) -> Allocation {
 pub fn allocate_greedy(vcode: &VCode, isa: Isa, trace: &TimeTrace) -> Allocation {
     let iv = {
         let _t = trace.scope("liveness");
-        intervals(vcode)
+        Intervals::build(vcode, Numbering::Lvm)
     };
     let weights = {
         // Loop information and block-frequency estimation: the greedy
@@ -260,17 +148,18 @@ fn spill_weights(vcode: &VCode, in_loop: &[bool]) -> SpillWeights {
             }
         }
     }
-    let mut cost = Vec::with_capacity(nv);
-    for v in 0..nv {
-        if defs[v] != 1 || vcode.classes[v] != RegClass::Int {
-            remat[v] = None;
-        }
-        cost.push(match remat[v] {
-            // The def is dropped; each use becomes a `mov`.
-            Some(_) => use_freq[v] * REMAT_COST,
-            None => use_freq[v] * RELOAD_COST + def_freq[v] * STORE_COST,
-        });
-    }
+    let cost = (0..nv)
+        .map(|v| {
+            if defs[v] != 1 || vcode.classes[v] != RegClass::Int {
+                remat[v] = None;
+            }
+            match remat[v] {
+                // The def is dropped; each use becomes a `mov`.
+                Some(_) => use_freq[v] * REMAT_COST,
+                None => use_freq[v] * RELOAD_COST + def_freq[v] * STORE_COST,
+            }
+        })
+        .collect();
     SpillWeights { cost, remat }
 }
 
@@ -337,6 +226,7 @@ fn assign(vcode: &VCode, isa: Isa, iv: &Intervals, weights: Option<&SpillWeights
             iv.start[v as usize],
             iv.end[v as usize].max(iv.start[v as usize] + 1),
         );
+        let crosses_call = iv.crosses_call(s, e);
         // Expire.
         active_i.retain(|&(ae, pi, _)| {
             if ae <= s {
@@ -359,8 +249,7 @@ fn assign(vcode: &VCode, isa: Isa, iv: &Intervals, weights: Option<&SpillWeights
                 if block_local_only && iv.crosses_block[v as usize] {
                     spill()
                 } else {
-                    let restricted = iv.crosses_call[v as usize];
-                    let allowed = |pi: usize| !restricted || callee_saved.contains(&ipool[pi]);
+                    let allowed = |pi: usize| !crosses_call || callee_saved.contains(&ipool[pi]);
                     if let Some(pi) = (0..ipool.len()).find(|&pi| ifree[pi] && allowed(pi)) {
                         ifree[pi] = false;
                         active_i.push((e, pi, v));
@@ -374,8 +263,7 @@ fn assign(vcode: &VCode, isa: Isa, iv: &Intervals, weights: Option<&SpillWeights
                 }
             }
             RegClass::Float => {
-                if (block_local_only && iv.crosses_block[v as usize]) || iv.crosses_call[v as usize]
-                {
+                if (block_local_only && iv.crosses_block[v as usize]) || crosses_call {
                     spill()
                 } else if let Some(pi) = (0..fpool.len()).find(|&pi| ffree[pi]) {
                     ffree[pi] = false;
