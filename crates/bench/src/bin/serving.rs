@@ -20,8 +20,8 @@
 
 use qc_bench::{env_sf, secs, LatencyStats, MODEL_HZ};
 use qc_engine::{
-    backends, EngineConfig, MorselSchedule, OutcomeStatus, QueryScheduler, SchedulerConfig,
-    ServeReport, Session, SessionConfig, SessionRequest, ShedPolicy,
+    backends, EngineConfig, OutcomeStatus, QueryScheduler, SchedulerConfig, ServeReport, Session,
+    SessionConfig, SessionRequest, ShedPolicy,
 };
 use qc_runtime::SqlValue;
 use qc_target::Isa;
@@ -208,15 +208,15 @@ fn main() {
     let stmt = intra_session.statement(&heavy.plan).expect("prepare");
     let mut serial_cycles = 0u64;
     for w in [1usize, 2, 4] {
-        // Static schedule: on a host with fewer cores than workers,
-        // work-stealing degenerates to claim-order luck (the first
-        // scheduled thread drains the deques), so the deterministic
-        // partition is the honest picture of the model-time scaling.
+        // Worker `i` of `w` runs a fixed stride of the morsels. On a
+        // host with fewer cores than workers, work-stealing would be
+        // claim-order luck (the first scheduled thread drains the
+        // queues), so fixed strides are the honest picture of the
+        // model-time scaling.
         let run = intra_session
             .run(stmt.clone())
             .backend(Arc::clone(&backend))
             .workers(w)
-            .schedule(MorselSchedule::Static)
             .direct();
         let mut compiled = run.compile().expect("compile");
         let t0 = Instant::now();

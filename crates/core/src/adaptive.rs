@@ -8,7 +8,7 @@
 
 use crate::compile_service::CompileService;
 use crate::engine::{Engine, EngineError, ExecutionResult, PreparedQuery, QueryBudget};
-use crate::morsel_exec::{MorselExecConfig, QueryExecution, StepProgress};
+use crate::morsel_exec::{QueryExecution, StepProgress};
 use qc_backend::{Backend, BackendError};
 use qc_timing::TimeTrace;
 use std::sync::Arc;
@@ -109,7 +109,7 @@ impl AdaptiveExecution {
         let ir_size = prepared.ir_size();
 
         // One morsel per step; between two steps is where a tier lands.
-        let mut exec = QueryExecution::new(MorselExecConfig::default(), QueryBudget::unlimited());
+        let mut exec = QueryExecution::new(1, QueryBudget::unlimited());
         let mut morsels = 0u64;
         while let StepProgress::Ran = exec.step(engine, prepared, &mut compiled, 1)? {
             morsels += 1;

@@ -54,7 +54,7 @@ pub use engine::{
     QueryBudget,
 };
 pub use fallback::{FallbackChain, FallbackReport, TierFailure};
-pub use morsel_exec::{ExecTally, MorselSchedule};
+pub use morsel_exec::ExecTally;
 pub use scheduler::{
     BreakerPolicy, OutcomeStatus, QueryOutcome, QueryScheduler, RunawayPolicy, SchedulerConfig,
     ServeReport, SessionRequest, ShedPolicy,

@@ -16,21 +16,23 @@
 //!    out, it runs the morsels itself.
 //! 3. `ParallelPipeline` (`parallel.rs`, with the barrier merge and its
 //!    raw-address helpers in `parallel/merge.rs`) — one pipeline's
-//!    fan-out: a pool of workers, each owning a forked [`RuntimeState`]
-//!    and its own executable instantiated from the pipeline's
-//!    [`qc_backend::CodeArtifact`], pulling morsels from per-pipeline
-//!    claimers (work-stealing deques or a shared ordered counter), and
-//!    the deterministic merge of their results at the pipeline barrier.
+//!    fan-out: `W` workers, each owning a forked [`RuntimeState`] and
+//!    its own executable instantiated from the pipeline's
+//!    [`qc_backend::CodeArtifact`], and the deterministic merge of their
+//!    results at the pipeline barrier. There is one claim rule: worker
+//!    `w` runs morsels `w, w + W, w + 2W, …` in ascending order. The
+//!    calling thread is worker 0 and the other `W − 1` run on scoped
+//!    threads.
 //!
 //! # Determinism argument
 //!
 //! Workers never mutate shared containers: forked hash tables and tuple
 //! buffers are read-only views of canonical state (build sides, scan
 //! buffers), and each worker's generated `setup` creates private sink
-//! containers in its own arena. At the pipeline barrier the coordinator
-//! replays worker sink effects into the canonical state **in ascending
-//! morsel order** — the exact order the single-threaded loop would have
-//! produced them:
+//! containers in its own arena. At the pipeline barrier the calling
+//! thread replays worker sink effects into the canonical state **in
+//! ascending morsel order** — the exact order the single-threaded loop
+//! would have produced them:
 //!
 //! * `Output` / `SortMaterialize` rows append in morsel order (the sort
 //!   in `finish` is stable, so equal keys keep serial order).
@@ -40,22 +42,21 @@
 //!   chains and identical downstream probe order.
 //! * `AggBuild` group *creation events* (rows of the worker's
 //!   group-registration buffer) replay in `(morsel, in-morsel seq)`
-//!   order. Provided each worker claims its morsels in ascending order,
-//!   the first creation event for a group across all workers lands
-//!   exactly at the group's serial first-occurrence position, so
-//!   canonical groups are created in serial order; later events fold
-//!   that worker's fully-accumulated partial state in with one combine.
-//!   (This is why aggregation pipelines use the ordered claimer instead
-//!   of stealing deques: a steal takes the victim's *largest* pending
-//!   morsel, which would break per-worker ascending claim order.)
+//!   order. Every worker runs its morsels in ascending order (and so
+//!   does the retry pass), so the first creation event for a group
+//!   across all workers lands exactly at the group's serial
+//!   first-occurrence position, and canonical groups are created in
+//!   serial order; later events fold that worker's fully-accumulated
+//!   partial state in with one combine.
 //!
 //! Rows are therefore byte-identical to single-threaded execution for
-//! every worker count and schedule. Cycle totals are exactly serial at
+//! every worker count. Cycle totals are exactly serial at
 //! `workers == 1`; with more workers they additionally include each
 //! worker's `setup` and duplicated group-creation work (real work in a
-//! parallel model), and are reproducible run-to-run under
-//! [`MorselSchedule::Static`] (under `Stealing` the claim interleaving —
-//! and hence the total — varies with thread timing; rows still do not).
+//! parallel model). Which morsels a worker runs depends only on its
+//! index and the worker count, never on thread timing, so cycle totals
+//! and critical paths are reproducible run-to-run at every worker
+//! count.
 //!
 //! Floating-point aggregation states (`F64` group keys or aggregates)
 //! cannot merge bit-identically (FP addition is non-associative, and
@@ -214,7 +215,8 @@ pub(crate) enum StepProgress {
 /// canonical `setup`/`finish`, the budget checks around them and the
 /// accounting are this loop's.
 pub(crate) struct QueryExecution {
-    config: MorselExecConfig,
+    /// Fan-out width; `0` and `1` both mean the exact serial path.
+    workers: usize,
     budget: QueryBudget,
     started: Instant,
     state: RuntimeState,
@@ -240,9 +242,9 @@ impl QueryExecution {
     /// here — runtime state and context block are set up by the first
     /// `step`, inside its supervision — but the budget's deadline clock
     /// starts now. An unbudgeted run passes [`QueryBudget::unlimited`].
-    pub(crate) fn new(config: MorselExecConfig, budget: QueryBudget) -> QueryExecution {
+    pub(crate) fn new(workers: usize, budget: QueryBudget) -> QueryExecution {
         QueryExecution {
-            config,
+            workers,
             budget,
             started: Instant::now(),
             state: RuntimeState::new(),
@@ -338,7 +340,7 @@ impl QueryExecution {
         pipe: &Pipeline,
         compiled: &CompiledQuery,
     ) -> Option<Vec<Box<dyn Executable>>> {
-        let workers = self.config.workers;
+        let workers = self.workers;
         if workers <= 1 || self.morsels.len() < 2 || !sink_merge_supported(&pipe.sink) {
             return None;
         }
@@ -405,7 +407,6 @@ impl QueryExecution {
                         pipe,
                         pipe_idx: self.pipe_idx,
                         morsels: &self.morsels,
-                        schedule: self.config.schedule,
                         budget: &self.budget,
                         started: self.started,
                         rows_before: self.result_rows(plan),
@@ -530,42 +531,8 @@ pub(crate) fn plan_morsels(engine: &Engine<'_>, plan: &PlanNode) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Execution configuration and the single-query entry
+// The single-query entry
 // ---------------------------------------------------------------------
-
-/// How workers claim morsels within a pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MorselSchedule {
-    /// Striped static assignment: worker `w` of `W` owns morsels
-    /// `w, w + W, w + 2W, …`. Fully deterministic (cycle totals are a
-    /// pure function of the worker count), no load balancing.
-    Static,
-    /// Work stealing: per-worker deques seeded striped; a worker pops
-    /// its own deque from the front and steals from others' backs.
-    /// Aggregation pipelines use a shared ordered counter instead (see
-    /// the module docs for why steals would break group ordering).
-    Stealing,
-}
-
-/// How one query executes, set through [`crate::QueryRun::workers`]
-/// and [`crate::QueryRun::schedule`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MorselExecConfig {
-    /// Worker threads. `0` and `1` both mean single-threaded execution
-    /// on the calling thread (the exact serial path).
-    pub(crate) workers: usize,
-    /// Claim discipline for parallel pipelines.
-    pub(crate) schedule: MorselSchedule,
-}
-
-impl Default for MorselExecConfig {
-    fn default() -> Self {
-        MorselExecConfig {
-            workers: 1,
-            schedule: MorselSchedule::Stealing,
-        }
-    }
-}
 
 /// Whether a pipeline's sink effects can be merged deterministically
 /// from per-worker partitions. Floating-point aggregation state cannot
@@ -588,10 +555,10 @@ pub(crate) fn execute(
     engine: &Engine<'_>,
     prepared: &PreparedQuery,
     compiled: &mut CompiledQuery,
-    config: MorselExecConfig,
+    workers: usize,
     budget: QueryBudget,
 ) -> Result<ExecutionResult, EngineError> {
-    let mut exec = QueryExecution::new(config, budget);
+    let mut exec = QueryExecution::new(workers, budget);
     while let StepProgress::Ran = exec.step(engine, prepared, compiled, u64::MAX)? {}
     Ok(exec.into_result(compiled))
 }
@@ -618,8 +585,7 @@ mod tests {
                 let engine = Engine::with_config(db, EngineConfig { morsel_size });
                 for q in suite {
                     let prepared = engine.prepare(&q.plan, &q.name).expect("prepare");
-                    let exec =
-                        QueryExecution::new(MorselExecConfig::default(), QueryBudget::unlimited());
+                    let exec = QueryExecution::new(1, QueryBudget::unlimited());
                     assert_eq!(
                         plan_morsels(&engine, &q.plan),
                         exec.remaining_morsels(&engine, &prepared),
@@ -646,10 +612,6 @@ mod tests {
         );
         let interp: Arc<dyn Backend> = Arc::from(backends::interpreter());
         let clift: Arc<dyn Backend> = Arc::from(backends::clift(qc_target::Isa::Tx64));
-        let config = MorselExecConfig {
-            workers: 4,
-            schedule: MorselSchedule::Stealing,
-        };
         for q in &qc_workloads::hlike_suite()[..4] {
             let stmt = session.statement(&q.plan).expect("prepare");
             let cheap = session.run(stmt.clone()).backend(Arc::clone(&interp));
@@ -657,7 +619,7 @@ mod tests {
             let mut compiled = cheap.compile().expect("cheap tier");
             let (engine, query) = (session.engine(), stmt.query());
             let mut pending = Some(session.compile_service().spawn_compile(query, &clift));
-            let mut exec = QueryExecution::new(config, QueryBudget::unlimited());
+            let mut exec = QueryExecution::new(4, QueryBudget::unlimited());
             let mut progress = exec.step(engine, query, &mut compiled, 1).expect("step");
             // Adopt after the first step, waiting for the compile.
             while compiled.adopt_ready(&mut pending).is_none() {

@@ -1,11 +1,16 @@
-//! One pipeline's fan-out: morsel claimers, the worker body and the
-//! coordinator that runs a pool of workers over a morsel list, recovers
-//! from worker panics and hands the workers' outputs to the barrier
-//! merge (see the parent module's docs for the determinism argument).
-//! Every worker runs the tier the pipeline started in: a tier swapped
-//! in between two driver steps reaches the next pipeline's workers.
+//! One pipeline's fan-out: the worker body and the run that spreads a
+//! morsel list over a pool of workers, recovers from worker panics and
+//! hands the workers' outputs to the barrier merge (see the parent
+//! module's docs for the determinism argument).
+//!
+//! There is one claim rule: worker `w` of `W` runs morsels
+//! `w, w + W, w + 2W, …` in ascending order, so what a worker does
+//! depends only on `(w, W)`. The calling thread is worker 0; the other
+//! `W − 1` run on scoped threads. Every worker runs the tier the
+//! pipeline started in: a tier swapped in between two driver steps
+//! reaches the next pipeline's workers.
 
-use super::{ctx_handle, ExecTally, MorselSchedule};
+use super::{ctx_handle, ExecTally};
 use crate::engine::{CompiledQuery, EngineError, QueryBudget};
 use crate::supervise::{panic_text, supervise};
 use parking_lot::Mutex;
@@ -13,108 +18,11 @@ use qc_backend::Executable;
 use qc_plan::{CtxEntry, PhysicalPlan, Pipeline, Sink};
 use qc_runtime::RuntimeState;
 use qc_storage::Morsel;
-use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 mod merge;
-
-// ---------------------------------------------------------------------
-// Morsel claimers
-// ---------------------------------------------------------------------
-
-/// Per-pipeline morsel claim discipline.
-enum Claimer {
-    /// Shared ascending counter: perfect load balance and ascending
-    /// claim order for every worker (required by aggregation merges).
-    Ordered(AtomicUsize),
-    /// Per-worker deques seeded striped; `steal` allows taking from the
-    /// back of other workers' deques.
-    Striped {
-        deques: Vec<Mutex<VecDeque<usize>>>,
-        steal: bool,
-        /// Whether a panicked worker's stranded morsels may be
-        /// re-claimed by survivors. Off for aggregation pipelines: a
-        /// late out-of-order claim would break the ascending-claim
-        /// invariant the merge depends on, so their stranded morsels
-        /// go to the serial retry pass instead.
-        poison_steal: bool,
-        /// Workers that panicked; their deques become stealable.
-        poisoned: Vec<AtomicBool>,
-    },
-}
-
-impl Claimer {
-    fn new(n_morsels: usize, workers: usize, schedule: MorselSchedule, ordered: bool) -> Claimer {
-        match (schedule, ordered) {
-            (MorselSchedule::Stealing, true) => Claimer::Ordered(AtomicUsize::new(0)),
-            (schedule, ordered) => {
-                let mut deques: Vec<VecDeque<usize>> =
-                    (0..workers).map(|_| VecDeque::new()).collect();
-                for m in 0..n_morsels {
-                    deques[m % workers].push_back(m);
-                }
-                Claimer::Striped {
-                    deques: deques.into_iter().map(Mutex::new).collect(),
-                    steal: schedule == MorselSchedule::Stealing,
-                    poison_steal: !ordered,
-                    poisoned: (0..workers).map(|_| AtomicBool::new(false)).collect(),
-                }
-            }
-        }
-    }
-
-    /// A single worker's fixed claim list, handed out front to back
-    /// (the retry pass: ascending, no one to steal from).
-    fn fixed(list: Vec<usize>) -> Claimer {
-        Claimer::Striped {
-            deques: vec![Mutex::new(list.into())],
-            steal: false,
-            poison_steal: false,
-            poisoned: vec![AtomicBool::new(false)],
-        }
-    }
-
-    /// Marks a panicked worker: its remaining morsels become claimable
-    /// by surviving workers (the panic-requeue path). The ordered
-    /// claimer never assigns morsels ahead of time, so it has nothing
-    /// to requeue.
-    fn poison(&self, worker: usize) {
-        if let Claimer::Striped { poisoned, .. } = self {
-            poisoned[worker].store(true, Ordering::Release);
-        }
-    }
-
-    fn claim(&self, worker: usize, n_morsels: usize) -> Option<usize> {
-        match self {
-            Claimer::Ordered(next) => {
-                let m = next.fetch_add(1, Ordering::Relaxed);
-                (m < n_morsels).then_some(m)
-            }
-            Claimer::Striped {
-                deques,
-                steal,
-                poison_steal,
-                poisoned,
-            } => {
-                if let Some(m) = deques[worker].lock().pop_front() {
-                    return Some(m);
-                }
-                let w = deques.len();
-                for v in (worker + 1..w).chain(0..worker) {
-                    let may_take = *steal || (*poison_steal && poisoned[v].load(Ordering::Acquire));
-                    if !may_take {
-                        continue;
-                    }
-                    if let Some(m) = deques[v].lock().pop_back() {
-                        return Some(m);
-                    }
-                }
-                None
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Parallel pipeline run
@@ -149,32 +57,47 @@ struct WorkerOutput {
     error: Option<(usize, EngineError)>,
 }
 
-/// A pool worker's message to the coordinator: one morsel completed.
-struct MorselDone {
-    /// What the worker charged since its previous message.
-    spent: ExecTally,
-    /// Result rows this morsel produced (output-sink pipelines only) —
-    /// drives the coordinator's in-flight row-cap check.
+/// What the workers' completion callbacks share under one lock: the
+/// running accounting the query budget is checked against, and the
+/// error of the check that tripped it first.
+struct Progress {
+    /// The query's tally with every completed morsel of this pipeline.
+    tally: ExecTally,
+    /// Result rows the completed morsels added (output sinks only).
     rows: u64,
+    budget_err: Option<EngineError>,
+}
+
+/// A worker's forked runtime state, its ctx copy and its executable.
+type WorkerJob = (RuntimeState, Vec<u8>, Box<dyn Executable>);
+
+/// The output of a worker whose panic escaped `worker_run`: no records,
+/// so the retry pass replays all of its morsels.
+fn lost_worker(ctx: &[u8], msg: String) -> WorkerOutput {
+    WorkerOutput {
+        ctx: ctx.to_vec(),
+        state: RuntimeState::new(),
+        records: Vec::new(),
+        tally: ExecTally::default(),
+        error: Some((usize::MAX, EngineError::WorkerPanic(msg))),
+    }
 }
 
 /// What the workers of one pipeline run share.
 struct WorkerShared<'a> {
     morsels: &'a [Morsel],
-    claimer: &'a Claimer,
-    /// Raised by the coordinator when the query budget trips.
+    /// Raised by the completion callback that trips the query budget.
     stop: &'a AtomicBool,
     sink: SinkInfo,
 }
 
-/// One pipeline's fan-out: its morsel list, how workers claim from it,
-/// and the query budget the run is checked against.
+/// One pipeline's fan-out: its morsel list and the query budget the
+/// run is checked against.
 pub(super) struct ParallelPipeline<'a> {
     pub(super) plan: &'a PhysicalPlan,
     pub(super) pipe: &'a Pipeline,
     pub(super) pipe_idx: usize,
     pub(super) morsels: &'a [Morsel],
-    pub(super) schedule: MorselSchedule,
     pub(super) budget: &'a QueryBudget,
     /// Execution start (the budget's deadline clock).
     pub(super) started: Instant,
@@ -224,105 +147,82 @@ impl ParallelPipeline<'_> {
         worker_exes: Vec<Box<dyn Executable>>,
     ) -> Result<u64, EngineError> {
         let workers = worker_exes.len();
-        let ordered = matches!(self.pipe.sink, Sink::AggBuild { .. });
-        let claimer = Claimer::new(self.morsels.len(), workers, self.schedule, ordered);
         let stop = AtomicBool::new(false);
         let shared = WorkerShared {
             morsels: self.morsels,
-            claimer: &claimer,
             stop: &stop,
             sink: self.sink_info(),
         };
         let has_budget = !self.budget.is_unlimited();
         let counts_rows = self.counts_rows();
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let progress = Mutex::new(Progress {
+            tally: *tally,
+            rows: 0,
+            budget_err: None,
+        });
+        // Worker `w`'s body: its stride of the morsel list, reporting
+        // each completed morsel to the shared progress, where the
+        // budget is checked. A tripped budget raises `stop`, which
+        // every worker sees at its next claim, so the query stops
+        // within one morsel per worker of the budget tripping.
+        let run = |w: usize, (wstate, wctx, exe): WorkerJob| {
+            let claims = (w..self.morsels.len()).step_by(workers);
+            let mut reported = ExecTally::default();
+            worker_run(&shared, claims, wstate, wctx, exe, &mut |spent, grown| {
+                if !has_budget {
+                    return Ok(());
+                }
+                let mut p = progress.lock();
+                p.tally = p.tally + (spent - reported);
+                reported = spent;
+                p.rows += if counts_rows { grown } else { 0 };
+                if p.budget_err.is_none() {
+                    if let Err(e) = self.check_budget(p.tally, p.rows) {
+                        p.budget_err = Some(e);
+                        stop.store(true, Ordering::Release);
+                    }
+                }
+                Ok(())
+            })
+        };
 
         // Fork worker states before entering the scope: the forks hold
         // read-only views into the canonical state, which must stay
         // unmutated until every worker has finished.
-        let forks: Vec<(RuntimeState, Vec<u8>)> = (0..workers)
-            .map(|_| (state.fork_worker(), ctx.to_vec()))
+        let jobs: Vec<WorkerJob> = worker_exes
+            .into_iter()
+            .map(|exe| (state.fork_worker(), ctx.to_vec(), exe))
             .collect();
-
-        let mut budget_err: Option<EngineError> = None;
-        let mut streamed = ExecTally::default();
         let scope_out = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = forks
+            let run = &run;
+            let mut jobs = jobs.into_iter().enumerate();
+            let caller = jobs.next();
+            let handles: Vec<_> = jobs.map(|(w, job)| s.spawn(move || run(w, job))).collect();
+            // Panics are caught inside `worker_run`; one that escapes
+            // it becomes a panicked output, so the retry pass covers
+            // that worker's morsels instead of failing the query.
+            let first = caller.map(|(w, job)| supervise(|| run(w, job)));
+            first
                 .into_iter()
-                .zip(worker_exes)
-                .enumerate()
-                .map(|(w, ((wstate, wctx), exe))| {
-                    let tx = tx.clone();
-                    let shared = &shared;
-                    s.spawn(move || {
-                        // A pool worker's completion callback is a
-                        // channel send: the coordinator does the
-                        // accounting and the budget check.
-                        let mut reported = ExecTally::default();
-                        worker_run(w, shared, wstate, wctx, exe, &mut |tally, grown| {
-                            let _ = tx.send(MorselDone {
-                                spent: tally - reported,
-                                rows: if counts_rows { grown } else { 0 },
-                            });
-                            reported = tally;
-                            Ok(())
-                        })
-                    })
-                })
-                .collect();
-            drop(tx);
-
-            // Coordinator: account and check the budget on every
-            // completed morsel. The channel disconnects when the last
-            // worker is done.
-            let mut rows_delta = 0u64;
-            while let Ok(MorselDone { spent, rows }) = rx.recv() {
-                *tally = *tally + spent;
-                streamed = streamed + spent;
-                rows_delta += rows;
-                if has_budget && budget_err.is_none() {
-                    if let Err(e) = self.check_budget(*tally, rows_delta) {
-                        // Cooperative cancellation: workers see the
-                        // flag at their next claim, so the query stops
-                        // within one morsel per worker of the budget
-                        // tripping.
-                        budget_err = Some(e);
-                        stop.store(true, Ordering::Release);
-                    }
-                }
-            }
-            handles
-                .into_iter()
-                .map(|h| {
-                    // Panics are caught inside `worker_run`; a join
-                    // error means one escaped the harness — synthesize
-                    // a panicked output so the retry pass covers its
-                    // morsels instead of aborting the process.
-                    h.join().unwrap_or_else(|payload| WorkerOutput {
-                        ctx: ctx.to_vec(),
-                        state: RuntimeState::new(),
-                        records: Vec::new(),
-                        tally: ExecTally::default(),
-                        error: Some((
-                            usize::MAX,
-                            EngineError::WorkerPanic(panic_text(payload.as_ref())),
-                        )),
-                    })
-                })
+                .chain(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().map_err(|payload| panic_text(payload.as_ref()))),
+                )
+                .map(|out| out.unwrap_or_else(|msg| lost_worker(ctx, msg)))
                 .collect::<Vec<WorkerOutput>>()
         });
         let mut outputs =
             scope_out.map_err(|payload| EngineError::WorkerPanic(panic_text(payload.as_ref())))?;
 
-        // What a worker charged outside a completed morsel (an idle
-        // worker's setup, a trapped morsel's partial cost) was not
-        // streamed: account the remainder now.
+        // Everything the workers charged, completed morsels or not (an
+        // idle worker's setup, a trapped morsel's partial cost).
         let charged = outputs
             .iter()
             .fold(ExecTally::default(), |sum, o| sum + o.tally);
-        *tally = *tally + (charged - streamed);
+        *tally = *tally + charged;
 
-        if let Some(e) = budget_err {
+        if let Some(e) = progress.into_inner().budget_err {
             // The budget tripped: partial parallel work is discarded —
             // never merged into canonical state — and the typed error
             // carries the tally snapshot at trip time.
@@ -350,13 +250,15 @@ impl ParallelPipeline<'_> {
         let overlapped = charged.cycles - busiest;
 
         if outputs.iter().any(panicked) {
-            // A panicked worker's accumulated aggregation states may
+            // A panicked worker's unclaimed morsels have no records,
+            // so they replay with its lost ones, in ascending order.
+            // Its accumulated aggregation states may
             // include the partially-executed morsel's contributions, so
             // for agg sinks all of its records are discarded and
             // replayed. Buffer/join records delimit append-only ranges
             // that stay intact past a later panic, so they are kept and
             // only the lost morsels replay.
-            if ordered {
+            if matches!(self.pipe.sink, Sink::AggBuild { .. }) {
                 for o in outputs.iter_mut().filter(|o| panicked(o)) {
                     o.records.clear();
                 }
@@ -384,10 +286,10 @@ impl ParallelPipeline<'_> {
 
     /// The single retry after a worker panic: replays the missing
     /// morsels on this thread through the same worker body, on a fresh
-    /// fork, over a fixed ascending claim list (so the aggregation
-    /// ascending-claim invariant holds for the replayed records). Its
-    /// completion callback is the budget check the coordinator would
-    /// have made, against `spent_before` plus the replay's own cost. A
+    /// fork, in ascending order (so the aggregation ascending-claim
+    /// invariant holds for the replayed records). Its completion
+    /// callback is the fan-out's budget check, against `spent_before`
+    /// plus the replay's own cost. A
     /// second fault — panic, trap, or budget trip — fails the query
     /// cleanly.
     fn retry_pass(
@@ -403,14 +305,13 @@ impl ParallelPipeline<'_> {
             .map_err(|e| EngineError::WorkerPanic(format!("replay instantiation failed: {e}")))?;
         let shared = WorkerShared {
             morsels: self.morsels,
-            claimer: &Claimer::fixed(missing),
             stop: &AtomicBool::new(false),
             sink: self.sink_info(),
         };
         let mut rows = 0u64;
         let mut out = worker_run(
-            0,
             &shared,
+            missing.into_iter(),
             state.fork_worker(),
             ctx.to_vec(),
             exe,
@@ -447,15 +348,16 @@ fn call_supervised(
     Ok(())
 }
 
-/// The worker body: fork-local setup, claim/execute loop, effect
-/// recording. Returns everything the barrier merge needs. `completed`
-/// is told the worker's tally so far and the sink growth of each
-/// finished morsel; an error from it stops the worker like a trap in
-/// the morsel would. A worker that panics poisons itself (handing its
-/// unclaimed morsels to survivors) and reports the panic as its error.
+/// The worker body: fork-local setup, then the morsels of `claims` in
+/// order, recording each one's sink effects. Returns everything the
+/// barrier merge needs. `completed` is told the worker's tally so far
+/// and the sink growth of each finished morsel; an error from it stops
+/// the worker like a trap in the morsel would. A worker that panics
+/// stops and reports the panic as its error; the morsels it did not
+/// record are left to the retry pass.
 fn worker_run(
-    worker: usize,
     shared: &WorkerShared<'_>,
+    claims: impl Iterator<Item = usize>,
     mut wstate: RuntimeState,
     wctx: Vec<u8>,
     mut exe: Box<dyn Executable>,
@@ -473,16 +375,13 @@ fn worker_run(
         .err()
         .map(|e| (usize::MAX, e));
 
-    while error.is_none() {
-        // Cooperative cancellation: the coordinator raises `stop` when
-        // the query budget trips; observing it at the claim boundary
-        // bounds overrun to one in-flight morsel per worker.
-        if shared.stop.load(Ordering::Acquire) {
+    for m in claims {
+        // Cooperative cancellation: a tripped budget raises `stop`;
+        // observing it at the claim boundary bounds overrun to one
+        // in-flight morsel per worker.
+        if error.is_some() || shared.stop.load(Ordering::Acquire) {
             break;
         }
-        let Some(m) = shared.claimer.claim(worker, shared.morsels.len()) else {
-            break;
-        };
         let before = sink_progress(&wstate, &wctx, shared.sink);
         let morsel = shared.morsels[m];
         let args = [ctx_addr, morsel.start, morsel.count];
@@ -499,9 +398,6 @@ fn worker_run(
             .err()
             .map(|e| (m, e));
     }
-    if matches!(error, Some((_, EngineError::WorkerPanic(_)))) {
-        shared.claimer.poison(worker);
-    }
     WorkerOutput {
         ctx: wctx,
         state: wstate,
@@ -517,51 +413,5 @@ fn sink_progress(state: &RuntimeState, ctx: &[u8], sink: SinkInfo) -> usize {
         state.table(handle).insert_log().len()
     } else {
         state.buffer(handle).len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ordered_claimer_is_exhaustive_and_ascending() {
-        let c = Claimer::new(10, 3, MorselSchedule::Stealing, true);
-        let mut seen = Vec::new();
-        while let Some(m) = c.claim(0, 10) {
-            seen.push(m);
-        }
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        assert_eq!(c.claim(1, 10), None);
-    }
-
-    #[test]
-    fn striped_claimer_static_partitions_without_stealing() {
-        let c = Claimer::new(7, 2, MorselSchedule::Static, false);
-        let mut w0 = Vec::new();
-        while let Some(m) = c.claim(0, 7) {
-            w0.push(m);
-        }
-        assert_eq!(w0, vec![0, 2, 4, 6]);
-        // Worker 1 keeps its own morsels even though worker 0 is idle.
-        let mut w1 = Vec::new();
-        while let Some(m) = c.claim(1, 7) {
-            w1.push(m);
-        }
-        assert_eq!(w1, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn striped_claimer_steals_from_the_back() {
-        let c = Claimer::new(6, 2, MorselSchedule::Stealing, false);
-        // Worker 0 drains its own deque (front order), then steals the
-        // back of worker 1's deque.
-        assert_eq!(c.claim(0, 6), Some(0));
-        assert_eq!(c.claim(0, 6), Some(2));
-        assert_eq!(c.claim(0, 6), Some(4));
-        assert_eq!(c.claim(0, 6), Some(5));
-        assert_eq!(c.claim(1, 6), Some(1));
-        assert_eq!(c.claim(1, 6), Some(3));
-        assert_eq!(c.claim(1, 6), None);
     }
 }

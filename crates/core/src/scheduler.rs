@@ -85,7 +85,7 @@
 use crate::compile_service::PendingCompile;
 use crate::engine::{CompiledQuery, EngineError, ExecutionResult, PreparedQuery, QueryBudget};
 use crate::fallback::FallbackChain;
-use crate::morsel_exec::{plan_morsels, MorselExecConfig, QueryExecution, StepProgress};
+use crate::morsel_exec::{plan_morsels, QueryExecution, StepProgress};
 use crate::session::Session;
 use crate::supervise::{lock_recover, supervise};
 use qc_backend::{Backend, BackendError};
@@ -969,7 +969,7 @@ fn admit(
         .unwrap_or_default();
     // Sessions run single-threaded: the scheduler is the inter-query
     // parallelism axis (see the module docs).
-    let exec = QueryExecution::new(MorselExecConfig::default(), budget);
+    let exec = QueryExecution::new(1, budget);
     let remaining = exec.remaining_morsels(engine, &prepared);
     Ok(Active {
         ticket,
@@ -1064,7 +1064,7 @@ mod tests {
                 compile_stats: qc_backend::CompileStats::default(),
                 backend_name: tier,
             },
-            exec: QueryExecution::new(MorselExecConfig::default(), QueryBudget::default()),
+            exec: QueryExecution::new(1, QueryBudget::default()),
             remaining,
             initial_morsels: remaining,
             pending_tier: None,

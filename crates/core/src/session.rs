@@ -34,7 +34,7 @@ use crate::engine::{
     CompiledQuery, Engine, EngineConfig, EngineError, ExecutionResult, PreparedQuery, QueryBudget,
 };
 use crate::lru::Lru;
-use crate::morsel_exec::{self, MorselExecConfig, MorselSchedule};
+use crate::morsel_exec;
 use crate::ArtifactStore;
 use qc_backend::Backend;
 use qc_plan::PlanNode;
@@ -290,7 +290,7 @@ impl<'db> Session<'db> {
             statement,
             backend: None,
             trace: None,
-            exec: MorselExecConfig::default(),
+            workers: 1,
             budget: None,
             query_budget: None,
             direct: false,
@@ -316,7 +316,7 @@ pub struct QueryRun<'s, 'db> {
     statement: PreparedStatement,
     backend: Option<Arc<dyn Backend>>,
     trace: Option<&'s TimeTrace>,
-    exec: MorselExecConfig,
+    workers: usize,
     budget: Option<CompileBudget>,
     query_budget: Option<QueryBudget>,
     direct: bool,
@@ -338,16 +338,21 @@ impl<'s, 'db> QueryRun<'s, 'db> {
         self
     }
 
-    /// Executes morsel-parallel with `workers` threads (`0` and `1`
+    /// Executes morsel-parallel on `n = workers` workers (`0` and `1`
     /// both mean the exact serial path, on the calling thread with no
-    /// fork, thread or channel). Otherwise each pipeline with at least
-    /// two morsels, a mergeable sink and a code artifact fans its
-    /// morsels out and merges them at its barrier.
+    /// fork or thread). Otherwise each pipeline with at least two
+    /// morsels, a mergeable sink and a code artifact fans its morsels
+    /// out and merges them at its barrier: worker `w` runs morsels
+    /// `w, w + n, w + 2n, …` in ascending order, the calling thread is
+    /// worker 0, and `n − 1` threads are spawned for the others. What
+    /// a worker runs depends only on `w` and `n`, so rows, model cycles
+    /// and `critical_path_cycles` are reproducible at every `n`.
     ///
-    /// Worker panics are isolated: a panicking morsel worker poisons
-    /// only itself; its unclaimed morsels are requeued onto surviving
-    /// workers and its claimed-but-unmerged morsels are replayed once
-    /// by a retry pass so the deterministic barrier merge stays
+    /// Worker panics are isolated: a panicking morsel worker stops, and
+    /// every morsel it did not finish — its lost one and its unclaimed
+    /// ones alike; none is requeued onto surviving workers — is replayed
+    /// once, in ascending order, by a retry pass after the others
+    /// finish, so the deterministic barrier merge stays
     /// byte-identical. A second fault fails the query cleanly with
     /// [`EngineError::WorkerPanic`] instead of the process. Panics on
     /// the driver's own thread — canonical setup/finish, pipelines that
@@ -359,14 +364,7 @@ impl<'s, 'db> QueryRun<'s, 'db> {
     /// one worker).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.exec.workers = workers;
-        self
-    }
-
-    /// Morsel claim discipline for parallel execution.
-    #[must_use]
-    pub fn schedule(mut self, schedule: MorselSchedule) -> Self {
-        self.exec.schedule = schedule;
+        self.workers = workers;
         self
     }
 
@@ -445,7 +443,7 @@ impl<'s, 'db> QueryRun<'s, 'db> {
     ) -> Result<ExecutionResult, EngineError> {
         let budget = self.query_budget.clone().unwrap_or_default();
         let (engine, query) = (&self.session.engine, self.statement.query());
-        morsel_exec::execute(engine, query, compiled, self.exec, budget)
+        morsel_exec::execute(engine, query, compiled, self.workers, budget)
     }
 }
 

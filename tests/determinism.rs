@@ -217,6 +217,13 @@ const GOLDEN: &[(&str, &str, u64, u64, u64)] = &[
         4658990,
         1393625,
     ),
+    (
+        "H01",
+        "clift.ta64.w4",
+        17943616066831546111,
+        4657588,
+        1392969,
+    ),
     ("H03", "interp", 8780595189787933563, 3338614, 233108),
     ("H03", "direct.tx64", 8780595189787933563, 1257654, 541121),
     (
@@ -229,12 +236,14 @@ const GOLDEN: &[(&str, &str, u64, u64, u64)] = &[
     ("H03", "lvm_opt.tx64", 8780595189787933563, 961262, 386082),
     ("H03", "clift.ta64", 8780595189787933563, 954610, 429401),
     ("H03", "clift.ta64.w2", 8780595189787933563, 957739, 428163),
+    ("H03", "clift.ta64.w4", 8780595189787933563, 959536, 427031),
     ("H06", "interp", 6711127979096780410, 2769710, 206135),
     ("H06", "direct.tx64", 6711127979096780410, 858618, 527796),
     ("H06", "lvm_cheap.tx64", 6711127979096780410, 972821, 519718),
     ("H06", "lvm_opt.tx64", 6711127979096780410, 587169, 362193),
     ("H06", "clift.ta64", 6711127979096780410, 562904, 379341),
     ("H06", "clift.ta64.w2", 6711127979096780410, 563246, 379372),
+    ("H06", "clift.ta64.w4", 6711127979096780410, 563652, 379406),
     ("H09", "interp", 6766816719252940531, 4406320, 294410),
     ("H09", "direct.tx64", 6766816719252940531, 1800524, 698692),
     (
@@ -247,12 +256,14 @@ const GOLDEN: &[(&str, &str, u64, u64, u64)] = &[
     ("H09", "lvm_opt.tx64", 6766816719252940531, 1649713, 583519),
     ("H09", "clift.ta64", 6766816719252940531, 1637377, 625826),
     ("H09", "clift.ta64.w2", 6766816719252940531, 1637469, 625588),
+    ("H09", "clift.ta64.w4", 6766816719252940531, 1637375, 625084),
     ("H13", "interp", 8395823974148997529, 825506, 56215),
     ("H13", "direct.tx64", 8395823974148997529, 286146, 119835),
     ("H13", "lvm_cheap.tx64", 8395823974148997529, 318677, 122826),
     ("H13", "lvm_opt.tx64", 8395823974148997529, 195374, 73812),
     ("H13", "clift.ta64", 8395823974148997529, 171432, 80772),
     ("H13", "clift.ta64.w2", 8395823974148997529, 181200, 80800),
+    ("H13", "clift.ta64.w4", 8395823974148997529, 190123, 80828),
     ("H18", "interp", 9937041724392243382, 5293491, 358863),
     ("H18", "direct.tx64", 9937041724392243382, 2123514, 876270),
     (
@@ -265,6 +276,7 @@ const GOLDEN: &[(&str, &str, u64, u64, u64)] = &[
     ("H18", "lvm_opt.tx64", 9937041724392243382, 1475834, 572437),
     ("H18", "clift.ta64", 9937041724392243382, 1364435, 608454),
     ("H18", "clift.ta64.w2", 9937041724392243382, 1398088, 584285),
+    ("H18", "clift.ta64.w4", 9937041724392243382, 1422337, 551476),
     ("SORT", "interp", 15329311058863616378, 2581923, 162196),
     ("SORT", "direct.tx64", 15329311058863616378, 1671592, 662920),
     (
@@ -289,13 +301,20 @@ const GOLDEN: &[(&str, &str, u64, u64, u64)] = &[
         949812,
         390133,
     ),
+    (
+        "SORT",
+        "clift.ta64.w4",
+        15329311058863616378,
+        949936,
+        390151,
+    ),
 ];
 
 #[test]
 fn model_cycles_match_the_golden_table() {
     use qc_engine::backends as b;
     let db = qc_storage::gen_hlike(1.0);
-    // Small morsels, so the two-worker cell really runs in parallel.
+    // Small morsels, so the fan-out cells really run in parallel.
     let session = Session::with_config(
         &db,
         qc_engine::SessionConfig {
@@ -312,25 +331,21 @@ fn model_cycles_match_the_golden_table() {
         .collect();
     queries.push(("SORT", &sort_heavy));
     type Make = fn() -> Box<dyn qc_backend::Backend>;
-    let cells: [(&str, Make, usize); 6] = [
+    let cells: [(&str, Make, usize); 7] = [
         ("interp", b::interpreter, 1),
         ("direct.tx64", b::direct_emit, 1),
         ("lvm_cheap.tx64", || b::lvm_cheap(Isa::Tx64), 1),
         ("lvm_opt.tx64", || b::lvm_opt(Isa::Tx64), 1),
         ("clift.ta64", || b::clift(Isa::Ta64), 1),
         ("clift.ta64.w2", || b::clift(Isa::Ta64), 2),
+        ("clift.ta64.w4", || b::clift(Isa::Ta64), 4),
     ];
     let mut measured = Vec::new();
     for (name, plan) in &queries {
         for (cell, make, workers) in &cells {
             let r = session
                 .prepare(plan)
-                .and_then(|run| {
-                    run.backend(Arc::from(make()))
-                        .workers(*workers)
-                        .schedule(qc_engine::MorselSchedule::Static)
-                        .execute()
-                })
+                .and_then(|run| run.backend(Arc::from(make())).workers(*workers).execute())
                 .unwrap_or_else(|e| panic!("{name} on {cell}: {e}"));
             measured.push((
                 *name,

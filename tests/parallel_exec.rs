@@ -1,16 +1,23 @@
 //! Parallel-execution determinism suite: the morsel-parallel executor
 //! must produce byte-identical rows to the single-threaded engine for
-//! every worker count and schedule. (Cycle totals are exactly
-//! serial at one worker and reproducible under the static schedule;
-//! see the `morsel_exec` module docs for the full cycle story.)
+//! every worker count. (Cycle totals are exactly serial at one worker
+//! and reproducible at every worker count, because worker `w` of `n`
+//! always runs the same stride of morsels; see the `morsel_exec`
+//! module docs for the full cycle story.)
 
+use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, Executable};
 use qc_engine::{
-    backends, EngineConfig, MorselSchedule, QueryScheduler, SchedulerConfig, Session,
-    SessionConfig, SessionRequest,
+    backends, EngineConfig, QueryScheduler, SchedulerConfig, Session, SessionConfig, SessionRequest,
 };
-use qc_target::Isa;
+use qc_ir::Module;
+use qc_plan::{col, AggFunc, PlanNode};
+use qc_runtime::RuntimeState;
+use qc_storage::{Column, ColumnType, Database, Schema, Table};
+use qc_target::{ExecStats, Isa, Trap};
 use qc_timing::TimeTrace;
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
 #[test]
 fn rows_byte_identical_across_worker_counts() {
@@ -42,7 +49,6 @@ fn rows_byte_identical_across_worker_counts() {
             let mut compiled = run.compile().expect("compile");
             let result = run
                 .workers(workers)
-                .schedule(MorselSchedule::Stealing)
                 .execute_compiled(&mut compiled)
                 .unwrap_or_else(|e| panic!("{} at {workers} workers failed: {e}", q.name));
             assert_eq!(
@@ -102,9 +108,8 @@ fn static_schedule_cycles_are_reproducible() {
         let mut compiled = run.compile().expect("compile");
         let result = run
             .workers(4)
-            .schedule(MorselSchedule::Static)
             .execute_compiled(&mut compiled)
-            .expect("static parallel run");
+            .expect("parallel run");
         cycles.push(result.exec_stats.cycles);
         critical.push(result.critical_path_cycles);
     }
@@ -112,12 +117,11 @@ fn static_schedule_cycles_are_reproducible() {
     assert_eq!(cycles[1], cycles[2]);
     assert_eq!(critical[0], critical[1]);
     assert_eq!(critical[1], critical[2]);
-    // With 16-row morsels spread statically over 4 workers the
-    // model-time critical path is strictly shorter than the serial
-    // cycle total.
+    // With 16-row morsels spread over 4 workers the model-time
+    // critical path is strictly shorter than the serial cycle total.
     assert!(
         critical[0] < cycles[0],
-        "4-worker static schedule should shorten the critical path \
+        "4 workers should shorten the critical path \
          (critical {} vs total {})",
         critical[0],
         cycles[0]
@@ -172,5 +176,216 @@ fn scheduler_rows_match_serial_for_every_session() {
     assert!(
         session.compile_service().cache_stats().hits > 0,
         "repeated shapes must hit the shared code cache"
+    );
+}
+
+/// `fact(k, v)` with 48 morsels of rows and `dim(dk, w)` with eight, at
+/// 16-row morsels.
+fn fact_and_dim() -> Database {
+    let ints = |n: i64, f: fn(i64) -> i64| Column::I64((0..n).map(f).collect());
+    let two_i64 = |a: &'static str, b: &'static str| {
+        Schema::new(vec![(a, ColumnType::I64), (b, ColumnType::I64)])
+    };
+    let mut db = Database::new();
+    db.add_table(Table::new(
+        "fact",
+        two_i64("k", "v"),
+        vec![
+            ints(48 * 16, |i| i * 13 % 97),
+            ints(48 * 16, |i| i * 7 % 101),
+        ],
+    ));
+    db.add_table(Table::new(
+        "dim",
+        two_i64("dk", "w"),
+        vec![ints(128, |i| i), ints(128, |i| i % 5 + 1)],
+    ));
+    db
+}
+
+fn tiny_morsels(db: &Database) -> Session<'_> {
+    Session::with_config(
+        db,
+        SessionConfig {
+            engine: EngineConfig { morsel_size: 16 },
+            ..Default::default()
+        },
+    )
+}
+
+/// Three of the four pipelines fan out: the `dim` scan builds a join
+/// table, a `fact` scan feeds an integer group-by, and the probing
+/// `fact` scan writes the output. (The group buffer's join build is one
+/// morsel and stays serial.)
+fn fan_out_plan() -> PlanNode {
+    let groups = PlanNode::scan("fact", &["k", "v"])
+        .map(vec![("gk", col("k")), ("gv", col("v"))])
+        .group_by(
+            &["gk"],
+            vec![("n", AggFunc::CountStar), ("s", AggFunc::Sum(col("gv")))],
+        );
+    PlanNode::scan("fact", &["k", "v"])
+        .hash_join(PlanNode::scan("dim", &["dk", "w"]), &["k"], &["dk"], &["w"])
+        .hash_join(groups, &["k"], &["gk"], &["n", "s"])
+}
+
+/// With the default configuration, a fanned-out query is reproducible
+/// to the cycle: rows, `exec_stats` and `critical_path_cycles` do not
+/// depend on how the threads happened to interleave.
+#[test]
+fn default_fan_out_is_reproducible_to_the_cycle() {
+    let db = fact_and_dim();
+    let session = tiny_morsels(&db);
+    let plan = fan_out_plan();
+    let backend: Arc<dyn Backend> = Arc::from(backends::clift(Isa::Tx64));
+    let serial = session
+        .prepare(&plan)
+        .and_then(|run| run.backend(Arc::clone(&backend)).execute())
+        .expect("serial run");
+    assert_eq!(
+        serial.rows.len(),
+        48 * 16,
+        "every fact row finds its groups"
+    );
+    for workers in [2usize, 4] {
+        let runs: Vec<_> = (0..3)
+            .map(|_| {
+                session
+                    .prepare(&plan)
+                    .and_then(|run| run.backend(Arc::clone(&backend)).workers(workers).execute())
+                    .unwrap_or_else(|e| panic!("{workers} workers: {e}"))
+            })
+            .collect();
+        for r in &runs {
+            assert_eq!(r.rows, serial.rows, "{workers} workers: rows diverged");
+            assert_eq!(
+                (r.exec_stats, r.critical_path_cycles),
+                (runs[0].exec_stats, runs[0].critical_path_cycles),
+                "{workers} workers: cycles depend on thread timing"
+            );
+        }
+        assert!(runs[0].critical_path_cycles < runs[0].exec_stats.cycles);
+    }
+}
+
+/// Wraps a back-end so each executable logs the thread of every `main`
+/// call into one shared list.
+struct MainThreads {
+    inner: Box<dyn Backend>,
+    log: Arc<Mutex<Vec<ThreadId>>>,
+}
+
+struct MainThreadsArtifact {
+    inner: Box<dyn CodeArtifact>,
+    log: Arc<Mutex<Vec<ThreadId>>>,
+}
+
+struct MainThreadsExecutable {
+    inner: Box<dyn Executable>,
+    log: Arc<Mutex<Vec<ThreadId>>>,
+}
+
+impl Backend for MainThreads {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn isa(&self) -> Isa {
+        self.inner.isa()
+    }
+
+    fn config_fingerprint(&self) -> u64 {
+        // Never share cache entries with the plain back-end.
+        self.inner.config_fingerprint() ^ 0x7468_7265_6164
+    }
+
+    fn link_phase(&self) -> &'static str {
+        self.inner.link_phase()
+    }
+
+    fn compile_artifact(
+        &self,
+        module: &Module,
+        trace: &TimeTrace,
+    ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
+        Ok(self.inner.compile_artifact(module, trace)?.map(|inner| {
+            Box::new(MainThreadsArtifact {
+                inner,
+                log: Arc::clone(&self.log),
+            }) as Box<dyn CodeArtifact>
+        }))
+    }
+}
+
+impl CodeArtifact for MainThreadsArtifact {
+    fn instantiate(&self) -> Result<Box<dyn Executable>, BackendError> {
+        Ok(Box::new(MainThreadsExecutable {
+            inner: self.inner.instantiate()?,
+            log: Arc::clone(&self.log),
+        }))
+    }
+
+    fn compile_stats(&self) -> &CompileStats {
+        self.inner.compile_stats()
+    }
+
+    fn size_bytes(&self) -> usize {
+        self.inner.size_bytes()
+    }
+
+    fn content_bytes(&self) -> Vec<u8> {
+        self.inner.content_bytes()
+    }
+}
+
+impl Executable for MainThreadsExecutable {
+    fn call(
+        &mut self,
+        state: &mut RuntimeState,
+        name: &str,
+        args: &[u64],
+    ) -> Result<[u64; 2], Trap> {
+        if name == "main" {
+            let mut log = self.log.lock().expect("thread log");
+            log.push(std::thread::current().id());
+        }
+        self.inner.call(state, name, args)
+    }
+
+    fn exec_stats(&self) -> ExecStats {
+        self.inner.exec_stats()
+    }
+
+    fn compile_stats(&self) -> &CompileStats {
+        self.inner.compile_stats()
+    }
+}
+
+/// At two workers the calling thread is worker 0: a fanned-out
+/// pipeline's morsels run on exactly two threads, the caller's and one
+/// spawned, and no thread only coordinates.
+#[test]
+fn the_calling_thread_runs_worker_zero() {
+    let db = fact_and_dim();
+    let session = tiny_morsels(&db);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let backend: Arc<dyn Backend> = Arc::new(MainThreads {
+        inner: backends::clift(Isa::Tx64),
+        log: Arc::clone(&log),
+    });
+    // One pipeline: every `main` call is one of its 48 morsels.
+    let plan = PlanNode::scan("fact", &["k", "v"]).filter(col("v").ge(qc_plan::lit_i64(50)));
+    let run = session.prepare(&plan).expect("prepare");
+    let run = run.backend(backend).workers(2);
+    let mut compiled = run.compile().expect("compile");
+    log.lock().expect("thread log").clear();
+    run.execute_compiled(&mut compiled).expect("parallel run");
+    let log = log.lock().expect("thread log");
+    assert_eq!(log.len(), 48, "one `main` call per morsel");
+    let threads: HashSet<ThreadId> = log.iter().copied().collect();
+    assert_eq!(threads.len(), 2, "two workers, two threads: {threads:?}");
+    assert!(
+        threads.contains(&std::thread::current().id()),
+        "the calling thread ran no morsel"
     );
 }

@@ -2,7 +2,7 @@
 //! `QueryRun::execute_compiled` steps it to completion, the
 //! serving scheduler steps it a credit slice at a time. These tests pin
 //! what that buys: one query mixing a fan-out pipeline with a
-//! serial-fallback one is right at every worker count and schedule, the
+//! serial-fallback one is right at every worker count, the
 //! two entry points charge and budget a statement identically, and a
 //! session leaving the scheduler — however it ends — gives back what
 //! it held and reports what it did.
@@ -10,8 +10,8 @@
 use qc_backend::chaos::{ChaosBackend, ChaosExecBackend, ChaosFault, ExecFault};
 use qc_backend::Backend;
 use qc_engine::{
-    backends, EngineConfig, EngineError, MorselSchedule, OutcomeStatus, QueryBudget,
-    QueryScheduler, SchedulerConfig, ServeReport, Session, SessionConfig, SessionRequest,
+    backends, EngineConfig, EngineError, OutcomeStatus, QueryBudget, QueryScheduler,
+    SchedulerConfig, ServeReport, Session, SessionConfig, SessionRequest,
 };
 use qc_plan::{col, AggFunc, PlanNode};
 use qc_storage::{Column, ColumnType, Database, Schema, Table};
@@ -122,26 +122,24 @@ fn mixed_plan_matches_the_reference_at_every_worker_count_and_schedule() {
         .and_then(|run| run.backend(clift()).execute())
         .expect("serial run");
     for workers in [1usize, 2, 4] {
-        for schedule in [MorselSchedule::Static, MorselSchedule::Stealing] {
-            let result = session
-                .prepare(&plan)
-                .map(|run| run.backend(clift()).workers(workers).schedule(schedule))
-                .and_then(|run| run.execute())
-                .unwrap_or_else(|e| panic!("{workers} workers, {schedule:?}: {e}"));
-            // The sort key is unique, so row order is part of the answer.
-            assert_eq!(
-                result.rows, reference,
-                "{workers} workers, {schedule:?}: rows diverged from the reference"
-            );
-            if workers == 1 {
-                assert_eq!(result.exec_stats, serial.exec_stats);
-                assert_eq!(result.critical_path_cycles, result.exec_stats.cycles);
-            } else {
-                // Only the join build fans out; its workers' setup is
-                // the extra work, and part of it overlaps.
-                assert!(result.exec_stats.cycles > serial.exec_stats.cycles);
-                assert!(result.critical_path_cycles < result.exec_stats.cycles);
-            }
+        let result = session
+            .prepare(&plan)
+            .map(|run| run.backend(clift()).workers(workers))
+            .and_then(|run| run.execute())
+            .unwrap_or_else(|e| panic!("{workers} workers: {e}"));
+        // The sort key is unique, so row order is part of the answer.
+        assert_eq!(
+            result.rows, reference,
+            "{workers} workers: rows diverged from the reference"
+        );
+        if workers == 1 {
+            assert_eq!(result.exec_stats, serial.exec_stats);
+            assert_eq!(result.critical_path_cycles, result.exec_stats.cycles);
+        } else {
+            // Only the join build fans out; its workers' setup is the
+            // extra work, and part of it overlaps.
+            assert!(result.exec_stats.cycles > serial.exec_stats.cycles);
+            assert!(result.critical_path_cycles < result.exec_stats.cycles);
         }
     }
 
