@@ -118,19 +118,7 @@ impl CgenBackend {
         // --- cc1: -O3 scalar optimizations (shared optimizer). ---
         let optimized = {
             let _t = trace.scope("cc1_optimize");
-            let mut out = Module::new(&gimple.name);
-            for func in gimple.functions() {
-                let f = qc_ir::opt::pass_phi_prune(func);
-                let f = qc_ir::opt::pass_cse(&f);
-                let f = qc_ir::opt::pass_instcombine(&f);
-                let f = qc_ir::opt::pass_licm(&f);
-                let f = qc_ir::opt::pass_dce(&f);
-                // -O3 runs a second combine+cleanup round.
-                let f = qc_ir::opt::pass_cse(&f);
-                let f = qc_ir::opt::pass_dce(&f);
-                out.push_function(f);
-            }
-            out
+            optimize(&gimple)
         };
 
         // --- cc1: code generation to textual assembly. ---
@@ -191,12 +179,44 @@ impl CgenBackend {
     }
 }
 
+/// cc1's `-O3` pipeline over the gimplified module: the scalar passes
+/// LVM-opt shares, then the constant rematerialization GCC's register
+/// allocator does.
+fn optimize(gimple: &Module) -> Module {
+    let mut out = Module::new(&gimple.name);
+    for func in gimple.functions() {
+        let f = qc_ir::opt::pass_phi_prune(func);
+        let f = qc_ir::opt::pass_cse(&f);
+        let f = qc_ir::opt::pass_instcombine(&f);
+        let f = qc_ir::opt::pass_licm(&f);
+        let f = qc_ir::opt::pass_dce(&f);
+        // -O3 runs a second combine+cleanup round.
+        let f = qc_ir::opt::pass_cse(&f);
+        let f = qc_ir::opt::pass_dce(&f);
+        out.push_function(qc_ir::opt::pass_const_remat(&f));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qc_ir::{CmpOp, FunctionBuilder, Opcode, Signature, Type};
+    use qc_ir::{
+        CastOp, CmpOp, Function, FunctionBuilder, InstData, Opcode, Signature, Type, Value,
+        ValueDef,
+    };
     use qc_runtime::RuntimeState;
     use qc_target::Trap;
+
+    fn module_of(build: impl FnOnce(&mut FunctionBuilder), sig: Signature) -> Module {
+        let mut b = FunctionBuilder::new("f", sig);
+        build(&mut b);
+        let f = b.finish();
+        qc_ir::verify_function(&f).unwrap();
+        let mut m = Module::new("m");
+        m.push_function(f);
+        m
+    }
 
     fn run_on(
         isa: Isa,
@@ -204,12 +224,7 @@ mod tests {
         sig: Signature,
         args: &[u64],
     ) -> Result<[u64; 2], Trap> {
-        let mut b = FunctionBuilder::new("f", sig);
-        build(&mut b);
-        let f = b.finish();
-        qc_ir::verify_function(&f).unwrap();
-        let mut m = Module::new("m");
-        m.push_function(f);
+        let m = module_of(build, sig);
         let mut backend = CgenBackend::new(isa);
         backend.use_temp_files = false; // keep unit tests hermetic
         let mut exe = match backend.compile(&m, &TimeTrace::disabled()) {
@@ -426,5 +441,409 @@ mod tests {
         let trace = TimeTrace::disabled();
         let reparsed = super::minicc::compile_c(&text, &trace).unwrap();
         qc_ir::verify_module(&reparsed).unwrap();
+    }
+
+    /// Gimplifies hand-written C and returns its one function.
+    fn gimplify(c: &str) -> Function {
+        let m = super::minicc::compile_c(c, &TimeTrace::disabled()).unwrap();
+        qc_ir::verify_module(&m).unwrap();
+        m.functions()[0].clone()
+    }
+
+    /// `f` after the C round trip: as gimplified, and as cc1 optimized it.
+    fn round_trip(
+        build: impl FnOnce(&mut FunctionBuilder),
+        sig: Signature,
+    ) -> (Function, Function) {
+        let gimple = gimplify(&print_c(&module_of(build, sig)));
+        let mut m = Module::new("m");
+        m.push_function(gimple.clone());
+        let optimized = optimize(&m).functions()[0].clone();
+        qc_ir::verify_function(&optimized).unwrap();
+        (gimple, optimized)
+    }
+
+    /// Every instruction of `f`, in block order.
+    fn insts(f: &Function) -> Vec<&InstData> {
+        f.blocks()
+            .flat_map(|b| f.block_insts(b).iter().map(|&i| f.inst(i)))
+            .collect()
+    }
+
+    fn def(f: &Function, v: Value) -> Option<&InstData> {
+        match f.value_def(v) {
+            ValueDef::Inst(i) => Some(f.inst(i)),
+            ValueDef::Param(_) => None,
+        }
+    }
+
+    fn branch_conds(f: &Function) -> Vec<Value> {
+        insts(f)
+            .into_iter()
+            .filter_map(|d| match d {
+                InstData::Branch { cond, .. } => Some(*cond),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn casts(f: &Function, kind: CastOp) -> Vec<Value> {
+        insts(f)
+            .into_iter()
+            .filter_map(|d| match d {
+                InstData::Cast { op, arg, .. } if *op == kind => Some(*arg),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `if (v)` on `v = (i64)(a < b)` branches on the compare itself.
+    #[test]
+    fn a_branch_tests_the_compare_itself() {
+        let build = |b: &mut FunctionBuilder| {
+            let (e, yes, no) = (b.entry_block(), b.create_block(), b.create_block());
+            b.switch_to(e);
+            let (x, y) = (b.param(0), b.param(1));
+            let c = b.icmp(CmpOp::SLt, Type::I64, x, y);
+            b.branch(c, yes, no);
+            b.switch_to(yes);
+            let one = b.iconst(Type::I64, 1);
+            b.ret(Some(one));
+            b.switch_to(no);
+            let two = b.iconst(Type::I64, 2);
+            b.ret(Some(two));
+        };
+        let sig = Signature::new(vec![Type::I64, Type::I64], Type::I64);
+        let (gimple, optimized) = round_trip(build, sig.clone());
+        let [cond] = branch_conds(&gimple)[..] else {
+            panic!("one branch expected")
+        };
+        assert!(
+            matches!(
+                def(&gimple, cond),
+                Some(InstData::Cmp { op: CmpOp::SLt, .. })
+            ),
+            "{}",
+            qc_ir::print_function(&gimple)
+        );
+        assert!(casts(&optimized, CastOp::Zext).is_empty());
+        assert_eq!(run_both(build, sig.clone(), &[3, 5])[0], 1);
+        assert_eq!(run_both(build, sig, &[5, 3])[0], 2);
+    }
+
+    /// A compare that is also used as an integer keeps its `zext` for
+    /// that use; the branch still tests the compare.
+    #[test]
+    fn a_compare_also_used_as_an_integer_keeps_its_zext() {
+        let build = |b: &mut FunctionBuilder| {
+            let (e, yes, no) = (b.entry_block(), b.create_block(), b.create_block());
+            b.switch_to(e);
+            let (x, y) = (b.param(0), b.param(1));
+            let c = b.icmp(CmpOp::SLt, Type::I64, x, y);
+            let wide = b.zext(Type::I64, c);
+            let sum = b.add(Type::I64, wide, x);
+            b.branch(c, yes, no);
+            b.switch_to(yes);
+            b.ret(Some(sum));
+            b.switch_to(no);
+            let zero = b.iconst(Type::I64, 0);
+            b.ret(Some(zero));
+        };
+        let sig = Signature::new(vec![Type::I64, Type::I64], Type::I64);
+        let (_, optimized) = round_trip(build, sig.clone());
+        let [cond] = branch_conds(&optimized)[..] else {
+            panic!("one branch expected")
+        };
+        assert!(matches!(def(&optimized, cond), Some(InstData::Cmp { .. })));
+        assert_eq!(casts(&optimized, CastOp::Zext), [cond]);
+        assert_eq!(run_both(build, sig.clone(), &[3, 5])[0], 4);
+        assert_eq!(run_both(build, sig, &[5, 3])[0], 0);
+    }
+
+    /// `c ? x : 0` over widened compares (`&&`) selects the compares, and
+    /// the branch on it tests the `Bool` select.
+    #[test]
+    fn a_conjunction_selects_the_compares() {
+        let build = |b: &mut FunctionBuilder| {
+            let (e, yes, no) = (b.entry_block(), b.create_block(), b.create_block());
+            b.switch_to(e);
+            let (x, y, z) = (b.param(0), b.param(1), b.param(2));
+            let c1 = b.icmp(CmpOp::SLt, Type::I64, x, y);
+            let c2 = b.icmp(CmpOp::SLt, Type::I64, y, z);
+            let no_ = b.iconst(Type::Bool, 0);
+            let both = b.select(Type::Bool, c1, c2, no_);
+            b.branch(both, yes, no);
+            b.switch_to(yes);
+            let one = b.iconst(Type::I64, 1);
+            b.ret(Some(one));
+            b.switch_to(no);
+            let two = b.iconst(Type::I64, 2);
+            b.ret(Some(two));
+        };
+        let sig = Signature::new(vec![Type::I64; 3], Type::I64);
+        let (gimple, optimized) = round_trip(build, sig.clone());
+        let [cond] = branch_conds(&gimple)[..] else {
+            panic!("one branch expected")
+        };
+        let Some(&InstData::Select {
+            ty: Type::Bool,
+            cond: c1,
+            if_true: c2,
+            ..
+        }) = def(&gimple, cond)
+        else {
+            panic!("{}", qc_ir::print_function(&gimple))
+        };
+        for c in [c1, c2] {
+            assert!(matches!(def(&gimple, c), Some(InstData::Cmp { .. })));
+        }
+        assert!(casts(&optimized, CastOp::Zext).is_empty());
+        for (args, want) in [([1, 2, 3], 1), ([2, 1, 3], 2), ([1, 3, 2], 2)] {
+            assert_eq!(run_both(build, sig.clone(), &args)[0], want, "{args:?}");
+        }
+    }
+
+    /// `*(T*)(p + d)` becomes a displacement (negative ones too), and
+    /// `p + i * 8 + d` a `gep`: no arithmetic is left.
+    #[test]
+    fn addresses_fold_into_displacements_and_geps() {
+        let build = |b: &mut FunctionBuilder| {
+            let e = b.entry_block();
+            b.switch_to(e);
+            let (p, i) = (b.param(0), b.param(1));
+            let a = b.gep_indexed(p, 16, i, 8);
+            let v = b.load(Type::I64, a, -8);
+            b.store(Type::I64, p, v, 40);
+            b.ret(Some(v));
+        };
+        let sig = Signature::new(vec![Type::Ptr, Type::I64], Type::I64);
+        let (gimple, _) = round_trip(build, sig.clone());
+        let [InstData::Gep {
+            offset: 16,
+            index: Some(_),
+            scale: 8,
+            ..
+        }, InstData::Load { offset: -8, .. }, InstData::Store { offset: 40, .. }, InstData::Return { .. }] =
+            &insts(&gimple)[..]
+        else {
+            panic!("{}", qc_ir::print_function(&gimple))
+        };
+        let mut buf: Vec<u64> = (10..18).collect();
+        let p = buf.as_mut_ptr() as u64;
+        assert_eq!(run_both(build, sig, &[p, 1])[0], 12);
+        assert_eq!(buf[5], 12);
+    }
+
+    /// A displacement outside i32 and a scale no addressing mode takes
+    /// keep their arithmetic.
+    #[test]
+    fn wide_displacements_and_scale_16_keep_the_arithmetic() {
+        let f = gimplify(
+            "i64 f(i64 v0) {\n  i64 v1;\nL0:\n  v1 = *(i64*)(v0 + 5000000000);\n  return v1;\n}\n",
+        );
+        let shape: Vec<_> = insts(&f);
+        assert!(
+            matches!(
+                shape[..],
+                [
+                    InstData::IConst {
+                        imm: 5_000_000_000,
+                        ..
+                    },
+                    InstData::Binary {
+                        op: Opcode::Add,
+                        ..
+                    },
+                    InstData::Load { offset: 0, .. },
+                    InstData::Return { .. }
+                ]
+            ),
+            "{}",
+            qc_ir::print_function(&f)
+        );
+
+        let build = |b: &mut FunctionBuilder| {
+            let e = b.entry_block();
+            b.switch_to(e);
+            let (p, i) = (b.param(0), b.param(1));
+            let a = b.gep_indexed(p, 0, i, 16);
+            let v = b.load(Type::I64, a, 8);
+            b.ret(Some(v));
+        };
+        let sig = Signature::new(vec![Type::Ptr, Type::I64], Type::I64);
+        let (gimple, _) = round_trip(build, sig.clone());
+        let data: Vec<_> = insts(&gimple);
+        assert!(!data.iter().any(|d| matches!(d, InstData::Gep { .. })));
+        assert!(data.iter().any(|d| matches!(
+            d,
+            InstData::Binary {
+                op: Opcode::Mul,
+                ..
+            }
+        )));
+        let buf: Vec<u64> = (10..18).collect();
+        assert_eq!(run_both(build, sig, &[buf.as_ptr() as u64, 1])[0], 13);
+    }
+
+    /// A `u32` load's `__sext32` is one `sext` of the loaded value, and
+    /// `i32::MIN` comes back negative.
+    #[test]
+    fn a_narrow_load_sign_extends_once() {
+        let build = |b: &mut FunctionBuilder| {
+            let e = b.entry_block();
+            b.switch_to(e);
+            let p = b.param(0);
+            let v = b.load(Type::I32, p, 0);
+            let s = b.sext(Type::I64, v);
+            b.ret(Some(s));
+        };
+        let sig = Signature::new(vec![Type::Ptr], Type::I64);
+        let (gimple, _) = round_trip(build, sig.clone());
+        assert!(casts(&gimple, CastOp::Trunc).is_empty());
+        let [narrow] = casts(&gimple, CastOp::Sext)[..] else {
+            panic!("{}", qc_ir::print_function(&gimple))
+        };
+        assert!(matches!(
+            def(&gimple, narrow),
+            Some(InstData::Load { ty: Type::I32, .. })
+        ));
+        for x in [i32::MIN, -1, 7, i32::MAX] {
+            let cell = [x];
+            let r = run_both(build, sig.clone(), &[cell.as_ptr() as u64]);
+            assert_eq!(r[0] as i64, i64::from(x));
+        }
+    }
+
+    /// An `if` arm without Φ copies branches straight to its label.
+    #[test]
+    fn arms_without_copies_are_not_blocks() {
+        let build = |b: &mut FunctionBuilder| {
+            let (e, neg, pos) = (b.entry_block(), b.create_block(), b.create_block());
+            b.switch_to(e);
+            let x = b.param(0);
+            let zero = b.iconst(Type::I64, 0);
+            let c = b.icmp(CmpOp::SLt, Type::I64, x, zero);
+            b.branch(c, neg, pos);
+            b.switch_to(neg);
+            let one = b.iconst(Type::I64, 1);
+            b.ret(Some(one));
+            b.switch_to(pos);
+            let two = b.iconst(Type::I64, 2);
+            b.ret(Some(two));
+        };
+        let sig = Signature::new(vec![Type::I64], Type::I64);
+        let (gimple, _) = round_trip(build, sig.clone());
+        assert_eq!(gimple.num_blocks(), 3, "{}", qc_ir::print_function(&gimple));
+        assert_eq!(run_both(build, sig.clone(), &[-5i64 as u64])[0], 1);
+        assert_eq!(run_both(build, sig, &[5])[0], 2);
+    }
+
+    /// An arm that carries Φ copies keeps its block; when both arms reach
+    /// one label, both keep theirs, so the branch's successors differ.
+    #[test]
+    fn arms_with_copies_or_one_label_keep_their_blocks() {
+        let build = |b: &mut FunctionBuilder| {
+            let (e, other, join) = (b.entry_block(), b.create_block(), b.create_block());
+            b.switch_to(e);
+            let x = b.param(0);
+            let zero = b.iconst(Type::I64, 0);
+            let one = b.iconst(Type::I64, 1);
+            let two = b.iconst(Type::I64, 2);
+            let c = b.icmp(CmpOp::SLt, Type::I64, x, zero);
+            b.branch(c, join, other);
+            b.switch_to(other);
+            b.jump(join);
+            b.switch_to(join);
+            let r = b.phi(Type::I64, vec![(e, one), (other, two)]);
+            b.ret(Some(r));
+        };
+        let sig = Signature::new(vec![Type::I64], Type::I64);
+        let (gimple, _) = round_trip(build, sig.clone());
+        // L0, L1, L2 and the `then` arm with the copies; the `else` arm
+        // (no copies) is the branch to L1 itself.
+        assert_eq!(gimple.num_blocks(), 4, "{}", qc_ir::print_function(&gimple));
+        assert_eq!(run_both(build, sig.clone(), &[-5i64 as u64])[0], 1);
+        assert_eq!(run_both(build, sig, &[5])[0], 2);
+
+        let f = gimplify(
+            "i64 f(i64 v0) {\n  i64 v1;\nL0:\n  if (v0) {\n    goto L1;\n  } else {\n    goto L1;\n  }\nL1:\n  v1 = 7;\n  return v1;\n}\n",
+        );
+        assert_eq!(f.num_blocks(), 4, "{}", qc_ir::print_function(&f));
+        let Some(&InstData::Branch {
+            then_dest,
+            else_dest,
+            ..
+        }) = insts(&f).into_iter().find(|d| d.is_terminator())
+        else {
+            panic!("{}", qc_ir::print_function(&f))
+        };
+        assert_ne!(then_dest, else_dest);
+    }
+
+    /// After cc1's pipeline every non-Φ use of an integer constant reads a
+    /// copy of its own in its own block, though CSE merged the constants
+    /// and LICM hoisted them out of the loop.
+    #[test]
+    fn constants_are_rematerialized_at_their_uses() {
+        let build = |b: &mut FunctionBuilder| {
+            let (entry, header, body, exit) = (
+                b.entry_block(),
+                b.create_block(),
+                b.create_block(),
+                b.create_block(),
+            );
+            b.switch_to(entry);
+            let zero = b.iconst(Type::I64, 0);
+            b.jump(header);
+            b.switch_to(header);
+            let i = b.phi(Type::I64, vec![(entry, zero)]);
+            let s = b.phi(Type::I64, vec![(entry, zero)]);
+            let n = b.param(0);
+            let c = b.icmp(CmpOp::SLt, Type::I64, i, n);
+            b.branch(c, body, exit);
+            b.switch_to(body);
+            let three = b.iconst(Type::I64, 3);
+            let t = b.mul(Type::I64, i, three);
+            let s2 = b.add(Type::I64, s, t);
+            let five = b.iconst(Type::I64, 5);
+            let s3 = b.add(Type::I64, s2, five);
+            let one = b.iconst(Type::I64, 1);
+            let i2 = b.add(Type::I64, i, one);
+            b.phi_add_incoming(i, body, i2);
+            b.phi_add_incoming(s, body, s3);
+            b.jump(header);
+            b.switch_to(exit);
+            b.ret(Some(s));
+        };
+        let sig = Signature::new(vec![Type::I64], Type::I64);
+        let (_, optimized) = round_trip(build, sig.clone());
+        let f = &optimized;
+        let mut uses = vec![0; f.num_values()];
+        for d in insts(f) {
+            d.for_each_arg(|v| uses[v.index()] += 1);
+        }
+        let mut constant_uses = 0;
+        for block in f.blocks() {
+            for &inst in f.block_insts(block) {
+                if matches!(f.inst(inst), InstData::Phi { .. }) {
+                    continue;
+                }
+                f.inst(inst).for_each_arg(|v| {
+                    let ValueDef::Inst(d) = f.value_def(v) else {
+                        return;
+                    };
+                    if matches!(f.inst(d), InstData::IConst { .. }) {
+                        constant_uses += 1;
+                        assert!(
+                            f.block_insts(block).contains(&d) && uses[v.index()] == 1,
+                            "{v} is shared or defined in another block:\n{}",
+                            qc_ir::print_function(f)
+                        );
+                    }
+                });
+            }
+        }
+        assert!(constant_uses >= 3, "{}", qc_ir::print_function(f));
+        assert_eq!(run_both(build, sig, &[10])[0], 3 * 45 + 5 * 10);
     }
 }

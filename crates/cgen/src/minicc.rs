@@ -7,10 +7,17 @@
 //! lexer, a recursive-descent parser with full expression grammar, a
 //! symbol-table semantic layer, and SSA (re)construction into the
 //! workspace IR — the GIMPLE analog.
+//!
+//! Gimplification also folds back what the C spelling had to spell out,
+//! as a C compiler does at `-O3`: truth tests of a widened compare test
+//! the compare, `*(T*)(p + d)` takes `d` as its displacement, `p + i * s
+//! + d` is an indexed `gep`, `__sextN` of a zero-extended iN value is one
+//! `sext`, and an `if` arm without Φ copies is no block of its own.
 
 use qc_backend::BackendError;
 use qc_ir::{
-    CastOp, CmpOp, ExtFuncDecl, Function, FunctionBuilder, Module, Opcode, Signature, Type, Value,
+    CastOp, CmpOp, ExtFuncDecl, Function, FunctionBuilder, InstData, Module, Opcode, Signature,
+    Type, Value, ValueDef,
 };
 use std::collections::HashMap;
 
@@ -373,14 +380,13 @@ impl Parser {
                 self.expect_punct("(")?;
                 let c = self.expect_ident()?;
                 self.expect_punct(")")?;
-                // Arm blocks hold the Φ edge copies.
+                // An arm is its Φ edge copies and its `goto`.
                 let parse_arm = |p: &mut Parser,
                                  label_of: &mut dyn FnMut(&str, &mut Vec<BlockData>) -> usize,
                                  blocks: &mut Vec<BlockData>|
-                 -> Result<usize, BackendError> {
+                 -> Result<BlockData, BackendError> {
                     p.expect_punct("{")?;
-                    let arm = blocks.len();
-                    blocks.push(BlockData::default());
+                    let mut arm = BlockData::default();
                     loop {
                         if matches!(p.peek(), Tok::Punct("}")) {
                             p.bump();
@@ -390,11 +396,11 @@ impl Parser {
                             p.bump();
                             let l = p.expect_ident()?;
                             p.expect_punct(";")?;
-                            blocks[arm].term = Some(Term::Goto(label_of(&l, blocks)));
+                            arm.term = Some(Term::Goto(label_of(&l, blocks)));
                         } else {
                             let (s, _) = p.parse_stmt(label_of, blocks)?;
                             if let Some(s) = s {
-                                blocks[arm].stmts.push(s);
+                                arm.stmts.push(s);
                             }
                         }
                     }
@@ -408,6 +414,27 @@ impl Parser {
                     }
                 }
                 let else_arm = parse_arm(self, label_of, blocks)?;
+                // An arm with no copies branches straight to its label; it
+                // gets a block of its own only when it carries copies or
+                // both arms reach one label (a branch has two distinct
+                // successors).
+                let target = |arm: &BlockData| match arm.term {
+                    Some(Term::Goto(l)) if arm.stmts.is_empty() => Some(l),
+                    _ => None,
+                };
+                let one_label = matches!(
+                    (&then_arm.term, &else_arm.term),
+                    (Some(Term::Goto(a)), Some(Term::Goto(b))) if a == b
+                );
+                let mut place = |arm: BlockData| match target(&arm) {
+                    Some(l) if !one_label => l,
+                    _ => {
+                        blocks.push(arm);
+                        blocks.len() - 1
+                    }
+                };
+                let then_arm = place(then_arm);
+                let else_arm = place(else_arm);
                 Ok((None, Some(Term::Branch(c, then_arm, else_arm))))
             }
             Tok::Punct("*") => {
@@ -802,8 +829,7 @@ fn gimplify(
             Some(Term::Goto(d)) => g.b.jump(qc_ir::Block::new(*d)),
             Some(Term::Branch(c, t, e)) => {
                 let cv = g.read(c)?;
-                let zero = g.b.iconst(Type::I64, 0);
-                let cond = g.b.icmp(CmpOp::Ne, Type::I64, cv, zero);
+                let cond = g.truth(cv);
                 g.b.branch(cond, qc_ir::Block::new(*t), qc_ir::Block::new(*e));
             }
             Some(Term::Return(v)) => {
@@ -854,6 +880,63 @@ impl Gim<'_> {
             .ok_or_else(|| BackendError::new(format!("use of undefined variable `{name}`")))
     }
 
+    /// The narrow `from` value that `v` zero-extends, if `v` is such a
+    /// `zext`: what assigning a compare or a narrow load to an `i64`
+    /// variable spelled out.
+    fn unwidened(&self, v: Value, from: Type) -> Option<Value> {
+        match *self.def(v)? {
+            InstData::Cast {
+                op: CastOp::Zext,
+                arg,
+                ..
+            } if self.b.func().value_type(arg) == from => Some(arg),
+            _ => None,
+        }
+    }
+
+    /// The instruction that defines `v` (`None` for a parameter).
+    fn def(&self, v: Value) -> Option<&InstData> {
+        let f = self.b.func();
+        match f.value_def(v) {
+            ValueDef::Inst(i) => Some(f.inst(i)),
+            ValueDef::Param(_) => None,
+        }
+    }
+
+    /// The `Bool` a C truth test of `v` reads (`if (v)`, `v ? a : b`):
+    /// `v` itself, the compare `v` widens, or `v != 0`.
+    fn truth(&mut self, v: Value) -> Value {
+        if self.b.func().value_type(v) == Type::Bool {
+            return v;
+        }
+        if let Some(c) = self.unwidened(v, Type::Bool) {
+            return c;
+        }
+        let zero = self.b.iconst(Type::I64, 0);
+        self.b.icmp(CmpOp::Ne, Type::I64, v, zero)
+    }
+
+    /// A new `Bool` constant equal to `v`, if `v` is the constant 0 or 1.
+    fn flag(&mut self, v: Value) -> Option<Value> {
+        match *self.def(v)? {
+            InstData::IConst {
+                ty: Type::I64,
+                imm: imm @ (0 | 1),
+            } => Some(self.b.iconst(Type::Bool, imm)),
+            _ => None,
+        }
+    }
+
+    /// `__sextN(v)` for `ty` = iN: one `sext` of the iN value when `v`
+    /// zero-extends one, else `trunc` then `sext`.
+    fn sext_from(&mut self, v: Value, ty: Type) -> Value {
+        let narrow = match self.unwidened(v, ty) {
+            Some(n) => n,
+            None => self.b.trunc(ty, v),
+        };
+        self.b.sext(Type::I64, narrow)
+    }
+
     fn stmt(&mut self, s: &Stmt) -> Result<(), BackendError> {
         match s {
             Stmt::Assign(name, e) => {
@@ -868,10 +951,11 @@ impl Gim<'_> {
             }
             Stmt::Store(ty, addr, value) => {
                 let (sty, _) = load_ty(ty);
+                let (addr, disp) = displaced(addr);
                 let a = self.expr(addr)?;
                 let v = self.expr(value)?;
                 let v = self.coerce_store(v, sty)?;
-                self.b.store(sty, a, v, 0);
+                self.b.store(sty, a, v, disp);
                 Ok(())
             }
             Stmt::CallVoid(name, args) => {
@@ -960,8 +1044,9 @@ impl Gim<'_> {
             }
             Expr::Load(ty, addr) => {
                 let (lty, _) = load_ty(ty);
+                let (addr, disp) = displaced(addr);
                 let a = self.expr(addr)?;
-                Ok(self.b.load(lty, a, 0))
+                Ok(self.b.load(lty, a, disp))
             }
             Expr::Cast(to, inner) => {
                 let v = self.expr(inner)?;
@@ -979,54 +1064,76 @@ impl Gim<'_> {
             }
             Expr::Ternary(c, a, b) => {
                 let cv = self.expr(c)?;
-                let cond = if self.b.func().value_type(cv) == Type::Bool {
-                    cv
-                } else {
-                    let zero = self.b.iconst(Type::I64, 0);
-                    self.b.icmp(CmpOp::Ne, Type::I64, cv, zero)
-                };
+                let cond = self.truth(cv);
                 let av = self.expr(a)?;
                 let bv = self.expr(b)?;
+                // `c ? x : 0` over a widened compare (cprint's `&&`)
+                // selects the compare itself, and widens once.
+                let (x, y) = (
+                    self.unwidened(av, Type::Bool),
+                    self.unwidened(bv, Type::Bool),
+                );
+                if x.is_some() || y.is_some() {
+                    let x = x.or_else(|| self.flag(av));
+                    let y = y.or_else(|| self.flag(bv));
+                    if let (Some(x), Some(y)) = (x, y) {
+                        let s = self.b.select(Type::Bool, cond, x, y);
+                        return Ok(self.b.zext(Type::I64, s));
+                    }
+                }
                 let ty = self.b.func().value_type(av);
                 Ok(self.b.select(ty, cond, av, bv))
             }
             Expr::Call(name, args) => self.builtin_or_call(name, args),
             Expr::Bin(op, a, b) => {
+                if let Some((base, index, scale, disp)) = indexed_address(e) {
+                    let bv = self.expr(base)?;
+                    let iv = self.expr(index)?;
+                    return Ok(self.b.gep_indexed(bv, disp, iv, scale));
+                }
                 let av = self.expr(a)?;
                 let bv = self.expr(b)?;
-                let ty = self.b.func().value_type(av);
-                let cmp = |g: &mut Self, pred: CmpOp, av: Value, bv: Value| {
-                    if ty == Type::F64 {
-                        g.b.fcmp(pred, av, bv)
-                    } else {
-                        g.b.icmp(pred, ty, av, bv)
-                    }
-                };
-                Ok(match *op {
-                    "+" if ty == Type::F64 => self.b.binary(Opcode::FAdd, ty, av, bv),
-                    "-" if ty == Type::F64 => self.b.binary(Opcode::FSub, ty, av, bv),
-                    "*" if ty == Type::F64 => self.b.binary(Opcode::FMul, ty, av, bv),
-                    "/" if ty == Type::F64 => self.b.binary(Opcode::FDiv, ty, av, bv),
-                    "+" => self.b.binary(Opcode::Add, ty, av, bv),
-                    "-" => self.b.binary(Opcode::Sub, ty, av, bv),
-                    "*" => self.b.binary(Opcode::Mul, ty, av, bv),
-                    "/" => self.b.binary(Opcode::SDiv, ty, av, bv),
-                    "%" => self.b.binary(Opcode::SRem, ty, av, bv),
-                    "&" => self.b.binary(Opcode::And, ty, av, bv),
-                    "|" => self.b.binary(Opcode::Or, ty, av, bv),
-                    "^" => self.b.binary(Opcode::Xor, ty, av, bv),
-                    "<<" => self.b.binary(Opcode::Shl, ty, av, bv),
-                    ">>" => self.b.binary(Opcode::AShr, ty, av, bv),
-                    "<" => cmp(self, CmpOp::SLt, av, bv),
-                    "<=" => cmp(self, CmpOp::SLe, av, bv),
-                    ">" => cmp(self, CmpOp::SGt, av, bv),
-                    ">=" => cmp(self, CmpOp::SGe, av, bv),
-                    "==" => cmp(self, CmpOp::Eq, av, bv),
-                    "!=" => cmp(self, CmpOp::Ne, av, bv),
-                    other => return Err(BackendError::new(format!("unknown operator `{other}`"))),
-                })
+                self.binop(op, av, bv)
             }
         }
+    }
+
+    fn binop(&mut self, op: &str, av: Value, bv: Value) -> Result<Value, BackendError> {
+        // Addresses are plain integers in C.
+        let ty = match self.b.func().value_type(av) {
+            Type::Ptr => Type::I64,
+            ty => ty,
+        };
+        let cmp = |g: &mut Self, pred: CmpOp, av: Value, bv: Value| {
+            if ty == Type::F64 {
+                g.b.fcmp(pred, av, bv)
+            } else {
+                g.b.icmp(pred, ty, av, bv)
+            }
+        };
+        Ok(match op {
+            "+" if ty == Type::F64 => self.b.binary(Opcode::FAdd, ty, av, bv),
+            "-" if ty == Type::F64 => self.b.binary(Opcode::FSub, ty, av, bv),
+            "*" if ty == Type::F64 => self.b.binary(Opcode::FMul, ty, av, bv),
+            "/" if ty == Type::F64 => self.b.binary(Opcode::FDiv, ty, av, bv),
+            "+" => self.b.binary(Opcode::Add, ty, av, bv),
+            "-" => self.b.binary(Opcode::Sub, ty, av, bv),
+            "*" => self.b.binary(Opcode::Mul, ty, av, bv),
+            "/" => self.b.binary(Opcode::SDiv, ty, av, bv),
+            "%" => self.b.binary(Opcode::SRem, ty, av, bv),
+            "&" => self.b.binary(Opcode::And, ty, av, bv),
+            "|" => self.b.binary(Opcode::Or, ty, av, bv),
+            "^" => self.b.binary(Opcode::Xor, ty, av, bv),
+            "<<" => self.b.binary(Opcode::Shl, ty, av, bv),
+            ">>" => self.b.binary(Opcode::AShr, ty, av, bv),
+            "<" => cmp(self, CmpOp::SLt, av, bv),
+            "<=" => cmp(self, CmpOp::SLe, av, bv),
+            ">" => cmp(self, CmpOp::SGt, av, bv),
+            ">=" => cmp(self, CmpOp::SGe, av, bv),
+            "==" => cmp(self, CmpOp::Eq, av, bv),
+            "!=" => cmp(self, CmpOp::Ne, av, bv),
+            other => return Err(BackendError::new(format!("unknown operator `{other}`"))),
+        })
     }
 
     fn builtin_or_call(&mut self, name: &str, args: &[Expr]) -> Result<Value, BackendError> {
@@ -1095,8 +1202,7 @@ impl Gim<'_> {
                     _ => Type::I32,
                 };
                 let a = self.expr(&args[0])?;
-                let t = self.b.trunc(ty, a);
-                Ok(self.b.sext(Type::I64, t))
+                Ok(self.sext_from(a, ty))
             }
             "__mask8" | "__mask16" | "__mask32" => {
                 let bits: u32 = name[6..].parse().expect("suffix");
@@ -1117,10 +1223,8 @@ impl Gim<'_> {
                     16 => Type::I16,
                     _ => Type::I32,
                 };
-                let ta = self.b.trunc(ty, a);
-                let sa = self.b.sext(Type::I64, ta);
-                let tb = self.b.trunc(ty, b);
-                let sb = self.b.sext(Type::I64, tb);
+                let sa = self.sext_from(a, ty);
+                let sb = self.sext_from(b, ty);
                 let pred = match code {
                     0 => CmpOp::SLt,
                     1 => CmpOp::SLe,
@@ -1137,6 +1241,37 @@ impl Gim<'_> {
                 .ok_or_else(|| BackendError::new(format!("`{name}` returns void"))),
         }
     }
+}
+
+/// `p + i * s + d` with a scale an addressing mode takes (1, 2, 4, 8):
+/// cprint's spelling of an indexed `gep`, as (p, i, s, d).
+fn indexed_address(e: &Expr) -> Option<(&Expr, &Expr, u8, i64)> {
+    let Expr::Bin("+", sum, d) = e else {
+        return None;
+    };
+    let (Expr::Bin("+", base, scaled), Expr::Int(disp)) = (&**sum, &**d) else {
+        return None;
+    };
+    let Expr::Bin("*", index, s) = &**scaled else {
+        return None;
+    };
+    match **s {
+        Expr::Int(scale @ (1 | 2 | 4 | 8)) => Some((base, index, scale as u8, *disp)),
+        _ => None,
+    }
+}
+
+/// A load or store address `p + d` with `d` in i32 range, as (p, d) for
+/// the access's displacement; any other address as (address, 0).
+fn displaced(addr: &Expr) -> (&Expr, i32) {
+    if let Expr::Bin("+", p, d) = addr {
+        if let Expr::Int(d) = **d {
+            if let Ok(d) = i32::try_from(d) {
+                return (p, d);
+            }
+        }
+    }
+    (addr, 0)
 }
 
 fn load_ty(t: &str) -> (Type, bool) {

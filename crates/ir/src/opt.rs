@@ -4,9 +4,10 @@
 //! the paper run (the LLVM analog's -O2 set, Sec. V-A1, and the C
 //! compiler's -O3 pipeline, Sec. IV): common-subexpression elimination,
 //! instruction combining, loop-invariant code motion, and dead-code
-//! elimination. Every pass rewrites the function wholesale — repeated IR
-//! rewriting is precisely the cost structure the paper attributes to
-//! optimizing compilation.
+//! elimination. The C compiler's pipeline ends with one pass of its own,
+//! constant rematerialization ([`pass_const_remat`]). Every pass
+//! rewrites the function wholesale — repeated IR rewriting is precisely
+//! the cost structure the paper attributes to optimizing compilation.
 
 use crate::{
     Block, Cfg, DomTree, Function, FunctionBuilder, InstData, Loops, Opcode, ReversePostorder,
@@ -28,6 +29,13 @@ pub struct Rewrite {
 /// Applies a rewrite by rebuilding the function (LLVM-style repeated IR
 /// rewriting; the cost is the point).
 pub fn apply_rewrite(func: &Function, rw: &Rewrite) -> Function {
+    rebuild(func, rw, false)
+}
+
+/// [`apply_rewrite`]; with `remat_consts`, every non-Φ operand defined by
+/// an integer constant reads a fresh copy of it, appended just before
+/// the instruction that uses it.
+fn rebuild(func: &Function, rw: &Rewrite, remat_consts: bool) -> Function {
     let mut b = FunctionBuilder::new(&func.name, func.sig.clone());
     let mut map: HashMap<Value, Value> = HashMap::new();
     for (i, &p) in func.params().iter().enumerate() {
@@ -83,7 +91,24 @@ pub fn apply_rewrite(func: &Function, rw: &Rewrite) -> Function {
                 phi_fixups.push((res.expect("phi result"), pairs));
                 continue;
             }
-            let remapped = remap_with(&data, |v| resolve(&map, rw, v), &slot_map, &ext_map);
+            let remapped = remap_with(
+                &data,
+                |v| {
+                    let v = resolve(&map, rw, v);
+                    if !remat_consts {
+                        return v;
+                    }
+                    match b.func().value_def(v) {
+                        ValueDef::Inst(i) => match *b.func().inst(i) {
+                            InstData::IConst { ty, imm } => b.iconst(ty, imm),
+                            _ => v,
+                        },
+                        ValueDef::Param(_) => v,
+                    }
+                },
+                &slot_map,
+                &ext_map,
+            );
             let (_, r) = b.append(remapped);
             if let (Some(orig), Some(new)) = (res, r) {
                 map.insert(orig, new);
@@ -342,6 +367,21 @@ pub fn pass_instcombine(func: &Function) -> Function {
         }
     }
     apply_rewrite(func, &rw)
+}
+
+/// Constant rematerialization (GCC's LRA does it at `-O3`): every
+/// integer constant is re-created in the block of each of its non-Φ
+/// uses, right before the use, and the originals that only Φs still
+/// read survive DCE. CSE and LICM merge constants and hoist them into
+/// preheaders, where each holds a register across the loop; a
+/// single-use copy can instead become the user's immediate operand.
+/// Only the C back-end runs it, after its `-O3` pipeline.
+pub fn pass_const_remat(func: &Function) -> Function {
+    let keep = Rewrite {
+        drop: vec![false; func.num_insts()],
+        subst: HashMap::new(),
+    };
+    pass_dce(&rebuild(func, &keep, true))
 }
 
 /// Dead-code elimination.
