@@ -1011,7 +1011,7 @@ impl Gim<'_> {
         }
         let _ = want_ret;
         let decl = ExtFuncDecl {
-            name: name.to_string(),
+            name: name.to_string().into(),
             sig: Signature::new(
                 vec![Type::I64; arity],
                 if has_ret { Type::I64 } else { Type::Void },

@@ -1,15 +1,18 @@
 //! The pipeline code generator.
 
 use qc_ir::{
-    Block, CastOp, CmpOp, ExtFuncDecl, FuncId, FunctionBuilder, Module, Opcode, Signature, Type,
-    Value,
+    Block, CastOp, CmpOp, ExtFuncDecl, ExtFuncId, FuncId, FunctionBuilder, Module, Opcode,
+    Signature, Type, Value,
 };
 use qc_plan::AggFunc;
 use qc_plan::{
-    ArithOp, CmpKind, CtxEntry, Expr, PhysicalPlan, Pipeline, RowLayout, Sink, Source, StreamOp,
+    ArithOp, CmpKind, CtxEntry, Expr, PhysicalPlan, Pipeline, RowField, RowLayout, Sink, Source,
+    StreamOp,
 };
 use qc_runtime::{HASH_SEED1, HASH_SEED2};
 use qc_storage::ColumnType;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// The generated IR of one query: one module per pipeline, in execution
 /// order. Each module defines `setup(ctx)`, `main(ctx, start, count)`,
@@ -19,7 +22,7 @@ use qc_storage::ColumnType;
 #[derive(Debug)]
 pub struct GeneratedQuery {
     /// One module per pipeline.
-    pub modules: Vec<std::sync::Arc<Module>>,
+    pub modules: Vec<Arc<Module>>,
 }
 
 /// Generates IR for every pipeline of `plan`.
@@ -27,7 +30,7 @@ pub fn generate(plan: &PhysicalPlan, query_name: &str) -> GeneratedQuery {
     let modules = plan
         .pipelines
         .iter()
-        .map(|p| std::sync::Arc::new(generate_pipeline(plan, p, query_name)))
+        .map(|p| Arc::new(generate_pipeline(plan, p, query_name)))
         .collect();
     GeneratedQuery { modules }
 }
@@ -44,7 +47,7 @@ fn ir_type(ty: ColumnType) -> Type {
 }
 
 fn generate_pipeline(plan: &PhysicalPlan, pipe: &Pipeline, query_name: &str) -> Module {
-    let mut module = Module::new(&format!("{query_name}_p{}", pipe.id));
+    let mut module = Module::new(format!("{query_name}_p{}", pipe.id));
 
     // Sort comparator first so its FuncId is known to `finish`.
     let cmp_id = if let Sink::SortMaterialize {
@@ -54,7 +57,7 @@ fn generate_pipeline(plan: &PhysicalPlan, pipe: &Pipeline, query_name: &str) -> 
     } = &pipe.sink
     {
         Some((
-            gen_comparator(&mut module, *sort_id, keys, layout),
+            gen_comparator(&mut module, plan, *sort_id, keys, layout),
             *sort_id,
         ))
     } else {
@@ -67,32 +70,49 @@ fn generate_pipeline(plan: &PhysicalPlan, pipe: &Pipeline, query_name: &str) -> 
     module
 }
 
-/// Declares a runtime function with its QIR signature.
-fn rt_decl(name: &str) -> ExtFuncDecl {
-    use Type::{Bool, Ptr, String as Str, Void, I128, I64};
-    let sig = match name {
-        "rt_throw_overflow" => Signature::new(vec![], Void),
-        "rt_ht_create" => Signature::new(vec![I64], I64),
-        "rt_ht_insert" => Signature::new(vec![I64, I64, I64], Ptr),
-        "rt_ht_build" => Signature::new(vec![I64], Void),
-        "rt_ht_probe" => Signature::new(vec![I64, I64], Ptr),
-        "rt_buf_create" => Signature::new(vec![I64], I64),
-        "rt_buf_alloc" => Signature::new(vec![I64], Ptr),
-        "rt_buf_len" => Signature::new(vec![I64], I64),
-        "rt_buf_row" => Signature::new(vec![I64, I64], Ptr),
-        "rt_sort" => Signature::new(vec![I64, Ptr], Void),
-        "rt_str_eq" | "rt_str_lt" | "rt_str_prefix" | "rt_str_contains" => {
-            Signature::new(vec![Str, Str], Bool)
+/// The runtime functions generated code calls.
+#[derive(Debug, Clone, Copy)]
+enum Rt {
+    HtCreate,
+    HtInsert,
+    HtBuild,
+    HtProbe,
+    BufCreate,
+    BufAlloc,
+    BufRow,
+    Sort,
+    StrEq,
+    StrLt,
+    StrPrefix,
+    StrContains,
+    StrHash,
+}
+
+impl Rt {
+    const COUNT: usize = Rt::StrHash as usize + 1;
+
+    /// The declaration: symbol name and QIR signature, both constants.
+    fn decl(self) -> ExtFuncDecl {
+        use Type::{Bool, Ptr, String as Str, Void, I64};
+        let (name, params, ret): (_, &'static [Type], _) = match self {
+            Rt::HtCreate => ("rt_ht_create", &[I64], I64),
+            Rt::HtInsert => ("rt_ht_insert", &[I64, I64, I64], Ptr),
+            Rt::HtBuild => ("rt_ht_build", &[I64], Void),
+            Rt::HtProbe => ("rt_ht_probe", &[I64, I64], Ptr),
+            Rt::BufCreate => ("rt_buf_create", &[I64], I64),
+            Rt::BufAlloc => ("rt_buf_alloc", &[I64], Ptr),
+            Rt::BufRow => ("rt_buf_row", &[I64, I64], Ptr),
+            Rt::Sort => ("rt_sort", &[I64, Ptr], Void),
+            Rt::StrEq => ("rt_str_eq", &[Str, Str], Bool),
+            Rt::StrLt => ("rt_str_lt", &[Str, Str], Bool),
+            Rt::StrPrefix => ("rt_str_prefix", &[Str, Str], Bool),
+            Rt::StrContains => ("rt_str_contains", &[Str, Str], Bool),
+            Rt::StrHash => ("rt_str_hash", &[Str], I64),
+        };
+        ExtFuncDecl {
+            name: Cow::Borrowed(name),
+            sig: Signature::fixed(params, ret),
         }
-        "rt_str_hash" => Signature::new(vec![Str], I64),
-        "rt_i128_div" => Signature::new(vec![I128, I128], I128),
-        "rt_mul128_ovf" => Signature::new(vec![I128, I128], I128),
-        "rt_alloc" => Signature::new(vec![I64], Ptr),
-        _ => panic!("unknown runtime function {name}"),
-    };
-    ExtFuncDecl {
-        name: name.to_string(),
-        sig,
     }
 }
 
@@ -107,16 +127,19 @@ struct Binding {
 struct Gen<'p> {
     b: FunctionBuilder,
     plan: &'p PhysicalPlan,
-    /// Name → value bindings; later entries shadow earlier ones.
-    env: Vec<(String, Binding)>,
+    /// Name → value bindings, names borrowed from the plan; later
+    /// entries shadow earlier ones.
+    env: Vec<(&'p str, Binding)>,
     /// Hoisted string literals by literal index.
     str_consts: Vec<Option<Binding>>,
+    /// Each runtime function's id, once the function has declared it.
+    rt: [Option<ExtFuncId>; Rt::COUNT],
     /// ctx parameter.
     ctx: Value,
 }
 
 impl<'p> Gen<'p> {
-    fn new(plan: &'p PhysicalPlan, name: &str, sig: Signature) -> Self {
+    fn new(plan: &'p PhysicalPlan, name: impl Into<String>, sig: Signature) -> Self {
         let b = FunctionBuilder::new(name, sig);
         let ctx = b.param(0);
         Gen {
@@ -124,25 +147,29 @@ impl<'p> Gen<'p> {
             plan,
             env: Vec::new(),
             str_consts: vec![None; plan.str_literals.len()],
+            rt: [None; Rt::COUNT],
             ctx,
         }
     }
 
-    fn bind(&mut self, name: &str, value: Value, ty: ColumnType) {
-        self.env.push((name.to_string(), Binding { value, ty }));
+    fn bind(&mut self, name: &'p str, value: Value, ty: ColumnType) {
+        self.env.push((name, Binding { value, ty }));
     }
 
     fn lookup(&self, name: &str) -> Binding {
         self.env
             .iter()
             .rev()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .map(|&(_, b)| b)
             .unwrap_or_else(|| panic!("unbound column `{name}`"))
     }
 
-    fn call_rt(&mut self, name: &str, args: Vec<Value>) -> Option<Value> {
-        let id = self.b.declare_ext_func(rt_decl(name));
+    fn call_rt(&mut self, rt: Rt, args: Vec<Value>) -> Option<Value> {
+        let id = match self.rt[rt as usize] {
+            Some(id) => id,
+            None => *self.rt[rt as usize].insert(self.b.declare_ext_func(rt.decl())),
+        };
         self.b.call(id, args)
     }
 
@@ -155,6 +182,14 @@ impl<'p> Gen<'p> {
     fn ctx_store(&mut self, entry: &CtxEntry, ty: Type, value: Value) {
         let off = self.plan.ctx_offset(entry);
         self.b.store(ty, self.ctx, value, off);
+    }
+
+    /// A loop header's Φ with its entry edge, room left for the back
+    /// edge.
+    fn loop_phi(&mut self, ty: Type, pred: Block, value: Value) -> Value {
+        let mut pairs = Vec::with_capacity(2);
+        pairs.push((pred, value));
+        self.b.phi(ty, pairs)
     }
 
     /// Hoists string literal `idx` (loaded once in the entry block).
@@ -175,7 +210,7 @@ impl<'p> Gen<'p> {
         self.plan
             .str_literals
             .iter()
-            .position(|l| l == s)
+            .position(|l| **l == *s)
             .unwrap_or_else(|| panic!("string literal `{s}` not interned"))
     }
 
@@ -227,7 +262,7 @@ impl<'p> Gen<'p> {
         for key in keys {
             let hk = match key.ty {
                 ColumnType::Str => self
-                    .call_rt("rt_str_hash", vec![key.value])
+                    .call_rt(Rt::StrHash, vec![key.value])
                     .expect("str hash returns"),
                 ColumnType::Decimal(_) => {
                     let t = self.b.trunc(Type::I64, key.value);
@@ -249,10 +284,7 @@ impl<'p> Gen<'p> {
     }
 
     /// Loads a materialized-row field.
-    fn load_field(&mut self, row: Value, layout: &RowLayout, name: &str) -> Binding {
-        let f = layout
-            .field(name)
-            .unwrap_or_else(|| panic!("no field `{name}`"));
+    fn load_field(&mut self, row: Value, f: &RowField) -> Binding {
         let off = f.offset as i32;
         let value = match f.ty {
             ColumnType::Decimal(_) => self.b.load(Type::I128, row, off),
@@ -269,10 +301,7 @@ impl<'p> Gen<'p> {
     }
 
     /// Stores a materialized-row field.
-    fn store_field(&mut self, row: Value, layout: &RowLayout, name: &str, v: Binding) {
-        let f = layout
-            .field(name)
-            .unwrap_or_else(|| panic!("no field `{name}`"));
+    fn store_field(&mut self, row: Value, f: &RowField, v: Binding) {
         let off = f.offset as i32;
         match f.ty {
             ColumnType::Decimal(_) => self.b.store(Type::I128, row, v.value, off),
@@ -290,7 +319,7 @@ impl<'p> Gen<'p> {
     fn values_eq(&mut self, a: Binding, b: Binding) -> Value {
         match a.ty {
             ColumnType::Str => self
-                .call_rt("rt_str_eq", vec![a.value, b.value])
+                .call_rt(Rt::StrEq, vec![a.value, b.value])
                 .expect("returns bool"),
             ColumnType::Decimal(_) => self.b.icmp(CmpOp::Eq, Type::I128, a.value, b.value),
             ColumnType::Bool => self.b.icmp(CmpOp::Eq, Type::Bool, a.value, b.value),
@@ -388,7 +417,7 @@ impl<'p> Gen<'p> {
             Expr::StrPrefix(a, b) => {
                 let (va, vb) = (self.eval(a), self.eval(b));
                 let v = self
-                    .call_rt("rt_str_prefix", vec![va.value, vb.value])
+                    .call_rt(Rt::StrPrefix, vec![va.value, vb.value])
                     .expect("returns bool");
                 Binding {
                     value: v,
@@ -398,7 +427,7 @@ impl<'p> Gen<'p> {
             Expr::StrContains(a, b) => {
                 let (va, vb) = (self.eval(a), self.eval(b));
                 let v = self
-                    .call_rt("rt_str_contains", vec![va.value, vb.value])
+                    .call_rt(Rt::StrContains, vec![va.value, vb.value])
                     .expect("returns bool");
                 Binding {
                     value: v,
@@ -494,29 +523,29 @@ impl<'p> Gen<'p> {
         match (a.ty, b.ty) {
             (ColumnType::Str, ColumnType::Str) => match op {
                 CmpKind::Eq => self
-                    .call_rt("rt_str_eq", vec![a.value, b.value])
+                    .call_rt(Rt::StrEq, vec![a.value, b.value])
                     .expect("bool"),
                 CmpKind::Ne => {
                     let e = self
-                        .call_rt("rt_str_eq", vec![a.value, b.value])
+                        .call_rt(Rt::StrEq, vec![a.value, b.value])
                         .expect("bool");
                     self.bool_not(e)
                 }
                 CmpKind::Lt => self
-                    .call_rt("rt_str_lt", vec![a.value, b.value])
+                    .call_rt(Rt::StrLt, vec![a.value, b.value])
                     .expect("bool"),
                 CmpKind::Gt => self
-                    .call_rt("rt_str_lt", vec![b.value, a.value])
+                    .call_rt(Rt::StrLt, vec![b.value, a.value])
                     .expect("bool"),
                 CmpKind::Le => {
                     let g = self
-                        .call_rt("rt_str_lt", vec![b.value, a.value])
+                        .call_rt(Rt::StrLt, vec![b.value, a.value])
                         .expect("bool");
                     self.bool_not(g)
                 }
                 CmpKind::Ge => {
                     let l = self
-                        .call_rt("rt_str_lt", vec![a.value, b.value])
+                        .call_rt(Rt::StrLt, vec![a.value, b.value])
                         .expect("bool");
                     self.bool_not(l)
                 }
@@ -532,33 +561,33 @@ impl<'p> Gen<'p> {
 }
 
 fn gen_setup(module: &mut Module, plan: &PhysicalPlan, pipe: &Pipeline) {
-    let mut g = Gen::new(plan, "setup", Signature::new(vec![Type::Ptr], Type::Void));
+    let mut g = Gen::new(plan, "setup", Signature::fixed(&[Type::Ptr], Type::Void));
     let entry = g.b.entry_block();
     g.b.switch_to(entry);
     match &pipe.sink {
         Sink::Output { layout } => {
             let size = g.b.iconst(Type::I64, layout.size.max(8) as i128);
-            let buf = g.call_rt("rt_buf_create", vec![size]).expect("handle");
+            let buf = g.call_rt(Rt::BufCreate, vec![size]).expect("handle");
             g.ctx_store(&CtxEntry::OutputBuf, Type::I64, buf);
         }
         Sink::JoinBuild { join_id, .. } => {
             let est = g.b.iconst(Type::I64, 1024);
-            let ht = g.call_rt("rt_ht_create", vec![est]).expect("handle");
+            let ht = g.call_rt(Rt::HtCreate, vec![est]).expect("handle");
             g.ctx_store(&CtxEntry::JoinHt(*join_id), Type::I64, ht);
         }
         Sink::AggBuild { agg_id, .. } => {
             let est = g.b.iconst(Type::I64, 1024);
-            let ht = g.call_rt("rt_ht_create", vec![est]).expect("handle");
+            let ht = g.call_rt(Rt::HtCreate, vec![est]).expect("handle");
             g.ctx_store(&CtxEntry::AggHt(*agg_id), Type::I64, ht);
             let eight = g.b.iconst(Type::I64, 8);
-            let groups = g.call_rt("rt_buf_create", vec![eight]).expect("handle");
+            let groups = g.call_rt(Rt::BufCreate, vec![eight]).expect("handle");
             g.ctx_store(&CtxEntry::AggGroups(*agg_id), Type::I64, groups);
         }
         Sink::SortMaterialize {
             sort_id, layout, ..
         } => {
             let size = g.b.iconst(Type::I64, layout.size.max(8) as i128);
-            let buf = g.call_rt("rt_buf_create", vec![size]).expect("handle");
+            let buf = g.call_rt(Rt::BufCreate, vec![size]).expect("handle");
             g.ctx_store(&CtxEntry::SortBuf(*sort_id), Type::I64, buf);
         }
     }
@@ -572,19 +601,19 @@ fn gen_finish(
     pipe: &Pipeline,
     cmp: Option<(FuncId, usize)>,
 ) {
-    let mut g = Gen::new(plan, "finish", Signature::new(vec![Type::Ptr], Type::Void));
+    let mut g = Gen::new(plan, "finish", Signature::fixed(&[Type::Ptr], Type::Void));
     let entry = g.b.entry_block();
     g.b.switch_to(entry);
     match &pipe.sink {
         Sink::JoinBuild { join_id, .. } => {
             let ht = g.ctx_load(&CtxEntry::JoinHt(*join_id), Type::I64);
-            g.call_rt("rt_ht_build", vec![ht]);
+            g.call_rt(Rt::HtBuild, vec![ht]);
         }
         Sink::SortMaterialize { .. } => {
             let (cmp_id, sort_id) = cmp.expect("sort pipeline has comparator");
             let buf = g.ctx_load(&CtxEntry::SortBuf(sort_id), Type::I64);
             let f = g.b.func_addr(cmp_id);
-            g.call_rt("rt_sort", vec![buf, f]);
+            g.call_rt(Rt::Sort, vec![buf, f]);
         }
         _ => {}
     }
@@ -592,23 +621,16 @@ fn gen_finish(
     module.push_function(g.b.finish());
 }
 
+/// `cmp<sort_id>(a, b) -> i64` (<0, 0, >0); reads no context slot.
 fn gen_comparator(
     module: &mut Module,
+    plan: &PhysicalPlan,
     sort_id: usize,
-    keys: &[(String, bool)],
+    keys: &[(Arc<str>, bool)],
     layout: &RowLayout,
 ) -> FuncId {
-    // cmp(a, b) -> i64 (<0, 0, >0); plan is irrelevant for comparators but
-    // Gen wants one — build a minimal throwaway context.
-    let plan = PhysicalPlan {
-        pipelines: Vec::new(),
-        ctx: Vec::new(),
-        output: RowLayout::default(),
-        output_schema: Vec::new(),
-        str_literals: Vec::new(),
-    };
-    let sig = Signature::new(vec![Type::Ptr, Type::Ptr], Type::I64);
-    let mut g = Gen::new(&plan, &format!("cmp{sort_id}"), sig);
+    let sig = Signature::fixed(&[Type::Ptr, Type::Ptr], Type::I64);
+    let mut g = Gen::new(plan, format!("cmp{sort_id}"), sig);
     let entry = g.b.entry_block();
     g.b.switch_to(entry);
     let (pa, pb) = (g.b.param(0), g.b.param(1));
@@ -628,8 +650,8 @@ fn gen_comparator(
     let greater = ret_block(&mut g, 1);
 
     for (key, asc) in keys {
-        let va = g.load_field(pa, layout, key);
-        let vb = g.load_field(pb, layout, key);
+        let f = field(layout, key);
+        let (va, vb) = (g.load_field(pa, f), g.load_field(pb, f));
         let (first, second) = if *asc {
             (less, greater)
         } else {
@@ -639,7 +661,7 @@ fn gen_comparator(
         let second_check = g.b.create_block();
         let lt = match va.ty {
             ColumnType::Str => g
-                .call_rt("rt_str_lt", vec![va.value, vb.value])
+                .call_rt(Rt::StrLt, vec![va.value, vb.value])
                 .expect("bool"),
             ColumnType::Decimal(_) => g.b.icmp(CmpOp::SLt, Type::I128, va.value, vb.value),
             ColumnType::F64 => g.b.fcmp(CmpOp::SLt, va.value, vb.value),
@@ -650,7 +672,7 @@ fn gen_comparator(
         g.b.switch_to(second_check);
         let gt = match va.ty {
             ColumnType::Str => g
-                .call_rt("rt_str_lt", vec![vb.value, va.value])
+                .call_rt(Rt::StrLt, vec![vb.value, va.value])
                 .expect("bool"),
             ColumnType::Decimal(_) => g.b.icmp(CmpOp::SGt, Type::I128, va.value, vb.value),
             ColumnType::F64 => g.b.fcmp(CmpOp::SGt, va.value, vb.value),
@@ -665,8 +687,8 @@ fn gen_comparator(
     module.push_function(g.b.finish())
 }
 
-fn gen_main(module: &mut Module, plan: &PhysicalPlan, pipe: &Pipeline) {
-    let sig = Signature::new(vec![Type::Ptr, Type::I64, Type::I64], Type::Void);
+fn gen_main<'p>(module: &mut Module, plan: &'p PhysicalPlan, pipe: &'p Pipeline) {
+    let sig = Signature::fixed(&[Type::Ptr, Type::I64, Type::I64], Type::Void);
     let mut g = Gen::new(plan, "main", sig);
     let entry = g.b.entry_block();
     g.b.switch_to(entry);
@@ -674,15 +696,14 @@ fn gen_main(module: &mut Module, plan: &PhysicalPlan, pipe: &Pipeline) {
     let count = g.b.param(2);
 
     // Hoist ctx loads: column bases or buffer handle, sink handles.
-    enum Src {
+    enum Src<'p> {
         Table {
-            bases: Vec<(String, ColumnType, Value)>,
-            filter: Option<Expr>,
-            projected: Vec<String>,
+            bases: Vec<(&'p str, ColumnType, Value)>,
+            filter: Option<&'p Expr>,
         },
         Buffer {
             handle: Value,
-            layout: RowLayout,
+            layout: &'p RowLayout,
             deref: bool,
         },
     }
@@ -690,26 +711,22 @@ fn gen_main(module: &mut Module, plan: &PhysicalPlan, pipe: &Pipeline) {
         Source::Table {
             name,
             columns,
-            projected,
             filter,
+            ..
         } => {
             let bases = columns
                 .iter()
                 .map(|(c, ty)| {
-                    let base = g.ctx_load(
-                        &CtxEntry::ColumnBase {
-                            table: name.clone(),
-                            column: c.clone(),
-                        },
-                        Type::Ptr,
-                    );
-                    (c.clone(), *ty, base)
+                    let base = CtxEntry::ColumnBase {
+                        table: Arc::clone(name),
+                        column: Arc::clone(c),
+                    };
+                    (&**c, *ty, g.ctx_load(&base, Type::Ptr))
                 })
                 .collect();
             Src::Table {
                 bases,
-                filter: filter.clone(),
-                projected: projected.clone(),
+                filter: filter.as_ref(),
             }
         }
         Source::Buffer { buffer, layout, .. } => {
@@ -717,22 +734,22 @@ fn gen_main(module: &mut Module, plan: &PhysicalPlan, pipe: &Pipeline) {
             let deref = matches!(buffer, CtxEntry::AggGroups(_));
             Src::Buffer {
                 handle,
-                layout: layout.clone(),
+                layout,
                 deref,
             }
         }
     };
-    let sink_handles: Vec<Value> = match &pipe.sink {
-        Sink::Output { .. } => vec![g.ctx_load(&CtxEntry::OutputBuf, Type::I64)],
-        Sink::JoinBuild { join_id, .. } => {
-            vec![g.ctx_load(&CtxEntry::JoinHt(*join_id), Type::I64)]
-        }
-        Sink::AggBuild { agg_id, .. } => vec![
+    // The sink's handles: its buffer or hash table, and an aggregation's
+    // group buffer second.
+    let sink_handles: [Value; 2] = match &pipe.sink {
+        Sink::Output { .. } => [g.ctx_load(&CtxEntry::OutputBuf, Type::I64); 2],
+        Sink::JoinBuild { join_id, .. } => [g.ctx_load(&CtxEntry::JoinHt(*join_id), Type::I64); 2],
+        Sink::AggBuild { agg_id, .. } => [
             g.ctx_load(&CtxEntry::AggHt(*agg_id), Type::I64),
             g.ctx_load(&CtxEntry::AggGroups(*agg_id), Type::I64),
         ],
         Sink::SortMaterialize { sort_id, .. } => {
-            vec![g.ctx_load(&CtxEntry::SortBuf(*sort_id), Type::I64)]
+            [g.ctx_load(&CtxEntry::SortBuf(*sort_id), Type::I64); 2]
         }
     };
     // Hoist join hash tables for probes.
@@ -759,7 +776,7 @@ fn gen_main(module: &mut Module, plan: &PhysicalPlan, pipe: &Pipeline) {
     g.b.jump(header);
 
     g.b.switch_to(header);
-    let i = g.b.phi(Type::I64, vec![(entry, start)]);
+    let i = g.loop_phi(Type::I64, entry, start);
     let c = g.b.icmp(CmpOp::SLt, Type::I64, i, end);
     g.b.branch(c, body, exit);
 
@@ -775,11 +792,7 @@ fn gen_main(module: &mut Module, plan: &PhysicalPlan, pipe: &Pipeline) {
     // Body: bind source columns.
     g.b.switch_to(body);
     match &src {
-        Src::Table {
-            bases,
-            filter,
-            projected,
-        } => {
+        Src::Table { bases, filter } => {
             for (name, ty, base) in bases {
                 let value = match ty {
                     ColumnType::I32 | ColumnType::Date => {
@@ -817,7 +830,6 @@ fn gen_main(module: &mut Module, plan: &PhysicalPlan, pipe: &Pipeline) {
                 g.b.switch_to(pass);
             }
             // Non-projected (filter-only) columns stay bound; harmless.
-            let _ = projected;
         }
         Src::Buffer {
             handle,
@@ -825,15 +837,15 @@ fn gen_main(module: &mut Module, plan: &PhysicalPlan, pipe: &Pipeline) {
             deref,
         } => {
             let cell = g
-                .call_rt("rt_buf_row", vec![*handle, i])
+                .call_rt(Rt::BufRow, vec![*handle, i])
                 .expect("row pointer");
             let row = if *deref {
                 g.b.load(Type::Ptr, cell, 0)
             } else {
                 cell
             };
-            for f in layout.fields.clone() {
-                let b = g.load_field(row, layout, &f.name);
+            for f in &layout.fields {
+                let b = g.load_field(row, field(layout, &f.name));
                 g.bind(&f.name, b.value, b.ty);
             }
         }
@@ -869,7 +881,7 @@ fn gen_main(module: &mut Module, plan: &PhysicalPlan, pipe: &Pipeline) {
                     .expect("hoisted probe handle");
                 let keys: Vec<Binding> = probe_keys.iter().map(|k| g.lookup(k)).collect();
                 let h = g.hash_keys(&keys);
-                let e0 = g.call_rt("rt_ht_probe", vec![ht, h]).expect("entry ptr");
+                let e0 = g.call_rt(Rt::HtProbe, vec![ht, h]).expect("entry ptr");
 
                 let ph = g.b.create_block(); // probe header
                 let pb = g.b.create_block(); // candidate check
@@ -879,7 +891,7 @@ fn gen_main(module: &mut Module, plan: &PhysicalPlan, pipe: &Pipeline) {
                 g.b.jump(ph);
 
                 g.b.switch_to(ph);
-                let e = g.b.phi(Type::Ptr, vec![(pred, e0)]);
+                let e = g.loop_phi(Type::Ptr, pred, e0);
                 let zero = g.b.iconst(Type::Ptr, 0);
                 let nonzero = g.b.icmp(CmpOp::Ne, Type::Ptr, e, zero);
                 g.b.branch(nonzero, pb, continue_target);
@@ -895,16 +907,8 @@ fn gen_main(module: &mut Module, plan: &PhysicalPlan, pipe: &Pipeline) {
                 let ehash = g.b.load(Type::I64, e, 8);
                 let mut ok = g.b.icmp(CmpOp::Eq, Type::I64, ehash, h);
                 let payload = g.b.gep(e, 16);
-                for (bk, pk) in build_layout
-                    .fields
-                    .iter()
-                    .take(probe_keys.len())
-                    .map(|f| f.name.clone())
-                    .collect::<Vec<_>>()
-                    .iter()
-                    .zip(probe_keys)
-                {
-                    let bv = g.load_field(payload, build_layout, bk);
+                for (bk, pk) in build_layout.fields.iter().zip(probe_keys) {
+                    let bv = g.load_field(payload, field(build_layout, &bk.name));
                     let pv = g.lookup(pk);
                     let eqv = g.values_eq(pv, bv);
                     ok = g.bool_and(ok, eqv);
@@ -914,7 +918,7 @@ fn gen_main(module: &mut Module, plan: &PhysicalPlan, pipe: &Pipeline) {
                 // Match: bind carried columns, continue pipeline inside.
                 g.b.switch_to(pm);
                 for (name, _ty) in carry {
-                    let b = g.load_field(payload, build_layout, name);
+                    let b = g.load_field(payload, field(build_layout, name));
                     g.bind(name, b.value, b.ty);
                 }
                 continue_target = pl;
@@ -926,10 +930,10 @@ fn gen_main(module: &mut Module, plan: &PhysicalPlan, pipe: &Pipeline) {
     match &pipe.sink {
         Sink::Output { layout } | Sink::SortMaterialize { layout, .. } => {
             let buf = sink_handles[0];
-            let row = g.call_rt("rt_buf_alloc", vec![buf]).expect("row");
-            for f in layout.fields.clone() {
+            let row = g.call_rt(Rt::BufAlloc, vec![buf]).expect("row");
+            for f in &layout.fields {
                 let v = g.lookup(&f.name);
-                g.store_field(row, layout, &f.name, v);
+                g.store_field(row, field(layout, &f.name), v);
             }
         }
         Sink::JoinBuild { keys, layout, .. } => {
@@ -937,12 +941,10 @@ fn gen_main(module: &mut Module, plan: &PhysicalPlan, pipe: &Pipeline) {
             let kb: Vec<Binding> = keys.iter().map(|k| g.lookup(k)).collect();
             let h = g.hash_keys(&kb);
             let size = g.b.iconst(Type::I64, layout.size as i128);
-            let payload = g
-                .call_rt("rt_ht_insert", vec![ht, h, size])
-                .expect("payload");
-            for f in layout.fields.clone() {
+            let payload = g.call_rt(Rt::HtInsert, vec![ht, h, size]).expect("payload");
+            for f in &layout.fields {
                 let v = g.lookup(&f.name);
-                g.store_field(payload, layout, &f.name, v);
+                g.store_field(payload, field(layout, &f.name), v);
             }
         }
         Sink::AggBuild {
@@ -961,15 +963,15 @@ fn gen_main(module: &mut Module, plan: &PhysicalPlan, pipe: &Pipeline) {
 fn gen_agg_sink(
     g: &mut Gen,
     handles: &[Value],
-    keys: &[String],
-    aggs: &[(String, AggFunc)],
+    keys: &[Arc<str>],
+    aggs: &[(Arc<str>, AggFunc)],
     layout: &RowLayout,
     continue_target: Block,
 ) {
     let (ht, groups) = (handles[0], handles[1]);
     let kb: Vec<Binding> = keys.iter().map(|k| g.lookup(k)).collect();
     let h = g.hash_keys(&kb);
-    let e0 = g.call_rt("rt_ht_probe", vec![ht, h]).expect("entry");
+    let e0 = g.call_rt(Rt::HtProbe, vec![ht, h]).expect("entry");
 
     let ah = g.b.create_block(); // chain header
     let ab = g.b.create_block(); // candidate
@@ -991,7 +993,7 @@ fn gen_agg_sink(
 
     g.b.jump(ah);
     g.b.switch_to(ah);
-    let e = g.b.phi(Type::Ptr, vec![(pred, e0)]);
+    let e = g.loop_phi(Type::Ptr, pred, e0);
     let zero = g.b.iconst(Type::Ptr, 0);
     let nonzero = g.b.icmp(CmpOp::Ne, Type::Ptr, e, zero);
     g.b.branch(nonzero, ab, create);
@@ -1006,7 +1008,7 @@ fn gen_agg_sink(
     let mut ok = g.b.icmp(CmpOp::Eq, Type::I64, ehash, h);
     let payload = g.b.gep(e, 16);
     for (key, kv) in keys.iter().zip(&kb) {
-        let gv = g.load_field(payload, layout, key);
+        let gv = g.load_field(payload, field(layout, key));
         let eqv = g.values_eq(*kv, gv);
         ok = g.bool_and(ok, eqv);
     }
@@ -1015,16 +1017,15 @@ fn gen_agg_sink(
     // Update path.
     g.b.switch_to(upd);
     for ((name, agg), input) in aggs.iter().zip(&inputs) {
-        let state = format!("#{name}");
+        let state = state_field(layout, name, false);
         match agg {
             AggFunc::CountStar => {
-                let cur = g.load_field(payload, layout, &state);
+                let cur = g.load_field(payload, state);
                 let one = g.b.iconst(Type::I64, 1);
                 let n = g.b.add(Type::I64, cur.value, one);
                 g.store_field(
                     payload,
-                    layout,
-                    &state,
+                    state,
                     Binding {
                         value: n,
                         ty: cur.ty,
@@ -1033,30 +1034,29 @@ fn gen_agg_sink(
             }
             AggFunc::Sum(_) => {
                 let v = input.expect("sum input");
-                let cur = g.load_field(payload, layout, &state);
+                let cur = g.load_field(payload, state);
                 let s = sum_update(g, cur, v);
-                g.store_field(payload, layout, &state, s);
+                g.store_field(payload, state, s);
             }
             AggFunc::Min(_) | AggFunc::Max(_) => {
                 let v = input.expect("minmax input");
-                let cur = g.load_field(payload, layout, &state);
+                let cur = g.load_field(payload, state);
                 let is_min = matches!(agg, AggFunc::Min(_));
                 let sel = minmax_update(g, cur, v, is_min);
-                g.store_field(payload, layout, &state, sel);
+                g.store_field(payload, state, sel);
             }
             AggFunc::Avg(_) => {
                 let v = input.expect("avg input");
-                let cur = g.load_field(payload, layout, &state);
+                let cur = g.load_field(payload, state);
                 let s = sum_update(g, cur, v);
-                g.store_field(payload, layout, &state, s);
-                let cnt_name = format!("#{name}_cnt");
-                let cnt = g.load_field(payload, layout, &cnt_name);
+                g.store_field(payload, state, s);
+                let count = state_field(layout, name, true);
+                let cnt = g.load_field(payload, count);
                 let one = g.b.iconst(Type::I64, 1);
                 let n = g.b.add(Type::I64, cnt.value, one);
                 g.store_field(
                     payload,
-                    layout,
-                    &cnt_name,
+                    count,
                     Binding {
                         value: n,
                         ty: cnt.ty,
@@ -1070,21 +1070,18 @@ fn gen_agg_sink(
     // Create path.
     g.b.switch_to(create);
     let size = g.b.iconst(Type::I64, layout.size as i128);
-    let np = g
-        .call_rt("rt_ht_insert", vec![ht, h, size])
-        .expect("payload");
+    let np = g.call_rt(Rt::HtInsert, vec![ht, h, size]).expect("payload");
     for (key, kv) in keys.iter().zip(&kb) {
-        g.store_field(np, layout, key, *kv);
+        g.store_field(np, field(layout, key), *kv);
     }
     for ((name, agg), input) in aggs.iter().zip(&inputs) {
-        let state = format!("#{name}");
+        let state = state_field(layout, name, false);
         match agg {
             AggFunc::CountStar => {
                 let one = g.b.iconst(Type::I64, 1);
                 g.store_field(
                     np,
-                    layout,
-                    &state,
+                    state,
                     Binding {
                         value: one,
                         ty: ColumnType::I64,
@@ -1093,18 +1090,15 @@ fn gen_agg_sink(
             }
             AggFunc::Sum(_) | AggFunc::Min(_) | AggFunc::Max(_) => {
                 let v = input.expect("agg input");
-                let v = widen_to_state(g, v, layout, &state);
-                g.store_field(np, layout, &state, v);
+                g.store_field(np, state, widen_to_state(v, state));
             }
             AggFunc::Avg(_) => {
                 let v = input.expect("avg input");
-                let v = widen_to_state(g, v, layout, &state);
-                g.store_field(np, layout, &state, v);
+                g.store_field(np, state, widen_to_state(v, state));
                 let one = g.b.iconst(Type::I64, 1);
                 g.store_field(
                     np,
-                    layout,
-                    &format!("#{name}_cnt"),
+                    state_field(layout, name, true),
                     Binding {
                         value: one,
                         ty: ColumnType::I64,
@@ -1114,25 +1108,39 @@ fn gen_agg_sink(
         }
     }
     // Register the group for scanning.
-    let cell = g.call_rt("rt_buf_alloc", vec![groups]).expect("cell");
+    let cell = g.call_rt(Rt::BufAlloc, vec![groups]).expect("cell");
     g.b.store(Type::Ptr, cell, np, 0);
     g.b.jump(continue_target);
 }
 
 /// The aggregate input may be narrower than the state (I32 input, I64
 /// state); env values are already widened, so this is a no-op guard.
-fn widen_to_state(g: &mut Gen, v: Binding, layout: &RowLayout, state: &str) -> Binding {
-    let f = layout.field(state).expect("state field");
+fn widen_to_state(v: Binding, state: &RowField) -> Binding {
     debug_assert_eq!(
         ir_type(v.ty),
-        ir_type(f.ty),
-        "state width mismatch for {state}"
+        ir_type(state.ty),
+        "state width mismatch for {}",
+        state.name
     );
-    let _ = g;
     Binding {
         value: v.value,
-        ty: f.ty,
+        ty: state.ty,
     }
+}
+
+/// The first field of `layout` named `name`.
+fn field<'l>(layout: &'l RowLayout, name: &str) -> &'l RowField {
+    layout
+        .field(name)
+        .unwrap_or_else(|| panic!("no field `{name}`"))
+}
+
+/// Aggregate `agg`'s state field in a group layout, or with `count` its
+/// AVG row count ([`RowLayout::agg_state`]).
+fn state_field<'l>(layout: &'l RowLayout, agg: &str, count: bool) -> &'l RowField {
+    layout
+        .agg_state(agg, count)
+        .unwrap_or_else(|| panic!("no state field for `{agg}`"))
 }
 
 fn sum_update(g: &mut Gen, cur: Binding, v: Binding) -> Binding {

@@ -20,23 +20,25 @@ pub use gen::{generate, GeneratedQuery};
 mod tests {
     use super::*;
     use qc_ir::verify_module;
+    use qc_plan::TableSchema;
     use qc_plan::{col, lit_dec, lit_i64, lit_str, AggFunc, PhysicalPlan, PlanNode};
     use qc_storage::ColumnType;
+    use std::sync::Arc;
 
-    fn catalog(name: &str) -> Option<Vec<(String, ColumnType)>> {
+    fn catalog(name: &str) -> Option<TableSchema> {
         match name {
-            "fact" => Some(vec![
+            "fact" => Some(Arc::new([
                 ("k".into(), ColumnType::I64),
                 ("d".into(), ColumnType::Date),
                 ("v".into(), ColumnType::Decimal(2)),
                 ("s".into(), ColumnType::Str),
                 ("q".into(), ColumnType::I32),
                 ("b".into(), ColumnType::Bool),
-            ]),
-            "dim" => Some(vec![
+            ])),
+            "dim" => Some(Arc::new([
                 ("k".into(), ColumnType::I64),
                 ("label".into(), ColumnType::Str),
-            ]),
+            ])),
             _ => None,
         }
     }

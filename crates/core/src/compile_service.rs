@@ -19,10 +19,13 @@
 //! attribution survives the fan-out.
 //!
 //! The cache stores *unlinked* [`CodeArtifact`]s keyed by the module's
-//! structural IR hash plus the back-end identity; a warm hit skips code
-//! generation entirely and pays only the link/unwind-registration step
-//! (see `DESIGN.md`, "Compilation service"), which a traced compile
-//! records under the back-end's link phase, hit or miss. Parameterized
+//! structural IR hash plus the back-end identity. The hash travels with
+//! the prepared statement ([`PreparedQuery::module_hashes`], computed the
+//! first time a compile needs it), so a request never walks the IR to
+//! build its keys. A warm hit skips code generation entirely and pays
+//! only the link/unwind-registration step (see `DESIGN.md`,
+//! "Compilation service"), which a traced compile records under the
+//! back-end's link phase, hit or miss. Parameterized
 //! re-runs of a prepared query therefore compile in roughly link time.
 //! Every module compiles to an artifact: a back-end that returns none is
 //! rejected.
@@ -57,7 +60,7 @@ use crate::supervise::supervise;
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats};
-use qc_ir::{module_structural_hash, Module};
+use qc_ir::Module;
 use qc_timing::{Report, TimeTrace};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -231,9 +234,11 @@ struct CacheKey {
 }
 
 impl CacheKey {
-    fn new(module: &Module, backend: &dyn Backend) -> Self {
+    /// `module_hash` is the statement's stored structural hash of the
+    /// module ([`PreparedQuery::module_hashes`]).
+    fn new(module_hash: u64, backend: &dyn Backend) -> Self {
         CacheKey {
-            module_hash: module_structural_hash(module),
+            module_hash,
             backend: backend.name(),
             isa: backend.isa().name(),
             config: backend.config_fingerprint(),
@@ -659,15 +664,14 @@ impl CompileService {
         budget: CompileBudget,
         trace: &TimeTrace,
     ) -> Result<CompiledQuery, EngineError> {
-        let (modules, pool) = (&prepared.ir.modules, Some(&self.pool));
         let compiled = compile_query(
-            modules,
+            prepared.ir.modules.iter().zip(prepared.module_hashes()),
             backend,
             budget,
             trace,
             &self.cache,
             &self.faults,
-            pool,
+            Some(&self.pool),
         );
         Ok(compiled?)
     }
@@ -690,6 +694,7 @@ impl CompileService {
         backend: &Arc<dyn Backend>,
     ) -> PendingCompile {
         let modules = prepared.ir.modules.clone();
+        let hashes = prepared.module_hashes().to_vec();
         let backend = Arc::clone(backend);
         let (cache, faults) = (Arc::clone(&self.cache), Arc::clone(&self.faults));
         let budget = self.default_budget;
@@ -697,7 +702,8 @@ impl CompileService {
         let reply = tx.clone();
         let job: Job = Box::new(move || {
             let trace = TimeTrace::disabled();
-            let out = compile_query(&modules, &backend, budget, &trace, &cache, &faults, None);
+            let modules = modules.iter().zip(&hashes);
+            let out = compile_query(modules, &backend, budget, &trace, &cache, &faults, None);
             let _ = reply.send(out);
         });
         if self.pool.submit(job).is_err() {
@@ -713,9 +719,11 @@ impl CompileService {
 /// when there is one — acts on the replies in pipeline order whatever
 /// order they finished in (trace merging and cache insertion are
 /// deterministic, and the lowest-numbered failure wins), and
-/// reassembles the executables.
-fn compile_query(
-    modules: &[Arc<Module>],
+/// reassembles the executables. Each module comes with the structural
+/// hash its statement keeps ([`PreparedQuery::module_hashes`]): a
+/// request never walks the IR to key the cache.
+fn compile_query<'m>(
+    modules: impl ExactSizeIterator<Item = (&'m Arc<Module>, &'m u64)>,
     backend: &Arc<dyn Backend>,
     budget: CompileBudget,
     trace: &TimeTrace,
@@ -726,8 +734,8 @@ fn compile_query(
     let start = Instant::now();
     let mut slots = Vec::with_capacity(modules.len());
     let mut misses = Vec::new();
-    for (i, module) in modules.iter().enumerate() {
-        let key = CacheKey::new(module, backend.as_ref());
+    for (i, (module, &hash)) in modules.enumerate() {
+        let key = CacheKey::new(hash, backend.as_ref());
         let hit = cache.lookup(&key);
         if hit.is_none() {
             misses.push((i, key, Arc::clone(module)));

@@ -1,4 +1,11 @@
 //! Query preparation, compilation, and morsel-wise execution.
+//!
+//! A [`PreparedQuery`] is what a statement cache keeps: the physical
+//! plan, its IR, and — once the compile service first needs them — the
+//! modules' structural hashes ([`PreparedQuery::module_hashes`]), the
+//! code cache's key. Every later service request reads the stored
+//! hashes instead of walking the IR; the direct, uncached compile path
+//! ([`crate::QueryRun::direct`]) never hashes at all.
 
 use crate::compile_service::{assemble, compile_one, PendingCompile};
 use crate::morsel_exec::ExecTally;
@@ -12,7 +19,7 @@ use qc_timing::TimeTrace;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Error produced by engine operations.
@@ -250,7 +257,9 @@ impl From<Trap> for EngineError {
     }
 }
 
-/// A planned query: physical pipelines plus their generated IR.
+/// A planned query: physical pipelines plus their generated IR, and the
+/// modules' structural hashes once the compile service has asked for
+/// them.
 #[derive(Debug)]
 pub struct PreparedQuery {
     /// Query name (used in module names).
@@ -259,9 +268,25 @@ pub struct PreparedQuery {
     pub plan: PhysicalPlan,
     /// Generated IR, one module per pipeline.
     pub ir: GeneratedQuery,
+    module_hashes: OnceLock<Vec<u64>>,
 }
 
 impl PreparedQuery {
+    /// `qc_ir::module_structural_hash` of every module, in pipeline
+    /// order: the compile service's cache key. Computed by the first
+    /// request that needs it and kept with the statement, so a cache
+    /// hit never walks the IR again and the direct (uncached) path
+    /// never hashes.
+    pub fn module_hashes(&self) -> &[u64] {
+        self.module_hashes.get_or_init(|| {
+            self.ir
+                .modules
+                .iter()
+                .map(|m| qc_ir::module_structural_hash(m))
+                .collect()
+        })
+    }
+
     /// Total IR instruction count across all pipelines (the adaptive
     /// compiler's code-size heuristic input).
     pub fn ir_size(&self) -> usize {
@@ -405,17 +430,14 @@ impl<'db> Engine<'db> {
         plan: &PlanNode,
         name: &str,
     ) -> Result<PreparedQuery, EngineError> {
-        let catalog = |t: &str| {
-            self.db
-                .table(t)
-                .map(|t| t.schema.iter().map(|(n, ty)| (n.to_string(), ty)).collect())
-        };
+        let catalog = |t: &str| self.db.table(t).map(|t| Arc::clone(t.schema.columns()));
         let phys = PhysicalPlan::decompose(plan, &catalog)?;
         let ir = generate(&phys, name);
         Ok(PreparedQuery {
             name: name.to_string(),
             plan: phys,
             ir,
+            module_hashes: OnceLock::new(),
         })
     }
 

@@ -470,7 +470,7 @@ impl QueryExecution {
                 rem += source_morsels(
                     engine,
                     match &pipe.source {
-                        Source::Table { name, .. } => Some(name.as_str()),
+                        Source::Table { name, .. } => Some(&**name),
                         Source::Buffer { .. } => None,
                     },
                 );
@@ -519,7 +519,7 @@ fn source_morsels(engine: &Engine<'_>, scanned_table: Option<&str>) -> u64 {
 /// admitted.
 pub(crate) fn plan_morsels(engine: &Engine<'_>, plan: &PlanNode) -> u64 {
     match plan {
-        PlanNode::Scan { table, .. } => source_morsels(engine, Some(table.as_str())),
+        PlanNode::Scan { table, .. } => source_morsels(engine, Some(&**table)),
         PlanNode::Filter { input, .. } | PlanNode::Map { input, .. } => plan_morsels(engine, input),
         PlanNode::HashJoin { build, probe, .. } => {
             plan_morsels(engine, build) + plan_morsels(engine, probe)

@@ -14,6 +14,7 @@ use qc_runtime::{
 use qc_storage::ColumnType;
 use qc_target::Trap;
 use std::cmp::Ordering as CmpOrdering;
+use std::sync::Arc;
 
 impl ParallelPipeline<'_> {
     /// Replays worker sink effects into the canonical state in
@@ -167,7 +168,7 @@ impl KeyField {
     }
 }
 
-fn key_fields(keys: &[String], layout: &RowLayout) -> Result<Vec<KeyField>, EngineError> {
+fn key_fields(keys: &[Arc<str>], layout: &RowLayout) -> Result<Vec<KeyField>, EngineError> {
     keys.iter()
         .map(|k| {
             let f = layout.field(k).ok_or_else(|| {
@@ -270,12 +271,12 @@ impl StateField {
 /// The state fields of `aggs` in `layout`: one per aggregate (`#name`),
 /// plus the row count an average carries (`#name_cnt`).
 fn agg_combines(
-    aggs: &[(String, AggFunc)],
+    aggs: &[(Arc<str>, AggFunc)],
     layout: &RowLayout,
 ) -> Result<Vec<StateField>, EngineError> {
-    let field = |state: String, fold: Fold| -> Result<StateField, EngineError> {
-        let f = layout.field(&state).ok_or_else(|| {
-            EngineError::Storage(format!("agg state field `{state}` missing from layout"))
+    let field = |name: &str, count: bool, fold: Fold| -> Result<StateField, EngineError> {
+        let f = layout.agg_state(name, count).ok_or_else(|| {
+            EngineError::Storage(format!("agg state field of `{name}` missing from layout"))
         })?;
         Ok(StateField {
             off: f.offset as usize,
@@ -290,9 +291,9 @@ fn agg_combines(
             AggFunc::Min(_) => Fold::Min,
             AggFunc::Max(_) => Fold::Max,
         };
-        out.push(field(format!("#{name}"), fold)?);
+        out.push(field(name, false, fold)?);
         if matches!(agg, AggFunc::Avg(_)) {
-            out.push(field(format!("#{name}_cnt"), Fold::Add)?);
+            out.push(field(name, true, Fold::Add)?);
         }
     }
     Ok(out)

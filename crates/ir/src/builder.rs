@@ -1,9 +1,31 @@
 //! Convenient construction of IR functions.
 
 use crate::entities::{Block, ExtFuncId, FuncId, Inst, StackSlot, Value};
-use crate::function::{ExtFuncDecl, Function, Signature, StackSlotData};
+use crate::function::{
+    BlockData, ExtFuncDecl, Function, InstNode, Signature, StackSlotData, ValueData, ValueDef,
+};
 use crate::instr::{CastOp, CmpOp, InstData, Opcode};
 use crate::types::Type;
+use std::cell::Cell;
+
+/// The growing vectors of a function under construction. `finish` moves
+/// their contents into exactly sized vectors and hands them back, empty
+/// but with their capacity, to the next builder on the same thread: a
+/// function's instructions, values and block layout cost one allocation
+/// each, not one per doubling (or per block), and the IR a statement
+/// cache keeps carries no spare capacity in them.
+#[derive(Debug, Default)]
+struct Buffers {
+    insts: Vec<InstNode>,
+    values: Vec<ValueData>,
+    /// Instructions of each block; entries past the builder's block
+    /// count are spare, kept for their capacity.
+    blocks: Vec<Vec<Inst>>,
+}
+
+thread_local! {
+    static SPARE: Cell<Buffers> = Cell::new(Buffers::default());
+}
 
 /// Builds a [`Function`] by appending instructions to a current block.
 ///
@@ -30,28 +52,61 @@ use crate::types::Type;
 /// ```
 #[derive(Debug)]
 pub struct FunctionBuilder {
+    /// The function so far, its instructions and values in the growth
+    /// buffers; no block is laid out before `finish`.
     func: Function,
+    /// Instructions of each block (growth buffers too).
+    blocks: Vec<Vec<Inst>>,
+    num_blocks: usize,
     current: Option<Block>,
 }
 
 impl FunctionBuilder {
     /// Starts building a function with the given name and signature. The
     /// entry block exists from the start.
-    pub fn new(name: &str, sig: Signature) -> Self {
-        FunctionBuilder {
-            func: Function::with_signature(name, sig),
+    pub fn new(name: impl Into<String>, sig: Signature) -> Self {
+        let mut spare = SPARE.with(Cell::take);
+        let params = (0..sig.params.len()).map(Value::new).collect();
+        spare
+            .values
+            .extend(sig.params.iter().enumerate().map(|(i, &ty)| ValueData {
+                ty,
+                def: ValueDef::Param(i as u32),
+            }));
+        let mut b = FunctionBuilder {
+            func: Function {
+                name: name.into(),
+                sig,
+                params,
+                blocks: Vec::new(),
+                layout: Vec::new(),
+                insts: spare.insts,
+                values: spare.values,
+                stack_slots: Vec::new(),
+                ext_funcs: Vec::new(),
+            },
+            blocks: spare.blocks,
+            num_blocks: 0,
             current: None,
-        }
+        };
+        b.create_block();
+        b
     }
 
     /// The entry block.
     pub fn entry_block(&self) -> Block {
-        self.func.entry_block()
+        Block::new(0)
     }
 
     /// Creates a new, empty block.
     pub fn create_block(&mut self) -> Block {
-        self.func.add_block()
+        let block = Block::new(self.num_blocks);
+        match self.blocks.get_mut(self.num_blocks) {
+            Some(spare) => spare.clear(),
+            None => self.blocks.push(Vec::new()),
+        }
+        self.num_blocks += 1;
+        block
     }
 
     /// Makes `block` the insertion point for subsequent instructions.
@@ -71,15 +126,24 @@ impl FunctionBuilder {
 
     /// Declares a stack slot of `size` bytes with 16-byte alignment.
     pub fn stack_slot(&mut self, size: u32) -> StackSlot {
-        self.func.add_stack_slot(StackSlotData { size, align: 16 })
+        let slots = &mut self.func.stack_slots;
+        slots.push(StackSlotData { size, align: 16 });
+        StackSlot::new(slots.len() - 1)
     }
 
     /// Declares (or re-uses) an external function.
     pub fn declare_ext_func(&mut self, decl: ExtFuncDecl) -> ExtFuncId {
-        self.func.declare_ext_func(decl)
+        let decls = &mut self.func.ext_funcs;
+        let pos = decls.iter().position(|d| *d == decl).unwrap_or_else(|| {
+            decls.push(decl);
+            decls.len() - 1
+        });
+        ExtFuncId::new(pos)
     }
 
-    /// Read-only view of the function under construction.
+    /// Read-only view of the function under construction: its values,
+    /// instructions and declarations. Blocks are laid out by
+    /// [`FunctionBuilder::finish`]; the view has none before.
     pub fn func(&self) -> &Function {
         &self.func
     }
@@ -91,13 +155,25 @@ impl FunctionBuilder {
     /// already has a terminator.
     pub fn append(&mut self, data: InstData) -> (Inst, Option<Value>) {
         let block = self.current.expect("no current block set");
-        if let Some(&last) = self.func.blocks[block.index()].insts.last() {
+        let f = &mut self.func;
+        if let Some(&last) = self.blocks[block.index()].last() {
             assert!(
-                !self.func.inst(last).is_terminator(),
+                !f.inst(last).is_terminator(),
                 "appending to terminated block {block}"
             );
         }
-        self.func.append_inst(block, data)
+        let ty = f.inst_result_type(&data);
+        let inst = Inst::new(f.insts.len());
+        let result = (ty != Type::Void).then(|| {
+            f.values.push(ValueData {
+                ty,
+                def: ValueDef::Inst(inst),
+            });
+            Value::new(f.values.len() - 1)
+        });
+        f.insts.push(InstNode { data, result });
+        self.blocks[block.index()].push(inst);
+        (inst, result)
     }
 
     fn value_inst(&mut self, data: InstData) -> Value {
@@ -256,10 +332,10 @@ impl FunctionBuilder {
     /// Panics if `phi` was not defined by a Φ-instruction.
     pub fn phi_add_incoming(&mut self, phi: Value, pred: Block, value: Value) {
         let inst = match self.func.value_def(phi) {
-            crate::function::ValueDef::Inst(i) => i,
-            _ => panic!("phi_add_incoming on non-instruction value"),
+            ValueDef::Inst(i) => i,
+            ValueDef::Param(_) => panic!("phi_add_incoming on non-instruction value"),
         };
-        match &mut self.func.insts[inst.index()] {
+        match &mut self.func.insts[inst.index()].data {
             InstData::Phi { pairs, .. } => pairs.push((pred, value)),
             _ => panic!("phi_add_incoming on non-phi instruction"),
         }
@@ -289,10 +365,41 @@ impl FunctionBuilder {
         self.append(InstData::Unreachable);
     }
 
-    /// Finishes construction and yields the function.
-    pub fn finish(self) -> Function {
+    /// Finishes construction and yields the function, its instructions,
+    /// values and block layout sized to their contents.
+    pub fn finish(mut self) -> Function {
+        let lists = &self.blocks[..self.num_blocks];
+        let mut layout = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        let mut blocks = Vec::with_capacity(lists.len());
+        for list in lists {
+            let start = layout.len() as u32;
+            layout.extend_from_slice(list);
+            blocks.push(BlockData {
+                start,
+                end: layout.len() as u32,
+            });
+        }
+        let f = &mut self.func;
+        let mut spare = Buffers {
+            insts: std::mem::take(&mut f.insts),
+            values: std::mem::take(&mut f.values),
+            blocks: std::mem::take(&mut self.blocks),
+        };
+        f.blocks = blocks;
+        f.layout = layout;
+        f.insts = exact(&mut spare.insts);
+        f.values = exact(&mut spare.values);
+        SPARE.with(|cell| cell.set(spare));
         self.func
     }
+}
+
+/// Moves `v`'s elements into a vector of exactly their number, leaving
+/// `v` empty with its capacity.
+fn exact<T>(v: &mut Vec<T>) -> Vec<T> {
+    let mut out = Vec::with_capacity(v.len());
+    out.append(v);
+    out
 }
 
 #[cfg(test)]

@@ -3,14 +3,16 @@
 use crate::entities::{Block, ExtFuncId, FuncId, Inst, StackSlot, Value};
 use crate::instr::{CastOp, InstData};
 use crate::types::Type;
+use std::borrow::Cow;
 
 /// A function signature: parameter types and a single return type
 /// (`void` for no return value; two-register types like `i128`/`string`
 /// are allowed and returned in a register pair).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Signature {
-    /// Parameter types, in order.
-    pub params: Vec<Type>,
+    /// Parameter types, in order: borrowed from a constant when the
+    /// signature is fixed, so copying it allocates nothing.
+    pub params: Cow<'static, [Type]>,
     /// Return type.
     pub ret: Type,
 }
@@ -18,18 +20,31 @@ pub struct Signature {
 impl Signature {
     /// Creates a signature.
     pub fn new(params: Vec<Type>, ret: Type) -> Self {
-        Signature { params, ret }
+        Signature {
+            params: Cow::Owned(params),
+            ret,
+        }
+    }
+
+    /// A signature whose parameter types are a constant.
+    pub const fn fixed(params: &'static [Type], ret: Type) -> Self {
+        Signature {
+            params: Cow::Borrowed(params),
+            ret,
+        }
     }
 }
 
 /// Declaration of an external (runtime) function referenced by generated
 /// code. The actual address is resolved at link time through the symbol
 /// name (LLVM back-end) or hard-wired (Cranelift back-end) — both handled
-/// by the back-ends, not the IR.
+/// by the back-ends, not the IR. A declaration of a runtime function the
+/// code generator knows borrows constant name and parameter types, so
+/// declaring and copying it allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtFuncDecl {
     /// Symbol name, e.g. `"rt_hashtable_insert"`.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Call signature.
     pub sig: Signature,
 }
@@ -55,23 +70,33 @@ pub enum ValueDef {
 
 #[derive(Debug, Clone)]
 pub(crate) struct ValueData {
-    ty: Type,
-    def: ValueDef,
+    pub(crate) ty: Type,
+    pub(crate) def: ValueDef,
 }
 
-#[derive(Debug, Clone, Default)]
+/// An instruction with its result value.
+#[derive(Debug, Clone)]
+pub(crate) struct InstNode {
+    pub(crate) data: InstData,
+    pub(crate) result: Option<Value>,
+}
+
+/// A block's span of [`Function`]'s instruction layout.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct BlockData {
-    pub(crate) insts: Vec<Inst>,
+    pub(crate) start: u32,
+    pub(crate) end: u32,
 }
 
 /// A function in SSA form.
 ///
 /// All storage is dense and append-only: blocks, instructions and values
-/// are `u32` entities indexing flat vectors,
-/// matching the paper's description of Umbra IR as "optimized for fast
-/// generation and linear traversal".
+/// are `u32` entities indexing flat vectors, and every block is a span of
+/// one instruction layout, matching the paper's description of Umbra IR
+/// as "optimized for fast generation and linear traversal".
 ///
-/// Use [`crate::FunctionBuilder`] to construct functions.
+/// Use [`crate::FunctionBuilder`] to construct functions; it sizes the
+/// instruction, value and layout vectors to their final length.
 #[derive(Debug, Clone)]
 pub struct Function {
     /// Function name (unique within its module).
@@ -80,37 +105,15 @@ pub struct Function {
     pub sig: Signature,
     pub(crate) params: Vec<Value>,
     pub(crate) blocks: Vec<BlockData>,
-    pub(crate) insts: Vec<InstData>,
-    pub(crate) results: Vec<Option<Value>>,
+    /// The instructions of block 0, then block 1, and so on.
+    pub(crate) layout: Vec<Inst>,
+    pub(crate) insts: Vec<InstNode>,
     pub(crate) values: Vec<ValueData>,
     pub(crate) stack_slots: Vec<StackSlotData>,
     pub(crate) ext_funcs: Vec<ExtFuncDecl>,
 }
 
 impl Function {
-    pub(crate) fn with_signature(name: &str, sig: Signature) -> Self {
-        let mut f = Function {
-            name: name.to_string(),
-            sig,
-            params: Vec::new(),
-            blocks: vec![BlockData::default()],
-            insts: Vec::new(),
-            results: Vec::new(),
-            values: Vec::new(),
-            stack_slots: Vec::new(),
-            ext_funcs: Vec::new(),
-        };
-        for (i, &ty) in f.sig.params.clone().iter().enumerate() {
-            let v = Value::new(f.values.len());
-            f.values.push(ValueData {
-                ty,
-                def: ValueDef::Param(i as u32),
-            });
-            f.params.push(v);
-        }
-        f
-    }
-
     /// The entry block (always block 0).
     pub fn entry_block(&self) -> Block {
         Block::new(0)
@@ -138,17 +141,18 @@ impl Function {
 
     /// Instructions of `block` in order.
     pub fn block_insts(&self, block: Block) -> &[Inst] {
-        &self.blocks[block.index()].insts
+        let span = self.blocks[block.index()];
+        &self.layout[span.start as usize..span.end as usize]
     }
 
     /// Instruction data.
     pub fn inst(&self, inst: Inst) -> &InstData {
-        &self.insts[inst.index()]
+        &self.insts[inst.index()].data
     }
 
     /// Result value of an instruction, if it produces one.
     pub fn inst_result(&self, inst: Inst) -> Option<Value> {
-        self.results[inst.index()]
+        self.insts[inst.index()].result
     }
 
     /// Parameter values, in order.
@@ -192,8 +196,8 @@ impl Function {
     /// Panics if the block is empty (unterminated blocks are rejected by
     /// the verifier).
     pub fn terminator(&self, block: Block) -> Inst {
-        *self.blocks[block.index()]
-            .insts
+        *self
+            .block_insts(block)
             .last()
             .expect("block has no terminator")
     }
@@ -230,48 +234,6 @@ impl Function {
             | InstData::Unreachable => Type::Void,
         }
     }
-
-    /// Appends an instruction to a block, creating its result value.
-    /// Used by the builder; back-ends treat functions as immutable.
-    pub(crate) fn append_inst(&mut self, block: Block, data: InstData) -> (Inst, Option<Value>) {
-        let ty = self.inst_result_type(&data);
-        let inst = Inst::new(self.insts.len());
-        self.insts.push(data);
-        let result = if ty == Type::Void {
-            None
-        } else {
-            let v = Value::new(self.values.len());
-            self.values.push(ValueData {
-                ty,
-                def: ValueDef::Inst(inst),
-            });
-            Some(v)
-        };
-        self.results.push(result);
-        self.blocks[block.index()].insts.push(inst);
-        (inst, result)
-    }
-
-    pub(crate) fn add_block(&mut self) -> Block {
-        let b = Block::new(self.blocks.len());
-        self.blocks.push(BlockData::default());
-        b
-    }
-
-    pub(crate) fn add_stack_slot(&mut self, data: StackSlotData) -> StackSlot {
-        let s = StackSlot::new(self.stack_slots.len());
-        self.stack_slots.push(data);
-        s
-    }
-
-    pub(crate) fn declare_ext_func(&mut self, decl: ExtFuncDecl) -> ExtFuncId {
-        if let Some(pos) = self.ext_funcs.iter().position(|d| *d == decl) {
-            return ExtFuncId::new(pos);
-        }
-        let id = ExtFuncId::new(self.ext_funcs.len());
-        self.ext_funcs.push(decl);
-        id
-    }
 }
 
 /// A module: an ordered collection of functions compiled together.
@@ -288,9 +250,9 @@ pub struct Module {
 
 impl Module {
     /// Creates an empty module.
-    pub fn new(name: &str) -> Self {
+    pub fn new(name: impl Into<String>) -> Self {
         Module {
-            name: name.to_string(),
+            name: name.into(),
             functions: Vec::new(),
         }
     }

@@ -74,7 +74,7 @@ impl Fnv {
 
     fn sig(&mut self, sig: &Signature) {
         self.u64(sig.params.len() as u64);
-        for &p in &sig.params {
+        for &p in sig.params.iter() {
             self.ty(p);
         }
         self.ty(sig.ret);

@@ -221,7 +221,7 @@ impl<'a> Verifier<'a> {
                         sig.params.len()
                     )));
                 }
-                for (&arg, &ty) in args.iter().zip(&sig.params) {
+                for (&arg, &ty) in args.iter().zip(sig.params.iter()) {
                     self.expect_ty(inst, arg, ty)?;
                 }
             }

@@ -1045,7 +1045,7 @@ fn emit_lir_inst(
                 Some(r) => vec![lo(ctx, r)],
             };
             ctx.cur.push(MInst::CallRt {
-                target: CallTarget::Sym(decl.name),
+                target: CallTarget::Sym(decl.name.into_owned()),
                 args: flat,
                 ret,
             });

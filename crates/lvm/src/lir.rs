@@ -42,7 +42,7 @@ fn flatten_sig(sig: &Signature, repr: PairRepr) -> Signature {
         return sig.clone();
     }
     let mut params = Vec::new();
-    for &p in &sig.params {
+    for &p in sig.params.iter() {
         if p == Type::String {
             params.push(Type::I64);
             params.push(Type::I64);

@@ -2,6 +2,7 @@
 
 use qc_storage::ColumnType;
 use std::fmt;
+use std::sync::Arc;
 
 /// Arithmetic operators. All arithmetic on user data is overflow-checked
 /// (paper Sec. III-A): integer/decimal operations trap on overflow.
@@ -34,11 +35,13 @@ pub enum CmpKind {
     Ge,
 }
 
-/// A scalar expression evaluated per tuple.
+/// A scalar expression evaluated per tuple. Names and subexpressions
+/// are shared, so cloning an expression (as planning does for every
+/// predicate, projection and aggregate it keeps) allocates nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A column of the current tuple scope, by name.
-    Column(String),
+    Column(Arc<str>),
     /// 64-bit integer literal.
     LitI64(i64),
     /// 32-bit integer literal.
@@ -50,31 +53,31 @@ pub enum Expr {
     /// Date literal (days since epoch).
     LitDate(i32),
     /// String literal.
-    LitStr(String),
+    LitStr(Arc<str>),
     /// Boolean literal.
     LitBool(bool),
     /// Overflow-checked arithmetic.
-    Arith(ArithOp, Box<Expr>, Box<Expr>),
+    Arith(ArithOp, Arc<Expr>, Arc<Expr>),
     /// Comparison.
-    Cmp(CmpKind, Box<Expr>, Box<Expr>),
+    Cmp(CmpKind, Arc<Expr>, Arc<Expr>),
     /// Logical and (non-short-circuiting in generated code is allowed).
-    And(Box<Expr>, Box<Expr>),
+    And(Arc<Expr>, Arc<Expr>),
     /// Logical or.
-    Or(Box<Expr>, Box<Expr>),
+    Or(Arc<Expr>, Arc<Expr>),
     /// Logical not.
-    Not(Box<Expr>),
+    Not(Arc<Expr>),
     /// `LIKE 'x%'`.
-    StrPrefix(Box<Expr>, Box<Expr>),
+    StrPrefix(Arc<Expr>, Arc<Expr>),
     /// `LIKE '%x%'`.
-    StrContains(Box<Expr>, Box<Expr>),
+    StrContains(Arc<Expr>, Arc<Expr>),
     /// Conversion of an integer/decimal/date value to `f64` (decimals
     /// convert their *raw* value; scale handling is the caller's job).
-    CastF64(Box<Expr>),
+    CastF64(Arc<Expr>),
 }
 
 /// Column reference.
 pub fn col(name: &str) -> Expr {
-    Expr::Column(name.to_string())
+    Expr::Column(name.into())
 }
 
 /// 64-bit integer literal.
@@ -104,7 +107,7 @@ pub fn lit_date(days: i32) -> Expr {
 
 /// String literal.
 pub fn lit_str(s: &str) -> Expr {
-    Expr::LitStr(s.to_string())
+    Expr::LitStr(s.into())
 }
 
 /// Boolean literal.
@@ -119,27 +122,27 @@ pub fn lit_bool(b: bool) -> Expr {
 impl Expr {
     /// `self + rhs`.
     pub fn add(self, rhs: Expr) -> Expr {
-        Expr::Arith(ArithOp::Add, Box::new(self), Box::new(rhs))
+        Expr::Arith(ArithOp::Add, Arc::new(self), Arc::new(rhs))
     }
 
     /// `self - rhs`.
     pub fn sub(self, rhs: Expr) -> Expr {
-        Expr::Arith(ArithOp::Sub, Box::new(self), Box::new(rhs))
+        Expr::Arith(ArithOp::Sub, Arc::new(self), Arc::new(rhs))
     }
 
     /// `self * rhs`.
     pub fn mul(self, rhs: Expr) -> Expr {
-        Expr::Arith(ArithOp::Mul, Box::new(self), Box::new(rhs))
+        Expr::Arith(ArithOp::Mul, Arc::new(self), Arc::new(rhs))
     }
 
     /// `self / rhs`.
     pub fn div(self, rhs: Expr) -> Expr {
-        Expr::Arith(ArithOp::Div, Box::new(self), Box::new(rhs))
+        Expr::Arith(ArithOp::Div, Arc::new(self), Arc::new(rhs))
     }
 
     /// Comparison.
     pub fn cmp(self, op: CmpKind, rhs: Expr) -> Expr {
-        Expr::Cmp(op, Box::new(self), Box::new(rhs))
+        Expr::Cmp(op, Arc::new(self), Arc::new(rhs))
     }
 
     /// `self == rhs`.
@@ -174,44 +177,47 @@ impl Expr {
 
     /// `self AND rhs`.
     pub fn and(self, rhs: Expr) -> Expr {
-        Expr::And(Box::new(self), Box::new(rhs))
+        Expr::And(Arc::new(self), Arc::new(rhs))
     }
 
     /// `self OR rhs`.
     pub fn or(self, rhs: Expr) -> Expr {
-        Expr::Or(Box::new(self), Box::new(rhs))
+        Expr::Or(Arc::new(self), Arc::new(rhs))
     }
 
     /// `NOT self`.
     pub fn negate(self) -> Expr {
-        Expr::Not(Box::new(self))
+        Expr::Not(Arc::new(self))
     }
 
     /// `self LIKE 'rhs%'`.
     pub fn starts_with(self, rhs: Expr) -> Expr {
-        Expr::StrPrefix(Box::new(self), Box::new(rhs))
+        Expr::StrPrefix(Arc::new(self), Arc::new(rhs))
     }
 
     /// `self LIKE '%rhs%'`.
     pub fn contains(self, rhs: Expr) -> Expr {
-        Expr::StrContains(Box::new(self), Box::new(rhs))
+        Expr::StrContains(Arc::new(self), Arc::new(rhs))
     }
 
     /// `CAST(self AS f64)` of the raw value.
     pub fn cast_f64(self) -> Expr {
-        Expr::CastF64(Box::new(self))
+        Expr::CastF64(Arc::new(self))
     }
 
     /// Infers the result type against a tuple scope.
     ///
     /// # Errors
     /// Returns a message for unknown columns or type mismatches.
-    pub fn infer_type(&self, scope: &[(String, ColumnType)]) -> Result<ColumnType, String> {
+    pub fn infer_type<N: AsRef<str>>(
+        &self,
+        scope: &[(N, ColumnType)],
+    ) -> Result<ColumnType, String> {
         use ColumnType as T;
         match self {
             Expr::Column(name) => scope
                 .iter()
-                .find(|(n, _)| n == name)
+                .find(|(n, _)| n.as_ref() == &**name)
                 .map(|&(_, t)| t)
                 .ok_or_else(|| format!("unknown column `{name}`")),
             Expr::LitI64(_) => Ok(T::I64),
@@ -282,10 +288,10 @@ impl Expr {
     }
 
     /// Collects all referenced column names into `out`.
-    pub fn collect_columns(&self, out: &mut Vec<String>) {
+    pub fn collect_columns(&self, out: &mut Vec<Arc<str>>) {
         match self {
             Expr::Column(n) if !out.contains(n) => {
-                out.push(n.clone());
+                out.push(Arc::clone(n));
             }
             Expr::Arith(_, a, b)
             | Expr::Cmp(_, a, b)
@@ -387,6 +393,6 @@ mod tests {
         let e = col("a").add(col("b")).mul(col("a"));
         let mut cols = Vec::new();
         e.collect_columns(&mut cols);
-        assert_eq!(cols, vec!["a".to_string(), "b".to_string()]);
+        assert_eq!(cols, [Arc::<str>::from("a"), Arc::from("b")]);
     }
 }

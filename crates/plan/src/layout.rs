@@ -1,12 +1,13 @@
 //! Materialized row layouts.
 
 use qc_storage::ColumnType;
+use std::sync::Arc;
 
 /// One field of a materialized row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowField {
     /// Field (column) name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Value type.
     pub ty: ColumnType,
     /// Byte offset within the row.
@@ -39,13 +40,13 @@ pub fn field_size(ty: ColumnType) -> u32 {
 
 impl RowLayout {
     /// Builds a layout from `(name, type)` pairs.
-    pub fn new(fields: &[(String, ColumnType)]) -> Self {
+    pub fn new(fields: &[(Arc<str>, ColumnType)]) -> Self {
         let mut offset = 0u32;
         let fields = fields
             .iter()
             .map(|(name, ty)| {
                 let f = RowField {
-                    name: name.clone(),
+                    name: Arc::clone(name),
                     ty: *ty,
                     offset,
                 };
@@ -61,12 +62,20 @@ impl RowLayout {
 
     /// Field by name.
     pub fn field(&self, name: &str) -> Option<&RowField> {
-        self.fields.iter().find(|f| f.name == name)
+        self.fields.iter().find(|f| *f.name == *name)
     }
 
-    /// `(name, type)` pairs of all fields.
-    pub fn schema(&self) -> Vec<(String, ColumnType)> {
-        self.fields.iter().map(|f| (f.name.clone(), f.ty)).collect()
+    /// The state field of aggregate output `agg` in a group layout:
+    /// `#<agg>`, or with `count` an AVG's row count `#<agg>_cnt` (the
+    /// first field so named, as [`RowLayout::field`] finds it).
+    pub fn agg_state(&self, agg: &str, count: bool) -> Option<&RowField> {
+        let suffix = if count { "_cnt" } else { "" };
+        self.fields.iter().find(|f| {
+            f.name
+                .strip_prefix('#')
+                .and_then(|rest| rest.strip_prefix(agg))
+                .is_some_and(|rest| rest == suffix)
+        })
     }
 }
 
@@ -88,6 +97,21 @@ mod tests {
         assert_eq!(l.field("d").unwrap().offset, 32);
         assert_eq!(l.size, 48);
         assert!(l.field("missing").is_none());
+    }
+
+    #[test]
+    fn agg_state_finds_the_field_spelled_for_the_aggregate() {
+        let l = RowLayout::new(&[
+            ("#a".into(), ColumnType::I64),
+            ("#a_cnt".into(), ColumnType::I64),
+            ("#ab".into(), ColumnType::I64),
+        ]);
+        assert_eq!(l.agg_state("a", false).unwrap().offset, 0);
+        assert_eq!(l.agg_state("a", true).unwrap().offset, 8);
+        assert_eq!(l.agg_state("a_cnt", false).unwrap().offset, 8);
+        assert_eq!(l.agg_state("ab", false).unwrap().offset, 16);
+        assert!(l.agg_state("b", false).is_none());
+        assert!(l.agg_state("ab", true).is_none());
     }
 
     #[test]

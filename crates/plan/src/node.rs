@@ -3,10 +3,12 @@
 use crate::expr::Expr;
 use qc_storage::ColumnType;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write};
+use std::sync::Arc;
 
-/// A table schema: ordered (column name, type) pairs.
-pub type TableSchema = Vec<(String, ColumnType)>;
+/// A table schema: ordered (column name, type) pairs, shared, so a
+/// catalog can hand out a table's schema without copying it.
+pub type TableSchema = Arc<[(String, ColumnType)]>;
 
 /// Catalog lookup used during planning: table name → schema, or `None`
 /// for an unknown table.
@@ -48,16 +50,17 @@ fn err<T>(message: impl Into<String>) -> Result<T, PlanError> {
     })
 }
 
-/// A logical query plan node.
+/// A logical query plan node. Names are shared (`Arc<str>`): planning
+/// keeps them in pipelines, layouts and context slots without copying.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanNode {
     /// Base-table scan with projected columns and an optional pushed-down
     /// filter.
     Scan {
         /// Table name.
-        table: String,
+        table: Arc<str>,
         /// Projected column names.
-        columns: Vec<String>,
+        columns: Vec<Arc<str>>,
         /// Pushed-down predicate.
         filter: Option<Expr>,
     },
@@ -73,7 +76,7 @@ pub enum PlanNode {
         /// Input.
         input: Box<PlanNode>,
         /// `(name, expression)` pairs appended to the schema.
-        exprs: Vec<(String, Expr)>,
+        exprs: Vec<(Arc<str>, Expr)>,
     },
     /// Inner hash join. The build side is materialized into a hash table;
     /// the probe side streams.
@@ -83,39 +86,44 @@ pub enum PlanNode {
         /// Probe (streaming) input.
         probe: Box<PlanNode>,
         /// Equi-join key columns on the build side.
-        build_keys: Vec<String>,
+        build_keys: Vec<Arc<str>>,
         /// Equi-join key columns on the probe side (same count/types).
-        probe_keys: Vec<String>,
+        probe_keys: Vec<Arc<str>>,
         /// Build-side columns carried into the output (key columns are
         /// carried automatically).
-        payload: Vec<String>,
+        payload: Vec<Arc<str>>,
     },
     /// Hash aggregation.
     GroupBy {
         /// Input.
         input: Box<PlanNode>,
         /// Grouping key columns.
-        keys: Vec<String>,
+        keys: Vec<Arc<str>>,
         /// `(output name, aggregate)` pairs.
-        aggs: Vec<(String, AggFunc)>,
+        aggs: Vec<(Arc<str>, AggFunc)>,
     },
     /// Sort (with optional limit), a full pipeline breaker.
     Sort {
         /// Input.
         input: Box<PlanNode>,
         /// `(column, ascending)` sort keys.
-        keys: Vec<(String, bool)>,
+        keys: Vec<(Arc<str>, bool)>,
         /// Optional row limit applied after sorting.
         limit: Option<usize>,
     },
+}
+
+/// Shared copies of `names`.
+fn names(names: &[&str]) -> Vec<Arc<str>> {
+    names.iter().map(|&n| n.into()).collect()
 }
 
 impl PlanNode {
     /// Convenience constructor for a scan.
     pub fn scan(table: &str, columns: &[&str]) -> PlanNode {
         PlanNode::Scan {
-            table: table.to_string(),
-            columns: columns.iter().map(|s| s.to_string()).collect(),
+            table: table.into(),
+            columns: names(columns),
             filter: None,
         }
     }
@@ -123,8 +131,8 @@ impl PlanNode {
     /// Convenience constructor for a filtered scan.
     pub fn scan_filtered(table: &str, columns: &[&str], filter: Expr) -> PlanNode {
         PlanNode::Scan {
-            table: table.to_string(),
-            columns: columns.iter().map(|s| s.to_string()).collect(),
+            table: table.into(),
+            columns: names(columns),
             filter: Some(filter),
         }
     }
@@ -141,7 +149,7 @@ impl PlanNode {
     pub fn map(self, exprs: Vec<(&str, Expr)>) -> PlanNode {
         PlanNode::Map {
             input: Box::new(self),
-            exprs: exprs.into_iter().map(|(n, e)| (n.to_string(), e)).collect(),
+            exprs: exprs.into_iter().map(|(n, e)| (n.into(), e)).collect(),
         }
     }
 
@@ -156,9 +164,9 @@ impl PlanNode {
         PlanNode::HashJoin {
             build: Box::new(build),
             probe: Box::new(self),
-            build_keys: build_keys.iter().map(|s| s.to_string()).collect(),
-            probe_keys: probe_keys.iter().map(|s| s.to_string()).collect(),
-            payload: payload.iter().map(|s| s.to_string()).collect(),
+            build_keys: names(build_keys),
+            probe_keys: names(probe_keys),
+            payload: names(payload),
         }
     }
 
@@ -166,8 +174,8 @@ impl PlanNode {
     pub fn group_by(self, keys: &[&str], aggs: Vec<(&str, AggFunc)>) -> PlanNode {
         PlanNode::GroupBy {
             input: Box::new(self),
-            keys: keys.iter().map(|s| s.to_string()).collect(),
-            aggs: aggs.into_iter().map(|(n, a)| (n.to_string(), a)).collect(),
+            keys: names(keys),
+            aggs: aggs.into_iter().map(|(n, a)| (n.into(), a)).collect(),
         }
     }
 
@@ -175,7 +183,7 @@ impl PlanNode {
     pub fn sort(self, keys: &[(&str, bool)], limit: Option<usize>) -> PlanNode {
         PlanNode::Sort {
             input: Box::new(self),
-            keys: keys.iter().map(|&(n, asc)| (n.to_string(), asc)).collect(),
+            keys: keys.iter().map(|&(n, asc)| (n.into(), asc)).collect(),
             limit,
         }
     }
@@ -196,7 +204,7 @@ impl PlanNode {
                 };
                 let mut out = Vec::new();
                 for c in columns {
-                    match table_schema.iter().find(|(n, _)| n == c) {
+                    match table_schema.iter().find(|(n, _)| **n == **c) {
                         Some(entry) => out.push(entry.clone()),
                         None => return err(format!("unknown column `{c}` in `{table}`")),
                     }
@@ -204,7 +212,7 @@ impl PlanNode {
                 if let Some(f) = filter {
                     // The filter may reference any table column, not just
                     // the projected ones.
-                    match f.infer_type(&table_schema) {
+                    match f.infer_type(&table_schema[..]) {
                         Ok(ColumnType::Bool) => {}
                         Ok(t) => return err(format!("scan filter has type {t}")),
                         Err(m) => return err(m),
@@ -226,7 +234,7 @@ impl PlanNode {
                     let ty = e
                         .infer_type(&schema)
                         .map_err(|m| PlanError { message: m })?;
-                    schema.push((name.clone(), ty));
+                    schema.push((name.to_string(), ty));
                 }
                 Ok(schema)
             }
@@ -243,8 +251,8 @@ impl PlanNode {
                     return err("join key count mismatch");
                 }
                 for (bk, pk) in build_keys.iter().zip(probe_keys) {
-                    let bt = bs.iter().find(|(n, _)| n == bk);
-                    let pt = ps.iter().find(|(n, _)| n == pk);
+                    let bt = bs.iter().find(|(n, _)| **n == **bk);
+                    let pt = ps.iter().find(|(n, _)| **n == **pk);
                     match (bt, pt) {
                         (Some((_, bt)), Some((_, pt))) if bt == pt => {}
                         (Some(_), Some(_)) => {
@@ -255,9 +263,9 @@ impl PlanNode {
                 }
                 let mut out = ps;
                 for p in payload {
-                    match bs.iter().find(|(n, _)| n == p) {
+                    match bs.iter().find(|(n, _)| **n == **p) {
                         Some(entry) => {
-                            if out.iter().any(|(n, _)| n == p) {
+                            if out.iter().any(|(n, _)| **n == **p) {
                                 return err(format!("duplicate output column `{p}`"));
                             }
                             out.push(entry.clone());
@@ -271,7 +279,7 @@ impl PlanNode {
                 let schema = input.schema(catalog)?;
                 let mut out = Vec::new();
                 for k in keys {
-                    match schema.iter().find(|(n, _)| n == k) {
+                    match schema.iter().find(|(n, _)| **n == **k) {
                         Some(e) => out.push(e.clone()),
                         None => return err(format!("unknown group key `{k}`")),
                     }
@@ -298,14 +306,14 @@ impl PlanNode {
                             }
                         }
                     };
-                    out.push((name.clone(), ty));
+                    out.push((name.to_string(), ty));
                 }
                 Ok(out)
             }
             PlanNode::Sort { input, keys, .. } => {
                 let schema = input.schema(catalog)?;
                 for (k, _) in keys {
-                    if !schema.iter().any(|(n, _)| n == k) {
+                    if !schema.iter().any(|(n, _)| **n == **k) {
                         return err(format!("unknown sort key `{k}`"));
                     }
                 }
@@ -319,99 +327,115 @@ impl PlanNode {
     /// key. Two plans render identically exactly when they are equal:
     /// every operator, column list, expression, and option is spelled
     /// out in a fixed order with unambiguous delimiters.
+    ///
+    /// One allocation: a first pass only measures the text, the second
+    /// writes it into a `String` of exactly that size.
     pub fn canonical_text(&self) -> String {
-        use std::fmt::Write;
-        fn agg_text(out: &mut String, agg: &AggFunc) {
-            let _ = match agg {
-                AggFunc::CountStar => write!(out, "count(*)"),
-                AggFunc::Sum(e) => write!(out, "sum({e})"),
-                AggFunc::Min(e) => write!(out, "min({e})"),
-                AggFunc::Max(e) => write!(out, "max({e})"),
-                AggFunc::Avg(e) => write!(out, "avg({e})"),
-            };
-        }
-        fn node_text(out: &mut String, node: &PlanNode) {
-            match node {
-                PlanNode::Scan {
-                    table,
-                    columns,
-                    filter,
-                } => {
-                    let _ = write!(out, "scan({table};{}", columns.join(","));
-                    if let Some(f) = filter {
-                        let _ = write!(out, ";where {f}");
-                    }
-                    out.push(')');
-                }
-                PlanNode::Filter { input, predicate } => {
-                    let _ = write!(out, "filter({predicate};");
-                    node_text(out, input);
-                    out.push(')');
-                }
-                PlanNode::Map { input, exprs } => {
-                    out.push_str("map(");
-                    for (i, (name, e)) in exprs.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "{name}={e}");
-                    }
-                    out.push(';');
-                    node_text(out, input);
-                    out.push(')');
-                }
-                PlanNode::HashJoin {
-                    build,
-                    probe,
-                    build_keys,
-                    probe_keys,
-                    payload,
-                } => {
-                    let _ = write!(
-                        out,
-                        "join({}={};payload {};build ",
-                        probe_keys.join(","),
-                        build_keys.join(","),
-                        payload.join(","),
-                    );
-                    node_text(out, build);
-                    out.push_str(";probe ");
-                    node_text(out, probe);
-                    out.push(')');
-                }
-                PlanNode::GroupBy { input, keys, aggs } => {
-                    let _ = write!(out, "groupby({};", keys.join(","));
-                    for (i, (name, agg)) in aggs.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "{name}=");
-                        agg_text(out, agg);
-                    }
-                    out.push(';');
-                    node_text(out, input);
-                    out.push(')');
-                }
-                PlanNode::Sort { input, keys, limit } => {
-                    out.push_str("sort(");
-                    for (i, (name, asc)) in keys.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "{name} {}", if *asc { "asc" } else { "desc" });
-                    }
-                    if let Some(l) = limit {
-                        let _ = write!(out, ";limit {l}");
-                    }
-                    out.push(';');
-                    node_text(out, input);
-                    out.push(')');
-                }
+        /// A sink that keeps nothing but the length.
+        struct Measure(usize);
+        impl Write for Measure {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 += s.len();
+                Ok(())
             }
         }
-        let mut out = String::new();
-        node_text(&mut out, self);
+        let mut measure = Measure(0);
+        let _ = self.write_canonical(&mut measure);
+        let mut out = String::with_capacity(measure.0);
+        let _ = self.write_canonical(&mut out);
         out
+    }
+
+    fn write_canonical(&self, out: &mut impl Write) -> fmt::Result {
+        /// `items` separated by commas.
+        fn list<W: Write, T>(
+            out: &mut W,
+            items: &[T],
+            mut item: impl FnMut(&mut W, &T) -> fmt::Result,
+        ) -> fmt::Result {
+            for (i, x) in items.iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
+                }
+                item(out, x)?;
+            }
+            Ok(())
+        }
+        fn names(out: &mut impl Write, names: &[Arc<str>]) -> fmt::Result {
+            list(out, names, |out, n| out.write_str(n))
+        }
+        match self {
+            PlanNode::Scan {
+                table,
+                columns,
+                filter,
+            } => {
+                write!(out, "scan({table};")?;
+                names(out, columns)?;
+                if let Some(f) = filter {
+                    write!(out, ";where {f}")?;
+                }
+                out.write_char(')')
+            }
+            PlanNode::Filter { input, predicate } => {
+                write!(out, "filter({predicate};")?;
+                input.write_canonical(out)?;
+                out.write_char(')')
+            }
+            PlanNode::Map { input, exprs } => {
+                out.write_str("map(")?;
+                list(out, exprs, |out, (name, e)| write!(out, "{name}={e}"))?;
+                out.write_char(';')?;
+                input.write_canonical(out)?;
+                out.write_char(')')
+            }
+            PlanNode::HashJoin {
+                build,
+                probe,
+                build_keys,
+                probe_keys,
+                payload,
+            } => {
+                out.write_str("join(")?;
+                names(out, probe_keys)?;
+                out.write_char('=')?;
+                names(out, build_keys)?;
+                out.write_str(";payload ")?;
+                names(out, payload)?;
+                out.write_str(";build ")?;
+                build.write_canonical(out)?;
+                out.write_str(";probe ")?;
+                probe.write_canonical(out)?;
+                out.write_char(')')
+            }
+            PlanNode::GroupBy { input, keys, aggs } => {
+                out.write_str("groupby(")?;
+                names(out, keys)?;
+                out.write_char(';')?;
+                list(out, aggs, |out, (name, agg)| match agg {
+                    AggFunc::CountStar => write!(out, "{name}=count(*)"),
+                    AggFunc::Sum(e) => write!(out, "{name}=sum({e})"),
+                    AggFunc::Min(e) => write!(out, "{name}=min({e})"),
+                    AggFunc::Max(e) => write!(out, "{name}=max({e})"),
+                    AggFunc::Avg(e) => write!(out, "{name}=avg({e})"),
+                })?;
+                out.write_char(';')?;
+                input.write_canonical(out)?;
+                out.write_char(')')
+            }
+            PlanNode::Sort { input, keys, limit } => {
+                out.write_str("sort(")?;
+                list(out, keys, |out, (name, asc)| {
+                    write!(out, "{name} {}", if *asc { "asc" } else { "desc" })
+                })?;
+                if let Some(l) = limit {
+                    write!(out, ";limit {l}")?;
+                }
+                out.write_char(';')?;
+                input.write_canonical(out)?;
+                out.write_char(')')
+            }
+        }
     }
 
     /// Counts the pipeline breakers below (and including) this node —
@@ -435,17 +459,17 @@ mod tests {
     use super::*;
     use crate::expr::{col, lit_date};
 
-    fn catalog(name: &str) -> Option<Vec<(String, ColumnType)>> {
+    fn catalog(name: &str) -> Option<TableSchema> {
         match name {
-            "t" => Some(vec![
+            "t" => Some(Arc::new([
                 ("k".into(), ColumnType::I64),
                 ("d".into(), ColumnType::Date),
                 ("v".into(), ColumnType::Decimal(2)),
-            ]),
-            "dim" => Some(vec![
+            ])),
+            "dim" => Some(Arc::new([
                 ("k".into(), ColumnType::I64),
                 ("label".into(), ColumnType::Str),
-            ]),
+            ])),
             _ => None,
         }
     }

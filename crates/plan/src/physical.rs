@@ -1,9 +1,10 @@
 //! Pipeline decomposition: logical plan → physical pipelines.
 
-use crate::expr::{col, Expr};
+use crate::expr::{lit_f64, Expr};
 use crate::layout::RowLayout;
 use crate::node::{AggFunc, CatalogFn, PlanError, PlanNode};
 use qc_storage::ColumnType;
+use std::sync::Arc;
 
 /// One query-context slot. The context is a flat array of 8-byte slots the
 /// engine fills before execution; generated functions receive its address
@@ -25,9 +26,9 @@ pub enum CtxEntry {
     /// Base address of a table column.
     ColumnBase {
         /// Table name.
-        table: String,
+        table: Arc<str>,
         /// Column name.
-        column: String,
+        column: Arc<str>,
     },
     /// Interned string literal `n` (occupies 16 bytes: the full
     /// [`qc_runtime::RtString`] descriptor).
@@ -50,11 +51,11 @@ pub enum Source {
     /// Scan a base table over a morsel `[start, start+count)`.
     Table {
         /// Table name.
-        name: String,
+        name: Arc<str>,
         /// Columns to load: projected plus filter-only columns.
-        columns: Vec<(String, ColumnType)>,
+        columns: Vec<(Arc<str>, ColumnType)>,
         /// Names visible downstream (the projected subset).
-        projected: Vec<String>,
+        projected: Vec<Arc<str>>,
         /// Pushed-down predicate over `columns`.
         filter: Option<Expr>,
     },
@@ -75,7 +76,7 @@ pub enum StreamOp {
     /// Drop tuples failing the predicate.
     Filter(Expr),
     /// Append computed columns.
-    Map(Vec<(String, ColumnType, Expr)>),
+    Map(Vec<(Arc<str>, ColumnType, Expr)>),
     /// Probe join `join_id`: hash the probe keys, walk the bucket chain,
     /// and for every key-equal entry emit the tuple extended with the
     /// carried build columns (one nested loop per join, paper Sec. III-A).
@@ -83,11 +84,11 @@ pub enum StreamOp {
         /// Join identifier (context slot [`CtxEntry::JoinHt`]).
         join_id: usize,
         /// Probe-side key columns.
-        probe_keys: Vec<String>,
+        probe_keys: Vec<Arc<str>>,
         /// Build-side entry payload layout (keys first, then payload).
         build_layout: RowLayout,
         /// Build columns added to the scope (payload minus keys).
-        carry: Vec<(String, ColumnType)>,
+        carry: Vec<(Arc<str>, ColumnType)>,
     },
 }
 
@@ -104,7 +105,7 @@ pub enum Sink {
         /// Join identifier.
         join_id: usize,
         /// Build key columns (hashed).
-        keys: Vec<String>,
+        keys: Vec<Arc<str>>,
         /// Entry payload layout (keys first, then payload).
         layout: RowLayout,
     },
@@ -113,9 +114,9 @@ pub enum Sink {
         /// Aggregation identifier.
         agg_id: usize,
         /// Group key columns (hashed).
-        keys: Vec<String>,
+        keys: Vec<Arc<str>>,
         /// Aggregates in output order.
-        aggs: Vec<(String, AggFunc)>,
+        aggs: Vec<(Arc<str>, AggFunc)>,
         /// Group-entry payload layout: keys, then aggregate state fields
         /// (named `#<output>` / `#<output>_cnt` for AVG).
         layout: RowLayout,
@@ -126,7 +127,7 @@ pub enum Sink {
         /// Sort identifier.
         sort_id: usize,
         /// `(column, ascending)` keys.
-        keys: Vec<(String, bool)>,
+        keys: Vec<(Arc<str>, bool)>,
         /// Row layout.
         layout: RowLayout,
     },
@@ -150,15 +151,17 @@ pub struct Pipeline {
 pub struct PhysicalPlan {
     /// Pipelines in execution order.
     pub pipelines: Vec<Pipeline>,
-    /// Context slots; slot `i` lives at byte offset `8 * i`.
+    /// Context slots in block order; each takes [`CtxEntry::size`] bytes.
     pub ctx: Vec<CtxEntry>,
+    /// Byte offset of each slot of `ctx`, summed once by `decompose`.
+    offsets: Vec<i32>,
     /// Output row layout (matches the logical root schema).
     pub output: RowLayout,
     /// Logical output schema.
-    pub output_schema: Vec<(String, ColumnType)>,
+    pub output_schema: Vec<(Arc<str>, ColumnType)>,
     /// Deduplicated string literals; literal `n` is loaded from context
     /// entry [`CtxEntry::StrConst`]`(n)`.
-    pub str_literals: Vec<String>,
+    pub str_literals: Vec<Arc<str>>,
 }
 
 impl PhysicalPlan {
@@ -175,8 +178,7 @@ impl PhysicalPlan {
 
     /// Byte offset of a context entry within the context block.
     pub fn ctx_offset(&self, entry: &CtxEntry) -> i32 {
-        let slot = self.slot_of(entry);
-        self.ctx[..slot].iter().map(|e| e.size() as i32).sum()
+        self.offsets[self.slot_of(entry)]
     }
 
     /// Size of the context block in bytes.
@@ -184,19 +186,21 @@ impl PhysicalPlan {
         self.ctx.iter().map(CtxEntry::size).sum()
     }
 
-    /// Decomposes a logical plan.
+    /// Decomposes a logical plan. Names are shared with `root`, never
+    /// copied.
     ///
     /// # Errors
     /// Propagates schema/type errors from the logical plan.
     pub fn decompose(root: &PlanNode, catalog: &CatalogFn<'_>) -> Result<PhysicalPlan, PlanError> {
         let mut d = Decomposer {
             catalog,
-            pipelines: Vec::new(),
+            pipelines: Vec::with_capacity(root.breaker_count() + 1),
             ctx: vec![CtxEntry::OutputBuf],
             joins: 0,
             aggs: 0,
             sorts: 0,
             str_literals: Vec::new(),
+            name: String::new(),
         };
         let (source, ops, scope) = d.process(root)?;
         let layout = RowLayout::new(&scope);
@@ -208,9 +212,19 @@ impl PhysicalPlan {
                 layout: layout.clone(),
             },
         });
+        let offsets = d
+            .ctx
+            .iter()
+            .scan(0, |next, e| {
+                let off = *next;
+                *next += e.size() as i32;
+                Some(off)
+            })
+            .collect();
         Ok(PhysicalPlan {
             pipelines: d.pipelines,
             ctx: d.ctx,
+            offsets,
             output: layout,
             output_schema: scope,
             str_literals: d.str_literals,
@@ -225,10 +239,17 @@ struct Decomposer<'c> {
     joins: usize,
     aggs: usize,
     sorts: usize,
-    str_literals: Vec<String>,
+    str_literals: Vec<Arc<str>>,
+    /// Where aggregate state names are spelled before they are shared.
+    name: String,
 }
 
-type Scope = Vec<(String, ColumnType)>;
+type Scope = Vec<(Arc<str>, ColumnType)>;
+
+/// The entry of `scope` named `name`, shared.
+fn find(scope: &[(Arc<str>, ColumnType)], name: &str) -> Option<(Arc<str>, ColumnType)> {
+    scope.iter().find(|(n, _)| **n == *name).cloned()
+}
 
 impl Decomposer<'_> {
     fn slot(&mut self, e: CtxEntry) {
@@ -243,12 +264,22 @@ impl Decomposer<'_> {
             let idx = match self.str_literals.iter().position(|s| s == lit) {
                 Some(i) => i,
                 None => {
-                    self.str_literals.push(lit.to_string());
+                    self.str_literals.push(Arc::clone(lit));
                     self.str_literals.len() - 1
                 }
             };
             self.slot(CtxEntry::StrConst(idx));
         });
+    }
+
+    /// The state field name of aggregate `agg`: `#<agg><suffix>` (see
+    /// [`RowLayout::agg_state`]).
+    fn state_name(&mut self, agg: &str, suffix: &str) -> Arc<str> {
+        self.name.clear();
+        self.name.push('#');
+        self.name.push_str(agg);
+        self.name.push_str(suffix);
+        Arc::from(self.name.as_str())
     }
 
     fn perr<T>(msg: impl Into<String>) -> Result<T, PlanError> {
@@ -267,25 +298,29 @@ impl Decomposer<'_> {
                 let Some(table_schema) = (self.catalog)(table) else {
                     return Self::perr(format!("unknown table `{table}`"));
                 };
-                let mut needed: Vec<String> = columns.clone();
+                // Loaded: the projected columns, then the filter's others.
+                let mut loaded: Scope = Vec::with_capacity(columns.len());
+                let mut load = |c: &Arc<str>| match table_schema.iter().find(|(n, _)| **n == **c) {
+                    Some(&(_, ty)) => {
+                        loaded.push((Arc::clone(c), ty));
+                        Ok(())
+                    }
+                    None => Self::perr(format!("unknown column `{c}` in `{table}`")),
+                };
+                columns.iter().try_for_each(&mut load)?;
                 if let Some(f) = filter {
                     let mut extra = Vec::new();
                     f.collect_columns(&mut extra);
-                    for c in extra {
-                        if !needed.contains(&c) {
-                            needed.push(c);
+                    for c in &extra {
+                        if !columns.contains(c) {
+                            load(c)?;
                         }
                     }
                 }
-                let mut loaded = Vec::new();
-                for c in &needed {
-                    match table_schema.iter().find(|(n, _)| n == c) {
-                        Some(entry) => loaded.push(entry.clone()),
-                        None => return Self::perr(format!("unknown column `{c}` in `{table}`")),
-                    }
+                for (c, _) in &loaded {
                     self.slot(CtxEntry::ColumnBase {
-                        table: table.clone(),
-                        column: c.clone(),
+                        table: Arc::clone(table),
+                        column: Arc::clone(c),
                     });
                 }
                 if let Some(f) = filter {
@@ -293,17 +328,11 @@ impl Decomposer<'_> {
                 }
                 let scope: Scope = columns
                     .iter()
-                    .map(|c| {
-                        loaded
-                            .iter()
-                            .find(|(n, _)| n == c)
-                            .cloned()
-                            .expect("projected")
-                    })
+                    .map(|c| find(&loaded, c).expect("projected"))
                     .collect();
                 Ok((
                     Source::Table {
-                        name: table.clone(),
+                        name: Arc::clone(table),
                         columns: loaded,
                         projected: columns.clone(),
                         filter: filter.clone(),
@@ -325,12 +354,12 @@ impl Decomposer<'_> {
             }
             PlanNode::Map { input, exprs } => {
                 let (src, mut ops, mut scope) = self.process(input)?;
-                let mut typed = Vec::new();
+                let mut typed = Vec::with_capacity(exprs.len());
                 for (name, e) in exprs {
                     let ty = e.infer_type(&scope).map_err(|m| PlanError { message: m })?;
                     self.intern_strings(e);
-                    typed.push((name.clone(), ty, e.clone()));
-                    scope.push((name.clone(), ty));
+                    typed.push((Arc::clone(name), ty, e.clone()));
+                    scope.push((Arc::clone(name), ty));
                 }
                 ops.push(StreamOp::Map(typed));
                 Ok((src, ops, scope))
@@ -348,22 +377,22 @@ impl Decomposer<'_> {
 
                 // Build side becomes its own pipeline (and possibly more).
                 let (bsrc, bops, bscope) = self.process(build)?;
-                let mut entry_fields: Scope = Vec::new();
+                let mut entry_fields: Scope = Vec::with_capacity(build_keys.len() + payload.len());
                 for k in build_keys {
-                    match bscope.iter().find(|(n, _)| n == k) {
-                        Some(e) => entry_fields.push(e.clone()),
+                    match find(&bscope, k) {
+                        Some(e) => entry_fields.push(e),
                         None => return Self::perr(format!("unknown build key `{k}`")),
                     }
                 }
-                let mut carry: Scope = Vec::new();
+                let mut carry: Scope = Vec::with_capacity(payload.len());
                 for p in payload {
-                    let Some(e) = bscope.iter().find(|(n, _)| n == p) else {
+                    let Some(e) = find(&bscope, p) else {
                         return Self::perr(format!("unknown payload column `{p}`"));
                     };
                     if !build_keys.contains(p) {
                         entry_fields.push(e.clone());
                     }
-                    carry.push(e.clone());
+                    carry.push(e);
                 }
                 let build_layout = RowLayout::new(&entry_fields);
                 self.pipelines.push(Pipeline {
@@ -388,17 +417,14 @@ impl Decomposer<'_> {
                 }
                 // Only carry columns not already in scope (schema() rejects
                 // real duplicates).
-                let carry: Scope = carry
-                    .into_iter()
-                    .filter(|(n, _)| !pscope.iter().any(|(pn, _)| pn == n))
-                    .collect();
+                carry.retain(|(n, _)| !pscope.iter().any(|(pn, _)| pn == n));
+                pscope.extend(carry.iter().cloned());
                 pops.push(StreamOp::Probe {
                     join_id,
                     probe_keys: probe_keys.clone(),
                     build_layout,
-                    carry: carry.clone(),
+                    carry,
                 });
-                pscope.extend(carry);
                 Ok((psrc, pops, pscope))
             }
             PlanNode::GroupBy { input, keys, aggs } => {
@@ -408,16 +434,22 @@ impl Decomposer<'_> {
                 self.slot(CtxEntry::AggGroups(agg_id));
 
                 let (isrc, iops, iscope) = self.process(input)?;
-                let mut fields: Scope = Vec::new();
+                let states = aggs.len()
+                    + aggs
+                        .iter()
+                        .filter(|(_, a)| matches!(a, AggFunc::Avg(_)))
+                        .count();
+                let mut fields: Scope = Vec::with_capacity(keys.len() + states);
                 for k in keys {
-                    match iscope.iter().find(|(n, _)| n == k) {
-                        Some(e) => fields.push(e.clone()),
+                    match find(&iscope, k) {
+                        Some(e) => fields.push(e),
                         None => return Self::perr(format!("unknown group key `{k}`")),
                     }
                 }
                 // Aggregate state fields.
-                let mut finals: Vec<(String, ColumnType, Expr)> = Vec::new();
-                let mut out_scope: Scope = fields.clone();
+                let mut finals: Vec<(Arc<str>, ColumnType, Expr)> = Vec::new();
+                let mut out_scope: Scope = Vec::with_capacity(keys.len() + aggs.len());
+                out_scope.extend(fields.iter().cloned());
                 for (name, agg) in aggs {
                     let state_ty = |e: &Expr| -> Result<ColumnType, PlanError> {
                         let t = e
@@ -430,29 +462,31 @@ impl Decomposer<'_> {
                     };
                     match agg {
                         AggFunc::CountStar => {
-                            fields.push((format!("#{name}"), ColumnType::I64));
-                            out_scope.push((name.clone(), ColumnType::I64));
+                            fields.push((self.state_name(name, ""), ColumnType::I64));
+                            out_scope.push((Arc::clone(name), ColumnType::I64));
                         }
                         AggFunc::Sum(e) | AggFunc::Min(e) | AggFunc::Max(e) => {
                             let ty = state_ty(e)?;
-                            fields.push((format!("#{name}"), ty));
-                            out_scope.push((name.clone(), ty));
+                            fields.push((self.state_name(name, ""), ty));
+                            out_scope.push((Arc::clone(name), ty));
                         }
                         AggFunc::Avg(e) => {
                             let ty = state_ty(e)?;
-                            fields.push((format!("#{name}"), ty));
-                            fields.push((format!("#{name}_cnt"), ColumnType::I64));
+                            let sum = self.state_name(name, "");
+                            let count = self.state_name(name, "_cnt");
+                            fields.push((Arc::clone(&sum), ty));
+                            fields.push((Arc::clone(&count), ColumnType::I64));
                             // Finalization: sum / 10^scale / count as f64.
                             let scale_div = match ty {
                                 ColumnType::Decimal(s) => 10f64.powi(s as i32),
                                 _ => 1.0,
                             };
-                            let e = col(&format!("#{name}"))
+                            let e = Expr::Column(sum)
                                 .cast_f64()
-                                .mul(crate::expr::lit_f64(1.0 / scale_div))
-                                .div(col(&format!("#{name}_cnt")).cast_f64());
-                            finals.push((name.clone(), ColumnType::F64, e));
-                            out_scope.push((name.clone(), ColumnType::F64));
+                                .mul(lit_f64(1.0 / scale_div))
+                                .div(Expr::Column(count).cast_f64());
+                            finals.push((Arc::clone(name), ColumnType::F64, e));
+                            out_scope.push((Arc::clone(name), ColumnType::F64));
                         }
                     }
                 }
@@ -472,13 +506,14 @@ impl Decomposer<'_> {
                 // Group scan: rename `#agg` state fields to their output
                 // names (non-AVG) via a Map, compute AVG finals.
                 let mut ops: Vec<StreamOp> = Vec::new();
-                let mut renames: Vec<(String, ColumnType, Expr)> = Vec::new();
-                for (name, agg) in aggs {
-                    if !matches!(agg, AggFunc::Avg(_)) {
-                        let f = layout.field(&format!("#{name}")).expect("state field");
-                        renames.push((name.clone(), f.ty, col(&format!("#{name}"))));
-                    }
-                }
+                let renames: Vec<(Arc<str>, ColumnType, Expr)> = aggs
+                    .iter()
+                    .filter(|(_, agg)| !matches!(agg, AggFunc::Avg(_)))
+                    .map(|(name, _)| {
+                        let f = layout.agg_state(name, false).expect("state field");
+                        (Arc::clone(name), f.ty, Expr::Column(Arc::clone(&f.name)))
+                    })
+                    .collect();
                 if !renames.is_empty() {
                     ops.push(StreamOp::Map(renames));
                 }
@@ -531,7 +566,7 @@ impl Decomposer<'_> {
     }
 }
 
-fn collect_str_literals(e: &Expr, f: &mut impl FnMut(&str)) {
+fn collect_str_literals(e: &Expr, f: &mut impl FnMut(&Arc<str>)) {
     match e {
         Expr::LitStr(s) => f(s),
         Expr::Arith(_, a, b)
@@ -551,19 +586,20 @@ fn collect_str_literals(e: &Expr, f: &mut impl FnMut(&str)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{lit_date, lit_i64};
+    use crate::expr::{col, lit_date, lit_i64};
+    use crate::TableSchema;
 
-    fn catalog(name: &str) -> Option<Vec<(String, ColumnType)>> {
+    fn catalog(name: &str) -> Option<TableSchema> {
         match name {
-            "fact" => Some(vec![
+            "fact" => Some(Arc::new([
                 ("k".into(), ColumnType::I64),
                 ("d".into(), ColumnType::Date),
                 ("v".into(), ColumnType::Decimal(2)),
-            ]),
-            "dim" => Some(vec![
+            ])),
+            "dim" => Some(Arc::new([
                 ("k".into(), ColumnType::I64),
                 ("label".into(), ColumnType::Str),
-            ]),
+            ])),
             _ => None,
         }
     }
@@ -592,7 +628,7 @@ mod tests {
             panic!("expected table source");
         };
         assert_eq!(columns.len(), 2); // v + d
-        assert_eq!(projected, &vec!["v".to_string()]);
+        assert_eq!(projected, &[Arc::<str>::from("v")]);
         assert_eq!(phys.output.fields.len(), 1);
     }
 
@@ -646,7 +682,7 @@ mod tests {
         assert_eq!(
             phys.output_schema
                 .iter()
-                .map(|(n, _)| n.as_str())
+                .map(|(n, _)| &**n)
                 .collect::<Vec<_>>(),
             vec!["k", "total", "n", "avg_v"]
         );

@@ -12,8 +12,9 @@ use qc_runtime::SqlValue;
 use qc_storage::{ColumnType, Database};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-type Schema = Vec<(String, ColumnType)>;
+type Schema = Vec<(Arc<str>, ColumnType)>;
 type Row = Vec<SqlValue>;
 
 fn err<T>(message: impl Into<String>) -> Result<T, PlanError> {
@@ -82,8 +83,8 @@ fn eval(node: &PlanNode, db: &Database) -> Result<(Schema, Vec<Row>), PlanError>
             let Some(t) = db.table(table) else {
                 return err(format!("unknown table `{table}`"));
             };
-            let full_schema: Schema = t.schema.iter().map(|(n, ty)| (n.to_string(), ty)).collect();
-            let mut needed: Vec<String> = columns.clone();
+            let full_schema: Schema = t.schema.iter().map(|(n, ty)| (n.into(), ty)).collect();
+            let mut needed: Vec<Arc<str>> = columns.clone();
             if let Some(f) = filter {
                 let mut extra = Vec::new();
                 f.collect_columns(&mut extra);
@@ -464,7 +465,7 @@ fn eval_expr(e: &Expr, schema: &Schema, row: &Row) -> Result<SqlValue, PlanError
         Expr::LitDec(v, s) => V::Decimal(*v, *s),
         Expr::LitF64(v) => V::F64(*v),
         Expr::LitDate(v) => V::I32(*v),
-        Expr::LitStr(s) => V::Str(s.clone()),
+        Expr::LitStr(s) => V::Str(s.to_string()),
         Expr::LitBool(b) => V::Bool(*b),
         Expr::Arith(op, a, b) => {
             let (va, vb) = (eval_expr(a, schema, row)?, eval_expr(b, schema, row)?);

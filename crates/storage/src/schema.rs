@@ -1,6 +1,7 @@
 //! Table schemas.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// The storage type of one column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +52,7 @@ impl fmt::Display for ColumnType {
 /// An ordered list of named, typed columns.
 #[derive(Debug, Clone, Default)]
 pub struct Schema {
-    columns: Vec<(String, ColumnType)>,
+    columns: Arc<[(String, ColumnType)]>,
 }
 
 impl Schema {
@@ -84,6 +85,12 @@ impl Schema {
     /// Position of the column named `name`.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|(n, _)| n == name)
+    }
+
+    /// The `(name, type)` pairs, shared: a catalog lookup clones the
+    /// `Arc`, not the names.
+    pub fn columns(&self) -> &Arc<[(String, ColumnType)]> {
+        &self.columns
     }
 
     /// Iterator over `(name, type)` pairs.

@@ -139,7 +139,7 @@ fn values_live_across_runtime_calls() {
     }
     // rt_alloc allocates scratch memory and clobbers caller-saved regs.
     let callee = b.declare_ext_func(qc_ir::ExtFuncDecl {
-        name: "rt_alloc".to_string(),
+        name: "rt_alloc".into(),
         sig: Signature::new(vec![Type::I64], Type::Ptr),
     });
     let size = b.iconst(Type::I64, 64);
