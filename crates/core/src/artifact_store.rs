@@ -11,7 +11,10 @@
 //!
 //! # On-disk format
 //!
-//! One file per artifact, `qca-<keyhash>-<modulehash>.qca`:
+//! Append-only segments. A store that writes creates one segment of its
+//! own, `qcs-<pid>-<seq>.qcs`, on its first write (`create_new`; a name
+//! already taken moves on to the next process-wide sequence number),
+//! and appends every artifact to it as one record, in one `write_all`:
 //!
 //! ```text
 //! magic   b"QCAS"
@@ -20,41 +23,82 @@
 //! payload len u64, fnv1a-64 checksum u64, bytes
 //! ```
 //!
-//! Strings are length-prefixed (u64 LE). The payload is
-//! [`CodeArtifact::serialize`] output ([`NativeArtifact`]'s unlinked
-//! image plus compile stats).
+//! Strings are length-prefixed (u64 LE) and at most 64 bytes long
+//! (`MAX_NAME`). The payload is [`CodeArtifact::serialize`] output
+//! ([`NativeArtifact`]'s unlinked image plus compile stats).
+//!
+//! Loads go through an in-memory index from (key hash, module hash) to
+//! segment, offset and length. One scan builds it, reading only record
+//! headers, one positioned read each: segments oldest-first by
+//! modification time, a later record for a key replacing an earlier
+//! one. A key the index does not hold makes the store list the
+//! directory again and scan only what is new — segments it has not
+//! seen and the tails of known segments that grew — so a live store
+//! sees what other stores and processes append. A hit reads its record
+//! with one positioned read.
 //!
 //! # Failure policy
 //!
 //! The store **never** fails a compile:
 //!
-//! * writes go to a process/sequence-unique temp file in the same
-//!   directory and are published with an atomic `rename`, so readers
-//!   (including other processes sharing the directory) can never
-//!   observe a torn file;
+//! * each segment has one writer and nothing is synced, so a crash can
+//!   leave a segment ending in a half-written record or in garbage. A
+//!   scan stops at the first header that does not parse; a record whose
+//!   header parses but which the segment's end cuts short is indexed as
+//!   it is, so loading it rejects it like any other damage;
 //! * loads verify magic, version, the full key, and the payload
-//!   checksum; any mismatch counts as a *corrupt rejection*, the file
-//!   is removed best-effort, and the caller recompiles through the
-//!   normal path (the fallback chain and fault counters already model
-//!   this);
+//!   checksum; a mismatch or a short record counts as a *corrupt
+//!   rejection*, the record leaves the index, and the caller recompiles
+//!   through the normal path (the fallback chain and fault counters
+//!   already model this), whose write supersedes the damaged record;
 //! * an unwritable or uncreatable directory degrades the store to
 //!   pass-through: loads count misses, stores are no-ops, and no error
 //!   reaches the query path.
+//!
+//! # Size budget
+//!
+//! With a budget the store keeps a running total of the directory's
+//! segment bytes: one scan seeds it on the first write, and every
+//! record appended adds to it. A write that takes the total past the
+//! budget scans again and evicts whole segments, least recently
+//! modified first and this store's own segment last, until the
+//! directory fits; the next write after its own segment went starts a
+//! new one.
 
 use parking_lot::Mutex;
 use qc_backend::{CodeArtifact, NativeArtifact};
 use qc_ir::fnv1a_64;
-use std::fs;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet};
+use std::ffi::OsString;
+use std::fs::{self, File, OpenOptions};
+use std::hash::{Hash, Hasher};
+use std::io::{ErrorKind, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const MAGIC: [u8; 4] = *b"QCAS";
 
-/// Version of the artifact-file envelope; bumped on incompatible
-/// changes so stale files are rejected (and cleaned up) instead of
-/// misparsed.
-const STORE_FORMAT_VERSION: u32 = 1;
+/// Version of the record envelope; bumped on incompatible changes so
+/// stale records are rejected instead of misparsed.
+const STORE_FORMAT_VERSION: u32 = 2;
+
+/// File extension of a segment.
+const SEGMENT_EXTENSION: &str = "qcs";
+
+/// Longest back-end or ISA name a record carries, so that one read of
+/// [`HEADER_MAX`] bytes always holds a whole header. A key with a longer
+/// name is not persisted.
+const MAX_NAME: usize = 64;
+
+/// Bytes of the longest record header: magic, version, module hash,
+/// config, two length-prefixed names, payload length and checksum.
+const HEADER_MAX: usize = 4 + 4 + 8 + 8 + 2 * (8 + MAX_NAME) + 8 + 8;
+
+/// Sequence number of the next segment this process creates.
+static SEGMENT_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Identity of a reusable piece of machine code: what must match for a
 /// stored artifact to be valid for a compile request. Mirrors the
@@ -72,32 +116,33 @@ pub struct ArtifactKey {
 }
 
 impl ArtifactKey {
-    /// Hash of the non-module key fields, used in the file name so two
-    /// back-ends compiling the same module never share a file.
-    fn key_hash(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(self.backend.len() + self.isa.len() + 16);
-        bytes.extend_from_slice(&(self.backend.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(self.backend.as_bytes());
-        bytes.extend_from_slice(&(self.isa.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(self.isa.as_bytes());
-        bytes.extend_from_slice(&self.config.to_le_bytes());
-        fnv1a_64(&bytes)
+    fn slot(&self) -> Slot {
+        (
+            key_hash(self.backend, self.isa, self.config),
+            self.module_hash,
+        )
     }
+}
 
-    /// File name of this key's artifact within the store directory.
-    fn file_name(&self) -> String {
-        format!("qca-{:016x}-{:016x}.qca", self.key_hash(), self.module_hash)
-    }
+/// Index slot of a key: the hash of its non-module fields, so two
+/// back-ends compiling the same module never share a slot, and the
+/// module hash.
+type Slot = (u64, u64);
+
+fn key_hash(backend: &str, isa: &str, config: u64) -> u64 {
+    let mut h = DefaultHasher::new();
+    (backend, isa, config).hash(&mut h);
+    h.finish()
 }
 
 /// Configuration of an [`ArtifactStore`].
 #[derive(Debug, Clone)]
 pub struct ArtifactStoreConfig {
-    /// Directory holding the artifact files (created if missing). All
+    /// Directory holding the segment files (created if missing). All
     /// schedulers/services of a fleet node point at the same directory.
     pub dir: PathBuf,
     /// Size budget for the directory; a write that takes it past the
-    /// budget evicts the least-recently-modified artifacts. `None`
+    /// budget evicts the least-recently-modified segments. `None`
     /// disables eviction.
     pub max_bytes: Option<u64>,
 }
@@ -125,15 +170,15 @@ impl ArtifactStoreConfig {
 pub struct ArtifactStoreCounters {
     /// Loads that returned a verified artifact.
     pub hits: u64,
-    /// Loads that found no (usable) file, including loads against a
+    /// Loads that found no (usable) record, including loads against a
     /// disabled store.
     pub misses: u64,
-    /// Artifacts written (published via rename).
+    /// Records appended.
     pub writes: u64,
-    /// Files rejected by magic/version/key/checksum verification and
-    /// removed.
+    /// Records rejected by magic/version/key/checksum verification or
+    /// cut short by the end of their segment.
     pub corrupt_rejected: u64,
-    /// Files evicted to respect the size budget.
+    /// Records held by the segments evicted to respect the size budget.
     pub evictions: u64,
     /// Directory scans made for the size budget: one when the first
     /// write needs the directory's size, then one per write that takes
@@ -147,12 +192,10 @@ pub struct ArtifactStore {
     max_bytes: Option<u64>,
     /// Why the store is pass-through, when it is.
     disabled: Option<String>,
-    /// Bytes of artifact files believed to be in the directory: `None`
-    /// until the first budgeted write scans it, then the last scan's
-    /// result plus every file this store has published since. The lock
-    /// also serializes eviction scans within this process.
-    dir_bytes: Mutex<Option<u64>>,
-    tmp_seq: AtomicU64,
+    /// The record index, this store's own segment and the budget's
+    /// running total. The lock also serializes appends and eviction
+    /// within this store.
+    index: Mutex<Index>,
     hits: AtomicU64,
     misses: AtomicU64,
     writes: AtomicU64,
@@ -184,8 +227,7 @@ impl ArtifactStore {
             dir: config.dir,
             max_bytes: config.max_bytes,
             disabled,
-            dir_bytes: Mutex::new(None),
-            tmp_seq: AtomicU64::new(0),
+            index: Mutex::new(Index::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             writes: AtomicU64::new(0),
@@ -232,22 +274,23 @@ impl ArtifactStore {
     }
 
     /// Loads and verifies the artifact stored under `key`, or `None`
-    /// on a miss. A file failing verification is counted, removed
-    /// best-effort, and reported as a miss — the caller recompiles.
+    /// on a miss. A record failing verification is counted, dropped
+    /// from the index, and reported as a miss — the caller recompiles.
     pub fn load(&self, key: &ArtifactKey) -> Option<Arc<dyn CodeArtifact>> {
-        if self.disabled.is_some() {
+        let found = match self.disabled {
+            Some(_) => None,
+            None => self.index.lock().find(&self.dir, key.slot()),
+        };
+        let Some((file, loc)) = found else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
-        }
-        let path = self.dir.join(key.file_name());
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
         };
-        match decode_file(&bytes, Some(key)) {
+        let mut record = vec![0u8; loc.len];
+        let decoded = file
+            .read_exact_at(&mut record, loc.offset)
+            .map_err(|_| "unreadable")
+            .and_then(|()| decode_record(&record, Some(key)));
+        match decoded {
             Ok(artifact) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(Arc::new(artifact))
@@ -255,93 +298,90 @@ impl ArtifactStore {
             Err(_) => {
                 self.corrupt.fetch_add(1, Ordering::Relaxed);
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                let _ = fs::remove_file(&path);
+                self.index.lock().forget(key.slot(), loc);
                 None
             }
         }
     }
 
-    /// Persists `artifact` under `key` (atomic temp-file + rename),
-    /// then enforces the size budget. No-ops — silently, by design —
-    /// when the store is pass-through or the artifact kind does not
-    /// serialize (e.g. interpreter bytecode).
+    /// Appends `artifact` under `key` to this store's segment, then
+    /// enforces the size budget. No-ops — silently, by design — when
+    /// the store is pass-through, a name in the key is longer than 64
+    /// bytes (`MAX_NAME`), or the artifact kind does not serialize
+    /// (e.g. interpreter bytecode).
     pub fn store(&self, key: &ArtifactKey, artifact: &dyn CodeArtifact) {
-        if self.disabled.is_some() {
+        if self.disabled.is_some() || key.backend.len() > MAX_NAME || key.isa.len() > MAX_NAME {
             return;
         }
         let Some(payload) = artifact.serialize() else {
             return;
         };
-        let bytes = encode_file(key, &payload);
-        let tmp = self.dir.join(format!(
-            ".qca-tmp-{}-{}",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        if fs::write(&tmp, &bytes).is_err() {
-            let _ = fs::remove_file(&tmp);
-            return;
-        }
-        let path = self.dir.join(key.file_name());
-        if fs::rename(&tmp, &path).is_err() {
-            let _ = fs::remove_file(&tmp);
+        let record = encode_record(key, &payload);
+        let mut index = self.index.lock();
+        if index.append(&self.dir, key.slot(), &record).is_none() {
             return;
         }
         self.writes.fetch_add(1, Ordering::Relaxed);
-        self.enforce_budget(bytes.len() as u64);
+        self.enforce_budget(&mut index, record.len() as u64);
     }
 
-    /// Accounts for a just-published file of `published` bytes and,
+    /// Accounts for a just-appended record of `appended` bytes and,
     /// when that takes the directory past the budget, evicts
-    /// least-recently-modified artifacts until it fits.
+    /// least-recently-modified segments until it fits.
     ///
-    /// The directory is listed only when the running total says the
+    /// The directory is scanned only when the running total says the
     /// budget is crossed (and once to seed the total), not per write;
-    /// each listing resets the total to what is really there. The total
-    /// over-counts a file published over its own old version and one a
-    /// corrupt load removed, which costs a scan that finds nothing to
-    /// evict, and does not see other processes' writes until this
-    /// store's own cross the budget. Within-process scans are
-    /// serialized; across processes eviction is racy but safe (a
-    /// vanished file is just a future miss).
-    fn enforce_budget(&self, published: u64) {
+    /// each scan resets the total to what is really there. The total
+    /// does not see other processes' writes until this store's own
+    /// cross the budget; across processes eviction is racy but safe (a
+    /// vanished segment is a future miss).
+    fn enforce_budget(&self, index: &mut Index, appended: u64) {
         let Some(budget) = self.max_bytes else { return };
-        let mut dir_bytes = self.dir_bytes.lock();
-        // Kept if the listing below fails, so the next write tries again.
-        *dir_bytes = dir_bytes.map(|known| known.saturating_add(published));
-        if dir_bytes.is_some_and(|total| total <= budget) {
+        index.dir_bytes = index.dir_bytes.map(|known| known.saturating_add(appended));
+        if index.dir_bytes.is_some_and(|total| total <= budget) {
             return;
         }
         self.budget_scans.fetch_add(1, Ordering::Relaxed);
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return;
-        };
-        let mut files: Vec<(PathBuf, u64, std::time::SystemTime)> = entries
-            .flatten()
-            .filter(|e| e.path().extension().is_some_and(|x| x == "qca"))
-            .filter_map(|e| {
-                let md = e.metadata().ok()?;
-                Some((e.path(), md.len(), md.modified().ok()?))
+        // Index every segment first, so an eviction knows its records.
+        index.refresh(&self.dir);
+        let mut by_age: Vec<_> = index
+            .segments
+            .iter()
+            .filter_map(|(&id, segment)| {
+                let meta = segment.file.metadata().ok()?;
+                Some((
+                    index.active == Some(id),
+                    meta.modified().ok()?,
+                    id,
+                    meta.len(),
+                ))
             })
             .collect();
-        let mut total: u64 = files.iter().map(|f| f.1).sum();
-        files.sort_by_key(|f| f.2);
-        for (path, len, _) in files {
+        by_age.sort_unstable();
+        let mut total: u64 = by_age.iter().map(|s| s.3).sum();
+        for (_, _, id, len) in by_age {
             if total <= budget {
                 break;
             }
-            if fs::remove_file(&path).is_ok() {
+            let Some(segment) = index.segments.get(&id) else {
+                continue;
+            };
+            if fs::remove_file(self.dir.join(&segment.name)).is_ok() {
                 total = total.saturating_sub(len);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.evictions.fetch_add(segment.records, Ordering::Relaxed);
+                index.drop_segment(id);
             }
         }
-        *dir_bytes = Some(total);
+        index.dir_bytes = Some(total);
     }
 
-    /// Offline integrity scan: parses and checksums every artifact file
-    /// in the directory, returning `(intact, corrupt)` counts without
-    /// mutating anything. Used by tests and the warm-restart harness to
-    /// prove concurrent writers never publish torn files.
+    /// Offline integrity scan: parses and checksums every record of
+    /// every segment in the directory, returning `(intact, corrupt)`
+    /// counts without mutating anything. A segment's damaged tail — a
+    /// record its end cuts short, or bytes that do not parse as a
+    /// header — counts as one corrupt record. Used by tests and the
+    /// warm-restart harness to prove concurrent writers never publish
+    /// torn records.
     pub fn fsck(&self) -> (usize, usize) {
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return (0, 0);
@@ -349,25 +389,377 @@ impl ArtifactStore {
         let (mut intact, mut corrupt) = (0, 0);
         for entry in entries.flatten() {
             let path = entry.path();
-            if path.extension().is_none_or(|x| x != "qca") {
+            if path.extension().is_none_or(|x| x != SEGMENT_EXTENSION) {
                 continue;
             }
-            match fs::read(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|bytes| decode_file(&bytes, None))
-            {
-                Ok(_) => intact += 1,
-                Err(_) => corrupt += 1,
+            let Ok(file) = File::open(&path) else {
+                continue;
+            };
+            let Ok(len) = file.metadata().map(|m| m.len()) else {
+                continue;
+            };
+            let mut torn = false;
+            let stop = walk(&file, 0, len, |offset, _, end| {
+                if end > len {
+                    torn = true;
+                    return;
+                }
+                let mut record = vec![0u8; (end - offset) as usize];
+                let verified = file
+                    .read_exact_at(&mut record, offset)
+                    .map_err(|_| "unreadable")
+                    .and_then(|()| decode_record(&record, None));
+                match verified {
+                    Ok(_) => intact += 1,
+                    Err(_) => corrupt += 1,
+                }
+            });
+            if torn || stop < len {
+                corrupt += 1;
             }
         }
         (intact, corrupt)
     }
 }
 
-/// Builds one artifact file: envelope (magic, version, key) + checksummed
+/// Where a record lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Loc {
+    segment: u64,
+    offset: u64,
+    len: usize,
+}
+
+/// A segment file the index knows.
+struct Segment {
+    name: OsString,
+    file: Arc<File>,
+    /// Offset past the last complete record indexed.
+    scanned: u64,
+    /// The file's length when last scanned or appended to; a segment
+    /// that has not grown since holds nothing new.
+    len: u64,
+    /// Complete records indexed in it.
+    records: u64,
+}
+
+/// What a store knows of its directory.
+#[derive(Default)]
+struct Index {
+    /// Whether the directory has been listed yet.
+    listed: bool,
+    /// Known segments by id; ids grow in the order segments were first
+    /// seen.
+    segments: HashMap<u64, Segment>,
+    /// Segment ids by file name.
+    ids: HashMap<OsString, u64>,
+    next_id: u64,
+    records: HashMap<Slot, Loc>,
+    /// This store's own segment, which `store` appends to.
+    active: Option<u64>,
+    /// Segment bytes believed to be in the directory: `None` until the
+    /// first budgeted write scans it, then the last scan's result plus
+    /// every record this store has appended since.
+    dir_bytes: Option<u64>,
+}
+
+impl Index {
+    /// The segment file and location of `slot`'s record, listing the
+    /// directory again first when the index does not hold it (or has
+    /// never listed).
+    fn find(&mut self, dir: &Path, slot: Slot) -> Option<(Arc<File>, Loc)> {
+        let loc = match self.records.get(&slot) {
+            Some(&loc) if self.listed => loc,
+            _ => {
+                self.refresh(dir);
+                *self.records.get(&slot)?
+            }
+        };
+        let file = Arc::clone(&self.segments.get(&loc.segment)?.file);
+        Some((file, loc))
+    }
+
+    /// Drops `slot`'s record from the index if it is still `loc`.
+    fn forget(&mut self, slot: Slot, loc: Loc) {
+        if self.records.get(&slot) == Some(&loc) {
+            self.records.remove(&slot);
+        }
+    }
+
+    /// Lists the directory and indexes what is new: the tails of known
+    /// segments that grew, then segments not seen before, oldest-first
+    /// by modification time. Segments that left the directory leave the
+    /// index.
+    fn refresh(&mut self, dir: &Path) {
+        self.listed = true;
+        let Ok(entries) = fs::read_dir(dir) else {
+            return;
+        };
+        let listed: HashSet<OsString> = entries
+            .flatten()
+            .map(|e| e.file_name())
+            .filter(|n| {
+                Path::new(n)
+                    .extension()
+                    .is_some_and(|x| x == SEGMENT_EXTENSION)
+            })
+            .collect();
+        let gone: Vec<u64> = self
+            .ids
+            .iter()
+            .filter(|(name, _)| !listed.contains(*name))
+            .map(|(_, &id)| id)
+            .collect();
+        for id in gone {
+            self.drop_segment(id);
+        }
+        let grown: Vec<u64> = self
+            .segments
+            .iter()
+            .filter(|(&id, segment)| {
+                self.active != Some(id)
+                    && segment
+                        .file
+                        .metadata()
+                        .is_ok_and(|m| m.len() != segment.len)
+            })
+            .map(|(&id, _)| id)
+            .collect();
+        for id in grown {
+            self.scan(id);
+        }
+        let mut fresh: Vec<_> = listed
+            .into_iter()
+            .filter(|name| !self.ids.contains_key(name))
+            .filter_map(|name| {
+                let file = File::open(dir.join(&name)).ok()?;
+                let modified = file.metadata().ok()?.modified().ok()?;
+                Some((modified, name, file))
+            })
+            .collect();
+        fresh.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        for (_, name, file) in fresh {
+            let id = self.add_segment(name, file);
+            self.scan(id);
+        }
+    }
+
+    /// Indexes the records of segment `id` past the last complete one.
+    fn scan(&mut self, id: u64) {
+        let Some(segment) = self.segments.get_mut(&id) else {
+            return;
+        };
+        let Ok(len) = segment.file.metadata().map(|m| m.len()) else {
+            return;
+        };
+        let records = &mut self.records;
+        let mut complete = 0;
+        segment.scanned = walk(&segment.file, segment.scanned, len, |offset, slot, end| {
+            let loc = Loc {
+                segment: id,
+                offset,
+                len: (end.min(len) - offset) as usize,
+            };
+            records.insert(slot, loc);
+            complete += u64::from(end <= len);
+        });
+        segment.records += complete;
+        segment.len = len;
+    }
+
+    /// Appends `record` to this store's segment, creating the segment
+    /// on the first write. `None` if the segment cannot be created or
+    /// the write fails; what reached the file then is a torn tail that
+    /// scans stop at, and the next write starts a new segment.
+    fn append(&mut self, dir: &Path, slot: Slot, record: &[u8]) -> Option<()> {
+        let id = match self.active {
+            Some(id) => id,
+            None => self.create_segment(dir)?,
+        };
+        let segment = self.segments.get_mut(&id)?;
+        if (&*segment.file).write_all(record).is_err() {
+            self.active = None;
+            return None;
+        }
+        let loc = Loc {
+            segment: id,
+            offset: segment.len,
+            len: record.len(),
+        };
+        segment.len += record.len() as u64;
+        segment.scanned = segment.len;
+        segment.records += 1;
+        self.records.insert(slot, loc);
+        Some(())
+    }
+
+    fn create_segment(&mut self, dir: &Path) -> Option<u64> {
+        // The directory's older records go into the index before this
+        // store's own, so that its own are the later ones.
+        if !self.listed {
+            self.refresh(dir);
+        }
+        loop {
+            let seq = SEGMENT_SEQ.fetch_add(1, Ordering::Relaxed);
+            // Zero-padded, so that one process's segments sort by name
+            // in creation order when their modification times tie.
+            let name = format!("qcs-{}-{seq:06}.{SEGMENT_EXTENSION}", std::process::id());
+            let opened = OpenOptions::new()
+                .read(true)
+                .append(true)
+                .create_new(true)
+                .open(dir.join(&name));
+            match opened {
+                Ok(file) => {
+                    let id = self.add_segment(name.into(), file);
+                    self.active = Some(id);
+                    return Some(id);
+                }
+                Err(e) if e.kind() == ErrorKind::AlreadyExists => {}
+                Err(_) => return None,
+            }
+        }
+    }
+
+    fn add_segment(&mut self, name: OsString, file: File) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.ids.insert(name.clone(), id);
+        let segment = Segment {
+            name,
+            file: Arc::new(file),
+            scanned: 0,
+            len: 0,
+            records: 0,
+        };
+        self.segments.insert(id, segment);
+        id
+    }
+
+    fn drop_segment(&mut self, id: u64) {
+        if let Some(segment) = self.segments.remove(&id) {
+            self.ids.remove(&segment.name);
+        }
+        self.records.retain(|_, loc| loc.segment != id);
+        if self.active == Some(id) {
+            self.active = None;
+        }
+    }
+}
+
+/// Walks the records of `file` from `offset` up to `len`, one
+/// positioned header read each, calling `visit(offset, slot, end)` for
+/// every record whose header parses; `end` exceeds `len` for a record
+/// the segment's end cuts short, which ends the walk, as does a header
+/// that does not parse. Returns the offset past the last complete
+/// record.
+fn walk(file: &File, mut offset: u64, len: u64, mut visit: impl FnMut(u64, Slot, u64)) -> u64 {
+    let mut buf = [0u8; HEADER_MAX];
+    while offset < len {
+        let want = (len - offset).min(HEADER_MAX as u64) as usize;
+        if file.read_exact_at(&mut buf[..want], offset).is_err() {
+            break;
+        }
+        let Ok(header) = parse_header(&buf[..want]) else {
+            break;
+        };
+        let end = offset
+            .saturating_add(header.len as u64)
+            .saturating_add(header.payload_len);
+        visit(offset, header.slot(), end);
+        if end > len {
+            break;
+        }
+        offset = end;
+    }
+    offset
+}
+
+/// A record's header: its key, and its payload's length and checksum.
+struct Header<'a> {
+    module_hash: u64,
+    config: u64,
+    backend: &'a str,
+    isa: &'a str,
+    payload_len: u64,
+    checksum: u64,
+    /// Bytes from the record's start to its payload.
+    len: usize,
+}
+
+impl Header<'_> {
+    fn slot(&self) -> Slot {
+        (
+            key_hash(self.backend, self.isa, self.config),
+            self.module_hash,
+        )
+    }
+}
+
+/// Reads a record's fields front to back.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], &'static str> {
+        let field = self
+            .at
+            .checked_add(n)
+            .and_then(|end| self.bytes.get(self.at..end))
+            .ok_or("truncated")?;
+        self.at += n;
+        Ok(field)
+    }
+
+    fn u64(&mut self) -> Result<u64, &'static str> {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(self.take(8)?);
+        Ok(u64::from_le_bytes(le))
+    }
+
+    fn name(&mut self) -> Result<&'a str, &'static str> {
+        let len = self.u64()?;
+        if len > MAX_NAME as u64 {
+            return Err("name too long");
+        }
+        std::str::from_utf8(self.take(len as usize)?).map_err(|_| "non-UTF-8 name")
+    }
+}
+
+/// Parses the header at the front of `bytes`, which may go on past it.
+fn parse_header(bytes: &[u8]) -> Result<Header<'_>, &'static str> {
+    let mut cursor = Cursor { bytes, at: 0 };
+    if cursor.take(4)? != MAGIC {
+        return Err("bad magic");
+    }
+    let mut version = [0u8; 4];
+    version.copy_from_slice(cursor.take(4)?);
+    if u32::from_le_bytes(version) != STORE_FORMAT_VERSION {
+        return Err("unsupported store version");
+    }
+    let module_hash = cursor.u64()?;
+    let config = cursor.u64()?;
+    let backend = cursor.name()?;
+    let isa = cursor.name()?;
+    let payload_len = cursor.u64()?;
+    let checksum = cursor.u64()?;
+    Ok(Header {
+        module_hash,
+        config,
+        backend,
+        isa,
+        payload_len,
+        checksum,
+        len: cursor.at,
+    })
+}
+
+/// Builds one record: envelope (magic, version, key) + checksummed
 /// payload.
-fn encode_file(key: &ArtifactKey, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 64);
+fn encode_record(key: &ArtifactKey, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_MAX + payload.len());
     let push_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
     let push_str = |out: &mut Vec<u8>, s: &str| {
         push_u64(out, s.len() as u64);
@@ -385,57 +777,32 @@ fn encode_file(key: &ArtifactKey, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Verifies and decodes one artifact file. With `expect_key`, the
-/// embedded key must match exactly (a file-name hash collision or a
-/// renamed file is treated as corrupt rather than served).
-fn decode_file(bytes: &[u8], expect_key: Option<&ArtifactKey>) -> Result<NativeArtifact, String> {
-    let mut at = 0usize;
-    let take = |at: &mut usize, n: usize| -> Result<&[u8], String> {
-        let end = at
-            .checked_add(n)
-            .filter(|&e| e <= bytes.len())
-            .ok_or_else(|| "truncated".to_string())?;
-        let s = &bytes[*at..end];
-        *at = end;
-        Ok(s)
-    };
-    let take_u64 = |at: &mut usize| -> Result<u64, String> {
-        Ok(u64::from_le_bytes(take(at, 8)?.try_into().expect("8")))
-    };
-    if take(&mut at, 4)? != MAGIC {
-        return Err("bad magic".into());
-    }
-    let version = u32::from_le_bytes(take(&mut at, 4)?.try_into().expect("4"));
-    if version != STORE_FORMAT_VERSION {
-        return Err(format!("unsupported store version {version}"));
-    }
-    let module_hash = take_u64(&mut at)?;
-    let config = take_u64(&mut at)?;
-    let backend_len = take_u64(&mut at)? as usize;
-    let backend = String::from_utf8(take(&mut at, backend_len)?.to_vec())
-        .map_err(|_| "non-UTF-8 backend name".to_string())?;
-    let isa_len = take_u64(&mut at)? as usize;
-    let isa = String::from_utf8(take(&mut at, isa_len)?.to_vec())
-        .map_err(|_| "non-UTF-8 ISA name".to_string())?;
+/// Verifies and decodes one record, which must fill `bytes` exactly.
+/// With `expect_key`, the embedded key must match exactly (an index
+/// slot collision or an overwritten key is treated as corrupt rather
+/// than served).
+fn decode_record(
+    bytes: &[u8],
+    expect_key: Option<&ArtifactKey>,
+) -> Result<NativeArtifact, &'static str> {
+    let header = parse_header(bytes)?;
     if let Some(key) = expect_key {
-        if module_hash != key.module_hash
-            || config != key.config
-            || backend != key.backend
-            || isa != key.isa
+        if header.module_hash != key.module_hash
+            || header.config != key.config
+            || header.backend != key.backend
+            || header.isa != key.isa
         {
-            return Err("key mismatch".into());
+            return Err("key mismatch");
         }
     }
-    let payload_len = usize::try_from(take_u64(&mut at)?).map_err(|_| "oversized".to_string())?;
-    let checksum = take_u64(&mut at)?;
-    let payload = take(&mut at, payload_len)?;
-    if at != bytes.len() {
-        return Err("trailing bytes".into());
+    let payload = bytes.get(header.len..).ok_or("truncated")?;
+    if payload.len() as u64 != header.payload_len {
+        return Err("payload length mismatch");
     }
-    if fnv1a_64(payload) != checksum {
-        return Err("checksum mismatch".into());
+    if fnv1a_64(payload) != header.checksum {
+        return Err("checksum mismatch");
     }
-    NativeArtifact::deserialize(payload).map_err(|e| e.to_string())
+    NativeArtifact::deserialize(payload).map_err(|_| "undecodable payload")
 }
 
 #[cfg(test)]
@@ -472,6 +839,15 @@ mod tests {
         }
     }
 
+    fn segments(dir: &Path) -> Vec<PathBuf> {
+        fs::read_dir(dir)
+            .expect("store dir")
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|x| x == SEGMENT_EXTENSION))
+            .collect()
+    }
+
     #[test]
     fn store_then_load_roundtrip() {
         let store = ArtifactStore::open(ArtifactStoreConfig::at(unique_dir("roundtrip")));
@@ -490,12 +866,15 @@ mod tests {
         let dir = unique_dir("keymismatch");
         let store = ArtifactStore::open(ArtifactStoreConfig::at(dir.clone()));
         store.store(&key(1), &sample_artifact());
-        // Rename the file onto a different key's slot: the embedded key
-        // no longer matches and the load must reject it.
-        let from = dir.join(key(1).file_name());
-        let to = dir.join(key(2).file_name());
-        fs::rename(from, to).expect("rename");
-        assert!(store.load(&key(2)).is_none());
+        assert!(store.load(&key(1)).is_some(), "indexed by its own write");
+        // Overwrite the record's embedded module hash (after magic and
+        // version) once the index points at it: the embedded key no
+        // longer matches and the load must reject it.
+        let [segment] = segments(&dir).try_into().expect("one segment");
+        let file = OpenOptions::new().write(true).open(segment).expect("open");
+        file.write_all_at(&2u64.to_le_bytes(), 8)
+            .expect("overwrite");
+        assert!(store.load(&key(1)).is_none());
         assert_eq!(store.counters().corrupt_rejected, 1);
         let _ = fs::remove_dir_all(store.dir());
     }

@@ -154,17 +154,18 @@ pub struct CacheCounters {
     pub entries: usize,
     /// Approximate bytes retained by resident artifacts.
     pub resident_bytes: usize,
-    /// L1 misses served by the persistent store (pays a file read +
+    /// L1 misses served by the persistent store (pays a record read +
     /// link instead of a compile).
     pub disk_hits: u64,
     /// Probes of the persistent store that found nothing usable.
     pub disk_misses: u64,
     /// Artifacts persisted to the store.
     pub disk_writes: u64,
-    /// Store files rejected by checksum/header verification (each one
-    /// forced a recompile).
+    /// Store records rejected by checksum/header verification or cut
+    /// short by their segment's end (each one forced a recompile).
     pub disk_corrupt_rejected: u64,
-    /// Store files evicted to respect the on-disk size budget.
+    /// Store records evicted, with their segments, to respect the
+    /// on-disk size budget.
     pub disk_evictions: u64,
 }
 
@@ -188,7 +189,7 @@ pub struct FaultCounters {
     /// live workers is the normal path, not a fallback, and a
     /// background job the pool refuses fails instead).
     pub inline_fallbacks: u64,
-    /// Persistent-store files that failed verification and were
+    /// Persistent-store records that failed verification and were
     /// replaced by a recompile (mirrors
     /// [`CacheCounters::disk_corrupt_rejected`]; surfaced here because
     /// a corrupt artifact is a fault the service absorbed).
@@ -607,7 +608,7 @@ impl CompileService {
     }
 
     /// Snapshot of the fault-tolerance counters, including corrupt
-    /// artifact-store files the service absorbed by recompiling.
+    /// artifact-store records the service absorbed by recompiling.
     pub fn fault_stats(&self) -> FaultCounters {
         let mut snapshot = self.faults.snapshot();
         if let Some(store) = &self.cache.store {

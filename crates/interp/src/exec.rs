@@ -1,6 +1,6 @@
 //! The bytecode dispatch loop.
 
-use crate::bytecode::{BcOp, Program, BYTECODE_BASE};
+use crate::bytecode::{BcFunc, BcOp, Program, BYTECODE_BASE};
 use qc_ir::{CastOp, CmpOp, Opcode, Type};
 use qc_runtime::RuntimeState;
 use qc_target::{crc32c_u64, ExecStats, Trap, CALL_DISPATCH_COST};
@@ -52,28 +52,53 @@ fn pair_i128(lo: u64, hi: u64) -> i128 {
     (((hi as u128) << 64) | lo as u128) as i128
 }
 
+/// Register files and frames of finished activations. An activation
+/// takes one pair and gives it back when it returns, so that once a
+/// call depth has been reached, neither an activation nor a re-entry
+/// at that depth allocates (a sort comparator is re-entered n log n
+/// times).
+pub(crate) type Spare = Vec<(Vec<u64>, Vec<u8>)>;
+
 /// Runs bytecode function `fidx` with the given 64-bit argument slots.
 ///
 /// # Errors
 /// Returns a [`Trap`] on overflow, division by zero, bad memory access,
 /// or runtime errors.
-pub fn run(
+pub(crate) fn run(
     program: &Program,
     state: &mut RuntimeState,
     fidx: usize,
     args: &[u64],
     stats: &mut ExecStats,
+    spare: &mut Spare,
 ) -> Result<[u64; 2], Trap> {
     let func = &program.funcs[fidx];
     // The register file, then the scratch cells `Call` and `Copies`
-    // stage their operands in: one allocation per activation instead of
-    // one per executed call or edge copy (a sort comparator is
-    // re-entered n log n times).
+    // stage their operands in, and the zeroed frame.
     let nregs = func.num_slots.max(args.len());
-    let mut cells = vec![0u64; nregs + func.scratch_slots];
-    let (regs, scratch) = cells.split_at_mut(nregs);
-    regs[..args.len()].copy_from_slice(args);
-    let mut frame = vec![0u8; func.frame_size];
+    let (mut cells, mut frame) = spare.pop().unwrap_or_default();
+    cells.clear();
+    cells.resize(nregs + func.scratch_slots, 0);
+    cells[..args.len()].copy_from_slice(args);
+    frame.clear();
+    frame.resize(func.frame_size, 0);
+    let result = activate(program, state, func, &mut cells, &mut frame, stats, spare);
+    spare.push((cells, frame));
+    result
+}
+
+/// The dispatch loop of one activation of `func`, whose `cells` hold
+/// the register file and then the scratch cells.
+fn activate(
+    program: &Program,
+    state: &mut RuntimeState,
+    func: &BcFunc,
+    cells: &mut [u64],
+    frame: &mut [u8],
+    stats: &mut ExecStats,
+    spare: &mut Spare,
+) -> Result<[u64; 2], Trap> {
+    let (regs, scratch) = cells.split_at_mut(cells.len() - func.scratch_slots);
     let frame_base = frame.as_mut_ptr() as u64;
 
     let mut pc = 0usize;
@@ -203,7 +228,7 @@ pub fn run(
                             if idx >= program.funcs.len() {
                                 return Err(Trap::BadJump(addr));
                             }
-                            Ok(run(program, st, idx, cargs, stats)?[0])
+                            Ok(run(program, st, idx, cargs, stats, spare)?[0])
                         } else {
                             Err(Trap::BadJump(addr))
                         }

@@ -79,6 +79,7 @@ impl CodeArtifact for InterpArtifact {
             program: Arc::clone(&self.program),
             stats: self.stats.clone(),
             exec: RefCell::new(ExecStats::default()),
+            spare: exec::Spare::new(),
         }))
     }
 
@@ -100,6 +101,8 @@ pub struct InterpExecutable {
     program: Arc<Program>,
     stats: CompileStats,
     exec: RefCell<ExecStats>,
+    /// Register files and frames kept across calls and re-entries.
+    spare: exec::Spare,
 }
 
 impl std::fmt::Debug for InterpExecutable {
@@ -117,7 +120,14 @@ impl Executable for InterpExecutable {
     ) -> Result<[u64; 2], Trap> {
         let fidx = self.program.func_index(name).ok_or(Trap::BadJump(0))?;
         let mut stats = self.exec.borrow_mut();
-        exec::run(&self.program, state, fidx, args, &mut stats)
+        exec::run(
+            &self.program,
+            state,
+            fidx,
+            args,
+            &mut stats,
+            &mut self.spare,
+        )
     }
 
     fn exec_stats(&self) -> ExecStats {

@@ -1,9 +1,11 @@
 //! Integration tests for the persistent artifact store (L2) under the
 //! session/compile-service stack: warm restarts served from disk,
-//! checksum rejection of corrupted or truncated files followed by a
-//! clean recompile, concurrent writers publishing no torn files, the
-//! directory size budget, and graceful pass-through degradation when
-//! the store directory is unusable.
+//! checksum rejection of corrupted or truncated records followed by a
+//! clean recompile, segments a crash left torn, a live store serving
+//! what another appends, concurrent writers publishing no torn
+//! records, one segment per writing store, the directory size budget,
+//! and graceful pass-through degradation when the store directory is
+//! unusable.
 
 use qc_backend::{Backend, CompileStats, NativeArtifact};
 use qc_engine::{
@@ -12,6 +14,7 @@ use qc_engine::{
 };
 use qc_plan::{reference, PlanNode};
 use qc_target::{new_masm, ImageBuilder, Isa};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
@@ -58,13 +61,42 @@ fn execute(session: &Session<'_>, plan: &PlanNode, compiled: &mut CompiledQuery)
     reference::normalize(&result.rows)
 }
 
-fn qca_files(dir: &Path) -> Vec<PathBuf> {
+/// The segment files in a store directory.
+fn segments(dir: &Path) -> Vec<PathBuf> {
     std::fs::read_dir(dir)
         .expect("store dir")
         .flatten()
         .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "qca"))
+        .filter(|p| p.extension().is_some_and(|x| x == "qcs"))
         .collect()
+}
+
+/// The one segment a directory written by one store holds.
+fn only_segment(dir: &Path) -> PathBuf {
+    let [segment] = segments(dir).try_into().expect("exactly one segment");
+    segment
+}
+
+/// Byte ranges of the records in a segment's bytes. A record is magic,
+/// version, module hash and config (24 bytes), back-end and ISA names
+/// (each a u64 length and the bytes), payload length and checksum (16
+/// bytes), then the payload.
+fn record_spans(segment: &[u8]) -> Vec<Range<usize>> {
+    let u64_at = |at: usize| {
+        let le: [u8; 8] = segment[at..at + 8].try_into().expect("eight bytes");
+        u64::from_le_bytes(le) as usize
+    };
+    let mut spans = Vec::new();
+    let mut at = 0;
+    while at < segment.len() {
+        let mut field = at + 24;
+        field += 8 + u64_at(field);
+        field += 8 + u64_at(field);
+        let end = field + 16 + u64_at(field);
+        spans.push(at..end);
+        at = end;
+    }
+    spans
 }
 
 #[test]
@@ -109,47 +141,216 @@ fn corrupted_and_truncated_artifacts_are_rejected_then_recompiled() {
     compile_via_service(&seed, &q.plan, &backend);
     drop(seed);
 
-    // Damage every stored artifact: flip a payload byte in half of the
-    // files (checksum mismatch), truncate the rest (short read).
-    let files = qca_files(&dir);
-    assert!(!files.is_empty(), "seed run must leave artifacts behind");
-    for (i, path) in files.iter().enumerate() {
-        let mut bytes = std::fs::read(path).expect("read artifact");
-        if i % 2 == 0 {
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0xFF;
-        } else {
-            bytes.truncate(bytes.len() / 2);
-        }
-        std::fs::write(path, &bytes).expect("re-write artifact");
+    // Damage the seed run's segment: flip the last payload byte of every
+    // other record (checksum mismatch), and cut the segment inside its
+    // last record (short read).
+    let segment = only_segment(&dir);
+    let mut bytes = std::fs::read(&segment).expect("read segment");
+    let spans = record_spans(&bytes);
+    assert!(spans.len() >= 2, "seed run must leave records behind");
+    let last = spans.len() - 1;
+    for span in spans.iter().step_by(2) {
+        bytes[span.end - 1] ^= 0xFF;
     }
+    bytes.truncate(spans[last].start + spans[last].len() / 2);
+    std::fs::write(&segment, &bytes).expect("re-write segment");
+    let damaged = (0..spans.len())
+        .filter(|i| i % 2 == 0 || *i == last)
+        .count() as u64;
 
-    // A restart sees only damaged files: every load is rejected by
-    // verification, the query recompiles cleanly, and the event is
-    // visible in both the cache and fault counter surfaces.
+    // A restart serves the intact records; every damaged one is rejected
+    // by verification and recompiled cleanly, and the event is visible
+    // in both the cache and fault counter surfaces.
     let warm = store_session(&db, &dir);
     let mut compiled = compile_via_service(&warm, &q.plan, &backend);
     let stats = warm.compile_service().cache_stats();
-    assert_eq!(stats.disk_hits, 0, "damaged artifacts must not be served");
     assert_eq!(
-        stats.disk_corrupt_rejected,
-        files.len() as u64,
-        "every damaged file must be rejected"
+        stats.disk_hits,
+        spans.len() as u64 - damaged,
+        "intact records must be served"
+    );
+    assert_eq!(
+        stats.disk_corrupt_rejected, damaged,
+        "every damaged record must be rejected"
     );
     assert!(
         warm.compile_service().fault_stats().artifact_corruptions > 0,
         "corruption must surface in the fault counters"
     );
-    assert!(stats.disk_writes > 0, "recompile must re-publish artifacts");
+    assert_eq!(
+        stats.disk_writes, damaged,
+        "recompile must re-publish every damaged record"
+    );
     assert_eq!(execute(&warm, &q.plan, &mut compiled), expected);
+    drop(warm);
 
-    // The rejected files were removed and replaced: a further restart
-    // is served from the re-published artifacts.
+    // The re-published records supersede the damaged ones: a further
+    // restart is served from disk alone.
     let again = store_session(&db, &dir);
     compile_via_service(&again, &q.plan, &backend);
     let stats = again.compile_service().cache_stats();
-    assert!(stats.disk_hits > 0, "re-published artifacts must serve");
-    assert_eq!(stats.disk_corrupt_rejected, 0);
+    assert_eq!(
+        stats.disk_hits,
+        spans.len() as u64,
+        "every record must serve"
+    );
+    assert_eq!((stats.disk_corrupt_rejected, stats.disk_writes), (0, 0));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// How a crash can leave a segment's end.
+#[derive(Debug, Clone, Copy)]
+enum Tail {
+    /// Cut inside the last record's payload: its header names its key.
+    HalfPayload,
+    /// Cut inside the last record's header: its key is lost.
+    HalfHeader,
+    /// Bytes after the last record that do not parse as one.
+    Garbage,
+}
+
+#[test]
+fn a_torn_or_garbage_tail_restarts_with_every_complete_record() {
+    let db = qc_storage::gen_hlike(0.02);
+    let q = &qc_workloads::hlike_suite()[2];
+    let backend = native_backend();
+    let expected = reference::normalize(&reference::execute(&q.plan, &db).expect("reference"));
+    for tail in [Tail::HalfPayload, Tail::HalfHeader, Tail::Garbage] {
+        let dir = fresh_dir(&format!("tail-{tail:?}"));
+        compile_via_service(&store_session(&db, &dir), &q.plan, &backend);
+        let segment = only_segment(&dir);
+        let mut bytes = std::fs::read(&segment).expect("read segment");
+        let spans = record_spans(&bytes);
+        let records = spans.len() as u64;
+        let last = &spans[spans.len() - 1];
+        // (complete records left, records rejected on load)
+        let (complete, rejected) = match tail {
+            Tail::HalfPayload => {
+                bytes.truncate(last.end - 10);
+                (records - 1, 1)
+            }
+            Tail::HalfHeader => {
+                bytes.truncate(last.start + 20);
+                (records - 1, 0)
+            }
+            Tail::Garbage => {
+                bytes.extend(std::iter::repeat_n(0xA5, 100));
+                (records, 0)
+            }
+        };
+        std::fs::write(&segment, &bytes).expect("re-write segment");
+
+        let warm = store_session(&db, &dir);
+        let mut compiled = compile_via_service(&warm, &q.plan, &backend);
+        let stats = warm.compile_service().cache_stats();
+        assert_eq!(stats.disk_hits, complete, "{tail:?}");
+        assert_eq!(stats.disk_corrupt_rejected, rejected, "{tail:?}");
+        assert_eq!(
+            stats.disk_writes,
+            records - complete,
+            "{tail:?}: recompiled"
+        );
+        assert_eq!(execute(&warm, &q.plan, &mut compiled), expected);
+        drop(warm);
+
+        let store = ArtifactStore::open(ArtifactStoreConfig::at(dir.clone()));
+        assert_eq!(store.fsck(), (records as usize, 1), "{tail:?}");
+        // Counted once: the next restart finds the recompiled record.
+        let again = store_session(&db, &dir);
+        compile_via_service(&again, &q.plan, &backend);
+        let stats = again.compile_service().cache_stats();
+        assert_eq!(stats.disk_hits, records, "{tail:?}");
+        assert_eq!(stats.disk_corrupt_rejected, 0, "{tail:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_live_store_serves_what_another_store_appends_after_its_scan() {
+    let dir = fresh_dir("live");
+    let db = qc_storage::gen_hlike(0.02);
+    let suite = qc_workloads::hlike_suite();
+    let backend = native_backend();
+    let (first, second) = (&suite[0].plan, &suite[1].plan);
+
+    let a = store_session(&db, &dir);
+    compile_via_service(&a, first, &backend);
+    let b = store_session(&db, &dir);
+    compile_via_service(&b, first, &backend);
+    let scanned = b.compile_service().cache_stats();
+    assert!(scanned.disk_hits > 0 && scanned.disk_misses == 0);
+
+    // A appends to its segment after B indexed it: B lists again on the
+    // miss, scans the segment's new tail, and serves it from disk.
+    compile_via_service(&a, second, &backend);
+    assert!(a.compile_service().cache_stats().disk_writes > scanned.disk_hits);
+    compile_via_service(&b, second, &backend);
+    let stats = b.compile_service().cache_stats();
+    assert!(stats.disk_hits > scanned.disk_hits, "{stats:?}");
+    assert_eq!((stats.disk_misses, stats.disk_writes), (0, 0), "{stats:?}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A small artifact, and keys of equal length for it, so every record
+/// has the same size.
+fn tiny_artifact() -> NativeArtifact {
+    let mut masm = new_masm(Isa::Tx64);
+    masm.ret();
+    let (code, relocs) = masm.finish();
+    let mut builder = ImageBuilder::new(Isa::Tx64);
+    builder.add_function("f", code, relocs);
+    NativeArtifact::new(builder, CompileStats::default())
+}
+
+fn tiny_key(module_hash: u64) -> ArtifactKey {
+    ArtifactKey {
+        module_hash,
+        backend: "Test",
+        isa: "TX64",
+        config: 0,
+    }
+}
+
+fn dir_entries(dir: &Path) -> Vec<std::ffi::OsString> {
+    let mut names: Vec<_> = std::fs::read_dir(dir)
+        .expect("store dir")
+        .flatten()
+        .map(|e| e.file_name())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn a_store_writes_one_segment_and_a_loading_store_none() {
+    const N: u64 = 25;
+    let dir = fresh_dir("one-file");
+    let artifact = tiny_artifact();
+    let writer = ArtifactStore::open(ArtifactStoreConfig::at(dir.clone()));
+    for h in 0..N {
+        writer.store(&tiny_key(h), &artifact);
+    }
+    assert_eq!(writer.counters().writes, N);
+    let entries = dir_entries(&dir);
+    assert_eq!(
+        entries,
+        [only_segment(&dir).file_name().expect("name")],
+        "one segment and nothing else"
+    );
+    assert_eq!(
+        record_spans(&std::fs::read(only_segment(&dir)).expect("read")).len() as u64,
+        N
+    );
+    drop(writer);
+
+    let loader = ArtifactStore::open(ArtifactStoreConfig::at(dir.clone()));
+    for h in 0..N {
+        assert!(loader.load(&tiny_key(h)).is_some(), "{h}");
+    }
+    assert!(loader.load(&tiny_key(N)).is_none());
+    assert_eq!(dir_entries(&dir), entries, "loading creates no file");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -162,28 +363,35 @@ fn concurrent_writers_publish_no_torn_files() {
     let picks: Vec<&qc_workloads::BenchQuery> = suite.iter().take(4).collect();
 
     // Several sessions (each with its own store handle over the same
-    // directory) race to publish the same artifact files.
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            let dir = dir.clone();
-            let db = &db;
-            let picks = &picks;
-            s.spawn(move || {
-                let session = store_session(db, &dir);
-                let backend = native_backend();
-                for q in picks {
-                    compile_via_service(&session, &q.plan, &backend);
-                }
-            });
-        }
+    // directory) race to append the same artifacts, each to a segment
+    // of its own.
+    let writes: u64 = std::thread::scope(|s| {
+        let racers: Vec<_> = (0..4)
+            .map(|_| {
+                let dir = dir.clone();
+                let db = &db;
+                let picks = &picks;
+                s.spawn(move || {
+                    let session = store_session(db, &dir);
+                    let backend = native_backend();
+                    for q in picks {
+                        compile_via_service(&session, &q.plan, &backend);
+                    }
+                    session.compile_service().cache_stats().disk_writes
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().expect("racer")).sum()
     });
 
-    // Every published file parses and checksums; rename-publishing left
-    // no torn or partial files behind.
+    // Every appended record parses and checksums; no writer tore
+    // another's records.
+    assert_eq!(segments(&dir).len(), 4, "one segment per writing store");
     let store = ArtifactStore::open(ArtifactStoreConfig::at(dir.clone()));
     let (intact, corrupt) = store.fsck();
     assert!(intact > 0, "racing writers must have published artifacts");
-    assert_eq!(corrupt, 0, "no torn files may be published");
+    assert_eq!(intact as u64, writes, "every append is one intact record");
+    assert_eq!(corrupt, 0, "no torn records may be published");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -211,42 +419,52 @@ fn size_budget_evicts_artifacts() {
         counters.evictions > 0,
         "a 1-byte budget must evict: {counters:?}"
     );
+    assert_eq!(counters.evictions, counters.writes, "every record goes");
     assert!(
-        qca_files(&dir).is_empty(),
+        segments(&dir).is_empty(),
         "nothing fits a 1-byte budget after eviction"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The module hash of a segment's first record.
+fn first_module_hash(segment: &Path) -> u64 {
+    let bytes = std::fs::read(segment).expect("read segment");
+    u64::from_le_bytes(bytes[8..16].try_into().expect("eight bytes"))
+}
+
 #[test]
 fn under_budget_writes_do_not_rescan_and_eviction_stays_oldest_first() {
     let dir = fresh_dir("budget-scans");
-    let mut masm = new_masm(Isa::Tx64);
-    masm.ret();
-    let (code, relocs) = masm.finish();
-    let mut builder = ImageBuilder::new(Isa::Tx64);
-    builder.add_function("f", code, relocs);
-    let artifact = NativeArtifact::new(builder, CompileStats::default());
-    // Same artifact, same-length key: every file has the same size.
-    let key = |module_hash: u64| ArtifactKey {
-        module_hash,
-        backend: "Test",
-        isa: "TX64",
-        config: 0,
-    };
+    let artifact = tiny_artifact();
     let unbudgeted = ArtifactStore::open(ArtifactStoreConfig::at(dir.clone()));
-    unbudgeted.store(&key(0), &artifact);
-    let only = qca_files(&dir).pop().expect("one file");
-    let file_len = std::fs::metadata(&only).expect("metadata").len();
-    std::fs::remove_file(&only).expect("remove");
+    unbudgeted.store(&tiny_key(0), &artifact);
+    let only = only_segment(&dir);
+    let record_len = std::fs::metadata(&only).expect("metadata").len();
     assert_eq!(unbudgeted.counters().budget_scans, 0, "no budget, no scan");
+    drop(unbudgeted);
+    std::fs::remove_file(&only).expect("remove");
+
+    // Three older segments of ten records each, one per store; store `s`
+    // writes keys `1000 * (s + 1) + 1..=1000 * (s + 1) + 10`.
+    const TEN: u64 = 10;
+    let first_key = |s: u64| 1000 * (s + 1) + 1;
+    for s in 0..3 {
+        let older = ArtifactStore::open(ArtifactStoreConfig::at(dir.clone()));
+        for h in first_key(s)..first_key(s) + TEN {
+            older.store(&tiny_key(h), &artifact);
+        }
+    }
+    let mut segment_of = segments(&dir);
+    assert_eq!(segment_of.len(), 3);
+    segment_of.sort_by_key(|p| first_module_hash(p));
 
     const FIT: u64 = 40;
-    let budget = FIT * file_len + file_len / 2;
+    let budget = (3 * TEN + FIT) * record_len + record_len / 2;
     let store = ArtifactStore::open(ArtifactStoreConfig::at(dir.clone()).with_max_bytes(budget));
     for h in 1..=FIT {
-        store.store(&key(h), &artifact);
+        store.store(&tiny_key(h), &artifact);
     }
     let c = store.counters();
     assert_eq!(
@@ -255,29 +473,43 @@ fn under_budget_writes_do_not_rescan_and_eviction_stays_oldest_first() {
         "one scan to learn the directory's size, none while under budget"
     );
 
-    // Age two files out of write order: eviction goes by modification
-    // time, whichever file was published first.
+    // Age the older segments out of write order: eviction goes by
+    // modification time, whichever segment was written first, and takes
+    // whole segments.
     let epoch = SystemTime::now() - Duration::from_secs(3_600);
-    for (age_rank, h) in [(0, 17), (1, 5)] {
-        let path = qca_files(&dir)
-            .into_iter()
-            .find(|p| p.to_string_lossy().ends_with(&format!("{h:016x}.qca")))
-            .expect("file of key");
+    for (age_rank, s) in [(0, 1), (1, 0), (2, 2)] {
         let file = std::fs::File::options()
             .write(true)
-            .open(path)
+            .open(&segment_of[s])
             .expect("open");
         file.set_modified(epoch + Duration::from_secs(age_rank))
             .expect("set mtime");
     }
-    for (write, evicted) in [(FIT + 1, 17), (FIT + 2, 5)] {
-        store.store(&key(write), &artifact);
-        assert!(store.load(&key(evicted)).is_none(), "{evicted} is oldest");
-        assert_eq!(qca_files(&dir).len() as u64, FIT);
+    // The first write past the budget evicts store 1's segment; nine
+    // more fit, and the tenth crosses again and evicts store 0's.
+    let evicts = |write: u64, evicted: usize, left: usize| {
+        store.store(&tiny_key(write), &artifact);
+        let key = tiny_key(first_key(evicted as u64));
+        assert!(store.load(&key).is_none(), "{evicted} is oldest");
+        assert!(!segment_of[evicted].exists());
+        assert_eq!(segments(&dir).len(), left);
+    };
+    evicts(FIT + 1, 1, 3);
+    for h in FIT + 2..=FIT + 10 {
+        store.store(&tiny_key(h), &artifact);
     }
+    assert_eq!(store.counters().evictions, TEN, "whole segments, by record");
+    evicts(FIT + 11, 0, 2);
     let c = store.counters();
-    assert_eq!((c.evictions, c.budget_scans), (2, 3));
-    assert!(store.load(&key(1)).is_some() && store.load(&key(FIT + 2)).is_some());
+    assert_eq!(
+        (c.writes, c.evictions, c.budget_scans),
+        (FIT + 11, 2 * TEN, 3)
+    );
+    assert!(
+        store.load(&tiny_key(first_key(2))).is_some(),
+        "youngest older segment stays"
+    );
+    assert!(store.load(&tiny_key(1)).is_some() && store.load(&tiny_key(FIT + 11)).is_some());
 
     let _ = std::fs::remove_dir_all(&dir);
 }
