@@ -14,7 +14,10 @@ workload's two end-to-end exact metrics). After `trace --quick`:
 reads benchmark/out/trace.json and .github/exact_cells.json instead:
 the per-cell ledger rows `<cell>.model_cycles_per_query` and
 `<cell>.code_bytes_per_query` of `cold_compile` and `hot_exec`, so a
-change to one back-end shows as that back-end's rows and no others.
+change to one back-end shows as that back-end's rows and no others, and
+in every workload the deterministic counts of the traced ledger: the
+artifact store's writes and disk hits per round and the IR, target and
+interpreter instructions per query.
 
 Either form exits non-zero when any pinned value differs by more than
 1e-6 relative. A change that moves them on purpose rewrites the pinned

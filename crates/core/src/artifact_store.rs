@@ -65,7 +65,7 @@
 //! directory fits; the next write after its own segment went starts a
 //! new one.
 
-use parking_lot::Mutex;
+use crate::supervise::lock_recover;
 use qc_backend::{CodeArtifact, NativeArtifact};
 use qc_ir::fnv1a_64;
 use std::collections::hash_map::DefaultHasher;
@@ -77,7 +77,7 @@ use std::io::{ErrorKind, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const MAGIC: [u8; 4] = *b"QCAS";
 
@@ -279,7 +279,7 @@ impl ArtifactStore {
     pub fn load(&self, key: &ArtifactKey) -> Option<Arc<dyn CodeArtifact>> {
         let found = match self.disabled {
             Some(_) => None,
-            None => self.index.lock().find(&self.dir, key.slot()),
+            None => lock_recover(&self.index).find(&self.dir, key.slot()),
         };
         let Some((file, loc)) = found else {
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -298,7 +298,7 @@ impl ArtifactStore {
             Err(_) => {
                 self.corrupt.fetch_add(1, Ordering::Relaxed);
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                self.index.lock().forget(key.slot(), loc);
+                lock_recover(&self.index).forget(key.slot(), loc);
                 None
             }
         }
@@ -317,7 +317,7 @@ impl ArtifactStore {
             return;
         };
         let record = encode_record(key, &payload);
-        let mut index = self.index.lock();
+        let mut index = lock_recover(&self.index);
         if index.append(&self.dir, key.slot(), &record).is_none() {
             return;
         }

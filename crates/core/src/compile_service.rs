@@ -56,14 +56,13 @@
 use crate::artifact_store::{ArtifactKey, ArtifactStore};
 use crate::engine::{CompiledQuery, EngineError, PreparedQuery};
 use crate::lru::Lru;
-use crate::supervise::supervise;
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
-use parking_lot::Mutex;
+use crate::supervise::{lock_recover, supervise};
 use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats};
 use qc_ir::Module;
 use qc_timing::{Report, TimeTrace};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -325,8 +324,9 @@ impl CodeCache {
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Persistent worker threads consuming compile jobs from an MPMC
-/// channel. Dropping the pool closes the channel and joins the workers.
+/// Persistent worker threads taking compile jobs from one shared
+/// channel receiver. Dropping the pool closes the channel and joins the
+/// workers.
 ///
 /// Compile jobs isolate back-end panics themselves, so a worker thread
 /// normally lives forever; should a panic nevertheless escape a job
@@ -335,8 +335,8 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// takes one) reaps and respawns it.
 struct WorkerPool {
     job_tx: Option<Sender<Job>>,
-    /// Kept so respawned workers can attach to the same queue.
-    job_rx: Receiver<Job>,
+    /// Every worker's end of the queue, respawned ones' too.
+    job_rx: Arc<Mutex<Receiver<Job>>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
     spawn_counter: AtomicU64,
     faults: Arc<Faults>,
@@ -344,14 +344,15 @@ struct WorkerPool {
 
 impl WorkerPool {
     fn new(workers: usize, faults: Arc<Faults>) -> Self {
-        let (job_tx, job_rx) = channel::unbounded::<Job>();
+        let (job_tx, job_rx) = mpsc::channel::<Job>();
+        let job_rx = Arc::new(Mutex::new(job_rx));
         let spawn_counter = AtomicU64::new(0);
         let mut handles = Vec::new();
         for _ in 0..workers.max(1) {
             let idx = spawn_counter.fetch_add(1, Ordering::Relaxed);
             // A thread the OS refuses to spawn just shrinks the pool;
             // with zero live workers foreground requests compile inline.
-            if let Ok(h) = Self::spawn_worker(job_rx.clone(), idx) {
+            if let Ok(h) = Self::spawn_worker(Arc::clone(&job_rx), idx) {
                 handles.push(h);
             }
         }
@@ -364,13 +365,15 @@ impl WorkerPool {
         }
     }
 
-    fn spawn_worker(rx: Receiver<Job>, idx: u64) -> std::io::Result<JoinHandle<()>> {
+    fn spawn_worker(rx: Arc<Mutex<Receiver<Job>>>, idx: u64) -> std::io::Result<JoinHandle<()>> {
         std::thread::Builder::new()
             .name(format!("qc-compile-{idx}"))
-            .spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    job();
-                }
+            .spawn(move || loop {
+                // The guard drops with this statement, before the job
+                // runs: held across `job()`, it would serialise the pool.
+                let next = lock_recover(&rx).recv();
+                let Ok(job) = next else { return };
+                job();
             })
     }
 
@@ -378,14 +381,14 @@ impl WorkerPool {
     /// live, under one acquisition of the `handles` lock: respawn cost
     /// is one `is_finished` check per worker in the happy path.
     fn live_workers(&self) -> usize {
-        let mut handles = self.handles.lock();
+        let mut handles = lock_recover(&self.handles);
         let mut i = 0;
         while i < handles.len() {
             if handles[i].is_finished() {
                 let dead = handles.swap_remove(i);
                 let _ = dead.join();
                 let idx = self.spawn_counter.fetch_add(1, Ordering::Relaxed);
-                if let Ok(h) = Self::spawn_worker(self.job_rx.clone(), idx) {
+                if let Ok(h) = Self::spawn_worker(Arc::clone(&self.job_rx), idx) {
                     handles.push(h);
                 }
                 self.faults
@@ -399,7 +402,7 @@ impl WorkerPool {
     }
 
     fn worker_count(&self) -> usize {
-        self.handles.lock().len()
+        lock_recover(&self.handles).len()
     }
 
     /// Hands `job` to the pool, or hands it back when no worker can run
@@ -415,7 +418,7 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         drop(self.job_tx.take());
-        for h in self.handles.lock().drain(..) {
+        for h in lock_recover(&self.handles).drain(..) {
             let _ = h.join();
         }
     }
@@ -493,7 +496,7 @@ impl ClaimList {
         let list = Arc::new(self);
         let helpers = (n_misses - 1).min(live);
         let helper_rx = pool.filter(|_| helpers > 0).map(|pool| {
-            let (tx, rx) = channel::unbounded();
+            let (tx, rx) = mpsc::channel();
             for _ in 0..helpers {
                 let (list, tx) = (Arc::clone(&list), tx.clone());
                 // A ticket the pool hands back is dropped: this thread
@@ -699,7 +702,7 @@ impl CompileService {
         let backend = Arc::clone(backend);
         let (cache, faults) = (Arc::clone(&self.cache), Arc::clone(&self.faults));
         let budget = self.default_budget;
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         let reply = tx.clone();
         let job: Job = Box::new(move || {
             let trace = TimeTrace::disabled();
@@ -885,11 +888,11 @@ mod tests {
     /// A service whose pool has no worker and can spawn none.
     fn dead_pool_service() -> CompileService {
         let faults = Arc::new(Faults::default());
-        let (_, job_rx) = channel::unbounded::<Job>();
+        let (_, job_rx) = mpsc::channel::<Job>();
         CompileService {
             pool: WorkerPool {
                 job_tx: None,
-                job_rx,
+                job_rx: Arc::new(Mutex::new(job_rx)),
                 handles: Mutex::new(Vec::new()),
                 spawn_counter: AtomicU64::new(0),
                 faults: Arc::clone(&faults),
@@ -917,9 +920,7 @@ mod tests {
         // Wait for both panicking jobs to take their workers down.
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            let finished = pool
-                .handles
-                .lock()
+            let finished = lock_recover(&pool.handles)
                 .iter()
                 .filter(|h| h.is_finished())
                 .count();
@@ -929,7 +930,7 @@ mod tests {
             std::thread::yield_now();
         }
         // The next submission reaps the corpses and restores capacity.
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         pool.submit(Box::new(move || {
             let _ = tx.send(42u64);
         }))
@@ -992,6 +993,47 @@ mod tests {
         assert!(err.message.contains("no live compile worker"), "{err}");
         assert_eq!(service.cache_stats(), CacheCounters::default());
         assert_eq!(service.fault_stats(), FaultCounters::default());
+    }
+
+    /// A ticket whose sending side dies in a panic resolves to the
+    /// transient "worker disconnected" error, both when polled after the
+    /// death and when the death happens while the caller waits.
+    #[test]
+    fn a_ticket_whose_sender_dies_in_a_panic_reads_disconnected() {
+        fn die_holding(tx: Sender<Result<CompiledQuery, BackendError>>) {
+            let _tx = tx;
+            std::panic::resume_unwind(Box::new("sender died"));
+        }
+        fn is_disconnected(r: Result<CompiledQuery, BackendError>) -> bool {
+            r.is_err_and(|e| {
+                e.kind == qc_backend::BackendErrorKind::Transient
+                    && e.message.contains("compile worker disconnected")
+            })
+        }
+
+        let (tx, rx) = mpsc::channel();
+        let mut polled = PendingCompile(rx);
+        assert!(std::thread::spawn(move || die_holding(tx)).join().is_err());
+        assert!(polled.try_take().is_some_and(is_disconnected));
+
+        // The sender dies once the caller is about to block in `wait`,
+        // so the disconnect must wake it. Bounded, so that a lost
+        // wake-up fails the test instead of hanging it.
+        let (tx, rx) = mpsc::channel();
+        let (waiting_tx, waiting_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let _ = waiting_tx.send(());
+            let _ = done_tx.send(is_disconnected(PendingCompile(rx).wait()));
+        });
+        let dying = std::thread::spawn(move || {
+            let _ = waiting_rx.recv();
+            die_holding(tx);
+        });
+        let waited = done_rx.recv_timeout(Duration::from_secs(30));
+        assert_eq!(waited, Ok(true), "wait did not read the disconnect");
+        assert!(dying.join().is_err());
+        waiter.join().expect("waiter");
     }
 
     /// A finished background tier is adopted exactly once: the handle

@@ -2,9 +2,10 @@
 //! in-memory caches: the compile service's artifact tier (L1) and the
 //! session's prepared-statement cache.
 
-use parking_lot::Mutex;
+use crate::supervise::lock_recover;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::Mutex;
 
 /// Counters of one [`Lru`], read with [`Lru::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -49,7 +50,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
     /// The value under `key`, marked as just used; counts a hit or a
     /// miss.
     pub(crate) fn get(&self, key: &K) -> Option<V> {
-        let inner = &mut *self.inner.lock();
+        let inner = &mut *lock_recover(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         let found = inner.map.get_mut(key).map(|(value, used)| {
@@ -71,7 +72,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
         if self.capacity == 0 {
             return true;
         }
-        let inner = &mut *self.inner.lock();
+        let inner = &mut *lock_recover(&self.inner);
         inner.tick += 1;
         if inner.map.contains_key(&key) {
             return false;
@@ -92,7 +93,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
     }
 
     pub(crate) fn stats(&self) -> LruStats {
-        let inner = self.inner.lock();
+        let inner = lock_recover(&self.inner);
         LruStats {
             entries: inner.map.len(),
             ..inner.stats
@@ -101,7 +102,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
 
     /// Sum of `weigh` over the resident values.
     pub(crate) fn total(&self, weigh: impl Fn(&V) -> usize) -> usize {
-        let inner = self.inner.lock();
+        let inner = lock_recover(&self.inner);
         inner.map.values().map(|(value, _)| weigh(value)).sum()
     }
 }
@@ -170,5 +171,22 @@ mod tests {
         assert_eq!(lru.get(&"a"), None);
         assert_eq!(lru.get(&"b"), Some(2));
         assert_eq!(lru.stats(), stats(1, 1, 1, 2));
+    }
+
+    /// `total` runs its closure under the lock, so a panic there
+    /// poisons it: a supervised panic must still leave the cache usable.
+    #[test]
+    fn a_panic_under_the_lock_leaves_the_cache_usable() {
+        let lru = Lru::new(2);
+        assert!(lru.insert("a", 1));
+        let died = crate::supervise::supervise(|| {
+            lru.total(|_| std::panic::resume_unwind(Box::new("weigh died")))
+        });
+        assert_eq!(died, Err("weigh died".to_string()));
+        assert!(lru.inner.is_poisoned());
+        assert_eq!(lru.get(&"a"), Some(1));
+        assert!(lru.insert("b", 2));
+        assert_eq!(lru.stats(), stats(1, 0, 0, 2));
+        assert_eq!(lru.total(|v| *v), 1 + 2);
     }
 }

@@ -12,14 +12,14 @@
 
 use super::{ctx_handle, ExecTally};
 use crate::engine::{CompiledQuery, EngineError, QueryBudget};
-use crate::supervise::{panic_text, supervise};
-use parking_lot::Mutex;
+use crate::supervise::{lock_recover, panic_text, supervise};
 use qc_backend::Executable;
 use qc_plan::{CtxEntry, PhysicalPlan, Pipeline, Sink};
 use qc_runtime::RuntimeState;
 use qc_storage::Morsel;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 mod merge;
@@ -172,7 +172,7 @@ impl ParallelPipeline<'_> {
                 if !has_budget {
                     return Ok(());
                 }
-                let mut p = progress.lock();
+                let mut p = lock_recover(&progress);
                 p.tally = p.tally + (spent - reported);
                 reported = spent;
                 p.rows += if counts_rows { grown } else { 0 };
@@ -193,7 +193,7 @@ impl ParallelPipeline<'_> {
             .into_iter()
             .map(|exe| (state.fork_worker(), ctx.to_vec(), exe))
             .collect();
-        let scope_out = crossbeam::thread::scope(|s| {
+        let mut outputs = std::thread::scope(|s| {
             let run = &run;
             let mut jobs = jobs.into_iter().enumerate();
             let caller = jobs.next();
@@ -212,8 +212,6 @@ impl ParallelPipeline<'_> {
                 .map(|out| out.unwrap_or_else(|msg| lost_worker(ctx, msg)))
                 .collect::<Vec<WorkerOutput>>()
         });
-        let mut outputs =
-            scope_out.map_err(|payload| EngineError::WorkerPanic(panic_text(payload.as_ref())))?;
 
         // Everything the workers charged, completed morsels or not (an
         // idle worker's setup, a trapped morsel's partial cost).
@@ -222,7 +220,7 @@ impl ParallelPipeline<'_> {
             .fold(ExecTally::default(), |sum, o| sum + o.tally);
         *tally = *tally + charged;
 
-        if let Some(e) = progress.into_inner().budget_err {
+        if let Some(e) = lock_recover(&progress).budget_err.take() {
             // The budget tripped: partial parallel work is discarded —
             // never merged into canonical state — and the typed error
             // carries the tally snapshot at trip time.

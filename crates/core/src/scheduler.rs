@@ -828,7 +828,7 @@ impl QueryScheduler {
             state: Mutex::new(SchedState::new(&self.config, pending.collect(), start)),
             cv: Condvar::new(),
         };
-        let worker_busy: Vec<Duration> = crossbeam::thread::scope(|s| {
+        let worker_busy: Vec<Duration> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..self.config.workers)
                 .map(|_| {
                     let shared = &shared;
@@ -840,8 +840,7 @@ impl QueryScheduler {
                 .into_iter()
                 .map(|h| h.join().unwrap_or(Duration::ZERO))
                 .collect()
-        })
-        .unwrap_or_default();
+        });
 
         let mut state = shared
             .state
@@ -1074,7 +1073,7 @@ mod tests {
 
     /// A background compile handle; these tests never poll it.
     fn unresolved(_: &PreparedQuery, _: &Arc<dyn Backend>) -> PendingCompile {
-        PendingCompile(crossbeam::channel::unbounded().1)
+        PendingCompile(std::sync::mpsc::channel().1)
     }
 
     fn finished() -> Ending {

@@ -36,12 +36,13 @@ pub(crate) fn panic_text(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Locks a `std` mutex, recovering the data on poisoning. Only the
-/// scheduler's state mutex still needs this (a `Condvar` requires the
-/// `std` type; everything else uses the non-poisoning `parking_lot`
-/// lock): its invariants hold at every point a supervised call can
-/// panic, so recovery keeps the serve loop alive instead of cascading
-/// the panic.
+/// Locks a mutex, recovering the data on poisoning: the crate's only
+/// way to take a lock. Every engine lock (the scheduler's state, the
+/// L1 code and statement caches, the artifact-store index, the compile
+/// pool's queue and handles, a fan-out's progress) guards data whose
+/// invariants hold at every point a supervised call can panic, so
+/// recovery keeps the engine serving instead of cascading the panic.
+/// `lru.rs`'s tests check this on a real cache lock.
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -81,18 +82,5 @@ mod tests {
         });
         assert!(m.is_poisoned());
         assert_eq!(*lock_recover(&m), 5);
-    }
-
-    /// The code cache, statement cache and artifact-store index sit
-    /// behind `parking_lot` locks and are locked without any recovery
-    /// step: a supervised panic under one of them must leave it usable.
-    #[test]
-    fn parking_lot_locks_survive_a_panicking_holder() {
-        let m = parking_lot::Mutex::new(5);
-        let _ = supervise(|| {
-            let _g = m.lock();
-            std::panic::resume_unwind(Box::new("holder died"));
-        });
-        assert_eq!(*m.lock(), 5);
     }
 }

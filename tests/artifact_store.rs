@@ -364,8 +364,10 @@ fn concurrent_writers_publish_no_torn_files() {
 
     // Several sessions (each with its own store handle over the same
     // directory) race to append the same artifacts, each to a segment
-    // of its own.
-    let writes: u64 = std::thread::scope(|s| {
+    // of its own. A racer that starts late may find every artifact in
+    // the others' segments already and write nothing; such a store
+    // creates no segment.
+    let writes: Vec<u64> = std::thread::scope(|s| {
         let racers: Vec<_> = (0..4)
             .map(|_| {
                 let dir = dir.clone();
@@ -381,12 +383,21 @@ fn concurrent_writers_publish_no_torn_files() {
                 })
             })
             .collect();
-        racers.into_iter().map(|r| r.join().expect("racer")).sum()
+        racers
+            .into_iter()
+            .map(|r| r.join().expect("racer"))
+            .collect()
     });
+    let writers = writes.iter().filter(|&&w| w > 0).count();
+    let writes: u64 = writes.iter().sum();
 
     // Every appended record parses and checksums; no writer tore
     // another's records.
-    assert_eq!(segments(&dir).len(), 4, "one segment per writing store");
+    assert_eq!(
+        segments(&dir).len(),
+        writers,
+        "one segment per writing store"
+    );
     let store = ArtifactStore::open(ArtifactStoreConfig::at(dir.clone()));
     let (intact, corrupt) = store.fsck();
     assert!(intact > 0, "racing writers must have published artifacts");

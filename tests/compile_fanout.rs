@@ -228,6 +228,40 @@ fn foreground_compiles_while_the_only_worker_is_held_in_a_background_job() {
     assert_eq!(service.fault_stats(), FaultCounters::default());
 }
 
+/// Two background jobs on a two-worker pool run at the same time: a
+/// worker holds the shared job queue only while it takes a job, never
+/// while it runs one, so a held job does not keep the other worker
+/// idle.
+#[test]
+fn two_workers_run_two_background_jobs_at_once() {
+    let db = qc_storage::gen_hlike(0.02);
+    let session = Session::new(&db);
+    let stmt = multi_pipeline_query(&session);
+    let prepared = stmt.query();
+    let service = new_service(2, 64);
+
+    let (a, a_entered, a_release) = held_probe(0xa2);
+    let (b, b_entered, b_release) = held_probe(0xb2);
+    let (a_backend, b_backend): (Arc<dyn Backend>, Arc<dyn Backend>) = (a.clone(), b.clone());
+    let a_pending = service.spawn_compile(prepared, &a_backend);
+    let b_pending = service.spawn_compile(prepared, &b_backend);
+    let both_inside = a_entered
+        .recv_timeout(PATIENCE)
+        .and_then(|()| b_entered.recv_timeout(PATIENCE));
+    // Open both gates before judging, so that a failure cannot hang.
+    let _ = (a_release.send(()), b_release.send(()));
+    both_inside.expect("one job waited for the other: the pool ran one job at a time");
+    a_pending.wait().expect("first background compile");
+    b_pending.wait().expect("second background compile");
+
+    let first_thread = |probe: &Probe| probe.log()[0].1.clone();
+    let (a_thread, b_thread) = (first_thread(&a), first_thread(&b));
+    assert!(a_thread.starts_with("qc-compile-"), "{a_thread}");
+    assert!(b_thread.starts_with("qc-compile-"), "{b_thread}");
+    assert_ne!(a_thread, b_thread);
+    assert_eq!(service.fault_stats(), FaultCounters::default());
+}
+
 /// (c): the worker count decides who compiles a module, never what
 /// comes out: artifacts, merged phase rows and cache counters equal a
 /// sequential compile on this thread for every pool size.
