@@ -13,14 +13,17 @@
 //!   profile of a process restart.
 //!
 //! Set `QC_ARTIFACT_DIR` to persist the store across invocations — a
-//! second run then reports `disk_hits > 0` in its cold pass (the CI
-//! warm-restart smoke asserts exactly that, grepping the final
-//! `artifact-store:` summary line). Without the variable a private
+//! second run then reports `disk_hits > 0` in its cold pass, and
+//! `first_statement_hits > 0`: the statements of its first session find
+//! the module hashes the first process recorded and generate no IR
+//! (`statement_hits` also counts the records later sessions of one
+//! process find). The CI warm-restart smoke asserts both, grepping the
+//! final `artifact-store:` summary line. Without the variable a private
 //! temporary directory is used and removed at exit.
 
 use qc_backend::Backend;
 use qc_bench::{env_sf, env_suite, secs};
-use qc_engine::{backends, ArtifactStoreConfig, Session, SessionConfig};
+use qc_engine::{backends, ArtifactStoreConfig, ArtifactStoreCounters, Session, SessionConfig};
 use qc_storage::Database;
 use qc_target::Isa;
 use qc_timing::TimeTrace;
@@ -55,6 +58,14 @@ fn compile_pass(
     total
 }
 
+fn store_counters(session: &Session<'_>) -> ArtifactStoreCounters {
+    session
+        .compile_service()
+        .artifact_store()
+        .map(|store| store.counters())
+        .unwrap_or_default()
+}
+
 fn main() {
     let db = qc_storage::gen_dslike(env_sf(1.0));
     let suite = env_suite(qc_workloads::dslike_suite());
@@ -80,6 +91,8 @@ fn main() {
     let mut disk_hits_total = 0u64;
     let mut disk_writes_total = 0u64;
     let mut corrupt_total = 0u64;
+    let mut statement_hits_total = 0u64;
+    let mut first_statement_hits = None;
     for backend in backends::all_for(Isa::Tx64) {
         let backend: Arc<dyn Backend> = Arc::from(backend);
 
@@ -98,6 +111,9 @@ fn main() {
         disk_hits_total += stats.disk_hits + rstats.disk_hits;
         disk_writes_total += stats.disk_writes + rstats.disk_writes;
         corrupt_total += stats.disk_corrupt_rejected + rstats.disk_corrupt_rejected;
+        let first_hits = store_counters(&session).statement_hits;
+        first_statement_hits.get_or_insert(first_hits);
+        statement_hits_total += first_hits + store_counters(&restarted).statement_hits;
 
         let ratio = |base: Duration, v: Duration| {
             if v.is_zero() {
@@ -118,7 +134,8 @@ fn main() {
     }
 
     // Machine-readable summary for the CI warm-restart smoke.
-    println!("artifact-store: disk_hits={disk_hits_total} disk_writes={disk_writes_total} corrupt_rejected={corrupt_total}");
+    let first_statement_hits = first_statement_hits.unwrap_or(0);
+    println!("artifact-store: disk_hits={disk_hits_total} disk_writes={disk_writes_total} corrupt_rejected={corrupt_total} statement_hits={statement_hits_total} first_statement_hits={first_statement_hits}");
 
     if !persistent {
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,45 +1,64 @@
 //! Persistent, content-addressed artifact store: the disk tier (L2)
-//! below the in-memory LRU code cache (L1).
+//! below the in-memory LRU code cache (L1), and the statement records
+//! that let a restart skip IR generation.
 //!
-//! The in-memory cache dies with the process, so a fleet re-pays every
-//! cold compile after every deploy. This store keeps *unlinked*
-//! [`CodeArtifact`]s on disk, keyed by the structural IR hash of the
-//! module plus the back-end/ISA/config fingerprint — the same key the
-//! LRU uses, so a warm restart (fresh process, populated directory)
-//! skips parse/plan/codegen for every previously seen query shape and
-//! pays only the link/unwind-registration step.
+//! The in-memory caches die with the process, so a fleet re-pays every
+//! cold compile after every deploy. This store keeps two kinds of
+//! record on disk:
+//!
+//! * **artifacts**: *unlinked* [`CodeArtifact`]s keyed by the
+//!   structural IR hash of the module plus the back-end/ISA/config
+//!   fingerprint — the same key the LRU uses;
+//! * **statement records**: for one prepared statement, the structural
+//!   hashes of the modules its IR produced, keyed by the canonical plan
+//!   text, a fingerprint of the schemas the plan reads and the front
+//!   end's version stamp ([`StatementKey`]).
+//!
+//! A warm restart (fresh process, populated directory) therefore still
+//! plans each previously seen statement — execution needs the physical
+//! plan — but finds its module hashes in a statement record, so it
+//! generates no IR and hashes nothing; each module is a disk hit that
+//! pays a record read, deserialisation and the link/unwind-registration
+//! step. Only a module that misses both tiers makes the statement
+//! generate its IR (see [`crate::PreparedQuery`]).
 //!
 //! # On-disk format
 //!
 //! Append-only segments. A store that writes creates one segment of its
 //! own, `qcs-<pid>-<seq>.qcs`, on its first write (`create_new`; a name
 //! already taken moves on to the next process-wide sequence number),
-//! and appends every artifact to it as one record, in one `write_all`:
+//! and appends every record to it in one `write_all`:
 //!
 //! ```text
-//! magic   b"QCAS"
-//! version u32 LE            (STORE_FORMAT_VERSION)
-//! key     module_hash u64, config u64, backend str, isa str
-//! payload len u64, fnv1a-64 checksum u64, bytes
+//! artifact:  magic b"QCAS", version u32 LE (STORE_FORMAT_VERSION),
+//!            key: module_hash u64, config u64, backend str, isa str,
+//!            payload len u64, fnv1a-64 checksum u64, payload bytes
+//! statement: magic b"QCSR", version u32 LE,
+//!            key: text hash u64, schemas u64, stamp u64,
+//!            payload len u64, fnv1a-64 checksum u64, payload bytes
 //! ```
 //!
 //! Strings are length-prefixed (u64 LE) and at most 64 bytes long
-//! (`MAX_NAME`). The payload is [`CodeArtifact::serialize`] output
-//! ([`NativeArtifact`]'s unlinked image plus compile stats).
+//! (`MAX_NAME`). An artifact's payload is [`CodeArtifact::serialize`]
+//! output ([`NativeArtifact`]'s unlinked image plus compile stats). A
+//! statement record's payload is the canonical plan text
+//! (length-prefixed) followed by one u64 module hash per pipeline; the
+//! header carries only the text's FNV-1a hash, so every header fits one
+//! [`HEADER_MAX`] read, and a load compares the text in full.
 //!
-//! Loads go through an in-memory index from (key hash, module hash) to
-//! segment, offset and length. One scan builds it, reading only record
-//! headers, one positioned read each: segments oldest-first by
-//! modification time, a later record for a key replacing an earlier
-//! one. A key the index does not hold makes the store list the
-//! directory again and scan only what is new — segments it has not
-//! seen and the tails of known segments that grew — so a live store
+//! Loads go through an in-memory index from a record's key to segment,
+//! offset and length. One scan builds it, reading only record headers,
+//! one positioned read each: segments oldest-first by modification
+//! time, a later record for a key replacing an earlier one. A key the
+//! index does not hold — artifact or statement alike — makes the store
+//! list the directory again and scan only what is new — segments it has
+//! not seen and the tails of known segments that grew — so a live store
 //! sees what other stores and processes append. A hit reads its record
 //! with one positioned read.
 //!
 //! # Failure policy
 //!
-//! The store **never** fails a compile:
+//! The store **never** fails a compile or a prepare:
 //!
 //! * each segment has one writer and nothing is synced, so a crash can
 //!   leave a segment ending in a half-written record or in garbage. A
@@ -47,13 +66,18 @@
 //!   header parses but which the segment's end cuts short is indexed as
 //!   it is, so loading it rejects it like any other damage;
 //! * loads verify magic, version, the full key, and the payload
-//!   checksum; a mismatch or a short record counts as a *corrupt
-//!   rejection*, the record leaves the index, and the caller recompiles
-//!   through the normal path (the fallback chain and fault counters
-//!   already model this), whose write supersedes the damaged record;
+//!   checksum; a mismatch or a short record counts as a *rejection*
+//!   (`corrupt_rejected` for an artifact, `statement_rejected` for a
+//!   statement record), the record leaves the index, and the caller
+//!   takes the path it would take without the store: an artifact is
+//!   recompiled through the normal path (the fallback chain and fault
+//!   counters already model this), whose write supersedes the damaged
+//!   record; a statement generates its IR and writes a fresh record
+//!   after its first successful compile;
 //! * an unwritable or uncreatable directory degrades the store to
-//!   pass-through: loads count misses, stores are no-ops, and no error
-//!   reaches the query path.
+//!   pass-through: artifact loads count misses, stores are no-ops, no
+//!   statement record is read or written, and no error reaches the
+//!   query path.
 //!
 //! # Size budget
 //!
@@ -63,7 +87,8 @@
 //! budget scans again and evicts whole segments, least recently
 //! modified first and this store's own segment last, until the
 //! directory fits; the next write after its own segment went starts a
-//! new one.
+//! new one. A statement whose record went keeps working: the next
+//! process generates its IR and writes the record again.
 
 use crate::supervise::lock_recover;
 use qc_backend::{CodeArtifact, NativeArtifact};
@@ -81,6 +106,11 @@ use std::sync::{Arc, Mutex};
 
 const MAGIC: [u8; 4] = *b"QCAS";
 
+/// Magic of a statement record. A reader that predates statement
+/// records stops its scan at the first one, as at any header it cannot
+/// parse, and never misparses it.
+const STATEMENT_MAGIC: [u8; 4] = *b"QCSR";
+
 /// Version of the record envelope; bumped on incompatible changes so
 /// stale records are rejected instead of misparsed.
 const STORE_FORMAT_VERSION: u32 = 2;
@@ -93,8 +123,10 @@ const SEGMENT_EXTENSION: &str = "qcs";
 /// name is not persisted.
 const MAX_NAME: usize = 64;
 
-/// Bytes of the longest record header: magic, version, module hash,
-/// config, two length-prefixed names, payload length and checksum.
+/// Bytes of the longest record header, an artifact's: magic, version,
+/// module hash, config, two length-prefixed names, payload length and
+/// checksum. A statement record's header (magic, version, three u64
+/// key fields, payload length and checksum) is shorter.
 const HEADER_MAX: usize = 4 + 4 + 8 + 8 + 2 * (8 + MAX_NAME) + 8 + 8;
 
 /// Sequence number of the next segment this process creates.
@@ -117,17 +149,43 @@ pub struct ArtifactKey {
 
 impl ArtifactKey {
     fn slot(&self) -> Slot {
-        (
+        Slot::Artifact(
             key_hash(self.backend, self.isa, self.config),
             self.module_hash,
         )
     }
 }
 
-/// Index slot of a key: the hash of its non-module fields, so two
-/// back-ends compiling the same module never share a slot, and the
-/// module hash.
-type Slot = (u64, u64);
+/// Identity of a statement record: what must match for the module
+/// hashes it holds to be the ones the front end would produce for a
+/// plan. The store compares every field, the text in full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatementKey<'a> {
+    /// Canonical plan text (`PlanNode::canonical_text`).
+    pub text: &'a str,
+    /// Fingerprint of the schemas of the tables the plan reads.
+    pub schemas: u64,
+    /// Front-end version stamp ([`crate::FRONTEND_STAMP`] when the
+    /// engine writes or looks up a record).
+    pub stamp: u64,
+}
+
+impl StatementKey<'_> {
+    fn slot(&self) -> Slot {
+        Slot::Statement(fnv1a_64(self.text.as_bytes()), self.schemas, self.stamp)
+    }
+}
+
+/// Index slot of a record's key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Slot {
+    /// An artifact: the hash of its key's non-module fields, so two
+    /// back-ends compiling the same module never share a slot, and the
+    /// module hash.
+    Artifact(u64, u64),
+    /// A statement record: text hash, schema fingerprint and stamp.
+    Statement(u64, u64, u64),
+}
 
 fn key_hash(backend: &str, isa: &str, config: u64) -> u64 {
     let mut h = DefaultHasher::new();
@@ -165,7 +223,9 @@ impl ArtifactStoreConfig {
 }
 
 /// Counter snapshot of an [`ArtifactStore`], taken with
-/// [`ArtifactStore::counters`].
+/// [`ArtifactStore::counters`]. Statement records have counters of
+/// their own, so `hits`, `misses`, `writes` and `corrupt_rejected`
+/// count artifact traffic alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArtifactStoreCounters {
     /// Loads that returned a verified artifact.
@@ -173,17 +233,43 @@ pub struct ArtifactStoreCounters {
     /// Loads that found no (usable) record, including loads against a
     /// disabled store.
     pub misses: u64,
-    /// Records appended.
+    /// Artifact records appended.
     pub writes: u64,
-    /// Records rejected by magic/version/key/checksum verification or
-    /// cut short by the end of their segment.
+    /// Artifact records rejected by magic/version/key/checksum
+    /// verification or cut short by the end of their segment.
     pub corrupt_rejected: u64,
-    /// Records held by the segments evicted to respect the size budget.
+    /// Artifact records held by the segments evicted to respect the
+    /// size budget.
     pub evictions: u64,
     /// Directory scans made for the size budget: one when the first
     /// write needs the directory's size, then one per write that takes
     /// the running total past the budget.
     pub budget_scans: u64,
+    /// Statement-record lookups that returned verified module hashes.
+    pub statement_hits: u64,
+    /// Statement-record lookups that found no usable record.
+    pub statement_misses: u64,
+    /// Statement records appended.
+    pub statement_writes: u64,
+    /// Statement records rejected by verification or cut short by the
+    /// end of their segment (each also counts as a statement miss).
+    pub statement_rejected: u64,
+}
+
+/// What [`ArtifactStore::fsck`] found in a store directory.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FsckReport {
+    /// Intact artifact records.
+    pub artifacts: usize,
+    /// Intact statement records.
+    pub statements: usize,
+    /// Records that fail verification and whose key no later intact
+    /// record carries, plus one per segment tail that does not parse as
+    /// a header.
+    pub corrupt: usize,
+    /// Records that fail verification but whose key a later intact
+    /// record carries: a recompile already replaced them.
+    pub superseded: usize,
 }
 
 /// Disk-backed content-addressed artifact store. See the module docs.
@@ -202,6 +288,10 @@ pub struct ArtifactStore {
     corrupt: AtomicU64,
     evictions: AtomicU64,
     budget_scans: AtomicU64,
+    statement_hits: AtomicU64,
+    statement_misses: AtomicU64,
+    statement_writes: AtomicU64,
+    statement_rejected: AtomicU64,
 }
 
 impl std::fmt::Debug for ArtifactStore {
@@ -234,6 +324,10 @@ impl ArtifactStore {
             corrupt: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             budget_scans: AtomicU64::new(0),
+            statement_hits: AtomicU64::new(0),
+            statement_misses: AtomicU64::new(0),
+            statement_writes: AtomicU64::new(0),
+            statement_rejected: AtomicU64::new(0),
         }
     }
 
@@ -270,6 +364,10 @@ impl ArtifactStore {
             corrupt_rejected: self.corrupt.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             budget_scans: self.budget_scans.load(Ordering::Relaxed),
+            statement_hits: self.statement_hits.load(Ordering::Relaxed),
+            statement_misses: self.statement_misses.load(Ordering::Relaxed),
+            statement_writes: self.statement_writes.load(Ordering::Relaxed),
+            statement_rejected: self.statement_rejected.load(Ordering::Relaxed),
         }
     }
 
@@ -277,31 +375,63 @@ impl ArtifactStore {
     /// on a miss. A record failing verification is counted, dropped
     /// from the index, and reported as a miss — the caller recompiles.
     pub fn load(&self, key: &ArtifactKey) -> Option<Arc<dyn CodeArtifact>> {
-        let found = match self.disabled {
-            Some(_) => None,
-            None => lock_recover(&self.index).find(&self.dir, key.slot()),
-        };
-        let Some((file, loc)) = found else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+        let fetched = self.fetch(key.slot(), |record| decode_artifact(record, key));
+        match fetched {
+            Some(Ok(artifact)) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(Arc::new(artifact));
+            }
+            Some(Err(())) => {
+                self.corrupt.fetch_add(1, Ordering::Relaxed);
+            }
+            None => {}
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+
+    /// Loads and verifies the module hashes of the statement record
+    /// stored under `key`, or `None` on a miss. A record failing
+    /// verification — the text compared in full — is counted, dropped
+    /// from the index, and reported as a miss. A pass-through store
+    /// reads no record and counts nothing.
+    pub fn load_statement(&self, key: &StatementKey<'_>) -> Option<Vec<u64>> {
+        if self.disabled.is_some() {
             return None;
-        };
+        }
+        match self.fetch(key.slot(), |record| decode_statement(record, key)) {
+            Some(Ok(hashes)) => {
+                self.statement_hits.fetch_add(1, Ordering::Relaxed);
+                return Some(hashes);
+            }
+            Some(Err(())) => {
+                self.statement_rejected.fetch_add(1, Ordering::Relaxed);
+            }
+            None => {}
+        }
+        self.statement_misses.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+
+    /// Reads the record indexed under `slot` and decodes it with
+    /// `decode`: `None` when the index holds none (after listing the
+    /// directory again), `Some(Err)` when it fails verification, which
+    /// also drops it from the index.
+    fn fetch<T>(
+        &self,
+        slot: Slot,
+        decode: impl FnOnce(&[u8]) -> Result<T, &'static str>,
+    ) -> Option<Result<T, ()>> {
+        if self.disabled.is_some() {
+            return None;
+        }
+        let (file, loc) = lock_recover(&self.index).find(&self.dir, slot)?;
         let mut record = vec![0u8; loc.len];
         let decoded = file
             .read_exact_at(&mut record, loc.offset)
             .map_err(|_| "unreadable")
-            .and_then(|()| decode_record(&record, Some(key)));
-        match decoded {
-            Ok(artifact) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::new(artifact))
-            }
-            Err(_) => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                lock_recover(&self.index).forget(key.slot(), loc);
-                None
-            }
-        }
+            .and_then(|()| decode(&record));
+        Some(decoded.map_err(|_| lock_recover(&self.index).forget(slot, loc)))
     }
 
     /// Appends `artifact` under `key` to this store's segment, then
@@ -316,13 +446,32 @@ impl ArtifactStore {
         let Some(payload) = artifact.serialize() else {
             return;
         };
-        let record = encode_record(key, &payload);
-        let mut index = lock_recover(&self.index);
-        if index.append(&self.dir, key.slot(), &record).is_none() {
+        if self.append(key.slot(), &encode_artifact(key, &payload)) {
+            self.writes.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Appends a statement record holding `module_hashes` under `key`
+    /// to this store's segment, then enforces the size budget. No-ops
+    /// when the store is pass-through.
+    pub fn store_statement(&self, key: &StatementKey<'_>, module_hashes: &[u64]) {
+        if self.disabled.is_some() {
             return;
         }
-        self.writes.fetch_add(1, Ordering::Relaxed);
+        if self.append(key.slot(), &encode_statement(key, module_hashes)) {
+            self.statement_writes.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Appends `record` under `slot` and enforces the size budget;
+    /// whether the record reached the segment.
+    fn append(&self, slot: Slot, record: &[u8]) -> bool {
+        let mut index = lock_recover(&self.index);
+        if index.append(&self.dir, slot, record).is_none() {
+            return false;
+        }
         self.enforce_budget(&mut index, record.len() as u64);
+        true
     }
 
     /// Accounts for a just-appended record of `appended` bytes and,
@@ -376,49 +525,59 @@ impl ArtifactStore {
     }
 
     /// Offline integrity scan: parses and checksums every record of
-    /// every segment in the directory, returning `(intact, corrupt)`
-    /// counts without mutating anything. A segment's damaged tail — a
-    /// record its end cuts short, or bytes that do not parse as a
-    /// header — counts as one corrupt record. Used by tests and the
-    /// warm-restart harness to prove concurrent writers never publish
-    /// torn records.
-    pub fn fsck(&self) -> (usize, usize) {
+    /// every segment in the directory, without mutating anything.
+    /// Segments are read oldest-first by modification time, as a scan
+    /// indexes them, so a damaged record whose key a later intact record
+    /// carries counts as superseded, not corrupt. A segment's damaged
+    /// tail counts as one record: a record its end cuts short is judged
+    /// like any damaged record, and bytes that do not parse as a header
+    /// are corrupt. Used by tests and the warm-restart harness to prove
+    /// concurrent writers never publish torn records.
+    pub fn fsck(&self) -> FsckReport {
+        let mut report = FsckReport::default();
         let Ok(entries) = fs::read_dir(&self.dir) else {
-            return (0, 0);
+            return report;
         };
-        let (mut intact, mut corrupt) = (0, 0);
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().is_none_or(|x| x != SEGMENT_EXTENSION) {
-                continue;
-            }
-            let Ok(file) = File::open(&path) else {
-                continue;
-            };
-            let Ok(len) = file.metadata().map(|m| m.len()) else {
-                continue;
-            };
+        let mut segments: Vec<_> = entries
+            .flatten()
+            .filter(|e| {
+                Path::new(&e.file_name())
+                    .extension()
+                    .is_some_and(|x| x == SEGMENT_EXTENSION)
+            })
+            .filter_map(|e| {
+                let file = File::open(e.path()).ok()?;
+                let meta = file.metadata().ok()?;
+                Some((meta.modified().ok()?, e.file_name(), meta.len(), file))
+            })
+            .collect();
+        segments.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        // Damaged records by key, until an intact one supersedes them.
+        let mut damaged: HashMap<Slot, usize> = HashMap::new();
+        for (_, _, len, file) in segments {
             let mut torn = false;
-            let stop = walk(&file, 0, len, |offset, _, end| {
-                if end > len {
-                    torn = true;
+            let stop = walk(&file, 0, len, |offset, slot, end| {
+                let verified = end <= len && {
+                    let mut record = vec![0u8; (end - offset) as usize];
+                    file.read_exact_at(&mut record, offset).is_ok() && verify(&record).is_ok()
+                };
+                torn |= end > len;
+                if !verified {
+                    *damaged.entry(slot).or_default() += 1;
                     return;
                 }
-                let mut record = vec![0u8; (end - offset) as usize];
-                let verified = file
-                    .read_exact_at(&mut record, offset)
-                    .map_err(|_| "unreadable")
-                    .and_then(|()| decode_record(&record, None));
-                match verified {
-                    Ok(_) => intact += 1,
-                    Err(_) => corrupt += 1,
+                report.superseded += damaged.remove(&slot).unwrap_or(0);
+                match slot {
+                    Slot::Artifact(..) => report.artifacts += 1,
+                    Slot::Statement(..) => report.statements += 1,
                 }
             });
-            if torn || stop < len {
-                corrupt += 1;
+            if stop < len && !torn {
+                report.corrupt += 1;
             }
         }
-        (intact, corrupt)
+        report.corrupt += damaged.values().sum::<usize>();
+        report
     }
 }
 
@@ -439,7 +598,7 @@ struct Segment {
     /// The file's length when last scanned or appended to; a segment
     /// that has not grown since holds nothing new.
     len: u64,
-    /// Complete records indexed in it.
+    /// Complete artifact records indexed in it.
     records: u64,
 }
 
@@ -561,7 +720,7 @@ impl Index {
                 len: (end.min(len) - offset) as usize,
             };
             records.insert(slot, loc);
-            complete += u64::from(end <= len);
+            complete += u64::from(end <= len && matches!(slot, Slot::Artifact(..)));
         });
         segment.records += complete;
         segment.len = len;
@@ -588,7 +747,7 @@ impl Index {
         };
         segment.len += record.len() as u64;
         segment.scanned = segment.len;
-        segment.records += 1;
+        segment.records += u64::from(matches!(slot, Slot::Artifact(..)));
         self.records.insert(slot, loc);
         Some(())
     }
@@ -666,7 +825,7 @@ fn walk(file: &File, mut offset: u64, len: u64, mut visit: impl FnMut(u64, Slot,
         let end = offset
             .saturating_add(header.len as u64)
             .saturating_add(header.payload_len);
-        visit(offset, header.slot(), end);
+        visit(offset, header.key.slot(), end);
         if end > len {
             break;
         }
@@ -677,22 +836,43 @@ fn walk(file: &File, mut offset: u64, len: u64, mut visit: impl FnMut(u64, Slot,
 
 /// A record's header: its key, and its payload's length and checksum.
 struct Header<'a> {
-    module_hash: u64,
-    config: u64,
-    backend: &'a str,
-    isa: &'a str,
+    key: HeaderKey<'a>,
     payload_len: u64,
     checksum: u64,
     /// Bytes from the record's start to its payload.
     len: usize,
 }
 
-impl Header<'_> {
+/// The key a record's header names, by record kind.
+enum HeaderKey<'a> {
+    Artifact {
+        module_hash: u64,
+        config: u64,
+        backend: &'a str,
+        isa: &'a str,
+    },
+    Statement {
+        text_hash: u64,
+        schemas: u64,
+        stamp: u64,
+    },
+}
+
+impl HeaderKey<'_> {
     fn slot(&self) -> Slot {
-        (
-            key_hash(self.backend, self.isa, self.config),
-            self.module_hash,
-        )
+        match *self {
+            HeaderKey::Artifact {
+                module_hash,
+                config,
+                backend,
+                isa,
+            } => Slot::Artifact(key_hash(backend, isa, config), module_hash),
+            HeaderKey::Statement {
+                text_hash,
+                schemas,
+                stamp,
+            } => Slot::Statement(text_hash, schemas, stamp),
+        }
     }
 }
 
@@ -731,7 +911,8 @@ impl<'a> Cursor<'a> {
 /// Parses the header at the front of `bytes`, which may go on past it.
 fn parse_header(bytes: &[u8]) -> Result<Header<'_>, &'static str> {
     let mut cursor = Cursor { bytes, at: 0 };
-    if cursor.take(4)? != MAGIC {
+    let magic = cursor.take(4)?;
+    if magic != MAGIC && magic != STATEMENT_MAGIC {
         return Err("bad magic");
     }
     let mut version = [0u8; 4];
@@ -739,62 +920,80 @@ fn parse_header(bytes: &[u8]) -> Result<Header<'_>, &'static str> {
     if u32::from_le_bytes(version) != STORE_FORMAT_VERSION {
         return Err("unsupported store version");
     }
-    let module_hash = cursor.u64()?;
-    let config = cursor.u64()?;
-    let backend = cursor.name()?;
-    let isa = cursor.name()?;
+    let key = if magic == MAGIC {
+        HeaderKey::Artifact {
+            module_hash: cursor.u64()?,
+            config: cursor.u64()?,
+            backend: cursor.name()?,
+            isa: cursor.name()?,
+        }
+    } else {
+        HeaderKey::Statement {
+            text_hash: cursor.u64()?,
+            schemas: cursor.u64()?,
+            stamp: cursor.u64()?,
+        }
+    };
     let payload_len = cursor.u64()?;
     let checksum = cursor.u64()?;
     Ok(Header {
-        module_hash,
-        config,
-        backend,
-        isa,
+        key,
         payload_len,
         checksum,
         len: cursor.at,
     })
 }
 
-/// Builds one record: envelope (magic, version, key) + checksummed
-/// payload.
-fn encode_record(key: &ArtifactKey, payload: &[u8]) -> Vec<u8> {
+/// Builds one record: `magic`, version, the key fields `key` writes,
+/// then the checksummed payload.
+fn encode(magic: [u8; 4], key: impl FnOnce(&mut Vec<u8>), payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_MAX + payload.len());
-    let push_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-    let push_str = |out: &mut Vec<u8>, s: &str| {
-        push_u64(out, s.len() as u64);
-        out.extend_from_slice(s.as_bytes());
-    };
-    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&magic);
     out.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
-    push_u64(&mut out, key.module_hash);
-    push_u64(&mut out, key.config);
-    push_str(&mut out, key.backend);
-    push_str(&mut out, key.isa);
+    key(&mut out);
     push_u64(&mut out, payload.len() as u64);
     push_u64(&mut out, fnv1a_64(payload));
     out.extend_from_slice(payload);
     out
 }
 
-/// Verifies and decodes one record, which must fill `bytes` exactly.
-/// With `expect_key`, the embedded key must match exactly (an index
-/// slot collision or an overwritten key is treated as corrupt rather
-/// than served).
-fn decode_record(
-    bytes: &[u8],
-    expect_key: Option<&ArtifactKey>,
-) -> Result<NativeArtifact, &'static str> {
-    let header = parse_header(bytes)?;
-    if let Some(key) = expect_key {
-        if header.module_hash != key.module_hash
-            || header.config != key.config
-            || header.backend != key.backend
-            || header.isa != key.isa
-        {
-            return Err("key mismatch");
-        }
+fn push_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn push_str(out: &mut Vec<u8>, s: &str) {
+    push_u64(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn encode_artifact(key: &ArtifactKey, payload: &[u8]) -> Vec<u8> {
+    let fields = |out: &mut Vec<u8>| {
+        push_u64(out, key.module_hash);
+        push_u64(out, key.config);
+        push_str(out, key.backend);
+        push_str(out, key.isa);
+    };
+    encode(MAGIC, fields, payload)
+}
+
+fn encode_statement(key: &StatementKey<'_>, module_hashes: &[u64]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(8 + key.text.len() + 8 * module_hashes.len());
+    push_str(&mut payload, key.text);
+    for &hash in module_hashes {
+        push_u64(&mut payload, hash);
     }
+    let fields = |out: &mut Vec<u8>| {
+        push_u64(out, fnv1a_64(key.text.as_bytes()));
+        push_u64(out, key.schemas);
+        push_u64(out, key.stamp);
+    };
+    encode(STATEMENT_MAGIC, fields, &payload)
+}
+
+/// Parses a record that must fill `bytes` exactly and verifies its
+/// payload's length and checksum.
+fn open_record(bytes: &[u8]) -> Result<(HeaderKey<'_>, &[u8]), &'static str> {
+    let header = parse_header(bytes)?;
     let payload = bytes.get(header.len..).ok_or("truncated")?;
     if payload.len() as u64 != header.payload_len {
         return Err("payload length mismatch");
@@ -802,7 +1001,77 @@ fn decode_record(
     if fnv1a_64(payload) != header.checksum {
         return Err("checksum mismatch");
     }
+    Ok((header.key, payload))
+}
+
+/// Verifies and decodes one artifact record, which must fill `bytes`
+/// exactly and carry exactly `expect` (an index slot collision or an
+/// overwritten key is treated as corrupt rather than served).
+fn decode_artifact(bytes: &[u8], expect: &ArtifactKey) -> Result<NativeArtifact, &'static str> {
+    let (key, payload) = open_record(bytes)?;
+    let HeaderKey::Artifact {
+        module_hash,
+        config,
+        backend,
+        isa,
+    } = key
+    else {
+        return Err("not an artifact record");
+    };
+    if module_hash != expect.module_hash
+        || config != expect.config
+        || backend != expect.backend
+        || isa != expect.isa
+    {
+        return Err("key mismatch");
+    }
     NativeArtifact::deserialize(payload).map_err(|_| "undecodable payload")
+}
+
+/// Verifies and decodes one statement record, which must fill `bytes`
+/// exactly and carry exactly `expect`, the plan text compared in full.
+fn decode_statement(bytes: &[u8], expect: &StatementKey<'_>) -> Result<Vec<u64>, &'static str> {
+    let (key, payload) = open_record(bytes)?;
+    if key.slot() != expect.slot() {
+        return Err("key mismatch");
+    }
+    let (text, hashes) = statement_payload(payload)?;
+    if text != expect.text {
+        return Err("plan text mismatch");
+    }
+    Ok(hashes.collect())
+}
+
+/// Splits a statement record's payload into its plan text and module
+/// hashes.
+fn statement_payload(
+    payload: &[u8],
+) -> Result<(&str, impl Iterator<Item = u64> + '_), &'static str> {
+    let mut cursor = Cursor {
+        bytes: payload,
+        at: 0,
+    };
+    let len = usize::try_from(cursor.u64()?).map_err(|_| "truncated")?;
+    let text = std::str::from_utf8(cursor.take(len)?).map_err(|_| "non-UTF-8 plan text")?;
+    let hashes = &payload[cursor.at..];
+    if !hashes.len().is_multiple_of(8) {
+        return Err("ragged module hashes");
+    }
+    let hashes = hashes
+        .chunks_exact(8)
+        .map(|h| u64::from_le_bytes(h.try_into().expect("eight bytes")));
+    Ok((text, hashes))
+}
+
+/// Verifies one record of either kind, which must fill `bytes` exactly.
+fn verify(bytes: &[u8]) -> Result<(), &'static str> {
+    let (key, payload) = open_record(bytes)?;
+    match key {
+        HeaderKey::Artifact { .. } => NativeArtifact::deserialize(payload)
+            .map(drop)
+            .map_err(|_| "undecodable payload"),
+        HeaderKey::Statement { .. } => statement_payload(payload).map(drop),
+    }
 }
 
 #[cfg(test)]

@@ -20,9 +20,12 @@
 //!
 //! The cache stores *unlinked* [`CodeArtifact`]s keyed by the module's
 //! structural IR hash plus the back-end identity. The hash travels with
-//! the prepared statement ([`PreparedQuery::module_hashes`], computed the
-//! first time a compile needs it), so a request never walks the IR to
-//! build its keys. A warm hit skips code generation entirely and pays
+//! the prepared statement ([`PreparedQuery::module_hashes`], read from a
+//! statement record or computed the first time a compile needs it), so
+//! a request never walks the IR to build its keys, and touches a
+//! module's IR only when the module misses both cache tiers: a
+//! statement prepared from a record generates its IR then and only
+//! then. A warm hit skips code generation entirely and pays
 //! only the link/unwind-registration step (see `DESIGN.md`,
 //! "Compilation service"), which a traced compile records under the
 //! back-end's link phase, hit or miss. Parameterized
@@ -433,11 +436,11 @@ type Reply = (
     Option<Report>,
 );
 
-/// One request's cache misses behind a claim cursor (the shape of
-/// `morsel_exec`'s ordered claimer). The thread that built the list and
-/// the helper tickets it offers to the pool run the same
-/// [`ClaimList::drain`]; nobody else holds the list, so a caller only
-/// ever compiles modules of its own request.
+/// One request's cache misses behind a claim cursor: a vector and one
+/// atomic index into it, each claim taking the next unclaimed miss. The
+/// thread that built the list and the helper tickets it offers to the
+/// pool run the same [`ClaimList::drain`]; nobody else holds the list,
+/// so a caller only ever compiles modules of its own request.
 struct ClaimList {
     misses: Vec<(usize, CacheKey, Arc<Module>)>,
     /// Next unclaimed entry of `misses`. `Relaxed`: the cursor hands
@@ -658,6 +661,11 @@ impl CompileService {
     /// the cache (only successful in-budget artifacts are inserted) and
     /// never stalls the reply merge (every job replies exactly once).
     ///
+    /// The cache is keyed from [`PreparedQuery::module_hashes`] alone;
+    /// only a module that misses both tiers reads `prepared.ir`. The
+    /// first successful compile of a statement that found no statement
+    /// record writes one to the attached store.
+    ///
     /// # Errors
     /// Returns [`EngineError::Backend`] when any module is rejected;
     /// the error of the lowest-numbered failing pipeline wins.
@@ -668,16 +676,20 @@ impl CompileService {
         budget: CompileBudget,
         trace: &TimeTrace,
     ) -> Result<CompiledQuery, EngineError> {
+        let module = |i: usize| Arc::clone(&prepared.ir.modules[i]);
         let compiled = compile_query(
-            prepared.ir.modules.iter().zip(prepared.module_hashes()),
+            (prepared.module_hashes(), module),
             backend,
             budget,
             trace,
             &self.cache,
             &self.faults,
             Some(&self.pool),
-        );
-        Ok(compiled?)
+        )?;
+        if let Some(store) = &self.cache.store {
+            prepared.write_record(store);
+        }
+        Ok(compiled)
     }
 
     /// Starts compiling every pipeline of `prepared` on a pool worker
@@ -691,7 +703,9 @@ impl CompileService {
     /// surfaces as an `Err` through the handle instead of wedging the
     /// pool, and so does a pool with no live worker: the job is then
     /// refused, never compiled on this thread. The caller simply keeps
-    /// executing its current tier.
+    /// executing its current tier. The job owns the query's modules, so
+    /// a statement prepared from a statement record generates its IR
+    /// here, on the calling thread.
     pub fn spawn_compile(
         &self,
         prepared: &PreparedQuery,
@@ -706,7 +720,7 @@ impl CompileService {
         let reply = tx.clone();
         let job: Job = Box::new(move || {
             let trace = TimeTrace::disabled();
-            let modules = modules.iter().zip(&hashes);
+            let modules = (&hashes[..], |i: usize| Arc::clone(&modules[i]));
             let out = compile_query(modules, &backend, budget, &trace, &cache, &faults, None);
             let _ = reply.send(out);
         });
@@ -723,11 +737,13 @@ impl CompileService {
 /// when there is one — acts on the replies in pipeline order whatever
 /// order they finished in (trace merging and cache insertion are
 /// deterministic, and the lowest-numbered failure wins), and
-/// reassembles the executables. Each module comes with the structural
-/// hash its statement keeps ([`PreparedQuery::module_hashes`]): a
-/// request never walks the IR to key the cache.
-fn compile_query<'m>(
-    modules: impl ExactSizeIterator<Item = (&'m Arc<Module>, &'m u64)>,
+/// reassembles the executables. The query's modules come as the
+/// structural hashes the statement keeps ([`PreparedQuery::module_hashes`]),
+/// one per pipeline, so a request never walks the IR to key the cache,
+/// and `module(i)`, called on this thread only for a pipeline that
+/// misses both tiers.
+fn compile_query(
+    (hashes, module): (&[u64], impl Fn(usize) -> Arc<Module>),
     backend: &Arc<dyn Backend>,
     budget: CompileBudget,
     trace: &TimeTrace,
@@ -736,13 +752,13 @@ fn compile_query<'m>(
     pool: Option<&WorkerPool>,
 ) -> Result<CompiledQuery, BackendError> {
     let start = Instant::now();
-    let mut slots = Vec::with_capacity(modules.len());
+    let mut slots = Vec::with_capacity(hashes.len());
     let mut misses = Vec::new();
-    for (i, (module, &hash)) in modules.enumerate() {
+    for (i, &hash) in hashes.iter().enumerate() {
         let key = CacheKey::new(hash, backend.as_ref());
         let hit = cache.lookup(&key);
         if hit.is_none() {
-            misses.push((i, key, Arc::clone(module)));
+            misses.push((i, key, module(i)));
         }
         slots.push(hit);
     }

@@ -1,12 +1,20 @@
 //! Query preparation, compilation, and morsel-wise execution.
 //!
 //! A [`PreparedQuery`] is what a statement cache keeps: the physical
-//! plan, its IR, and — once the compile service first needs them — the
-//! modules' structural hashes ([`PreparedQuery::module_hashes`]), the
-//! code cache's key. Every later service request reads the stored
-//! hashes instead of walking the IR; the direct, uncached compile path
-//! ([`crate::QueryRun::direct`]) never hashes at all.
+//! plan, its IR, and the modules' structural hashes
+//! ([`PreparedQuery::module_hashes`]), the code cache's key. Every
+//! service request reads the stored hashes instead of walking the IR;
+//! the direct, uncached compile path ([`crate::QueryRun::direct`])
+//! never hashes at all.
+//!
+//! A statement prepared in a session with an artifact store looks for
+//! a statement record first (see [`crate::ArtifactStore`]). With one,
+//! its hashes come from the record and its IR is generated only when a
+//! compile finds a module in neither cache tier; without one, it is
+//! prepared as in a store-less session and writes its record after its
+//! first successful service compile.
 
+use crate::artifact_store::{ArtifactStore, StatementKey};
 use crate::compile_service::{assemble, compile_one, PendingCompile};
 use crate::morsel_exec::ExecTally;
 use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, Executable};
@@ -16,11 +24,21 @@ use qc_runtime::{RtString, RuntimeState, SqlValue};
 use qc_storage::{ColumnType, Database};
 use qc_target::{ExecStats, Trap};
 use qc_timing::TimeTrace;
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+/// Version stamp of the front end (planner and IR generator) that
+/// statement records are written and looked up under: the FNV-1a fold
+/// of the two IR digests `tests/frontend_alloc.rs` pins, DS-like then
+/// H-like, so a change to the generated IR fails that test until the
+/// digests and this stamp are re-pinned together, and records written
+/// by the older front end are then ignored.
+pub const FRONTEND_STAMP: u64 = 0x7a3d_27b8_0109_5b1e;
 
 /// Error produced by engine operations.
 #[derive(Debug)]
@@ -257,24 +275,97 @@ impl From<Trap> for EngineError {
     }
 }
 
-/// A planned query: physical pipelines plus their generated IR, and the
-/// modules' structural hashes once the compile service has asked for
-/// them.
+/// A prepared query's IR, one module per pipeline. Dereferences to the
+/// [`GeneratedQuery`]: generated at prepare time for a statement
+/// prepared without a statement record, and on first use for one whose
+/// module hashes came from a record.
+pub struct LazyIr {
+    ir: OnceLock<GeneratedQuery>,
+    /// The plan and query name the IR is generated from on first use;
+    /// `None` when it was generated at prepare time.
+    source: Option<(PhysicalPlan, String)>,
+}
+
+impl LazyIr {
+    fn generated(ir: GeneratedQuery) -> Self {
+        LazyIr {
+            ir: OnceLock::from(ir),
+            source: None,
+        }
+    }
+}
+
+impl Deref for LazyIr {
+    type Target = GeneratedQuery;
+
+    fn deref(&self) -> &GeneratedQuery {
+        self.ir.get_or_init(|| {
+            let (plan, name) = self
+                .source
+                .as_ref()
+                .expect("IR without a source is generated at prepare time");
+            generate(plan, name)
+        })
+    }
+}
+
+impl fmt::Debug for LazyIr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.ir.get() {
+            Some(ir) => ir.fmt(f),
+            None => f.write_str("LazyIr(not generated)"),
+        }
+    }
+}
+
+/// The statement record a prepared query writes after its first
+/// successful service compile.
+#[derive(Debug)]
+struct PendingRecord {
+    text: String,
+    schemas: u64,
+    written: AtomicBool,
+}
+
+/// A planned query: physical pipelines, their IR, and the modules'
+/// structural hashes.
 #[derive(Debug)]
 pub struct PreparedQuery {
     /// Query name (used in module names).
     pub name: String,
     /// The pipeline decomposition.
     pub plan: PhysicalPlan,
-    /// Generated IR, one module per pipeline.
-    pub ir: GeneratedQuery,
+    /// IR, one module per pipeline, generated on first use when the
+    /// module hashes came from a statement record.
+    pub ir: LazyIr,
     module_hashes: OnceLock<Vec<u64>>,
+    record: Option<PendingRecord>,
 }
 
 impl PreparedQuery {
+    fn generated(plan: PhysicalPlan, name: &str) -> Self {
+        let ir = generate(&plan, name);
+        PreparedQuery {
+            name: name.to_string(),
+            plan,
+            ir: LazyIr::generated(ir),
+            module_hashes: OnceLock::new(),
+            record: None,
+        }
+    }
+
+    /// Whether the IR has been generated: at prepare time, or — for a
+    /// statement prepared from a statement record — by a compile that
+    /// found a module in neither cache tier, by the direct path, or by
+    /// a caller reading [`PreparedQuery::ir`].
+    pub fn has_ir(&self) -> bool {
+        self.ir.ir.get().is_some()
+    }
+
     /// `qc_ir::module_structural_hash` of every module, in pipeline
-    /// order: the compile service's cache key. Computed by the first
-    /// request that needs it and kept with the statement, so a cache
+    /// order: the compile service's cache key. Read from the statement
+    /// record when there was one, otherwise computed by the first
+    /// request that needs it, and kept with the statement, so a cache
     /// hit never walks the IR again and the direct (uncached) path
     /// never hashes.
     pub fn module_hashes(&self) -> &[u64] {
@@ -285,6 +376,21 @@ impl PreparedQuery {
                 .map(|m| qc_ir::module_structural_hash(m))
                 .collect()
         })
+    }
+
+    /// Writes this statement's record to `store` once, when it was
+    /// prepared in a session with a store and found no record there.
+    pub(crate) fn write_record(&self, store: &ArtifactStore) {
+        let Some(record) = &self.record else { return };
+        if record.written.swap(true, Ordering::Relaxed) {
+            return;
+        }
+        let key = StatementKey {
+            text: &record.text,
+            schemas: record.schemas,
+            stamp: FRONTEND_STAMP,
+        };
+        store.store_statement(&key, self.module_hashes());
     }
 
     /// Total IR instruction count across all pipelines (the adaptive
@@ -432,13 +538,65 @@ impl<'db> Engine<'db> {
     ) -> Result<PreparedQuery, EngineError> {
         let catalog = |t: &str| self.db.table(t).map(|t| Arc::clone(t.schema.columns()));
         let phys = PhysicalPlan::decompose(plan, &catalog)?;
-        let ir = generate(&phys, name);
-        Ok(PreparedQuery {
-            name: name.to_string(),
-            plan: phys,
-            ir,
-            module_hashes: OnceLock::new(),
-        })
+        Ok(PreparedQuery::generated(phys, name))
+    }
+
+    /// Plans a query whose canonical text is `text` and looks for its
+    /// statement record in `store`. With a verified record the module
+    /// hashes come from it and the IR is left to its first use; without
+    /// one the IR is generated as by [`Engine::prepare`], and the record
+    /// is written after the first successful service compile.
+    ///
+    /// # Errors
+    /// Returns [`EngineError::Plan`] for schema/type errors.
+    pub(crate) fn prepare_recorded(
+        &self,
+        plan: &PlanNode,
+        name: &str,
+        text: &str,
+        store: &ArtifactStore,
+    ) -> Result<PreparedQuery, EngineError> {
+        // The schema of every table the plan reads, in the order the
+        // planner asks for them.
+        let schemas = Cell::new(FNV_OFFSET);
+        let catalog = |t: &str| {
+            let columns = Arc::clone(self.db.table(t)?.schema.columns());
+            let mut h = fnv(schemas.get(), t.as_bytes());
+            for (name, ty) in columns.iter() {
+                h = fnv(fnv(h, name.as_bytes()), &type_tag(*ty));
+            }
+            schemas.set(h);
+            Some(columns)
+        };
+        let phys = PhysicalPlan::decompose(plan, &catalog)?;
+        let schemas = schemas.get();
+        let key = StatementKey {
+            text,
+            schemas,
+            stamp: FRONTEND_STAMP,
+        };
+        let recorded = store
+            .load_statement(&key)
+            .filter(|hashes| hashes.len() == phys.pipelines.len());
+        if let Some(hashes) = recorded {
+            return Ok(PreparedQuery {
+                name: name.to_string(),
+                plan: phys.clone(),
+                ir: LazyIr {
+                    ir: OnceLock::new(),
+                    source: Some((phys, name.to_string())),
+                },
+                module_hashes: OnceLock::from(hashes),
+                record: None,
+            });
+        }
+        let mut prepared = PreparedQuery::generated(phys, name);
+        prepared.record = Some(PendingRecord {
+            text: text.to_string(),
+            schemas,
+            written: AtomicBool::new(false),
+        });
+        Ok(prepared)
     }
 
     /// Compiles a prepared query with `backend` on the calling thread,
@@ -462,6 +620,31 @@ impl<'db> Engine<'db> {
             .map(|m| compile_one(backend, m, trace).map(Some))
             .collect::<Result<_, _>>()?;
         Ok(assemble(artifacts, start, backend, trace)?)
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a hash over `bytes`.
+fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// A column type's bytes in a schema fingerprint: a variant tag, then
+/// the decimal scale.
+fn type_tag(ty: ColumnType) -> [u8; 2] {
+    match ty {
+        ColumnType::I32 => [0, 0],
+        ColumnType::I64 => [1, 0],
+        ColumnType::Decimal(scale) => [2, scale],
+        ColumnType::F64 => [3, 0],
+        ColumnType::Date => [4, 0],
+        ColumnType::Str => [5, 0],
+        ColumnType::Bool => [6, 0],
     }
 }
 

@@ -44,14 +44,17 @@ mod session;
 mod supervise;
 
 pub use adaptive::{AdaptiveExecution, AdaptiveOutcome, BackgroundReport};
-pub use artifact_store::{ArtifactKey, ArtifactStore, ArtifactStoreConfig, ArtifactStoreCounters};
+pub use artifact_store::{
+    ArtifactKey, ArtifactStore, ArtifactStoreConfig, ArtifactStoreCounters, FsckReport,
+    StatementKey,
+};
 pub use compile_service::{
     CacheCounters, CompileBudget, CompileService, CompileServiceConfig, FaultCounters,
     PendingCompile,
 };
 pub use engine::{
-    CancelToken, CompiledQuery, Engine, EngineConfig, EngineError, ExecutionResult, PreparedQuery,
-    QueryBudget,
+    CancelToken, CompiledQuery, Engine, EngineConfig, EngineError, ExecutionResult, LazyIr,
+    PreparedQuery, QueryBudget, FRONTEND_STAMP,
 };
 pub use fallback::{FallbackChain, FallbackReport, TierFailure};
 pub use morsel_exec::ExecTally;

@@ -943,7 +943,9 @@ fn serve_worker(
 
 /// Prepares and compiles one session through the session's statement
 /// cache and shared compile service (and therefore the shared code
-/// cache): repeated plan shapes skip planning and IR generation too.
+/// cache): repeated plan shapes skip planning and IR generation too, and
+/// with an artifact store a statement record spares a restarted process
+/// the IR generation.
 /// The prepared query is shared under the statement cache's canonical
 /// module name, which is free because the code cache keys on
 /// structural hashes that exclude names.
@@ -955,9 +957,10 @@ fn admit(
     ticket: Ticket,
 ) -> Result<Active, EngineError> {
     let engine = session.engine();
+    let store = session.compile_service().artifact_store();
     let prepared = session
         .statements()
-        .get_or_prepare(engine, &req.plan)?
+        .get_or_prepare(engine, store, &req.plan)?
         .prepared;
     let compiled = session
         .compile_service()

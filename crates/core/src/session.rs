@@ -27,6 +27,11 @@
 //! service, and persistent artifact store over to a new database
 //! snapshot, so a reopened session re-runs its statements in roughly
 //! link time.
+//!
+//! With a persistent artifact store, a statement-cache miss also looks
+//! for the statement's record in the store: a restarted process that
+//! finds one plans the statement but generates no IR for it unless a
+//! module must actually be compiled (see [`crate::ArtifactStore`]).
 
 use crate::artifact_store::ArtifactStoreConfig;
 use crate::compile_service::{CompileBudget, CompileService, CompileServiceConfig};
@@ -77,9 +82,12 @@ impl StatementCache {
     /// Returns the cached statement for `plan`, preparing and caching
     /// it on a miss. `capacity == 0` degrades to pass-through: every
     /// call prepares, nothing is retained, the miss is still counted.
+    /// A miss with an enabled `store` looks for the statement's record
+    /// there first.
     pub(crate) fn get_or_prepare(
         &self,
         engine: &Engine<'_>,
+        store: Option<&Arc<ArtifactStore>>,
         plan: &PlanNode,
     ) -> Result<PreparedStatement, EngineError> {
         let text = plan.canonical_text();
@@ -89,7 +97,11 @@ impl StatementCache {
                 // Prepared outside the lock: planning + codegen can be
                 // slow, and a concurrent duplicate prepare is harmless
                 // (first insert wins).
-                let prepared = Arc::new(engine.prepare(plan, STATEMENT_NAME)?);
+                let prepared = match store.filter(|store| store.is_enabled()) {
+                    Some(store) => engine.prepare_recorded(plan, STATEMENT_NAME, &text, store)?,
+                    None => engine.prepare(plan, STATEMENT_NAME)?,
+                };
+                let prepared = Arc::new(prepared);
                 self.0.insert(text.clone(), Arc::clone(&prepared));
                 prepared
             }
@@ -108,8 +120,8 @@ impl StatementCache {
     }
 }
 
-/// A prepared statement: canonical plan text plus the planned and
-/// IR-generated query. Cheap to clone (`String` + `Arc`), `'static`,
+/// A prepared statement: canonical plan text plus the planned query and
+/// its IR (see [`PreparedQuery::ir`]). Cheap to clone (`String` + `Arc`), `'static`,
 /// and independent of any [`Engine`] borrow — a statement prepared in
 /// one session can be executed by a [`Session::reopen`]ed one over a
 /// fresh [`Database`] snapshot.
@@ -125,7 +137,7 @@ impl PreparedStatement {
         &self.text
     }
 
-    /// The planned pipelines and generated IR.
+    /// The planned pipelines and their IR.
     pub fn query(&self) -> &PreparedQuery {
         &self.prepared
     }
@@ -278,7 +290,8 @@ impl<'db> Session<'db> {
     /// # Errors
     /// Returns [`EngineError::Plan`] for schema/type errors.
     pub fn statement(&self, plan: &PlanNode) -> Result<PreparedStatement, EngineError> {
-        self.statements.get_or_prepare(&self.engine, plan)
+        let store = self.service.artifact_store();
+        self.statements.get_or_prepare(&self.engine, store, plan)
     }
 
     /// Builds a run of an already prepared statement — including one

@@ -5,12 +5,13 @@
 //! what another appends, concurrent writers publishing no torn
 //! records, one segment per writing store, the directory size budget,
 //! and graceful pass-through degradation when the store directory is
-//! unusable.
+//! unusable. Statement records, which share the segments, have tests
+//! of their own in `tests/statement_records.rs`.
 
 use qc_backend::{Backend, CompileStats, NativeArtifact};
 use qc_engine::{
     backends, ArtifactKey, ArtifactStore, ArtifactStoreConfig, CompileServiceConfig, CompiledQuery,
-    Session, SessionConfig,
+    FsckReport, Session, SessionConfig,
 };
 use qc_plan::{reference, PlanNode};
 use qc_target::{new_masm, ImageBuilder, Isa};
@@ -77,11 +78,14 @@ fn only_segment(dir: &Path) -> PathBuf {
     segment
 }
 
-/// Byte ranges of the records in a segment's bytes. A record is magic,
+/// Byte ranges of the records in a segment's bytes, each with whether
+/// it is an artifact record. An artifact record is magic `QCAS`,
 /// version, module hash and config (24 bytes), back-end and ISA names
 /// (each a u64 length and the bytes), payload length and checksum (16
-/// bytes), then the payload.
-fn record_spans(segment: &[u8]) -> Vec<Range<usize>> {
+/// bytes), then the payload. A statement record is magic `QCSR`,
+/// version, text hash, schemas and stamp (32 bytes), payload length and
+/// checksum, then the payload.
+fn records(segment: &[u8]) -> Vec<(Range<usize>, bool)> {
     let u64_at = |at: usize| {
         let le: [u8; 8] = segment[at..at + 8].try_into().expect("eight bytes");
         u64::from_le_bytes(le) as usize
@@ -89,14 +93,27 @@ fn record_spans(segment: &[u8]) -> Vec<Range<usize>> {
     let mut spans = Vec::new();
     let mut at = 0;
     while at < segment.len() {
-        let mut field = at + 24;
-        field += 8 + u64_at(field);
-        field += 8 + u64_at(field);
+        let artifact = &segment[at..at + 4] == b"QCAS";
+        let mut field = at + if artifact { 24 } else { 32 };
+        if artifact {
+            field += 8 + u64_at(field);
+            field += 8 + u64_at(field);
+        }
         let end = field + 16 + u64_at(field);
-        spans.push(at..end);
+        spans.push((at..end, artifact));
         at = end;
     }
     spans
+}
+
+/// Byte ranges of the artifact records in a segment's bytes. A session
+/// appends a statement's record after its artifacts, so cutting inside
+/// the last artifact record cuts the statement record away too.
+fn artifact_spans(segment: &[u8]) -> Vec<Range<usize>> {
+    records(segment)
+        .into_iter()
+        .filter_map(|(span, artifact)| artifact.then_some(span))
+        .collect()
 }
 
 #[test]
@@ -142,11 +159,12 @@ fn corrupted_and_truncated_artifacts_are_rejected_then_recompiled() {
     drop(seed);
 
     // Damage the seed run's segment: flip the last payload byte of every
-    // other record (checksum mismatch), and cut the segment inside its
-    // last record (short read).
+    // other artifact record (checksum mismatch), and cut the segment
+    // inside its last artifact record (short read), which drops the
+    // statement record behind it.
     let segment = only_segment(&dir);
     let mut bytes = std::fs::read(&segment).expect("read segment");
-    let spans = record_spans(&bytes);
+    let spans = artifact_spans(&bytes);
     assert!(spans.len() >= 2, "seed run must leave records behind");
     let last = spans.len() - 1;
     for span in spans.iter().step_by(2) {
@@ -184,8 +202,20 @@ fn corrupted_and_truncated_artifacts_are_rejected_then_recompiled() {
     assert_eq!(execute(&warm, &q.plan, &mut compiled), expected);
     drop(warm);
 
-    // The re-published records supersede the damaged ones: a further
-    // restart is served from disk alone.
+    // The re-published records supersede the damaged ones, which the
+    // integrity scan no longer reports as corrupt.
+    let store = ArtifactStore::open(ArtifactStoreConfig::at(dir.clone()));
+    assert_eq!(
+        store.fsck(),
+        FsckReport {
+            artifacts: spans.len(),
+            statements: 1,
+            corrupt: 0,
+            superseded: damaged as usize,
+        }
+    );
+
+    // A further restart is served from disk alone.
     let again = store_session(&db, &dir);
     compile_via_service(&again, &q.plan, &backend);
     let stats = again.compile_service().cache_stats();
@@ -221,10 +251,12 @@ fn a_torn_or_garbage_tail_restarts_with_every_complete_record() {
         compile_via_service(&store_session(&db, &dir), &q.plan, &backend);
         let segment = only_segment(&dir);
         let mut bytes = std::fs::read(&segment).expect("read segment");
-        let spans = record_spans(&bytes);
+        let spans = artifact_spans(&bytes);
         let records = spans.len() as u64;
         let last = &spans[spans.len() - 1];
-        // (complete records left, records rejected on load)
+        // (complete records left, records rejected on load); a cut
+        // inside the last artifact record drops the statement record
+        // behind it, and garbage goes after the statement record.
         let (complete, rejected) = match tail {
             Tail::HalfPayload => {
                 bytes.truncate(last.end - 10);
@@ -254,8 +286,20 @@ fn a_torn_or_garbage_tail_restarts_with_every_complete_record() {
         assert_eq!(execute(&warm, &q.plan, &mut compiled), expected);
         drop(warm);
 
+        // The recompile supersedes a cut record whose header names its
+        // key; a tail whose key is lost stays corrupt.
+        let (corrupt, superseded) = match tail {
+            Tail::HalfPayload => (0, 1),
+            Tail::HalfHeader | Tail::Garbage => (1, 0),
+        };
         let store = ArtifactStore::open(ArtifactStoreConfig::at(dir.clone()));
-        assert_eq!(store.fsck(), (records as usize, 1), "{tail:?}");
+        let report = FsckReport {
+            artifacts: records as usize,
+            statements: 1,
+            corrupt,
+            superseded,
+        };
+        assert_eq!(store.fsck(), report, "{tail:?}");
         // Counted once: the next restart finds the recompiled record.
         let again = store_session(&db, &dir);
         compile_via_service(&again, &q.plan, &backend);
@@ -340,7 +384,7 @@ fn a_store_writes_one_segment_and_a_loading_store_none() {
         "one segment and nothing else"
     );
     assert_eq!(
-        record_spans(&std::fs::read(only_segment(&dir)).expect("read")).len() as u64,
+        records(&std::fs::read(only_segment(&dir)).expect("read")).len() as u64,
         N
     );
     drop(writer);
@@ -399,10 +443,21 @@ fn concurrent_writers_publish_no_torn_files() {
         "one segment per writing store"
     );
     let store = ArtifactStore::open(ArtifactStoreConfig::at(dir.clone()));
-    let (intact, corrupt) = store.fsck();
-    assert!(intact > 0, "racing writers must have published artifacts");
-    assert_eq!(intact as u64, writes, "every append is one intact record");
-    assert_eq!(corrupt, 0, "no torn records may be published");
+    let report = store.fsck();
+    assert!(
+        report.artifacts > 0,
+        "racing writers must have published artifacts"
+    );
+    assert_eq!(
+        report.artifacts as u64, writes,
+        "every append is one intact record"
+    );
+    assert!(report.statements >= picks.len(), "{report:?}");
+    assert_eq!(
+        (report.corrupt, report.superseded),
+        (0, 0),
+        "no torn records may be published"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,16 +1,19 @@
 //! What the front end allocates and what it produces: one statement
 //! miss (canonical text, planning, IR generation) and one statement hit
 //! per suite query, each on a fresh `Session`, counted exactly; the IR
-//! those misses generate, pinned by a digest; and the structural hash a
+//! those misses generate, pinned by a digest that the front-end stamp
+//! statement records are keyed by must match; and the structural hash a
 //! prepared statement keeps for the compile service, checked against a
-//! fresh walk of every module.
+//! fresh walk of every module, also when a statement record supplied it.
 //!
 //! The allocator counts per thread (allocations plus reallocations), so
 //! the harness's other threads do not show up in a test's numbers. The
 //! IR builder reuses its growth buffers per thread, and every test runs
 //! on a thread of its own, so the counts repeat exactly.
 
-use qc_engine::{CompileServiceConfig, Session, SessionConfig};
+use qc_engine::{
+    ArtifactStoreConfig, CompileServiceConfig, Session, SessionConfig, FRONTEND_STAMP,
+};
 use qc_ir::{module_structural_hash, print_module};
 use qc_storage::Database;
 use qc_workloads::BenchQuery;
@@ -133,6 +136,7 @@ const MISS_SHARE: f64 = 0.4;
 fn statement_misses_and_hits_allocate_what_is_pinned_and_the_ir_is_unchanged() {
     let mut report = String::new();
     let mut pinned = true;
+    let mut stamp = 0xcbf2_9ce4_8422_2325u64;
     for suite in [dslike(), hlike()] {
         let (mut miss, mut hit, mut digest) = (0, 0, 0xcbf2_9ce4_8422_2325u64);
         for q in &suite.queries {
@@ -158,9 +162,11 @@ fn statement_misses_and_hits_allocate_what_is_pinned_and_the_ir_is_unchanged() {
         );
         assert_eq!(
             digest, suite.ir_digest,
-            "{}: generated IR differs from the pinned IR (digest {digest:#018x})",
+            "{}: generated IR differs from the pinned IR (digest {digest:#018x}); \
+             re-pin it together with FRONTEND_STAMP",
             suite.name
         );
+        fnv1a(&mut stamp, &digest.to_le_bytes());
         report += &format!(
             "{}: misses {miss} (pinned {}), hits {hit} (pinned {}), {per_query:.1} per miss\n",
             suite.name, suite.miss_total, suite.hit_total
@@ -168,6 +174,13 @@ fn statement_misses_and_hits_allocate_what_is_pinned_and_the_ir_is_unchanged() {
         pinned &= (miss, hit) == (suite.miss_total, suite.hit_total);
     }
     assert!(pinned, "allocation counts moved:\n{report}");
+    // Statement records are keyed by the front end's stamp, so a change
+    // to the generated IR must come with a new stamp, or a restart would
+    // trust hashes the new front end no longer produces.
+    assert_eq!(
+        FRONTEND_STAMP, stamp,
+        "FRONTEND_STAMP must be the fold of the pinned IR digests ({stamp:#018x})"
+    );
 }
 
 #[test]
@@ -223,4 +236,43 @@ fn the_stored_module_hash_is_the_structural_hash_and_keys_the_code_cache() {
             suite.name
         );
     }
+}
+
+#[test]
+fn a_statement_record_holds_the_structural_hashes() {
+    let dir = std::env::temp_dir().join(format!("qc-frontend-records-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for suite in [dslike(), hlike()] {
+        let config = || SessionConfig {
+            statement_cache_capacity: 256,
+            artifact_store: Some(ArtifactStoreConfig::at(&dir)),
+            ..SessionConfig::default()
+        };
+        let cold = Session::with_config(&suite.db, config());
+        for q in &suite.queries {
+            cold.prepare(&q.plan)
+                .expect("prepares")
+                .compile()
+                .expect("compiles");
+        }
+        drop(cold);
+
+        // A restart takes every statement's hashes from its record; the
+        // IR the statement generates on demand hashes to the same.
+        let restarted = Session::with_config(&suite.db, config());
+        for q in &suite.queries {
+            let statement = restarted.statement(&q.plan).expect("prepares");
+            let query = statement.query();
+            assert!(!query.has_ir(), "{}: prepared from its record", q.name);
+            let recorded = query.module_hashes().to_vec();
+            let fresh: Vec<u64> = query
+                .ir
+                .modules
+                .iter()
+                .map(|m| module_structural_hash(m))
+                .collect();
+            assert_eq!(recorded, fresh, "{}", q.name);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
