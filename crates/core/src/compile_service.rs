@@ -1,5 +1,5 @@
 //! Threaded compilation service: parallel pipeline compiles, an
-//! IR-keyed code cache, background compilation for adaptive tier-up,
+//! IR-keyed code cache, background compilation for the scheduler's tier-up,
 //! and a fault-tolerance layer that keeps a failing back-end from
 //! killing a query.
 //!
@@ -703,16 +703,16 @@ impl CompileService {
     /// surfaces as an `Err` through the handle instead of wedging the
     /// pool, and so does a pool with no live worker: the job is then
     /// refused, never compiled on this thread. The caller simply keeps
-    /// executing its current tier. The job owns the query's modules, so
-    /// a statement prepared from a statement record generates its IR
-    /// here, on the calling thread.
+    /// executing its current tier. The job shares the statement, so a
+    /// statement prepared from a statement record generates its IR on
+    /// the pool worker, and only when a module misses both cache tiers,
+    /// as a foreground compile does.
     pub fn spawn_compile(
         &self,
-        prepared: &PreparedQuery,
+        prepared: &Arc<PreparedQuery>,
         backend: &Arc<dyn Backend>,
     ) -> PendingCompile {
-        let modules = prepared.ir.modules.clone();
-        let hashes = prepared.module_hashes().to_vec();
+        let prepared = Arc::clone(prepared);
         let backend = Arc::clone(backend);
         let (cache, faults) = (Arc::clone(&self.cache), Arc::clone(&self.faults));
         let budget = self.default_budget;
@@ -720,7 +720,8 @@ impl CompileService {
         let reply = tx.clone();
         let job: Job = Box::new(move || {
             let trace = TimeTrace::disabled();
-            let modules = (&hashes[..], |i: usize| Arc::clone(&modules[i]));
+            let module = |i: usize| Arc::clone(&prepared.ir.modules[i]);
+            let modules = (prepared.module_hashes(), module);
             let out = compile_query(modules, &backend, budget, &trace, &cache, &faults, None);
             let _ = reply.send(out);
         });
@@ -996,7 +997,7 @@ mod tests {
         let db = qc_storage::gen_hlike(0.01);
         let engine = crate::Engine::new(&db);
         let query = &qc_workloads::hlike_suite()[0];
-        let prepared = engine.prepare(&query.plan, &query.name).expect("prepare");
+        let prepared = Arc::new(engine.prepare(&query.plan, &query.name).expect("prepare"));
         let service = dead_pool_service();
         let backend: Arc<dyn Backend> = Arc::from(crate::backends::direct_emit());
         let mut pending = service.spawn_compile(&prepared, &backend);
@@ -1059,7 +1060,7 @@ mod tests {
         let db = qc_storage::gen_hlike(0.01);
         let engine = crate::Engine::new(&db);
         let query = &qc_workloads::hlike_suite()[0];
-        let prepared = engine.prepare(&query.plan, &query.name).expect("prepare");
+        let prepared = Arc::new(engine.prepare(&query.plan, &query.name).expect("prepare"));
         let service = CompileService::default();
         let trace = TimeTrace::disabled();
         let interp: Arc<dyn Backend> = Arc::from(crate::backends::interpreter());

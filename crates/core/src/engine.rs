@@ -393,8 +393,8 @@ impl PreparedQuery {
         store.store_statement(&key, self.module_hashes());
     }
 
-    /// Total IR instruction count across all pipelines (the adaptive
-    /// compiler's code-size heuristic input).
+    /// Total IR instruction count across all pipelines. Reads the IR,
+    /// so a statement prepared from a statement record generates it.
     pub fn ir_size(&self) -> usize {
         self.ir
             .modules
@@ -422,21 +422,14 @@ pub struct CompiledQuery {
 }
 
 impl CompiledQuery {
-    /// Folds a background-compiled `replacement` tier into this query
-    /// in place: compile time and statistics of the replaced tier are
-    /// merged so the totals cover both tiers (execution cycles are
-    /// charged per call, so they accumulate across the swap). Pipeline
-    /// state lives in the runtime context block, not in module code, so
-    /// a swap between two driver steps is safe and `setup` is not re-run.
-    pub(crate) fn adopt_replacement(&mut self, mut replacement: CompiledQuery) {
-        replacement.compile_time += self.compile_time;
-        replacement.compile_stats.merge(&self.compile_stats);
-        *self = replacement;
-    }
-
     /// Adopts `pending`'s tier once its compile has finished, between
-    /// two driver steps: polls without blocking, folds a finished tier
-    /// in and clears `pending` once the compile has resolved either way.
+    /// two driver steps: polls without blocking, and clears `pending`
+    /// once the compile has resolved either way. A finished tier
+    /// replaces this one in place, with the replaced tier's compile time
+    /// and statistics merged in so the totals cover both tiers
+    /// (execution cycles are charged per call, so they accumulate across
+    /// the swap). Pipeline state lives in the runtime context block, not
+    /// in module code, so the swap is safe and `setup` is not re-run.
     /// `None` while the compile still runs (or nothing is pending).
     pub(crate) fn adopt_ready(
         &mut self,
@@ -444,7 +437,11 @@ impl CompiledQuery {
     ) -> Option<Result<(), BackendError>> {
         let result = pending.as_mut()?.try_take()?;
         *pending = None;
-        Some(result.map(|replacement| self.adopt_replacement(replacement)))
+        Some(result.map(|mut replacement| {
+            replacement.compile_time += self.compile_time;
+            replacement.compile_stats.merge(&self.compile_stats);
+            *self = replacement;
+        }))
     }
 }
 

@@ -27,7 +27,6 @@
 // tests.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-mod adaptive;
 mod artifact_store;
 mod compile_service;
 mod engine;
@@ -43,7 +42,6 @@ mod scheduler;
 mod session;
 mod supervise;
 
-pub use adaptive::{AdaptiveExecution, AdaptiveOutcome, BackgroundReport};
 pub use artifact_store::{
     ArtifactKey, ArtifactStore, ArtifactStoreConfig, ArtifactStoreCounters, FsckReport,
     StatementKey,

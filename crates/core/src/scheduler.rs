@@ -40,8 +40,9 @@
 //!   queries with the **most remaining morsels** — the queries with the
 //!   most execution left to amortize an expensive compile, mirroring
 //!   the paper's adaptive-execution argument. A completed tier is
-//!   adopted between two slices — a morsel boundary — by the same
-//!   helper the single-query adaptive path calls between its steps.
+//!   adopted between two slices — a morsel boundary — through
+//!   `CompiledQuery::adopt_ready`. This is the engine's one tier-up
+//!   path: a single query tiers up as a one-request serve.
 //!   A long query, though, is admitted last and then runs without
 //!   sharing its worker, so it often finishes before its background
 //!   compile does: few queries of a batch tier up.
@@ -442,7 +443,7 @@ struct Pending {
 
 /// How the policy core asks for a background compile of a query to a
 /// tier. The serving driver passes its compile service's.
-type Spawn<'a> = &'a dyn Fn(&PreparedQuery, &Arc<dyn Backend>) -> PendingCompile;
+type Spawn<'a> = &'a dyn Fn(&Arc<PreparedQuery>, &Arc<dyn Backend>) -> PendingCompile;
 
 /// Scheduler state shared by the serving workers, and the one
 /// scheduling policy as its methods. Each method takes the
@@ -891,7 +892,8 @@ fn serve_worker(
     shared: &Shared,
 ) -> Duration {
     let (engine, service) = (session.engine(), session.compile_service());
-    let spawn = |query: &PreparedQuery, tier: &Arc<dyn Backend>| service.spawn_compile(query, tier);
+    let spawn =
+        |query: &Arc<PreparedQuery>, tier: &Arc<dyn Backend>| service.spawn_compile(query, tier);
     let mut busy = Duration::ZERO;
     loop {
         let mut g = lock_recover(&shared.state);
@@ -921,10 +923,10 @@ fn serve_worker(
             }
             Pick::Run(mut a) => {
                 // Adopt a completed background tier between two slices
-                // (a morsel boundary), as the single-query adaptive path
-                // does between its steps. Execution fault containment is
-                // the driver's: generated code panicking inside a slice
-                // comes back as a typed error that fails this session.
+                // (a morsel boundary), the one place a tier lands.
+                // Execution fault containment is the driver's: generated
+                // code panicking inside a slice comes back as a typed
+                // error that fails this session.
                 let tier = a.compiled.adopt_ready(&mut a.pending_tier);
                 let step = a
                     .exec
@@ -1075,7 +1077,7 @@ mod tests {
     }
 
     /// A background compile handle; these tests never poll it.
-    fn unresolved(_: &PreparedQuery, _: &Arc<dyn Backend>) -> PendingCompile {
+    fn unresolved(_: &Arc<PreparedQuery>, _: &Arc<dyn Backend>) -> PendingCompile {
         PendingCompile(std::sync::mpsc::channel().1)
     }
 
@@ -1230,7 +1232,7 @@ mod tests {
             ..SchedulerConfig::default()
         };
         let asked = Cell::new(0);
-        let spawn = |p: &PreparedQuery, tier: &Arc<dyn Backend>| {
+        let spawn = |p: &Arc<PreparedQuery>, tier: &Arc<dyn Backend>| {
             assert_eq!(tier.name(), "Clift");
             asked.set(asked.get() + 1);
             unresolved(p, tier)

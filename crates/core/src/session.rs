@@ -137,14 +137,10 @@ impl PreparedStatement {
         &self.text
     }
 
-    /// The planned pipelines and their IR.
-    pub fn query(&self) -> &PreparedQuery {
+    /// The planned pipelines and their IR, shared with the session's
+    /// statement cache.
+    pub fn query(&self) -> &Arc<PreparedQuery> {
         &self.prepared
-    }
-
-    /// Total IR instruction count (the tiering heuristic input).
-    pub fn ir_size(&self) -> usize {
-        self.prepared.ir_size()
     }
 }
 

@@ -1,11 +1,11 @@
 //! Adaptive execution (paper Sec. III-C): execute with the cheap tier
-//! right away; when the size/work heuristic predicts a win, compile the
-//! optimizing tier in the background and swap it in at a morsel
-//! boundary.
+//! right away, compile the optimizing tier in the background and swap it
+//! in at a morsel boundary. A single query tiers up as a one-request
+//! serve whose scheduler has a `tier_up_backend`.
 //!
 //! Run with: `cargo run --release --example adaptive`
 
-use qc_engine::{backends, AdaptiveExecution, Session};
+use qc_engine::{backends, QueryScheduler, SchedulerConfig, Session, SessionRequest};
 use std::sync::Arc;
 
 fn main() {
@@ -15,30 +15,25 @@ fn main() {
     let optimized: Arc<dyn qc_backend::Backend> =
         Arc::from(backends::lvm_opt(qc_target::Isa::Tx64));
 
-    for (label, expected_executions) in [("one-shot query", 1), ("hot recurring query", 500)] {
-        let query = qc_workloads::hlike_suite().remove(0); // H01
-        let stmt = session.statement(&query.plan).expect("prepare");
-        let policy = AdaptiveExecution {
-            expected_executions,
-            ..Default::default()
-        };
-        let (result, report) = policy
-            .run_background(
-                session.engine(),
-                session.compile_service(),
-                stmt.query(),
-                &cheap,
-                &optimized,
-                None,
-            )
-            .expect("adaptive run");
-        println!(
-            "{label}: {:?} (swapped at morsel {:?}) — total compile {:?}, {} rows, {} cycles",
-            report.outcome,
-            report.swapped_at_morsel,
-            result.compile_time,
-            result.rows.len(),
-            result.exec_stats.cycles
-        );
+    let query = qc_workloads::hlike_suite().remove(0); // H01
+    let scheduler = QueryScheduler::try_new(SchedulerConfig {
+        workers: 1,
+        tier_up_backend: Some(optimized),
+        ..Default::default()
+    })
+    .expect("valid scheduler config");
+    let request = SessionRequest::new(query.name.clone(), query.plan);
+    let report = scheduler.serve_session(&session, &cheap, vec![request]);
+    let outcome = &report.outcomes[0];
+    if let Some(error) = &outcome.error {
+        panic!("{}: {error}", outcome.name);
     }
+    println!(
+        "{}: tiered up {} — latency {:?}, {} cycles, {} rows",
+        outcome.name,
+        outcome.tiered_up,
+        outcome.latency,
+        outcome.cycles,
+        outcome.rows.len()
+    );
 }

@@ -17,7 +17,7 @@ fn main() {
         "query {} → {} pipelines, {} IR instructions\n",
         query.name,
         stmt.query().plan.pipelines.len(),
-        stmt.ir_size()
+        stmt.query().ir_size()
     );
     println!(
         "{:<14} {:<6} {:>12} {:>14} {:>10}",

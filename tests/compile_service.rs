@@ -1,21 +1,19 @@
 //! The compilation service: parallel pipeline compiles must produce
 //! bit-identical artifacts to sequential ones, warm cache hits must skip
-//! code generation, and background tier-up must swap at a deterministic
-//! morsel boundary without blocking the first morsel.
+//! code generation, and a background compile must produce the same
+//! artifacts as a foreground one.
 
-use qc_backend::chaos::{ChaosBackend, ChaosExecBackend, ChaosFault, ExecFault};
 use qc_backend::BackendErrorKind;
 use qc_backend::{Backend, BackendError, Executable};
 use qc_engine::{
-    backends, AdaptiveExecution, AdaptiveOutcome, CompileService, CompileServiceConfig,
-    CompiledQuery, EngineConfig, EngineError, PreparedStatement, Session, SessionConfig,
+    backends, CompileService, CompileServiceConfig, CompiledQuery, EngineConfig, EngineError,
+    PreparedStatement, Session, SessionConfig,
 };
 use qc_ir::Module;
-use qc_plan::{col, lit_i64, reference, PlanNode};
+use qc_plan::reference;
 use qc_target::Isa;
 use qc_timing::TimeTrace;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Picks a query from the H-like suite that decomposes into several
 /// pipelines, so the fan-out path is actually exercised.
@@ -242,311 +240,6 @@ fn distinct_configs_do_not_share_cached_code() {
     let stats = service.cache_stats();
     assert_eq!(stats.hits, 0, "variant b must not reuse variant a's code");
     assert_eq!(stats.misses, 2 * n);
-}
-
-#[test]
-fn background_tier_up_swaps_at_a_deterministic_boundary() {
-    let db = qc_storage::gen_hlike(0.05);
-    // Small morsels: many morsel boundaries.
-    let session = Session::with_config(
-        &db,
-        SessionConfig {
-            engine: EngineConfig { morsel_size: 256 },
-            ..Default::default()
-        },
-    );
-    let stmt = multi_pipeline_query(&session);
-    let prepared = stmt.query();
-    let service = CompileService::default();
-    let cheap: Arc<dyn Backend> = Arc::from(backends::interpreter());
-    let optimized: Arc<dyn Backend> = Arc::from(backends::lvm_opt(Isa::Tx64));
-    let policy = AdaptiveExecution::default();
-
-    let (result, report) = policy
-        .run_background(
-            session.engine(),
-            &service,
-            prepared,
-            &cheap,
-            &optimized,
-            Some(3),
-        )
-        .expect("background run");
-    assert_eq!(report.outcome, AdaptiveOutcome::TieredUp);
-    assert_eq!(report.swapped_at_morsel, Some(3));
-    assert!(report.background_error.is_none());
-
-    // Results must match a plain single-tier execution.
-    let mut baseline_compiled = direct_compile(&session, &stmt, &cheap);
-    let baseline = execute(&session, &stmt, &mut baseline_compiled);
-    assert_eq!(
-        reference::normalize(&result.rows),
-        reference::normalize(&baseline.rows)
-    );
-
-    // Repeating the run swaps at the same boundary with the same cost.
-    let (again, report2) = policy
-        .run_background(
-            session.engine(),
-            &service,
-            prepared,
-            &cheap,
-            &optimized,
-            Some(3),
-        )
-        .expect("second background run");
-    assert_eq!(report2.swapped_at_morsel, Some(3));
-    assert_eq!(result.exec_stats.cycles, again.exec_stats.cycles);
-
-    // Every pinned boundary lands where it always has, at the same cost.
-    let mut measured = Vec::new();
-    for optimized in [optimized, Arc::from(backends::clift(Isa::Tx64))] {
-        for n in [0, 1, 3, 7] {
-            let (result, report) = policy
-                .run_background(
-                    session.engine(),
-                    &service,
-                    prepared,
-                    &cheap,
-                    &optimized,
-                    Some(n),
-                )
-                .expect("pinned background run");
-            let stats = result.exec_stats;
-            let swapped_at = report.swapped_at_morsel;
-            measured.push((optimized.name(), n, swapped_at, stats.cycles, stats.insts));
-        }
-    }
-    assert_eq!(measured, PINNED_SWAPS, "measured table:\n{measured:#?}");
-}
-
-/// `(optimizing tier, n, swapped_at_morsel, exec cycles, exec insts)` of
-/// `run_background` pinned at boundary `n` over the interpreter, on
-/// [`multi_pipeline_query`] with 256-row morsels at scale factor 0.05.
-/// Boundary 0 swaps after the first morsel like boundary 1; the query
-/// has six morsels, so boundary 7 never comes and the cheap tier ends it.
-type PinnedSwap = (&'static str, u64, Option<u64>, u64, u64);
-const PINNED_SWAPS: [PinnedSwap; 8] = [
-    ("LVM-opt", 0, Some(1), 360_247, 30_182),
-    ("LVM-opt", 1, Some(1), 360_247, 30_182),
-    ("LVM-opt", 3, Some(3), 391_639, 25_044),
-    ("LVM-opt", 7, None, 393_415, 24_552),
-    ("Clift", 0, Some(1), 366_644, 32_093),
-    ("Clift", 1, Some(1), 366_644, 32_093),
-    ("Clift", 3, Some(3), 391_633, 25_042),
-    ("Clift", 7, None, 393_415, 24_552),
-];
-
-#[test]
-fn heuristic_tier_up_decides_on_observed_work() {
-    let db = qc_storage::gen_hlike(0.05);
-    let cheap: Arc<dyn Backend> = Arc::from(backends::interpreter());
-    let optimized: Arc<dyn Backend> = Arc::from(backends::clift(Isa::Tx64));
-
-    // The default policy on a one-morsel query: its work never pays for
-    // an optimizing compile, so none is spawned.
-    let session = Session::new(&db);
-    let small = PlanNode::scan("nation", &["n_nationkey", "n_name"]);
-    let stmt = session.statement(&small).expect("prepare");
-    let service = CompileService::default();
-    let (result, report) = AdaptiveExecution::default()
-        .run_background(
-            session.engine(),
-            &service,
-            stmt.query(),
-            &cheap,
-            &optimized,
-            None,
-        )
-        .expect("default-policy run");
-    assert_eq!(report.outcome, AdaptiveOutcome::StayedCheap);
-    assert_eq!(report.swapped_at_morsel, None);
-    assert!(report.background_error.is_none());
-    assert_eq!(
-        service.cache_stats().misses,
-        stmt.query().ir.modules.len() as u64,
-        "only the cheap tier compiled"
-    );
-    let expected = reference::execute(&small, &db).expect("reference");
-    assert_eq!(
-        reference::normalize(&result.rows),
-        reference::normalize(&expected)
-    );
-
-    // A policy that fires on the first morsel, over a first tier whose
-    // every morsel sleeps: the optimizing compile finishes while the
-    // cheap tier still runs, and takes over.
-    let session = Session::with_config(
-        &db,
-        SessionConfig {
-            engine: EngineConfig { morsel_size: 8 },
-            ..Default::default()
-        },
-    );
-    let scan = PlanNode::scan("lineitem", &["l_orderkey", "l_quantity"])
-        .filter(col("l_orderkey").ge(lit_i64(0)));
-    let stmt = session.statement(&scan).expect("prepare");
-    let slow_cheap: Arc<dyn Backend> = Arc::new(ChaosExecBackend::always(
-        Arc::clone(&cheap),
-        ExecFault::Delay(Duration::from_millis(10)),
-    ));
-    let eager = AdaptiveExecution {
-        expected_executions: u64::MAX / 2,
-        benefit_threshold: 1,
-    };
-    let (result, report) = eager
-        .run_background(
-            session.engine(),
-            &CompileService::default(),
-            stmt.query(),
-            &slow_cheap,
-            &optimized,
-            None,
-        )
-        .expect("eager-policy run");
-    assert_eq!(report.outcome, AdaptiveOutcome::TieredUp);
-    assert!(report.background_error.is_none());
-    let expected = reference::execute(&scan, &db).expect("reference");
-    assert_eq!(
-        reference::normalize(&result.rows),
-        reference::normalize(&expected)
-    );
-}
-
-#[test]
-fn background_tier_failure_keeps_the_cheap_tier_result() {
-    // Injected panics unwind through catch_unwind inside the service;
-    // silence their default-hook spam without hiding real panics.
-    let default = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| info.payload().downcast_ref::<&str>().copied());
-        if !msg.is_some_and(|m| m.contains("chaos: injected")) {
-            default(info);
-        }
-    }));
-
-    let db = qc_storage::gen_hlike(0.05);
-    let session = Session::with_config(
-        &db,
-        SessionConfig {
-            engine: EngineConfig { morsel_size: 256 },
-            ..Default::default()
-        },
-    );
-    let stmt = multi_pipeline_query(&session);
-    let prepared = stmt.query();
-    let service = CompileService::default();
-    let cheap: Arc<dyn Backend> = Arc::from(backends::interpreter());
-    let policy = AdaptiveExecution::default();
-
-    let mut baseline_compiled = direct_compile(&session, &stmt, &cheap);
-    let baseline = execute(&session, &stmt, &mut baseline_compiled);
-
-    for fault in [ChaosFault::Panic, ChaosFault::PermanentError] {
-        let optimized: Arc<dyn Backend> = Arc::new(ChaosBackend::always(
-            Arc::from(backends::lvm_opt(Isa::Tx64)),
-            fault,
-        ));
-        let (result, report) = policy
-            .run_background(
-                session.engine(),
-                &service,
-                prepared,
-                &cheap,
-                &optimized,
-                Some(3),
-            )
-            .unwrap_or_else(|e| panic!("{fault:?}: background run must survive: {e}"));
-
-        // The failed tier-up must not disturb the cheap-tier execution:
-        // same outcome shape, same rows, same stats as a plain run.
-        assert_eq!(
-            report.outcome,
-            AdaptiveOutcome::StayedCheap,
-            "{fault:?}: failed background compile must not swap"
-        );
-        assert_eq!(report.swapped_at_morsel, None);
-        let err = report
-            .background_error
-            .unwrap_or_else(|| panic!("{fault:?}: background failure must be reported"));
-        match fault {
-            ChaosFault::Panic => assert_eq!(err.kind, BackendErrorKind::Panic),
-            _ => assert_eq!(err.kind, BackendErrorKind::Permanent),
-        }
-        assert_eq!(
-            reference::normalize(&result.rows),
-            reference::normalize(&baseline.rows),
-            "{fault:?}: cheap-tier rows disturbed"
-        );
-        assert_eq!(result.exec_stats.cycles, baseline.exec_stats.cycles);
-        assert_eq!(
-            result.compile_stats.functions, baseline.compile_stats.functions,
-            "{fault:?}: cheap-tier compile stats disturbed"
-        );
-        assert_eq!(
-            result.compile_stats.code_bytes,
-            baseline.compile_stats.code_bytes
-        );
-    }
-
-    // Panics were isolated, and the pool is still healthy: a genuine
-    // tier-up through the same service succeeds afterwards.
-    assert!(service.fault_stats().panics_caught > 0);
-    let optimized: Arc<dyn Backend> = Arc::from(backends::lvm_opt(Isa::Tx64));
-    let (_, report) = policy
-        .run_background(
-            session.engine(),
-            &service,
-            prepared,
-            &cheap,
-            &optimized,
-            Some(3),
-        )
-        .expect("clean background run after faults");
-    assert_eq!(report.outcome, AdaptiveOutcome::TieredUp);
-    assert!(report.background_error.is_none());
-}
-
-#[test]
-fn tier_up_merges_compile_stats_across_tiers() {
-    let db = qc_storage::gen_hlike(0.05);
-    let session = Session::new(&db);
-    let stmt = multi_pipeline_query(&session);
-    let prepared = stmt.query();
-    let cheap: Arc<dyn Backend> = Arc::from(backends::interpreter());
-    let optimized: Arc<dyn Backend> = Arc::from(backends::clift(Isa::Tx64));
-    // Force the tier-up path with a policy whose threshold is trivially
-    // exceeded.
-    let policy = AdaptiveExecution {
-        expected_executions: u64::MAX / 2,
-        benefit_threshold: 1,
-    };
-    let service = CompileService::default();
-    let (result, report) = policy
-        .run_background(
-            session.engine(),
-            &service,
-            prepared,
-            &cheap,
-            &optimized,
-            Some(1),
-        )
-        .expect("adaptive run");
-    assert_eq!(report.outcome, AdaptiveOutcome::TieredUp);
-    let mut cheap_only = direct_compile(&session, &stmt, &cheap);
-    let cheap_result = execute(&session, &stmt, &mut cheap_only);
-    // Both tiers contribute: the merged stats must strictly exceed the
-    // cheap tier's own function count.
-    assert!(
-        result.compile_stats.functions > cheap_result.compile_stats.functions,
-        "tiered stats {} not above cheap-tier stats {}",
-        result.compile_stats.functions,
-        cheap_result.compile_stats.functions
-    );
 }
 
 /// A back-end that links executables but returns no code artifact.

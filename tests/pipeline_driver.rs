@@ -5,7 +5,8 @@
 //! serial-fallback one is right at every worker count, the
 //! two entry points charge and budget a statement identically, and a
 //! session leaving the scheduler — however it ends — gives back what
-//! it held and reports what it did.
+//! it held and reports what it did, and a failed background tier leaves
+//! the first tier's result.
 
 use qc_backend::chaos::{ChaosBackend, ChaosExecBackend, ChaosFault, ExecFault};
 use qc_backend::Backend;
@@ -320,4 +321,63 @@ fn a_session_failing_after_its_tier_swap_still_reports_the_swap() {
         outcome.error
     );
     assert!(outcome.tiered_up, "the swap happened before the trap");
+}
+
+/// A background tier that panics or fails for good is never adopted:
+/// the query finishes on its first tier with that tier's rows and
+/// cycles, and the serve goes on. The panic is caught in the compile
+/// service, and the session's tier-up slot and pool survive it.
+#[test]
+fn a_failed_background_tier_keeps_the_first_tier_result() {
+    // Injected panics unwind through the compile service's supervisor;
+    // silence their default-hook spam without hiding real panics.
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info
+            .payload()
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| info.payload().downcast_ref::<&str>().copied());
+        if !msg.is_some_and(|m| m.contains("chaos: injected")) {
+            default(info);
+        }
+    }));
+
+    let db = database();
+    let session = session(&db);
+    let lvm_opt = || -> Arc<dyn Backend> { Arc::from(backends::lvm_opt(Isa::Tx64)) };
+    let long = || vec![SessionRequest::new("long", scan_of("fact"))];
+    let tier_up = |tier: Arc<dyn Backend>| SchedulerConfig {
+        tier_up_backend: Some(tier),
+        tier_up_inflight: 1,
+        ..one_at_a_time()
+    };
+    let plain = serve(&session, one_at_a_time(), &slow_first_tier(), long());
+    let plain = &plain.outcomes[0];
+    assert_eq!(plain.status, OutcomeStatus::Ok, "{:?}", plain.error);
+
+    for fault in [ChaosFault::Panic, ChaosFault::PermanentError] {
+        let failing: Arc<dyn Backend> = Arc::new(ChaosBackend::always(lvm_opt(), fault));
+        let report = serve(&session, tier_up(failing), &slow_first_tier(), long());
+        let outcome = &report.outcomes[0];
+        assert_eq!(
+            outcome.status,
+            OutcomeStatus::Ok,
+            "{fault:?}: {:?}",
+            outcome.error
+        );
+        assert!(!outcome.tiered_up, "{fault:?}: a failed tier was adopted");
+        assert_eq!(outcome.rows, plain.rows, "{fault:?}: rows disturbed");
+        assert_eq!(outcome.cycles, plain.cycles, "{fault:?}: cycles disturbed");
+        if fault == ChaosFault::Panic {
+            let faults = session.compile_service().fault_stats();
+            assert!(faults.panics_caught > 0, "the panic was not caught");
+        }
+    }
+
+    // The same session tiers up through a clean tier afterwards.
+    let report = serve(&session, tier_up(lvm_opt()), &slow_first_tier(), long());
+    let outcome = &report.outcomes[0];
+    assert_eq!(outcome.status, OutcomeStatus::Ok, "{:?}", outcome.error);
+    assert!(outcome.tiered_up, "no tier-up after the failed ones");
 }

@@ -3,8 +3,9 @@
 //! generates no IR; a record whose modules are gone regenerates the IR
 //! and republishes them; a record under another schema or front-end
 //! stamp is ignored; a damaged record is rejected once; racing writers
-//! publish no torn record; and `Session::reopen` and the scheduler's
-//! admission both use records.
+//! publish no torn record; `Session::reopen` and the scheduler's
+//! admission both use records; and a restarted serve's tier-up compile
+//! generates no IR.
 
 use qc_backend::Backend;
 use qc_engine::{
@@ -14,6 +15,7 @@ use qc_engine::{
 };
 use qc_plan::{reference, PlanNode};
 use qc_storage::Database;
+use qc_target::Isa;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -479,6 +481,48 @@ fn reopen_and_scheduler_admission_use_records() {
         (picks.len() as u64, 0)
     );
     assert_eq!((c.misses, c.writes), (0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A restarted session's tier-up compile is a statement's background
+/// job like any other: it keys the cache from the record's hashes on a
+/// pool worker and finds both tiers on disk, so the statement still has
+/// no IR after a serve that tiered it up.
+#[test]
+fn a_tier_up_after_a_restart_generates_no_ir() {
+    let dir = fresh_dir("tier-up");
+    let db = qc_storage::gen_hlike(2.0);
+    let q = &qc_workloads::hlike_suite()[0];
+    let first = native_backend();
+    let optimized: Arc<dyn Backend> = Arc::from(backends::lvm_opt(Isa::Tx64));
+    let cold = store_session(&db, &dir);
+    for tier in [&first, &optimized] {
+        compile(&cold, &q.plan, tier);
+    }
+    drop(cold);
+
+    // Small morsels, one per slice: the query runs long past its
+    // tier-up compile.
+    let mut config = SessionConfig::with_artifact_store(ArtifactStoreConfig::at(&dir));
+    config.engine.morsel_size = 16;
+    let restarted = Session::with_config(&db, config);
+    let scheduler = QueryScheduler::try_new(SchedulerConfig {
+        workers: 1,
+        morsel_credits: 1,
+        tier_up_backend: Some(optimized),
+        ..Default::default()
+    })
+    .expect("valid scheduler config");
+    let request = SessionRequest::new(q.name.clone(), q.plan.clone());
+    let report = scheduler.serve_session(&restarted, &first, vec![request]);
+    let outcome = &report.outcomes[0];
+    assert_eq!(outcome.status, OutcomeStatus::Ok, "{:?}", outcome.error);
+    assert!(outcome.tiered_up, "{}: no tier-up", q.name);
+    assert_eq!(reference::normalize(&outcome.rows), expected(&db, &q.plan));
+    let statement = restarted.statement(&q.plan).expect("cached");
+    assert!(!statement.query().has_ir(), "{}: IR generated", q.name);
+    let c = store_of(&restarted).counters();
+    assert_eq!((c.statement_hits, c.misses, c.writes), (1, 0, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
