@@ -10,10 +10,10 @@
 //!
 //! [`ChaosExecBackend`] is the execution-phase counterpart: compiles
 //! pass through untouched, but every `main` (per-morsel) call of the
-//! produced executables can panic, trap, stall, or inflate its reported
-//! cycle cost on the same deterministic schedules. It drives the
-//! engine's *execution* fault envelope — worker panic isolation, query
-//! budgets, the runaway governor, and the serving-path circuit breaker.
+//! produced executables can panic, trap, or stall on the same
+//! deterministic schedules. It drives the engine's *execution* fault
+//! envelope — worker panic isolation, query budgets, and the
+//! serving-path circuit breaker.
 
 use crate::{Backend, BackendError, CodeArtifact, CompileStats, Executable};
 use qc_ir::Module;
@@ -260,11 +260,6 @@ pub enum ExecFault {
     /// Sleep for the given duration before executing normally, driving
     /// query-deadline overruns without corrupting results.
     Delay(Duration),
-    /// Execute normally but inflate the executable's reported cycle
-    /// count by this much per injection. Results stay correct; only the
-    /// modeled cost lies, which is exactly what the runaway governor
-    /// and cycle budgets must react to.
-    BurnCycles(u64),
 }
 
 impl Backend for ChaosExecBackend {
@@ -285,7 +280,6 @@ impl Backend for ChaosExecBackend {
             ExecFault::Panic => 5,
             ExecFault::Trap(code) => splitmix64(6 ^ u64::from(code)),
             ExecFault::Delay(d) => splitmix64(7 ^ d.as_nanos() as u64),
-            ExecFault::BurnCycles(c) => splitmix64(8 ^ c),
         };
         // Never alias the clean back-end's cache entries ("EXEC" salt,
         // distinct from the compile-phase wrapper's salt).
@@ -336,19 +330,12 @@ impl CodeArtifact for ChaosExecArtifact {
 struct ChaosExecutable {
     inner: Box<dyn Executable>,
     plan: Arc<FaultPlan<ExecFault>>,
-    /// Cycles added by `BurnCycles` injections, reported on top of the
-    /// inner executable's honest stats.
-    extra_cycles: u64,
 }
 
 impl ChaosExecutable {
     fn wrap(inner: Box<dyn Executable>, plan: &Arc<FaultPlan<ExecFault>>) -> Box<dyn Executable> {
         let plan = Arc::clone(plan);
-        Box::new(ChaosExecutable {
-            inner,
-            plan,
-            extra_cycles: 0,
-        })
+        Box::new(ChaosExecutable { inner, plan })
     }
 }
 
@@ -365,7 +352,6 @@ impl Executable for ChaosExecutable {
                     ExecFault::Panic => panic!("chaos: injected exec panic on call {n}"),
                     ExecFault::Trap(code) => return Err(Trap::Runtime(code)),
                     ExecFault::Delay(d) => std::thread::sleep(d),
-                    ExecFault::BurnCycles(c) => self.extra_cycles += c,
                 }
             }
         }
@@ -373,9 +359,7 @@ impl Executable for ChaosExecutable {
     }
 
     fn exec_stats(&self) -> ExecStats {
-        let mut stats = self.inner.exec_stats();
-        stats.cycles += self.extra_cycles;
-        stats
+        self.inner.exec_stats()
     }
 
     fn compile_stats(&self) -> &CompileStats {
@@ -541,17 +525,6 @@ mod tests {
         assert!(exe.call(&mut state, "finish", &[]).is_ok());
         assert_eq!(chaos.calls(), 2);
         assert_eq!(chaos.injected(), 1);
-    }
-
-    #[test]
-    fn exec_burn_cycles_inflates_stats_without_failing() {
-        let chaos = ChaosExecBackend::always(Arc::new(EchoBackend), ExecFault::BurnCycles(1000));
-        let mut exe = chaos.compile(&module(), &TimeTrace::disabled()).unwrap();
-        let mut state = RuntimeState::new();
-        assert_eq!(exe.call(&mut state, "main", &[]).unwrap()[0], 7);
-        assert_eq!(exe.call(&mut state, "main", &[]).unwrap()[0], 7);
-        assert_eq!(exe.exec_stats().cycles, 100 + 2000);
-        assert_eq!(exe.exec_stats().insts, 10, "insts stay honest");
     }
 
     #[test]

@@ -61,16 +61,6 @@ impl FallbackChain {
     pub fn tiers(&self) -> &[Arc<dyn Backend>] {
         &self.tiers
     }
-
-    /// The tier strictly below the named tier — the runaway governor's
-    /// downgrade target. A name not in the chain maps to the last
-    /// (cheapest) tier; the last tier itself has nothing below it.
-    pub fn tier_below(&self, name: &str) -> Option<&Arc<dyn Backend>> {
-        match self.tiers.iter().position(|t| t.name() == name) {
-            Some(i) => self.tiers.get(i + 1),
-            None => self.tiers.last(),
-        }
-    }
 }
 
 /// One tier's failure while walking a [`FallbackChain`].

@@ -57,8 +57,8 @@ pub use engine::{
 pub use fallback::{FallbackChain, FallbackReport, TierFailure};
 pub use morsel_exec::ExecTally;
 pub use scheduler::{
-    BreakerPolicy, OutcomeStatus, QueryOutcome, QueryScheduler, RunawayPolicy, SchedulerConfig,
-    ServeReport, SessionRequest, ShedPolicy,
+    BreakerPolicy, OutcomeStatus, QueryOutcome, QueryScheduler, SchedulerConfig, ServeReport,
+    SessionRequest, ShedPolicy,
 };
 pub use session::{PreparedStatement, QueryRun, Session, SessionConfig, StatementCacheStats};
 

@@ -260,11 +260,6 @@ impl QueryExecution {
         }
     }
 
-    /// Work charged so far (partial accounting for killed queries).
-    pub(crate) fn tally(&self) -> ExecTally {
-        self.tally
-    }
-
     /// Result rows materialized so far (0 until the output pipeline's
     /// setup has created the buffer — handle numbering makes 0 a valid
     /// handle, so an explicit readiness flag gates the read).

@@ -39,26 +39,23 @@
 //!   ([`SchedulerConfig::tier_up_inflight`]) is granted to the admitted
 //!   queries with the **most remaining morsels** — the queries with the
 //!   most execution left to amortize an expensive compile, mirroring
-//!   the paper's adaptive-execution argument. A completed tier is
-//!   adopted between two slices — a morsel boundary — through
-//!   `CompiledQuery::adopt_ready`. This is the engine's one tier-up
-//!   path: a single query tiers up as a one-request serve.
+//!   the paper's adaptive-execution argument. Each query is granted at
+//!   most one background compile; a completed tier is adopted between
+//!   two slices — a morsel boundary — through
+//!   `CompiledQuery::adopt_ready`, and a failed one leaves the query on
+//!   its first tier for good. This is the engine's one tier-up path
+//!   and its only tier change: a single query tiers up as a
+//!   one-request serve, and no query ever moves to a cheaper tier.
 //!   A long query, though, is admitted last and then runs without
 //!   sharing its worker, so it often finishes before its background
 //!   compile does: few queries of a batch tier up.
-//! * **Runaway governor.** With a [`RunawayPolicy`], the scheduler
-//!   learns an EWMA of cycles-per-morsel over completed queries and
-//!   applies the *inverse* of tier-up to queries blowing past their
-//!   prediction: downgrade to the next [`FallbackChain`] tier (same
-//!   morsel-boundary adoption machinery), or kill outright past the
-//!   kill factor ([`OutcomeStatus::Killed`]).
 //! * **Fault containment + circuit breaker.** Admission runs under
 //!   `supervise` and every execution slice is a supervised driver step,
 //!   so a panicking query fails its own session, never the serve loop.
 //!   With a [`BreakerPolicy`], K
 //!   consecutive execution faults on one back-end tier trip that
-//!   tier's breaker: subsequent admissions route down the fallback
-//!   chain until the cooldown passes.
+//!   tier's breaker: subsequent admissions route down the policy's
+//!   fallback chain until the cooldown passes.
 //!
 //! Policy and driver. Every decision above is a method of the private
 //! `SchedState`, the state the workers share, and each method takes the
@@ -69,10 +66,9 @@
 //!   breakers;
 //! * `admitted` files an admission's result: the query waits for a
 //!   worker and competes for a tier-up slot, or it fails;
-//! * `after_slice` takes one slice's result: the adopted tier's slot
-//!   comes back, the runaway governor downgrades or kills, a finished
-//!   query feeds the cycles-per-morsel EWMA, the breaker counts a fault
-//!   or forgives the streak, and free tier-up slots are granted;
+//! * `after_slice` takes one slice's result: a resolved tier-up gives
+//!   its slot back, the breaker counts a fault or forgives the streak,
+//!   and free tier-up slots are granted;
 //! * `retire` is the only way out, and stamps the latency at `now`.
 //!
 //! The core is clock-free: it reads no clock, takes no lock and
@@ -111,46 +107,19 @@ pub enum ShedPolicy {
     DropOldest,
 }
 
-/// Runaway-query governor: queries that blow past the scheduler's
-/// cycles-per-morsel prediction are downgraded a tier, or killed.
-#[derive(Debug, Clone, Copy)]
-pub struct RunawayPolicy {
-    /// Downgrade when used cycles exceed `factor` × predicted.
-    pub factor: f64,
-    /// Kill when used cycles exceed `kill_factor` × predicted.
-    pub kill_factor: f64,
-    /// Completed queries needed before predictions are trusted.
-    pub min_samples: u64,
-}
-
-impl Default for RunawayPolicy {
-    fn default() -> Self {
-        RunawayPolicy {
-            factor: 4.0,
-            kill_factor: 16.0,
-            min_samples: 3,
-        }
-    }
-}
-
 /// Per-back-end-tier circuit breaker: after `trip_after` consecutive
-/// execution faults on one tier, admissions route down the fallback
-/// chain until `cooldown` passes.
-#[derive(Debug, Clone, Copy)]
+/// execution faults on one tier, admissions route down `chain` until
+/// `cooldown` passes.
+#[derive(Debug, Clone)]
 pub struct BreakerPolicy {
     /// Consecutive execution faults that trip the breaker.
     pub trip_after: u32,
     /// How long a tripped breaker stays open.
     pub cooldown: Duration,
-}
-
-impl Default for BreakerPolicy {
-    fn default() -> Self {
-        BreakerPolicy {
-            trip_after: 3,
-            cooldown: Duration::from_millis(100),
-        }
-    }
+    /// Where an admission to an open tier goes instead: the first tier
+    /// below it (the whole chain, for a tier not in it) whose breaker
+    /// is closed.
+    pub chain: FallbackChain,
 }
 
 /// Configuration of a [`QueryScheduler`].
@@ -176,14 +145,9 @@ pub struct SchedulerConfig {
     /// Default execution budget applied to every request that does not
     /// carry its own ([`SessionRequest::with_budget`] overrides).
     pub query_budget: Option<QueryBudget>,
-    /// Runaway-query governor (downgrade/kill past prediction).
-    pub runaway: Option<RunawayPolicy>,
-    /// Per-tier circuit breaker on execution faults.
+    /// Per-tier circuit breaker on execution faults, with its fallback
+    /// chain.
     pub breaker: Option<BreakerPolicy>,
-    /// Degradation route shared by the runaway governor (downgrade
-    /// target = tier below the current one) and the circuit breaker
-    /// (admission reroute for open tiers).
-    pub fallback_chain: Option<FallbackChain>,
 }
 
 impl Default for SchedulerConfig {
@@ -197,9 +161,7 @@ impl Default for SchedulerConfig {
             max_queue_depth: None,
             shed_policy: ShedPolicy::RejectNew,
             query_budget: None,
-            runaway: None,
             breaker: None,
-            fallback_chain: None,
         }
     }
 }
@@ -210,9 +172,8 @@ impl SchedulerConfig {
     /// # Errors
     /// Returns [`EngineError::Config`] when `workers`,
     /// `admission_limit` or `morsel_credits` is zero, when a set
-    /// `max_queue_depth` is zero, when the runaway factors are
-    /// nonsensical (`factor < 1` or `kill_factor < factor`), when the
-    /// breaker trips after zero faults, or when a `tier_up_backend` is
+    /// `max_queue_depth` is zero, when the breaker trips after zero
+    /// faults, or when a `tier_up_backend` is
     /// set with no tier-up slot (`tier_up_inflight == 0`).
     pub fn validate(&self) -> Result<(), EngineError> {
         if self.workers == 0 {
@@ -234,15 +195,6 @@ impl SchedulerConfig {
             return Err(EngineError::Config(
                 "max_queue_depth must be > 0 when set".to_string(),
             ));
-        }
-        if let Some(r) = &self.runaway {
-            if r.factor < 1.0 || r.kill_factor < r.factor {
-                return Err(EngineError::Config(format!(
-                    "runaway policy needs 1.0 <= factor <= kill_factor \
-                     (got factor {} kill_factor {})",
-                    r.factor, r.kill_factor
-                )));
-            }
         }
         if let Some(b) = &self.breaker {
             if b.trip_after == 0 {
@@ -298,8 +250,8 @@ pub enum OutcomeStatus {
     Failed,
     /// Rejected up front by overload shedding — never admitted.
     Shed,
-    /// Stopped by the runaway governor or its [`QueryBudget`]
-    /// (deadline, cycle/row cap, cancellation).
+    /// Stopped by its [`QueryBudget`] (deadline, cycle/row cap,
+    /// cancellation).
     Killed,
 }
 
@@ -317,7 +269,8 @@ pub struct QueryOutcome {
     /// Deterministic execution cycles (partial for killed queries).
     pub cycles: u64,
     /// Whether the optimizing tier ([`SchedulerConfig::tier_up_backend`])
-    /// was adopted mid-query. A runaway downgrade is not a tier-up.
+    /// was adopted mid-query and then ran a slice that left the query
+    /// unfinished.
     pub tiered_up: bool,
     /// How the session ended.
     pub status: OutcomeStatus,
@@ -342,10 +295,6 @@ pub struct ServeReport {
     pub worker_busy: Vec<Duration>,
     /// Worker count used.
     pub workers: usize,
-    /// Runaway-governor downgrades granted.
-    pub runaway_downgrades: u64,
-    /// Queries killed (runaway kill or budget trip).
-    pub queries_killed: u64,
     /// Circuit-breaker trips across all tiers.
     pub breaker_trips: u64,
 }
@@ -378,7 +327,7 @@ impl ServeReport {
         self.count(OutcomeStatus::Shed)
     }
 
-    /// Sessions killed by the runaway governor or their budget.
+    /// Sessions killed by their budget.
     pub fn killed(&self) -> usize {
         self.count(OutcomeStatus::Killed)
     }
@@ -419,11 +368,37 @@ struct Active {
     /// Estimated morsels left (the key of [`SchedState::pick`] and of
     /// the tier-up priority).
     remaining: u64,
-    /// Morsel estimate at admission (runaway prediction base).
-    initial_morsels: u64,
-    pending_tier: Option<PendingCompile>,
-    /// Whether the runaway governor already downgraded this query.
-    downgraded: bool,
+    tier_up: TierUp,
+}
+
+/// Where an admitted query is in its one tier-up: a query is granted at
+/// most one background compile, and its outcome is final.
+enum TierUp {
+    /// No background compile granted yet.
+    NotStarted,
+    /// The background compile runs and holds a tier-up slot.
+    Compiling(PendingCompile),
+    /// The compile finished: its tier was adopted, or it failed.
+    Resolved,
+}
+
+impl TierUp {
+    /// [`CompiledQuery::adopt_ready`] for the driver: a compile that
+    /// finished, adopted or failed, resolves the tier-up.
+    fn adopt_ready(&mut self, compiled: &mut CompiledQuery) -> Option<Result<(), BackendError>> {
+        let mut pending = match std::mem::replace(self, TierUp::Resolved) {
+            TierUp::Compiling(pending) => Some(pending),
+            other => {
+                *self = other;
+                return None;
+            }
+        };
+        let adopted = compiled.adopt_ready(&mut pending);
+        if let Some(pending) = pending {
+            *self = TierUp::Compiling(pending);
+        }
+        adopted
+    }
 }
 
 #[derive(Default)]
@@ -462,13 +437,7 @@ struct SchedState {
     active: usize,
     done: usize,
     tier_inflight: usize,
-    /// EWMA of cycles-per-morsel over completed queries (runaway
-    /// prediction).
-    cpm_ewma: f64,
-    cpm_samples: u64,
     breakers: HashMap<&'static str, BreakerState>,
-    runaway_downgrades: u64,
-    queries_killed: u64,
     breaker_trips: u64,
 }
 
@@ -540,26 +509,26 @@ impl SchedState {
     }
 
     /// The back-end for one admission: `backend` unless its circuit
-    /// breaker is open, then the first tier down the fallback chain
-    /// whose breaker is closed (fail-open to `backend` when every
-    /// breaker is open or no chain is configured).
+    /// breaker is open, then the first tier down the breaker's fallback
+    /// chain whose breaker is closed (fail-open to `backend` when every
+    /// breaker is open or no breaker is configured).
     fn route(
         &mut self,
         config: &SchedulerConfig,
         backend: &Arc<dyn Backend>,
         now: Instant,
     ) -> Arc<dyn Backend> {
-        let tiers = config
-            .fallback_chain
-            .as_ref()
-            .map_or(&[][..], |c| c.tiers());
+        let Some(breaker) = &config.breaker else {
+            return Arc::clone(backend);
+        };
+        let tiers = breaker.chain.tiers();
         let below = match tiers.iter().position(|t| t.name() == backend.name()) {
             Some(i) => &tiers[i + 1..],
             None => tiers,
         };
         let closed = std::iter::once(backend)
             .chain(below)
-            .find(|t| config.breaker.is_none() || !self.breaker_open(t.name(), now));
+            .find(|t| !self.breaker_open(t.name(), now));
         Arc::clone(closed.unwrap_or(backend))
     }
 
@@ -595,12 +564,12 @@ impl SchedState {
         }
     }
 
-    /// Everything that follows one execution slice of `a`: the tier it
-    /// adopted before the slice (`tier`) gives its slot back, the
-    /// runaway governor kills or downgrades it, a finished query feeds
-    /// the cycles-per-morsel EWMA and forgives its tier's fault streak,
-    /// an execution fault counts towards its tier's breaker, and a query
-    /// that goes on waits for a worker again beside the tier-up grant.
+    /// Everything that follows one execution slice of `a`: a tier-up
+    /// resolved before the slice (`tier`) gives its slot back and counts
+    /// when it was adopted and the slice left the query running on it; a
+    /// finished query forgives its tier's fault streak, an execution
+    /// fault counts towards its tier's breaker, and a query that goes on
+    /// waits for a worker again beside the tier-up grant.
     fn after_slice(
         &mut self,
         config: &SchedulerConfig,
@@ -612,51 +581,15 @@ impl SchedState {
     ) {
         if let Some(adopted) = tier {
             self.tier_inflight -= 1;
-            // A downgraded query's background tier is its runaway
-            // fallback, not the optimizing tier.
-            a.ticket.tiered_up |= adopted.is_ok() && !a.downgraded;
+            a.ticket.tiered_up = adopted.is_ok() && matches!(step, Ok(StepProgress::Ran));
         }
         let ending = match step {
             Ok(StepProgress::Ran) => {
-                let used = a.exec.tally().cycles;
-                let predicted = self.cpm_ewma * a.initial_morsels as f64;
-                let runaway = config
-                    .runaway
-                    .filter(|r| self.cpm_samples >= r.min_samples && a.initial_morsels > 0);
-                let fresh = !a.downgraded && a.pending_tier.is_none();
-                match runaway {
-                    Some(r) if used as f64 > predicted * r.kill_factor => Ending::Runaway {
-                        used,
-                        predicted: predicted as u64,
-                    },
-                    Some(r) if used as f64 > predicted * r.factor && fresh => {
-                        let below = config
-                            .fallback_chain
-                            .as_ref()
-                            .and_then(|c| c.tier_below(a.compiled.backend_name));
-                        a.downgraded = below.is_some();
-                        self.ready.push(a);
-                        if let Some(tier) = below {
-                            self.runaway_downgrades += 1;
-                            self.start_tier(self.ready.len() - 1, tier, spawn);
-                        }
-                        return;
-                    }
-                    _ => {
-                        self.ready.push(a);
-                        self.grant_tier_ups(config, spawn);
-                        return;
-                    }
-                }
+                self.ready.push(a);
+                self.grant_tier_ups(config, spawn);
+                return;
             }
             Ok(StepProgress::Done) => {
-                let cpm = a.exec.tally().cycles as f64 / a.initial_morsels.max(1) as f64;
-                self.cpm_ewma = if self.cpm_samples == 0 {
-                    cpm
-                } else {
-                    0.8 * self.cpm_ewma + 0.2 * cpm
-                };
-                self.cpm_samples += 1;
                 let tier = self.breakers.get_mut(a.compiled.backend_name);
                 if let Some(b) = tier.filter(|b| b.open_until.is_none()) {
                     b.consecutive = 0;
@@ -665,7 +598,7 @@ impl SchedState {
             }
             Err(err) => {
                 let fault = matches!(err, EngineError::Trap(_) | EngineError::WorkerPanic(_));
-                if let Some(policy) = config.breaker.filter(|_| fault) {
+                if let Some(policy) = config.breaker.as_ref().filter(|_| fault) {
                     let b = self.breakers.entry(a.compiled.backend_name).or_default();
                     b.consecutive += 1;
                     if b.open_until.is_none() && b.consecutive >= policy.trip_after {
@@ -676,13 +609,14 @@ impl SchedState {
                 Ending::Errored(err)
             }
         };
-        self.retire(a.ticket, a.pending_tier.is_some(), now, ending);
+        let compiling = matches!(a.tier_up, TierUp::Compiling(_));
+        self.retire(a.ticket, compiling, now, ending);
     }
 
     /// Grants free tier-up slots to the ready queries with the most
     /// remaining morsels (the queries with the most execution left to
-    /// amortize the expensive compile). Queries the runaway governor
-    /// downgraded are excluded — tiering them back up would fight it.
+    /// amortize the expensive compile) that have not had their one
+    /// background compile yet.
     fn grant_tier_ups(&mut self, config: &SchedulerConfig, spawn: Spawn<'_>) {
         let Some(opt_backend) = &config.tier_up_backend else {
             return;
@@ -690,30 +624,21 @@ impl SchedState {
         while self.tier_inflight < config.tier_up_inflight {
             let candidate = self
                 .ready
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| a.pending_tier.is_none() && !a.ticket.tiered_up && !a.downgraded)
-                .max_by_key(|(_, a)| a.remaining);
-            match candidate {
-                Some((i, a)) if a.remaining > 0 => self.start_tier(i, opt_backend, spawn),
-                _ => return,
-            }
+                .iter_mut()
+                .filter(|a| matches!(a.tier_up, TierUp::NotStarted) && a.remaining > 0)
+                .max_by_key(|a| a.remaining);
+            let Some(a) = candidate else {
+                return;
+            };
+            a.tier_up = TierUp::Compiling(spawn(&a.prepared, opt_backend));
+            self.tier_inflight += 1;
         }
-    }
-
-    /// Starts ready query `i`'s background compile to `tier`: the one
-    /// place a tier slot is taken.
-    fn start_tier(&mut self, i: usize, tier: &Arc<dyn Backend>, spawn: Spawn<'_>) {
-        let a = &mut self.ready[i];
-        a.pending_tier = Some(spawn(&a.prepared, tier));
-        self.tier_inflight += 1;
     }
 
     /// The one way out of the scheduler: gives back what the session
     /// holds (its admission slot and, when `tier_pending` says a
-    /// background compile is still in flight for it, its tier-up slot),
-    /// counts a kill, and records the [`QueryOutcome`] with its latency
-    /// at `now`.
+    /// background compile is still in flight for it, its tier-up slot)
+    /// and records the [`QueryOutcome`] with its latency at `now`.
     fn retire(&mut self, who: Ticket, tier_pending: bool, now: Instant, ending: Ending) {
         // Shed and lost sessions were never admitted; a shed one never ran.
         let admitted = !matches!(ending, Ending::Shed { .. } | Ending::Lost);
@@ -737,14 +662,6 @@ impl SchedState {
                 };
                 (status, Vec::new(), cycles, Some(err.to_string()))
             }
-            Ending::Runaway { used, predicted } => (
-                OutcomeStatus::Killed,
-                Vec::new(),
-                used,
-                Some(format!(
-                    "killed: runaway query used {used} cycles against a predicted {predicted}"
-                )),
-            ),
             Ending::Shed { depth, total } => (
                 OutcomeStatus::Shed,
                 Vec::new(),
@@ -762,9 +679,6 @@ impl SchedState {
         };
         if tier_pending {
             self.tier_inflight -= 1; // abandoned in-flight compile
-        }
-        if status == OutcomeStatus::Killed {
-            self.queries_killed += 1;
         }
         self.outcomes[who.index] = Some(QueryOutcome {
             name: who.name,
@@ -861,8 +775,6 @@ impl QueryScheduler {
             busy: worker_busy.iter().sum(),
             worker_busy,
             workers: self.config.workers,
-            runaway_downgrades: state.runaway_downgrades,
-            queries_killed: state.queries_killed,
             breaker_trips: state.breaker_trips,
         }
     }
@@ -927,7 +839,7 @@ fn serve_worker(
                 // Execution fault containment is the driver's: generated
                 // code panicking inside a slice comes back as a typed
                 // error that fails this session.
-                let tier = a.compiled.adopt_ready(&mut a.pending_tier);
+                let tier = a.tier_up.adopt_ready(&mut a.compiled);
                 let step = a
                     .exec
                     .step(engine, &a.prepared, &mut a.compiled, config.morsel_credits);
@@ -981,9 +893,7 @@ fn admit(
         compiled,
         exec,
         remaining,
-        initial_morsels: remaining,
-        pending_tier: None,
-        downgraded: false,
+        tier_up: TierUp::NotStarted,
     })
 }
 
@@ -1020,8 +930,6 @@ enum Ending {
     /// Admission or an execution slice failed; a tripped
     /// [`QueryBudget`] counts as a kill, everything else as a failure.
     Errored(EngineError),
-    /// Killed by the runaway governor after `used` cycles.
-    Runaway { used: u64, predicted: u64 },
     /// Rejected up front by overload shedding.
     Shed { depth: usize, total: usize },
     /// No worker recorded an outcome (every worker died).
@@ -1070,9 +978,7 @@ mod tests {
             },
             exec: QueryExecution::new(1, QueryBudget::default()),
             remaining,
-            initial_morsels: remaining,
-            pending_tier: None,
-            downgraded: false,
+            tier_up: TierUp::NotStarted,
         }
     }
 
@@ -1095,13 +1001,14 @@ mod tests {
     /// background compile back — `Done` used to keep it.
     #[test]
     fn retire_releases_a_pending_tier_slot_on_every_ending() {
+        let partial = crate::ExecTally {
+            cycles: 9,
+            insts: 3,
+        };
         let endings = [
             finished(),
             Ending::Errored(EngineError::Trap(Trap::Overflow)),
-            Ending::Runaway {
-                used: 9,
-                predicted: 1,
-            },
+            Ending::Errored(EngineError::Cancelled { partial }),
         ];
         let mut g = state(endings.len(), endings.len());
         for (index, ending) in endings.into_iter().enumerate() {
@@ -1110,7 +1017,16 @@ mod tests {
         }
         assert_eq!(g.tier_inflight, 0, "every ending releases its tier slot");
         assert_eq!((g.active, g.done), (0, 3));
-        assert_eq!(g.queries_killed, 1, "only the runaway ending is a kill");
+        let ended = g.outcomes.iter().flatten().map(|o| (o.status, o.cycles));
+        let (ok, failed, killed) = (
+            OutcomeStatus::Ok,
+            OutcomeStatus::Failed,
+            OutcomeStatus::Killed,
+        );
+        assert_eq!(
+            ended.collect::<Vec<_>>(),
+            [(ok, 0), (failed, 0), (killed, 9)]
+        );
         // A session without a pending compile holds no tier slot.
         let mut g = state(1, 1);
         let ticket = Ticket::new(0, "s0".to_string(), Instant::now());
@@ -1160,8 +1076,8 @@ mod tests {
             breaker: Some(BreakerPolicy {
                 trip_after: 2,
                 cooldown: Duration::from_millis(100),
+                chain: FallbackChain::new(vec![Arc::clone(&clift), interp]),
             }),
-            fallback_chain: Some(FallbackChain::new(vec![Arc::clone(&clift), interp])),
             ..SchedulerConfig::default()
         };
         (config, clift)
@@ -1220,65 +1136,97 @@ mod tests {
         assert_eq!(g.breaker_trips, 1);
     }
 
-    /// Tier-up slots go to the ready queries with the most morsels left,
-    /// never to a downgraded one or one with nothing left, and only up
-    /// to `tier_up_inflight` at a time.
-    #[test]
-    fn tier_up_goes_to_the_longest_ready_queries_up_to_the_limit() {
-        let prepared = prepared();
-        let config = SchedulerConfig {
+    fn tier_up_config() -> SchedulerConfig {
+        SchedulerConfig {
             tier_up_backend: Some(Arc::from(crate::backends::clift(Isa::Tx64))),
             tier_up_inflight: 2,
             ..SchedulerConfig::default()
-        };
+        }
+    }
+
+    /// Ready queries holding a granted background compile.
+    fn compiling(g: &SchedState) -> Vec<usize> {
+        let pending = g
+            .ready
+            .iter()
+            .filter(|a| matches!(a.tier_up, TierUp::Compiling(_)));
+        pending.map(|a| a.ticket.index).collect()
+    }
+
+    /// Tier-up slots go to the ready queries with the most morsels left,
+    /// never to one with nothing left or one already compiling, and only
+    /// up to `tier_up_inflight` at a time.
+    #[test]
+    fn tier_up_goes_to_the_longest_ready_queries_up_to_the_limit() {
+        let prepared = prepared();
+        let config = tier_up_config();
         let asked = Cell::new(0);
         let spawn = |p: &Arc<PreparedQuery>, tier: &Arc<dyn Backend>| {
             assert_eq!(tier.name(), "Clift");
             asked.set(asked.get() + 1);
             unresolved(p, tier)
         };
-        let mut g = state(5, 0);
-        let mut downgraded = active(1, &prepared, "Interpreter", 50);
-        downgraded.downgraded = true;
+        let mut g = state(4, 0);
         g.ready = vec![
             active(0, &prepared, "Interpreter", 5),
-            downgraded,
-            active(2, &prepared, "Interpreter", 30),
-            active(3, &prepared, "Interpreter", 40),
-            active(4, &prepared, "Interpreter", 0),
+            active(1, &prepared, "Interpreter", 30),
+            active(2, &prepared, "Interpreter", 40),
+            active(3, &prepared, "Interpreter", 0),
         ];
-        let granted = |g: &SchedState| -> Vec<usize> {
-            let pending = g.ready.iter().filter(|a| a.pending_tier.is_some());
-            pending.map(|a| a.ticket.index).collect()
-        };
         g.grant_tier_ups(&config, &spawn);
-        assert_eq!(granted(&g), [2, 3]);
+        assert_eq!(compiling(&g), [1, 2]);
         assert_eq!((g.tier_inflight, asked.get()), (2, 2));
         g.grant_tier_ups(&config, &spawn);
         assert_eq!(asked.get(), 2, "no free slot, no grant");
         g.tier_inflight = 0;
         g.grant_tier_ups(&config, &spawn);
-        assert_eq!(granted(&g), [0, 2, 3]);
+        assert_eq!(compiling(&g), [0, 1, 2]);
         assert_eq!((g.tier_inflight, asked.get()), (1, 3));
     }
 
-    /// Only the optimizing tier counts as a tier-up: a downgraded
-    /// query's adopted tier is its runaway fallback.
+    /// A tier adopted before the slice that finishes the query is no
+    /// tier-up: the query never ran on into the adopted tier.
     #[test]
-    fn an_adopted_runaway_fallback_is_not_a_tier_up() {
+    fn a_tier_adopted_at_the_finishing_step_is_not_a_tier_up() {
         let prepared = prepared();
-        let config = SchedulerConfig::default();
+        let mut g = state(1, 1);
+        let mut a = active(0, &prepared, "Interpreter", 1);
+        a.tier_up = TierUp::Resolved;
+        let step = Ok(StepProgress::Done);
+        g.after_slice(
+            &tier_up_config(),
+            a,
+            Some(Ok(())),
+            step,
+            &unresolved,
+            Instant::now(),
+        );
+        assert_eq!((g.tier_inflight, g.done), (0, 1));
+        let outcome = g.outcomes[0].as_ref().expect("retired");
+        assert_eq!(outcome.status, OutcomeStatus::Ok);
+        assert!(!outcome.tiered_up, "adopted at the finishing step");
+    }
+
+    /// A query whose one background compile failed stays on its first
+    /// tier: a free slot is not granted to it again. One adopted before
+    /// a slice that leaves the query running is a tier-up.
+    #[test]
+    fn a_resolved_tier_up_is_never_granted_again() {
+        let prepared = prepared();
+        let config = tier_up_config();
         let mut g = state(2, 2);
         let t0 = Instant::now();
-        for (index, downgraded) in [(0, false), (1, true)] {
-            let mut a = active(index, &prepared, "Interpreter", 1);
-            a.downgraded = downgraded;
+        let failed = Err(BackendError::new("background tier failed"));
+        for (index, adopted) in [(0, failed), (1, Ok(()))] {
+            let mut a = active(index, &prepared, "Interpreter", 10);
+            a.tier_up = TierUp::Resolved;
             let step = Ok(StepProgress::Ran);
-            g.after_slice(&config, a, Some(Ok(())), step, &unresolved, t0);
+            g.after_slice(&config, a, Some(adopted), step, &unresolved, t0);
         }
-        assert_eq!(g.tier_inflight, 0);
+        assert_eq!(g.tier_inflight, 0, "both slots free");
+        assert!(compiling(&g).is_empty(), "a resolved tier-up is final");
         let tiered_up: Vec<_> = g.ready.iter().map(|a| a.ticket.tiered_up).collect();
-        assert_eq!(tiered_up, [true, false]);
+        assert_eq!(tiered_up, [false, true]);
     }
 
     /// Throughput counts completed queries only: 2 ok, 2 shed and 1
@@ -1303,8 +1251,6 @@ mod tests {
             busy: Duration::ZERO,
             worker_busy: Vec::new(),
             workers: 1,
-            runaway_downgrades: 0,
-            queries_killed: 0,
             breaker_trips: 0,
         };
         assert!((report.throughput_qps() - 2.0).abs() < 1e-9);

@@ -356,9 +356,18 @@ fn a_failed_background_tier_keeps_the_first_tier_result() {
     let plain = &plain.outcomes[0];
     assert_eq!(plain.status, OutcomeStatus::Ok, "{:?}", plain.error);
 
+    let statement = session.statement(&scan_of("fact")).expect("statement");
+    let modules = statement.query().module_hashes().len() as u64;
     for fault in [ChaosFault::Panic, ChaosFault::PermanentError] {
-        let failing: Arc<dyn Backend> = Arc::new(ChaosBackend::always(lvm_opt(), fault));
-        let report = serve(&session, tier_up(failing), &slow_first_tier(), long());
+        let failing = Arc::new(ChaosBackend::always(lvm_opt(), fault));
+        let report = serve(
+            &session,
+            tier_up(failing.clone()),
+            &slow_first_tier(),
+            long(),
+        );
+        // One background compile per request: a failed tier-up is final.
+        assert_eq!(failing.calls(), modules, "{fault:?}: background compiles");
         let outcome = &report.outcomes[0];
         assert_eq!(
             outcome.status,

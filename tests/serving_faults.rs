@@ -1,8 +1,8 @@
 //! Execution-side fault-tolerance suite: query budgets (deadline,
-//! cycle/row caps, cancellation), morsel-worker panic isolation, the
-//! serving scheduler's overload shedding, runaway governor, and
-//! per-tier circuit breaker — all driven by the deterministic
-//! [`ChaosExecBackend`] so the faults land *inside* morsel execution.
+//! cycle/row caps, cancellation), morsel-worker panic isolation, and
+//! the serving scheduler's overload shedding and per-tier circuit
+//! breaker — all driven by the deterministic [`ChaosExecBackend`] so
+//! the faults land *inside* morsel execution.
 //!
 //! The headline acceptance test serves 1024 sessions with ~10% of
 //! morsel calls panicking: the process must survive every panic, every
@@ -12,8 +12,8 @@
 use qc_backend::chaos::{ChaosExecBackend, ExecFault};
 use qc_engine::{
     backends, BreakerPolicy, CancelToken, EngineConfig, EngineError, FallbackChain, OutcomeStatus,
-    QueryBudget, QueryScheduler, RunawayPolicy, SchedulerConfig, Session, SessionConfig,
-    SessionRequest, ShedPolicy,
+    QueryBudget, QueryScheduler, SchedulerConfig, Session, SessionConfig, SessionRequest,
+    ShedPolicy,
 };
 use qc_storage::{Column, Database, Schema, Table};
 use qc_target::Isa;
@@ -345,7 +345,7 @@ fn serving_1024_sessions_under_execution_chaos() {
         "statuses must partition the batch"
     );
     assert_eq!(report.shed(), 0, "no shedding configured");
-    assert_eq!(report.killed(), 0, "no budgets or governor configured");
+    assert_eq!(report.killed(), 0, "no budgets configured");
     assert_eq!(report.failures(), report.failed());
     assert!(ok > 0, "some sessions must survive 10% injection");
     assert!(
@@ -444,7 +444,7 @@ fn shed_drop_oldest_keeps_the_tail() {
 }
 
 // ---------------------------------------------------------------------
-// Runaway governor.
+// Per-tier circuit breaker.
 // ---------------------------------------------------------------------
 
 /// Serializes serving (1 worker, admission 1) so the chaos schedule's
@@ -457,136 +457,6 @@ fn serial_scheduler_config() -> SchedulerConfig {
         ..Default::default()
     }
 }
-
-/// Counts the `main` calls the first `warmup` sessions make, so a
-/// chaos fault can be pinned to the first morsel of the next session.
-fn count_warmup_calls(db: &Database, plan: &qc_plan::PlanNode, warmup: usize) -> u64 {
-    let counter = Arc::new(ChaosExecBackend::seeded(
-        clean_clift(),
-        0,
-        0,
-        ExecFault::Panic,
-    ));
-    let backend: Arc<dyn qc_backend::Backend> = counter.clone() as _;
-    let session = small_morsel_session(db);
-    let requests = (0..warmup)
-        .map(|i| SessionRequest::new(format!("warm{i}"), plan.clone()))
-        .collect();
-    let report = QueryScheduler::try_new(serial_scheduler_config())
-        .expect("valid scheduler config")
-        .serve_session(&session, &backend, requests);
-    assert_eq!(report.failures(), 0, "warmup must run clean");
-    counter.calls()
-}
-
-#[test]
-fn runaway_governor_kills_cycle_blowout() {
-    let db = qc_storage::gen_hlike(0.02);
-    let suite = qc_workloads::hlike_suite();
-    let plan = &suite[0].plan;
-    let serial_cycles = small_morsel_session(&db)
-        .prepare(plan)
-        .and_then(|run| run.backend(clean_clift()).execute())
-        .expect("serial run")
-        .exec_stats
-        .cycles;
-    let warmup_calls = count_warmup_calls(&db, plan, 3);
-
-    // Session 4's first morsel call reports 100x the whole query's
-    // clean cost — far past the kill factor against the EWMA built
-    // from the three identical warmup sessions.
-    let chaos: Arc<dyn qc_backend::Backend> = Arc::new(ChaosExecBackend::on_nth(
-        clean_clift(),
-        warmup_calls,
-        ExecFault::BurnCycles(serial_cycles.saturating_mul(100).max(1_000_000)),
-    ));
-    let session = small_morsel_session(&db);
-    let requests: Vec<SessionRequest> = (0..4)
-        .map(|i| SessionRequest::new(format!("s{i}"), plan.clone()))
-        .collect();
-    let scheduler = QueryScheduler::try_new(SchedulerConfig {
-        runaway: Some(RunawayPolicy {
-            factor: 1.5,
-            kill_factor: 4.0,
-            min_samples: 3,
-        }),
-        ..serial_scheduler_config()
-    })
-    .expect("valid scheduler config");
-    let report = scheduler.serve_session(&session, &chaos, requests);
-
-    assert_eq!(report.queries_killed, 1);
-    assert_eq!(report.killed(), 1);
-    for o in &report.outcomes[..3] {
-        assert_eq!(o.status, OutcomeStatus::Ok, "warmup session {}", o.name);
-    }
-    let killed = &report.outcomes[3];
-    assert_eq!(killed.status, OutcomeStatus::Killed);
-    assert!(
-        killed
-            .error
-            .as_deref()
-            .is_some_and(|e| e.contains("runaway")),
-        "kill outcome names the governor: {:?}",
-        killed.error
-    );
-    assert!(killed.cycles > 0, "partial cycles are accounted");
-}
-
-#[test]
-fn runaway_governor_downgrades_before_killing() {
-    let db = qc_storage::gen_hlike(0.02);
-    let suite = qc_workloads::hlike_suite();
-    let plan = &suite[0].plan;
-    let serial = small_morsel_session(&db)
-        .prepare(plan)
-        .and_then(|run| run.backend(clean_clift()).execute())
-        .expect("serial run");
-    let warmup_calls = count_warmup_calls(&db, plan, 3);
-
-    // Same blowout, but the kill factor is far out of reach: the
-    // governor downgrades the query down the chain instead, and the
-    // session still completes with correct rows (the burn lies about
-    // cost, not about results).
-    let chaos: Arc<dyn qc_backend::Backend> = Arc::new(ChaosExecBackend::on_nth(
-        clean_clift(),
-        warmup_calls,
-        ExecFault::BurnCycles(serial.exec_stats.cycles.saturating_mul(100).max(1_000_000)),
-    ));
-    let session = small_morsel_session(&db);
-    let requests: Vec<SessionRequest> = (0..4)
-        .map(|i| SessionRequest::new(format!("s{i}"), plan.clone()))
-        .collect();
-    let scheduler = QueryScheduler::try_new(SchedulerConfig {
-        runaway: Some(RunawayPolicy {
-            factor: 1.5,
-            kill_factor: 1e12,
-            min_samples: 3,
-        }),
-        fallback_chain: Some(FallbackChain::new(vec![Arc::from(backends::interpreter())])),
-        ..serial_scheduler_config()
-    })
-    .expect("valid scheduler config");
-    let report = scheduler.serve_session(&session, &chaos, requests);
-
-    assert_eq!(report.runaway_downgrades, 1);
-    assert_eq!(report.queries_killed, 0);
-    assert_eq!(report.failures(), 0);
-    let downgraded = &report.outcomes[3];
-    assert_eq!(downgraded.status, OutcomeStatus::Ok);
-    assert_eq!(
-        downgraded.rows, serial.rows,
-        "downgraded session must still produce correct rows"
-    );
-    assert!(
-        !downgraded.tiered_up,
-        "a runaway downgrade is not a tier-up"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Per-tier circuit breaker.
-// ---------------------------------------------------------------------
 
 #[test]
 fn breaker_trips_and_reroutes_admissions_down_the_chain() {
@@ -611,8 +481,8 @@ fn breaker_trips_and_reroutes_admissions_down_the_chain() {
         breaker: Some(BreakerPolicy {
             trip_after: 2,
             cooldown: Duration::from_secs(600),
+            chain: FallbackChain::new(vec![Arc::from(backends::interpreter())]),
         }),
-        fallback_chain: Some(FallbackChain::new(vec![Arc::from(backends::interpreter())])),
         ..serial_scheduler_config()
     })
     .expect("valid scheduler config");
@@ -665,7 +535,6 @@ fn per_request_budget_kills_only_that_session() {
     .expect("valid scheduler config");
     let report = scheduler.serve_session(&session, &clean_clift(), requests);
     assert_eq!(report.killed(), 1);
-    assert_eq!(report.queries_killed, 1);
     assert_eq!(report.failed(), 0);
     assert_eq!(report.outcomes[2].status, OutcomeStatus::Killed);
     for (i, o) in report.outcomes.iter().enumerate() {
@@ -691,7 +560,6 @@ fn scheduler_default_budget_applies_to_every_request() {
     .expect("valid scheduler config");
     let report = scheduler.serve_session(&session, &clean_clift(), requests);
     assert_eq!(report.killed(), 3, "the default budget reaches everyone");
-    assert_eq!(report.queries_killed, 3);
 }
 
 // ---------------------------------------------------------------------
@@ -753,11 +621,10 @@ fn zero_morsel_empty_table_query_completes() {
     }
 
     // Through the scheduler: a zero-morsel query must admit, run, and
-    // finish Ok (initial_morsels = 0 also exempts it from the runaway
-    // governor's prediction).
+    // finish Ok under a cycle cap.
     let scheduler = QueryScheduler::try_new(SchedulerConfig {
         workers: 2,
-        runaway: Some(RunawayPolicy::default()),
+        query_budget: Some(QueryBudget::unlimited().with_max_cycles(u64::MAX)),
         ..Default::default()
     })
     .expect("valid scheduler config");
@@ -828,25 +695,10 @@ fn scheduler_config_validation_rejects_nonsense() {
             ..Default::default()
         },
         SchedulerConfig {
-            runaway: Some(RunawayPolicy {
-                factor: 0.5,
-                kill_factor: 4.0,
-                min_samples: 1,
-            }),
-            ..Default::default()
-        },
-        SchedulerConfig {
-            runaway: Some(RunawayPolicy {
-                factor: 4.0,
-                kill_factor: 2.0,
-                min_samples: 1,
-            }),
-            ..Default::default()
-        },
-        SchedulerConfig {
             breaker: Some(BreakerPolicy {
                 trip_after: 0,
                 cooldown: Duration::from_millis(1),
+                chain: FallbackChain::new(vec![Arc::from(backends::interpreter())]),
             }),
             ..Default::default()
         },
