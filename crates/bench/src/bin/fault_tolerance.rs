@@ -1,9 +1,12 @@
-//! Fault-tolerance ablation: compile the suite through the standard
-//! fallback chain while a seeded `ChaosBackend` injects panics and
-//! errors into the optimizing tiers. Reports which tier served each
-//! query, the downgrade/retry/panic counters, and the compile-time
-//! overhead the faults added — the price of graceful degradation
-//! instead of query failure.
+//! Fault-tolerance ablation: serve the suite on one worker from the
+//! top of the standard fallback chain while a seeded `ChaosBackend`
+//! injects panics and errors into the optimizing tiers. The chain is a
+//! `BreakerPolicy`'s, with a breaker that never trips, so every request
+//! whose compile fails walks down the chain on its own. Reports which
+//! tier served each query and its latency, the tier occupancy, the
+//! service's retry/panic counters, and the latency the faults added
+//! over a clean serve of the same chain — the price of graceful
+//! degradation instead of query failure.
 //!
 //! A second section exercises the *execution* fault envelope: a seeded
 //! [`ChaosExecBackend`] panics inside ~10% of morsel calls while the
@@ -21,11 +24,10 @@
 use qc_backend::chaos::{ChaosBackend, ChaosExecBackend, ChaosFault, ExecFault};
 use qc_bench::{env_sf, env_suite, secs, LatencyStats};
 use qc_engine::{
-    backends, CompileBudget, CompileService, FallbackChain, OutcomeStatus, QueryScheduler,
-    SchedulerConfig, Session, SessionRequest,
+    backends, BreakerPolicy, FallbackChain, OutcomeStatus, QueryScheduler, SchedulerConfig,
+    Session, SessionRequest,
 };
 use qc_target::Isa;
-use qc_timing::TimeTrace;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,8 +58,6 @@ fn main() {
     let db = qc_storage::gen_hlike(env_sf(0.05));
     let suite = env_suite(qc_workloads::hlike_suite());
     let session = Session::new(&db);
-    let service = CompileService::default();
-    let trace = TimeTrace::disabled();
 
     // Top two tiers misbehave: the optimizer panics, the cheap JIT
     // errors out, each on ~permille/1000 of compile calls.
@@ -83,45 +83,44 @@ fn main() {
         permille as f64 / 10.0,
         tier_names.join(" → ")
     );
-    println!(
-        "  {:<24} {:>12} {:>11} {:>10}",
-        "query", "tier used", "downgrades", "compile"
-    );
+    println!("  {:<24} {:>12} {:>10}", "query", "tier", "latency");
 
-    let mut served_by = vec![0u64; chain.tiers().len()];
-    let mut failed = 0u64;
-    let mut clean_time = Duration::ZERO;
-    let mut chaos_time = Duration::ZERO;
-    let mut clean_lat = Vec::new();
-    let mut chaos_lat = Vec::new();
-    for q in &suite {
-        let prepared = session.statement(&q.plan).expect("prepare");
-        let prepared = prepared.query();
-        // Clean baseline for the overhead column (cache-cold: the chaos
-        // wrappers have distinct fingerprints, so no cross-pollution).
-        if let Ok((c, _)) =
-            service.compile_with_fallback(prepared, &clean, CompileBudget::default(), &trace)
-        {
-            clean_time += c.compile_time;
-            clean_lat.push(c.compile_time);
-        }
-        match service.compile_with_fallback(prepared, &chain, CompileBudget::default(), &trace) {
-            Ok((compiled, report)) => {
-                served_by[report.tier_used] += 1;
-                chaos_time += compiled.compile_time;
-                chaos_lat.push(compiled.compile_time);
-                println!(
-                    "  {:<24} {:>12} {:>11} {:>10}",
-                    q.name,
-                    report.backend_name,
-                    report.failures.len(),
-                    secs(compiled.compile_time)
-                );
-            }
-            Err(e) => {
-                failed += 1;
-                println!("  {:<24} FAILED: {e}", q.name);
-            }
+    // One worker serves each chain's batch; the clean serve is the
+    // baseline (cache-cold for the chaotic one: the chaos wrappers have
+    // distinct fingerprints, so no cross-pollution).
+    let serve = |chain: &FallbackChain| {
+        let top = Arc::clone(&chain.tiers()[0]);
+        let scheduler = QueryScheduler::try_new(SchedulerConfig {
+            workers: 1,
+            breaker: Some(BreakerPolicy {
+                trip_after: u32::MAX,
+                cooldown: Duration::from_secs(600),
+                chain: chain.clone(),
+            }),
+            ..Default::default()
+        })
+        .expect("valid scheduler config");
+        let requests = suite
+            .iter()
+            .map(|q| SessionRequest::new(q.name.clone(), q.plan.clone()))
+            .collect();
+        scheduler.serve_session(&session, &top, requests)
+    };
+    let clean_report = serve(&clean);
+    let chaos_report = serve(&chain);
+
+    let mut served_by = vec![0u64; tier_names.len()];
+    for o in &chaos_report.outcomes {
+        if o.status == OutcomeStatus::Ok {
+            let tier = tier_names.iter().position(|&t| t == o.tier);
+            served_by[tier.expect("a chain tier served")] += 1;
+            println!("  {:<24} {:>12} {:>10}", o.name, o.tier, secs(o.latency));
+        } else {
+            println!(
+                "  {:<24} FAILED: {}",
+                o.name,
+                o.error.as_deref().unwrap_or("")
+            );
         }
     }
 
@@ -129,33 +128,34 @@ fn main() {
     for (name, n) in tier_names.iter().zip(&served_by) {
         println!("  {name:<12} served {n:>3} queries");
     }
-    if failed > 0 {
-        println!("  {failed} queries failed every tier");
+    if chaos_report.failed() > 0 {
+        println!("  {} queries failed every tier", chaos_report.failed());
     }
     // Fault injection mostly shows up in tail latency: retries and
     // tier downgrades hit a minority of queries hard.
-    for (label, samples) in [("clean", &clean_lat), ("chaotic", &chaos_lat)] {
-        if let Some(stats) = LatencyStats::from_samples(samples) {
-            println!("Compile latency ({label}): {}", stats.render());
+    for (label, report) in [("clean", &clean_report), ("chaotic", &chaos_report)] {
+        let latencies: Vec<_> = report.outcomes.iter().map(|o| o.latency).collect();
+        if let Some(stats) = LatencyStats::from_samples(&latencies) {
+            println!("Serve latency ({label}): {}", stats.render());
         }
     }
 
-    let f = service.fault_stats();
+    let f = session.compile_service().fault_stats();
     println!("\nService fault counters:");
     println!("  panics caught      {:>6}", f.panics_caught);
     println!("  retries            {:>6}", f.retries);
     println!("  deadline overruns  {:>6}", f.deadline_overruns);
-    println!("  downgrades         {:>6}", f.downgrades);
     println!("  workers respawned  {:>6}", f.workers_respawned);
     println!("  inline fallbacks   {:>6}", f.inline_fallbacks);
+    let (clean_wall, chaos_wall) = (clean_report.wall, chaos_report.wall);
     println!(
-        "\nCompile time: clean chain {} vs. chaotic chain {} ({:+.1}% overhead)",
-        secs(clean_time),
-        secs(chaos_time),
-        if clean_time.is_zero() {
+        "\nServe wall clock: clean chain {} vs. chaotic chain {} ({:+.1}% overhead)",
+        secs(clean_wall),
+        secs(chaos_wall),
+        if clean_wall.is_zero() {
             0.0
         } else {
-            100.0 * (chaos_time.as_secs_f64() - clean_time.as_secs_f64()) / clean_time.as_secs_f64()
+            100.0 * (chaos_wall.as_secs_f64() - clean_wall.as_secs_f64()) / clean_wall.as_secs_f64()
         }
     );
 

@@ -53,8 +53,9 @@
 //!   once: background jobs never compile on the caller's thread, which
 //!   may be holding a scheduler lock.
 //!
-//! [`FaultCounters`] exposes what the layer absorbed; the fallback
-//! chain built on top lives in [`crate::fallback`].
+//! [`FaultCounters`] exposes what the layer absorbed. A compile that
+//! still fails returns [`EngineError::Backend`]; in serving, the
+//! scheduler's [`crate::BreakerPolicy`] then walks its fallback chain.
 
 use crate::artifact_store::{ArtifactKey, ArtifactStore};
 use crate::engine::{CompiledQuery, EngineError, PreparedQuery};
@@ -182,8 +183,6 @@ pub struct FaultCounters {
     pub deadline_overruns: u64,
     /// Transient-failure retries performed.
     pub retries: u64,
-    /// Tier downgrades recorded by the fallback chain.
-    pub downgrades: u64,
     /// Dead worker threads replaced.
     pub workers_respawned: u64,
     /// Foreground cache misses compiled on the caller thread because
@@ -201,11 +200,10 @@ pub struct FaultCounters {
 /// Internal atomic counters behind [`FaultCounters`], shared with
 /// worker jobs.
 #[derive(Debug, Default)]
-pub(crate) struct Faults {
+struct Faults {
     panics_caught: AtomicU64,
     deadline_overruns: AtomicU64,
     retries: AtomicU64,
-    pub(crate) downgrades: AtomicU64,
     workers_respawned: AtomicU64,
     inline_fallbacks: AtomicU64,
 }
@@ -216,7 +214,6 @@ impl Faults {
             panics_caught: self.panics_caught.load(Ordering::Relaxed),
             deadline_overruns: self.deadline_overruns.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
-            downgrades: self.downgrades.load(Ordering::Relaxed),
             workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
             inline_fallbacks: self.inline_fallbacks.load(Ordering::Relaxed),
             artifact_corruptions: 0,
@@ -621,12 +618,6 @@ impl CompileService {
             snapshot.artifact_corruptions = store.counters().corrupt_rejected;
         }
         snapshot
-    }
-
-    /// Shared fault counters, for the fallback chain in
-    /// [`crate::fallback`].
-    pub(crate) fn faults(&self) -> &Arc<Faults> {
-        &self.faults
     }
 
     /// Live worker threads (after any respawns).

@@ -22,15 +22,14 @@
 //! ```
 
 // The engine sits above panicky layers and owns the fault-tolerance
-// story (the `supervise` envelope, budgets, fallback chain); a stray
-// `.unwrap()` here would undo it, so the lint is a hard error outside
-// tests.
+// story (the `supervise` envelope, budgets, the breaker's fallback
+// chain); a stray `.unwrap()` here would undo it, so the lint is a hard
+// error outside tests.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod artifact_store;
 mod compile_service;
 mod engine;
-mod fallback;
 mod lru;
 // The serving path proper additionally bans non-test `.expect()`: these
 // two modules sit inside the execution fault envelope, where a stray
@@ -54,11 +53,10 @@ pub use engine::{
     CancelToken, CompiledQuery, Engine, EngineConfig, EngineError, ExecutionResult, LazyIr,
     PreparedQuery, QueryBudget, FRONTEND_STAMP,
 };
-pub use fallback::{FallbackChain, FallbackReport, TierFailure};
 pub use morsel_exec::ExecTally;
 pub use scheduler::{
-    BreakerPolicy, OutcomeStatus, QueryOutcome, QueryScheduler, SchedulerConfig, ServeReport,
-    SessionRequest, ShedPolicy,
+    BreakerPolicy, FallbackChain, OutcomeStatus, QueryOutcome, QueryScheduler, SchedulerConfig,
+    ServeReport, SessionRequest, ShedPolicy,
 };
 pub use session::{PreparedStatement, QueryRun, Session, SessionConfig, StatementCacheStats};
 

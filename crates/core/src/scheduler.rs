@@ -52,10 +52,14 @@
 //! * **Fault containment + circuit breaker.** Admission runs under
 //!   `supervise` and every execution slice is a supervised driver step,
 //!   so a panicking query fails its own session, never the serve loop.
-//!   With a [`BreakerPolicy`], K
-//!   consecutive execution faults on one back-end tier trip that
+//!   With a [`BreakerPolicy`], K consecutive faults on one back-end
+//!   tier — execution faults and compile faults alike — trip that
 //!   tier's breaker: subsequent admissions route down the policy's
-//!   fallback chain until the cooldown passes.
+//!   [`FallbackChain`] until the cooldown passes. The chain is the
+//!   engine's one degradation ladder: an admission whose compile fails
+//!   goes back to the head of the queue on the next tier of the chain,
+//!   so a request tries each tier at most once and fails only when the
+//!   chain's last tier fails too.
 //!
 //! Policy and driver. Every decision above is a method of the private
 //! `SchedState`, the state the workers share, and each method takes the
@@ -65,7 +69,9 @@
 //! * `pick` is the order, and routes a picked admission past open
 //!   breakers;
 //! * `admitted` files an admission's result: the query waits for a
-//!   worker and competes for a tier-up slot, or it fails;
+//!   worker and competes for a tier-up slot, a compile fault counts
+//!   toward its tier's breaker and re-queues the request on the next
+//!   chain tier, or it fails;
 //! * `after_slice` takes one slice's result: a resolved tier-up gives
 //!   its slot back, the breaker counts a fault or forgives the streak,
 //!   and free tier-up slots are granted;
@@ -81,13 +87,13 @@
 
 use crate::compile_service::PendingCompile;
 use crate::engine::{CompiledQuery, EngineError, ExecutionResult, PreparedQuery, QueryBudget};
-use crate::fallback::FallbackChain;
 use crate::morsel_exec::{plan_morsels, QueryExecution, StepProgress};
 use crate::session::Session;
 use crate::supervise::{lock_recover, supervise};
 use qc_backend::{Backend, BackendError};
 use qc_plan::PlanNode;
 use qc_runtime::SqlValue;
+use qc_target::Isa;
 use qc_timing::TimeTrace;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -107,18 +113,74 @@ pub enum ShedPolicy {
     DropOldest,
 }
 
+/// An ordered list of back-end tiers, most desirable first: the
+/// degradation ladder of a [`BreakerPolicy`].
+#[derive(Clone)]
+pub struct FallbackChain {
+    tiers: Vec<Arc<dyn Backend>>,
+}
+
+impl std::fmt::Debug for FallbackChain {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let names: Vec<_> = self.tiers.iter().map(|t| t.name()).collect();
+        write!(f, "FallbackChain({})", names.join(" → "))
+    }
+}
+
+impl FallbackChain {
+    /// Builds a chain from explicit tiers, most desirable first.
+    ///
+    /// # Panics
+    /// Panics if `tiers` is empty (an empty chain can compile nothing).
+    pub fn new(tiers: Vec<Arc<dyn Backend>>) -> Self {
+        assert!(!tiers.is_empty(), "fallback chain needs at least one tier");
+        FallbackChain { tiers }
+    }
+
+    /// The standard degradation ladder for `isa`:
+    /// LVM-opt → LVM-cheap → DirectEmit (TX64 only) → interpreter. The
+    /// interpreter accepts every verified module, so it floors the
+    /// chain.
+    pub fn standard(isa: Isa) -> Self {
+        let mut tiers: Vec<Arc<dyn Backend>> = vec![
+            Arc::from(crate::backends::lvm_opt(isa)),
+            Arc::from(crate::backends::lvm_cheap(isa)),
+        ];
+        if isa == Isa::Tx64 {
+            tiers.push(Arc::from(crate::backends::direct_emit()));
+        }
+        tiers.push(Arc::from(crate::backends::interpreter()));
+        FallbackChain { tiers }
+    }
+
+    /// The tiers, most desirable first.
+    pub fn tiers(&self) -> &[Arc<dyn Backend>] {
+        &self.tiers
+    }
+
+    /// The tiers after the one named `tier`: the whole chain for a tier
+    /// not in it.
+    fn below(&self, tier: &str) -> &[Arc<dyn Backend>] {
+        match self.tiers.iter().position(|t| t.name() == tier) {
+            Some(i) => &self.tiers[i + 1..],
+            None => &self.tiers,
+        }
+    }
+}
+
 /// Per-back-end-tier circuit breaker: after `trip_after` consecutive
-/// execution faults on one tier, admissions route down `chain` until
-/// `cooldown` passes.
+/// faults on one tier, execution or compile, admissions route down
+/// `chain` until `cooldown` passes. An admission whose compile fails
+/// walks `chain` too, breaker open or not.
 #[derive(Debug, Clone)]
 pub struct BreakerPolicy {
-    /// Consecutive execution faults that trip the breaker.
+    /// Consecutive faults that trip the breaker.
     pub trip_after: u32,
     /// How long a tripped breaker stays open.
     pub cooldown: Duration,
-    /// Where an admission to an open tier goes instead: the first tier
-    /// below it (the whole chain, for a tier not in it) whose breaker
-    /// is closed.
+    /// Where an admission to an open tier goes instead, and where one
+    /// whose compile failed goes next: the first tier below it (the
+    /// whole chain, for a tier not in it) whose breaker is closed.
     pub chain: FallbackChain,
 }
 
@@ -145,8 +207,8 @@ pub struct SchedulerConfig {
     /// Default execution budget applied to every request that does not
     /// carry its own ([`SessionRequest::with_budget`] overrides).
     pub query_budget: Option<QueryBudget>,
-    /// Per-tier circuit breaker on execution faults, with its fallback
-    /// chain.
+    /// Per-tier circuit breaker on execution and compile faults, with
+    /// its fallback chain. `None` fails a request on its first fault.
     pub breaker: Option<BreakerPolicy>,
 }
 
@@ -261,13 +323,19 @@ pub struct QueryOutcome {
     pub name: String,
     /// Result rows (empty unless `status` is [`OutcomeStatus::Ok`]).
     pub rows: Vec<Vec<SqlValue>>,
-    /// Time from submission to admission (prepare/compile start). A
-    /// long query waits here, unadmitted, while shorter ones run.
+    /// Time from submission to admission (prepare/compile start; for a
+    /// request whose compile failed over, its last admission). A long
+    /// query waits here, unadmitted, while shorter ones run.
     pub queue_wait: Duration,
     /// Time from submission to completion.
     pub latency: Duration,
     /// Deterministic execution cycles (partial for killed queries).
     pub cycles: u64,
+    /// Name of the back-end tier the request was admitted on: the
+    /// serve's back-end, or a tier of the breaker's chain. A request
+    /// that failed every tier names the last one it tried; a shed one
+    /// names none.
+    pub tier: &'static str,
     /// Whether the optimizing tier ([`SchedulerConfig::tier_up_backend`])
     /// was adopted mid-query and then ran a slice that left the query
     /// unfinished.
@@ -414,6 +482,9 @@ struct Pending {
     /// Estimated morsels ([`plan_morsels`]), in [`Active::remaining`]'s
     /// unit; computed once, before the workers start.
     morsels: u64,
+    /// The chain tier its next admission routes from, once a compile
+    /// fault re-queued it; `None` routes from the serve's back-end.
+    tier: Option<Arc<dyn Backend>>,
 }
 
 /// How the policy core asks for a background compile of a query to a
@@ -476,7 +547,9 @@ impl SchedState {
     /// requests, the one with the fewest estimated morsels left. An
     /// admitted query wins a tie, then submission order decides. `None`
     /// when nothing can start now. A picked request takes an admission
-    /// slot, ends its queue wait at `now` and is routed to a back-end.
+    /// slot, ends its queue wait at `now` and is routed to a back-end:
+    /// from the serve's `backend`, or from the chain tier a compile
+    /// fault re-queued it on.
     fn pick(
         &mut self,
         config: &SchedulerConfig,
@@ -502,16 +575,19 @@ impl SchedState {
                 let mut pending = self.pending.pop_front()?;
                 self.active += 1;
                 pending.ticket.queue_wait = now.saturating_duration_since(pending.ticket.submitted);
-                Some(Pick::Admit(pending, self.route(config, backend, now)))
+                let tier = self.route(config, pending.tier.as_ref().unwrap_or(backend), now);
+                pending.ticket.tier = tier.name();
+                Some(Pick::Admit(pending, tier))
             }
             _ => None,
         }
     }
 
-    /// The back-end for one admission: `backend` unless its circuit
-    /// breaker is open, then the first tier down the breaker's fallback
-    /// chain whose breaker is closed (fail-open to `backend` when every
-    /// breaker is open or no breaker is configured).
+    /// The back-end for one admission starting at `backend`: `backend`
+    /// unless its circuit breaker is open, then the first tier down the
+    /// breaker's fallback chain whose breaker is closed (fail-open to
+    /// `backend` when every breaker is open or no breaker is
+    /// configured).
     fn route(
         &mut self,
         config: &SchedulerConfig,
@@ -521,13 +597,8 @@ impl SchedState {
         let Some(breaker) = &config.breaker else {
             return Arc::clone(backend);
         };
-        let tiers = breaker.chain.tiers();
-        let below = match tiers.iter().position(|t| t.name() == backend.name()) {
-            Some(i) => &tiers[i + 1..],
-            None => tiers,
-        };
         let closed = std::iter::once(backend)
-            .chain(below)
+            .chain(breaker.chain.below(backend.name()))
             .find(|t| !self.breaker_open(t.name(), now));
         Arc::clone(closed.unwrap_or(backend))
     }
@@ -544,23 +615,51 @@ impl SchedState {
         b.open_until.is_some()
     }
 
-    /// What follows an admission: an admitted query waits for a worker
-    /// (and competes for a tier-up slot); a failed one leaves with its
-    /// error.
+    /// What follows the admission of `request`: an admitted query
+    /// waits for a worker (and competes for a tier-up slot). With a
+    /// breaker, a compile fault ([`EngineError::Backend`]) counts toward
+    /// the tier's breaker and puts the request back at the head of the
+    /// queue on the next tier of the chain, whose admission
+    /// [`SchedState::pick`] routes; at the chain's end, and on any
+    /// other error, the request leaves with its error.
     fn admitted(
         &mut self,
         config: &SchedulerConfig,
-        ticket: Ticket,
+        mut request: Pending,
         result: Result<Active, EngineError>,
         spawn: Spawn<'_>,
         now: Instant,
     ) {
-        match result {
+        let err = match result {
             Ok(active) => {
                 self.ready.push(active);
                 self.grant_tier_ups(config, spawn);
+                return;
             }
-            Err(err) => self.retire(ticket, false, now, Ending::Errored(err)),
+            Err(err) => err,
+        };
+        if let (Some(policy), EngineError::Backend(_)) = (&config.breaker, &err) {
+            let tier = request.ticket.tier;
+            self.count_fault(policy, tier, now);
+            if let Some(next) = policy.chain.below(tier).first() {
+                request.tier = Some(Arc::clone(next));
+                self.active -= 1;
+                self.pending.push_front(request);
+                return;
+            }
+        }
+        self.retire(request.ticket, false, now, Ending::Errored(err));
+    }
+
+    /// Counts one fault of `tier` toward its breaker: `trip_after`
+    /// consecutive ones open it until `now` plus the cooldown, and a
+    /// fault while it is open trips nothing.
+    fn count_fault(&mut self, policy: &BreakerPolicy, tier: &'static str, now: Instant) {
+        let b = self.breakers.entry(tier).or_default();
+        b.consecutive += 1;
+        if b.open_until.is_none() && b.consecutive >= policy.trip_after {
+            b.open_until = Some(now + policy.cooldown);
+            self.breaker_trips += 1;
         }
     }
 
@@ -599,12 +698,7 @@ impl SchedState {
             Err(err) => {
                 let fault = matches!(err, EngineError::Trap(_) | EngineError::WorkerPanic(_));
                 if let Some(policy) = config.breaker.as_ref().filter(|_| fault) {
-                    let b = self.breakers.entry(a.compiled.backend_name).or_default();
-                    b.consecutive += 1;
-                    if b.open_until.is_none() && b.consecutive >= policy.trip_after {
-                        b.open_until = Some(now + policy.cooldown);
-                        self.breaker_trips += 1;
-                    }
+                    self.count_fault(policy, a.compiled.backend_name, now);
                 }
                 Ending::Errored(err)
             }
@@ -686,6 +780,7 @@ impl SchedState {
             queue_wait: who.queue_wait,
             latency,
             cycles,
+            tier: who.tier,
             tiered_up: who.tiered_up,
             status,
             error,
@@ -738,6 +833,7 @@ impl QueryScheduler {
                 ticket: Ticket::new(index, std::mem::take(&mut req.name), start),
                 morsels: plan_morsels(session.engine(), &req.plan),
                 req,
+                tier: None,
             });
         let shared = Shared {
             state: Mutex::new(SchedState::new(&self.config, pending.collect(), start)),
@@ -786,7 +882,7 @@ impl QueryScheduler {
 #[allow(clippy::large_enum_variant)]
 enum Pick {
     /// Admit (plan and compile) this request on the routed back-end;
-    /// it holds an admission slot from now on.
+    /// it holds an admission slot until it is filed back.
     Admit(Pending, Arc<dyn Backend>),
     /// Run one slice of this admitted query.
     Run(Active),
@@ -822,16 +918,16 @@ fn serve_worker(
         drop(g);
         let t0 = Instant::now();
         match next {
-            Pick::Admit(Pending { ticket, req, .. }, backend) => {
+            Pick::Admit(request, backend) => {
                 // Admission fault containment: a panicking planner or
-                // compiler fails this session, not the serve loop. One
-                // copy of the ticket stays out here in case admission
-                // fails (or panics) and takes the other with it.
-                let admitted = supervise(|| admit(session, &backend, config, req, ticket.clone()))
+                // compiler fails this session, not the serve loop. The
+                // request stays out here, so a failed compile can go
+                // back to the queue on another tier.
+                let admitted = supervise(|| admit(session, &backend, config, &request))
                     .unwrap_or_else(|panic| Err(EngineError::WorkerPanic(panic)));
                 busy += t0.elapsed();
                 let mut g = lock_recover(&shared.state);
-                g.admitted(config, ticket, admitted, &spawn, Instant::now());
+                g.admitted(config, request, admitted, &spawn, Instant::now());
             }
             Pick::Run(mut a) => {
                 // Adopt a completed background tier between two slices
@@ -867,8 +963,7 @@ fn admit(
     session: &Session<'_>,
     backend: &Arc<dyn Backend>,
     config: &SchedulerConfig,
-    req: SessionRequest,
-    ticket: Ticket,
+    Pending { ticket, req, .. }: &Pending,
 ) -> Result<Active, EngineError> {
     let engine = session.engine();
     let store = session.compile_service().artifact_store();
@@ -881,6 +976,7 @@ fn admit(
         .compile(&prepared, backend, &TimeTrace::disabled())?;
     let budget = req
         .budget
+        .clone()
         .or_else(|| config.query_budget.clone())
         .unwrap_or_default();
     // Sessions run single-threaded: the scheduler is the inter-query
@@ -888,7 +984,7 @@ fn admit(
     let exec = QueryExecution::new(1, budget);
     let remaining = exec.remaining_morsels(engine, &prepared);
     Ok(Active {
-        ticket,
+        ticket: ticket.clone(),
         prepared,
         compiled,
         exec,
@@ -907,6 +1003,8 @@ struct Ticket {
     submitted: Instant,
     /// Time from submission to admission.
     queue_wait: Duration,
+    /// The tier it was last admitted on; empty before admission.
+    tier: &'static str,
     /// Whether the optimizing tier was adopted mid-query.
     tiered_up: bool,
 }
@@ -918,6 +1016,7 @@ impl Ticket {
             name,
             submitted,
             queue_wait: Duration::ZERO,
+            tier: "",
             tiered_up: false,
         }
     }
@@ -1136,6 +1235,176 @@ mod tests {
         assert_eq!(g.breaker_trips, 1);
     }
 
+    /// Request `index`, admitted at `now` through `pick` on `config`'s
+    /// routing from `backend`; the policy never plans, so its plan is
+    /// any scan.
+    fn admit_request(
+        g: &mut SchedState,
+        config: &SchedulerConfig,
+        backend: &Arc<dyn Backend>,
+        index: usize,
+        now: Instant,
+    ) -> Pending {
+        let plan = qc_plan::PlanNode::scan("orders", &["o_orderkey"]);
+        g.pending.push_back(Pending {
+            ticket: Ticket::new(index, format!("s{index}"), now),
+            req: SessionRequest::new("", plan),
+            morsels: 1,
+            tier: None,
+        });
+        match g.pick(config, backend, now) {
+            Some(Pick::Admit(request, _)) => request,
+            _ => panic!("request {index} was not admitted"),
+        }
+    }
+
+    /// `request`'s admission compile fails with `err` at `now`.
+    fn compile_fault(
+        g: &mut SchedState,
+        config: &SchedulerConfig,
+        request: Pending,
+        err: EngineError,
+        now: Instant,
+    ) {
+        g.admitted(config, request, Err(err), &unresolved, now);
+    }
+
+    fn backend_error() -> EngineError {
+        EngineError::Backend(BackendError::new("compile fault"))
+    }
+
+    /// With a breaker, a compile fault counts toward the tier's streak
+    /// and re-queues the request, first in line, on the next chain tier;
+    /// the tier trips at exactly `trip_after` faults, and `route` then
+    /// skips it.
+    #[test]
+    fn a_compile_fault_requeues_on_the_next_tier_and_counts_toward_the_breaker() {
+        let (config, clift) = breaker_config();
+        let mut g = SchedState {
+            active: 0,
+            ..state(2, 0)
+        };
+        let t0 = Instant::now();
+        for index in 0..2 {
+            let request = admit_request(&mut g, &config, &clift, index, t0);
+            assert_eq!((request.ticket.tier, g.active), ("Clift", 1));
+            compile_fault(&mut g, &config, request, backend_error(), t0);
+            assert_eq!(g.breakers["Clift"].consecutive, index as u32 + 1);
+            assert_eq!(g.breaker_trips, index as u64, "trips at exactly 2");
+            assert_eq!((g.active, g.done, g.pending.len()), (0, 0, 1));
+            let requeued = g.pending.front().expect("re-queued");
+            assert_eq!(requeued.ticket.index, index);
+            let next = requeued.tier.as_ref().map(|t| t.name());
+            assert_eq!(next, Some("Interpreter"));
+            let Some(Pick::Admit(request, tier)) = g.pick(&config, &clift, t0) else {
+                panic!("the re-queued request is picked first");
+            };
+            assert_eq!(
+                (tier.name(), request.ticket.tier),
+                ("Interpreter", "Interpreter")
+            );
+            g.active -= 1; // the interpreter admission is not filed
+        }
+        assert_eq!(g.route(&config, &clift, t0).name(), "Interpreter");
+    }
+
+    /// Without a breaker a compile fault fails the request at once.
+    #[test]
+    fn without_a_breaker_a_compile_fault_fails_at_once() {
+        let config = SchedulerConfig::default();
+        let clift: Arc<dyn Backend> = Arc::from(crate::backends::clift(Isa::Tx64));
+        let mut g = SchedState {
+            active: 0,
+            ..state(1, 0)
+        };
+        let t0 = Instant::now();
+        let request = admit_request(&mut g, &config, &clift, 0, t0);
+        compile_fault(&mut g, &config, request, backend_error(), t0);
+        assert!(g.pending.is_empty() && g.breakers.is_empty());
+        assert_eq!((g.active, g.done), (0, 1));
+        let outcome = g.outcomes[0].as_ref().expect("retired");
+        assert_eq!(
+            (outcome.status, outcome.tier),
+            (OutcomeStatus::Failed, "Clift")
+        );
+    }
+
+    /// A plan error or a panic that escaped admission fails the request
+    /// at once even with a breaker: a cheaper tier cannot fix either,
+    /// and neither counts toward the breaker.
+    #[test]
+    fn plan_errors_and_admission_panics_fail_at_once_with_a_breaker() {
+        let (config, clift) = breaker_config();
+        let errors = [
+            EngineError::Plan(qc_plan::PlanError {
+                message: "no such table".to_string(),
+            }),
+            EngineError::WorkerPanic("planner panicked".to_string()),
+        ];
+        let mut g = SchedState {
+            active: 0,
+            ..state(errors.len(), 0)
+        };
+        let t0 = Instant::now();
+        for (index, err) in errors.into_iter().enumerate() {
+            let request = admit_request(&mut g, &config, &clift, index, t0);
+            compile_fault(&mut g, &config, request, err, t0);
+        }
+        assert!(g.pending.is_empty() && g.breakers.is_empty());
+        assert_eq!((g.active, g.done), (0, 2));
+        let failed = g.outcomes.iter().flatten();
+        assert!(failed.map(|o| o.status).all(|s| s == OutcomeStatus::Failed));
+    }
+
+    /// A compile fault on the chain's last tier ends the walk: the
+    /// request retires `Failed` with that tier's error and gives back
+    /// everything it held.
+    #[test]
+    fn a_compile_fault_on_the_last_tier_fails_the_request() {
+        let (config, clift) = breaker_config();
+        let mut g = SchedState {
+            active: 0,
+            ..state(1, 0)
+        };
+        let t0 = Instant::now();
+        let request = admit_request(&mut g, &config, &clift, 0, t0);
+        compile_fault(&mut g, &config, request, backend_error(), t0);
+        let Some(Pick::Admit(request, _)) = g.pick(&config, &clift, t0) else {
+            panic!("the re-queued request is picked");
+        };
+        let last = EngineError::Backend(BackendError::new("interpreter fault"));
+        compile_fault(&mut g, &config, request, last, t0);
+        assert!(g.pending.is_empty());
+        assert_eq!((g.active, g.tier_inflight, g.done), (0, 0, 1));
+        assert_eq!(g.done, g.outcomes.len());
+        let outcome = g.outcomes[0].as_ref().expect("retired");
+        assert_eq!(
+            (outcome.status, outcome.tier),
+            (OutcomeStatus::Failed, "Interpreter")
+        );
+        let error = outcome.error.as_deref().unwrap_or_default();
+        assert!(error.contains("interpreter fault"), "{error}");
+    }
+
+    #[test]
+    fn standard_chain_shape() {
+        let tx = FallbackChain::standard(Isa::Tx64);
+        let names: Vec<_> = tx.tiers().iter().map(|t| t.name()).collect();
+        assert_eq!(
+            names,
+            vec!["LVM-opt", "LVM-cheap", "DirectEmit", "Interpreter"]
+        );
+        let ta = FallbackChain::standard(Isa::Ta64);
+        let names: Vec<_> = ta.tiers().iter().map(|t| t.name()).collect();
+        assert_eq!(names, vec!["LVM-opt", "LVM-cheap", "Interpreter"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one tier")]
+    fn empty_chain_is_rejected() {
+        let _ = FallbackChain::new(Vec::new());
+    }
+
     fn tier_up_config() -> SchedulerConfig {
         SchedulerConfig {
             tier_up_backend: Some(Arc::from(crate::backends::clift(Isa::Tx64))),
@@ -1241,6 +1510,7 @@ mod tests {
             queue_wait: Duration::ZERO,
             latency: Duration::ZERO,
             cycles: 0,
+            tier: "",
             tiered_up: false,
             status,
             error: None,

@@ -49,8 +49,8 @@ impl Backend for InterpBackend {
         trace: &TimeTrace,
     ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
         let _t = trace.scope("bytecodegen");
-        // Errors name the tier so fallback-chain downgrades are
-        // attributable (idem for the other back-ends).
+        // Errors name the tier so a failure on the breaker's fallback
+        // chain is attributable (idem for the other back-ends).
         let program = compile_module(module).map_err(|e| e.in_backend(self.name()))?;
         let mut stats = CompileStats {
             functions: module.len(),

@@ -1,20 +1,22 @@
-//! Chaos suite: deterministic fault injection against the compilation
-//! service's fault-tolerance layer. With a `ChaosBackend` injecting a
-//! panic, error, or deadline overrun into any tier, every query of the
-//! differential picks must still return the reference result through
-//! the fallback chain, with the downgrade visible in compile stats and
-//! no worker-pool deadlock or cache poisoning.
+//! Chaos suite: deterministic compile-fault injection against the
+//! serving scheduler's degradation ladder. With a `ChaosBackend`
+//! injecting a panic, error, or deadline overrun into tiers of a
+//! `BreakerPolicy`'s chain, every query of the differential picks must
+//! still return the reference result on the first healthy tier below,
+//! with that tier named in its `QueryOutcome`, and with no worker-pool
+//! deadlock or cache poisoning.
 
 use qc_backend::chaos::{ChaosBackend, ChaosFault};
-use qc_backend::{Backend, BackendErrorKind};
+use qc_backend::Backend;
 use qc_engine::{
-    backends, CompileBudget, CompileService, CompileServiceConfig, EngineError, FallbackChain,
-    Session,
+    backends, BreakerPolicy, CompileBudget, CompileServiceConfig, FallbackChain, OutcomeStatus,
+    QueryOutcome, QueryScheduler, SchedulerConfig, ServeReport, Session, SessionConfig,
+    SessionRequest,
 };
 use qc_plan::reference;
 use qc_plan::PlanNode;
+use qc_storage::Database;
 use qc_target::Isa;
-use qc_timing::TimeTrace;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -49,77 +51,108 @@ fn suite_picks() -> Vec<(String, PlanNode)> {
         .collect()
 }
 
-/// The standard TX64 chain with tiers `0..=faulty_through` replaced by
-/// chaos wrappers injecting `fault` on every compile call.
-fn chaotic_chain(faulty_through: usize, fault: ChaosFault) -> FallbackChain {
-    let clean = FallbackChain::standard(Isa::Tx64);
-    let tiers: Vec<Arc<dyn Backend>> = clean
+/// The standard TX64 chain with tier `i` replaced by `chaos(i, tier)`
+/// where that returns a wrapper, and the wrappers it made.
+fn chain_with(
+    chaos: impl Fn(usize, &Arc<dyn Backend>) -> Option<ChaosBackend>,
+) -> (FallbackChain, Vec<Arc<ChaosBackend>>) {
+    let mut wrappers = Vec::new();
+    let tiers = FallbackChain::standard(Isa::Tx64)
         .tiers()
         .iter()
         .enumerate()
-        .map(|(i, tier)| -> Arc<dyn Backend> {
-            if i <= faulty_through {
-                Arc::new(ChaosBackend::always(Arc::clone(tier), fault))
-            } else {
-                Arc::clone(tier)
+        .map(|(i, tier)| match chaos(i, tier) {
+            Some(wrapper) => {
+                let wrapper = Arc::new(wrapper);
+                wrappers.push(Arc::clone(&wrapper));
+                wrapper as Arc<dyn Backend>
             }
+            None => Arc::clone(tier),
         })
         .collect();
-    FallbackChain::new(tiers)
+    (FallbackChain::new(tiers), wrappers)
 }
 
-/// Every differential pick, compiled through a chain whose top tier
-/// panics, errors, or overruns its deadline, must produce the
-/// reference result and record the downgrade.
+/// The standard TX64 chain with tiers `0..=faulty_through` replaced by
+/// chaos wrappers injecting `fault` on every compile call.
+fn chaotic_chain(
+    faulty_through: usize,
+    fault: ChaosFault,
+) -> (FallbackChain, Vec<Arc<ChaosBackend>>) {
+    chain_with(|i, tier| {
+        (i <= faulty_through).then(|| ChaosBackend::always(Arc::clone(tier), fault))
+    })
+}
+
+/// Serves `plans` on `session` from the chain's top tier, with a
+/// breaker that never trips: every request walks the chain on its own.
+fn serve(
+    session: &Session<'_>,
+    chain: FallbackChain,
+    workers: usize,
+    plans: &[(String, PlanNode)],
+) -> ServeReport {
+    let top = Arc::clone(&chain.tiers()[0]);
+    let scheduler = QueryScheduler::try_new(SchedulerConfig {
+        workers,
+        breaker: Some(BreakerPolicy {
+            trip_after: u32::MAX,
+            cooldown: Duration::from_secs(600),
+            chain,
+        }),
+        ..SchedulerConfig::default()
+    })
+    .expect("valid scheduler config");
+    scheduler.serve_session(session, &top, requests(plans))
+}
+
+fn requests(plans: &[(String, PlanNode)]) -> Vec<SessionRequest> {
+    let request = |(name, plan): &(String, PlanNode)| SessionRequest::new(name, plan.clone());
+    plans.iter().map(request).collect()
+}
+
+/// `outcome` completed on `tier` with the reference rows of `plan`.
+fn assert_served(outcome: &QueryOutcome, tier: &str, plan: &PlanNode, db: &Database) {
+    let name = &outcome.name;
+    assert_eq!(
+        outcome.status,
+        OutcomeStatus::Ok,
+        "{name}: {:?}",
+        outcome.error
+    );
+    assert_eq!(outcome.tier, tier, "{name}: served on the wrong tier");
+    let expected = reference::execute(plan, db).expect("reference");
+    assert_eq!(
+        reference::normalize(&outcome.rows),
+        reference::normalize(&expected),
+        "{name}: wrong result after degradation"
+    );
+}
+
+/// Every differential pick, served from a chain whose top tier panics,
+/// errors, or fails its retries, must produce the reference result on
+/// the next tier.
 #[test]
 fn every_pick_survives_a_faulty_top_tier() {
     quiet_chaos_panics();
     let db = qc_storage::gen_hlike(0.03);
     let session = Session::new(&db);
-    let service = CompileService::default();
-    let trace = TimeTrace::disabled();
+    let picks = suite_picks();
     let faults = [
         ChaosFault::Panic,
         ChaosFault::PermanentError,
-        ChaosFault::TransientError, // exhausts retries, then downgrades
+        ChaosFault::TransientError, // exhausts retries, then degrades
     ];
     for fault in faults {
-        let chain = chaotic_chain(0, fault);
-        for (name, plan) in suite_picks() {
-            let expected = reference::execute(&plan, &db).expect("reference");
-            let stmt = session.statement(&plan).expect("prepare");
-            let prepared = stmt.query();
-            let (mut compiled, report) = service
-                .compile_with_fallback(prepared, &chain, CompileBudget::default(), &trace)
-                .unwrap_or_else(|e| panic!("{name} under {fault:?}: {e}"));
-            assert!(report.degraded(), "{name}: downgrade expected");
-            assert_eq!(report.tier_used, 1, "{name}: LVM-cheap must serve");
-            assert_eq!(report.failures.len(), 1);
-            assert_eq!(report.failures[0].backend, "LVM-opt");
-            assert_eq!(
-                compiled.compile_stats.counters.get("fallback_downgrades"),
-                Some(&1),
-                "{name}: downgrade missing from compile stats"
-            );
-            assert_eq!(
-                compiled.compile_stats.counters.get("fallback_from_LVM-opt"),
-                Some(&1)
-            );
-            let got = session
-                .run(stmt.clone())
-                .execute_compiled(&mut compiled)
-                .expect("execute");
-            assert_eq!(
-                reference::normalize(&got.rows),
-                reference::normalize(&expected),
-                "{name} under {fault:?}: wrong result after fallback"
-            );
+        let (chain, _) = chaotic_chain(0, fault);
+        let report = serve(&session, chain, 1, &picks);
+        for (outcome, (_, plan)) in report.outcomes.iter().zip(&picks) {
+            assert_served(outcome, "LVM-cheap", plan, &db);
         }
     }
-    let stats = service.fault_stats();
+    let stats = session.compile_service().fault_stats();
     assert!(stats.panics_caught > 0, "panics must be caught: {stats:?}");
     assert!(stats.retries > 0, "transient faults must be retried");
-    assert!(stats.downgrades > 0, "downgrades must be counted");
 }
 
 /// Deeper cascades: with tiers 0..=k all faulty, tier k+1 serves; the
@@ -129,72 +162,56 @@ fn cascade_degrades_to_the_first_healthy_tier() {
     quiet_chaos_panics();
     let db = qc_storage::gen_hlike(0.03);
     let session = Session::new(&db);
-    let service = CompileService::default();
-    let trace = TimeTrace::disabled();
-    let (_, plan) = suite_picks().remove(0);
-    let expected = reference::execute(&plan, &db).expect("reference");
-    let stmt = session.statement(&plan).expect("prepare");
-    let prepared = stmt.query();
-    let chain_len = FallbackChain::standard(Isa::Tx64).tiers().len();
-    for k in 0..chain_len - 1 {
-        let chain = chaotic_chain(k, ChaosFault::Panic);
-        let (mut compiled, report) = service
-            .compile_with_fallback(prepared, &chain, CompileBudget::default(), &trace)
-            .unwrap_or_else(|e| panic!("cascade k={k}: {e}"));
-        assert_eq!(report.tier_used, k + 1, "cascade k={k}");
-        assert_eq!(report.failures.len(), k + 1);
-        assert_eq!(
-            compiled.compile_stats.counters.get("fallback_downgrades"),
-            Some(&((k + 1) as u64))
-        );
-        let got = session
-            .run(stmt.clone())
-            .execute_compiled(&mut compiled)
-            .expect("execute");
-        assert_eq!(
-            reference::normalize(&got.rows),
-            reference::normalize(&expected),
-            "cascade k={k}: wrong result"
+    let pick = &suite_picks()[..1];
+    let clean = FallbackChain::standard(Isa::Tx64);
+    for k in 0..clean.tiers().len() - 1 {
+        let (chain, _) = chaotic_chain(k, ChaosFault::Panic);
+        let report = serve(&session, chain, 1, pick);
+        assert_served(
+            &report.outcomes[0],
+            clean.tiers()[k + 1].name(),
+            &pick[0].1,
+            &db,
         );
     }
 }
 
-/// A whole chain of faulty tiers fails cleanly — an error naming every
-/// tier, not a deadlock or a panic.
+/// A whole chain of faulty tiers fails cleanly — a failed outcome that
+/// tried each tier exactly once, not a deadlock or a panic — and the
+/// session serves a clean request afterwards.
 #[test]
 fn all_tiers_faulty_is_a_clean_error() {
     quiet_chaos_panics();
     let db = qc_storage::gen_hlike(0.02);
     let session = Session::new(&db);
-    let service = CompileService::default();
-    let (_, plan) = suite_picks().remove(0);
-    let stmt = session.statement(&plan).expect("prepare");
-    let prepared = stmt.query();
+    let pick = &suite_picks()[..1];
+    let modules = session
+        .statement(&pick[0].1)
+        .expect("prepare")
+        .query()
+        .ir
+        .modules
+        .len() as u64;
     let chain_len = FallbackChain::standard(Isa::Tx64).tiers().len();
-    let chain = chaotic_chain(chain_len - 1, ChaosFault::Panic);
-    match service.compile_with_fallback(
-        prepared,
-        &chain,
-        CompileBudget::default(),
-        &TimeTrace::disabled(),
-    ) {
-        Err(EngineError::Backend(e)) => {
-            for tier in ["LVM-opt", "LVM-cheap", "DirectEmit", "Interpreter"] {
-                assert!(e.message.contains(tier), "missing tier {tier}: {e}");
-            }
-        }
-        Err(other) => panic!("expected chain exhaustion error, got {other:?}"),
-        Ok(_) => panic!("expected chain exhaustion error, got a compiled query"),
+    let (chain, wrappers) = chaotic_chain(chain_len - 1, ChaosFault::Panic);
+    let report = serve(&session, chain, 1, pick);
+    let outcome = &report.outcomes[0];
+    assert_eq!(outcome.status, OutcomeStatus::Failed);
+    assert_eq!(outcome.tier, "Interpreter", "the last tier tried");
+    let error = outcome.error.as_deref().unwrap_or_default();
+    assert!(error.contains("chaos: injected"), "{error}");
+    for wrapper in &wrappers {
+        assert_eq!(wrapper.calls(), modules, "each tier tried once");
     }
-    // The pool survives total chain failure: a clean compile works.
-    let clean: Arc<dyn Backend> = Arc::from(backends::interpreter());
-    service
-        .compile(prepared, &clean, &TimeTrace::disabled())
-        .expect("service must stay usable");
+    // The pool survives total chain failure: a clean serve works.
+    let clean = QueryScheduler::try_new(SchedulerConfig::default()).expect("valid config");
+    let interp: Arc<dyn Backend> = Arc::from(backends::interpreter());
+    let report = clean.serve_session(&session, &interp, requests(pick));
+    assert_served(&report.outcomes[0], "Interpreter", &pick[0].1, &db);
 }
 
 /// A deadline overrun in the optimizing tier (driven by an injected
-/// delay) downgrades instead of stalling the query, and the too-slow
+/// delay) degrades instead of stalling the query, and the too-slow
 /// tier's artifacts never enter the cache.
 ///
 /// The per-module deadline sits two orders of magnitude above a clean
@@ -206,44 +223,38 @@ fn deadline_overrun_downgrades_and_does_not_pollute_the_cache() {
     const DEADLINE: Duration = Duration::from_millis(200);
     const DELAY: Duration = Duration::from_millis(500);
     let db = qc_storage::gen_hlike(0.03);
-    let session = Session::new(&db);
-    let service = CompileService::default();
-    let trace = TimeTrace::disabled();
-    let (_, plan) = suite_picks().remove(0);
-    let expected = reference::execute(&plan, &db).expect("reference");
-    let stmt = session.statement(&plan).expect("prepare");
-    let prepared = stmt.query();
-
-    let clean = FallbackChain::standard(Isa::Tx64);
-    let slow: Arc<dyn Backend> = Arc::new(ChaosBackend::always(
-        Arc::clone(&clean.tiers()[0]),
-        ChaosFault::Delay(DELAY),
-    ));
-    let mut tiers = clean.tiers().to_vec();
-    tiers[0] = slow;
-    let chain = FallbackChain::new(tiers);
-
-    let entries_before = service.cache_stats().entries;
-    let budget = CompileBudget::with_deadline(DEADLINE);
-    let (mut compiled, report) = service
-        .compile_with_fallback(prepared, &chain, budget, &trace)
-        .expect("fallback under deadline");
-    assert_eq!(report.tier_used, 1, "LVM-cheap must take over");
-    assert_eq!(report.failures[0].error.kind, BackendErrorKind::Deadline);
-    let got = session
-        .run(stmt.clone())
-        .execute_compiled(&mut compiled)
-        .expect("execute");
-    assert_eq!(
-        reference::normalize(&got.rows),
-        reference::normalize(&expected)
+    let session = Session::with_config(
+        &db,
+        SessionConfig {
+            compile: CompileServiceConfig {
+                budget: CompileBudget::with_deadline(DEADLINE),
+                ..CompileServiceConfig::default()
+            },
+            ..SessionConfig::default()
+        },
     );
+    let pick = &suite_picks()[..1];
+    let modules = session
+        .statement(&pick[0].1)
+        .expect("prepare")
+        .query()
+        .ir
+        .modules
+        .len();
+    let (chain, _) = chain_with(|i, tier| {
+        (i == 0).then(|| ChaosBackend::always(Arc::clone(tier), ChaosFault::Delay(DELAY)))
+    });
+
+    let service = session.compile_service();
+    let entries_before = service.cache_stats().entries;
+    let report = serve(&session, chain, 1, pick);
+    assert_served(&report.outcomes[0], "LVM-cheap", &pick[0].1, &db);
     assert!(service.fault_stats().deadline_overruns > 0);
     // Only the serving tier's modules may be resident; the slow tier
     // produced nothing cacheable.
     let entries_after = service.cache_stats().entries;
     assert!(
-        entries_after - entries_before <= prepared.ir.modules.len(),
+        entries_after - entries_before <= modules,
         "over-deadline artifacts leaked into the cache"
     );
 }
@@ -254,106 +265,60 @@ fn deadline_overrun_downgrades_and_does_not_pollute_the_cache() {
 fn transient_fault_is_retried_on_the_same_tier() {
     let db = qc_storage::gen_hlike(0.03);
     let session = Session::new(&db);
-    let service = CompileService::default();
-    let trace = TimeTrace::disabled();
-    let (_, plan) = suite_picks().remove(0);
-    let expected = reference::execute(&plan, &db).expect("reference");
-    let stmt = session.statement(&plan).expect("prepare");
-    let prepared = stmt.query();
-
-    let clean = FallbackChain::standard(Isa::Tx64);
-    let flaky: Arc<dyn Backend> = Arc::new(ChaosBackend::on_nth(
-        Arc::clone(&clean.tiers()[0]),
-        0,
-        ChaosFault::TransientError,
-    ));
-    let mut tiers = clean.tiers().to_vec();
-    tiers[0] = flaky;
-    let chain = FallbackChain::new(tiers);
-
-    let (mut compiled, report) = service
-        .compile_with_fallback(prepared, &chain, CompileBudget::default(), &trace)
-        .expect("retry should succeed");
-    assert!(!report.degraded(), "retry must avoid the downgrade");
-    assert_eq!(report.backend_name, "LVM-opt");
-    assert!(service.fault_stats().retries >= 1);
-    let got = session
-        .run(stmt.clone())
-        .execute_compiled(&mut compiled)
-        .expect("execute");
-    assert_eq!(
-        reference::normalize(&got.rows),
-        reference::normalize(&expected)
-    );
+    let pick = &suite_picks()[..1];
+    let (chain, _) = chain_with(|i, tier| {
+        (i == 0).then(|| ChaosBackend::on_nth(Arc::clone(tier), 0, ChaosFault::TransientError))
+    });
+    let report = serve(&session, chain, 1, pick);
+    assert_served(&report.outcomes[0], "LVM-opt", &pick[0].1, &db);
+    assert!(session.compile_service().fault_stats().retries >= 1);
 }
 
 /// Seeded random faults across the whole suite on one long-lived
-/// service: results stay correct, the pool never wedges, and a final
-/// clean pass over the same service warm-hits the cache.
+/// session served by two workers: results stay correct, the pool never
+/// wedges, and a final clean serve over the same session agrees with
+/// the reference, so nothing the chaos serve cached is corrupt.
 #[test]
 fn seeded_chaos_soak_keeps_results_correct() {
     quiet_chaos_panics();
     let db = qc_storage::gen_hlike(0.03);
-    let session = Session::new(&db);
-    let service = CompileService::new(CompileServiceConfig {
-        workers: 4,
-        cache_capacity: 256,
-        ..Default::default()
-    });
-    let trace = TimeTrace::disabled();
-    let clean = FallbackChain::standard(Isa::Tx64);
+    let session = Session::with_config(
+        &db,
+        SessionConfig {
+            compile: CompileServiceConfig {
+                workers: 4,
+                cache_capacity: 256,
+                ..CompileServiceConfig::default()
+            },
+            ..SessionConfig::default()
+        },
+    );
     // Top two tiers each fail ~30% of calls, mixing errors and panics.
-    let mut tiers = clean.tiers().to_vec();
-    tiers[0] = Arc::new(ChaosBackend::seeded(
-        Arc::clone(&clean.tiers()[0]),
-        0x5EED_0001,
-        300,
-        ChaosFault::Panic,
-    ));
-    tiers[1] = Arc::new(ChaosBackend::seeded(
-        Arc::clone(&clean.tiers()[1]),
-        0x5EED_0002,
-        300,
-        ChaosFault::PermanentError,
-    ));
-    let chain = FallbackChain::new(tiers);
-
-    for (name, plan) in suite_picks() {
-        let expected = reference::execute(&plan, &db).expect("reference");
-        let stmt = session.statement(&plan).expect("prepare");
-        let prepared = stmt.query();
-        let (mut compiled, _report) = service
-            .compile_with_fallback(prepared, &chain, CompileBudget::default(), &trace)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let got = session
-            .run(stmt.clone())
-            .execute_compiled(&mut compiled)
-            .expect("execute");
-        assert_eq!(
-            reference::normalize(&got.rows),
-            reference::normalize(&expected),
-            "{name}: wrong result under seeded chaos"
-        );
+    let (chain, _) = chain_with(|i, tier| match i {
+        0 => Some(ChaosBackend::seeded(
+            Arc::clone(tier),
+            0x5EED_0001,
+            300,
+            ChaosFault::Panic,
+        )),
+        1 => Some(ChaosBackend::seeded(
+            Arc::clone(tier),
+            0x5EED_0002,
+            300,
+            ChaosFault::PermanentError,
+        )),
+        _ => None,
+    });
+    let picks = suite_picks();
+    let report = serve(&session, chain, 2, &picks);
+    for (outcome, (_, plan)) in report.outcomes.iter().zip(&picks) {
+        assert_served(outcome, outcome.tier, plan, &db);
     }
 
-    // The same service still serves clean compiles, and nothing the
-    // chaos runs cached is corrupt: a warm pass agrees with reference.
+    let clean = QueryScheduler::try_new(SchedulerConfig::default()).expect("valid config");
     let cheap: Arc<dyn Backend> = Arc::from(backends::lvm_cheap(Isa::Tx64));
-    for (name, plan) in suite_picks() {
-        let expected = reference::execute(&plan, &db).expect("reference");
-        let stmt = session.statement(&plan).expect("prepare");
-        let prepared = stmt.query();
-        let mut compiled = service
-            .compile(prepared, &cheap, &trace)
-            .unwrap_or_else(|e| panic!("clean pass {name}: {e}"));
-        let got = session
-            .run(stmt.clone())
-            .execute_compiled(&mut compiled)
-            .expect("execute");
-        assert_eq!(
-            reference::normalize(&got.rows),
-            reference::normalize(&expected),
-            "{name}: cache served corrupt code after chaos"
-        );
+    let report = clean.serve_session(&session, &cheap, requests(&picks));
+    for (outcome, (_, plan)) in report.outcomes.iter().zip(&picks) {
+        assert_served(outcome, "LVM-cheap", plan, &db);
     }
 }

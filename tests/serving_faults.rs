@@ -2,14 +2,16 @@
 //! cycle/row caps, cancellation), morsel-worker panic isolation, and
 //! the serving scheduler's overload shedding and per-tier circuit
 //! breaker — all driven by the deterministic [`ChaosExecBackend`] so
-//! the faults land *inside* morsel execution.
+//! the faults land *inside* morsel execution. One breaker test injects
+//! compile faults with a [`ChaosBackend`] instead: a failing compile
+//! walks the breaker's chain and trips the failing tier's breaker.
 //!
 //! The headline acceptance test serves 1024 sessions with ~10% of
 //! morsel calls panicking: the process must survive every panic, every
 //! outcome must be accounted for in the [`ServeReport`], and every
 //! surviving result must be byte-identical to the serial reference.
 
-use qc_backend::chaos::{ChaosExecBackend, ExecFault};
+use qc_backend::chaos::{ChaosBackend, ChaosExecBackend, ChaosFault, ExecFault};
 use qc_engine::{
     backends, BreakerPolicy, CancelToken, EngineConfig, EngineError, FallbackChain, OutcomeStatus,
     QueryBudget, QueryScheduler, SchedulerConfig, Session, SessionConfig, SessionRequest,
@@ -505,6 +507,68 @@ fn breaker_trips_and_reroutes_admissions_down_the_chain() {
             "rerouted session {} must match serial rows",
             o.name
         );
+    }
+}
+
+/// A tier whose every compile fails degrades each admission down the
+/// breaker's chain instead of failing it, and its compile faults trip
+/// its breaker: after `trip_after` doomed compiles no admission pays
+/// for another. Without a breaker every request fails on its one tier.
+#[test]
+fn a_failing_compile_walks_the_chain_and_trips_the_breaker() {
+    const N: usize = 6;
+    let db = qc_storage::gen_hlike(0.02);
+    let plan = &qc_workloads::hlike_suite()[0].plan;
+    let expected = qc_plan::reference::execute(plan, &db).expect("reference");
+    let requests = || {
+        (0..N)
+            .map(|i| SessionRequest::new(format!("s{i}"), plan.clone()))
+            .collect::<Vec<_>>()
+    };
+    for with_breaker in [true, false] {
+        let chaos = Arc::new(ChaosBackend::always(
+            clean_clift(),
+            ChaosFault::PermanentError,
+        ));
+        let top: Arc<dyn qc_backend::Backend> = Arc::clone(&chaos) as _;
+        let breaker = with_breaker.then(|| BreakerPolicy {
+            trip_after: 2,
+            cooldown: Duration::from_secs(600),
+            chain: FallbackChain::new(vec![Arc::clone(&top), Arc::from(backends::interpreter())]),
+        });
+        let scheduler = QueryScheduler::try_new(SchedulerConfig {
+            breaker,
+            ..serial_scheduler_config()
+        })
+        .expect("valid scheduler config");
+        let session = Session::new(&db);
+        let modules = session
+            .statement(plan)
+            .expect("prepare")
+            .query()
+            .ir
+            .modules
+            .len() as u64;
+        let report = scheduler.serve_session(&session, &top, requests());
+        if with_breaker {
+            for o in &report.outcomes {
+                assert_eq!(o.status, OutcomeStatus::Ok, "{}: {:?}", o.name, o.error);
+                assert_eq!(o.tier, "Interpreter", "{} served on the floor tier", o.name);
+                assert_eq!(
+                    qc_plan::reference::normalize(&o.rows),
+                    qc_plan::reference::normalize(&expected),
+                    "{}",
+                    o.name
+                );
+            }
+            assert_eq!(report.breaker_trips, 1);
+            assert_eq!(chaos.calls(), 2 * modules, "two doomed compiles, then none");
+        } else {
+            assert_eq!(report.failed(), N, "no breaker: every compile fault fails");
+            assert!(report.outcomes.iter().all(|o| o.tier == "Clift"));
+            assert_eq!(report.breaker_trips, 0);
+            assert_eq!(chaos.calls(), N as u64 * modules);
+        }
     }
 }
 
