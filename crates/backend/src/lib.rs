@@ -371,7 +371,7 @@ impl CodeArtifact for NativeArtifact {
     }
 
     fn content_bytes(&self) -> Vec<u8> {
-        self.builder.content_bytes()
+        self.builder.serialize_bytes()
     }
 
     fn serialize(&self) -> Option<Vec<u8>> {

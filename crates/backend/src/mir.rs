@@ -7,7 +7,49 @@
 //! brings its own assignment and emission pipeline, which is where the
 //! paper's compile-time differences live.
 
+use qc_ir::{CmpOp, Type};
 use qc_target::{AluOp, Cond, FReg, FaluOp, Reg, Width};
+
+/// The operand width of an integer IR type: `Bool` and `I8` are bytes,
+/// and everything wider than `I32` (pointers included) is 64 bits.
+pub fn width_of(ty: Type) -> Width {
+    match ty {
+        Type::Bool | Type::I8 => Width::W8,
+        Type::I16 => Width::W16,
+        Type::I32 => Width::W32,
+        _ => Width::W64,
+    }
+}
+
+/// The condition code testing an integer comparison's flags.
+pub fn cond_of(op: CmpOp) -> Cond {
+    match op {
+        CmpOp::Eq => Cond::Eq,
+        CmpOp::Ne => Cond::Ne,
+        CmpOp::SLt => Cond::Lt,
+        CmpOp::SLe => Cond::Le,
+        CmpOp::SGt => Cond::Gt,
+        CmpOp::SGe => Cond::Ge,
+        CmpOp::ULt => Cond::B,
+        CmpOp::ULe => Cond::Be,
+        CmpOp::UGt => Cond::A,
+        CmpOp::UGe => Cond::Ae,
+    }
+}
+
+/// The condition code testing a float comparison's flags: a float
+/// compare sets the unsigned flags, so signed and unsigned orderings
+/// both map to the unsigned conditions.
+pub fn fcond_of(op: CmpOp) -> Cond {
+    match op {
+        CmpOp::Eq => Cond::Eq,
+        CmpOp::Ne => Cond::Ne,
+        CmpOp::SLt | CmpOp::ULt => Cond::B,
+        CmpOp::SLe | CmpOp::ULe => Cond::Be,
+        CmpOp::SGt | CmpOp::UGt => Cond::A,
+        CmpOp::SGe | CmpOp::UGe => Cond::Ae,
+    }
+}
 
 /// Call target of a runtime call.
 #[derive(Debug, Clone, PartialEq, Eq)]

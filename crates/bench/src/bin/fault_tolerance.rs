@@ -213,16 +213,10 @@ fn main() {
         .iter()
         .filter(|o| o.status == OutcomeStatus::Ok)
         .count();
-    let latencies: Vec<_> = report
-        .outcomes
-        .iter()
-        .filter(|o| o.status != OutcomeStatus::Shed)
-        .map(|o| o.latency)
-        .collect();
+    let latencies: Vec<_> = report.outcomes.iter().map(|o| o.latency).collect();
     println!(
-        "  outcomes: {ok} ok, {} failed, {} shed, {} killed  ({} morsel faults injected)",
+        "  outcomes: {ok} ok, {} failed, {} killed  ({} morsel faults injected)",
         report.failed(),
-        report.shed(),
         report.killed(),
         chaos_exec.injected()
     );

@@ -10,18 +10,14 @@
 //! engine path; any divergence exits non-zero (CI runs this binary as
 //! the parallel-correctness smoke test).
 //!
-//! Flags: `--queries N` (default 1024), `--workers W` (default 4),
-//! `--tier-up` (background-optimize long queries), `--max-queue N`
-//! (admission queue depth; excess sessions are shed), `--shed
-//! reject|oldest` (shed policy when `--max-queue` is set). Env:
-//! `QC_SF`. Shed sessions are reported (greppable `shed sessions:`
-//! line) and excluded from the byte-identical check — shedding is a
-//! correct outcome under overload, not a divergence.
+//! Flags: `--queries N` (default 1024; the whole batch is served, so
+//! this is the queue bound), `--workers W` (default 4), `--tier-up`
+//! (background-optimize long queries). Env: `QC_SF`.
 
 use qc_bench::{env_sf, secs, LatencyStats, MODEL_HZ};
 use qc_engine::{
     backends, EngineConfig, OutcomeStatus, QueryScheduler, SchedulerConfig, ServeReport, Session,
-    SessionConfig, SessionRequest, ShedPolicy,
+    SessionConfig, SessionRequest,
 };
 use qc_runtime::SqlValue;
 use qc_target::Isa;
@@ -42,20 +38,6 @@ fn main() {
     let n_queries = flag_usize(&args, "--queries", 1024);
     let workers = flag_usize(&args, "--workers", 4).max(1);
     let tier_up = args.iter().any(|a| a == "--tier-up");
-    let max_queue = args
-        .iter()
-        .position(|a| a == "--max-queue")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok());
-    let shed_policy = match args
-        .iter()
-        .position(|a| a == "--shed")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        Some("oldest") => ShedPolicy::DropOldest,
-        _ => ShedPolicy::RejectNew,
-    };
 
     let sf = env_sf(0.02);
     let db = qc_storage::gen_dslike(sf);
@@ -93,8 +75,6 @@ fn main() {
         morsel_credits: 8,
         tier_up_backend: tier_up.then(|| Arc::from(backends::lvm_opt(Isa::Tx64))),
         tier_up_inflight: 2,
-        max_queue_depth: max_queue,
-        shed_policy,
         ..Default::default()
     };
     let serve = |w: usize| -> ServeReport {
@@ -113,23 +93,13 @@ fn main() {
 
     let mut divergent = 0usize;
     let mut checked = 0usize;
-    let mut shed_total = 0usize;
     for run in [&baseline, &report] {
         for o in &run.outcomes {
-            match o.status {
-                // Shedding under an explicit queue bound is a correct
-                // overload outcome, not a failure.
-                OutcomeStatus::Shed => {
-                    shed_total += 1;
-                    continue;
-                }
-                OutcomeStatus::Failed | OutcomeStatus::Killed => {
-                    let err = o.error.as_deref().unwrap_or("unknown error");
-                    eprintln!("session {} failed: {err}", o.name);
-                    divergent += 1;
-                    continue;
-                }
-                OutcomeStatus::Ok => {}
+            if o.status != OutcomeStatus::Ok {
+                let err = o.error.as_deref().unwrap_or("unknown error");
+                eprintln!("session {} failed: {err}", o.name);
+                divergent += 1;
+                continue;
             }
             checked += 1;
             let expected = &reference[&o.name];
@@ -144,23 +114,9 @@ fn main() {
             }
         }
     }
-    if max_queue.is_some() {
-        println!(
-            "  shed sessions: {shed_total} (policy {:?}, queue depth {})",
-            shed_policy,
-            max_queue.unwrap_or(0)
-        );
-    }
 
     for (label, r) in [("1 worker", &baseline), ("parallel", &report)] {
-        // Shed sessions never ran; their zero latency would skew the
-        // percentiles downward.
-        let latencies: Vec<_> = r
-            .outcomes
-            .iter()
-            .filter(|o| o.status != OutcomeStatus::Shed)
-            .map(|o| o.latency)
-            .collect();
+        let latencies: Vec<_> = r.outcomes.iter().map(|o| o.latency).collect();
         let stats = LatencyStats::from_samples(&latencies).expect("non-empty run");
         let tiered = r.outcomes.iter().filter(|o| o.tiered_up).count();
         println!(

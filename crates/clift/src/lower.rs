@@ -2,7 +2,7 @@
 //! instruction selection, paper Sec. VI-C2).
 
 use crate::cir::{CBinOp, CInst, CTy, CirFunc};
-use qc_backend::mir::{CallTarget, MInst, RegClass, VCode, VReg, VNONE};
+use qc_backend::mir::{cond_of, fcond_of, CallTarget, MInst, RegClass, VCode, VReg, VNONE};
 use qc_backend::BackendError;
 use qc_ir::CmpOp;
 use qc_target::{AluOp, Cond, FaluOp, Width};
@@ -231,32 +231,6 @@ impl Lowerer<'_> {
         }
     }
 
-    fn cond_of(op: CmpOp) -> Cond {
-        match op {
-            CmpOp::Eq => Cond::Eq,
-            CmpOp::Ne => Cond::Ne,
-            CmpOp::SLt => Cond::Lt,
-            CmpOp::SLe => Cond::Le,
-            CmpOp::SGt => Cond::Gt,
-            CmpOp::SGe => Cond::Ge,
-            CmpOp::ULt => Cond::B,
-            CmpOp::ULe => Cond::Be,
-            CmpOp::UGt => Cond::A,
-            CmpOp::UGe => Cond::Ae,
-        }
-    }
-
-    fn fcond_of(op: CmpOp) -> Cond {
-        match op {
-            CmpOp::Eq => Cond::Eq,
-            CmpOp::Ne => Cond::Ne,
-            CmpOp::SLt | CmpOp::ULt => Cond::B,
-            CmpOp::SLe | CmpOp::ULe => Cond::Be,
-            CmpOp::SGt | CmpOp::UGt => Cond::A,
-            CmpOp::SGe | CmpOp::UGe => Cond::Ae,
-        }
-    }
-
     fn emit_icmp_flags(&mut self, inst_idx: u32) -> Cond {
         let CInst::Icmp { cond, args } = self.cir.insts[inst_idx as usize].clone() else {
             unreachable!()
@@ -275,7 +249,7 @@ impl Lowerer<'_> {
                 b: self.lo(args[1]),
             });
         }
-        Self::cond_of(cond)
+        cond_of(cond)
     }
 
     fn emit_cmp128(&mut self, cond: CmpOp, args: [u32; 2], dst: VReg) {
@@ -310,7 +284,7 @@ impl Lowerer<'_> {
                     s2: t2,
                 });
                 self.cur.push(MInst::SetCc {
-                    cond: Self::cond_of(cond),
+                    cond: cond_of(cond),
                     d: dst,
                 });
             }
@@ -416,7 +390,7 @@ impl Lowerer<'_> {
                     b: self.lo(args[1]),
                 });
                 self.cur.push(MInst::SetCc {
-                    cond: Self::fcond_of(cond),
+                    cond: fcond_of(cond),
                     d: self.lo(res),
                 });
             }

@@ -120,9 +120,8 @@ pub struct CompileServiceConfig {
     pub workers: usize,
     /// Maximum number of cached artifacts; 0 disables caching.
     pub cache_capacity: usize,
-    /// Budget applied to jobs submitted through [`CompileService::compile`]
-    /// and [`CompileService::spawn_compile`];
-    /// [`CompileService::compile_budgeted`] overrides it per call.
+    /// Budget of every job submitted through [`CompileService::compile`]
+    /// and [`CompileService::spawn_compile`].
     pub budget: CompileBudget,
 }
 
@@ -625,29 +624,15 @@ impl CompileService {
         self.pool.worker_count()
     }
 
-    /// Compiles every pipeline of `prepared` with `backend` under the
-    /// service's default [`CompileBudget`]; see
-    /// [`CompileService::compile_budgeted`].
-    ///
-    /// # Errors
-    /// Returns [`EngineError::Backend`] when any module is rejected.
-    pub fn compile(
-        &self,
-        prepared: &PreparedQuery,
-        backend: &Arc<dyn Backend>,
-        trace: &TimeTrace,
-    ) -> Result<CompiledQuery, EngineError> {
-        self.compile_budgeted(prepared, backend, self.default_budget, trace)
-    }
-
     /// Compiles every pipeline of `prepared` with `backend`, the calling
     /// thread and free pool workers sharing the cache misses, and
     /// reassembles the executables in pipeline order. Per-phase timings
     /// are merged into `trace` in pipeline order, so the merged trace is
     /// deterministic regardless of who compiled what.
     ///
-    /// Each module compile is one isolated job under `budget`: panics
-    /// are caught, deadline overruns degrade into errors, transient
+    /// Each module compile is one isolated job under the service's
+    /// [`CompileBudget`] ([`CompileServiceConfig::budget`]): panics are
+    /// caught, deadline overruns degrade into errors, transient
     /// failures are retried with backoff. A failed job never poisons
     /// the cache (only successful in-budget artifacts are inserted) and
     /// never stalls the reply merge (every job replies exactly once).
@@ -660,18 +645,17 @@ impl CompileService {
     /// # Errors
     /// Returns [`EngineError::Backend`] when any module is rejected;
     /// the error of the lowest-numbered failing pipeline wins.
-    pub fn compile_budgeted(
+    pub fn compile(
         &self,
         prepared: &PreparedQuery,
         backend: &Arc<dyn Backend>,
-        budget: CompileBudget,
         trace: &TimeTrace,
     ) -> Result<CompiledQuery, EngineError> {
         let module = |i: usize| Arc::clone(&prepared.ir.modules[i]);
         let compiled = compile_query(
             (prepared.module_hashes(), module),
             backend,
-            budget,
+            self.default_budget,
             trace,
             &self.cache,
             &self.faults,

@@ -16,7 +16,6 @@
 
 use crate::artifact_store::{ArtifactStore, StatementKey};
 use crate::compile_service::{assemble, compile_one, PendingCompile};
-use crate::morsel_exec::ExecTally;
 use qc_backend::{Backend, BackendError, CodeArtifact, CompileStats, Executable};
 use qc_codegen::{generate, GeneratedQuery};
 use qc_plan::{PhysicalPlan, PlanError, PlanNode, RowLayout};
@@ -61,7 +60,7 @@ pub enum EngineError {
         /// The configured deadline.
         limit: Duration,
         /// Cycles/instructions charged before execution stopped.
-        partial: ExecTally,
+        partial: ExecStats,
     },
     /// A deterministic [`QueryBudget`] bound ran out (model cycles or
     /// result rows). Execution stops at the next morsel boundary.
@@ -73,12 +72,12 @@ pub enum EngineError {
         /// The configured bound.
         limit: u64,
         /// Cycles/instructions charged before execution stopped.
-        partial: ExecTally,
+        partial: ExecStats,
     },
     /// The query was cancelled through its [`CancelToken`].
     Cancelled {
         /// Cycles/instructions charged before execution stopped.
-        partial: ExecTally,
+        partial: ExecStats,
     },
     /// A morsel worker panicked and the single retry pass could not
     /// recover the query (or panicked again). The process survives; the
@@ -215,7 +214,7 @@ impl QueryBudget {
     pub(crate) fn check(
         &self,
         started: Instant,
-        tally: ExecTally,
+        tally: ExecStats,
         rows: u64,
     ) -> Result<(), EngineError> {
         if let Some(token) = &self.cancel {

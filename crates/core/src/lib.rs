@@ -53,10 +53,9 @@ pub use engine::{
     CancelToken, CompiledQuery, Engine, EngineConfig, EngineError, ExecutionResult, LazyIr,
     PreparedQuery, QueryBudget, FRONTEND_STAMP,
 };
-pub use morsel_exec::ExecTally;
 pub use scheduler::{
     BreakerPolicy, FallbackChain, OutcomeStatus, QueryOutcome, QueryScheduler, SchedulerConfig,
-    ServeReport, SessionRequest, ShedPolicy,
+    ServeReport, SessionRequest,
 };
 pub use session::{PreparedStatement, QueryRun, Session, SessionConfig, StatementCacheStats};
 

@@ -2,10 +2,11 @@
 //!
 //! Three layers live here and in the two files below this one:
 //!
-//! 1. [`ExecTally`] — swap-safe cycle accounting. Every generated-code
-//!    call is charged by its own before/after [`qc_backend::Executable::exec_stats`]
-//!    delta, so totals do not depend on *which* executable instance
-//!    (tier, worker clone) performed which call.
+//! 1. `charge` — swap-safe cycle accounting into an [`ExecStats`].
+//!    Every generated-code call is charged by its own before/after
+//!    [`qc_backend::Executable::exec_stats`] delta, so totals do not
+//!    depend on *which* executable instance (tier, worker clone)
+//!    performed which call.
 //! 2. [`QueryExecution`] — the pipeline driver, the only code in the
 //!    crate that walks a query's pipelines: per pipeline a budget
 //!    check, the canonical `setup`, the morsels, a barrier check and
@@ -81,57 +82,23 @@ mod parallel;
 // Swap-safe cycle accounting
 // ---------------------------------------------------------------------
 
-/// Accumulated deterministic execution cost, charged per generated-code
-/// call rather than against a per-tier baseline. Budget errors
-/// ([`EngineError::BudgetExhausted`] and friends) carry one of these as
-/// the partial accounting of the work done before the budget tripped.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ExecTally {
-    /// Deterministic cycles.
-    pub cycles: u64,
-    /// Emulated instructions.
-    pub insts: u64,
-}
-
-impl ExecTally {
-    /// Calls `name` in `exe` and charges the executable's cycle and
-    /// instruction deltas to this tally. Because the delta brackets one
-    /// call, accounting stays correct across mid-query executable swaps
-    /// and when many workers report independently.
-    fn charge(
-        &mut self,
-        exe: &mut dyn Executable,
-        state: &mut RuntimeState,
-        name: &str,
-        args: &[u64],
-    ) -> Result<[u64; 2], Trap> {
-        let before = exe.exec_stats();
-        let out = exe.call(state, name, args);
-        let after = exe.exec_stats();
-        self.cycles += after.cycles - before.cycles;
-        self.insts += after.insts - before.insts;
-        out
-    }
-}
-
-impl std::ops::Add for ExecTally {
-    type Output = ExecTally;
-    fn add(self, other: ExecTally) -> ExecTally {
-        ExecTally {
-            cycles: self.cycles + other.cycles,
-            insts: self.insts + other.insts,
-        }
-    }
-}
-
-impl std::ops::Sub for ExecTally {
-    type Output = ExecTally;
-    fn sub(self, earlier: ExecTally) -> ExecTally {
-        ExecTally {
-            cycles: self.cycles - earlier.cycles,
-            insts: self.insts - earlier.insts,
-        }
-    }
+/// Calls `name` in `exe` and charges the executable's cycle and
+/// instruction deltas to `tally`, the accumulated deterministic cost
+/// that budget errors ([`EngineError::BudgetExhausted`] and friends)
+/// carry as their partial accounting. Because the delta brackets one
+/// call, accounting stays correct across mid-query executable swaps and
+/// when many workers report independently.
+fn charge(
+    tally: &mut ExecStats,
+    exe: &mut dyn Executable,
+    state: &mut RuntimeState,
+    name: &str,
+    args: &[u64],
+) -> Result<[u64; 2], Trap> {
+    let before = exe.exec_stats();
+    let out = exe.call(state, name, args);
+    *tally = *tally + (exe.exec_stats() - before);
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -227,7 +194,7 @@ pub(crate) struct QueryExecution {
     /// Morsels of the current pipeline, and the next one to run.
     morsels: Vec<Morsel>,
     next: usize,
-    tally: ExecTally,
+    tally: ExecStats,
     /// Worker cycles off the critical path: per parallel pipeline, what
     /// the workers charged beyond the busiest one of them.
     overlapped_cycles: u64,
@@ -253,7 +220,7 @@ impl QueryExecution {
             setup_done: false,
             morsels: Vec::new(),
             next: 0,
-            tally: ExecTally::default(),
+            tally: ExecStats::default(),
             overlapped_cycles: 0,
             out_ready: false,
             rows: Vec::new(),
@@ -290,7 +257,7 @@ impl QueryExecution {
         args: &[u64],
     ) -> Result<(), EngineError> {
         let exe = compiled.executables[self.pipe_idx].as_mut();
-        self.tally.charge(exe, &mut self.state, name, args)?;
+        charge(&mut self.tally, exe, &mut self.state, name, args)?;
         Ok(())
     }
 
@@ -481,10 +448,7 @@ impl QueryExecution {
     pub(crate) fn into_result(self, compiled: &CompiledQuery) -> ExecutionResult {
         ExecutionResult {
             rows: self.rows,
-            exec_stats: ExecStats {
-                cycles: self.tally.cycles,
-                insts: self.tally.insts,
-            },
+            exec_stats: self.tally,
             critical_path_cycles: self.tally.cycles - self.overlapped_cycles,
             compile_time: compiled.compile_time,
             compile_stats: compiled.compile_stats.clone(),

@@ -10,13 +10,14 @@
 //! pipeline started in: a tier swapped in between two driver steps
 //! reaches the next pipeline's workers.
 
-use super::{ctx_handle, ExecTally};
+use super::{charge, ctx_handle};
 use crate::engine::{CompiledQuery, EngineError, QueryBudget};
 use crate::supervise::{lock_recover, panic_text, supervise};
 use qc_backend::Executable;
 use qc_plan::{CtxEntry, PhysicalPlan, Pipeline, Sink};
 use qc_runtime::RuntimeState;
 use qc_storage::Morsel;
+use qc_target::ExecStats;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -52,7 +53,7 @@ struct WorkerOutput {
     state: RuntimeState,
     records: Vec<MorselRecord>,
     /// This worker's total charged cycles (critical-path reporting).
-    tally: ExecTally,
+    tally: ExecStats,
     /// `(morsel index, error)`; `usize::MAX` marks a setup failure.
     error: Option<(usize, EngineError)>,
 }
@@ -62,7 +63,7 @@ struct WorkerOutput {
 /// error of the check that tripped it first.
 struct Progress {
     /// The query's tally with every completed morsel of this pipeline.
-    tally: ExecTally,
+    tally: ExecStats,
     /// Result rows the completed morsels added (output sinks only).
     rows: u64,
     budget_err: Option<EngineError>,
@@ -78,7 +79,7 @@ fn lost_worker(ctx: &[u8], msg: String) -> WorkerOutput {
         ctx: ctx.to_vec(),
         state: RuntimeState::new(),
         records: Vec::new(),
-        tally: ExecTally::default(),
+        tally: ExecStats::default(),
         error: Some((usize::MAX, EngineError::WorkerPanic(msg))),
     }
 }
@@ -115,7 +116,7 @@ impl ParallelPipeline<'_> {
     /// One budget check while this pipeline's output is still
     /// distributed across workers: `rows_delta` is what its completed
     /// morsels added so far.
-    fn check_budget(&self, tally: ExecTally, rows_delta: u64) -> Result<(), EngineError> {
+    fn check_budget(&self, tally: ExecStats, rows_delta: u64) -> Result<(), EngineError> {
         self.budget
             .check(self.started, tally, self.rows_before + rows_delta)
     }
@@ -143,7 +144,7 @@ impl ParallelPipeline<'_> {
         state: &mut RuntimeState,
         ctx: &[u8],
         compiled: &CompiledQuery,
-        tally: &mut ExecTally,
+        tally: &mut ExecStats,
         worker_exes: Vec<Box<dyn Executable>>,
     ) -> Result<u64, EngineError> {
         let workers = worker_exes.len();
@@ -167,7 +168,7 @@ impl ParallelPipeline<'_> {
         // within one morsel per worker of the budget tripping.
         let run = |w: usize, (wstate, wctx, exe): WorkerJob| {
             let claims = (w..self.morsels.len()).step_by(workers);
-            let mut reported = ExecTally::default();
+            let mut reported = ExecStats::default();
             worker_run(&shared, claims, wstate, wctx, exe, &mut |spent, grown| {
                 if !has_budget {
                     return Ok(());
@@ -217,7 +218,7 @@ impl ParallelPipeline<'_> {
         // idle worker's setup, a trapped morsel's partial cost).
         let charged = outputs
             .iter()
-            .fold(ExecTally::default(), |sum, o| sum + o.tally);
+            .fold(ExecStats::default(), |sum, o| sum + o.tally);
         *tally = *tally + charged;
 
         if let Some(e) = lock_recover(&progress).budget_err.take() {
@@ -296,7 +297,7 @@ impl ParallelPipeline<'_> {
         ctx: &[u8],
         compiled: &CompiledQuery,
         missing: Vec<usize>,
-        spent_before: ExecTally,
+        spent_before: ExecStats,
     ) -> Result<WorkerOutput, EngineError> {
         let exe = compiled.artifacts[self.pipe_idx]
             .instantiate()
@@ -336,13 +337,13 @@ impl ParallelPipeline<'_> {
 /// [`EngineError::WorkerPanic`] the retry pass can recover from,
 /// instead of unwinding through the scope.
 fn call_supervised(
-    tally: &mut ExecTally,
+    tally: &mut ExecStats,
     exe: &mut dyn Executable,
     wstate: &mut RuntimeState,
     name: &str,
     args: &[u64],
 ) -> Result<(), EngineError> {
-    supervise(|| tally.charge(exe, wstate, name, args)).map_err(EngineError::WorkerPanic)??;
+    supervise(|| charge(tally, exe, wstate, name, args)).map_err(EngineError::WorkerPanic)??;
     Ok(())
 }
 
@@ -359,10 +360,10 @@ fn worker_run(
     mut wstate: RuntimeState,
     wctx: Vec<u8>,
     mut exe: Box<dyn Executable>,
-    completed: &mut dyn FnMut(ExecTally, u64) -> Result<(), EngineError>,
+    completed: &mut dyn FnMut(ExecStats, u64) -> Result<(), EngineError>,
 ) -> WorkerOutput {
     let ctx_addr = wctx.as_ptr() as u64;
-    let mut tally = ExecTally::default();
+    let mut tally = ExecStats::default();
     let mut records = Vec::new();
 
     // Worker-local setup: creates this pipeline's sink containers in

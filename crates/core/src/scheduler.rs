@@ -17,10 +17,11 @@
 //!   wait as pending requests. This bounds memory (each admitted query
 //!   holds executables and runtime state) and keeps the cache warm-up
 //!   serial enough to be effective.
-//! * **Overload shedding.** With [`SchedulerConfig::max_queue_depth`]
-//!   set, submissions beyond the depth are shed up front per
-//!   [`ShedPolicy`] — rejected with an [`OutcomeStatus::Shed`] outcome
-//!   instead of queueing unboundedly.
+//! * **The batch as given.** A serve takes the caller's whole batch as
+//!   its arrival queue and admits every request in it: the caller bounds
+//!   the queue by what it submits. Each request carries its own
+//!   execution budget ([`SessionRequest::with_budget`]); one without
+//!   runs unlimited.
 //! * **Shortest remaining first.** A free worker makes one pick under
 //!   the state lock: of the admitted queries waiting for a worker and —
 //!   while an admission slot is free — the pending requests, it takes
@@ -62,10 +63,10 @@
 //!   chain's last tier fails too.
 //!
 //! Policy and driver. Every decision above is a method of the private
-//! `SchedState`, the state the workers share, and each method takes the
-//! [`SchedulerConfig`] and a `now` from its caller:
+//! `SchedState`, the state the workers share, and each method past `new`
+//! takes the [`SchedulerConfig`] and a `now` from its caller:
 //!
-//! * `SchedState::new` sheds up front and orders the pending requests;
+//! * `SchedState::new` only orders the batch;
 //! * `pick` is the order, and routes a picked admission past open
 //!   breakers;
 //! * `admitted` files an admission's result: the query waits for a
@@ -98,20 +99,6 @@ use qc_timing::TimeTrace;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// What happens to submissions beyond
-/// [`SchedulerConfig::max_queue_depth`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShedPolicy {
-    /// Shed the newest submissions (tail of the queue); the oldest
-    /// waiters keep their place. The default.
-    #[default]
-    RejectNew,
-    /// Shed the oldest submissions; the freshest requests are served
-    /// (a recency-biased policy for workloads where stale queries have
-    /// lost their value).
-    DropOldest,
-}
 
 /// An ordered list of back-end tiers, most desirable first: the
 /// degradation ladder of a [`BreakerPolicy`].
@@ -199,14 +186,6 @@ pub struct SchedulerConfig {
     pub tier_up_backend: Option<Arc<dyn Backend>>,
     /// Maximum concurrent background tier-up compiles.
     pub tier_up_inflight: usize,
-    /// Bound on accepted submissions per serve; beyond it, requests are
-    /// shed per [`SchedulerConfig::shed_policy`]. `None` accepts all.
-    pub max_queue_depth: Option<usize>,
-    /// Which submissions to shed when over `max_queue_depth`.
-    pub shed_policy: ShedPolicy,
-    /// Default execution budget applied to every request that does not
-    /// carry its own ([`SessionRequest::with_budget`] overrides).
-    pub query_budget: Option<QueryBudget>,
     /// Per-tier circuit breaker on execution and compile faults, with
     /// its fallback chain. `None` fails a request on its first fault.
     pub breaker: Option<BreakerPolicy>,
@@ -220,9 +199,6 @@ impl Default for SchedulerConfig {
             morsel_credits: 8,
             tier_up_backend: None,
             tier_up_inflight: 2,
-            max_queue_depth: None,
-            shed_policy: ShedPolicy::RejectNew,
-            query_budget: None,
             breaker: None,
         }
     }
@@ -233,10 +209,9 @@ impl SchedulerConfig {
     ///
     /// # Errors
     /// Returns [`EngineError::Config`] when `workers`,
-    /// `admission_limit` or `morsel_credits` is zero, when a set
-    /// `max_queue_depth` is zero, when the breaker trips after zero
-    /// faults, or when a `tier_up_backend` is
-    /// set with no tier-up slot (`tier_up_inflight == 0`).
+    /// `admission_limit` or `morsel_credits` is zero, when the breaker
+    /// trips after zero faults, or when a `tier_up_backend` is set with
+    /// no tier-up slot (`tier_up_inflight == 0`).
     pub fn validate(&self) -> Result<(), EngineError> {
         if self.workers == 0 {
             return Err(EngineError::Config(
@@ -251,11 +226,6 @@ impl SchedulerConfig {
         if self.morsel_credits == 0 {
             return Err(EngineError::Config(
                 "morsel credits must be > 0".to_string(),
-            ));
-        }
-        if self.max_queue_depth == Some(0) {
-            return Err(EngineError::Config(
-                "max_queue_depth must be > 0 when set".to_string(),
             ));
         }
         if let Some(b) = &self.breaker {
@@ -280,13 +250,12 @@ pub struct SessionRequest {
     pub name: String,
     /// The logical plan to serve.
     pub plan: PlanNode,
-    /// Per-request execution budget; `None` falls back to
-    /// [`SchedulerConfig::query_budget`].
+    /// Per-request execution budget; `None` runs unlimited.
     pub budget: Option<QueryBudget>,
 }
 
 impl SessionRequest {
-    /// A request with the scheduler's default budget.
+    /// A request with no execution budget.
     pub fn new(name: impl Into<String>, plan: PlanNode) -> Self {
         SessionRequest {
             name: name.into(),
@@ -310,8 +279,6 @@ pub enum OutcomeStatus {
     Ok,
     /// Failed with an execution or compilation error.
     Failed,
-    /// Rejected up front by overload shedding — never admitted.
-    Shed,
     /// Stopped by its [`QueryBudget`] (deadline, cycle/row cap,
     /// cancellation).
     Killed,
@@ -333,8 +300,7 @@ pub struct QueryOutcome {
     pub cycles: u64,
     /// Name of the back-end tier the request was admitted on: the
     /// serve's back-end, or a tier of the breaker's chain. A request
-    /// that failed every tier names the last one it tried; a shed one
-    /// names none.
+    /// that failed every tier names the last one it tried.
     pub tier: &'static str,
     /// Whether the optimizing tier ([`SchedulerConfig::tier_up_backend`])
     /// was adopted mid-query and then ran a slice that left the query
@@ -368,7 +334,7 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Completed queries per wall-clock second: shed, failed and killed
+    /// Completed queries per wall-clock second: failed and killed
     /// sessions do not count.
     pub fn throughput_qps(&self) -> f64 {
         self.count(OutcomeStatus::Ok) as f64 / self.wall.as_secs_f64().max(1e-9)
@@ -390,19 +356,12 @@ impl ServeReport {
         self.count(OutcomeStatus::Failed)
     }
 
-    /// Sessions shed by overload protection (never admitted).
-    pub fn shed(&self) -> usize {
-        self.count(OutcomeStatus::Shed)
-    }
-
     /// Sessions killed by their budget.
     pub fn killed(&self) -> usize {
         self.count(OutcomeStatus::Killed)
     }
 
-    /// Sessions that did not complete: failed + killed. Shed sessions
-    /// are counted separately ([`ServeReport::shed`]) — they were
-    /// rejected by policy, not broken by a fault.
+    /// Sessions that did not complete: failed + killed.
     pub fn failures(&self) -> usize {
         self.failed() + self.killed()
     }
@@ -513,33 +472,18 @@ struct SchedState {
 }
 
 impl SchedState {
-    /// The state of one serve of the `pending` batch. This serve model
-    /// takes the whole batch as the arrival queue, so overload shedding
-    /// happens here, at `now`, before any work starts: what exceeds
-    /// `max_queue_depth` is shed per [`ShedPolicy`]. The rest is ordered
-    /// for [`SchedState::pick`].
-    fn new(config: &SchedulerConfig, pending: VecDeque<Pending>, now: Instant) -> SchedState {
-        let total = pending.len();
-        let mut g = SchedState {
-            pending,
-            outcomes: (0..total).map(|_| None).collect(),
-            ..SchedState::default()
-        };
-        let depth = config.max_queue_depth.unwrap_or(usize::MAX);
-        while g.pending.len() > depth {
-            let shed = match config.shed_policy {
-                ShedPolicy::RejectNew => g.pending.pop_back(),
-                ShedPolicy::DropOldest => g.pending.pop_front(),
-            };
-            let Some(Pending { ticket, .. }) = shed else {
-                break;
-            };
-            g.retire(ticket, false, now, Ending::Shed { depth, total });
-        }
-        g.pending
+    /// The state of one serve of the `pending` batch, which this serve
+    /// model takes whole as the arrival queue, ordered for
+    /// [`SchedState::pick`].
+    fn new(mut pending: VecDeque<Pending>) -> SchedState {
+        pending
             .make_contiguous()
             .sort_by_key(|p| (p.morsels, p.ticket.index));
-        g
+        SchedState {
+            outcomes: (0..pending.len()).map(|_| None).collect(),
+            pending,
+            ..SchedState::default()
+        }
     }
 
     /// The one scheduling decision: of the admitted queries waiting for
@@ -734,12 +678,9 @@ impl SchedState {
     /// background compile is still in flight for it, its tier-up slot)
     /// and records the [`QueryOutcome`] with its latency at `now`.
     fn retire(&mut self, who: Ticket, tier_pending: bool, now: Instant, ending: Ending) {
-        // Shed and lost sessions were never admitted; a shed one never ran.
-        let admitted = !matches!(ending, Ending::Shed { .. } | Ending::Lost);
-        let latency = match ending {
-            Ending::Shed { .. } => Duration::ZERO,
-            _ => now.saturating_duration_since(who.submitted),
-        };
+        // A lost session was never admitted.
+        let admitted = !matches!(ending, Ending::Lost);
+        let latency = now.saturating_duration_since(who.submitted);
         let (status, rows, cycles, error) = match ending {
             Ending::Finished(result) => (
                 OutcomeStatus::Ok,
@@ -756,14 +697,6 @@ impl SchedState {
                 };
                 (status, Vec::new(), cycles, Some(err.to_string()))
             }
-            Ending::Shed { depth, total } => (
-                OutcomeStatus::Shed,
-                Vec::new(),
-                0,
-                Some(format!(
-                    "shed: queue depth {depth} exceeded ({total} submitted)"
-                )),
-            ),
             Ending::Lost => (
                 OutcomeStatus::Failed,
                 Vec::new(),
@@ -836,7 +769,7 @@ impl QueryScheduler {
                 tier: None,
             });
         let shared = Shared {
-            state: Mutex::new(SchedState::new(&self.config, pending.collect(), start)),
+            state: Mutex::new(SchedState::new(pending.collect())),
             cv: Condvar::new(),
         };
         let worker_busy: Vec<Duration> = std::thread::scope(|s| {
@@ -923,7 +856,7 @@ fn serve_worker(
                 // compiler fails this session, not the serve loop. The
                 // request stays out here, so a failed compile can go
                 // back to the queue on another tier.
-                let admitted = supervise(|| admit(session, &backend, config, &request))
+                let admitted = supervise(|| admit(session, &backend, &request))
                     .unwrap_or_else(|panic| Err(EngineError::WorkerPanic(panic)));
                 busy += t0.elapsed();
                 let mut g = lock_recover(&shared.state);
@@ -962,7 +895,6 @@ fn serve_worker(
 fn admit(
     session: &Session<'_>,
     backend: &Arc<dyn Backend>,
-    config: &SchedulerConfig,
     Pending { ticket, req, .. }: &Pending,
 ) -> Result<Active, EngineError> {
     let engine = session.engine();
@@ -974,11 +906,7 @@ fn admit(
     let compiled = session
         .compile_service()
         .compile(&prepared, backend, &TimeTrace::disabled())?;
-    let budget = req
-        .budget
-        .clone()
-        .or_else(|| config.query_budget.clone())
-        .unwrap_or_default();
+    let budget = req.budget.clone().unwrap_or_default();
     // Sessions run single-threaded: the scheduler is the inter-query
     // parallelism axis (see the module docs).
     let exec = QueryExecution::new(1, budget);
@@ -1029,8 +957,6 @@ enum Ending {
     /// Admission or an execution slice failed; a tripped
     /// [`QueryBudget`] counts as a kill, everything else as a failure.
     Errored(EngineError),
-    /// Rejected up front by overload shedding.
-    Shed { depth: usize, total: usize },
     /// No worker recorded an outcome (every worker died).
     Lost,
 }
@@ -1100,7 +1026,7 @@ mod tests {
     /// background compile back — `Done` used to keep it.
     #[test]
     fn retire_releases_a_pending_tier_slot_on_every_ending() {
-        let partial = crate::ExecTally {
+        let partial = qc_target::ExecStats {
             cycles: 9,
             insts: 3,
         };
@@ -1151,21 +1077,6 @@ mod tests {
             .iter()
             .flatten()
             .all(|o| o.status == OutcomeStatus::Failed));
-    }
-
-    /// Shed sessions were never admitted: retiring one must not take an
-    /// admission slot from a running session.
-    #[test]
-    fn retire_of_a_shed_session_holds_no_admission_slot() {
-        let mut g = state(2, 0);
-        g.active = 1;
-        let ticket = Ticket::new(1, "late".to_string(), Instant::now());
-        let ending = Ending::Shed { depth: 1, total: 2 };
-        g.retire(ticket, false, Instant::now(), ending);
-        assert_eq!((g.active, g.done), (1, 1));
-        let shed = g.outcomes[1].as_ref().expect("recorded");
-        assert_eq!(shed.status, OutcomeStatus::Shed);
-        assert_eq!(shed.latency, Duration::ZERO);
     }
 
     fn breaker_config() -> (SchedulerConfig, Arc<dyn Backend>) {
@@ -1498,11 +1409,11 @@ mod tests {
         assert_eq!(tiered_up, [false, true]);
     }
 
-    /// Throughput counts completed queries only: 2 ok, 2 shed and 1
+    /// Throughput counts completed queries only: 2 ok, 2 killed and 1
     /// failed session over one second is 2 queries per second, not 5.
     #[test]
     fn throughput_counts_completed_queries_only() {
-        use OutcomeStatus::{Failed, Shed};
+        use OutcomeStatus::{Failed, Killed};
         let ok = OutcomeStatus::Ok;
         let outcome = |status| QueryOutcome {
             name: String::new(),
@@ -1516,7 +1427,7 @@ mod tests {
             error: None,
         };
         let report = ServeReport {
-            outcomes: [ok, ok, Shed, Shed, Failed].map(outcome).into(),
+            outcomes: [ok, ok, Killed, Killed, Failed].map(outcome).into(),
             wall: Duration::from_secs(1),
             busy: Duration::ZERO,
             worker_busy: Vec::new(),

@@ -34,7 +34,7 @@
 //! module must actually be compiled (see [`crate::ArtifactStore`]).
 
 use crate::artifact_store::ArtifactStoreConfig;
-use crate::compile_service::{CompileBudget, CompileService, CompileServiceConfig};
+use crate::compile_service::{CompileService, CompileServiceConfig};
 use crate::engine::{
     CompiledQuery, Engine, EngineConfig, EngineError, ExecutionResult, PreparedQuery, QueryBudget,
 };
@@ -300,7 +300,6 @@ impl<'db> Session<'db> {
             backend: None,
             trace: None,
             workers: 1,
-            budget: None,
             query_budget: None,
             direct: false,
         }
@@ -318,15 +317,15 @@ impl<'db> Session<'db> {
 
 /// A builder-style query run over a [`Session`], created by
 /// [`Session::prepare`] or [`Session::run`]. Defaults: the session's
-/// default back-end, no trace, single-threaded execution, the compile
-/// service's default budget.
+/// default back-end, no trace, single-threaded execution and no
+/// execution budget. A compile runs under the compile service's
+/// [`crate::CompileBudget`].
 pub struct QueryRun<'s, 'db> {
     session: &'s Session<'db>,
     statement: PreparedStatement,
     backend: Option<Arc<dyn Backend>>,
     trace: Option<&'s TimeTrace>,
     workers: usize,
-    budget: Option<CompileBudget>,
     query_budget: Option<QueryBudget>,
     direct: bool,
 }
@@ -377,18 +376,11 @@ impl<'s, 'db> QueryRun<'s, 'db> {
         self
     }
 
-    /// Overrides the compile service's default [`CompileBudget`].
-    #[must_use]
-    pub fn budget(mut self, budget: CompileBudget) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
     /// Bounds *execution* with a [`QueryBudget`]: wall-clock deadline,
     /// model-cycle cap, result-row cap, and/or a cancellation token,
     /// each checked at every morsel claim — serial or parallel — so a
     /// tripped budget stops the query within one morsel and surfaces
-    /// the typed budget error with partial [`crate::ExecTally`]
+    /// the typed budget error with partial [`qc_target::ExecStats`]
     /// accounting.
     #[must_use]
     pub fn query_budget(mut self, budget: QueryBudget) -> Self {
@@ -423,10 +415,10 @@ impl<'s, 'db> QueryRun<'s, 'db> {
         let disabled = TimeTrace::disabled();
         let trace = self.trace.unwrap_or(&disabled);
         let (query, service) = (self.statement.query(), &self.session.service);
-        match (self.direct, self.budget) {
-            (true, _) => self.session.engine.compile(query, backend.as_ref(), trace),
-            (false, Some(budget)) => service.compile_budgeted(query, &backend, budget, trace),
-            (false, None) => service.compile(query, &backend, trace),
+        if self.direct {
+            self.session.engine.compile(query, backend.as_ref(), trace)
+        } else {
+            service.compile(query, &backend, trace)
         }
     }
 

@@ -1,5 +1,6 @@
 //! The single code-generation pass.
 
+use qc_backend::mir::{cond_of, fcond_of, width_of};
 use qc_backend::{BackendError, CompileStats};
 use qc_ir::{
     Block, CastOp, Cfg, CmpOp, Function, InstData, Liveness, Loops, Module, Opcode,
@@ -22,15 +23,6 @@ pub struct Analysis {
     pub live: Liveness,
 }
 
-fn ty_width(ty: Type) -> Width {
-    match ty {
-        Type::Bool | Type::I8 => Width::W8,
-        Type::I16 => Width::W16,
-        Type::I32 => Width::W32,
-        _ => Width::W64,
-    }
-}
-
 fn alu_of(op: Opcode) -> AluOp {
     match op {
         Opcode::Add | Opcode::SAddTrap | Opcode::SAddOvf => AluOp::Add,
@@ -44,32 +36,6 @@ fn alu_of(op: Opcode) -> AluOp {
         Opcode::AShr => AluOp::Sar,
         Opcode::RotR => AluOp::Rotr,
         _ => unreachable!("not a plain ALU op"),
-    }
-}
-
-fn cond_of(op: CmpOp) -> Cond {
-    match op {
-        CmpOp::Eq => Cond::Eq,
-        CmpOp::Ne => Cond::Ne,
-        CmpOp::SLt => Cond::Lt,
-        CmpOp::SLe => Cond::Le,
-        CmpOp::SGt => Cond::Gt,
-        CmpOp::SGe => Cond::Ge,
-        CmpOp::ULt => Cond::B,
-        CmpOp::ULe => Cond::Be,
-        CmpOp::UGt => Cond::A,
-        CmpOp::UGe => Cond::Ae,
-    }
-}
-
-fn fcond_of(op: CmpOp) -> Cond {
-    match op {
-        CmpOp::Eq => Cond::Eq,
-        CmpOp::Ne => Cond::Ne,
-        CmpOp::SLt | CmpOp::ULt => Cond::B,
-        CmpOp::SLe | CmpOp::ULe => Cond::Be,
-        CmpOp::SGt | CmpOp::UGt => Cond::A,
-        CmpOp::SGe | CmpOp::UGe => Cond::Ae,
     }
 }
 
@@ -722,7 +688,7 @@ fn emit_inst(e: &mut Emit, block: Block, inst: qc_ir::Inst) -> Result<(), Backen
             } else {
                 let a = e.use_half(args[0], 0);
                 let b = e.use_half(args[1], 0);
-                e.asm.cmp_rr(ty_width(ty), a, b);
+                e.asm.cmp_rr(width_of(ty), a, b);
                 e.consume(args[0]);
                 e.consume(args[1]);
                 let dst = e.alloc_reg();
@@ -833,7 +799,7 @@ fn emit_inst(e: &mut Emit, block: Block, inst: qc_ir::Inst) -> Result<(), Backen
                 }
                 _ => {
                     let dst = e.alloc_reg();
-                    e.asm.load(ty_width(ty), dst, MemArg::base_disp(p, offset));
+                    e.asm.load(width_of(ty), dst, MemArg::base_disp(p, offset));
                     e.def_half(v, 0, dst);
                 }
             }
@@ -859,7 +825,7 @@ fn emit_inst(e: &mut Emit, block: Block, inst: qc_ir::Inst) -> Result<(), Backen
                 }
                 _ => {
                     let s = e.use_half(value, 0);
-                    e.asm.store(ty_width(ty), s, MemArg::base_disp(p, offset));
+                    e.asm.store(width_of(ty), s, MemArg::base_disp(p, offset));
                 }
             }
             e.consume(ptr);
@@ -1004,7 +970,7 @@ fn emit_binary(
     if ty == Type::I128 {
         return emit_binary128(e, op, args, v);
     }
-    let width = ty_width(ty);
+    let width = width_of(ty);
     match op {
         Opcode::SDiv | Opcode::UDiv | Opcode::SRem | Opcode::URem => {
             let a = e.use_half(args[0], 0);
@@ -1185,7 +1151,7 @@ fn emit_cast(e: &mut Emit, op: CastOp, to: Type, arg: Value, v: Value) -> Result
             if from == Type::I64 || from == Type::Ptr {
                 e.asm.mov_rr(dst, a);
             } else {
-                e.asm.sext(ty_width(from), dst, a);
+                e.asm.sext(width_of(from), dst, a);
             }
             e.consume(arg);
             if to == Type::I128 {
@@ -1207,7 +1173,7 @@ fn emit_cast(e: &mut Emit, op: CastOp, to: Type, arg: Value, v: Value) -> Result
                 Type::I64 | Type::Ptr => {}
                 t => {
                     // Mask via a width-limited AND with all-ones.
-                    e.asm.alu_ri(AluOp::And, ty_width(t), false, dst, -1);
+                    e.asm.alu_ri(AluOp::And, width_of(t), false, dst, -1);
                 }
             }
             e.consume(arg);
@@ -1220,7 +1186,7 @@ fn emit_cast(e: &mut Emit, op: CastOp, to: Type, arg: Value, v: Value) -> Result
             } else if from == Type::I128 {
                 return Err(BackendError::new("sitof from i128 unsupported"));
             } else {
-                e.asm.sext(ty_width(from), SCRATCH, a);
+                e.asm.sext(width_of(from), SCRATCH, a);
                 SCRATCH
             };
             let f = e.alloc_freg();
@@ -1233,7 +1199,7 @@ fn emit_cast(e: &mut Emit, op: CastOp, to: Type, arg: Value, v: Value) -> Result
             let dst = e.alloc_reg();
             e.asm.cvt_f2si(dst, f);
             if to != Type::I64 {
-                e.asm.alu_ri(AluOp::And, ty_width(to), false, dst, -1);
+                e.asm.alu_ri(AluOp::And, width_of(to), false, dst, -1);
             }
             e.consume(arg);
             e.def_half(v, 0, dst);

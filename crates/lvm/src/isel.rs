@@ -1,7 +1,7 @@
 //! Instruction selection: FastISel, SelectionDAG, and GlobalISel
 //! (paper Sec. V-B3).
 
-use qc_backend::mir::{CallTarget, MInst, RegClass, VCode, VReg};
+use qc_backend::mir::{cond_of, fcond_of, width_of, CallTarget, MInst, RegClass, VCode, VReg};
 use qc_backend::BackendError;
 use qc_ir::{CastOp, CmpOp, Function, InstData, Opcode, Type, Value};
 use qc_target::{AluOp, Cond, FaluOp, Width};
@@ -72,41 +72,6 @@ struct Ctx<'f> {
 }
 
 const VNONE: VReg = u32::MAX;
-
-fn width_of(ty: Type) -> Width {
-    match ty {
-        Type::Bool | Type::I8 => Width::W8,
-        Type::I16 => Width::W16,
-        Type::I32 => Width::W32,
-        _ => Width::W64,
-    }
-}
-
-fn cond_of(op: CmpOp) -> Cond {
-    match op {
-        CmpOp::Eq => Cond::Eq,
-        CmpOp::Ne => Cond::Ne,
-        CmpOp::SLt => Cond::Lt,
-        CmpOp::SLe => Cond::Le,
-        CmpOp::SGt => Cond::Gt,
-        CmpOp::SGe => Cond::Ge,
-        CmpOp::ULt => Cond::B,
-        CmpOp::ULe => Cond::Be,
-        CmpOp::UGt => Cond::A,
-        CmpOp::UGe => Cond::Ae,
-    }
-}
-
-fn fcond_of(op: CmpOp) -> Cond {
-    match op {
-        CmpOp::Eq => Cond::Eq,
-        CmpOp::Ne => Cond::Ne,
-        CmpOp::SLt | CmpOp::ULt => Cond::B,
-        CmpOp::SLe | CmpOp::ULe => Cond::Be,
-        CmpOp::SGt | CmpOp::UGt => Cond::A,
-        CmpOp::SGe | CmpOp::UGe => Cond::Ae,
-    }
-}
 
 /// Runs instruction selection over one LIR function.
 ///

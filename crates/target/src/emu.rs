@@ -125,6 +125,28 @@ pub struct ExecStats {
     pub insts: u64,
 }
 
+impl std::ops::Add for ExecStats {
+    type Output = ExecStats;
+    #[inline]
+    fn add(self, other: ExecStats) -> ExecStats {
+        ExecStats {
+            cycles: self.cycles + other.cycles,
+            insts: self.insts + other.insts,
+        }
+    }
+}
+
+impl std::ops::Sub for ExecStats {
+    type Output = ExecStats;
+    #[inline]
+    fn sub(self, earlier: ExecStats) -> ExecStats {
+        ExecStats {
+            cycles: self.cycles - earlier.cycles,
+            insts: self.insts - earlier.insts,
+        }
+    }
+}
+
 /// Emulator configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct EmuOptions {

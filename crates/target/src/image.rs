@@ -239,49 +239,14 @@ impl ImageBuilder {
             + self.unwind.len() * 32
     }
 
-    /// Stable, position-independent serialization of everything added
-    /// so far: item names, payload bytes, relocation records, and
-    /// unwind entries, in insertion order. Two builders with equal
-    /// content link to behaviorally identical images (the final images
-    /// themselves differ only in their embedded base address).
-    /// Determinism tests compare this instead of linked bytes.
-    pub fn content_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let push_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-        for item in &self.items {
-            push_u64(&mut out, item.name.len() as u64);
-            out.extend_from_slice(item.name.as_bytes());
-            push_u64(&mut out, item.align);
-            out.push(u8::from(item.is_code));
-            push_u64(&mut out, item.bytes.len() as u64);
-            out.extend_from_slice(&item.bytes);
-            push_u64(&mut out, item.relocs.len() as u64);
-            for r in &item.relocs {
-                push_u64(&mut out, r.offset as u64);
-                out.push(r.kind as u8);
-                push_u64(&mut out, r.sym.name.len() as u64);
-                out.extend_from_slice(r.sym.name.as_bytes());
-                push_u64(&mut out, r.addend as u64);
-            }
-        }
-        push_u64(&mut out, self.unwind.len() as u64);
-        for &(off, e) in &self.unwind {
-            push_u64(&mut out, off);
-            push_u64(&mut out, e.start as u64);
-            push_u64(&mut out, e.end as u64);
-            push_u64(&mut out, u64::from(e.frame_size));
-            out.push(u8::from(e.synchronous_only));
-        }
-        out
-    }
-
     /// Serializes the builder into a self-describing, versioned byte
     /// stream that [`ImageBuilder::deserialize_bytes`] restores exactly:
     /// ISA, every item (name, alignment, kind, payload, relocations),
-    /// and the unwind entries. Unlike [`ImageBuilder::content_bytes`]
-    /// (a comparison digest), this format carries explicit counts so it
-    /// can be parsed back — it is what the engine's persistent artifact
-    /// store writes to disk.
+    /// and the unwind entries. It is position-independent: two builders
+    /// with equal content link to behaviorally identical images (which
+    /// differ only in their embedded base address), so determinism tests
+    /// compare this instead of linked bytes. It is also what the
+    /// engine's persistent artifact store writes to disk.
     pub fn serialize_bytes(&self) -> Vec<u8> {
         let mut w = Writer::default();
         w.u32(IMAGE_FORMAT_VERSION);
@@ -760,7 +725,7 @@ mod tests {
         let ib = sample_builder();
         let bytes = ib.serialize_bytes();
         let back = ImageBuilder::deserialize_bytes(&bytes).expect("roundtrip");
-        assert_eq!(ib.content_bytes(), back.content_bytes());
+        assert_eq!(ib.serialize_bytes(), back.serialize_bytes());
         assert_eq!(back.isa, Isa::Tx64);
         // The restored builder must link like the original.
         let resolve = |name: &str| (name == "rt_helper").then_some(0xdead_0000u64);

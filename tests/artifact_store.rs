@@ -410,8 +410,10 @@ fn concurrent_writers_publish_no_torn_files() {
     // directory) race to append the same artifacts, each to a segment
     // of its own. A racer that starts late may find every artifact in
     // the others' segments already and write nothing; such a store
-    // creates no segment.
-    let writes: Vec<u64> = std::thread::scope(|s| {
+    // creates no segment. One that finds every artifact but no
+    // statement record yet appends only a statement record, which opens
+    // a segment too, so a writer is a store that appended either kind.
+    let writes: Vec<(u64, u64)> = std::thread::scope(|s| {
         let racers: Vec<_> = (0..4)
             .map(|_| {
                 let dir = dir.clone();
@@ -423,7 +425,12 @@ fn concurrent_writers_publish_no_torn_files() {
                     for q in picks {
                         compile_via_service(&session, &q.plan, &backend);
                     }
-                    session.compile_service().cache_stats().disk_writes
+                    let service = session.compile_service();
+                    let store = service.artifact_store().expect("store attached");
+                    (
+                        service.cache_stats().disk_writes,
+                        store.counters().statement_writes,
+                    )
                 })
             })
             .collect();
@@ -432,8 +439,8 @@ fn concurrent_writers_publish_no_torn_files() {
             .map(|r| r.join().expect("racer"))
             .collect()
     });
-    let writers = writes.iter().filter(|&&w| w > 0).count();
-    let writes: u64 = writes.iter().sum();
+    let writers = writes.iter().filter(|&&(a, s)| a + s > 0).count();
+    let writes: u64 = writes.iter().map(|&(artifacts, _)| artifacts).sum();
 
     // Every appended record parses and checksums; no writer tore
     // another's records.

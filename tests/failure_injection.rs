@@ -5,7 +5,10 @@
 
 use qc_backend::chaos::{ChaosBackend, ChaosFault};
 use qc_backend::{Backend, BackendErrorKind};
-use qc_engine::{backends, CompileBudget, CompileService, EngineError, PreparedStatement, Session};
+use qc_engine::{
+    backends, CompileBudget, CompileService, CompileServiceConfig, EngineError, PreparedStatement,
+    Session,
+};
 use qc_ir::{FunctionBuilder, Module, Opcode, Signature, Type};
 use qc_plan::{col, lit_i64, PlanNode};
 use qc_runtime::RuntimeState;
@@ -339,15 +342,17 @@ fn compile_deadline_overrun_is_a_deadline_error_and_never_cached() {
     let session = Session::new(&db);
     let stmt = prepared_scan(&session);
     let prepared = stmt.query();
-    let service = CompileService::default();
+    let service = CompileService::new(CompileServiceConfig {
+        budget: CompileBudget::with_deadline(std::time::Duration::from_millis(2)),
+        ..Default::default()
+    });
     let trace = TimeTrace::disabled();
 
     let slow: std::sync::Arc<dyn Backend> = std::sync::Arc::new(ChaosBackend::always(
         std::sync::Arc::from(backends::lvm_cheap(Isa::Tx64)),
         ChaosFault::Delay(std::time::Duration::from_millis(20)),
     ));
-    let budget = CompileBudget::with_deadline(std::time::Duration::from_millis(2));
-    match service.compile_budgeted(prepared, &slow, budget, &trace) {
+    match service.compile(prepared, &slow, &trace) {
         Err(EngineError::Backend(e)) => {
             assert_eq!(e.kind, BackendErrorKind::Deadline, "{e}");
         }
@@ -363,9 +368,9 @@ fn compile_deadline_overrun_is_a_deadline_error_and_never_cached() {
         "over-budget artifact cached"
     );
 
-    // Without the deadline the same backend compiles fine.
-    service
-        .compile_budgeted(prepared, &slow, CompileBudget::default(), &trace)
+    // A service without the deadline compiles the same backend fine.
+    CompileService::default()
+        .compile(prepared, &slow, &trace)
         .expect("no deadline, no failure");
 }
 

@@ -1,7 +1,6 @@
 //! Execution-side fault-tolerance suite: query budgets (deadline,
 //! cycle/row caps, cancellation), morsel-worker panic isolation, and
-//! the serving scheduler's overload shedding and per-tier circuit
-//! breaker — all driven by the deterministic [`ChaosExecBackend`] so
+//! the serving scheduler's per-tier circuit breaker — all driven by the deterministic [`ChaosExecBackend`] so
 //! the faults land *inside* morsel execution. One breaker test injects
 //! compile faults with a [`ChaosBackend`] instead: a failing compile
 //! walks the breaker's chain and trips the failing tier's breaker.
@@ -15,7 +14,6 @@ use qc_backend::chaos::{ChaosBackend, ChaosExecBackend, ChaosFault, ExecFault};
 use qc_engine::{
     backends, BreakerPolicy, CancelToken, EngineConfig, EngineError, FallbackChain, OutcomeStatus,
     QueryBudget, QueryScheduler, SchedulerConfig, Session, SessionConfig, SessionRequest,
-    ShedPolicy,
 };
 use qc_storage::{Column, Database, Schema, Table};
 use qc_target::Isa;
@@ -342,11 +340,10 @@ fn serving_1024_sessions_under_execution_chaos() {
         .count();
     // Every outcome is accounted for exactly once in the breakdown.
     assert_eq!(
-        ok + report.failed() + report.shed() + report.killed(),
+        ok + report.failed() + report.killed(),
         total,
         "statuses must partition the batch"
     );
-    assert_eq!(report.shed(), 0, "no shedding configured");
     assert_eq!(report.killed(), 0, "no budgets configured");
     assert_eq!(report.failures(), report.failed());
     assert!(ok > 0, "some sessions must survive 10% injection");
@@ -376,71 +373,6 @@ fn serving_1024_sessions_under_execution_chaos() {
                 assert!(o.rows.is_empty(), "failed sessions return no rows");
             }
             other => panic!("unexpected status {other:?} for session {i}"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Overload shedding.
-// ---------------------------------------------------------------------
-
-fn shed_requests(n: usize) -> (Database, Vec<SessionRequest>) {
-    let db = qc_storage::gen_hlike(0.02);
-    let suite = qc_workloads::hlike_suite();
-    let requests = (0..n)
-        .map(|i| {
-            let q = &suite[i % suite.len()];
-            SessionRequest::new(format!("s{i}"), q.plan.clone())
-        })
-        .collect();
-    (db, requests)
-}
-
-#[test]
-fn shed_reject_new_drops_the_tail() {
-    let (db, requests) = shed_requests(12);
-    let session = Session::new(&db);
-    let scheduler = QueryScheduler::try_new(SchedulerConfig {
-        workers: 2,
-        max_queue_depth: Some(5),
-        shed_policy: ShedPolicy::RejectNew,
-        ..Default::default()
-    })
-    .expect("valid scheduler config");
-    let report = scheduler.serve_session(&session, &clean_clift(), requests);
-    assert_eq!(report.shed(), 7);
-    assert_eq!(report.failures(), 0, "shed sessions are not failures");
-    for (i, o) in report.outcomes.iter().enumerate() {
-        if i < 5 {
-            assert_eq!(o.status, OutcomeStatus::Ok, "accepted session {i}");
-        } else {
-            assert_eq!(o.status, OutcomeStatus::Shed, "tail session {i}");
-            assert!(
-                o.error.as_deref().is_some_and(|e| e.contains("shed")),
-                "shed outcome names the policy"
-            );
-        }
-    }
-}
-
-#[test]
-fn shed_drop_oldest_keeps_the_tail() {
-    let (db, requests) = shed_requests(12);
-    let session = Session::new(&db);
-    let scheduler = QueryScheduler::try_new(SchedulerConfig {
-        workers: 2,
-        max_queue_depth: Some(5),
-        shed_policy: ShedPolicy::DropOldest,
-        ..Default::default()
-    })
-    .expect("valid scheduler config");
-    let report = scheduler.serve_session(&session, &clean_clift(), requests);
-    assert_eq!(report.shed(), 7);
-    for (i, o) in report.outcomes.iter().enumerate() {
-        if i < 7 {
-            assert_eq!(o.status, OutcomeStatus::Shed, "old session {i}");
-        } else {
-            assert_eq!(o.status, OutcomeStatus::Ok, "recent session {i}");
         }
     }
 }
@@ -608,22 +540,26 @@ fn per_request_budget_kills_only_that_session() {
     }
 }
 
+/// A budget is a request's own: every request that carries a cycle
+/// cap is killed by it.
 #[test]
 fn scheduler_default_budget_applies_to_every_request() {
     let db = qc_storage::gen_hlike(0.02);
     let session = small_morsel_session(&db);
     let suite = qc_workloads::hlike_suite();
     let requests: Vec<SessionRequest> = (0..3)
-        .map(|i| SessionRequest::new(format!("s{i}"), suite[0].plan.clone()))
+        .map(|i| {
+            SessionRequest::new(format!("s{i}"), suite[0].plan.clone())
+                .with_budget(QueryBudget::unlimited().with_max_cycles(1))
+        })
         .collect();
     let scheduler = QueryScheduler::try_new(SchedulerConfig {
         workers: 2,
-        query_budget: Some(QueryBudget::unlimited().with_max_cycles(1)),
         ..Default::default()
     })
     .expect("valid scheduler config");
     let report = scheduler.serve_session(&session, &clean_clift(), requests);
-    assert_eq!(report.killed(), 3, "the default budget reaches everyone");
+    assert_eq!(report.killed(), 3, "every request's own budget kills it");
 }
 
 // ---------------------------------------------------------------------
@@ -688,15 +624,12 @@ fn zero_morsel_empty_table_query_completes() {
     // finish Ok under a cycle cap.
     let scheduler = QueryScheduler::try_new(SchedulerConfig {
         workers: 2,
-        query_budget: Some(QueryBudget::unlimited().with_max_cycles(u64::MAX)),
         ..Default::default()
     })
     .expect("valid scheduler config");
-    let report = scheduler.serve_session(
-        &session,
-        &clean_clift(),
-        vec![SessionRequest::new("empty-scan", plan.clone())],
-    );
+    let request = SessionRequest::new("empty-scan", plan.clone())
+        .with_budget(QueryBudget::unlimited().with_max_cycles(u64::MAX));
+    let report = scheduler.serve_session(&session, &clean_clift(), vec![request]);
     assert_eq!(report.failures(), 0);
     assert_eq!(report.outcomes[0].status, OutcomeStatus::Ok);
     assert!(report.outcomes[0].rows.is_empty());
@@ -752,10 +685,6 @@ fn scheduler_config_validation_rejects_nonsense() {
         },
         SchedulerConfig {
             morsel_credits: 0,
-            ..Default::default()
-        },
-        SchedulerConfig {
-            max_queue_depth: Some(0),
             ..Default::default()
         },
         SchedulerConfig {
