@@ -4,9 +4,9 @@
 //! fault — an error, a panic, or a delay — according to a deterministic
 //! schedule: on the Nth compile job, on every job, or pseudo-randomly
 //! from a seed. The compilation service's fault-tolerance layer (panic
-//! isolation, compile deadlines, retry policy, fallback chain) is
-//! driven end-to-end by tests built on this wrapper; nothing in here is
-//! used on the production compile path.
+//! isolation, one attempt per module per tier, the breaker's fallback
+//! chain) is driven end-to-end by tests built on this wrapper; nothing
+//! in here is used on the production compile path.
 //!
 //! [`ChaosExecBackend`] is the execution-phase counterpart: compiles
 //! pass through untouched, but every `main` (per-morsel) call of the
@@ -27,21 +27,19 @@ use std::time::Duration;
 /// What [`ChaosBackend`] injects when its schedule fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosFault {
-    /// Return a [`BackendError`] of kind `Transient` (retryable).
-    TransientError,
-    /// Return a [`BackendError`] of kind `Permanent` (not retryable;
-    /// forces a tier downgrade under a fallback chain).
+    /// Return a [`BackendError`] of kind `Permanent` (forces a tier
+    /// downgrade under a fallback chain).
     PermanentError,
     /// Panic inside the compile call. The service must catch this,
     /// convert it to a `Panic`-kind error, and keep its workers alive.
     Panic,
-    /// Sleep for the given duration before compiling normally, driving
-    /// compile-deadline overruns.
+    /// Sleep for the given duration before compiling normally, holding
+    /// a compile in flight.
     Delay(Duration),
 }
 
 /// When the fault fires, as a function of the 0-based compile-call
-/// index (each module compile — fresh or retried — is one call).
+/// index (each module compile is one call).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Schedule {
     /// Exactly the Nth call.
@@ -108,9 +106,9 @@ pub struct Chaos<F> {
     plan: Arc<FaultPlan<F>>,
 }
 
-/// The compile-phase injector: every compile call — fresh or retried —
-/// consults the fault plan once, in `compile_artifact`, which
-/// `Backend::compile` goes through too.
+/// The compile-phase injector: every compile call consults the fault
+/// plan once, in `compile_artifact`, which `Backend::compile` goes
+/// through too.
 pub type ChaosBackend = Chaos<ChaosFault>;
 
 /// The execution-phase injector: compilation is delegated untouched,
@@ -196,9 +194,6 @@ impl ChaosBackend {
             return Ok(());
         };
         match self.plan.fault {
-            ChaosFault::TransientError => Err(BackendError::transient(format!(
-                "chaos: injected transient fault on call {n}"
-            ))),
             ChaosFault::PermanentError => Err(BackendError::new(format!(
                 "chaos: injected fault on call {n}"
             ))),
@@ -226,7 +221,6 @@ impl Backend for ChaosBackend {
 
     fn config_fingerprint(&self) -> u64 {
         let fault = match self.plan.fault {
-            ChaosFault::TransientError => 1,
             ChaosFault::PermanentError => 2,
             ChaosFault::Panic => 3,
             ChaosFault::Delay(d) => splitmix64(4 ^ d.as_nanos() as u64),
@@ -390,16 +384,16 @@ mod tests {
 
     #[test]
     fn nth_schedule_fires_once() {
-        let chaos = ChaosBackend::on_nth(Arc::new(NullBackend), 1, ChaosFault::TransientError);
+        let chaos = ChaosBackend::on_nth(Arc::new(NullBackend), 1, ChaosFault::PermanentError);
         let trace = TimeTrace::disabled();
         // Call 0: clean (the null inner's artifact default is Ok(None)).
         assert!(chaos.compile_artifact(&module(), &trace).is_ok());
-        // Call 1: the injected transient fault.
+        // Call 1: the injected fault.
         let e1 = chaos
             .compile_artifact(&module(), &trace)
             .map(|_| ())
             .unwrap_err();
-        assert_eq!(e1.kind, BackendErrorKind::Transient);
+        assert_eq!(e1.kind, BackendErrorKind::Permanent);
         // Call 2: clean again.
         assert!(chaos.compile_artifact(&module(), &trace).is_ok());
         assert_eq!(chaos.injected(), 1);
@@ -413,7 +407,7 @@ mod tests {
                 Arc::new(NullBackend),
                 0xC4A05,
                 250,
-                ChaosFault::TransientError,
+                ChaosFault::PermanentError,
             )
         };
         let trace = TimeTrace::disabled();

@@ -22,24 +22,21 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-/// Failure class of a [`BackendError`], used by the compilation
-/// service's fault-tolerance layer to decide between retrying a job,
-/// falling back to a cheaper tier, or giving up.
+/// Failure class of a [`BackendError`]: why a compile failed. Every
+/// class costs the same one attempt per module per tier; the serving
+/// scheduler's breaker walks its fallback chain on any of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendErrorKind {
     /// The back-end deterministically rejects this input (unsupported
-    /// construct, link failure, bad configuration). Retrying the same
-    /// tier cannot help; a different tier might.
+    /// construct, link failure, bad configuration). A different tier
+    /// might accept it.
     Permanent,
-    /// Infrastructure hiccup (worker died, channel closed, injected
-    /// transient fault). Retrying the same tier may succeed.
+    /// The compile service could not run or finish the job (no live
+    /// worker, worker disconnected); the back-end never rejected it.
     Transient,
     /// The compile job panicked; the panic was caught and isolated by
     /// the compilation service.
     Panic,
-    /// The compile job exceeded its `CompileBudget` deadline (the
-    /// budget type lives in the engine crate's compile service).
-    Deadline,
 }
 
 /// Error produced when a back-end cannot compile a module.
@@ -47,7 +44,7 @@ pub enum BackendErrorKind {
 pub struct BackendError {
     /// Problem description.
     pub message: String,
-    /// Failure class; drives the service's retry/fallback policy.
+    /// Failure class.
     pub kind: BackendErrorKind,
 }
 
@@ -77,16 +74,6 @@ impl BackendError {
         Self::with_kind(message, BackendErrorKind::Panic)
     }
 
-    /// Creates a [`BackendErrorKind::Deadline`] error.
-    pub fn deadline(message: impl Into<String>) -> Self {
-        Self::with_kind(message, BackendErrorKind::Deadline)
-    }
-
-    /// Whether a retry of the same back-end may succeed.
-    pub fn is_transient(&self) -> bool {
-        self.kind == BackendErrorKind::Transient
-    }
-
     /// Prefixes the message with the back-end's name so a failure
     /// surfacing through a fallback chain names the tier that produced
     /// it. No-op if the message already carries the prefix.
@@ -107,9 +94,6 @@ impl fmt::Display for BackendError {
                 write!(f, "backend error (transient): {}", self.message)
             }
             BackendErrorKind::Panic => write!(f, "backend panic: {}", self.message),
-            BackendErrorKind::Deadline => {
-                write!(f, "backend deadline exceeded: {}", self.message)
-            }
         }
     }
 }

@@ -4,7 +4,7 @@
 //! `BreakerPolicy`'s, with a breaker that never trips, so every request
 //! whose compile fails walks down the chain on its own. Reports which
 //! tier served each query and its latency, the tier occupancy, the
-//! service's retry/panic counters, and the latency the faults added
+//! service's fault counters, and the latency the faults added
 //! over a clean serve of the same chain — the price of graceful
 //! degradation instead of query failure.
 //!
@@ -131,8 +131,8 @@ fn main() {
     if chaos_report.failed() > 0 {
         println!("  {} queries failed every tier", chaos_report.failed());
     }
-    // Fault injection mostly shows up in tail latency: retries and
-    // tier downgrades hit a minority of queries hard.
+    // Fault injection mostly shows up in tail latency: tier downgrades
+    // hit a minority of queries hard.
     for (label, report) in [("clean", &clean_report), ("chaotic", &chaos_report)] {
         let latencies: Vec<_> = report.outcomes.iter().map(|o| o.latency).collect();
         if let Some(stats) = LatencyStats::from_samples(&latencies) {
@@ -143,8 +143,6 @@ fn main() {
     let f = session.compile_service().fault_stats();
     println!("\nService fault counters:");
     println!("  panics caught      {:>6}", f.panics_caught);
-    println!("  retries            {:>6}", f.retries);
-    println!("  deadline overruns  {:>6}", f.deadline_overruns);
     println!("  workers respawned  {:>6}", f.workers_respawned);
     println!("  inline fallbacks   {:>6}", f.inline_fallbacks);
     let (clean_wall, chaos_wall) = (clean_report.wall, chaos_report.wall);

@@ -31,18 +31,12 @@ static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug)]
 pub struct CgenBackend {
     isa: Isa,
-    /// Whether to round-trip the generated C through a temporary file
-    /// (modeling the external-process invocation; on by default).
-    pub use_temp_files: bool,
 }
 
 impl CgenBackend {
     /// Creates the back-end.
     pub fn new(isa: Isa) -> Self {
-        CgenBackend {
-            isa,
-            use_temp_files: true,
-        }
+        CgenBackend { isa }
     }
 }
 
@@ -91,8 +85,9 @@ impl CgenBackend {
         };
         stats.bump("c_bytes", c_src.len() as u64);
 
-        // --- Temp-file round trip (external compiler invocation). ---
-        let c_src = if self.use_temp_files {
+        // --- Temp-file round trip (external compiler invocation): the
+        // `io` phase Table I models for handing the source to cc1. ---
+        let c_src = {
             let _t = trace.scope("io");
             let path = std::env::temp_dir().join(format!(
                 "qc_cgen_{}_{}.c",
@@ -108,8 +103,6 @@ impl CgenBackend {
                 Ok(back)
             };
             write_read().map_err(|e| BackendError::new(format!("temp file: {e}")))?
-        } else {
-            c_src
         };
 
         // --- cc1: lex + parse + gimplify. ---
@@ -225,8 +218,7 @@ mod tests {
         args: &[u64],
     ) -> Result<[u64; 2], Trap> {
         let m = module_of(build, sig);
-        let mut backend = CgenBackend::new(isa);
-        backend.use_temp_files = false; // keep unit tests hermetic
+        let backend = CgenBackend::new(isa);
         let mut exe = match backend.compile(&m, &TimeTrace::disabled()) {
             Ok(e) => e,
             Err(e) => panic!("{e}"),
@@ -364,8 +356,7 @@ mod tests {
         bld.ret(Some(z));
         let mut m = Module::new("m");
         m.push_function(bld.finish());
-        let mut backend = CgenBackend::new(Isa::Tx64);
-        backend.use_temp_files = false;
+        let backend = CgenBackend::new(Isa::Tx64);
         let mut exe = backend.compile(&m, &TimeTrace::disabled()).unwrap();
         let r = exe
             .call(&mut state, "f", &[s1.lo, s1.hi, s2.lo, s2.hi])

@@ -38,14 +38,14 @@
 //! Every compile job is one failure domain (see `DESIGN.md`, "Failure
 //! domains & fallback chain"):
 //!
+//! * each module gets **one attempt** per tier: a compile error of any
+//!   kind is the job's reply, never retried on the same back-end, and
+//!   never enters the cache. A compile that has run has paid its cost,
+//!   so a slow one is kept, not thrown away;
 //! * a **panic** inside a back-end is caught by `crate::supervise`,
 //!   converted into a `Panic`-kind [`BackendError`], and never reaches
 //!   the cache or stalls the in-order reply merge — the job always
 //!   sends exactly one reply;
-//! * a [`CompileBudget`] bounds each job: a wall-clock **deadline**
-//!   (overruns are degraded into `Deadline`-kind errors, and the
-//!   too-slow artifact is discarded rather than cached) and a bounded
-//!   **retry** policy with exponential backoff for `Transient` errors;
 //! * a **dead worker thread** (a panic escaping the per-job guard) is
 //!   detected and respawned on the next submission. If no worker can be
 //!   spawned at all, a foreground request compiles all of its misses
@@ -68,48 +68,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Per-job compile budget: a deadline plus a bounded retry policy,
-/// enforced by the [`CompileService`] around every module compilation
-/// (foreground fan-out and background tier-up alike).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompileBudget {
-    /// Wall-clock deadline for compiling one module. A job that
-    /// finishes past the deadline — successfully or not — reports a
-    /// `Deadline`-kind [`BackendError`] so the caller can downgrade to
-    /// a cheaper tier; its artifact is discarded, never cached.
-    /// Compile time is the paper's wall-clock metric, so the deadline
-    /// is wall-clock too (execution cost is what the emulator's cycle
-    /// model accounts).
-    pub deadline: Option<Duration>,
-    /// Retries for `Transient`-kind failures. Permanent errors,
-    /// panics, and deadline overruns are never retried on the same
-    /// tier.
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per attempt.
-    pub retry_backoff: Duration,
-}
-
-impl Default for CompileBudget {
-    fn default() -> Self {
-        CompileBudget {
-            deadline: None,
-            max_retries: 2,
-            retry_backoff: Duration::from_millis(1),
-        }
-    }
-}
-
-impl CompileBudget {
-    /// Default retry policy plus a wall-clock deadline.
-    pub fn with_deadline(deadline: Duration) -> Self {
-        CompileBudget {
-            deadline: Some(deadline),
-            ..Default::default()
-        }
-    }
-}
+use std::time::Instant;
 
 /// Configuration of a [`CompileService`].
 #[derive(Debug, Clone, Copy)]
@@ -120,9 +79,6 @@ pub struct CompileServiceConfig {
     pub workers: usize,
     /// Maximum number of cached artifacts; 0 disables caching.
     pub cache_capacity: usize,
-    /// Budget of every job submitted through [`CompileService::compile`]
-    /// and [`CompileService::spawn_compile`].
-    pub budget: CompileBudget,
 }
 
 impl Default for CompileServiceConfig {
@@ -134,7 +90,6 @@ impl Default for CompileServiceConfig {
         CompileServiceConfig {
             workers,
             cache_capacity: 128,
-            budget: CompileBudget::default(),
         }
     }
 }
@@ -178,10 +133,6 @@ pub struct CacheCounters {
 pub struct FaultCounters {
     /// Back-end panics caught and converted into `Panic` errors.
     pub panics_caught: u64,
-    /// Jobs whose compile outlived the budget deadline.
-    pub deadline_overruns: u64,
-    /// Transient-failure retries performed.
-    pub retries: u64,
     /// Dead worker threads replaced.
     pub workers_respawned: u64,
     /// Foreground cache misses compiled on the caller thread because
@@ -189,11 +140,6 @@ pub struct FaultCounters {
     /// live workers is the normal path, not a fallback, and a
     /// background job the pool refuses fails instead).
     pub inline_fallbacks: u64,
-    /// Persistent-store records that failed verification and were
-    /// replaced by a recompile (mirrors
-    /// [`CacheCounters::disk_corrupt_rejected`]; surfaced here because
-    /// a corrupt artifact is a fault the service absorbed).
-    pub artifact_corruptions: u64,
 }
 
 /// Internal atomic counters behind [`FaultCounters`], shared with
@@ -201,8 +147,6 @@ pub struct FaultCounters {
 #[derive(Debug, Default)]
 struct Faults {
     panics_caught: AtomicU64,
-    deadline_overruns: AtomicU64,
-    retries: AtomicU64,
     workers_respawned: AtomicU64,
     inline_fallbacks: AtomicU64,
 }
@@ -211,11 +155,8 @@ impl Faults {
     fn snapshot(&self) -> FaultCounters {
         FaultCounters {
             panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            deadline_overruns: self.deadline_overruns.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
             workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
             inline_fallbacks: self.inline_fallbacks.load(Ordering::Relaxed),
-            artifact_corruptions: 0,
         }
     }
 }
@@ -444,16 +385,16 @@ struct ClaimList {
     /// it is shared, and replies travel by channel.
     next: AtomicUsize,
     backend: Arc<dyn Backend>,
-    budget: CompileBudget,
     record: bool,
     faults: Arc<Faults>,
 }
 
 impl ClaimList {
-    /// Claims and compiles misses until none is left, passing exactly
-    /// one reply per claimed module to `reply` (the back-end runs under
-    /// `supervise`, so a panic is a reply too). A ticket that arrives
-    /// after the list is drained claims nothing and returns.
+    /// Claims and compiles misses until none is left, one attempt per
+    /// module, passing exactly one reply per claimed module to `reply`
+    /// (the back-end runs under `supervise`, so a panic is a reply too:
+    /// a `Panic`-kind error, counted in `panics_caught`). A ticket that
+    /// arrives after the list is drained claims nothing and returns.
     fn drain(&self, mut reply: impl FnMut(Reply)) {
         let backend = self.backend.as_ref();
         while let Some((i, key, module)) =
@@ -464,9 +405,15 @@ impl ClaimList {
             } else {
                 TimeTrace::disabled()
             };
-            let out = compile_one_budgeted(backend, module, &local, self.budget, &self.faults);
-            // Timings of failed or partially retried jobs are not
-            // meaningful per phase; report only clean successes.
+            let out = supervise(|| compile_one(backend, module, &local)).unwrap_or_else(|panic| {
+                self.faults.panics_caught.fetch_add(1, Ordering::Relaxed);
+                Err(BackendError::panicked(format!(
+                    "compile of `{}` panicked: {panic}",
+                    module.name
+                )))
+            });
+            // Timings of failed jobs are not meaningful per phase;
+            // report only clean successes.
             let report = (out.is_ok() && self.record).then(|| local.report());
             reply((*i, *key, out, report));
         }
@@ -555,7 +502,6 @@ pub struct CompileService {
     pool: WorkerPool,
     cache: Arc<CodeCache>,
     faults: Arc<Faults>,
-    default_budget: CompileBudget,
 }
 
 impl std::fmt::Debug for CompileService {
@@ -595,7 +541,6 @@ impl CompileService {
             pool: WorkerPool::new(config.workers, Arc::clone(&faults)),
             cache: Arc::new(CodeCache::new(config.cache_capacity, store)),
             faults,
-            default_budget: config.budget,
         }
     }
 
@@ -609,14 +554,11 @@ impl CompileService {
         self.cache.counters()
     }
 
-    /// Snapshot of the fault-tolerance counters, including corrupt
-    /// artifact-store records the service absorbed by recompiling.
+    /// Snapshot of the fault-tolerance counters. Corrupt store records
+    /// the service replaced by a recompile are counted once, in
+    /// [`CacheCounters::disk_corrupt_rejected`].
     pub fn fault_stats(&self) -> FaultCounters {
-        let mut snapshot = self.faults.snapshot();
-        if let Some(store) = &self.cache.store {
-            snapshot.artifact_corruptions = store.counters().corrupt_rejected;
-        }
-        snapshot
+        self.faults.snapshot()
     }
 
     /// Live worker threads (after any respawns).
@@ -630,12 +572,11 @@ impl CompileService {
     /// are merged into `trace` in pipeline order, so the merged trace is
     /// deterministic regardless of who compiled what.
     ///
-    /// Each module compile is one isolated job under the service's
-    /// [`CompileBudget`] ([`CompileServiceConfig::budget`]): panics are
-    /// caught, deadline overruns degrade into errors, transient
-    /// failures are retried with backoff. A failed job never poisons
-    /// the cache (only successful in-budget artifacts are inserted) and
-    /// never stalls the reply merge (every job replies exactly once).
+    /// Each module compile is one isolated attempt: a panic is caught
+    /// and becomes an error, and an error of any kind is final for this
+    /// back-end. A failed job never poisons the cache (only successful
+    /// artifacts are inserted) and never stalls the reply merge (every
+    /// job replies exactly once).
     ///
     /// The cache is keyed from [`PreparedQuery::module_hashes`] alone;
     /// only a module that misses both tiers reads `prepared.ir`. The
@@ -655,7 +596,6 @@ impl CompileService {
         let compiled = compile_query(
             (prepared.module_hashes(), module),
             backend,
-            self.default_budget,
             trace,
             &self.cache,
             &self.faults,
@@ -668,13 +608,13 @@ impl CompileService {
     }
 
     /// Starts compiling every pipeline of `prepared` on a pool worker
-    /// under the service's default budget and returns immediately; the
+    /// and returns immediately; the
     /// caller keeps executing and adopts the finished tier between two
     /// morsels, or blocks on [`PendingCompile::wait`]. The job compiles
     /// the query's misses one after another on that worker (tier-up runs
     /// beside a live query; monopolizing the pool would starve
     /// foreground compiles) through the shared code cache, and records no
-    /// per-phase trace. A panicking or over-budget optimizing tier
+    /// per-phase trace. A panicking or failing optimizing tier
     /// surfaces as an `Err` through the handle instead of wedging the
     /// pool, and so does a pool with no live worker: the job is then
     /// refused, never compiled on this thread. The caller simply keeps
@@ -690,14 +630,13 @@ impl CompileService {
         let prepared = Arc::clone(prepared);
         let backend = Arc::clone(backend);
         let (cache, faults) = (Arc::clone(&self.cache), Arc::clone(&self.faults));
-        let budget = self.default_budget;
         let (tx, rx) = mpsc::channel();
         let reply = tx.clone();
         let job: Job = Box::new(move || {
             let trace = TimeTrace::disabled();
             let module = |i: usize| Arc::clone(&prepared.ir.modules[i]);
             let modules = (prepared.module_hashes(), module);
-            let out = compile_query(modules, &backend, budget, &trace, &cache, &faults, None);
+            let out = compile_query(modules, &backend, &trace, &cache, &faults, None);
             let _ = reply.send(out);
         });
         if self.pool.submit(job).is_err() {
@@ -721,7 +660,6 @@ impl CompileService {
 fn compile_query(
     (hashes, module): (&[u64], impl Fn(usize) -> Arc<Module>),
     backend: &Arc<dyn Backend>,
-    budget: CompileBudget,
     trace: &TimeTrace,
     cache: &CodeCache,
     faults: &Arc<Faults>,
@@ -746,7 +684,6 @@ fn compile_query(
         misses,
         next: AtomicUsize::new(0),
         backend: Arc::clone(backend),
-        budget,
         record: trace.is_enabled(),
         faults: Arc::clone(faults),
     };
@@ -773,7 +710,8 @@ fn compile_query(
 
 /// Compiles one module to its artifact. A back-end that returns none
 /// is rejected with a permanent error naming it: every compile the
-/// engine keeps is relinkable.
+/// engine keeps is relinkable. The service runs it under `supervise`
+/// (`ClaimList::drain`); the direct measurement path runs it bare.
 pub(crate) fn compile_one(
     backend: &dyn Backend,
     module: &Module,
@@ -785,57 +723,6 @@ pub(crate) fn compile_one(
             BackendError::new(format!("no code artifact for `{}`", module.name))
                 .in_backend(backend.name()),
         ),
-    }
-}
-
-/// [`compile_one`] inside the fault-tolerance envelope: panics caught,
-/// the budget deadline checked, transient failures retried with
-/// exponential backoff. Runs on whichever thread claimed the module: a
-/// foreground caller, a pool worker helping it, or the worker running a
-/// background job.
-fn compile_one_budgeted(
-    backend: &dyn Backend,
-    module: &Module,
-    trace: &TimeTrace,
-    budget: CompileBudget,
-    faults: &Faults,
-) -> Result<Arc<dyn CodeArtifact>, BackendError> {
-    let start = Instant::now();
-    let mut attempt = 0u32;
-    loop {
-        let outcome = supervise(|| compile_one(backend, module, trace)).unwrap_or_else(|panic| {
-            faults.panics_caught.fetch_add(1, Ordering::Relaxed);
-            Err(BackendError::panicked(format!(
-                "compile of `{}` panicked: {panic}",
-                module.name
-            )))
-        });
-        // The deadline is checked post hoc — compiles are synchronous —
-        // and overrides even success: a tier too slow for its budget
-        // must degrade, and its artifact must not enter the cache.
-        let overrun = budget
-            .deadline
-            .is_some_and(|deadline| start.elapsed() > deadline);
-        if overrun {
-            faults.deadline_overruns.fetch_add(1, Ordering::Relaxed);
-            return Err(BackendError::deadline(format!(
-                "compile of `{}` exceeded its {:?} budget",
-                module.name,
-                budget.deadline.unwrap_or_default(),
-            )));
-        }
-        match outcome {
-            Ok(out) => return Ok(out),
-            Err(e) if e.is_transient() && attempt < budget.max_retries => {
-                faults.retries.fetch_add(1, Ordering::Relaxed);
-                let backoff = budget.retry_backoff * 2u32.saturating_pow(attempt.min(16));
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
     }
 }
 
@@ -876,6 +763,7 @@ pub(crate) fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     /// A service whose pool has no worker and can spawn none.
     fn dead_pool_service() -> CompileService {
@@ -891,7 +779,6 @@ mod tests {
             },
             cache: Arc::new(CodeCache::new(16, None)),
             faults,
-            default_budget: CompileBudget::default(),
         }
     }
 
@@ -1053,89 +940,5 @@ mod tests {
         assert_eq!(compiled.backend_name, "Clift");
         assert!(compiled.adopt_ready(&mut pending).is_none());
         assert_eq!(compiled.backend_name, "Clift");
-    }
-
-    #[test]
-    fn budget_deadline_degrades_slow_compiles() {
-        struct Sleeper;
-        impl Backend for Sleeper {
-            fn name(&self) -> &'static str {
-                "Sleeper"
-            }
-            fn isa(&self) -> qc_target::Isa {
-                qc_target::Isa::Tx64
-            }
-            fn compile_artifact(
-                &self,
-                _m: &Module,
-                _t: &TimeTrace,
-            ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
-                std::thread::sleep(Duration::from_millis(20));
-                Err(BackendError::new("sleeper compiles nothing"))
-            }
-        }
-        let faults = Faults::default();
-        let m = Module::new("m");
-        let err = compile_one_budgeted(
-            &Sleeper,
-            &m,
-            &TimeTrace::disabled(),
-            CompileBudget::with_deadline(Duration::from_millis(1)),
-            &faults,
-        )
-        .map(|_| ())
-        .unwrap_err();
-        assert_eq!(err.kind, qc_backend::BackendErrorKind::Deadline);
-        assert_eq!(faults.snapshot().deadline_overruns, 1);
-    }
-
-    #[test]
-    fn transient_failures_are_retried_within_budget() {
-        struct FlakyThenFail {
-            calls: AtomicU64,
-        }
-        impl Backend for FlakyThenFail {
-            fn name(&self) -> &'static str {
-                "Flaky"
-            }
-            fn isa(&self) -> qc_target::Isa {
-                qc_target::Isa::Tx64
-            }
-            fn compile_artifact(
-                &self,
-                _m: &Module,
-                _t: &TimeTrace,
-            ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
-                let n = self.calls.fetch_add(1, Ordering::Relaxed);
-                if n < 2 {
-                    Err(BackendError::transient("flaky"))
-                } else {
-                    // Still an error, but a permanent one: proves the
-                    // transient path retried exactly twice.
-                    Err(BackendError::new("permanent after retries"))
-                }
-            }
-        }
-        let backend = FlakyThenFail {
-            calls: AtomicU64::new(0),
-        };
-        let faults = Faults::default();
-        let m = Module::new("m");
-        let err = compile_one_budgeted(
-            &backend,
-            &m,
-            &TimeTrace::disabled(),
-            CompileBudget {
-                deadline: None,
-                max_retries: 5,
-                retry_backoff: Duration::ZERO,
-            },
-            &faults,
-        )
-        .map(|_| ())
-        .unwrap_err();
-        assert_eq!(err.kind, qc_backend::BackendErrorKind::Permanent);
-        assert_eq!(backend.calls.load(Ordering::Relaxed), 3);
-        assert_eq!(faults.snapshot().retries, 2);
     }
 }

@@ -46,8 +46,7 @@ pub use artifact_store::{
     StatementKey,
 };
 pub use compile_service::{
-    CacheCounters, CompileBudget, CompileService, CompileServiceConfig, FaultCounters,
-    PendingCompile,
+    CacheCounters, CompileService, CompileServiceConfig, FaultCounters, PendingCompile,
 };
 pub use engine::{
     CancelToken, CompiledQuery, Engine, EngineConfig, EngineError, ExecutionResult, LazyIr,

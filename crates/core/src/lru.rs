@@ -3,6 +3,7 @@
 //! session's prepared-statement cache.
 
 use crate::supervise::lock_recover;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Mutex;
@@ -47,9 +48,13 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
         }
     }
 
-    /// The value under `key`, marked as just used; counts a hit or a
-    /// miss.
-    pub(crate) fn get(&self, key: &K) -> Option<V> {
+    /// The value under `key` (any borrowed form of the key type), marked
+    /// as just used; counts a hit or a miss.
+    pub(crate) fn get<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let inner = &mut *lock_recover(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;

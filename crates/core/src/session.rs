@@ -21,12 +21,12 @@
 //! Statements are keyed by [`PlanNode::canonical_text`] — the engine's
 //! stand-in for SQL text — so re-preparing the same plan skips
 //! planning and IR generation entirely. A [`PreparedStatement`] is a
-//! cheap clonable handle (`String` + `Arc`) with no borrow of the
-//! session or database: it survives across [`Engine`] instances, and
-//! [`Session::reopen`] carries the whole statement cache, compile
-//! service, and persistent artifact store over to a new database
-//! snapshot, so a reopened session re-runs its statements in roughly
-//! link time.
+//! cheap clonable handle (two `Arc`s: a clone allocates nothing) with
+//! no borrow of the session or database: it survives across [`Engine`]
+//! instances, and [`Session::reopen`] carries the whole statement
+//! cache, compile service, and persistent artifact store over to a new
+//! database snapshot, so a reopened session re-runs its statements in
+//! roughly link time.
 //!
 //! With a persistent artifact store, a statement-cache miss also looks
 //! for the statement's record in the store: a restarted process that
@@ -70,9 +70,10 @@ pub struct StatementCacheStats {
 }
 
 /// Bounded LRU of prepared statements keyed by canonical plan text.
-/// Shared (behind `Arc`) between a session, its reopened descendants,
-/// and any scheduler serving on top of it.
-pub(crate) struct StatementCache(Lru<String, Arc<PreparedQuery>>);
+/// The text is kept once: the key and every handle the entry hands out
+/// share one `Arc<str>`. Shared (behind `Arc`) between a session, its
+/// reopened descendants, and any scheduler serving on top of it.
+pub(crate) struct StatementCache(Lru<Arc<str>, PreparedStatement>);
 
 impl StatementCache {
     pub(crate) fn new(capacity: usize) -> Self {
@@ -91,22 +92,22 @@ impl StatementCache {
         plan: &PlanNode,
     ) -> Result<PreparedStatement, EngineError> {
         let text = plan.canonical_text();
-        let prepared = match self.0.get(&text) {
-            Some(prepared) => prepared,
-            None => {
-                // Prepared outside the lock: planning + codegen can be
-                // slow, and a concurrent duplicate prepare is harmless
-                // (first insert wins).
-                let prepared = match store.filter(|store| store.is_enabled()) {
-                    Some(store) => engine.prepare_recorded(plan, STATEMENT_NAME, &text, store)?,
-                    None => engine.prepare(plan, STATEMENT_NAME)?,
-                };
-                let prepared = Arc::new(prepared);
-                self.0.insert(text.clone(), Arc::clone(&prepared));
-                prepared
-            }
+        if let Some(statement) = self.0.get(text.as_str()) {
+            return Ok(statement);
+        }
+        // Prepared outside the lock: planning + codegen can be slow, and
+        // a concurrent duplicate prepare is harmless (first insert wins).
+        let prepared = match store.filter(|store| store.is_enabled()) {
+            Some(store) => engine.prepare_recorded(plan, STATEMENT_NAME, &text, store)?,
+            None => engine.prepare(plan, STATEMENT_NAME)?,
         };
-        Ok(PreparedStatement { text, prepared })
+        let statement = PreparedStatement {
+            text: Arc::from(text),
+            prepared: Arc::new(prepared),
+        };
+        self.0
+            .insert(Arc::clone(&statement.text), statement.clone());
+        Ok(statement)
     }
 
     pub(crate) fn stats(&self) -> StatementCacheStats {
@@ -121,13 +122,14 @@ impl StatementCache {
 }
 
 /// A prepared statement: canonical plan text plus the planned query and
-/// its IR (see [`PreparedQuery::ir`]). Cheap to clone (`String` + `Arc`), `'static`,
-/// and independent of any [`Engine`] borrow — a statement prepared in
+/// its IR (see [`PreparedQuery::ir`]). Cheap to clone (two `Arc` bumps,
+/// no allocation: the text is the statement cache's), `'static`, and
+/// independent of any [`Engine`] borrow — a statement prepared in
 /// one session can be executed by a [`Session::reopen`]ed one over a
 /// fresh [`Database`] snapshot.
 #[derive(Clone)]
 pub struct PreparedStatement {
-    text: String,
+    text: Arc<str>,
     pub(crate) prepared: Arc<PreparedQuery>,
 }
 
@@ -160,8 +162,7 @@ impl std::fmt::Debug for PreparedStatement {
 pub struct SessionConfig {
     /// Execution-side knobs (morsel size).
     pub engine: EngineConfig,
-    /// Compilation-service knobs (workers, in-memory cache capacity,
-    /// default budget).
+    /// Compilation-service knobs (workers, in-memory cache capacity).
     pub compile: CompileServiceConfig,
     /// Persistent artifact store (L2) under the in-memory code cache.
     /// `None` keeps compilation purely in-memory; `Some` makes compiled
@@ -318,8 +319,8 @@ impl<'db> Session<'db> {
 /// A builder-style query run over a [`Session`], created by
 /// [`Session::prepare`] or [`Session::run`]. Defaults: the session's
 /// default back-end, no trace, single-threaded execution and no
-/// execution budget. A compile runs under the compile service's
-/// [`crate::CompileBudget`].
+/// execution budget. A compile through the compile service gets one
+/// attempt per module on the chosen back-end.
 pub struct QueryRun<'s, 'db> {
     session: &'s Session<'db>,
     statement: PreparedStatement,

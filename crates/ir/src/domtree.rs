@@ -13,7 +13,6 @@ pub struct DomTree {
     /// idom[b] = immediate dominator, or `None` for the entry block and
     /// unreachable blocks.
     idom: Vec<Option<Block>>,
-    rpo_pos: Vec<usize>,
 }
 
 impl DomTree {
@@ -50,7 +49,7 @@ impl DomTree {
             }
         }
         idom[entry.index()] = None; // entry has no immediate dominator
-        DomTree { idom, rpo_pos }
+        DomTree { idom }
     }
 
     fn intersect(idom: &[Option<Block>], rpo_pos: &[usize], a: Block, b: Block) -> Block {
@@ -83,11 +82,6 @@ impl DomTree {
                 None => return false,
             }
         }
-    }
-
-    /// RPO position of a block (used by loop analysis to order headers).
-    pub fn rpo_position(&self, block: Block) -> usize {
-        self.rpo_pos[block.index()]
     }
 }
 

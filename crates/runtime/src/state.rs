@@ -152,20 +152,10 @@ impl RuntimeState {
         &self.buffers[id as usize]
     }
 
-    /// Number of live buffers.
-    pub fn buffer_count(&self) -> usize {
-        self.buffers.len()
-    }
-
     /// Access to a hash table by handle (used by the morsel-parallel
     /// merge and by tests).
     pub fn table(&self, id: u64) -> &HashTable {
         &self.tables[id as usize]
-    }
-
-    /// Number of live hash tables.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
     }
 
     /// Forks a worker-local state for morsel-parallel execution.

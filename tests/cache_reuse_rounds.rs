@@ -76,7 +76,6 @@ fn session<'db>(db: &'db Database, dir: &Path) -> Session<'db> {
         compile: CompileServiceConfig {
             workers: 1,
             cache_capacity: 4096,
-            ..CompileServiceConfig::default()
         },
         artifact_store: Some(ArtifactStoreConfig::at(dir)),
         ..SessionConfig::default()

@@ -1,6 +1,6 @@
 //! Chaos suite: deterministic compile-fault injection against the
 //! serving scheduler's degradation ladder. With a `ChaosBackend`
-//! injecting a panic, error, or deadline overrun into tiers of a
+//! injecting a panic or an error into tiers of a
 //! `BreakerPolicy`'s chain, every query of the differential picks must
 //! still return the reference result on the first healthy tier below,
 //! with that tier named in its `QueryOutcome`, and with no worker-pool
@@ -9,9 +9,8 @@
 use qc_backend::chaos::{ChaosBackend, ChaosFault};
 use qc_backend::Backend;
 use qc_engine::{
-    backends, BreakerPolicy, CompileBudget, CompileServiceConfig, FallbackChain, OutcomeStatus,
-    QueryOutcome, QueryScheduler, SchedulerConfig, ServeReport, Session, SessionConfig,
-    SessionRequest,
+    backends, BreakerPolicy, CompileServiceConfig, FallbackChain, OutcomeStatus, QueryOutcome,
+    QueryScheduler, SchedulerConfig, ServeReport, Session, SessionConfig, SessionRequest,
 };
 use qc_plan::reference;
 use qc_plan::PlanNode;
@@ -129,21 +128,15 @@ fn assert_served(outcome: &QueryOutcome, tier: &str, plan: &PlanNode, db: &Datab
     );
 }
 
-/// Every differential pick, served from a chain whose top tier panics,
-/// errors, or fails its retries, must produce the reference result on
-/// the next tier.
+/// Every differential pick, served from a chain whose top tier panics
+/// or errors, must produce the reference result on the next tier.
 #[test]
 fn every_pick_survives_a_faulty_top_tier() {
     quiet_chaos_panics();
     let db = qc_storage::gen_hlike(0.03);
     let session = Session::new(&db);
     let picks = suite_picks();
-    let faults = [
-        ChaosFault::Panic,
-        ChaosFault::PermanentError,
-        ChaosFault::TransientError, // exhausts retries, then degrades
-    ];
-    for fault in faults {
+    for fault in [ChaosFault::Panic, ChaosFault::PermanentError] {
         let (chain, _) = chaotic_chain(0, fault);
         let report = serve(&session, chain, 1, &picks);
         for (outcome, (_, plan)) in report.outcomes.iter().zip(&picks) {
@@ -152,7 +145,6 @@ fn every_pick_survives_a_faulty_top_tier() {
     }
     let stats = session.compile_service().fault_stats();
     assert!(stats.panics_caught > 0, "panics must be caught: {stats:?}");
-    assert!(stats.retries > 0, "transient faults must be retried");
 }
 
 /// Deeper cascades: with tiers 0..=k all faulty, tier k+1 serves; the
@@ -210,70 +202,6 @@ fn all_tiers_faulty_is_a_clean_error() {
     assert_served(&report.outcomes[0], "Interpreter", &pick[0].1, &db);
 }
 
-/// A deadline overrun in the optimizing tier (driven by an injected
-/// delay) degrades instead of stalling the query, and the too-slow
-/// tier's artifacts never enter the cache.
-///
-/// The per-module deadline sits two orders of magnitude above a clean
-/// LVM-cheap module compile (about 0.5 ms), so a loaded host cannot push
-/// the fallback tier past it too; the injected delay sits 2.5× above the
-/// deadline, so the optimizing tier always overruns it.
-#[test]
-fn deadline_overrun_downgrades_and_does_not_pollute_the_cache() {
-    const DEADLINE: Duration = Duration::from_millis(200);
-    const DELAY: Duration = Duration::from_millis(500);
-    let db = qc_storage::gen_hlike(0.03);
-    let session = Session::with_config(
-        &db,
-        SessionConfig {
-            compile: CompileServiceConfig {
-                budget: CompileBudget::with_deadline(DEADLINE),
-                ..CompileServiceConfig::default()
-            },
-            ..SessionConfig::default()
-        },
-    );
-    let pick = &suite_picks()[..1];
-    let modules = session
-        .statement(&pick[0].1)
-        .expect("prepare")
-        .query()
-        .ir
-        .modules
-        .len();
-    let (chain, _) = chain_with(|i, tier| {
-        (i == 0).then(|| ChaosBackend::always(Arc::clone(tier), ChaosFault::Delay(DELAY)))
-    });
-
-    let service = session.compile_service();
-    let entries_before = service.cache_stats().entries;
-    let report = serve(&session, chain, 1, pick);
-    assert_served(&report.outcomes[0], "LVM-cheap", &pick[0].1, &db);
-    assert!(service.fault_stats().deadline_overruns > 0);
-    // Only the serving tier's modules may be resident; the slow tier
-    // produced nothing cacheable.
-    let entries_after = service.cache_stats().entries;
-    assert!(
-        entries_after - entries_before <= modules,
-        "over-deadline artifacts leaked into the cache"
-    );
-}
-
-/// A one-shot transient fault is absorbed by the retry policy: the
-/// faulty tier itself still serves the query, with no downgrade.
-#[test]
-fn transient_fault_is_retried_on_the_same_tier() {
-    let db = qc_storage::gen_hlike(0.03);
-    let session = Session::new(&db);
-    let pick = &suite_picks()[..1];
-    let (chain, _) = chain_with(|i, tier| {
-        (i == 0).then(|| ChaosBackend::on_nth(Arc::clone(tier), 0, ChaosFault::TransientError))
-    });
-    let report = serve(&session, chain, 1, pick);
-    assert_served(&report.outcomes[0], "LVM-opt", &pick[0].1, &db);
-    assert!(session.compile_service().fault_stats().retries >= 1);
-}
-
 /// Seeded random faults across the whole suite on one long-lived
 /// session served by two workers: results stay correct, the pool never
 /// wedges, and a final clean serve over the same session agrees with
@@ -288,7 +216,6 @@ fn seeded_chaos_soak_keeps_results_correct() {
             compile: CompileServiceConfig {
                 workers: 4,
                 cache_capacity: 256,
-                ..CompileServiceConfig::default()
             },
             ..SessionConfig::default()
         },

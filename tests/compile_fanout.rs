@@ -7,7 +7,7 @@
 use qc_backend::chaos::{ChaosBackend, ChaosFault};
 use qc_backend::{Backend, BackendError, BackendErrorKind, CodeArtifact, Executable};
 use qc_engine::{
-    backends, ArtifactStore, ArtifactStoreConfig, CacheCounters, CompileBudget, CompileService,
+    backends, ArtifactStore, ArtifactStoreConfig, CacheCounters, CompileService,
     CompileServiceConfig, CompiledQuery, FaultCounters, PreparedQuery, PreparedStatement, Session,
 };
 use qc_ir::Module;
@@ -157,10 +157,6 @@ fn new_service(workers: usize, cache_capacity: usize) -> CompileService {
     CompileService::new(CompileServiceConfig {
         workers,
         cache_capacity,
-        budget: CompileBudget {
-            retry_backoff: Duration::ZERO,
-            ..CompileBudget::default()
-        },
     })
 }
 
@@ -331,9 +327,10 @@ fn worker_count_changes_neither_artifacts_nor_trace_nor_counters() {
 }
 
 /// (d): the fault envelope is the one every claimed module always ran
-/// under — whoever claims it. The returned error, the fault counters
-/// and what reaches the cache do not depend on the pool size, and a
-/// live pool never counts an inline fallback.
+/// under — whoever claims it. Each module gets one attempt, whatever
+/// its fault: the returned error, the fault counters, the back-end's
+/// call count and what reaches the cache do not depend on the pool
+/// size, and a live pool never counts an inline fallback.
 #[test]
 fn chaos_outcomes_do_not_depend_on_who_claims() {
     quiet_chaos_panics();
@@ -342,14 +339,13 @@ fn chaos_outcomes_do_not_depend_on_who_claims() {
     let stmt = multi_pipeline_query(&session);
     let prepared = stmt.query();
     let n = prepared.ir.modules.len() as u64;
-    let retries = u64::from(CompileBudget::default().max_retries);
     let inner = || -> Arc<dyn Backend> { Arc::from(backends::direct_emit()) };
     let trace = TimeTrace::disabled();
 
     for workers in [1, 4] {
         // One module panics: the request fails with that panic, every
-        // other module still reaches the cache, and the retry — the
-        // schedule has fired — hits them and compiles the one left.
+        // other module still reaches the cache, and a second request —
+        // the schedule has fired — hits them and compiles the one left.
         let service = new_service(workers, 64);
         let chaos: Arc<dyn Backend> = Arc::new(ChaosBackend::on_nth(inner(), 1, ChaosFault::Panic));
         let err = service
@@ -377,60 +373,50 @@ fn chaos_outcomes_do_not_depend_on_who_claims() {
             (n - 1, n + 1, n)
         );
 
-        // Transient once, then fine: one retry, nothing else.
+        // One error, no second attempt: the request fails with it,
+        // every other module still reaches the cache, and the back-end
+        // saw each module once.
         let service = new_service(workers, 64);
-        let chaos: Arc<dyn Backend> =
-            Arc::new(ChaosBackend::on_nth(inner(), 0, ChaosFault::TransientError));
-        service
-            .compile(prepared, &chaos, &trace)
-            .expect("a retried transient fault is not an error");
-        assert_eq!(
-            service.fault_stats(),
-            FaultCounters {
-                retries: 1,
-                ..FaultCounters::default()
-            }
-        );
-        assert_eq!(service.cache_stats().entries as u64, n);
-
-        // Every module fails: nothing is cached, every module spends
-        // its whole retry budget, and the error reported is the one of
-        // the lowest-numbered pipeline.
-        let service = new_service(workers, 64);
-        let chaos: Arc<dyn Backend> =
-            Arc::new(ChaosBackend::always(inner(), ChaosFault::TransientError));
+        let chaos = Arc::new(ChaosBackend::on_nth(inner(), 0, ChaosFault::PermanentError));
+        let backend: Arc<dyn Backend> = chaos.clone();
         let err = service
-            .compile(prepared, &chaos, &trace)
+            .compile(prepared, &backend, &trace)
             .map(|_| ())
-            .expect_err("always-failing back-end");
+            .expect_err("a failing module fails its request");
         assert!(
-            matches!(&err, qc_engine::EngineError::Backend(e) if e.kind == BackendErrorKind::Transient),
+            matches!(&err, qc_engine::EngineError::Backend(e) if e.kind == BackendErrorKind::Permanent),
             "{err}"
         );
-        assert_eq!(
-            service.fault_stats(),
-            FaultCounters {
-                retries: n * retries,
-                ..FaultCounters::default()
-            }
-        );
-        assert_eq!(service.cache_stats().entries, 0);
+        assert_eq!(chaos.calls(), n);
+        assert_eq!(service.fault_stats(), FaultCounters::default());
+        assert_eq!(service.cache_stats().entries as u64, n - 1);
 
-        let chaos: Arc<dyn Backend> = Arc::new(ChaosBackend::always(inner(), ChaosFault::Panic));
-        let err = service
-            .compile(prepared, &chaos, &trace)
-            .map(|_| ())
-            .expect_err("always-panicking back-end");
+        // Every module fails, by error and then by panic: nothing is
+        // cached, every module costs exactly one call, and the error
+        // reported is the one of the lowest-numbered pipeline.
+        let service = new_service(workers, 64);
         let first = &prepared.ir.modules[0].name;
-        assert!(
-            err.to_string().contains(&format!("`{first}`")),
-            "expected the first pipeline's error, got: {err}"
-        );
+        for fault in [ChaosFault::PermanentError, ChaosFault::Panic] {
+            let chaos = Arc::new(ChaosBackend::always(inner(), fault));
+            let backend: Arc<dyn Backend> = chaos.clone();
+            let err = service
+                .compile(prepared, &backend, &trace)
+                .map(|_| ())
+                .expect_err("always-failing back-end");
+            // Only a panic's message names its module.
+            if fault == ChaosFault::Panic {
+                assert!(
+                    err.to_string().contains(&format!("`{first}`")),
+                    "expected the first pipeline's error, got: {err}"
+                );
+            }
+            assert_eq!(chaos.calls(), n, "{fault:?} with {workers} workers");
+            assert_eq!(service.cache_stats().entries, 0);
+        }
         let faults = service.fault_stats();
         assert_eq!(faults.panics_caught, n);
         assert_eq!(faults.inline_fallbacks, 0);
         assert_eq!(faults.workers_respawned, 0);
-        assert_eq!(service.cache_stats().entries, 0);
     }
 }
 
@@ -519,7 +505,6 @@ fn losing_the_l1_race_skips_the_store_write() {
             CompileServiceConfig {
                 workers: 2,
                 cache_capacity,
-                ..CompileServiceConfig::default()
             },
             Some(store),
         );

@@ -117,7 +117,6 @@ fn service_compile_matches_engine_compile() {
     let service = CompileService::new(CompileServiceConfig {
         workers: 4,
         cache_capacity: 0,
-        ..Default::default()
     });
     let trace = TimeTrace::disabled();
     for backend in backends::all_for(Isa::Tx64) {
@@ -168,7 +167,6 @@ fn second_compile_hits_the_cache_and_reuses_code() {
         let service = CompileService::new(CompileServiceConfig {
             workers: 2,
             cache_capacity: 64,
-            ..Default::default()
         });
         let mut cold = service
             .compile(prepared, &backend, &trace)

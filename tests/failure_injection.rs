@@ -1,14 +1,11 @@
 //! Failure-injection tests spanning the whole stack: planning errors,
 //! runtime traps on every back-end, emulator guards, link errors, and
 //! chaos-driven faults inside the compilation service (panic isolation,
-//! compile deadlines, transient-retry, storage races).
+//! storage races).
 
 use qc_backend::chaos::{ChaosBackend, ChaosFault};
 use qc_backend::{Backend, BackendErrorKind};
-use qc_engine::{
-    backends, CompileBudget, CompileService, CompileServiceConfig, EngineError, PreparedStatement,
-    Session,
-};
+use qc_engine::{backends, CompileService, EngineError, PreparedStatement, Session};
 use qc_ir::{FunctionBuilder, Module, Opcode, Signature, Type};
 use qc_plan::{col, lit_i64, PlanNode};
 use qc_runtime::RuntimeState;
@@ -334,94 +331,6 @@ fn compile_panic_is_isolated_and_the_pool_survives() {
         .execute_compiled(&mut compiled)
         .expect("post-panic execution");
     assert_eq!(service.worker_count(), workers_before);
-}
-
-#[test]
-fn compile_deadline_overrun_is_a_deadline_error_and_never_cached() {
-    let db = qc_storage::gen_hlike(0.01);
-    let session = Session::new(&db);
-    let stmt = prepared_scan(&session);
-    let prepared = stmt.query();
-    let service = CompileService::new(CompileServiceConfig {
-        budget: CompileBudget::with_deadline(std::time::Duration::from_millis(2)),
-        ..Default::default()
-    });
-    let trace = TimeTrace::disabled();
-
-    let slow: std::sync::Arc<dyn Backend> = std::sync::Arc::new(ChaosBackend::always(
-        std::sync::Arc::from(backends::lvm_cheap(Isa::Tx64)),
-        ChaosFault::Delay(std::time::Duration::from_millis(20)),
-    ));
-    match service.compile(prepared, &slow, &trace) {
-        Err(EngineError::Backend(e)) => {
-            assert_eq!(e.kind, BackendErrorKind::Deadline, "{e}");
-        }
-        Err(other) => panic!("expected deadline error, got {other:?}"),
-        Ok(_) => panic!("expected deadline error, got a compiled query"),
-    }
-    assert!(service.fault_stats().deadline_overruns > 0);
-    // The delayed compile actually finished; its artifact must still be
-    // rejected from the cache because it blew the budget.
-    assert_eq!(
-        service.cache_stats().entries,
-        0,
-        "over-budget artifact cached"
-    );
-
-    // A service without the deadline compiles the same backend fine.
-    CompileService::default()
-        .compile(prepared, &slow, &trace)
-        .expect("no deadline, no failure");
-}
-
-#[test]
-fn transient_compile_fault_is_retried_to_success() {
-    let db = qc_storage::gen_hlike(0.01);
-    let session = Session::new(&db);
-    let stmt = prepared_scan(&session);
-    let prepared = stmt.query();
-    let service = CompileService::default();
-    let trace = TimeTrace::disabled();
-
-    let flaky: std::sync::Arc<dyn Backend> = std::sync::Arc::new(ChaosBackend::on_nth(
-        std::sync::Arc::from(backends::lvm_cheap(Isa::Tx64)),
-        0,
-        ChaosFault::TransientError,
-    ));
-    let mut compiled = service
-        .compile(prepared, &flaky, &trace)
-        .expect("one transient fault must be absorbed by the retry policy");
-    assert!(service.fault_stats().retries >= 1);
-    session
-        .run(stmt.clone())
-        .execute_compiled(&mut compiled)
-        .expect("execution after retry");
-}
-
-#[test]
-fn transient_faults_beyond_the_retry_budget_fail_with_the_last_error() {
-    let db = qc_storage::gen_hlike(0.01);
-    let session = Session::new(&db);
-    let stmt = prepared_scan(&session);
-    let prepared = stmt.query();
-    let service = CompileService::default();
-    let trace = TimeTrace::disabled();
-
-    let broken: std::sync::Arc<dyn Backend> = std::sync::Arc::new(ChaosBackend::always(
-        std::sync::Arc::from(backends::lvm_cheap(Isa::Tx64)),
-        ChaosFault::TransientError,
-    ));
-    match service.compile(prepared, &broken, &trace) {
-        Err(EngineError::Backend(e)) => {
-            assert_eq!(e.kind, BackendErrorKind::Transient, "{e}");
-        }
-        Err(other) => panic!("expected transient exhaustion, got {other:?}"),
-        Ok(_) => panic!("expected transient exhaustion, got a compiled query"),
-    }
-    assert!(
-        service.fault_stats().retries >= 2,
-        "retries must be attempted"
-    );
 }
 
 #[test]

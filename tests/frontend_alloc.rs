@@ -183,6 +183,27 @@ fn statement_misses_and_hits_allocate_what_is_pinned_and_the_ir_is_unchanged() {
     );
 }
 
+/// A statement handle is cloned once per run (`session.run(stmt.clone())`),
+/// so a clone shares the statement cache's text and query: it
+/// allocates nothing, also after the cache has dropped the entry.
+#[test]
+fn cloning_a_statement_allocates_nothing() {
+    let suite = hlike();
+    for capacity in [0, 16] {
+        let config = SessionConfig {
+            statement_cache_capacity: capacity,
+            ..SessionConfig::default()
+        };
+        let session = Session::with_config(&suite.db, config);
+        for q in &suite.queries {
+            let statement = session.statement(&q.plan).expect("prepares");
+            let (clone, n) = measure(|| statement.clone());
+            assert_eq!(n, 0, "{}: cloning a statement allocated {n} times", q.name);
+            assert_eq!(clone.text(), statement.text());
+        }
+    }
+}
+
 #[test]
 fn the_stored_module_hash_is_the_structural_hash_and_keys_the_code_cache() {
     for suite in [dslike(), hlike()] {
