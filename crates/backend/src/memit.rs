@@ -40,7 +40,27 @@ pub fn float_pool(isa: Isa) -> Vec<FReg> {
         .collect()
 }
 
+/// A block's trailing branch, held back until the emitter knows which
+/// block comes next (Cranelift's `MachBuffer` folds the same cases).
+#[derive(Clone, Copy)]
+enum HeldBranch {
+    None,
+    Jmp(usize),
+    Jcc(Cond, usize),
+    /// `Jcc c, T; Jmp F`.
+    JccJmp {
+        cond: Cond,
+        taken: usize,
+        other: usize,
+    },
+}
+
 /// Emission core driving a [`MacroAssembler`] from allocated MIR.
+///
+/// Dead control flow and dead moves are never emitted: a `Jmp` to the
+/// block bound next is dropped, `Jcc c, T; Jmp F` becomes `Jcc !c, F`
+/// when `T` is bound next and `Jcc c, T` when `F` is, and a move whose
+/// source and destination are one location emits nothing.
 pub struct MirEmitter<'a> {
     masm: Box<dyn MacroAssembler>,
     alloc: &'a Allocation,
@@ -48,6 +68,13 @@ pub struct MirEmitter<'a> {
     frame: u32,
     labels: Vec<MLabel>,
     func_names: &'a [String],
+    held: HeldBranch,
+    /// An `FCmpM` set the flags and no integer compare has replaced them
+    /// since. A held `Jcc` is then not inverted: on unordered flags every
+    /// condition but `Ne` is false, so `!c` is not the complement of `c`.
+    /// MIR today consumes every `FCmpM` with a `SetCc` and branches on a
+    /// bool or an integer compare, so this never binds.
+    float_flags: bool,
 }
 
 impl<'a> MirEmitter<'a> {
@@ -67,6 +94,8 @@ impl<'a> MirEmitter<'a> {
             frame: (alloc.spill_slots * 8 + extra_frame + 15) & !15,
             labels: Vec::new(),
             func_names,
+            held: HeldBranch::None,
+            float_flags: false,
         };
         for _ in 0..nblocks {
             let l = e.masm.new_label();
@@ -114,22 +143,50 @@ impl<'a> MirEmitter<'a> {
         }
     }
 
-    /// Binds block `b`'s label at the current position.
+    /// Binds block `b`'s label at the current position, first emitting
+    /// the held branch folded against `b` as the fall-through block.
     pub fn bind_block(&mut self, b: usize) {
+        self.release_branch(Some(b));
         let l = self.labels[b];
         self.masm.bind(l);
     }
 
-    /// Current code offset.
-    pub fn offset(&self) -> usize {
-        self.masm.offset()
-    }
-
     /// Finishes emission.
-    pub fn finish(self) -> (Vec<u8>, Vec<qc_target::Reloc>, u32) {
+    pub fn finish(mut self) -> (Vec<u8>, Vec<qc_target::Reloc>, u32) {
+        self.release_branch(None);
         let frame = self.frame;
         let (code, relocs) = self.masm.finish();
         (code, relocs, frame)
+    }
+
+    /// Emits the held branch; `next` is the block bound right after it.
+    fn release_branch(&mut self, next: Option<usize>) {
+        match std::mem::replace(&mut self.held, HeldBranch::None) {
+            HeldBranch::None => {}
+            HeldBranch::Jmp(t) if Some(t) == next => {}
+            HeldBranch::Jmp(t) => self.jmp(t),
+            HeldBranch::Jcc(c, t) => self.jcc(c, t),
+            HeldBranch::JccJmp { cond, taken, other } => {
+                if Some(other) == next {
+                    self.jcc(cond, taken);
+                } else if Some(taken) == next && !self.float_flags {
+                    self.jcc(cond.negated(), other);
+                } else {
+                    self.jcc(cond, taken);
+                    self.jmp(other);
+                }
+            }
+        }
+    }
+
+    fn jmp(&mut self, b: usize) {
+        let l = self.labels[b];
+        self.masm.jmp(l);
+    }
+
+    fn jcc(&mut self, c: Cond, b: usize) {
+        let l = self.labels[b];
+        self.masm.jcc(c, l);
     }
 
     fn sp(&self) -> Reg {
@@ -242,6 +299,9 @@ impl<'a> MirEmitter<'a> {
     }
 
     fn emit_move(&mut self, s: Loc, d: Loc, slot_scratch: Reg) {
+        if s == d {
+            return;
+        }
         let sp = self.sp();
         match (s, d) {
             (Loc::R(a), Loc::R(b)) => self.masm.mov_rr(b, a),
@@ -298,8 +358,18 @@ impl<'a> MirEmitter<'a> {
     }
 
     #[allow(clippy::too_many_lines)]
-    /// Emits one MIR instruction.
+    /// Emits one MIR instruction. A `Jcc` or `Jmp` is held until the
+    /// next instruction or block shows whether it can fold.
     pub fn emit_inst(&mut self, inst: &MInst) -> Result<(), BackendError> {
+        if let (MInst::Jmp { target }, HeldBranch::Jcc(cond, taken)) = (inst, self.held) {
+            self.held = HeldBranch::JccJmp {
+                cond,
+                taken,
+                other: *target,
+            };
+            return Ok(());
+        }
+        self.release_branch(None);
         match inst {
             MInst::MovRR { d, s } => {
                 let sl = self.alloc.locs[*s as usize];
@@ -451,10 +521,12 @@ impl<'a> MirEmitter<'a> {
                 let ra = self.rd(*a, 0);
                 let rb = self.rd(*b, 1);
                 self.masm.cmp(*w, ra, rb);
+                self.float_flags = false;
             }
             MInst::CmpImm { w, a, imm } => {
                 let ra = self.rd(*a, 0);
                 self.masm.cmp_ri(*w, ra, *imm);
+                self.float_flags = false;
             }
             MInst::SetCc { cond, d } => {
                 let dr = self.wd(*d);
@@ -471,17 +543,12 @@ impl<'a> MirEmitter<'a> {
             MInst::Select { cond, d, t, f } | MInst::FSelect { cond, d, t, f } => {
                 let rc = self.rd(*cond, 0);
                 self.masm.cmp_ri(Width::W8, rc, 0);
+                self.float_flags = false;
                 self.pick(Cond::Ne, *d, *t, *f);
             }
             MInst::SelectCc { cc, d, t, f } => self.pick(*cc, *d, *t, *f),
-            MInst::Jcc { cond, target } => {
-                let l = self.labels[*target];
-                self.masm.jcc(*cond, l);
-            }
-            MInst::Jmp { target } => {
-                let l = self.labels[*target];
-                self.masm.jmp(l);
-            }
+            MInst::Jcc { cond, target } => self.held = HeldBranch::Jcc(*cond, *target),
+            MInst::Jmp { target } => self.held = HeldBranch::Jmp(*target),
             MInst::CallRt { target, args, ret } => {
                 let abi = self.isa.abi();
                 if args.len() > abi.arg_regs.len() {
@@ -556,6 +623,7 @@ impl<'a> MirEmitter<'a> {
                     Loc::R(_) => unreachable!(),
                 };
                 self.masm.fcmp(ra, rb);
+                self.float_flags = true;
             }
             MInst::FMovFromGpr { d, s } => {
                 let rs = self.rd(*s, 0);
@@ -695,6 +763,162 @@ mod tests {
             }
         }
         e.finish().0
+    }
+
+    /// Emits `f(x, y)` from `blocks` (in index order) with `x`, `y` in
+    /// vregs 0 and 1 and every vreg at `locs`; returns the code and its
+    /// decoded instructions.
+    fn emit_blocks(isa: Isa, locs: Vec<Loc>, blocks: &[Vec<MInst>]) -> (Vec<u8>, Vec<DecodedInst>) {
+        let alloc = Allocation {
+            locs,
+            spill_slots: 1,
+            spills: 0,
+            remat: Vec::new(),
+        };
+        let names = vec!["f".to_string()];
+        let mut e = MirEmitter::new(isa, &alloc, &names, blocks.len(), 0);
+        e.prologue(&[0, 1]);
+        for (b, insts) in blocks.iter().enumerate() {
+            e.bind_block(b);
+            for inst in insts {
+                e.emit_inst(inst).expect("emits");
+            }
+        }
+        let code = e.finish().0;
+        let mut insts = Vec::new();
+        let mut off = 0;
+        while off < code.len() {
+            let (inst, len) = decode_inst(isa, &code, off).expect("decodes");
+            insts.push(inst);
+            off += len as usize;
+        }
+        (code, insts)
+    }
+
+    /// The branches of `insts`: `Some(cond)` for a `jcc`, `None` for a `jmp`.
+    fn branches(insts: &[DecodedInst]) -> Vec<Option<Cond>> {
+        insts
+            .iter()
+            .filter_map(|i| match *i {
+                DecodedInst::Jcc { cond, .. } => Some(Some(cond)),
+                DecodedInst::Jmp { .. } => Some(None),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn run(isa: Isa, code: Vec<u8>, x: u64, y: u64) -> u64 {
+        let mut image = ImageBuilder::new(isa);
+        image.add_function("f", code, Vec::new());
+        let mut emu = Emulator::new(image.link(&|_| None).expect("links"));
+        emu.call(&mut NoHost, "f", &[x, y]).expect("runs")[0]
+    }
+
+    #[test]
+    fn branches_fold_against_the_next_block_on_both_isas() {
+        let ret = |v| vec![MInst::Ret { vals: vec![v] }];
+        for isa in [Isa::Tx64, Isa::Ta64] {
+            let locs = || vec![Loc::R(isa.abi().arg_regs[0]), Loc::R(isa.abi().arg_regs[1])];
+
+            // A `Jmp` to the block bound next is dropped.
+            let (code, insts) = emit_blocks(isa, locs(), &[vec![MInst::Jmp { target: 1 }], ret(0)]);
+            assert_eq!(branches(&insts), [], "{isa}");
+            assert_eq!(run(isa, code, 5, 9), 5, "{isa}");
+
+            // `f = x < y ? x : y` with the taken block `t` returning `x`,
+            // the other block `o` returning `y` and block 3 unreachable.
+            for (t, o, want) in [
+                (1, 2, vec![Some(Cond::Ge)]),
+                (2, 1, vec![Some(Cond::Lt)]),
+                (2, 3, vec![Some(Cond::Lt), None]),
+            ] {
+                let mut blocks = vec![
+                    vec![
+                        MInst::Cmp {
+                            w: Width::W64,
+                            a: 0,
+                            b: 1,
+                        },
+                        MInst::Jcc {
+                            cond: Cond::Lt,
+                            target: t,
+                        },
+                        MInst::Jmp { target: o },
+                    ],
+                    ret(1),
+                    ret(1),
+                    ret(1),
+                ];
+                blocks[t] = ret(0);
+                let (code, insts) = emit_blocks(isa, locs(), &blocks);
+                assert_eq!(branches(&insts), want, "{isa} T={t} F={o}");
+                for (x, y) in [(3i64, 9i64), (9, 3), (7, 7), (-1, 1)] {
+                    let got = run(isa, code.clone(), x as u64, y as u64);
+                    assert_eq!(got, x.min(y) as u64, "{isa} T={t} F={o} x={x} y={y}");
+                }
+            }
+        }
+    }
+
+    /// A branch on float flags is never inverted: on unordered flags only
+    /// `Ne` holds, so `!B` (`Ae`, the float `>=`) would also fail on a NaN
+    /// and take the other way.
+    #[test]
+    fn a_branch_on_a_float_compare_keeps_its_condition() {
+        for isa in [Isa::Tx64, Isa::Ta64] {
+            let abi = isa.abi();
+            let pool = float_pool(isa);
+            let locs = vec![
+                Loc::R(abi.arg_regs[0]),
+                Loc::R(abi.arg_regs[1]),
+                Loc::F(pool[0]),
+                Loc::F(pool[1]),
+            ];
+            let blocks = [
+                vec![
+                    MInst::FMovFromGpr { d: 2, s: 0 },
+                    MInst::FMovFromGpr { d: 3, s: 1 },
+                    MInst::FCmpM { a: 2, b: 3 },
+                    MInst::Jcc {
+                        cond: Cond::B,
+                        target: 1,
+                    },
+                    MInst::Jmp { target: 2 },
+                ],
+                vec![MInst::Ret { vals: vec![0] }],
+                vec![MInst::Ret { vals: vec![1] }],
+            ];
+            let (code, insts) = emit_blocks(isa, locs, &blocks);
+            assert_eq!(branches(&insts), [Some(Cond::B), None], "{isa}");
+            for (x, y) in [(1.0, 2.0), (2.0, 1.0), (f64::NAN, 1.0), (1.0, f64::NAN)] {
+                let want = if x < y { x } else { y };
+                let got = run(isa, code.clone(), x.to_bits(), y.to_bits());
+                assert_eq!(got, want.to_bits(), "{isa} x={x} y={y}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_move_onto_its_own_location_emits_nothing_on_both_isas() {
+        for isa in [Isa::Tx64, Isa::Ta64] {
+            let abi = isa.abi();
+            let f = float_pool(isa)[0];
+            let (r, x) = (Loc::R(abi.arg_regs[0]), Loc::R(abi.arg_regs[1]));
+            let locs = vec![r, x, r, Loc::F(f), Loc::F(f), Loc::Spill(0), Loc::Spill(0)];
+            let ret = MInst::Ret { vals: vec![2] };
+            let (bare, _) = emit_blocks(isa, locs.clone(), &[vec![ret.clone()]]);
+            let moves = vec![
+                MInst::MovRR { d: 2, s: 0 },
+                MInst::FMovM { d: 4, s: 3 },
+                MInst::MovRR { d: 6, s: 5 },
+                MInst::ParMove {
+                    moves: vec![(0, 2), (5, 6)],
+                },
+                ret,
+            ];
+            let (code, _) = emit_blocks(isa, locs, &[moves]);
+            assert_eq!(code, bare, "{isa}");
+        }
     }
 
     #[test]

@@ -280,18 +280,12 @@ impl From<Trap> for EngineError {
 /// module hashes came from a record.
 pub struct LazyIr {
     ir: OnceLock<GeneratedQuery>,
-    /// The plan and query name the IR is generated from on first use;
-    /// `None` when it was generated at prepare time.
-    source: Option<(PhysicalPlan, String)>,
-}
-
-impl LazyIr {
-    fn generated(ir: GeneratedQuery) -> Self {
-        LazyIr {
-            ir: OnceLock::from(ir),
-            source: None,
-        }
-    }
+    /// The pipeline decomposition the IR is generated from, kept once
+    /// for the statement ([`PreparedQuery::plan`]).
+    plan: PhysicalPlan,
+    /// The query name the IR is generated from on first use; `None` when
+    /// it was generated at prepare time.
+    name: Option<String>,
 }
 
 impl Deref for LazyIr {
@@ -299,11 +293,11 @@ impl Deref for LazyIr {
 
     fn deref(&self) -> &GeneratedQuery {
         self.ir.get_or_init(|| {
-            let (plan, name) = self
-                .source
+            let name = self
+                .name
                 .as_ref()
-                .expect("IR without a source is generated at prepare time");
-            generate(plan, name)
+                .expect("IR without a name is generated at prepare time");
+            generate(&self.plan, name)
         })
     }
 }
@@ -321,7 +315,7 @@ impl fmt::Debug for LazyIr {
 /// successful service compile.
 #[derive(Debug)]
 struct PendingRecord {
-    text: String,
+    text: Arc<str>,
     schemas: u64,
     written: AtomicBool,
 }
@@ -332,8 +326,6 @@ struct PendingRecord {
 pub struct PreparedQuery {
     /// Query name (used in module names).
     pub name: String,
-    /// The pipeline decomposition.
-    pub plan: PhysicalPlan,
     /// IR, one module per pipeline, generated on first use when the
     /// module hashes came from a statement record.
     pub ir: LazyIr,
@@ -346,11 +338,19 @@ impl PreparedQuery {
         let ir = generate(&plan, name);
         PreparedQuery {
             name: name.to_string(),
-            plan,
-            ir: LazyIr::generated(ir),
+            ir: LazyIr {
+                ir: OnceLock::from(ir),
+                plan,
+                name: None,
+            },
             module_hashes: OnceLock::new(),
             record: None,
         }
+    }
+
+    /// The pipeline decomposition.
+    pub fn plan(&self) -> &PhysicalPlan {
+        &self.ir.plan
     }
 
     /// Whether the IR has been generated: at prepare time, or — for a
@@ -549,7 +549,7 @@ impl<'db> Engine<'db> {
         &self,
         plan: &PlanNode,
         name: &str,
-        text: &str,
+        text: &Arc<str>,
         store: &ArtifactStore,
     ) -> Result<PreparedQuery, EngineError> {
         // The schema of every table the plan reads, in the order the
@@ -567,7 +567,7 @@ impl<'db> Engine<'db> {
         let phys = PhysicalPlan::decompose(plan, &catalog)?;
         let schemas = schemas.get();
         let key = StatementKey {
-            text,
+            text: text.as_ref(),
             schemas,
             stamp: FRONTEND_STAMP,
         };
@@ -577,10 +577,10 @@ impl<'db> Engine<'db> {
         if let Some(hashes) = recorded {
             return Ok(PreparedQuery {
                 name: name.to_string(),
-                plan: phys.clone(),
                 ir: LazyIr {
                     ir: OnceLock::new(),
-                    source: Some((phys, name.to_string())),
+                    plan: phys,
+                    name: Some(name.to_string()),
                 },
                 module_hashes: OnceLock::from(hashes),
                 record: None,
@@ -588,7 +588,7 @@ impl<'db> Engine<'db> {
         }
         let mut prepared = PreparedQuery::generated(phys, name);
         prepared.record = Some(PendingRecord {
-            text: text.to_string(),
+            text: Arc::clone(text),
             schemas,
             written: AtomicBool::new(false),
         });

@@ -113,7 +113,7 @@ fn build_ctx(
     prepared: &PreparedQuery,
     state: &mut RuntimeState,
 ) -> Result<Vec<u8>, EngineError> {
-    let plan = &prepared.plan;
+    let plan = prepared.plan();
     let db = engine.database();
     let mut ctx = vec![0u8; plan.ctx_size().max(8)];
     for entry in &plan.ctx {
@@ -341,7 +341,7 @@ impl QueryExecution {
         compiled: &mut CompiledQuery,
         max_morsels: u64,
     ) -> Result<StepProgress, EngineError> {
-        let plan = &prepared.plan;
+        let plan = prepared.plan();
         if self.ctx.is_empty() {
             self.ctx = build_ctx(engine, prepared, &mut self.state)?;
         }
@@ -423,7 +423,7 @@ impl QueryExecution {
     /// [`source_morsels`] for pipelines not yet set up). Drives the
     /// scheduler's pick and its tier-up priority.
     pub(crate) fn remaining_morsels(&self, engine: &Engine<'_>, prepared: &PreparedQuery) -> u64 {
-        let plan = &prepared.plan;
+        let plan = prepared.plan();
         let mut rem = 0u64;
         for (i, pipe) in plan.pipelines.iter().enumerate().skip(self.pipe_idx) {
             if i == self.pipe_idx && self.setup_done {
@@ -703,11 +703,11 @@ mod tests {
     /// the cheap tier ends it.
     type PinnedSwap = (&'static str, u64, Option<u64>, u64, u64);
     const PINNED_SWAPS: [PinnedSwap; 6] = [
-        ("LVM-opt", 1, Some(1), 360_247, 30_182),
-        ("LVM-opt", 3, Some(3), 391_639, 25_044),
+        ("LVM-opt", 1, Some(1), 359_849, 29_784),
+        ("LVM-opt", 3, Some(3), 391_626, 25_031),
         ("LVM-opt", 7, None, 393_415, 24_552),
-        ("Clift", 1, Some(1), 366_644, 32_093),
-        ("Clift", 3, Some(3), 391_633, 25_042),
+        ("Clift", 1, Some(1), 366_565, 32_014),
+        ("Clift", 3, Some(3), 391_620, 25_029),
         ("Clift", 7, None, 393_415, 24_552),
     ];
 }

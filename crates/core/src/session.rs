@@ -97,12 +97,13 @@ impl StatementCache {
         }
         // Prepared outside the lock: planning + codegen can be slow, and
         // a concurrent duplicate prepare is harmless (first insert wins).
+        let text: Arc<str> = Arc::from(text);
         let prepared = match store.filter(|store| store.is_enabled()) {
             Some(store) => engine.prepare_recorded(plan, STATEMENT_NAME, &text, store)?,
             None => engine.prepare(plan, STATEMENT_NAME)?,
         };
         let statement = PreparedStatement {
-            text: Arc::from(text),
+            text,
             prepared: Arc::new(prepared),
         };
         self.0
@@ -151,7 +152,7 @@ impl std::fmt::Debug for PreparedStatement {
         write!(
             f,
             "PreparedStatement({} pipelines, {:?})",
-            self.prepared.plan.pipelines.len(),
+            self.prepared.plan().pipelines.len(),
             self.text
         )
     }

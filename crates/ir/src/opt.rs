@@ -423,7 +423,11 @@ pub fn pass_dce(func: &Function) -> Function {
 }
 
 /// Loop-invariant code motion: hoists pure instructions whose operands are
-/// defined outside the loop into the preheader.
+/// defined outside the loop into the preheader, only from blocks that run
+/// on every iteration (they dominate every latch, the header's in-loop
+/// predecessors). Real LLVM also hoists speculatable code out of guarded
+/// blocks and lets sinking passes move cold code back; this pipeline has
+/// no sink, so a guarded invariant stays behind its guard.
 pub fn pass_licm(func: &Function) -> Function {
     let cfg = Cfg::compute(func);
     let rpo = ReversePostorder::compute(&cfg);
@@ -456,6 +460,13 @@ pub fn pass_licm(func: &Function) -> Function {
         }
         // One hoisting round (LLVM iterates; one round captures the bulk).
         for &b in &l.blocks {
+            let every_iteration = preds
+                .iter()
+                .filter(|p| l.blocks.contains(p))
+                .all(|&latch| dt.dominates(b, latch));
+            if !every_iteration {
+                continue;
+            }
             for &i in func.block_insts(b) {
                 let data = func.inst(i);
                 if data.has_side_effects()

@@ -248,7 +248,9 @@ pub enum Cond {
 
 impl Cond {
     /// The complementary condition (`negated(c)` is true iff `c` is
-    /// false for any flags state, including unordered float flags).
+    /// false for any integer flags state). Unordered float flags make
+    /// every condition but [`Cond::Ne`] false, so a negated condition
+    /// does not invert a branch on a float compare.
     pub fn negated(self) -> Cond {
         match self {
             Cond::Eq => Cond::Ne,

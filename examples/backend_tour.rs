@@ -16,7 +16,7 @@ fn main() {
     println!(
         "query {} → {} pipelines, {} IR instructions\n",
         query.name,
-        stmt.query().plan.pipelines.len(),
+        stmt.query().plan().pipelines.len(),
         stmt.query().ir_size()
     );
     println!(

@@ -70,15 +70,15 @@ static ALLOCATOR: Counting = Counting;
 const PINNED: [(&str, Isa, u64); 11] = [
     ("Interpreter", Isa::Tx64, 25_506),
     ("DirectEmit", Isa::Tx64, 164_055),
-    ("Clift", Isa::Tx64, 254_687),
-    ("LVM-cheap", Isa::Tx64, 307_796),
-    ("LVM-opt", Isa::Tx64, 786_204),
-    ("GCC/C", Isa::Tx64, 2_368_950),
+    ("Clift", Isa::Tx64, 254_273),
+    ("LVM-cheap", Isa::Tx64, 307_369),
+    ("LVM-opt", Isa::Tx64, 784_837),
+    ("GCC/C", Isa::Tx64, 2_356_276),
     ("Interpreter", Isa::Ta64, 25_506),
-    ("Clift", Isa::Ta64, 259_330),
-    ("LVM-cheap", Isa::Ta64, 302_119),
-    ("LVM-opt", Isa::Ta64, 781_422),
-    ("GCC/C", Isa::Ta64, 2_344_975),
+    ("Clift", Isa::Ta64, 258_917),
+    ("LVM-cheap", Isa::Ta64, 301_682),
+    ("LVM-opt", Isa::Ta64, 780_008),
+    ("GCC/C", Isa::Ta64, 2_332_492),
 ];
 
 /// One pass: for every cell, on a fresh thread, the allocations of one

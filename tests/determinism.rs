@@ -207,7 +207,10 @@ fn data_generators_are_seed_stable() {
 /// `lvm_cheap.tx64`), and the optimizing selectors stopped materializing
 /// a compare whose only use is its branch. The `lvm_opt.tx64` rows
 /// moved once more when LVM-opt began calling the runtime by absolute
-/// address (no PLT stub) and selecting on a sunk compare's flags. H-like
+/// address (no PLT stub) and selecting on a sunk compare's flags. Every
+/// `clift` and `lvm` row moved when the shared MIR emitter began dropping
+/// jumps to the next block and self-moves and inverting a `jcc` over a
+/// lone `jmp`, and LICM stopped hoisting out of guarded blocks. H-like
 /// at scale factor 1 in
 /// 512-row morsels; `SORT` orders every `orders` row through the
 /// comparator re-entry path.
@@ -221,30 +224,30 @@ const GOLDEN: &[(&str, &str, u64, u64, u64)] = &[
         "H01",
         "lvm_cheap.tx64",
         17943616066831546111,
-        5247071,
-        1634389,
+        5169827,
+        1557145,
     ),
     (
         "H01",
         "lvm_opt.tx64",
         17943616066831546111,
-        3903818,
-        1138429,
+        3853949,
+        1088560,
     ),
-    ("H01", "clift.ta64", 17943616066831546111, 4659552, 1393939),
+    ("H01", "clift.ta64", 17943616066831546111, 4653489, 1387876),
     (
         "H01",
         "clift.ta64.w2",
         17943616066831546111,
-        4658990,
-        1393625,
+        4652921,
+        1387556,
     ),
     (
         "H01",
         "clift.ta64.w4",
         17943616066831546111,
-        4657588,
-        1392969,
+        4651507,
+        1386888,
     ),
     ("H03", "interp", 8780595189787933563, 3338614, 233108),
     ("H03", "direct.tx64", 8780595189787933563, 1257654, 541121),
@@ -252,83 +255,83 @@ const GOLDEN: &[(&str, &str, u64, u64, u64)] = &[
         "H03",
         "lvm_cheap.tx64",
         8780595189787933563,
-        1438157,
-        582407,
+        1419016,
+        563266,
     ),
-    ("H03", "lvm_opt.tx64", 8780595189787933563, 961262, 386082),
-    ("H03", "clift.ta64", 8780595189787933563, 954610, 429401),
-    ("H03", "clift.ta64.w2", 8780595189787933563, 957739, 428163),
-    ("H03", "clift.ta64.w4", 8780595189787933563, 959536, 427031),
+    ("H03", "lvm_opt.tx64", 8780595189787933563, 907742, 354613),
+    ("H03", "clift.ta64", 8780595189787933563, 942118, 416909),
+    ("H03", "clift.ta64.w2", 8780595189787933563, 945195, 415619),
+    ("H03", "clift.ta64.w4", 8780595189787933563, 946962, 414457),
     ("H06", "interp", 6711127979096780410, 2769710, 206135),
     ("H06", "direct.tx64", 6711127979096780410, 858618, 527796),
-    ("H06", "lvm_cheap.tx64", 6711127979096780410, 972821, 519718),
-    ("H06", "lvm_opt.tx64", 6711127979096780410, 587169, 362193),
-    ("H06", "clift.ta64", 6711127979096780410, 562904, 379341),
-    ("H06", "clift.ta64.w2", 6711127979096780410, 563246, 379372),
-    ("H06", "clift.ta64.w4", 6711127979096780410, 563652, 379406),
+    ("H06", "lvm_cheap.tx64", 6711127979096780410, 948599, 495496),
+    ("H06", "lvm_opt.tx64", 6711127979096780410, 569034, 344058),
+    ("H06", "clift.ta64", 6711127979096780410, 556876, 373313),
+    ("H06", "clift.ta64.w2", 6711127979096780410, 557217, 373343),
+    ("H06", "clift.ta64.w4", 6711127979096780410, 557621, 373375),
     ("H09", "interp", 6766816719252940531, 4406320, 294410),
     ("H09", "direct.tx64", 6766816719252940531, 1800524, 698692),
     (
         "H09",
         "lvm_cheap.tx64",
         6766816719252940531,
-        2076613,
-        760530,
+        2059112,
+        743029,
     ),
-    ("H09", "lvm_opt.tx64", 6766816719252940531, 1649713, 583519),
-    ("H09", "clift.ta64", 6766816719252940531, 1637377, 625826),
-    ("H09", "clift.ta64.w2", 6766816719252940531, 1637469, 625588),
-    ("H09", "clift.ta64.w4", 6766816719252940531, 1637375, 625084),
+    ("H09", "lvm_opt.tx64", 6766816719252940531, 1533672, 518232),
+    ("H09", "clift.ta64", 6766816719252940531, 1628318, 616767),
+    ("H09", "clift.ta64.w2", 6766816719252940531, 1628396, 616515),
+    ("H09", "clift.ta64.w4", 6766816719252940531, 1628274, 615983),
     ("H13", "interp", 8395823974148997529, 825506, 56215),
     ("H13", "direct.tx64", 8395823974148997529, 286146, 119835),
-    ("H13", "lvm_cheap.tx64", 8395823974148997529, 318677, 122826),
-    ("H13", "lvm_opt.tx64", 8395823974148997529, 195374, 73812),
-    ("H13", "clift.ta64", 8395823974148997529, 171432, 80772),
-    ("H13", "clift.ta64.w2", 8395823974148997529, 181200, 80800),
-    ("H13", "clift.ta64.w4", 8395823974148997529, 190123, 80828),
+    ("H13", "lvm_cheap.tx64", 8395823974148997529, 315337, 119486),
+    ("H13", "lvm_opt.tx64", 8395823974148997529, 195334, 73772),
+    ("H13", "clift.ta64", 8395823974148997529, 171228, 80568),
+    ("H13", "clift.ta64.w2", 8395823974148997529, 180850, 80450),
+    ("H13", "clift.ta64.w4", 8395823974148997529, 189640, 80345),
     ("H18", "interp", 9937041724392243382, 5293491, 358863),
     ("H18", "direct.tx64", 9937041724392243382, 2123514, 876270),
     (
         "H18",
         "lvm_cheap.tx64",
         9937041724392243382,
-        2323914,
-        892691,
+        2300690,
+        869467,
     ),
-    ("H18", "lvm_opt.tx64", 9937041724392243382, 1475834, 572437),
-    ("H18", "clift.ta64", 9937041724392243382, 1364435, 608454),
-    ("H18", "clift.ta64.w2", 9937041724392243382, 1398088, 584285),
-    ("H18", "clift.ta64.w4", 9937041724392243382, 1422337, 551476),
+    ("H18", "lvm_opt.tx64", 9937041724392243382, 1453760, 550363),
+    ("H18", "clift.ta64", 9937041724392243382, 1353347, 597366),
+    ("H18", "clift.ta64.w2", 9937041724392243382, 1386827, 573024),
+    ("H18", "clift.ta64.w4", 9937041724392243382, 1411250, 540389),
     ("SORT", "interp", 15329311058863616378, 2581923, 162196),
     ("SORT", "direct.tx64", 15329311058863616378, 1671592, 662920),
     (
         "SORT",
         "lvm_cheap.tx64",
         15329311058863616378,
-        1919899,
-        653189,
+        1916891,
+        650181,
     ),
     (
         "SORT",
         "lvm_opt.tx64",
         15329311058863616378,
-        1031252,
-        428144,
+        1018621,
+        415513,
     ),
-    ("SORT", "clift.ta64", 15329311058863616378, 949688, 390115),
+    ("SORT", "clift.ta64", 15329311058863616378, 946680, 387107),
     (
         "SORT",
         "clift.ta64.w2",
         15329311058863616378,
-        949812,
-        390133,
+        946804,
+        387125,
     ),
     (
         "SORT",
         "clift.ta64.w4",
         15329311058863616378,
-        949936,
-        390151,
+        946928,
+        387143,
     ),
 ];
 

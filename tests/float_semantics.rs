@@ -83,6 +83,77 @@ fn float_compare_and_select() {
     }
 }
 
+/// A float comparison drives a branch, also on NaN: every ordered
+/// comparison with a NaN operand is false and `!=` true. The compare's
+/// taken block comes right after it, so an emitter that inverted the
+/// branch on float flags would take the other way on NaN.
+#[test]
+fn float_compare_branches_on_nan() {
+    let holds = |op, a: f64, b: f64| match op {
+        CmpOp::Eq => a == b,
+        CmpOp::Ne => a != b,
+        CmpOp::SLt => a < b,
+        CmpOp::SLe => a <= b,
+        CmpOp::SGt => a > b,
+        CmpOp::SGe => a >= b,
+        _ => unreachable!(),
+    };
+    for op in [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::SLt,
+        CmpOp::SLe,
+        CmpOp::SGt,
+        CmpOp::SGe,
+    ] {
+        // `f(x, y, z, w) = (x / z) op (y / w) ? 1 : 2` in floats; a zero
+        // numerator over a zero divisor makes that side NaN.
+        let sig = Signature::new(vec![Type::I64; 4], Type::I64);
+        let mut b = FunctionBuilder::new("f", sig);
+        let entry = b.entry_block();
+        let taken = b.create_block();
+        let other = b.create_block();
+        b.switch_to(entry);
+        let [x, y, z, w] = [0, 1, 2, 3].map(|i| {
+            let p = b.param(i);
+            b.cast(CastOp::SiToF, Type::F64, p)
+        });
+        let lhs = b.binary(Opcode::FDiv, Type::F64, x, z);
+        let rhs = b.binary(Opcode::FDiv, Type::F64, y, w);
+        let c = b.fcmp(op, lhs, rhs);
+        b.branch(c, taken, other);
+        for (block, v) in [(taken, 1), (other, 2)] {
+            b.switch_to(block);
+            let r = b.iconst(Type::I64, v);
+            b.ret(Some(r));
+        }
+        let mut m = Module::new("m");
+        m.push_function(b.finish());
+        qc_ir::verify_module(&m).expect("verify");
+        for backend in all_backends() {
+            let mut exe = backend
+                .compile(&m, &TimeTrace::disabled())
+                .expect("compile");
+            let mut state = RuntimeState::new();
+            for [x, y, z, w] in [
+                [0i64, 1, 0, 1],
+                [1, 0, 1, 0],
+                [0, 0, 0, 0],
+                [1, 2, 1, 1],
+                [2, 2, 1, 1],
+            ] {
+                let (a, c) = (x as f64 / z as f64, y as f64 / w as f64);
+                let want = if holds(op, a, c) { 1 } else { 2 };
+                let args = [x, y, z, w].map(|v| v as u64);
+                let got = exe
+                    .call(&mut state, "f", &args)
+                    .unwrap_or_else(|t| panic!("{}: trapped: {t}", backend.name()));
+                assert_eq!(got[0], want, "{} {op:?} {a} {c}", backend.name());
+            }
+        }
+    }
+}
+
 /// Float → int conversion (the trapping cast) on exact values.
 #[test]
 fn float_to_int_roundtrip() {

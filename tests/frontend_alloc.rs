@@ -81,6 +81,12 @@ struct Suite {
     miss_total: u64,
     /// Allocations of all statement hits of the suite.
     hit_total: u64,
+    /// Allocations of all statement misses of the suite that a restart
+    /// answers from statement records.
+    record_hit_total: u64,
+    /// The same, when the record-hit branch still copied the plan for
+    /// the IR it generates on first use.
+    seed_record_hit_total: u64,
     /// [`ir_digest`] of the IR the misses generate.
     ir_digest: u64,
 }
@@ -93,6 +99,8 @@ fn dslike() -> Suite {
         seed_miss_per_query: 897.8,
         miss_total: 24_482,
         hit_total: 103,
+        record_hit_total: 6_727,
+        seed_record_hit_total: 10_275,
         ir_digest: 0x67ce_ce8f_b915_4a4d,
     }
 }
@@ -105,6 +113,8 @@ fn hlike() -> Suite {
         seed_miss_per_query: 600.2,
         miss_total: 4_169,
         hit_total: 22,
+        record_hit_total: 1_073,
+        seed_record_hit_total: 1_654,
         ir_digest: 0xc57d_598d_a210_4c82,
     }
 }
@@ -279,11 +289,16 @@ fn a_statement_record_holds_the_structural_hashes() {
         drop(cold);
 
         // A restart takes every statement's hashes from its record; the
-        // IR the statement generates on demand hashes to the same.
+        // IR the statement generates on demand hashes to the same. The
+        // statement keeps one plan for itself and that IR: its misses
+        // allocate a plan copy less than when they kept two.
         let restarted = Session::with_config(&suite.db, config());
+        let (mut hit, mut copy) = (0, 0);
         for q in &suite.queries {
-            let statement = restarted.statement(&q.plan).expect("prepares");
+            let (statement, n) = measure(|| restarted.statement(&q.plan).expect("prepares"));
+            hit += n;
             let query = statement.query();
+            copy += measure(|| query.plan().clone()).1;
             assert!(!query.has_ir(), "{}: prepared from its record", q.name);
             let recorded = query.module_hashes().to_vec();
             let fresh: Vec<u64> = query
@@ -294,6 +309,12 @@ fn a_statement_record_holds_the_structural_hashes() {
                 .collect();
             assert_eq!(recorded, fresh, "{}", q.name);
         }
+        assert_eq!(
+            (hit, hit + copy),
+            (suite.record_hit_total, suite.seed_record_hit_total),
+            "{}: record-hit misses allocate {hit}, plan copies {copy}",
+            suite.name
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use qc_backend::Backend;
 use qc_ir::opt::{pass_cse, pass_dce, pass_instcombine, pass_licm, pass_phi_prune};
-use qc_ir::{CmpOp, Function, FunctionBuilder, Module, Opcode, Signature, Type};
+use qc_ir::{CmpOp, Function, FunctionBuilder, InstData, Module, Opcode, Signature, Type};
 use qc_runtime::RuntimeState;
 use qc_timing::TimeTrace;
 
@@ -105,6 +105,10 @@ fn build_loop_fn(body: &[Op], trips: u8) -> Function {
 }
 
 fn run_interp(f: Function, x: i64, y: i64) -> Result<u64, String> {
+    run_interp_args(f, &[x as u64, y as u64])
+}
+
+fn run_interp_args(f: Function, args: &[u64]) -> Result<u64, String> {
     let mut m = Module::new("m");
     m.push_function(f);
     qc_ir::verify_module(&m).map_err(|e| format!("verify: {e}"))?;
@@ -113,7 +117,7 @@ fn run_interp(f: Function, x: i64, y: i64) -> Result<u64, String> {
         .compile(&m, &TimeTrace::disabled())
         .map_err(|e| e.to_string())?;
     let mut state = RuntimeState::new();
-    exe.call(&mut state, "f", &[x as u64, y as u64])
+    exe.call(&mut state, "f", args)
         .map(|r| r[0])
         .map_err(|t| format!("trap: {t}"))
 }
@@ -206,6 +210,91 @@ fn licm_hoists_invariant_work_out_of_the_loop() {
         run_interp(f, 7, 9).expect("base"),
         run_interp(opt, 7, 9).expect("opt"),
     );
+}
+
+/// `fn f(x, y, n)`: for rows `i` in `0..n`, `acc = acc +trap g` where
+/// `g` is `x ^ y` on even rows and `x * y` on odd ones. The `xor` sits in
+/// the header, which runs on every iteration; the `mul` sits behind the
+/// odd-row branch, so it does not dominate the latch.
+fn guarded_loop_fn() -> Function {
+    let sig = Signature::new(vec![Type::I64, Type::I64, Type::I64], Type::I64);
+    let mut b = FunctionBuilder::new("f", sig);
+    let entry = b.entry_block();
+    let header = b.create_block();
+    let guarded = b.create_block();
+    let latch = b.create_block();
+    let exit = b.create_block();
+
+    b.switch_to(entry);
+    let (x, y, n) = (b.param(0), b.param(1), b.param(2));
+    let zero = b.iconst(Type::I64, 0);
+    let one = b.iconst(Type::I64, 1);
+    let enter = b.icmp(CmpOp::SLt, Type::I64, zero, n);
+    b.branch(enter, header, exit);
+
+    b.switch_to(header);
+    let i = b.phi(Type::I64, vec![(entry, zero)]);
+    let acc = b.phi(Type::I64, vec![(entry, zero)]);
+    let always = b.binary(Opcode::Xor, Type::I64, x, y);
+    let parity = b.binary(Opcode::And, Type::I64, i, one);
+    let odd = b.icmp(CmpOp::Ne, Type::I64, parity, zero);
+    b.branch(odd, guarded, latch);
+
+    b.switch_to(guarded);
+    let rare = b.mul(Type::I64, x, y);
+    b.jump(latch);
+
+    b.switch_to(latch);
+    let g = b.phi(Type::I64, vec![(header, always), (guarded, rare)]);
+    let next_acc = b.binary(Opcode::SAddTrap, Type::I64, acc, g);
+    let next_i = b.add(Type::I64, i, one);
+    b.phi_add_incoming(i, latch, next_i);
+    b.phi_add_incoming(acc, latch, next_acc);
+    let more = b.icmp(CmpOp::SLt, Type::I64, next_i, n);
+    b.branch(more, header, exit);
+
+    b.switch_to(exit);
+    let out = b.phi(Type::I64, vec![(entry, zero), (latch, next_acc)]);
+    b.ret(Some(out));
+    b.finish()
+}
+
+#[test]
+fn licm_hoists_only_from_blocks_that_run_every_iteration() {
+    let f = guarded_loop_fn();
+    let opt = pass_licm(&f);
+    let block_of = |f: &Function, op: Opcode| -> usize {
+        f.blocks()
+            .find(|&bb| {
+                f.block_insts(bb)
+                    .iter()
+                    .any(|&i| matches!(f.inst(i), InstData::Binary { op: o, .. } if *o == op))
+            })
+            .expect("op present")
+            .index()
+    };
+    assert_eq!(block_of(&f, Opcode::Xor), 1);
+    assert_eq!(
+        block_of(&opt, Opcode::Xor),
+        0,
+        "the every-iteration xor was not hoisted"
+    );
+    assert_eq!(
+        block_of(&opt, Opcode::Mul),
+        2,
+        "the guarded mul left its guard"
+    );
+
+    // x * y = 2^62 + 2^31 and x ^ y = 1: row 1 adds the product once,
+    // row 3 a second time and overflows. Every trip count up to 3 returns
+    // the same sum, and from 4 on both versions trap, so the trap comes
+    // from row 3 in each.
+    let (x, y) = (1u64 << 31, (1u64 << 31) + 1);
+    for n in 0..8u64 {
+        let want = run_interp_args(f.clone(), &[x, y, n]);
+        assert_eq!(want.is_err(), n >= 4, "n={n}: {want:?}");
+        assert_eq!(run_interp_args(opt.clone(), &[x, y, n]), want, "n={n}");
+    }
 }
 
 #[test]
