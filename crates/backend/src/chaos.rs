@@ -356,8 +356,8 @@ impl Executable for ChaosExecutable {
         self.inner.exec_stats()
     }
 
-    fn compile_stats(&self) -> &CompileStats {
-        self.inner.compile_stats()
+    fn code_bytes(&self) -> usize {
+        self.inner.code_bytes()
     }
 }
 
@@ -366,27 +366,15 @@ mod tests {
     use super::*;
     use crate::BackendErrorKind;
 
-    /// Minimal backend with no artifact support (`compile_artifact`
-    /// returns `Ok(None)`); enough to observe injection logic.
-    struct NullBackend;
-    impl Backend for NullBackend {
-        fn name(&self) -> &'static str {
-            "Null"
-        }
-        fn isa(&self) -> Isa {
-            Isa::Tx64
-        }
-    }
-
     fn module() -> Module {
         Module::new("m")
     }
 
     #[test]
     fn nth_schedule_fires_once() {
-        let chaos = ChaosBackend::on_nth(Arc::new(NullBackend), 1, ChaosFault::PermanentError);
+        let chaos = ChaosBackend::on_nth(Arc::new(EchoBackend), 1, ChaosFault::PermanentError);
         let trace = TimeTrace::disabled();
-        // Call 0: clean (the null inner's artifact default is Ok(None)).
+        // Call 0: clean.
         assert!(chaos.compile_artifact(&module(), &trace).is_ok());
         // Call 1: the injected fault.
         let e1 = chaos
@@ -404,7 +392,7 @@ mod tests {
     fn seeded_schedule_is_reproducible() {
         let mk = || {
             ChaosBackend::seeded(
-                Arc::new(NullBackend),
+                Arc::new(EchoBackend),
                 0xC4A05,
                 250,
                 ChaosFault::PermanentError,
@@ -427,22 +415,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "chaos: injected panic")]
     fn panic_fault_panics() {
-        let chaos = ChaosBackend::always(Arc::new(NullBackend), ChaosFault::Panic);
+        let chaos = ChaosBackend::always(Arc::new(EchoBackend), ChaosFault::Panic);
         let _ = chaos.compile_artifact(&module(), &TimeTrace::disabled());
     }
 
     #[test]
     fn fingerprint_differs_from_inner() {
-        let inner: Arc<dyn Backend> = Arc::new(NullBackend);
+        let inner: Arc<dyn Backend> = Arc::new(EchoBackend);
         let chaos = ChaosBackend::always(Arc::clone(&inner), ChaosFault::PermanentError);
         assert_ne!(chaos.config_fingerprint(), inner.config_fingerprint());
     }
 
-    /// Executable that records call names and reports fixed stats, so
+    /// Executable that answers every call and reports fixed stats, so
     /// the exec-chaos wrapper's behavior is observable.
-    struct EchoExecutable {
-        stats: CompileStats,
-    }
+    struct EchoExecutable;
     impl Executable for EchoExecutable {
         fn call(
             &mut self,
@@ -458,8 +444,8 @@ mod tests {
                 insts: 10,
             }
         }
-        fn compile_stats(&self) -> &CompileStats {
-            &self.stats
+        fn code_bytes(&self) -> usize {
+            0
         }
     }
 
@@ -469,9 +455,7 @@ mod tests {
     }
     impl CodeArtifact for EchoArtifact {
         fn instantiate(&self) -> Result<Box<dyn Executable>, BackendError> {
-            Ok(Box::new(EchoExecutable {
-                stats: self.stats.clone(),
-            }))
+            Ok(Box::new(EchoExecutable))
         }
         fn compile_stats(&self) -> &CompileStats {
             &self.stats
@@ -484,6 +468,8 @@ mod tests {
         }
     }
 
+    /// A back-end whose every compile is a fresh [`EchoArtifact`];
+    /// enough to observe injection logic.
     struct EchoBackend;
     impl Backend for EchoBackend {
         fn name(&self) -> &'static str {

@@ -113,9 +113,15 @@ pub struct CompileStats {
 }
 
 impl CompileStats {
-    /// Adds `n` to counter `name`.
+    /// Adds `n` to counter `name`, allocating the name only when the
+    /// counter is new.
     pub fn bump(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        match self.counters.get_mut(name) {
+            Some(v) => *v += n,
+            None => {
+                self.counters.insert(name.to_string(), n);
+            }
+        }
     }
 
     /// Merges another stats record into this one.
@@ -123,7 +129,7 @@ impl CompileStats {
         self.functions += other.functions;
         self.code_bytes += other.code_bytes;
         for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+            self.bump(k, *v);
         }
     }
 }
@@ -147,8 +153,9 @@ pub trait Executable: Send {
     /// Cumulative deterministic execution statistics.
     fn exec_stats(&self) -> ExecStats;
 
-    /// Compilation statistics.
-    fn compile_stats(&self) -> &CompileStats;
+    /// Size of the linked code in bytes, the one compile statistic only
+    /// the link knows (the interpreter reports 8 bytes per bytecode op).
+    fn code_bytes(&self) -> usize;
 }
 
 /// A reusable compilation result: code generation is complete, linking
@@ -165,7 +172,8 @@ pub trait CodeArtifact: Send + Sync {
     /// linked once already).
     fn instantiate(&self) -> Result<Box<dyn Executable>, BackendError>;
 
-    /// Statistics of the original compilation.
+    /// Statistics of the original compilation. Its `code_bytes` is 0:
+    /// code size is [`Executable::code_bytes`], known once linked.
     fn compile_stats(&self) -> &CompileStats;
 
     /// Approximate retained bytes, for cache accounting.
@@ -211,8 +219,8 @@ pub trait Backend: Send + Sync {
     /// The back-end's one compile: one module to a cacheable,
     /// relinkable artifact, phase timings into `trace`. The engine keeps
     /// every compile it runs as an artifact (cached, relinked per morsel
-    /// worker, persisted), so it rejects `None`, the default, with a
-    /// permanent error naming the back-end.
+    /// worker, persisted), so it rejects `None` with a permanent error
+    /// naming the back-end.
     ///
     /// # Errors
     /// Returns [`BackendError`] for unsupported inputs (e.g. DirectEmit on
@@ -221,10 +229,7 @@ pub trait Backend: Send + Sync {
         &self,
         module: &Module,
         trace: &TimeTrace,
-    ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
-        let _ = (module, trace);
-        Ok(None)
-    }
+    ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError>;
 
     /// The phase the link of an artifact is timed under (Clift's
     /// `"finish"`, GCC/C's `"ld"`), whoever links it.
@@ -260,16 +265,16 @@ pub trait Backend: Send + Sync {
 /// [`CodeArtifact`] for the compiling back-ends: an unlinked
 /// [`ImageBuilder`] plus the original compile statistics. Instantiation
 /// links the builder (by reference) against the runtime resolver and
-/// registers unwind information; the emulated stack and decode cache
-/// come with the executable's first `call`.
+/// registers unwind information, and copies no statistics; the emulated
+/// stack and decode cache come with the executable's first `call`.
 pub struct NativeArtifact {
     builder: ImageBuilder,
     stats: CompileStats,
 }
 
 impl NativeArtifact {
-    /// Wraps an unlinked image. `stats.code_bytes` is recomputed from
-    /// the linked image at each instantiation.
+    /// Wraps an unlinked image. `stats.code_bytes` stays 0: the linked
+    /// image reports its size ([`Executable::code_bytes`]).
     pub fn new(builder: ImageBuilder, stats: CompileStats) -> Self {
         NativeArtifact { builder, stats }
     }
@@ -341,9 +346,7 @@ impl CodeArtifact for NativeArtifact {
             .builder
             .link(&|name| qc_runtime::resolve_runtime(name))
             .map_err(|e| BackendError::new(e.to_string()))?;
-        let mut stats = self.stats.clone();
-        stats.code_bytes = linked.len();
-        Ok(Box::new(NativeExecutable::new(linked, stats)))
+        Ok(Box::new(NativeExecutable::new(linked)))
     }
 
     fn compile_stats(&self) -> &CompileStats {
@@ -380,7 +383,6 @@ impl CodeArtifact for NativeArtifact {
 /// back-ends).
 pub struct NativeExecutable {
     emu: Emulator,
-    stats: CompileStats,
 }
 
 impl fmt::Debug for NativeExecutable {
@@ -393,12 +395,11 @@ impl NativeExecutable {
     /// Wraps a linked image, registering its unwind information (the
     /// registration itself is part of what back-ends must produce; see
     /// paper Sec. III-A).
-    pub fn new(image: CodeImage, stats: CompileStats) -> Self {
+    pub fn new(image: CodeImage) -> Self {
         let mut unwind = UnwindRegistry::new();
         unwind.register_image(&image);
         NativeExecutable {
             emu: Emulator::new(image),
-            stats,
         }
     }
 
@@ -423,8 +424,8 @@ impl Executable for NativeExecutable {
         self.emu.stats()
     }
 
-    fn compile_stats(&self) -> &CompileStats {
-        &self.stats
+    fn code_bytes(&self) -> usize {
+        self.emu.image().len()
     }
 }
 
@@ -471,7 +472,7 @@ mod tests {
         let mut ib = ImageBuilder::new(Isa::Tx64);
         ib.add_function("f", code, relocs);
         let image = ib.link(&|_| None).unwrap();
-        let mut exe = NativeExecutable::new(image, CompileStats::default());
+        let mut exe = NativeExecutable::new(image);
         let mut state = RuntimeState::new();
         let r = exe.call(&mut state, "f", &[2, 40]).unwrap();
         assert_eq!(r[0], 42);

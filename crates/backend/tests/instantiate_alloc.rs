@@ -1,7 +1,9 @@
 //! What linking and the first `call` allocate: `instantiate` buys no
 //! emulated stack (every cold compile, cache hit and per-worker relink
 //! ends in one, most of them for modules that never run), the first
-//! `call` buys exactly one, later calls none.
+//! `call` buys exactly one, later calls none. Nor does `instantiate`
+//! copy the artifact's compile statistics, and adding to a counter that
+//! exists allocates nothing.
 //!
 //! The allocator counts per thread, so the harness's other threads do
 //! not show up in a test's numbers.
@@ -18,6 +20,8 @@ use std::cell::Cell;
 /// What this thread has asked the allocator for since `measure` began.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Tally {
+    /// Allocation requests (a `realloc` counts as one).
+    requests: usize,
     /// Sum of requested sizes (a `realloc` counts its new size).
     bytes: usize,
     /// Requests of at least the default emulated stack's size.
@@ -35,7 +39,7 @@ thread_local! {
     // `const` and without a destructor, so reading it from inside the
     // allocator neither allocates nor registers anything.
     static TALLY: Cell<Tally> = const {
-        Cell::new(Tally { bytes: 0, stack_sized: 0, floor_sized: 0 })
+        Cell::new(Tally { requests: 0, bytes: 0, stack_sized: 0, floor_sized: 0 })
     };
 }
 
@@ -44,6 +48,7 @@ struct Counting;
 fn record(size: usize, floor_shaped: bool) {
     TALLY.with(|t| {
         let mut tally = t.get();
+        tally.requests += 1;
         tally.bytes += size;
         tally.stack_sized += usize::from(size >= EmuOptions::default().stack_size);
         tally.floor_sized += usize::from(floor_shaped);
@@ -142,6 +147,32 @@ fn instantiate_buys_no_stack_and_the_first_call_buys_one() {
         assert_eq!(second.stack_sized, 0, "{isa}: {second:?}");
         assert!(second.bytes < 4 << 10, "{isa}: {second:?}");
     }
+}
+
+#[test]
+fn instantiate_copies_no_statistics_and_present_counters_allocate_nothing() {
+    let mut many = CompileStats::default();
+    for i in 0..50 {
+        many.bump(&format!("counter{i}"), 1);
+    }
+    for isa in [Isa::Tx64, Isa::Ta64] {
+        let none = NativeArtifact::new(two_function_builder(isa), CompileStats::default());
+        let fifty = NativeArtifact::new(two_function_builder(isa), many.clone());
+        let (exe, with_none) = measure(|| none.instantiate());
+        assert!(exe.is_ok(), "{isa}");
+        let (exe, with_fifty) = measure(|| fifty.instantiate());
+        assert!(exe.is_ok(), "{isa}");
+        assert_eq!(with_none, with_fifty, "{isa}");
+    }
+
+    let mut total = many.clone();
+    let ((), present) = measure(|| {
+        total.merge(&many);
+        total.bump("counter7", 3);
+    });
+    assert_eq!(present.requests, 0, "{present:?}");
+    assert_eq!(total.counters.len(), 50);
+    assert_eq!(total.counters["counter7"], 5);
 }
 
 /// A host for code that calls no helper.

@@ -729,8 +729,9 @@ pub(crate) fn compile_one(
 /// Links every slot's artifact in pipeline order into a
 /// [`CompiledQuery`], each link timed under the back-end's
 /// [`Backend::link_phase`]; cached and disk artifacts pay only this
-/// link/unwind-registration step. An empty slot is a module whose reply
-/// never came (its worker died outside the job guard).
+/// link/unwind-registration step. The query's statistics sum the
+/// artifacts' and the linked code sizes. An empty slot is a module
+/// whose reply never came (its worker died outside the job guard).
 pub(crate) fn assemble(
     slots: Vec<Option<Arc<dyn CodeArtifact>>>,
     start: Instant,
@@ -747,7 +748,8 @@ pub(crate) fn assemble(
             let _t = trace.scope(backend.link_phase());
             artifact.instantiate()?
         };
-        stats.merge(exe.compile_stats());
+        stats.merge(artifact.compile_stats());
+        stats.code_bytes += exe.code_bytes();
         executables.push(exe);
         artifacts.push(artifact);
     }

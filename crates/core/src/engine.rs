@@ -471,10 +471,6 @@ pub struct ExecutionResult {
     /// the two is the model-time speedup parallel execution would see
     /// on real cores.
     pub critical_path_cycles: u64,
-    /// Wall-clock compile time.
-    pub compile_time: Duration,
-    /// Merged compile statistics.
-    pub compile_stats: CompileStats,
 }
 
 /// Execution-side tuning knobs for [`Engine`].

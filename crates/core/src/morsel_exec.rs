@@ -445,13 +445,11 @@ impl QueryExecution {
     /// [`StepProgress::Done`]. The critical path is the serial sections
     /// (canonical setup/finish, morsels run by the driver itself) in
     /// full plus, per parallel pipeline, only its busiest worker.
-    pub(crate) fn into_result(self, compiled: &CompiledQuery) -> ExecutionResult {
+    pub(crate) fn into_result(self) -> ExecutionResult {
         ExecutionResult {
             rows: self.rows,
             exec_stats: self.tally,
             critical_path_cycles: self.tally.cycles - self.overlapped_cycles,
-            compile_time: compiled.compile_time,
-            compile_stats: compiled.compile_stats.clone(),
         }
     }
 }
@@ -519,7 +517,7 @@ pub(crate) fn execute(
 ) -> Result<ExecutionResult, EngineError> {
     let mut exec = QueryExecution::new(workers, budget);
     while let StepProgress::Ran = exec.step(engine, prepared, compiled, u64::MAX)? {}
-    Ok(exec.into_result(compiled))
+    Ok(exec.into_result())
 }
 
 #[cfg(test)]
@@ -588,7 +586,7 @@ mod tests {
                 progress = exec.step(engine, query, &mut compiled, 1).expect("step");
             }
             assert_eq!(compiled.backend_name, "Clift", "{}: not adopted", q.name);
-            let rows = exec.into_result(&compiled).rows;
+            let rows = exec.into_result().rows;
             assert_eq!(rows, serial.rows, "{} rows diverged", q.name);
         }
     }
@@ -648,7 +646,7 @@ mod tests {
                     adopted.expect("optimizing tier");
                     swapped_at = Some(morsels);
                 }
-                let result = exec.into_result(&compiled);
+                let result = exec.into_result();
                 assert_eq!(result.rows, serial.rows, "{} at {n}", optimized.name());
                 let stats = result.exec_stats;
                 measured.push((optimized.name(), n, swapped_at, stats.cycles, stats.insts));
@@ -687,10 +685,10 @@ mod tests {
             progress = exec.step(engine, query, &mut compiled, 1).expect("step");
         }
         assert_eq!(compiled.backend_name, "Clift", "not adopted");
-        let result = exec.into_result(&compiled);
+        let result = exec.into_result();
         assert_eq!(result.rows, serial.rows);
         assert_eq!(
-            result.compile_stats.functions,
+            compiled.compile_stats.functions,
             cheap_functions + optimized_functions,
             "merged stats do not cover both tiers"
         );

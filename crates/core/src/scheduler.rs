@@ -637,7 +637,7 @@ impl SchedState {
                 if let Some(b) = tier.filter(|b| b.open_until.is_none()) {
                     b.consecutive = 0;
                 }
-                Ending::Finished(a.exec.into_result(&a.compiled))
+                Ending::Finished(a.exec.into_result())
             }
             Err(err) => {
                 let fault = matches!(err, EngineError::Trap(_) | EngineError::WorkerPanic(_));
@@ -1017,8 +1017,6 @@ mod tests {
             rows: Vec::new(),
             exec_stats: qc_target::ExecStats::default(),
             critical_path_cycles: 0,
-            compile_time: Duration::ZERO,
-            compile_stats: qc_backend::CompileStats::default(),
         })
     }
 

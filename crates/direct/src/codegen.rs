@@ -3,8 +3,8 @@
 use qc_backend::mir::{cond_of, fcond_of, width_of};
 use qc_backend::{BackendError, CompileStats};
 use qc_ir::{
-    Block, CastOp, Cfg, CmpOp, Function, InstData, Liveness, Loops, Module, Opcode,
-    ReversePostorder, Type, Value, ValueDef,
+    Block, CastOp, CmpOp, Function, InstData, Liveness, Module, Opcode, ReversePostorder, Type,
+    Value, ValueDef,
 };
 use qc_target::{
     AluOp, Cond, FReg, ImageBuilder, MemArg, Reg, SymbolRef, Tx64Assembler, UnwindEntry, Width,
@@ -13,12 +13,8 @@ use qc_target::{
 
 /// Results of the analysis pass consumed by code generation.
 pub struct Analysis {
-    /// CFG (predecessors/successors).
-    pub cfg: Cfg,
     /// Reverse post-order (the emission order).
     pub rpo: ReversePostorder,
-    /// Natural loops (spill heuristic).
-    pub loops: Loops,
     /// Block-granularity liveness.
     pub live: Liveness,
 }
@@ -287,8 +283,6 @@ impl<'a> Emit<'a> {
         self.uses_left[v.index()] = self.uses_left[v.index()].saturating_sub(1);
     }
 
-    /// Stores every cached, unstored value that is still needed (before a
-    /// call clobbers the register file), then clears the caches.
     /// Stores every cached, unstored, still-needed value but keeps the
     /// cache bindings (used before branches so both arms agree on memory).
     fn flush_dirty(&mut self) {
@@ -313,26 +307,10 @@ impl<'a> Emit<'a> {
         }
     }
 
+    /// Stores every cached, unstored value that is still needed (before a
+    /// call clobbers the register file), then clears the caches.
     fn flush_for_call(&mut self) {
-        for r in 0..16usize {
-            if let Some((v, half)) = self.cache.reg_val[r] {
-                if self.uses_left[v.index()] > 0 && !self.stored[v.index()] {
-                    let mem = self.home_mem(v, half);
-                    self.asm.store(Width::W64, Reg(r as u8), mem);
-                    self.spill_other_half(v, half);
-                    self.stored[v.index()] = true;
-                }
-            }
-        }
-        for f in 0..16usize {
-            if let Some(v) = self.cache.freg_val[f] {
-                if self.uses_left[v.index()] > 0 && !self.stored[v.index()] {
-                    let mem = self.home_mem(v, 0);
-                    self.asm.fstore(FReg(f as u8), mem);
-                    self.stored[v.index()] = true;
-                }
-            }
-        }
+        self.flush_dirty();
         self.cache.clear();
     }
 

@@ -94,12 +94,7 @@ fn build_parts(
                 Liveness::compute(func, &cfg)
             };
             let _ = dt;
-            codegen::Analysis {
-                cfg,
-                rpo,
-                loops,
-                live,
-            }
+            codegen::Analysis { rpo, live }
         };
 
         // --- Code generation pass ---

@@ -54,7 +54,6 @@ impl Backend for InterpBackend {
         let program = compile_module(module).map_err(|e| e.in_backend(self.name()))?;
         let mut stats = CompileStats {
             functions: module.len(),
-            code_bytes: program.op_count() * 8,
             ..Default::default()
         };
         stats.bump("bytecode_ops", program.op_count() as u64);
@@ -77,7 +76,6 @@ impl CodeArtifact for InterpArtifact {
     fn instantiate(&self) -> Result<Box<dyn Executable>, BackendError> {
         Ok(Box::new(InterpExecutable {
             program: Arc::clone(&self.program),
-            stats: self.stats.clone(),
             exec: RefCell::new(ExecStats::default()),
             spare: exec::Spare::new(),
         }))
@@ -99,7 +97,6 @@ impl CodeArtifact for InterpArtifact {
 /// Executable bytecode of one module.
 pub struct InterpExecutable {
     program: Arc<Program>,
-    stats: CompileStats,
     exec: RefCell<ExecStats>,
     /// Register files and frames kept across calls and re-entries.
     spare: exec::Spare,
@@ -134,8 +131,8 @@ impl Executable for InterpExecutable {
         *self.exec.borrow()
     }
 
-    fn compile_stats(&self) -> &CompileStats {
-        &self.stats
+    fn code_bytes(&self) -> usize {
+        self.program.op_count() * 8
     }
 }
 

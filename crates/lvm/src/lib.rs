@@ -708,10 +708,11 @@ mod tests {
             let mut o = LvmOptions::defaults(Isa::Tx64, OptMode::Cheap);
             o.small_pic = small_pic;
             let m = build();
-            let mut exe = LvmBackend::with_options(o)
-                .compile(&m, &TimeTrace::disabled())
+            let artifact = LvmBackend::with_options(o)
+                .compile_artifact(&m, &TimeTrace::disabled())
+                .unwrap()
                 .unwrap();
-            let calls = exe
+            let calls = artifact
                 .compile_stats()
                 .counters
                 .get("fallback_calls")
@@ -719,7 +720,11 @@ mod tests {
                 .unwrap_or(0);
             assert_eq!(calls > 0, expect_fallbacks, "small_pic={small_pic}");
             // Either way the code must run correctly.
-            let r = exe.call(&mut state, "f", &[64]).unwrap();
+            let r = artifact
+                .instantiate()
+                .unwrap()
+                .call(&mut state, "f", &[64])
+                .unwrap();
             assert_eq!(r[0], 64, "small_pic={small_pic}");
         }
     }
@@ -737,16 +742,14 @@ mod tests {
         let mut m = Module::new("m");
         m.push_function(b.finish());
         let backend = LvmBackend::new(Isa::Tx64, OptMode::Cheap);
-        let exe = backend.compile(&m, &TimeTrace::disabled()).unwrap();
+        let artifact = backend
+            .compile_artifact(&m, &TimeTrace::disabled())
+            .unwrap()
+            .unwrap();
+        let counters = &artifact.compile_stats().counters;
         assert!(
-            exe.compile_stats()
-                .counters
-                .get("fallback_i128")
-                .copied()
-                .unwrap_or(0)
-                > 0,
-            "{:?}",
-            exe.compile_stats().counters
+            counters.get("fallback_i128").copied().unwrap_or(0) > 0,
+            "{counters:?}"
         );
     }
 
@@ -774,15 +777,20 @@ mod tests {
             m.push_function(bld.finish());
             let mut o = LvmOptions::defaults(Isa::Tx64, OptMode::Cheap);
             o.pair_repr = repr;
-            let mut exe = LvmBackend::with_options(o)
-                .compile(&m, &TimeTrace::disabled())
+            let artifact = LvmBackend::with_options(o)
+                .compile_artifact(&m, &TimeTrace::disabled())
+                .unwrap()
                 .unwrap();
-            let c = exe.compile_stats().counters.clone();
+            let c = &artifact.compile_stats().counters;
             fallbacks.push(
                 c.get("fallback_struct").copied().unwrap_or(0)
                     + c.get("fallback_calls").copied().unwrap_or(0),
             );
-            let r = exe.call(&mut state, "f", &[s1.lo, s1.hi]).unwrap();
+            let r = artifact
+                .instantiate()
+                .unwrap()
+                .call(&mut state, "f", &[s1.lo, s1.hi])
+                .unwrap();
             assert_eq!(r[0], qc_runtime::hash_string(&s1), "{repr:?}");
         }
         assert_eq!(fallbacks[0], 0, "scalar mode must not fall back");
@@ -992,7 +1000,7 @@ mod tests {
             let exe = LvmBackend::new(Isa::Tx64, mode)
                 .compile(&m, &TimeTrace::disabled())
                 .unwrap();
-            sizes.push(exe.compile_stats().code_bytes);
+            sizes.push(exe.code_bytes());
         }
         assert!(
             sizes[1] <= sizes[0],

@@ -39,16 +39,16 @@ fn main() {
 
     for backend in [backends::interpreter(), backends::direct_emit()] {
         let backend: Arc<dyn qc_backend::Backend> = Arc::from(backend);
-        let result = session
+        let run = session
             .prepare(&plan)
             .expect("plan prepares")
-            .backend(Arc::clone(&backend))
-            .execute()
-            .expect("query runs");
+            .backend(Arc::clone(&backend));
+        let mut compiled = run.compile().expect("query compiles");
+        let result = run.execute_compiled(&mut compiled).expect("query runs");
         println!("== {} ==", backend.name());
         println!(
             "compiled in {:?}, executed in {} model cycles",
-            result.compile_time, result.exec_stats.cycles
+            compiled.compile_time, result.exec_stats.cycles
         );
         for row in &result.rows {
             let cells: Vec<String> = row.iter().map(ToString::to_string).collect();

@@ -16,8 +16,14 @@
 //! A debug build pins every cell. An optimized build allocates 2 078
 //! times less on LVM-cheap (both ISAs) and the same elsewhere, so it
 //! checks only the ordering and that two passes count the same.
+//!
+//! A second test counts what a warm code cache leaves a compile: one
+//! service compile per statement and cell with every module an L1 hit,
+//! so only the link (`CodeArtifact::instantiate`) and the query's
+//! statistics remain, as in every `cache_reuse` L1 pass, `hot_exec`
+//! request and per-worker relink. It is pinned the same way.
 
-use qc_engine::{backends, PreparedStatement, Session};
+use qc_engine::{backends, CompileServiceConfig, PreparedStatement, Session, SessionConfig};
 use qc_target::Isa;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -68,22 +74,43 @@ static ALLOCATOR: Counting = Counting;
 /// Allocations of one whole-suite compile per cell in a debug build,
 /// in [`backends::all_for`] order (Table III's): TX64 then TA64.
 const PINNED: [(&str, Isa, u64); 11] = [
-    ("Interpreter", Isa::Tx64, 25_506),
-    ("DirectEmit", Isa::Tx64, 164_055),
-    ("Clift", Isa::Tx64, 254_273),
-    ("LVM-cheap", Isa::Tx64, 307_369),
-    ("LVM-opt", Isa::Tx64, 784_837),
-    ("GCC/C", Isa::Tx64, 2_356_276),
-    ("Interpreter", Isa::Ta64, 25_506),
-    ("Clift", Isa::Ta64, 258_917),
-    ("LVM-cheap", Isa::Ta64, 301_682),
-    ("LVM-opt", Isa::Ta64, 780_008),
-    ("GCC/C", Isa::Ta64, 2_332_492),
+    ("Interpreter", Isa::Tx64, 24_166),
+    ("DirectEmit", Isa::Tx64, 161_690),
+    ("Clift", Isa::Tx64, 242_488),
+    ("LVM-cheap", Isa::Tx64, 285_368),
+    ("LVM-opt", Isa::Tx64, 764_657),
+    ("GCC/C", Isa::Tx64, 2_354_077),
+    ("Interpreter", Isa::Ta64, 24_166),
+    ("Clift", Isa::Ta64, 247_132),
+    ("LVM-cheap", Isa::Ta64, 279_681),
+    ("LVM-opt", Isa::Ta64, 759_828),
+    ("GCC/C", Isa::Ta64, 2_330_293),
+];
+
+/// Allocations of one L1-hit service compile of every statement per
+/// cell in a debug build, in the order of [`PINNED`].
+const PINNED_L1_HITS: [(&str, Isa, u64); 11] = [
+    ("Interpreter", Isa::Tx64, 1_099),
+    ("DirectEmit", Isa::Tx64, 6_516),
+    ("Clift", Isa::Tx64, 7_031),
+    ("LVM-cheap", Isa::Tx64, 17_387),
+    ("LVM-opt", Isa::Tx64, 7_546),
+    ("GCC/C", Isa::Tx64, 6_619),
+    ("Interpreter", Isa::Ta64, 1_099),
+    ("Clift", Isa::Ta64, 7_031),
+    ("LVM-cheap", Isa::Ta64, 17_387),
+    ("LVM-opt", Isa::Ta64, 7_546),
+    ("GCC/C", Isa::Ta64, 6_619),
 ];
 
 /// One pass: for every cell, on a fresh thread, the allocations of one
-/// direct compile of each statement, summed over the suite.
-fn pass(session: &Session<'_>, statements: &[PreparedStatement]) -> Vec<(String, Isa, u64)> {
+/// compile of each statement, summed over the suite; `direct` compiles
+/// bypass the compile service and its code cache.
+fn pass(
+    session: &Session<'_>,
+    statements: &[PreparedStatement],
+    direct: bool,
+) -> Vec<(String, Isa, u64)> {
     let mut counts = Vec::new();
     for isa in [Isa::Tx64, Isa::Ta64] {
         for backend in backends::all_for(isa) {
@@ -93,10 +120,10 @@ fn pass(session: &Session<'_>, statements: &[PreparedStatement]) -> Vec<(String,
                 s.spawn(|| {
                     let mut total = 0;
                     for statement in statements {
-                        let run = session
-                            .run(statement.clone())
-                            .backend(Arc::clone(&backend))
-                            .direct();
+                        let mut run = session.run(statement.clone()).backend(Arc::clone(&backend));
+                        if direct {
+                            run = run.direct();
+                        }
                         let before = ALLOCATIONS.with(Cell::get);
                         run.compile().expect("compiles");
                         total += ALLOCATIONS.with(Cell::get) - before;
@@ -121,12 +148,9 @@ fn compile_allocations_rank_the_back_ends_as_table_iii_and_are_pinned() {
         .map(|q| session.statement(&q.plan).expect("prepares"))
         .collect();
 
-    let first = pass(&session, &statements);
-    let second = pass(&session, &statements);
-    let table: String = first
-        .iter()
-        .map(|(name, isa, n)| format!("  {name:<12} {:<5} {n:>10}\n", isa.name()))
-        .collect();
+    let first = pass(&session, &statements, true);
+    let second = pass(&session, &statements, true);
+    let table = table(&first);
     println!("allocations per whole-suite compile:\n{table}");
     assert_eq!(first, second, "two passes must count the same");
 
@@ -145,12 +169,68 @@ fn compile_allocations_rank_the_back_ends_as_table_iii_and_are_pinned() {
         }
     }
 
-    let cells: Vec<_> = first.iter().map(|(n, i, _)| (n.as_str(), *i)).collect();
-    let pinned_cells: Vec<_> = PINNED.iter().map(|&(n, i, _)| (n, i)).collect();
+    assert_pinned(&first, &PINNED, &table);
+}
+
+#[test]
+fn l1_hit_compiles_are_pinned() {
+    let db = qc_storage::gen_dslike(0.01);
+    let session = Session::with_config(
+        &db,
+        SessionConfig {
+            compile: CompileServiceConfig {
+                workers: 1,
+                cache_capacity: 1 << 16,
+            },
+            ..SessionConfig::default()
+        },
+    );
+    let statements: Vec<PreparedStatement> = qc_workloads::dslike_suite()
+        .iter()
+        .map(|q| session.statement(&q.plan).expect("prepares"))
+        .collect();
+    // Fill the code cache with every cell's artifacts.
+    for isa in [Isa::Tx64, Isa::Ta64] {
+        for backend in backends::all_for(isa) {
+            let backend: Arc<dyn qc_backend::Backend> = Arc::from(backend);
+            for statement in &statements {
+                let run = session.run(statement.clone()).backend(Arc::clone(&backend));
+                run.compile().expect("compiles");
+            }
+        }
+    }
+
+    let misses = session.compile_service().cache_stats().misses;
+    let first = pass(&session, &statements, false);
+    let second = pass(&session, &statements, false);
+    assert_eq!(
+        session.compile_service().cache_stats().misses,
+        misses,
+        "every module must hit the code cache"
+    );
+    let table = table(&first);
+    println!("allocations per whole-suite L1-hit compile:\n{table}");
+    assert_eq!(first, second, "two passes must count the same");
+    assert_pinned(&first, &PINNED_L1_HITS, &table);
+}
+
+/// One row per cell: name, ISA, count.
+fn table(counts: &[(String, Isa, u64)]) -> String {
+    counts
+        .iter()
+        .map(|(name, isa, n)| format!("  {name:<12} {:<5} {n:>10}\n", isa.name()))
+        .collect()
+}
+
+/// The measured cells are `pinned`'s, in its order, and in a debug
+/// build so are the counts.
+fn assert_pinned(measured: &[(String, Isa, u64)], pinned: &[(&str, Isa, u64)], table: &str) {
+    let cells: Vec<_> = measured.iter().map(|(n, i, _)| (n.as_str(), *i)).collect();
+    let pinned_cells: Vec<_> = pinned.iter().map(|&(n, i, _)| (n, i)).collect();
     assert_eq!(cells, pinned_cells, "the cells and their order");
     if cfg!(debug_assertions) {
-        let counts: Vec<_> = first.iter().map(|c| c.2).collect();
-        let pinned: Vec<_> = PINNED.iter().map(|c| c.2).collect();
+        let counts: Vec<_> = measured.iter().map(|c| c.2).collect();
+        let pinned: Vec<_> = pinned.iter().map(|c| c.2).collect();
         assert_eq!(counts, pinned, "allocation counts moved:\n{table}");
     }
 }

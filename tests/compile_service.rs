@@ -4,7 +4,7 @@
 //! artifacts as a foreground one.
 
 use qc_backend::BackendErrorKind;
-use qc_backend::{Backend, BackendError, Executable};
+use qc_backend::{Backend, BackendError, CodeArtifact};
 use qc_engine::{
     backends, CompileService, CompileServiceConfig, CompiledQuery, EngineConfig, EngineError,
     PreparedStatement, Session, SessionConfig,
@@ -140,14 +140,14 @@ fn service_compile_matches_engine_compile() {
             backend.name()
         );
         assert_eq!(
-            ra.compile_stats.code_bytes,
-            rb.compile_stats.code_bytes,
+            a.compile_stats.code_bytes,
+            b.compile_stats.code_bytes,
             "{}: emitted code size differs",
             backend.name()
         );
         assert_eq!(
-            ra.compile_stats.functions,
-            rb.compile_stats.functions,
+            a.compile_stats.functions,
+            b.compile_stats.functions,
             "{}: compiled function count differs",
             backend.name()
         );
@@ -202,8 +202,8 @@ fn second_compile_hits_the_cache_and_reuses_code() {
             reference::normalize(&rw.rows)
         );
         assert_eq!(rc.exec_stats.cycles, rw.exec_stats.cycles);
-        assert_eq!(rc.compile_stats.code_bytes, rw.compile_stats.code_bytes);
-        assert_eq!(rc.compile_stats.functions, rw.compile_stats.functions);
+        assert_eq!(cold.compile_stats.code_bytes, warm.compile_stats.code_bytes);
+        assert_eq!(cold.compile_stats.functions, warm.compile_stats.functions);
     }
 }
 
@@ -240,24 +240,24 @@ fn distinct_configs_do_not_share_cached_code() {
     assert_eq!(stats.misses, 2 * n);
 }
 
-/// A back-end that links executables but returns no code artifact.
-struct ExecutablesOnly(Arc<dyn Backend>);
+/// A back-end that returns no code artifact.
+struct NoArtifacts;
 
-impl Backend for ExecutablesOnly {
+impl Backend for NoArtifacts {
     fn name(&self) -> &'static str {
-        "ExecutablesOnly"
+        "NoArtifacts"
     }
 
     fn isa(&self) -> Isa {
-        self.0.isa()
+        Isa::Tx64
     }
 
-    fn compile(
+    fn compile_artifact(
         &self,
-        module: &Module,
-        trace: &TimeTrace,
-    ) -> Result<Box<dyn Executable>, BackendError> {
-        self.0.compile(module, trace)
+        _module: &Module,
+        _trace: &TimeTrace,
+    ) -> Result<Option<Box<dyn CodeArtifact>>, BackendError> {
+        Ok(None)
     }
 }
 
@@ -266,7 +266,7 @@ fn a_back_end_without_artifacts_is_rejected_naming_the_tier() {
     let db = qc_storage::gen_hlike(0.02);
     let session = Session::new(&db);
     let stmt = multi_pipeline_query(&session);
-    let backend: Arc<dyn Backend> = Arc::new(ExecutablesOnly(Arc::from(backends::direct_emit())));
+    let backend: Arc<dyn Backend> = Arc::new(NoArtifacts);
     let run = || session.run(stmt.clone()).backend(Arc::clone(&backend));
 
     let trace = TimeTrace::new();
@@ -279,7 +279,7 @@ fn a_back_end_without_artifacts_is_rejected_naming_the_tier() {
         match outcome {
             Err(EngineError::Backend(e)) => {
                 assert_eq!(e.kind, BackendErrorKind::Permanent, "{path}: {e}");
-                assert!(e.message.contains("ExecutablesOnly"), "{path}: {e}");
+                assert!(e.message.contains("NoArtifacts"), "{path}: {e}");
             }
             other => panic!("{path}: expected a permanent back-end error, got {other:?}"),
         }

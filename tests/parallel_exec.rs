@@ -356,8 +356,8 @@ impl Executable for MainThreadsExecutable {
         self.inner.exec_stats()
     }
 
-    fn compile_stats(&self) -> &CompileStats {
-        self.inner.compile_stats()
+    fn code_bytes(&self) -> usize {
+        self.inner.code_bytes()
     }
 }
 
